@@ -36,7 +36,6 @@ mod gradcheck;
 mod graph;
 mod ops;
 mod params;
-mod replay;
 mod serialize;
 
 pub mod checkpoint;

@@ -15,9 +15,7 @@ use rand::SeedableRng;
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
 use sthsl_data::predictor::sanitize_counts;
 use sthsl_data::{CrimeDataset, FitReport, Predictor, Split};
-use sthsl_graphcheck::{
-    AuditOptions, AuditReport, OptimizeGoal, OptimizedTape, ReplayVerdict, RewriteOptions,
-};
+use sthsl_graphcheck::{AuditOptions, AuditReport};
 use sthsl_tensor::{Result, Tensor, TensorError};
 
 /// One audit-ready sample graph: `(graph, loss, named parameter vars)`, as
@@ -38,6 +36,18 @@ pub struct StHsl {
     cols: usize,
     num_categories: usize,
     window: usize,
+}
+
+/// What one forward pass records besides the prediction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Pass<'a> {
+    /// Loss-building (training and validation): the local view and every
+    /// self-supervised term the ablation enables. `corrupt_perm`, a region
+    /// permutation, also enables the infomax corruption branch (training
+    /// only).
+    Loss { corrupt_perm: Option<&'a [usize]> },
+    /// Inference: only ancestors of the prediction.
+    Predict,
 }
 
 /// Variables produced by one forward pass that the training objective needs.
@@ -99,16 +109,14 @@ impl StHsl {
         self.store.num_scalars()
     }
 
-    /// One forward pass over a z-scored window.
-    ///
-    /// `zscored`: `[R, Tw, C]`. `corrupt_perm`: a region permutation enabling
-    /// the infomax corruption branch (training only).
+    /// One forward pass over a z-scored window `[R, Tw, C]`; `pass` picks
+    /// what is recorded besides the prediction.
     pub(crate) fn forward(
         &self,
         g: &Graph,
         pv: &ParamVars,
         zscored: &Tensor,
-        corrupt_perm: Option<&[usize]>,
+        pass: Pass<'_>,
     ) -> Result<ForwardArtifacts> {
         let ab = &self.cfg.ablation;
         let (r, tw, c) = (self.rows * self.cols, zscored.shape()[1], self.num_categories);
@@ -130,11 +138,19 @@ impl StHsl {
         let e = self.embedding.forward(g, pv, zscored)?; // [R,Tw,C,d]
 
         // (2) Local multi-view encoder, Eqs. 2–3 (handles its own ablations).
-        let h_local = self.local.forward(g, pv, e)?; // [R,Tw,C,d]
-        let local_pooled = {
-            let m = g.mean_axis(h_local, 1)?; // [R,C,d]
-            m
+        // A loss-building pass records it here, ahead of the global branch,
+        // where training's dropout masks expect it. Inference records it at
+        // the head (step 5), and only if the head reads it (fusion or "w/o
+        // Global"); otherwise it would feed nothing but the contrastive loss.
+        let local_view = || -> Result<Var> {
+            let h_local = self.local.forward(g, pv, e)?; // [R,Tw,C,d]
+            g.mean_axis(h_local, 1) // [R,C,d]
         };
+        let (local_pooled, corrupt_perm) = match pass {
+            Pass::Loss { corrupt_perm } => (Some(local_view()?), corrupt_perm),
+            Pass::Predict => (None, None),
+        };
+        let head_local = || local_pooled.map_or_else(&local_view, Ok);
 
         // (3) Global branch. Following Fig. 3, this is a *parallel* view: the
         // hypergraph reads the raw embeddings E (Eq. 4's notation), so the
@@ -181,20 +197,20 @@ impl StHsl {
             }
 
             // (4b) Cross-view contrastive, Eq. 8.
-            if ab.contrastive && ab.local_encoder {
-                contrastive = Some(contrastive_loss(g, local_pooled, global_pooled, self.cfg.tau)?);
+            if let Some(local) = local_pooled.filter(|_| ab.contrastive && ab.local_encoder) {
+                contrastive = Some(contrastive_loss(g, local, global_pooled, self.cfg.tau)?);
             }
 
             // (5) Prediction, Eq. 9.
             if ab.fusion {
-                let fused = g.concat(&[local_pooled, global_pooled], 2)?;
+                let fused = g.concat(&[head_local()?, global_pooled], 2)?;
                 self.head.forward(g, pv, fused)?
             } else {
                 self.head.forward(g, pv, global_pooled)?
             }
         } else {
             // "w/o Global": local-only prediction.
-            self.head.forward(g, pv, local_pooled)?
+            self.head.forward(g, pv, head_local()?)?
         };
 
         Ok(ForwardArtifacts { pred, infomax_loss, contrastive_loss: contrastive })
@@ -211,7 +227,7 @@ impl StHsl {
         target: &Tensor,
         corrupt_perm: Option<&[usize]>,
     ) -> Result<Var> {
-        let art = self.forward(g, pv, zscored, corrupt_perm)?;
+        let art = self.forward(g, pv, zscored, Pass::Loss { corrupt_perm })?;
         let t = g.constant(target.clone());
         let mut loss = g.mse(art.pred, t)?;
         if let Some(li) = art.infomax_loss {
@@ -345,8 +361,9 @@ impl StHsl {
     /// graph with a single parameter injection. Each prediction is
     /// bit-identical to a standalone [`Predictor::predict`] call — the same
     /// op sequence runs over the same values — while amortising the graph
-    /// and injection setup across the batch. This is the micro-batch entry
-    /// point the serving layer drains requests through.
+    /// and injection setup across the batch. Like every inference entry
+    /// point, it records only ancestors of the predictions. This is the
+    /// micro-batch entry point the serving layer drains requests through.
     pub fn predict_batch(&self, data: &CrimeDataset, windows: &[&Tensor]) -> Result<Vec<Tensor>> {
         let g = Graph::new();
         let pv = self.store.inject(&g);
@@ -354,7 +371,7 @@ impl StHsl {
             .iter()
             .map(|window| {
                 let z = data.zscore(window);
-                let art = self.forward(&g, &pv, &z, None)?;
+                let art = self.forward(&g, &pv, &z, Pass::Predict)?;
                 Ok(sanitize_counts(g.value(art.pred).as_ref().clone()))
             })
             .collect()
@@ -465,15 +482,12 @@ impl StHsl {
     }
 
     /// Build the inference-mode (serving) graph: one forward pass to the
-    /// predicted counts on the first training day, with no corruption
-    /// branch, no dropout nodes and no loss terms. Returns
+    /// predicted counts on the first training day, recording only the
+    /// prediction's ancestors — no corruption branch, no dropout nodes, no
+    /// loss terms and no local view the head does not read. Returns
     /// `(graph, root, named params)` where `root` is a scalar `sum_all`
     /// probe over the prediction — the audit passes want a scalar root, and
     /// everything the prediction needs is an ancestor of the probe.
-    ///
-    /// This is the tape the [`Self::optimize_tape`] `Forward` profile
-    /// rewrites: without gradient-order obligations the optimizer can merge
-    /// and sweep far more aggressively than on the training tape.
     pub fn serving_artifacts(&self, data: &CrimeDataset) -> Result<AuditGraph> {
         let g = Graph::new();
         let pv = self.store.inject(&g);
@@ -482,7 +496,7 @@ impl StHsl {
         })?;
         let sample = data.sample(day)?;
         let z = data.zscore(&sample.input);
-        let art = self.forward(&g, &pv, &z, None)?;
+        let art = self.forward(&g, &pv, &z, Pass::Predict)?;
         let root = g.sum_all(art.pred);
         Ok((g, root, self.store.named_vars(&pv)))
     }
@@ -495,79 +509,13 @@ impl StHsl {
         out.push("infomax.".to_string());
         if !self.cfg.ablation.fusion && self.cfg.ablation.global_branch {
             // Without fusion the head reads only the global view; the local
-            // stack feeds the contrastive loss, which a serving graph
-            // doesn't build.
+            // stack feeds only the contrastive loss, so the serving graph
+            // doesn't record it.
             out.push("local.".to_string());
         }
         out.sort();
         out.dedup();
         out
-    }
-
-    /// Run the audit-certified tape optimizer over the graph this model
-    /// builds.
-    ///
-    /// * [`OptimizeGoal::ForwardBackward`] rewrites the *training* tape
-    ///   (loss output, corruption branch active) under the conservative
-    ///   gradient-preserving rules.
-    /// * [`OptimizeGoal::Forward`] rewrites the *serving* tape (prediction
-    ///   output, inference graph).
-    ///
-    /// Returns the recording graph, its output index, and the optimized
-    /// tape, so the caller can replay-verify via
-    /// [`sthsl_graphcheck::verify_bit_equivalence`].
-    pub fn optimize_tape(
-        &self,
-        data: &CrimeDataset,
-        goal: OptimizeGoal,
-    ) -> Result<(Graph, usize, OptimizedTape)> {
-        let ((g, out, params), allow) = match goal {
-            OptimizeGoal::ForwardBackward => {
-                (self.audit_artifacts(data)?, self.expected_inactive_prefixes())
-            }
-            OptimizeGoal::Forward => {
-                (self.serving_artifacts(data)?, self.expected_serving_inactive_prefixes())
-            }
-        };
-        let spec = g.export_tape();
-        let indexed: Vec<(String, usize)> =
-            params.iter().map(|(n, v)| (n.clone(), v.index())).collect();
-        let audit_opts = AuditOptions { allow_unreachable: allow, ..AuditOptions::default() };
-        let rw = match goal {
-            OptimizeGoal::ForwardBackward => RewriteOptions::default(),
-            OptimizeGoal::Forward => RewriteOptions::forward(),
-        };
-        let opt =
-            sthsl_graphcheck::optimize("ST-HSL", &spec, out.index(), &indexed, &audit_opts, &rw)
-                .map_err(|e| TensorError::Invalid(e.to_string()))?;
-        Ok((g, out.index(), opt))
-    }
-
-    /// [`Self::optimize_tape`] followed by the runtime replay harness:
-    /// every surviving node value (and, for the training goal, every
-    /// parameter gradient) must be `to_bits`-identical to the recording
-    /// graph. Returns the optimized tape and the replay verdict.
-    pub fn optimize_and_verify(
-        &self,
-        data: &CrimeDataset,
-        goal: OptimizeGoal,
-    ) -> Result<(OptimizedTape, ReplayVerdict)> {
-        let (g, out, opt) = self.optimize_tape(data, goal)?;
-        let replay = match goal {
-            // The training tape draws dropout masks from the seeded stream;
-            // an equal seed reproduces them draw for draw.
-            OptimizeGoal::ForwardBackward => Graph::training(self.cfg.seed),
-            OptimizeGoal::Forward => Graph::new(),
-        };
-        let verdict = sthsl_graphcheck::verify_bit_equivalence(&g, out, &opt, &replay)
-            .map_err(TensorError::Invalid)?;
-        Ok((opt, verdict))
-    }
-
-    /// Fusion-candidate analysis of the training tape (advisory).
-    pub fn fusion_report(&self, data: &CrimeDataset) -> Result<sthsl_graphcheck::FusionReport> {
-        let (g, _, _) = self.audit_artifacts(data)?;
-        Ok(sthsl_graphcheck::fusion::analyze("ST-HSL", &g.export_tape()))
     }
 
     /// Train with the full fault-tolerant runtime: checkpointing, resume,
@@ -596,7 +544,7 @@ impl Predictor for StHsl {
         let g = Graph::new();
         let pv = self.store.inject(&g);
         let z = data.zscore(window);
-        let art = self.forward(&g, &pv, &z, None)?;
+        let art = self.forward(&g, &pv, &z, Pass::Predict)?;
         Ok(sanitize_counts(g.value(art.pred).as_ref().clone()))
     }
 }
@@ -636,7 +584,7 @@ mod tests {
         let sample = data.sample(20).unwrap();
         let z = data.zscore(&sample.input);
         let perm: Vec<usize> = (0..16).rev().collect();
-        let art = model.forward(&g, &pv, &z, Some(&perm)).unwrap();
+        let art = model.forward(&g, &pv, &z, Pass::Loss { corrupt_perm: Some(&perm) }).unwrap();
         assert_eq!(g.shape_of(art.pred).unwrap(), vec![16, 4]);
         assert!(art.infomax_loss.is_some());
         assert!(art.contrastive_loss.is_some());
@@ -653,9 +601,9 @@ mod tests {
         let g = Graph::new();
         let pv = model.store.inject(&g);
         let bad = Tensor::zeros(&[16, 5, 4]); // wrong Tw
-        assert!(model.forward(&g, &pv, &bad, None).is_err());
+        assert!(model.forward(&g, &pv, &bad, Pass::Predict).is_err());
         let bad2 = Tensor::zeros(&[9, 7, 4]); // wrong R
-        assert!(model.forward(&g, &pv, &bad2, None).is_err());
+        assert!(model.forward(&g, &pv, &bad2, Pass::Predict).is_err());
     }
 
     #[test]
@@ -669,7 +617,7 @@ mod tests {
         let sample = data.sample(20).unwrap();
         let z = data.zscore(&sample.input);
         let perm: Vec<usize> = (0..16).collect();
-        let art = model.forward(&g, &pv, &z, Some(&perm)).unwrap();
+        let art = model.forward(&g, &pv, &z, Pass::Loss { corrupt_perm: Some(&perm) }).unwrap();
         assert!(art.infomax_loss.is_none());
         assert!(art.contrastive_loss.is_none());
         assert_eq!(g.shape_of(art.pred).unwrap(), vec![16, 4]);
@@ -684,7 +632,7 @@ mod tests {
         let pv = model.store.inject(&g);
         let sample = data.sample(20).unwrap();
         let z = data.zscore(&sample.input);
-        let art = model.forward(&g, &pv, &z, None).unwrap();
+        let art = model.forward(&g, &pv, &z, Pass::Loss { corrupt_perm: None }).unwrap();
         assert_eq!(g.shape_of(art.pred).unwrap(), vec![16, 4]);
         assert!(art.contrastive_loss.is_none());
     }
@@ -740,19 +688,60 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_matches_single_shot_bitwise() {
+    fn inference_records_only_the_forecasts_ancestors_and_keeps_its_bits() {
         let data = tiny_dataset();
-        let model = StHsl::new(tiny_cfg(), &data).unwrap();
         let s20 = data.sample(20).unwrap();
         let s25 = data.sample(25).unwrap();
-        let batch = model.predict_batch(&data, &[&s20.input, &s25.input]).unwrap();
-        assert_eq!(batch.len(), 2);
-        let single20 = model.predict(&data, &s20.input).unwrap();
-        let single25 = model.predict(&data, &s25.input).unwrap();
-        for (b, s) in [(&batch[0], &single20), (&batch[1], &single25)] {
-            assert_eq!(b.shape(), s.shape());
-            for (x, y) in b.data().iter().zip(s.data()) {
-                assert_eq!(x.to_bits(), y.to_bits());
+        let variants =
+            std::iter::once(("full", Ablation::full())).chain(Ablation::named_variants());
+        for (name, ab) in variants {
+            let model = StHsl::new(tiny_cfg().with_ablation(ab), &data).unwrap();
+
+            // Forecast bits equal the prediction of the loss-building pass.
+            let reference = |input: &Tensor| {
+                let g = Graph::new();
+                let pv = model.store.inject(&g);
+                let z = data.zscore(input);
+                let art = model.forward(&g, &pv, &z, Pass::Loss { corrupt_perm: None }).unwrap();
+                sanitize_counts(g.value(art.pred).as_ref().clone())
+            };
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (want20, want25) = (bits(&reference(&s20.input)), bits(&reference(&s25.input)));
+            assert_eq!(bits(&model.predict(&data, &s20.input).unwrap()), want20, "{name}");
+            let batch = model.predict_batch(&data, &[&s20.input, &s25.input]).unwrap();
+            assert_eq!(bits(&batch[0]), want20, "{name}: batch[0]");
+            assert_eq!(bits(&batch[1]), want25, "{name}: batch[1]");
+
+            // Every op node on the serving tape is an ancestor of the root.
+            let (g, root, _) = model.serving_artifacts(&data).unwrap();
+            let spec = g.export_tape();
+            let mut needed = vec![false; spec.nodes.len()];
+            needed[root.index()] = true;
+            for i in (0..spec.nodes.len()).rev() {
+                if needed[i] {
+                    for &p in &spec.nodes[i].parents {
+                        needed[p] = true;
+                    }
+                }
+            }
+            for (i, node) in spec.nodes.iter().enumerate() {
+                assert!(
+                    needed[i] || node.kind.is_input(),
+                    "{name}: serving node %{i} ({}) does not reach the forecast",
+                    node.kind.name()
+                );
+            }
+
+            // Without fusion the head reads only the global view: no local
+            // convolution and no contrastive node is recorded. The conv1d
+            // nodes left are the global temporal layers (Eq. 5).
+            if ab.global_branch && !ab.fusion {
+                let count = |op: &str| spec.nodes.iter().filter(|n| n.kind.name() == op).count();
+                let global_convs =
+                    if ab.global_temporal { model.cfg.global_temporal_layers } else { 0 };
+                assert_eq!(count("conv2d"), 0, "{name}");
+                assert_eq!(count("info_nce_diag"), 0, "{name}");
+                assert_eq!(count("conv1d"), global_convs, "{name}");
             }
         }
     }
@@ -785,7 +774,7 @@ mod tests {
         // Wrong category count reaches the embedding guard even in release
         // builds (this used to be a debug_assert that compiled away).
         let bad = Tensor::zeros(&[16, 7, 5]);
-        let Err(err) = model.forward(&g, &pv, &bad, None) else {
+        let Err(err) = model.forward(&g, &pv, &bad, Pass::Predict) else {
             panic!("mis-shaped window accepted")
         };
         assert!(err.to_string().contains("16"), "untyped error: {err}");

@@ -192,12 +192,6 @@ pub struct TrainOptions {
     pub max_divergence_retries: u32,
     /// Compute validation loss each epoch even without `patience`.
     pub validate: bool,
-    /// Extend the pre-flight with the certified tape optimizer: rewrite the
-    /// training tape under gradient-preserving rules and require a
-    /// bit-exact replay (every node value and parameter gradient
-    /// `to_bits`-identical) before the first optimizer step. Catches
-    /// optimizer/engine divergence the plain audit cannot see.
-    pub optimize_preflight: bool,
 }
 
 impl TrainOptions {
@@ -341,21 +335,6 @@ impl TrainLoop {
                 "graph audit failed; refusing to train a miswired model\n{}",
                 audit.render()
             )));
-        }
-
-        // Optional extended pre-flight: run the certified tape optimizer on
-        // the training tape and replay it bit-exact. Any divergence between
-        // the static proofs and the runtime bits aborts before step one.
-        if self.opts.optimize_preflight {
-            let (opt, verdict) =
-                model.optimize_and_verify(data, sthsl_graphcheck::OptimizeGoal::ForwardBackward)?;
-            if !opt.warnings.is_empty() {
-                return Err(TensorError::Invalid(format!(
-                    "optimize pre-flight regressed the audit: {}",
-                    opt.warnings.join("; ")
-                )));
-            }
-            debug_assert!(verdict.nodes_compared > 0);
         }
 
         let start = Instant::now();

@@ -1,12 +1,13 @@
 //! Static graph audit over the real ST-HSL model: the full configuration and
-//! every named ablation variant must certify clean (shape inference agrees
-//! with runtime everywhere, every live parameter is grad-reachable, expected
-//! detachment is explained by the ablation allow-prefixes), and the rendered
-//! report for a fixed seed must be stable.
+//! every named ablation variant must certify clean on both the training and
+//! the serving tape (shape inference agrees with runtime everywhere, every
+//! live parameter is grad-reachable, expected detachment is explained by the
+//! ablation allow-prefixes), and the rendered report for a fixed seed must
+//! be stable.
 
 use sthsl_core::{Ablation, StHsl, StHslConfig};
 use sthsl_data::{CrimeDataset, DatasetConfig, SynthCity, SynthConfig};
-use sthsl_graphcheck::Severity;
+use sthsl_graphcheck::{AuditOptions, AuditReport, Severity};
 
 fn tiny_dataset() -> CrimeDataset {
     let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 80)).unwrap();
@@ -26,6 +27,36 @@ fn tiny_cfg() -> StHslConfig {
         max_batches_per_epoch: Some(3),
         ..StHslConfig::quick()
     }
+}
+
+/// Audit the serving tape the way `ForecastEngine`'s startup gate does.
+fn serving_audit(model: &StHsl, data: &CrimeDataset) -> AuditReport {
+    let (g, root, params) = model.serving_artifacts(data).unwrap();
+    let indexed: Vec<(String, usize)> =
+        params.iter().map(|(n, v)| (n.clone(), v.index())).collect();
+    let opts = AuditOptions {
+        allow_unreachable: model.expected_serving_inactive_prefixes(),
+        ..AuditOptions::default()
+    };
+    sthsl_graphcheck::audit("ST-HSL (serving)", &g.export_tape(), root.index(), &indexed, &opts)
+}
+
+/// No errors, and every unreachable parameter explained by an ablation
+/// allow-prefix (an Info diagnostic), never silently passed.
+fn assert_clean_and_explained(label: &str, report: &AuditReport) {
+    assert!(!report.has_errors(), "{label} must audit clean:\n{}", report.render());
+    let unreachable = report.param_count - report.reachable_params;
+    let explained = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Info && d.msg.contains("ablation allow-prefix"))
+        .count();
+    assert_eq!(
+        unreachable,
+        explained,
+        "{label}: {unreachable} unreachable vs {explained} explained:\n{}",
+        report.render()
+    );
 }
 
 #[test]
@@ -55,21 +86,10 @@ fn every_named_ablation_certifies_clean_on_dense_and_sparse_tapes() {
             let path = if sparse { "sparse" } else { "dense" };
             let model = StHsl::new(cfg, &data).unwrap();
             let report = model.graph_audit(&data).unwrap();
-            assert!(!report.has_errors(), "{name}/{path} must audit clean:\n{}", report.render());
-            // Any unreachable parameter must have been explained by an
-            // ablation allow-prefix (an Info diagnostic), never silently
-            // passed.
-            let unreachable = report.param_count - report.reachable_params;
-            let explained = report
-                .diagnostics
-                .iter()
-                .filter(|d| d.severity == Severity::Info && d.msg.contains("ablation allow-prefix"))
-                .count();
-            assert_eq!(
-                unreachable,
-                explained,
-                "{name}/{path}: {unreachable} unreachable vs {explained} explained:\n{}",
-                report.render()
+            assert_clean_and_explained(&format!("{name}/{path}"), &report);
+            assert_clean_and_explained(
+                &format!("{name}/{path} serving"),
+                &serving_audit(&model, &data),
             );
             // graphcheck v2: every interval bounded, every op certified
             // thread-invariant, nothing over the accumulation budget.
