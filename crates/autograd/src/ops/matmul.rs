@@ -2,7 +2,7 @@
 
 use crate::graph::{Graph, Var};
 use crate::tape::OpKind;
-use sthsl_tensor::{Result, SparseTensor};
+use sthsl_tensor::Result;
 
 impl Graph {
     /// 2-D matrix product `[m,k] · [k,n] → [m,n]`.
@@ -16,32 +16,6 @@ impl Graph {
             Box::new(|g, p, _| {
                 let ga = g.matmul(&p[1].transpose2d()?)?;
                 let gb = p[0].transpose2d()?.matmul(g)?;
-                Ok(vec![Some(ga), Some(gb)])
-            }),
-        ))
-    }
-
-    /// Sparse × dense matrix product `[m,k] · [k,n] → [m,n]`.
-    ///
-    /// `a`'s value is materialised as CSR once at record time; the forward is
-    /// bit-identical to [`Graph::matmul`] (the dense kernel already skips
-    /// zero lhs entries in the same accumulation order). On backward the lhs
-    /// gradient is **scattered through the sparse pattern**: positions of `a`
-    /// whose bit pattern is zero receive zero gradient, stored positions get
-    /// exactly the dense `g · bᵀ` value. The rhs gradient is the transposed
-    /// CSR product `aᵀ · g`, bit-identical to the dense backward.
-    pub fn sparse_matmul(&self, a: Var, b: Var) -> Result<Var> {
-        let (av, bv) = (self.value(a), self.value(b));
-        let sp = SparseTensor::from_dense(&av)?;
-        let spt = sp.transpose();
-        let out = sp.matmul_dense(&bv)?;
-        Ok(self.op(
-            OpKind::SparseMatmul { nnz: sp.nnz() },
-            out,
-            vec![a, b],
-            Box::new(move |g, p, _| {
-                let ga = sp.pattern_grad(g, &p[1])?;
-                let gb = spt.matmul_dense(g)?;
                 Ok(vec![Some(ga), Some(gb)])
             }),
         ))
@@ -94,67 +68,6 @@ mod tests {
                 Ok(g.sum_all(y))
             },
         );
-    }
-
-    #[test]
-    fn sparse_matmul_grads() {
-        // Dense inputs: every position is in the pattern, so the numerical
-        // gradient (which re-derives the pattern after perturbation) agrees
-        // with the analytic pattern-scatter.
-        let mut rng = StdRng::seed_from_u64(11);
-        gradcheck(
-            &[
-                Tensor::rand_normal(&[3, 4], 0.0, 1.0, &mut rng),
-                Tensor::rand_normal(&[4, 2], 0.0, 1.0, &mut rng),
-            ],
-            |g, vars| {
-                let y = g.sparse_matmul(vars[0], vars[1])?;
-                Ok(g.sum_all(y))
-            },
-        );
-    }
-
-    #[test]
-    fn sparse_matmul_matches_dense_bitwise_with_zeros() {
-        use crate::graph::Graph;
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut a = Tensor::rand_normal(&[5, 8], 0.0, 1.0, &mut rng);
-        for (i, v) in a.data_mut().iter_mut().enumerate() {
-            if i % 3 != 0 {
-                *v = 0.0;
-            }
-        }
-        let b = Tensor::rand_normal(&[8, 4], 0.0, 1.0, &mut rng);
-
-        let run = |sparse: bool| {
-            let g = Graph::new();
-            let av = g.leaf(a.clone());
-            let bv = g.leaf(b.clone());
-            let y = if sparse { g.sparse_matmul(av, bv) } else { g.matmul(av, bv) }.unwrap();
-            let loss = g.sum_all(y);
-            let grads = g.backward(loss).unwrap();
-            (
-                g.value(y).data().to_vec(),
-                grads.get(av).unwrap().data().to_vec(),
-                grads.get(bv).unwrap().data().to_vec(),
-            )
-        };
-        let (yd, gad, gbd) = run(false);
-        let (ys, gas, gbs) = run(true);
-        for (x, y) in yd.iter().zip(&ys) {
-            assert_eq!(x.to_bits(), y.to_bits(), "forward mismatch");
-        }
-        for (x, y) in gbd.iter().zip(&gbs) {
-            assert_eq!(x.to_bits(), y.to_bits(), "rhs grad mismatch");
-        }
-        // The lhs grad agrees at pattern positions and is zero elsewhere.
-        for (i, (x, y)) in gad.iter().zip(&gas).enumerate() {
-            if a.data()[i] == 0.0 {
-                assert_eq!(*y, 0.0, "off-pattern grad must be zero");
-            } else {
-                assert_eq!(x.to_bits(), y.to_bits(), "on-pattern grad mismatch");
-            }
-        }
     }
 
     #[test]

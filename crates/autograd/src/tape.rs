@@ -69,11 +69,6 @@ pub enum OpKind {
     IndexSelect { axis: usize, indices: Vec<usize> },
     /// 2-D matrix product `[m,k] · [k,n] → [m,n]`.
     Matmul,
-    /// 2-D matrix product whose lhs is materialised as CSR at record time:
-    /// bit-identical to [`OpKind::Matmul`], but the backward scatters the lhs
-    /// gradient through the sparse pattern only. `nnz` is the stored-entry
-    /// count (a hazard/cost attribute, not a shape attribute).
-    SparseMatmul { nnz: usize },
     /// Batched matrix product `[b,m,k] · [b,k,n] → [b,m,n]`.
     BatchedMatmul,
     /// 2-D transpose.
@@ -129,7 +124,6 @@ impl OpKind {
             OpKind::PadAxis { .. } => "pad_axis",
             OpKind::IndexSelect { .. } => "index_select",
             OpKind::Matmul => "matmul",
-            OpKind::SparseMatmul { .. } => "sparse_matmul",
             OpKind::BatchedMatmul => "batched_matmul",
             OpKind::Transpose2d => "transpose2d",
             OpKind::SumAll => "sum_all",
@@ -175,7 +169,6 @@ impl OpKind {
             OpKind::Conv1d { pad_left, pad_right, dilation, has_bias } => format!(
                 "conv1d(pad=({pad_left},{pad_right}), dilation={dilation}, bias={has_bias})"
             ),
-            OpKind::SparseMatmul { nnz } => format!("sparse_matmul(nnz={nnz})"),
             OpKind::Opaque { name } => format!("opaque({name})"),
             _ => self.name().to_string(),
         }
@@ -225,7 +218,6 @@ impl OpKind {
             | OpKind::Transpose2d => sched::data_movement(),
 
             OpKind::Matmul | OpKind::BatchedMatmul => sched::matmul_family(),
-            OpKind::SparseMatmul { .. } => sched::sparse_matmul_family(),
 
             OpKind::SumAll | OpKind::MeanAll => sched::full_reduce_family(),
             OpKind::SumAxis { .. }
@@ -350,7 +342,7 @@ impl OpKind {
                 Ok(Some(out))
             }
 
-            OpKind::Matmul | OpKind::SparseMatmul { .. } => {
+            OpKind::Matmul => {
                 let [a, b] = two(self, ps)?;
                 match (a.as_slice(), b.as_slice()) {
                     ([m, k], [k2, n]) if k == k2 => Ok(Some(vec![*m, *n])),

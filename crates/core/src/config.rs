@@ -159,9 +159,8 @@ pub struct StHslConfig {
     /// Learn a distinct hypergraph per window position (the paper's
     /// time-evolving `H_t`); `false` shares one structure.
     pub time_dependent_hypergraph: bool,
-    /// Route region↔hyperedge propagation through the CSR `sparse_matmul`
-    /// path (forward bit-identical to dense; touches only stored incidence
-    /// entries). `false` falls back to dense batched matmuls.
+    /// Has no effect: hypergraph propagation is always dense. Nothing reads
+    /// this field; it is deleted with the next benchmark change.
     pub sparse_propagation: bool,
     /// RNG seed for parameter init and dropout.
     pub seed: u64,
@@ -195,7 +194,7 @@ impl StHslConfig {
             batch_size: 8,
             max_batches_per_epoch: None,
             time_dependent_hypergraph: true,
-            sparse_propagation: true,
+            sparse_propagation: false,
             seed: 7,
             ablation: Ablation::full(),
         }

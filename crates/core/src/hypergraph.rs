@@ -20,22 +20,20 @@ pub struct HypergraphEncoder {
     num_nodes: usize,
     window: usize,
     time_dependent: bool,
-    sparse: bool,
 }
 
 impl HypergraphEncoder {
     /// Register the hypergraph structure for `num_nodes = R·C` nodes.
     ///
-    /// With `sparse`, propagation routes through [`Graph::sparse_matmul`]
-    /// per window position (CSR over the incidence structure); the forward
-    /// is bit-identical to the dense batched path by construction.
+    /// `_sparse_propagation` has no effect: propagation is always dense. The
+    /// argument is deleted with the next benchmark change.
     pub fn new(
         store: &mut ParamStore,
         num_hyperedges: usize,
         num_nodes: usize,
         window: usize,
         time_dependent: bool,
-        sparse: bool,
+        _sparse_propagation: bool,
         rng: &mut impl Rng,
     ) -> Self {
         let shape: Vec<usize> = if time_dependent {
@@ -45,7 +43,7 @@ impl HypergraphEncoder {
         };
         // Small init keeps the two-hop propagation well-conditioned.
         let hyp = store.register("hypergraph.h", Tensor::rand_normal(&shape, 0.0, 0.05, rng));
-        HypergraphEncoder { hyp, num_hyperedges, num_nodes, window, time_dependent, sparse }
+        HypergraphEncoder { hyp, num_hyperedges, num_nodes, window, time_dependent }
     }
 
     /// Propagate: `E: [Tw, RC, d] → Γ^{(R)}: [Tw, RC, d]`.
@@ -55,9 +53,6 @@ impl HypergraphEncoder {
         crate::guard::expect_dim("hypergraph.h", &shape, 0, self.window)?;
         crate::guard::expect_dim("hypergraph.h", &shape, 1, self.num_nodes)?;
         let tw = shape[0];
-        if self.sparse {
-            return self.forward_sparse(g, pv, e, tw, shape[2]);
-        }
         let h_struct = if self.time_dependent {
             pv.var(self.hyp) // already [Tw, H, RC]
         } else {
@@ -72,41 +67,6 @@ impl HypergraphEncoder {
         // Hyperedge → node: [Tw,RC,H]·[Tw,H,d] → [Tw,RC,d].
         let ht = g.permute(h_struct, &[0, 2, 1])?;
         let out = g.batched_matmul(ht, hubs)?;
-        Ok(g.leaky_relu(out, 0.1))
-    }
-
-    /// Sparse propagation: the same two-hop message passing, one window
-    /// position at a time, with both hops routed through CSR `sparse_matmul`
-    /// over the incidence structure. Touches only the stored incidence
-    /// entries, which is the whole win once the structure is pruned/masked —
-    /// and forward-bitwise-identical to the dense path even while it is not.
-    fn forward_sparse(
-        &self,
-        g: &Graph,
-        pv: &ParamVars,
-        e: Var,
-        tw: usize,
-        d: usize,
-    ) -> Result<Var> {
-        let hv = pv.var(self.hyp);
-        let mut per_t = Vec::with_capacity(tw);
-        for t in 0..tw {
-            let h_t = if self.time_dependent {
-                let s = g.slice_axis(hv, 0, t, 1)?;
-                g.reshape(s, &[self.num_hyperedges, self.num_nodes])?
-            } else {
-                hv // shared [H, RC]; gradient accumulates over t
-            };
-            let e_s = g.slice_axis(e, 0, t, 1)?;
-            let e_t = g.reshape(e_s, &[self.num_nodes, d])?;
-            // Node → hyperedge: [H,RC]·[RC,d] → [H,d].
-            let hubs = g.sparse_matmul(h_t, e_t)?;
-            let hubs = g.leaky_relu(hubs, 0.1);
-            // Hyperedge → node: [RC,H]·[H,d] → [RC,d].
-            let ht = g.transpose2d(h_t)?;
-            per_t.push(g.sparse_matmul(ht, hubs)?);
-        }
-        let out = g.stack(&per_t)?; // [Tw, RC, d]
         Ok(g.leaky_relu(out, 0.1))
     }
 
@@ -152,50 +112,10 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
 
     fn setup(time_dependent: bool) -> (ParamStore, HypergraphEncoder) {
-        setup_sparse(time_dependent, false)
-    }
-
-    fn setup_sparse(time_dependent: bool, sparse: bool) -> (ParamStore, HypergraphEncoder) {
         let mut rng = StdRng::seed_from_u64(5);
         let mut store = ParamStore::new();
-        let enc = HypergraphEncoder::new(&mut store, 4, 6, 3, time_dependent, sparse, &mut rng);
+        let enc = HypergraphEncoder::new(&mut store, 4, 6, 3, time_dependent, false, &mut rng);
         (store, enc)
-    }
-
-    #[test]
-    fn sparse_forward_is_bitwise_identical_to_dense() {
-        for td in [false, true] {
-            let run = |sparse: bool| {
-                let (store, enc) = setup_sparse(td, sparse);
-                let g = Graph::new();
-                let pv = store.inject(&g);
-                let mut rng = StdRng::seed_from_u64(8);
-                let e = g.constant(Tensor::rand_normal(&[3, 6, 2], 0.0, 1.0, &mut rng));
-                let out = enc.forward(&g, &pv, e).unwrap();
-                g.value(out).data().to_vec()
-            };
-            let dense = run(false);
-            let sparse = run(true);
-            for (a, b) in dense.iter().zip(&sparse) {
-                assert_eq!(a.to_bits(), b.to_bits(), "td={td}");
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_forward_backward_runs_both_modes() {
-        for td in [false, true] {
-            let (store, enc) = setup_sparse(td, true);
-            let g = Graph::new();
-            let pv = store.inject(&g);
-            let e = g.constant(Tensor::ones(&[3, 6, 2]));
-            let out = enc.forward(&g, &pv, e).unwrap();
-            let sq = g.square(out);
-            let loss = g.sum_all(sq);
-            let grads = g.backward(loss).unwrap();
-            let gh = grads.get(enc.structure(&pv)).unwrap();
-            assert!(gh.data().iter().any(|&v| v.abs() > 0.0), "td={td}");
-        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl StHsl {
             rows * cols * c,
             window,
             cfg.time_dependent_hypergraph,
-            cfg.sparse_propagation,
+            false,
             &mut rng,
         );
         let global_temporal = GlobalTemporal::new(&mut store, &cfg, &mut rng);

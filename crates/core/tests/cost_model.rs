@@ -102,9 +102,11 @@ fn static_bytes_ranking_matches_profiler_exactly() {
     assert_eq!(static_ranked, measured_ranked);
 
     // Golden pin: the measured/static top-3 hot families by output bytes
-    // for the fixed tiny configuration.
+    // for the fixed tiny configuration. Re-pinned when the CSR propagation
+    // path was deleted: its per-window slices no longer add reshapes and
+    // leaky_relus, and the dense path's `[Tw, RC, H]` transpose is a permute.
     let top3: Vec<&str> = static_ranked.iter().take(3).map(|(n, _)| n.as_str()).collect();
-    assert_eq!(top3, ["reshape", "leaky_relu", "add"]);
+    assert_eq!(top3, ["reshape", "permute", "leaky_relu"]);
 
     // Golden pin: perfect rank correlation, in integer per-mille.
     let a: Vec<String> = static_ranked.iter().map(|(n, _)| n.clone()).collect();

@@ -77,44 +77,36 @@ fn full_model_certifies_clean() {
 }
 
 #[test]
-fn every_named_ablation_certifies_clean_on_dense_and_sparse_tapes() {
+fn every_named_ablation_certifies_clean() {
     let data = tiny_dataset();
-    for sparse in [true, false] {
-        for (name, ab) in Ablation::named_variants() {
-            let mut cfg = tiny_cfg().with_ablation(ab);
-            cfg.sparse_propagation = sparse;
-            let path = if sparse { "sparse" } else { "dense" };
-            let model = StHsl::new(cfg, &data).unwrap();
-            let report = model.graph_audit(&data).unwrap();
-            assert_clean_and_explained(&format!("{name}/{path}"), &report);
-            assert_clean_and_explained(
-                &format!("{name}/{path} serving"),
-                &serving_audit(&model, &data),
-            );
-            // graphcheck v2: every interval bounded, every op certified
-            // thread-invariant, nothing over the accumulation budget.
-            let ranges = report.ranges.as_ref().expect("range pass must run");
-            assert_eq!(
-                ranges.bounded,
-                ranges.total,
-                "{name}/{path}: every interval must be bounded:\n{}",
-                report.render()
-            );
-            let det = report.determinism.as_ref().expect("determinism pass must run");
-            assert!(
-                det.certified_clean(),
-                "{name}/{path}: determinism must certify clean:\n{}",
-                report.render()
-            );
-            let fe = report.float_error.as_ref().expect("float-error pass must run");
-            assert!(
-                fe.max_own <= fe.limit,
-                "{name}/{path}: accumulation depth over budget:\n{}",
-                report.render()
-            );
-            let cost = report.cost.as_ref().expect("cost pass must run");
-            assert_eq!(cost.unknown_nodes, 0, "{name}/{path}: cost model must cover the tape");
-        }
+    for (name, ab) in Ablation::named_variants() {
+        let model = StHsl::new(tiny_cfg().with_ablation(ab), &data).unwrap();
+        let report = model.graph_audit(&data).unwrap();
+        assert_clean_and_explained(name, &report);
+        assert_clean_and_explained(&format!("{name} serving"), &serving_audit(&model, &data));
+        // graphcheck v2: every interval bounded, every op certified
+        // thread-invariant, nothing over the accumulation budget.
+        let ranges = report.ranges.as_ref().expect("range pass must run");
+        assert_eq!(
+            ranges.bounded,
+            ranges.total,
+            "{name}: every interval must be bounded:\n{}",
+            report.render()
+        );
+        let det = report.determinism.as_ref().expect("determinism pass must run");
+        assert!(
+            det.certified_clean(),
+            "{name}: determinism must certify clean:\n{}",
+            report.render()
+        );
+        let fe = report.float_error.as_ref().expect("float-error pass must run");
+        assert!(
+            fe.max_own <= fe.limit,
+            "{name}: accumulation depth over budget:\n{}",
+            report.render()
+        );
+        let cost = report.cost.as_ref().expect("cost pass must run");
+        assert_eq!(cost.unknown_nodes, 0, "{name}: cost model must cover the tape");
     }
 }
 
@@ -122,46 +114,42 @@ fn every_named_ablation_certifies_clean_on_dense_and_sparse_tapes() {
 /// any drift in node count, inference coverage, memory accounting or
 /// diagnostic text is a behavior change that must be reviewed, not absorbed.
 ///
-/// Re-derived for the sparse hypergraph path (default
-/// `sparse_propagation: true`): the two batched propagation matmuls per view
-/// are now recorded as per-window-position `sparse_matmul` + `slice_axis` /
-/// `reshape` / `transpose2d` nodes, growing the tape from 196 to 316 nodes
-/// (forward values are bit-identical to the dense path; only the tape
-/// structure changed). Warning count and the single broadcast diagnostic are
-/// unchanged.
-///
-/// Re-derived again for graphcheck v2: the report now carries the interval
+/// Re-derived for graphcheck v2: the report now carries the interval
 /// (`ranges:`), float-error, determinism and static-cost sections. Every
 /// interval on the tape is bounded (the l2-normalize refinement keeps the
 /// contrastive branch finite), no op exceeds the f32 accumulation budget,
-/// and all 316 ops certify thread-invariant with the 8 dropout nodes drawing
+/// and every op certifies thread-invariant with the 8 dropout nodes drawing
 /// from the seeded rng.
 ///
 /// Re-derived for report v3: the render now carries a stable
 /// `report-version:` header (second line) so golden re-derivations across
 /// PRs diff cleanly — a format migration changes only that line.
+///
+/// Re-derived when the CSR propagation path was deleted: each view's two
+/// propagation hops are one `batched_matmul` each again (316 → 196 nodes,
+/// identical FLOPs, ranges and diagnostics).
 const GOLDEN_TINY_REPORT: &str = "\
 == graph audit: ST-HSL ==
 report-version: 3
-nodes: 316   params: 21   errors: 0   warnings: 1   info: 0
-shape: OK (316/316 node shapes inferred ahead of time)
+nodes: 196   params: 21   errors: 0   warnings: 1   info: 0
+shape: OK (196/196 node shapes inferred ahead of time)
 grad-flow: OK (21/21 parameters reachable from the loss)
 nan-taint: 0 hazard(s)
-ranges: OK (316/316 intervals bounded; max |bound| 1.062e12)
+ranges: OK (196/196 intervals bounded; max |bound| 1.062e12)
 float-error: max f32 chain 448 adds (budget 8192); loss path ~554 adds; 0 over-budget op(s)
-determinism: OK (316/316 ops certified thread-invariant; 8 rng-seeded)
-memory: tape 597.4 KiB | forward eager-free peak 46.6 KiB | backward peak 46.6 KiB (tape + grads 644.0 KiB)
-  reshape                 75 node(s)  131.8 KiB
-  leaky_relu              24 node(s)  71.3 KiB
+determinism: OK (196/196 ops certified thread-invariant; 8 rng-seeded)
+memory: tape 499.4 KiB | forward eager-free peak 46.6 KiB | backward peak 46.6 KiB (tape + grads 546.0 KiB)
+  reshape                 33 node(s)  82.8 KiB
+  permute                 10 node(s)  77.0 KiB
+  leaky_relu              12 node(s)  71.3 KiB
   add                     18 node(s)  70.2 KiB
   dropout                  8 node(s)  56.0 KiB
-  permute                  8 node(s)  56.0 KiB
   conv1d                   6 node(s)  42.0 KiB
-cost: fwd 578.3 Kflop + bwd 1.15 Mflop | traffic 1.50 MiB | 1.09 flop/B
+cost: fwd 578.3 Kflop + bwd 1.15 Mflop | traffic 1.11 MiB | 1.48 flop/B
   conv2d                   2 node(s)   784.8 Kflop  26.28 flop/B
   conv1d                   6 node(s)   419.3 Kflop  4.84 flop/B
-  sparse_matmul           28 node(s)   258.0 Kflop  3.46 flop/B
-  leaky_relu              24 node(s)    54.7 Kflop  0.37 flop/B
+  batched_matmul           4 node(s)   258.0 Kflop  3.46 flop/B
+  leaky_relu              12 node(s)    54.7 Kflop  0.37 flop/B
   add                     18 node(s)    53.9 Kflop  0.25 flop/B
   dropout                  8 node(s)    43.0 Kflop  0.37 flop/B
 diagnostics:

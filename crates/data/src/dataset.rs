@@ -1,7 +1,7 @@
 //! Windowed spatial-temporal crime datasets with the paper's splits.
 
 use crate::synth::SynthCity;
-use sthsl_tensor::{Result, SparseTensor, Tensor, TensorError};
+use sthsl_tensor::{Result, Tensor, TensorError};
 
 /// Which portion of the time axis a sample's *target* day falls in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,22 +221,6 @@ impl CrimeDataset {
     /// Ground-truth matrix `[R, C]` for one day.
     pub fn day(&self, day: usize) -> Result<Tensor> {
         self.tensor.slice_axis(1, day, 1)?.reshape(&[self.num_regions(), self.num_categories()])
-    }
-
-    /// CSR ground truth `[R, C]` for one day — [`CrimeDataset::day`] with
-    /// only the non-zero counts stored. `day_sparse(d).to_dense()` is
-    /// bitwise-equal to `day(d)`.
-    pub fn day_sparse(&self, day: usize) -> Result<SparseTensor> {
-        SparseTensor::from_dense(&self.day(day)?)
-    }
-
-    /// The full crime tensor as a CSR matrix `[R, T·C]` (each row a region's
-    /// flattened `[T, C]` sequence) — the representation the sparse density
-    /// and metric paths consume. Lossless: `to_dense` reproduces
-    /// `self.tensor`'s bits.
-    pub fn tensor_sparse(&self) -> Result<SparseTensor> {
-        let (r, t, c) = (self.num_regions(), self.num_days(), self.num_categories());
-        SparseTensor::from_dense_view(&self.tensor, r, t * c)
     }
 }
 

@@ -24,14 +24,11 @@ pub mod synth;
 
 pub use dataset::{CrimeDataset, DatasetConfig, Sample, Split};
 pub use loader::{
-    dataset_from_csv, dataset_from_csv_lenient, dataset_from_csv_path_io, dataset_from_csv_sparse,
-    parse_csv, parse_csv_lenient, rasterize_sparse, CrimeRecord, GridSpec, LoadStats, ParseReport,
+    dataset_from_csv, dataset_from_csv_lenient, dataset_from_csv_path_io, parse_csv,
+    parse_csv_lenient, CrimeRecord, GridSpec, LoadStats, ParseReport,
 };
-pub use metrics::{
-    density_bucket, density_degrees, density_degrees_sparse, mae, mae_sparse, mape, mape_sparse,
-    rmse, rmse_sparse, DensityBucket, EvalReport,
-};
+pub use metrics::{density_bucket, density_degrees, mae, mape, rmse, DensityBucket, EvalReport};
 pub use predictor::{FitReport, Predictor};
 pub use synth::{CategorySpec, SynthCity, SynthConfig};
 
-pub use sthsl_tensor::{Result, SparseTensor, Tensor, TensorError};
+pub use sthsl_tensor::{Result, Tensor, TensorError};

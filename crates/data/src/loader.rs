@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::Path;
 use sthsl_chaos::{read_file_verified, retry, Io, RetryPolicy, Sleeper};
-use sthsl_tensor::{Result, SparseTensor, Tensor, TensorError};
+use sthsl_tensor::{Result, Tensor, TensorError};
 
 /// One parsed crime report.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,84 +204,6 @@ pub fn rasterize(
         stats.accepted += 1;
     }
     Ok((Tensor::from_vec(data, &[r, days, c])?, stats))
-}
-
-/// Rasterise records **directly into CSR** — no dense `R·T·C` buffer.
-///
-/// The sparse matrix is `[R, T·C]`: row = region, column = `day · C + cat`,
-/// matching the dense tensor's row-major layout exactly, so
-/// `rasterize_sparse(..).0.to_dense()` is bitwise-equal to a flattened
-/// [`rasterize`] result (counts are small integers; f32 addition of them is
-/// exact and order-independent). Memory scales with the number of distinct
-/// (region, day, category) cells hit instead of the full grid volume, which
-/// is what makes 10k+-region city grids loadable at all.
-pub fn rasterize_sparse(
-    records: &[CrimeRecord],
-    grid: &GridSpec,
-    categories: &[&str],
-    days: usize,
-) -> Result<(SparseTensor, LoadStats)> {
-    if grid.rows == 0 || grid.cols == 0 || days == 0 || categories.is_empty() {
-        return Err(TensorError::Invalid(
-            "rasterize_sparse: empty grid, span or category list".into(),
-        ));
-    }
-    let cat_index: BTreeMap<&str, usize> =
-        categories.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    if cat_index.len() != categories.len() {
-        return Err(TensorError::Invalid("rasterize_sparse: duplicate categories".into()));
-    }
-    let (r, c) = (grid.rows * grid.cols, categories.len());
-    let mut cells: BTreeMap<(usize, usize), f32> = BTreeMap::new();
-    let mut stats = LoadStats::default();
-    for rec in records {
-        let Some(&ci) = cat_index.get(rec.category.as_str()) else {
-            stats.unknown_category += 1;
-            continue;
-        };
-        if rec.day >= days {
-            stats.out_of_span += 1;
-            continue;
-        }
-        let Some(region) = grid.region_of(rec.lat, rec.lon) else {
-            stats.out_of_bounds += 1;
-            continue;
-        };
-        *cells.entry((region, rec.day * c + ci)).or_insert(0.0) += 1.0;
-        stats.accepted += 1;
-    }
-    // BTreeMap iteration is already strictly increasing (row, col) order.
-    let triplets: Vec<(usize, usize, f32)> =
-        cells.into_iter().map(|((row, col), v)| (row, col, v)).collect();
-    let sparse = SparseTensor::from_triplets(r, days * c, &triplets)?;
-    Ok((sparse, stats))
-}
-
-/// Convenience: parse + rasterise **sparsely** + wrap into a
-/// [`CrimeDataset`]. Returns the CSR crime matrix alongside the dataset so
-/// callers can drive the sparse density/metric paths without re-deriving it;
-/// the dataset's dense tensor is materialised from the same CSR build, so
-/// the two are bitwise-consistent. [`dataset_from_csv`] remains the dense
-/// fallback.
-pub fn dataset_from_csv_sparse(
-    reader: impl BufRead,
-    grid: &GridSpec,
-    categories: &[&str],
-    days: usize,
-    config: DatasetConfig,
-) -> Result<(CrimeDataset, SparseTensor, LoadStats)> {
-    let records = parse_csv(reader)?;
-    let (sparse, stats) = rasterize_sparse(&records, grid, categories, days)?;
-    let r = grid.rows * grid.cols;
-    let tensor = sparse.to_dense()?.reshape(&[r, days, categories.len()])?;
-    let data = CrimeDataset::new(
-        tensor,
-        grid.rows,
-        grid.cols,
-        categories.iter().map(std::string::ToString::to_string).collect(),
-        config,
-    )?;
-    Ok((data, sparse, stats))
 }
 
 /// Convenience: parse + rasterise + wrap into a [`CrimeDataset`].
@@ -496,65 +418,6 @@ mod tests {
         let region = g.region_of(40.7, -74.0).unwrap();
         assert_eq!(tensor.at(&[region, 0, 0]), 2.0);
         assert_eq!(tensor.sum_all(), 3.0);
-    }
-
-    #[test]
-    fn rasterize_sparse_matches_dense_bitwise() {
-        let g = nyc_ish_grid();
-        let recs = vec![
-            CrimeRecord { category: "BURGLARY".into(), day: 0, lon: -74.0, lat: 40.7 },
-            CrimeRecord { category: "BURGLARY".into(), day: 0, lon: -74.0, lat: 40.7 },
-            CrimeRecord { category: "ROBBERY".into(), day: 1, lon: -73.9, lat: 40.6 },
-            CrimeRecord { category: "ARSON".into(), day: 0, lon: -74.0, lat: 40.7 },
-            CrimeRecord { category: "BURGLARY".into(), day: 99, lon: -74.0, lat: 40.7 },
-            CrimeRecord { category: "BURGLARY".into(), day: 0, lon: 0.0, lat: 0.0 },
-        ];
-        let (dense, dstats) = rasterize(&recs, &g, &["BURGLARY", "ROBBERY"], 10).unwrap();
-        let (sparse, sstats) = rasterize_sparse(&recs, &g, &["BURGLARY", "ROBBERY"], 10).unwrap();
-        assert_eq!(dstats, sstats);
-        assert_eq!(sparse.shape(), [16, 20]);
-        // Three accepted records, two in the same cell → 2 stored cells.
-        assert_eq!(sparse.nnz(), 2);
-        let back = sparse.to_dense().unwrap();
-        for (a, b) in dense.data().iter().zip(back.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Validation mirrors the dense entry points.
-        assert!(rasterize_sparse(&[], &g, &["A", "A"], 5).is_err());
-        assert!(rasterize_sparse(&[], &g, &[], 5).is_err());
-        assert!(rasterize_sparse(&[], &g, &["A"], 0).is_err());
-    }
-
-    #[test]
-    fn dataset_from_csv_sparse_matches_dense_load() {
-        let csv = span_csv();
-        let cfg = quick_cfg();
-        let (dense_ds, dense_stats) = dataset_from_csv(
-            csv.as_bytes(),
-            &nyc_ish_grid(),
-            &["BURGLARY", "ROBBERY"],
-            120,
-            cfg.clone(),
-        )
-        .unwrap();
-        let (sparse_ds, sparse, sparse_stats) = dataset_from_csv_sparse(
-            csv.as_bytes(),
-            &nyc_ish_grid(),
-            &["BURGLARY", "ROBBERY"],
-            120,
-            cfg,
-        )
-        .unwrap();
-        assert_eq!(dense_stats, sparse_stats);
-        for (a, b) in dense_ds.tensor.data().iter().zip(sparse_ds.tensor.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // The returned CSR matrix is the dataset tensor, flattened per region.
-        assert_eq!(sparse.shape(), [16, 240]);
-        assert_eq!(
-            sparse.to_dense().unwrap().data(),
-            sparse_ds.tensor.reshape(&[16, 240]).unwrap().data()
-        );
     }
 
     #[test]

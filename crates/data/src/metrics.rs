@@ -10,7 +10,7 @@
 //! bench harness's per-region accumulators agree bit-for-bit on identical
 //! inputs (see the cross-consistency tests).
 
-use sthsl_tensor::{Result, SparseTensor, Tensor, TensorError};
+use sthsl_tensor::{Result, Tensor, TensorError};
 
 /// Mean absolute error over all entries.
 pub fn mae(pred: &Tensor, truth: &Tensor) -> Result<f64> {
@@ -58,89 +58,6 @@ pub fn rmse(pred: &Tensor, truth: &Tensor) -> Result<f64> {
         })
         .sum();
     Ok((sum / pred.len() as f64).sqrt())
-}
-
-/// [`mae`] against CSR ground truth, **bit-identical** to the dense path: a
-/// merge scan visits every position in the same flat row-major order, with
-/// implicit entries contributing `t = 0`, so the f64 accumulation sequence is
-/// exactly the dense one.
-pub fn mae_sparse(pred: &Tensor, truth: &SparseTensor) -> Result<f64> {
-    check_same_sparse(pred, truth, "mae_sparse")?;
-    if pred.is_empty() {
-        return Ok(0.0);
-    }
-    let mut sum = 0.0f64;
-    scan_sparse(pred, truth, |p, t| sum += (f64::from(p) - f64::from(t)).abs());
-    Ok(sum / pred.len() as f64)
-}
-
-/// Masked [`mape`] against CSR ground truth. Only stored entries can satisfy
-/// `t > 0`, so this touches `nnz` positions instead of `rows · cols` — the
-/// masked-metric speedup on sparse crime tensors — while the accumulation
-/// order (flat row-major, restricted to the mask) stays exactly the dense
-/// one, keeping the result bit-identical.
-pub fn mape_sparse(pred: &Tensor, truth: &SparseTensor) -> Result<f64> {
-    check_same_sparse(pred, truth, "mape_sparse")?;
-    let cols = truth.cols();
-    let pd = pred.data();
-    let mut sum = 0.0f64;
-    let mut n = 0usize;
-    for r in 0..truth.rows() {
-        let (cis, vs) = truth.row(r)?;
-        for (&c, &t) in cis.iter().zip(vs) {
-            if t > 0.0 {
-                sum += (f64::from(pd[r * cols + c]) - f64::from(t)).abs() / f64::from(t);
-                n += 1;
-            }
-        }
-    }
-    Ok(if n == 0 { 0.0 } else { sum / n as f64 })
-}
-
-/// [`rmse`] against CSR ground truth, bit-identical to the dense path (same
-/// merge-scan argument as [`mae_sparse`]).
-pub fn rmse_sparse(pred: &Tensor, truth: &SparseTensor) -> Result<f64> {
-    check_same_sparse(pred, truth, "rmse_sparse")?;
-    if pred.is_empty() {
-        return Ok(0.0);
-    }
-    let mut sum = 0.0f64;
-    scan_sparse(pred, truth, |p, t| {
-        let d = f64::from(p) - f64::from(t);
-        sum += d * d;
-    });
-    Ok((sum / pred.len() as f64).sqrt())
-}
-
-/// Visit every `(pred, truth)` pair in flat row-major order, with implicit
-/// sparse entries reported as `0.0` and stored bits (`-0.0`, NaN) verbatim.
-fn scan_sparse(pred: &Tensor, truth: &SparseTensor, mut f: impl FnMut(f32, f32)) {
-    let cols = truth.cols();
-    let pd = pred.data();
-    for r in 0..truth.rows() {
-        let (cis, vs) = truth.row(r).unwrap_or((&[], &[]));
-        let mut e = 0usize;
-        for c in 0..cols {
-            let t = if e < cis.len() && cis[e] == c {
-                e += 1;
-                vs[e - 1]
-            } else {
-                0.0
-            };
-            f(pd[r * cols + c], t);
-        }
-    }
-}
-
-fn check_same_sparse(pred: &Tensor, truth: &SparseTensor, op: &'static str) -> Result<()> {
-    if pred.shape() != truth.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            lhs: pred.shape().to_vec(),
-            rhs: truth.shape().to_vec(),
-        });
-    }
-    Ok(())
 }
 
 fn check_same(a: &Tensor, b: &Tensor, op: &'static str) -> Result<()> {
@@ -234,34 +151,6 @@ pub fn density_degrees(tensor: &Tensor) -> Result<Vec<f32>> {
         .collect())
 }
 
-/// [`density_degrees`] over a CSR crime matrix `[R, T·C]` (each row a
-/// region's flattened `[T, C]` sequence): counts stored entries `> 0.0` per
-/// row without touching the implicit zeros. Uses the identical division
-/// expression as the dense path, so the degrees are bit-equal and
-/// [`density_bucket`] files regions identically — including returning `None`
-/// for fully-empty rows, which sparse tensors make common.
-pub fn density_degrees_sparse(
-    sparse: &SparseTensor,
-    days: usize,
-    categories: usize,
-) -> Result<Vec<f32>> {
-    let tc = days * categories;
-    if sparse.cols() != tc {
-        return Err(TensorError::ShapeMismatch {
-            op: "density_degrees_sparse",
-            lhs: sparse.shape().to_vec(),
-            rhs: vec![sparse.rows(), tc],
-        });
-    }
-    Ok((0..sparse.rows())
-        .map(|ri| {
-            let (_, vs) = sparse.row(ri).unwrap_or((&[], &[]));
-            let nz = vs.iter().filter(|&&v| v > 0.0).count();
-            nz as f32 / tc.max(1) as f32
-        })
-        .collect())
-}
-
 /// Accumulates per-category predictions over many test days and reports
 /// paper-style averaged metrics.
 ///
@@ -315,48 +204,6 @@ impl EvalReport {
                 acc.count_nz += 1;
                 acc.mape_sum += d.abs() / f64::from(t);
                 acc.mape_count += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`EvalReport::add_day`] against CSR ground truth (`pred`: `[R, C]`
-    /// dense, `truth`: `[R, C]` sparse). The merge scan feeds each
-    /// per-category accumulator the identical f64 operation sequence as the
-    /// dense path, so the finished report is bit-identical; the masked
-    /// accumulators only ever fire on stored entries.
-    pub fn add_day_sparse(&mut self, pred: &Tensor, truth: &SparseTensor) -> Result<()> {
-        check_same_sparse(pred, truth, "EvalReport::add_day_sparse")?;
-        if pred.ndim() != 2 || pred.shape()[1] != self.per_category.len() {
-            return Err(TensorError::Invalid(format!(
-                "EvalReport::add_day_sparse: expected [R, {}] matrices, got {:?}",
-                self.per_category.len(),
-                pred.shape()
-            )));
-        }
-        let cols = truth.cols();
-        let pd = pred.data();
-        for r in 0..truth.rows() {
-            let (cis, vs) = truth.row(r)?;
-            let mut e = 0usize;
-            for (c, acc) in self.per_category.iter_mut().enumerate() {
-                let t = if e < cis.len() && cis[e] == c {
-                    e += 1;
-                    vs[e - 1]
-                } else {
-                    0.0
-                };
-                let p = pd[r * cols + c];
-                let d = f64::from(p) - f64::from(t);
-                acc.abs_err += d.abs();
-                acc.sq_err += d * d;
-                acc.count += 1;
-                if t > 0.0 {
-                    acc.abs_err_nz += d.abs();
-                    acc.count_nz += 1;
-                    acc.mape_sum += d.abs() / f64::from(t);
-                    acc.mape_count += 1;
-                }
             }
         }
         Ok(())
@@ -514,43 +361,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_metric_paths_are_bitwise_identical() {
-        // Mixed zero/non-zero truth, fractional preds: the three free sparse
-        // metrics and the sparse report path must reproduce the dense f64
-        // results to the last bit.
-        let p = t2(vec![0.1, 2.7, 3.3, 0.0, 5.5, 1.2, 0.37, 8.25], 4, 2);
-        let t = t2(vec![0.3, 0.0, 0.0, 1.9, 5.5, 0.0, 0.11, 7.75], 4, 2);
-        let ts = SparseTensor::from_dense(&t).unwrap();
-        assert_eq!(mae(&p, &t).unwrap().to_bits(), mae_sparse(&p, &ts).unwrap().to_bits());
-        assert_eq!(mape(&p, &t).unwrap().to_bits(), mape_sparse(&p, &ts).unwrap().to_bits());
-        assert_eq!(rmse(&p, &t).unwrap().to_bits(), rmse_sparse(&p, &ts).unwrap().to_bits());
-
-        let mut dense_rep = EvalReport::new(2);
-        dense_rep.add_day(&p, &t).unwrap();
-        let mut sparse_rep = EvalReport::new(2);
-        sparse_rep.add_day_sparse(&p, &ts).unwrap();
-        for c in 0..2 {
-            assert_eq!(dense_rep.mae(c).to_bits(), sparse_rep.mae(c).to_bits());
-            assert_eq!(dense_rep.mape(c).to_bits(), sparse_rep.mape(c).to_bits());
-            assert_eq!(dense_rep.rmse(c).to_bits(), sparse_rep.rmse(c).to_bits());
-            assert_eq!(dense_rep.mae_unmasked(c).to_bits(), sparse_rep.mae_unmasked(c).to_bits());
-        }
-        assert_eq!(dense_rep.mae_overall().to_bits(), sparse_rep.mae_overall().to_bits());
-        assert_eq!(dense_rep.mape_overall().to_bits(), sparse_rep.mape_overall().to_bits());
-
-        // Shape mismatches are typed errors on the sparse path too.
-        let short = t2(vec![0.0, 0.0], 1, 2);
-        assert!(mae_sparse(&short, &ts).is_err());
-        assert!(mape_sparse(&short, &ts).is_err());
-        assert!(rmse_sparse(&short, &ts).is_err());
-        assert!(EvalReport::new(2).add_day_sparse(&short, &ts).is_err());
-    }
-
-    #[test]
-    fn sparse_density_excludes_all_zero_regions_from_buckets() {
-        // Regression for the PR 5 Option-ification of `density_bucket`: an
-        // all-zero region must stay unclassified through the *sparse*
-        // density path as well (CSR makes fully-empty rows common).
+    fn all_zero_region_is_excluded_from_density_buckets() {
+        // An all-zero region has no masked metric: `density_degrees` gives it
+        // 0.0 and `density_bucket` must leave it unclassified.
         // R=3 regions, T=2 days, C=2 categories; region 1 entirely zero.
         let x = Tensor::from_vec(
             vec![
@@ -559,22 +372,14 @@ mod tests {
             &[3, 2, 2],
         )
         .unwrap();
-        let dense_deg = density_degrees(&x).unwrap();
-        let xs = SparseTensor::from_dense_view(&x, 3, 4).unwrap();
-        let sparse_deg = density_degrees_sparse(&xs, 2, 2).unwrap();
-        for (a, b) in dense_deg.iter().zip(&sparse_deg) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
         let buckets: Vec<Option<DensityBucket>> =
-            sparse_deg.iter().map(|&d| density_bucket(d)).collect();
+            density_degrees(&x).unwrap().iter().map(|&d| density_bucket(d)).collect();
         assert_eq!(buckets[1], None, "all-zero region must be excluded from bucketing");
         assert_eq!(buckets[0], Some(DensityBucket::Sparse));
         assert_eq!(buckets[2], Some(DensityBucket::VeryDense));
         // Only the classified regions participate in bucketed reporting.
         let reported = buckets.iter().flatten().count();
         assert_eq!(reported, 2);
-        // Shape mismatch is a typed error.
-        assert!(density_degrees_sparse(&xs, 3, 2).is_err());
     }
 
     #[test]

@@ -51,21 +51,6 @@ pub trait Predictor {
         }
         Ok(report)
     }
-
-    /// [`Predictor::evaluate`] with the ground truth routed through the CSR
-    /// metric path ([`CrimeDataset::day_sparse`] +
-    /// [`crate::metrics::EvalReport::add_day_sparse`]). Bit-identical to the
-    /// dense report; the masked accumulators only touch stored counts.
-    fn evaluate_sparse(&self, data: &CrimeDataset) -> Result<crate::metrics::EvalReport> {
-        let mut report = crate::metrics::EvalReport::new(data.num_categories());
-        for day in data.target_days(crate::dataset::Split::Test) {
-            let sample = data.sample(day)?;
-            let pred = self.predict(data, &sample.input)?;
-            let truth = data.day_sparse(day)?;
-            report.add_day_sparse(&pred, &truth)?;
-        }
-        Ok(report)
-    }
 }
 
 /// Clamp raw model outputs into valid count space (non-negative, finite).

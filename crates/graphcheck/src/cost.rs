@@ -6,8 +6,7 @@
 //! functions of the tape's shapes, so the table is reproducible anywhere and
 //! can be pinned in goldens. Conventions:
 //!
-//! * a fused multiply-add counts as 2 flops (matmul `[m,k]·[k,n]` = `2mkn`;
-//!   the CSR path only touches stored entries = `2·nnz·n`);
+//! * a fused multiply-add counts as 2 flops (matmul `[m,k]·[k,n]` = `2mkn`);
 //! * transcendental elementwise ops are charged a flat 4 flops/element,
 //!   softmax-family 8 (max-scan, shift, exp, sum, divide);
 //! * output bytes are `4 · numel(out)` — the same figure the runtime
@@ -162,10 +161,6 @@ fn fwd_flops(spec: &TapeSpec, shapes: &[Option<Vec<usize>>], i: usize, out_numel
             let k = parent_shape(0).and_then(|s| s.last().copied()).unwrap_or(0) as u128;
             2 * out_numel * k
         }
-        OpKind::SparseMatmul { nnz } => {
-            let n = parent_shape(1).and_then(|s| s.last().copied()).unwrap_or(0) as u128;
-            2 * (*nnz as u128) * n
-        }
         OpKind::BatchedMatmul => {
             let k = parent_shape(0).and_then(|s| s.get(2).copied()).unwrap_or(0) as u128;
             2 * out_numel * k
@@ -210,26 +205,6 @@ mod tests {
         assert_eq!(ranked[0].1.bwd_flops, 2 * ranked[0].1.fwd_flops);
         assert_eq!(ranked[0].1.out_bytes, 4 * 64 * 32);
         assert_eq!(cost.unknown_nodes, 0);
-    }
-
-    #[test]
-    fn sparse_matmul_is_charged_by_nnz_not_dense_extent() {
-        let mut spec = TapeSpec::new();
-        let h = spec.constant(&[100, 100]);
-        let e = spec.leaf("e", &[100, 16]);
-        let sp = spec.push(OpKind::SparseMatmul { nnz: 250 }, &[h, e]);
-        let dense = spec.push(OpKind::Matmul, &[h, e]);
-        let s = spec.push(OpKind::Add, &[sp, dense]);
-        let _loss = spec.push(OpKind::SumAll, &[s]);
-        let shapes = shapes_of(&spec);
-        let cost = analyze(&spec, &shapes);
-        let sp_row = cost.per_family["sparse_matmul"];
-        let mm_row = cost.per_family["matmul"];
-        assert_eq!(sp_row.fwd_flops, 2 * 250 * 16);
-        assert_eq!(mm_row.fwd_flops, 2 * 100 * 100 * 16);
-        assert!(sp_row.fwd_flops < mm_row.fwd_flops / 10);
-        // Same output bytes: the CSR path writes the same dense output.
-        assert_eq!(sp_row.out_bytes, mm_row.out_bytes);
     }
 
     #[test]

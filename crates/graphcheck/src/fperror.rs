@@ -85,9 +85,7 @@ fn own_extent(spec: &TapeSpec, shapes: &[Option<Vec<usize>>], i: usize) -> u64 {
         | OpKind::Softplus
         | OpKind::Dropout { .. } => 1,
         // k dependent multiply-adds per output element.
-        OpKind::Matmul | OpKind::SparseMatmul { .. } => {
-            parent_shape(0).and_then(|s| s.last().copied()).unwrap_or(1) as u64
-        }
+        OpKind::Matmul => parent_shape(0).and_then(|s| s.last().copied()).unwrap_or(1) as u64,
         OpKind::BatchedMatmul => {
             parent_shape(0).and_then(|s| s.get(2).copied()).unwrap_or(1) as u64
         }

@@ -467,17 +467,6 @@ fn transfer(
             let (pl, ph) = product_bounds(a, b);
             Some((k * pl, k * ph))
         }
-        OpKind::SparseMatmul { .. } => {
-            let (a, b) = (p(0)?, p(1)?);
-            let k = parents
-                .first()
-                .and_then(|&x| shapes.get(x))
-                .and_then(|s| s.as_ref())
-                .and_then(|s| s.last().copied())? as f64;
-            // Structural zeros may drop any subset of the k terms.
-            let (pl, ph) = product_bounds(a, b);
-            Some((k * pl.min(0.0), k * ph.max(0.0)))
-        }
         OpKind::SumAll => {
             let a = p(0)?;
             let n = numel_of(0)? as f64;

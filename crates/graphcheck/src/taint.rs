@@ -252,7 +252,7 @@ fn transfer(
         // Sum of pairwise products: positive when both factors are, with a
         // provably non-empty inner extent (k >= 1 is guaranteed by shape
         // checks, but stay conservative when shapes are unknown).
-        OpKind::Matmul | OpKind::SparseMatmul { .. } | OpKind::BatchedMatmul => {
+        OpKind::Matmul | OpKind::BatchedMatmul => {
             let inner_known = parents
                 .first()
                 .and_then(|&x| shapes.get(x))

@@ -224,26 +224,31 @@ fn report_renders_deterministically() {
 }
 
 #[test]
-fn sparse_matmul_tape_audits_clean() {
-    // A tape exported from a real executed graph containing sparse_matmul:
-    // shape inference, grad-flow and NaN-taint must all certify it.
+fn hypergraph_propagation_tape_audits_clean() {
+    // A tape exported from a real executed graph of the two-hop hypergraph
+    // propagation (Eq. 4) over a `[Tw, H, RC]` incidence with structural
+    // zeros: shape inference, grad-flow and NaN-taint must all certify it.
     use sthsl_autograd::Graph;
     use sthsl_tensor::Tensor;
 
     let g = Graph::new();
     let h = g.named_leaf(
         "hypergraph.h",
-        Tensor::from_vec(vec![0.5, 0.0, 0.0, 0.0, -0.25, 0.0], &[2, 3]).unwrap(),
+        Tensor::from_vec(
+            vec![0.5, 0.0, 0.0, 0.0, -0.25, 0.0, 0.0, 0.75, 0.0, 0.0, 0.0, -0.5],
+            &[2, 2, 3],
+        )
+        .unwrap(),
     );
-    let e = g.constant(Tensor::from_vec(vec![1.0; 12], &[3, 4]).unwrap());
-    let hubs = g.sparse_matmul(h, e).unwrap();
+    let e = g.constant(Tensor::from_vec(vec![1.0; 24], &[2, 3, 4]).unwrap());
+    let hubs = g.batched_matmul(h, e).unwrap();
     let hubs = g.leaky_relu(hubs, 0.1);
-    let ht = g.transpose2d(h).unwrap();
-    let out = g.sparse_matmul(ht, hubs).unwrap();
+    let ht = g.permute(h, &[0, 2, 1]).unwrap();
+    let out = g.batched_matmul(ht, hubs).unwrap();
     let loss = g.sum_all(out);
     let spec = g.export_tape();
     let params = vec![("hypergraph.h".to_string(), h.index())];
-    let r = audit("sparse-hypergraph", &spec, loss.index(), &params, &AuditOptions::default());
+    let r = audit("hypergraph", &spec, loss.index(), &params, &AuditOptions::default());
 
     assert!(!r.has_errors(), "{}", r.render());
     assert_eq!(r.reachable_params, 1);
@@ -252,8 +257,8 @@ fn sparse_matmul_tape_audits_clean() {
     assert!(rendered.contains("nan-taint: 0 hazard(s)"), "{rendered}");
     // The op is modelled by name, not hidden behind an opaque escape hatch.
     assert!(
-        spec.nodes.iter().any(|n| n.kind.name() == "sparse_matmul"),
-        "tape must record sparse_matmul nodes"
+        spec.nodes.iter().any(|n| n.kind.name() == "batched_matmul"),
+        "tape must record batched_matmul nodes"
     );
 }
 

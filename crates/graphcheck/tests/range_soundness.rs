@@ -49,14 +49,15 @@ fn sparse_tensor(rng: &mut XorShift, shape: &[usize], lo: f32, hi: f32, density:
     Tensor::from_vec(data, shape).unwrap()
 }
 
-/// Build a representative op mix on a training-mode graph: sparse hypergraph
-/// propagation, leaky-relu, l2 normalization (the relational-refinement
-/// pattern), dropout (rng), bounded activations and a full-reduce loss.
+/// Build a representative op mix on a training-mode graph: hypergraph
+/// propagation over sparse inputs, leaky-relu, l2 normalization (the
+/// relational-refinement pattern), dropout (rng), bounded activations and a
+/// full-reduce loss.
 /// Returns the loss and every recorded `Var` worth checking.
 fn build(g: &Graph, rng: &mut XorShift, density: f32) -> (Var, Vec<Var>) {
     let x = g.named_leaf("x", sparse_tensor(rng, &[16, 24], -2.0, 2.0, density));
     let h = g.named_leaf("hypergraph.h", sparse_tensor(rng, &[12, 16], -1.0, 1.0, density));
-    let hubs = g.sparse_matmul(h, x).unwrap();
+    let hubs = g.matmul(h, x).unwrap();
     let act = g.leaky_relu(hubs, 0.1);
     let norm = g.l2_normalize_lastdim(act, 1e-8).unwrap();
     let drop = g.dropout(norm, 0.2).unwrap();

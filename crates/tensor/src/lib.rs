@@ -24,7 +24,6 @@
 mod error;
 mod init;
 mod shape;
-mod sparse;
 mod tensor;
 
 pub mod ops;
@@ -32,7 +31,6 @@ pub mod schedule;
 
 pub use error::TensorError;
 pub use shape::{broadcast_shapes, flatten_index, for_each_index, strides_of, Shape};
-pub use sparse::SparseTensor;
 pub use tensor::Tensor;
 
 /// Crate-wide result alias.

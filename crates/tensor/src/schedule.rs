@@ -1,12 +1,12 @@
 //! Parallel-schedule metadata for every kernel family in this crate.
 //!
 //! Each constructor below describes how the *actual* kernel in `ops/` (or
-//! `tensor.rs` / `sparse.rs`) partitions its work and in what order it
-//! accumulates — the facts the `graphcheck` determinism pass certifies. If a
-//! kernel's partitioning or accumulation strategy changes, its entry here must
-//! change with it; the serial/parallel equivalence suites
-//! (`tests/parallel_equivalence.rs`, `tests/sparse_equivalence.rs`) are the
-//! runtime witnesses that these structural claims hold.
+//! `tensor.rs`) partitions its work and in what order it accumulates — the
+//! facts the `graphcheck` determinism pass certifies. If a kernel's
+//! partitioning or accumulation strategy changes, its entry here must change
+//! with it; the serial/parallel equivalence suite
+//! (`tests/parallel_equivalence.rs`) is the runtime witness that these
+//! structural claims hold.
 
 pub use sthsl_parallel::schedule::{PartitionStrategy, ReductionOrder, ScheduleMeta};
 
@@ -29,14 +29,6 @@ pub const fn data_movement() -> ScheduleMeta {
 /// sequentially in ascending index order.
 #[must_use]
 pub const fn matmul_family() -> ScheduleMeta {
-    ScheduleMeta::banded_sequential()
-}
-
-/// Sparse CSR matmul and its pattern gradients (`sparse.rs`): row-banded over
-/// output rows; each row scans its CSR entries in ascending column order,
-/// performing the dense kernel's exact accumulation sequence.
-#[must_use]
-pub const fn sparse_matmul_family() -> ScheduleMeta {
     ScheduleMeta::banded_sequential()
 }
 
@@ -80,7 +72,6 @@ mod tests {
             ("elementwise", elementwise()),
             ("data_movement", data_movement()),
             ("matmul", matmul_family()),
-            ("sparse_matmul", sparse_matmul_family()),
             ("conv", conv_family()),
             ("axis_reduce", axis_reduce_family()),
             ("full_reduce", full_reduce_family()),

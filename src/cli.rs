@@ -88,7 +88,6 @@ struct Flags {
     trace_out: Option<String>,
     fake_clock: bool,
     top: usize,
-    dense_hypergraph: bool,
     ranges: bool,
     cost: bool,
     max_accum_depth: Option<u64>,
@@ -126,7 +125,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         trace_out: None,
         fake_clock: false,
         top: 10,
-        dense_hypergraph: false,
         ranges: false,
         cost: false,
         max_accum_depth: None,
@@ -224,10 +222,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--top" => {
                 f.top = parse_value(key, value(i)?)?;
                 i += 2;
-            }
-            "--dense-hypergraph" => {
-                f.dense_hypergraph = true;
-                i += 1;
             }
             "--ranges" => {
                 f.ranges = true;
@@ -384,7 +378,6 @@ fn model_config(flags: &Flags) -> StHslConfig {
         lambda1: 0.1,
         lambda2: 0.03,
         time_dependent_hypergraph: false,
-        sparse_propagation: !flags.dense_hypergraph,
         seed: flags.seed,
         ..StHslConfig::paper()
     }
@@ -767,9 +760,6 @@ const USAGE: &str =
             --checkpoint-every N   also checkpoint every N batches (default: epoch ends only)
             --resume               continue from the latest checkpoint in DIR
             --patience N           early-stop after N epochs without validation improvement
-            --dense-hypergraph     use the dense batched hypergraph propagation
-                                   instead of the CSR path (bit-identical; for
-                                   A/B timing and debugging)
             (--trace-out traces every batch/epoch/divergence/checkpoint)
   evaluate: --data crimes.csv --model model.bin
   predict:  --data crimes.csv --model model.bin [--out forecast.csv]
@@ -793,7 +783,6 @@ const USAGE: &str =
             [--top N]              rows in the --ranges listing (default 10)
             [--max-accum-depth N]  f32 accumulation budget for the float-error
                                    pass (default 8192 = 2x the reduction block)
-            [--dense-hypergraph]   audit the dense propagation tape instead of CSR
             [--json]               emit one machine-readable JSON document
                                    instead of the text report
   profile:  time one training step per-op and print the hot-op report
@@ -1160,22 +1149,21 @@ mod tests {
         assert_eq!(out1, out2);
         // Golden pin from a verified run. With every op costing 100 ns,
         // total_ns = 100 x (forward + backward notifications): the 4x4x60
-        // training tape fires 552 of them across 52 distinct (op, phase)
-        // pairs, dominated by reshapes. Re-pinned when the hypergraph
-        // propagation moved to the CSR path: each window position now records
-        // two `sparse_matmul`s plus a slice/reshape pair instead of one
-        // batched pair for the whole window (forward values bit-identical;
-        // see DESIGN.md §6g). If an intentional tape change shifts these
-        // numbers, rerun with --nocapture, validate the new counts against
-        // the tape, and update the pin.
+        // training tape fires 400 of them across 52 distinct (op, phase)
+        // pairs, dominated by reshapes. Re-pinned when the CSR propagation
+        // path was deleted: the per-window CSR products and their
+        // slice/reshape pairs became one batched pair for the whole window
+        // (forecast bits unchanged). If an intentional tape change shifts
+        // these numbers, rerun with --nocapture, validate the new counts
+        // against the tape, and update the pin.
         let golden = "\
-hot ops: top 5 of 52 (total 55200 ns)
+hot ops: top 5 of 52 (total 40000 ns)
 rank op                   phase        count       total_ns        bytes   share
-1    reshape              forward         61           6100       226048    11.0%
-2    reshape              backward        61           6100       226048    11.0%
-3    sparse_matmul        forward         28           2800        43008     5.0%
-4    sparse_matmul        backward        28           2800        43008     5.0%
-5    leaky_relu           forward         24           2400       157696     4.3%
+1    reshape              forward         47           4700       283392    11.7%
+2    reshape              backward        47           4700       283392    11.7%
+3    leaf                 forward         21           2100        10276     5.2%
+4    add                  forward         18           1800       143644     4.5%
+5    add                  backward        18           1800       143644     4.5%
 ";
         assert_eq!(out1, golden);
 

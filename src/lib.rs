@@ -68,5 +68,5 @@ pub mod prelude {
     pub use sthsl_serve::{
         ForecastCache, ForecastEngine, ServeError, Server, ServerConfig, StartupError, TileKey,
     };
-    pub use sthsl_tensor::{SparseTensor, Tensor};
+    pub use sthsl_tensor::Tensor;
 }

@@ -1,7 +1,8 @@
 //! Golden-metrics regression test.
 //!
 //! Pins the full fixed-seed pipeline — synthetic city → dataset → HA predictor
-//! → masked MAE/MAPE — to committed values. Two things protect these pins:
+//! → masked MAE/MAPE — and the bits of an untrained ST-HSL forecast to
+//! committed values. Two things protect these pins:
 //!
 //! - The simulator, dataset split, predictor and metrics are all seeded and
 //!   deterministic.
@@ -62,44 +63,27 @@ fn golden_raw_metric_functions_are_stable() {
 }
 
 #[test]
-fn golden_sparse_metric_path_equals_dense_pins() {
-    // The CSR metric path must reproduce the dense pins EXACTLY — not just
-    // within TOL: the sparse merge-scan performs the identical f64 operation
-    // sequence, so any bit of drift is a broken equivalence, not noise.
+fn golden_sthsl_untrained_forecast_bits_are_stable() {
+    // Pins the exact bits of an untrained, fixed-seed ST-HSL forecast. The
+    // model is never trained, so only the forward pass is pinned: the
+    // embedding, local view, hypergraph propagation (Eq. 4), global temporal
+    // layers and prediction head, plus `sanitize_counts`.
     let data = golden_dataset();
-    let mut ha = sthsl::baselines::ha::HistoricalAverage::new(BaselineConfig::tiny());
-    ha.fit(&data).expect("fit");
-    let dense = ha.evaluate(&data).expect("dense evaluate");
-    let sparse = ha.evaluate_sparse(&data).expect("sparse evaluate");
-    assert_eq!(
-        dense.mae_overall().to_bits(),
-        sparse.mae_overall().to_bits(),
-        "sparse MAE path diverged from dense: {} vs {}",
-        dense.mae_overall(),
-        sparse.mae_overall()
-    );
-    assert_eq!(
-        dense.mape_overall().to_bits(),
-        sparse.mape_overall().to_bits(),
-        "sparse MAPE path diverged from dense"
-    );
-    for c in 0..data.num_categories() {
-        assert_eq!(dense.rmse(c).to_bits(), sparse.rmse(c).to_bits(), "category {c} RMSE");
+    let cfg = StHslConfig { d: 8, num_hyperedges: 16, ..StHslConfig::quick() };
+    let model = StHsl::new(cfg, &data).expect("model");
+    let mut hash = FNV_OFFSET;
+    for &day in data.target_days(Split::Test).iter().take(3) {
+        let window = data.sample(day).expect("sample").input;
+        let pred = model.predict(&data, &window).expect("predict");
+        assert_eq!(pred.shape(), [data.num_regions(), data.num_categories()]);
+        for v in pred.data() {
+            for byte in v.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            }
+        }
     }
-    // And the sparse path therefore satisfies the committed pins.
-    assert!((sparse.mae_overall() - GOLDEN_HA_MAE).abs() < TOL);
-    assert!((sparse.mape_overall() - GOLDEN_HA_MAPE).abs() < TOL);
-
-    // The free sparse metric functions hit the raw pins the same way.
-    let days: Vec<usize> = data.target_days(Split::Test);
-    let a = data.sample(days[0]).expect("sample").target;
-    let b_sparse = data.day_sparse(days[1]).expect("day_sparse");
-    let mae = sthsl::data::mae_sparse(&a, &b_sparse).expect("mae_sparse");
-    let mape = sthsl::data::mape_sparse(&a, &b_sparse).expect("mape_sparse");
-    let rmse = sthsl::data::rmse_sparse(&a, &b_sparse).expect("rmse_sparse");
-    assert!((mae - GOLDEN_RAW_MAE).abs() < TOL, "sparse raw MAE drifted: {mae:.12}");
-    assert!((mape - GOLDEN_RAW_MAPE).abs() < TOL, "sparse raw MAPE drifted: {mape:.12}");
-    assert!((rmse - GOLDEN_RAW_RMSE).abs() < TOL, "sparse raw RMSE drifted: {rmse:.12}");
+    println!("golden ST-HSL forecast: fnv1a={hash:#018x}");
+    assert_eq!(hash, GOLDEN_STHSL_FORECAST_FNV, "ST-HSL forecast bits drifted: {hash:#018x}");
 }
 
 // ---------------------------------------------------------------- the pins
@@ -113,3 +97,9 @@ const GOLDEN_HA_MAPE: f64 = 0.752688706624;
 const GOLDEN_RAW_MAE: f64 = 0.298611111111;
 const GOLDEN_RAW_MAPE: f64 = 0.761904761905;
 const GOLDEN_RAW_RMSE: f64 = 0.583333333333;
+
+/// FNV-1a 64-bit over the little-endian `f32::to_bits` of the untrained
+/// ST-HSL forecasts for the first three test days.
+const GOLDEN_STHSL_FORECAST_FNV: u64 = 0x9a52_cfff_8073_a9cc;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -4,26 +4,11 @@
 
 use proptest::prelude::*;
 use sthsl::prelude::*;
-use sthsl::tensor::{broadcast_shapes, TensorError};
+use sthsl::tensor::broadcast_shapes;
 
 fn tensor_strategy(max: usize) -> impl Strategy<Value = Tensor> {
     (1usize..=max, 1usize..=max).prop_flat_map(|(r, c)| {
         proptest::collection::vec(-50.0f32..50.0, r * c)
-            .prop_map(move |v| Tensor::from_vec(v, &[r, c]).unwrap())
-    })
-}
-
-/// Like [`tensor_strategy`] but each element is drawn from a mix that makes
-/// zeros — positive *and* negative — common, so the sparse round-trip
-/// property actually exercises the zero-handling edge cases.
-fn signed_tensor_strategy(max: usize) -> impl Strategy<Value = Tensor> {
-    (1usize..=max, 1usize..=max).prop_flat_map(move |(r, c)| {
-        let element = (0usize..10, -50.0f32..50.0).prop_map(|(kind, v)| match kind {
-            0..=2 => 0.0f32,
-            3..=4 => -0.0f32,
-            _ => v,
-        });
-        proptest::collection::vec(element, r * c)
             .prop_map(move |v| Tensor::from_vec(v, &[r, c]).unwrap())
     })
 }
@@ -103,46 +88,6 @@ proptest! {
         // Poisson noise allows slack, but the ratio must track `mult`.
         prop_assert!(tb > ta * (mult * 0.55), "ratio {} vs mult {}", tb / ta, mult);
         prop_assert!(tb < ta * (mult * 1.8));
-    }
-
-    #[test]
-    fn sparse_round_trip_is_lossless(t in signed_tensor_strategy(8)) {
-        // `from_dense → to_dense` preserves every bit pattern — including
-        // negative zeros, which the CSR builder stores rather than drops.
-        let sp = SparseTensor::from_dense(&t).unwrap();
-        let back = sp.to_dense().unwrap();
-        prop_assert_eq!(t.shape(), back.shape());
-        for (i, (a, b)) in t.data().iter().zip(back.data()).enumerate() {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "bit loss at {} ({} vs {})", i, a, b);
-        }
-        // nnz counts exactly the entries whose bits are nonzero (so -0.0 is
-        // stored and +0.0 is not).
-        let expect = t.data().iter().filter(|v| v.to_bits() != 0).count();
-        prop_assert_eq!(sp.nnz(), expect);
-    }
-
-    #[test]
-    fn sparse_triplet_construction_never_panics(
-        (rows, cols) in (1usize..8, 1usize..8),
-        triplets in proptest::collection::vec(
-            (0usize..10, 0usize..10, -10.0f32..10.0), 0..16),
-    ) {
-        // Arbitrary (possibly out-of-bounds, unsorted, duplicated) triplet
-        // streams must produce a typed error or a valid tensor — never panic.
-        match SparseTensor::from_triplets(rows, cols, &triplets) {
-            Ok(sp) => {
-                // Accepted input: must have been in-bounds and strictly
-                // sorted, and must round-trip through dense.
-                let back = sp.to_dense().unwrap();
-                prop_assert_eq!(back.shape(), [rows, cols]);
-            }
-            Err(
-                TensorError::SparseIndexOutOfBounds { .. }
-                | TensorError::SparseUnsorted { .. }
-                | TensorError::SparseDuplicateEntry { .. },
-            ) => {}
-            Err(other) => prop_assert!(false, "unexpected error type: {:?}", other),
-        }
     }
 
     #[test]
