@@ -1,9 +1,12 @@
-//! Full training checkpoints — format v2 of the `STHSLPRM` container.
+//! Checkpoints — the one on-disk format for ST-HSL parameters (version 2 of
+//! the `STHSLPRM` container).
 //!
 //! A checkpoint carries everything needed to resume training bit-identically:
 //! model parameters, Adam moment estimates, and the trainer's counters (which
 //! double as the RNG state, since the training loop derives all randomness
-//! from `(seed, epoch, step)`).
+//! from `(seed, epoch, step)`). Bare parameter artifacts — a trained
+//! `--model` file, the early-stopping `best.params` — are checkpoints with
+//! empty Adam moments, so every parameter file carries the checksum.
 //!
 //! Layout (little-endian), with a trailing integrity checksum:
 //! ```text
@@ -26,12 +29,13 @@ use crate::optim::AdamState;
 use crate::params::ParamStore;
 use crate::serialize::{
     atomic_write_io, fnv1a, read_params, read_tensor, with_path, write_params, write_tensor,
-    ByteReader, MAGIC,
+    ByteReader,
 };
 use std::io;
 use std::path::{Path, PathBuf};
 use sthsl_chaos::{retry, Io, RealIo, RecoveryAction, RetryPolicy, Sleeper, VirtualSleeper};
 
+const MAGIC: &[u8; 8] = b"STHSLPRM";
 const VERSION: u32 = 2;
 
 /// Cap on Adam moment slots (one per parameter tensor; far above any model
@@ -552,17 +556,61 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
-    #[test]
-    fn v1_param_files_are_not_checkpoints_and_vice_versa() {
-        let dir = tmp_dir("versions");
-        let ck = sample_checkpoint();
-        let ckpt_path = dir.join("c.sthsl");
-        ck.save(&ckpt_path).unwrap();
-        assert!(ParamStore::load(&ckpt_path).is_err());
+    /// `body` followed by its correct FNV-1a footer: a hostile file that
+    /// passes the checksum, as an attacker who can compute it would write.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
 
-        let params_path = dir.join("p.params");
-        ck.params.save(&params_path).unwrap();
-        assert!(Checkpoint::load(&params_path).is_err());
+    fn header() -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn load_rejects_garbage() {
+        let dir = tmp_dir("garbage");
+        let path = dir.join("garbage.sthsl");
+        fs::write(&path, b"definitely not a parameter file").unwrap();
+        assert!(Checkpoint::load(&path).is_err());
+        // A correct checksum over the garbage does not make it a checkpoint.
+        fs::write(&path, sealed(b"definitely not a parameter file".to_vec())).unwrap();
+        let Err(err) = Checkpoint::load(&path) else { panic!("garbage accepted") };
+        assert!(err.to_string().contains("magic"), "{err}");
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn load_rejects_giant_claimed_sizes_without_allocating() {
+        // Each file claims an absurd size behind a valid checksum; the
+        // size-vs-file check must reject it before any allocation.
+        let dir = tmp_dir("giant");
+        let path = dir.join("giant.sthsl");
+
+        let mut count = header();
+        count.extend_from_slice(&(1u64 << 60).to_le_bytes()); // param count
+
+        let mut name = header();
+        name.extend_from_slice(&1u64.to_le_bytes()); // one param
+        name.extend_from_slice(&(1u64 << 40).to_le_bytes()); // name length
+
+        let mut dims = header();
+        dims.extend_from_slice(&1u64.to_le_bytes());
+        dims.extend_from_slice(&1u64.to_le_bytes());
+        dims.push(b'w');
+        dims.extend_from_slice(&2u64.to_le_bytes()); // rank 2
+        dims.extend_from_slice(&(u64::MAX / 2).to_le_bytes());
+        dims.extend_from_slice(&(u64::MAX / 2).to_le_bytes());
+
+        for (what, body) in [("count", count), ("name", name), ("dims", dims)] {
+            fs::write(&path, sealed(body)).unwrap();
+            let Err(err) = Checkpoint::load(&path) else { panic!("giant {what} accepted") };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(!err.to_string().contains("checksum"), "{what} must pass the checksum");
+        }
         fs::remove_dir_all(dir).ok();
     }
 
@@ -620,7 +668,7 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("victim.sthsl") && msg.contains("truncated"), "{msg}");
 
-        let Err(err) = ParamStore::load(dir.join("nope.params")) else {
+        let Err(err) = Checkpoint::load(dir.join("nope.params")) else {
             panic!("missing file must fail")
         };
         assert_eq!(err.kind(), io::ErrorKind::NotFound);

@@ -91,24 +91,36 @@ impl ParamStore {
     }
 
     /// Overwrite this store's parameter values from `other`, which must have
-    /// the same parameters (names and shapes, in order). Used to restore a
-    /// checkpoint into a freshly constructed architecture.
+    /// the same parameters (names and shapes, in order). Every name and shape
+    /// is checked *before* anything is mutated: on disagreement this store
+    /// is left untouched and the error names the first offending parameter
+    /// (its index, both names or both shapes).
     pub fn copy_values_from(&mut self, other: &ParamStore) -> Result<(), String> {
         if other.len() != self.len() {
             return Err(format!(
-                "parameter count mismatch: source {} vs model {}",
+                "checkpoint has {} parameters, model config expects {}",
                 other.len(),
                 self.len()
             ));
         }
-        for id in 0..self.params.len() {
-            let id = ParamId(id);
-            if other.name(id) != self.name(id) || other.get(id).shape() != self.get(id).shape() {
-                return Err(format!("parameter mismatch at '{}'", self.name(id)));
+        for (i, (want, got)) in self.params.iter().zip(&other.params).enumerate() {
+            if got.name != want.name {
+                return Err(format!(
+                    "checkpoint parameter #{i} is '{}', model config expects '{}'",
+                    got.name, want.name
+                ));
+            }
+            if got.value.shape() != want.value.shape() {
+                return Err(format!(
+                    "checkpoint parameter '{}' has shape {:?}, model config expects {:?}",
+                    want.name,
+                    got.value.shape(),
+                    want.value.shape()
+                ));
             }
         }
-        for id in 0..self.params.len() {
-            self.params[id].value = other.params[id].value.clone();
+        for (p, src) in self.params.iter_mut().zip(&other.params) {
+            p.value = src.value.clone();
         }
         Ok(())
     }

@@ -1,15 +1,7 @@
-//! Parameter persistence: a small, dependency-free binary format so trained
-//! models can be saved and reloaded.
-//!
-//! Format v1 (little-endian):
-//! ```text
-//! magic "STHSLPRM" | u32 version = 1 | u64 param count
-//! per param: u64 name len | name bytes | u64 rank | u64 dims… | f32 data…
-//! ```
-//!
-//! Version 2 of the container (full training checkpoints: parameters + Adam
-//! moments + trainer counters + checksum) lives in [`crate::checkpoint`] and
-//! shares the helpers below.
+//! Parameter persistence helpers shared by the checkpoint container
+//! ([`crate::checkpoint`]): a bounds-checked byte cursor, the tensor and
+//! parameter-section encodings, and atomic writes. The container itself —
+//! magic, version, checksum — is defined only in [`crate::checkpoint`].
 //!
 //! All loading is defensive: every length field is validated against hard
 //! caps *and* against the bytes actually remaining in the file before any
@@ -21,11 +13,8 @@
 use crate::params::ParamStore;
 use std::io;
 use std::path::Path;
-use sthsl_chaos::{Io, RealIo};
+use sthsl_chaos::Io;
 use sthsl_tensor::Tensor;
-
-pub(crate) const MAGIC: &[u8; 8] = b"STHSLPRM";
-const VERSION: u32 = 1;
 
 /// Hard cap on serialized parameter-name length.
 pub(crate) const MAX_NAME_LEN: usize = 1 << 12;
@@ -251,76 +240,9 @@ pub(crate) fn atomic_write_io(io: &dyn Io, path: &Path, bytes: &[u8]) -> io::Res
     result
 }
 
-/// [`atomic_write_io`] against the real filesystem.
-#[cfg(test)]
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    atomic_write_io(&RealIo, path, bytes)
-}
-
-impl ParamStore {
-    /// Serialise every parameter (names, shapes, values) to `path`.
-    ///
-    /// The write is atomic: a crash mid-save leaves any previous file at
-    /// `path` intact.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        self.save_io(&RealIo, path.as_ref())
-    }
-
-    /// [`ParamStore::save`] through an injectable I/O seam.
-    pub fn save_io(&self, io: &dyn Io, path: &Path) -> io::Result<()> {
-        let mut out = Vec::with_capacity(16 + self.num_scalars() * 4);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        write_params(&mut out, self);
-        atomic_write_io(io, path, &out)
-    }
-
-    /// Load a parameter file saved by [`ParamStore::save`]. Returns a fresh
-    /// store with parameters in their original registration order.
-    ///
-    /// Corrupted, truncated or oversized files are rejected with
-    /// [`io::ErrorKind::InvalidData`] naming the offending path and the
-    /// section that failed; no length field is trusted before it has been
-    /// checked against the actual file size.
-    pub fn load(path: impl AsRef<Path>) -> io::Result<ParamStore> {
-        ParamStore::load_io(&RealIo, path.as_ref())
-    }
-
-    /// [`ParamStore::load`] through an injectable I/O seam.
-    pub fn load_io(io: &dyn Io, path: &Path) -> io::Result<ParamStore> {
-        let bytes = io.read(path).map_err(|e| with_path(path, e))?;
-        Self::parse(&bytes).map_err(|e| with_path(path, e))
-    }
-
-    fn parse(bytes: &[u8]) -> io::Result<ParamStore> {
-        let mut r = ByteReader::new(bytes);
-        if r.take(8, "magic")? != MAGIC {
-            return Err(bad("magic: not an ST-HSL parameter file"));
-        }
-        let version = r.u32("version")?;
-        if version != VERSION {
-            return Err(bad(format!(
-                "version: unsupported parameter file version {version} (checkpoints are loaded via Checkpoint::load)"
-            )));
-        }
-        let store = read_params(&mut r)?;
-        r.finish()?;
-        Ok(store)
-    }
-
-    /// Overwrite this store's parameter values from a compatible saved file
-    /// (names and shapes must match exactly, in order). Use this to restore a
-    /// trained model into a freshly constructed architecture.
-    pub fn restore_from(&mut self, path: impl AsRef<Path>) -> io::Result<()> {
-        let loaded = ParamStore::load(path)?;
-        self.copy_values_from(&loaded).map_err(bad)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -329,134 +251,12 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut store = ParamStore::new();
-        store.register("w", Tensor::rand_normal(&[3, 4], 0.0, 1.0, &mut rng));
-        store.register("b", Tensor::rand_normal(&[4], 0.0, 1.0, &mut rng));
-        let path = tmp("roundtrip.bin");
-        store.save(&path).unwrap();
-        let loaded = ParamStore::load(&path).unwrap();
-        assert_eq!(loaded.len(), 2);
-        for id in store.ids() {
-            assert_eq!(loaded.name(id), store.name(id));
-            assert_eq!(loaded.get(id).shape(), store.get(id).shape());
-            assert_eq!(loaded.get(id).data(), store.get(id).data());
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn restore_checks_compatibility() {
-        let mut a = ParamStore::new();
-        a.register("w", Tensor::ones(&[2, 2]));
-        let path = tmp("restore.bin");
-        a.save(&path).unwrap();
-
-        // Same architecture restores fine.
-        let mut b = ParamStore::new();
-        b.register("w", Tensor::zeros(&[2, 2]));
-        b.restore_from(&path).unwrap();
-        assert_eq!(b.get(crate::ParamId(0)).data(), &[1.0; 4]);
-
-        // Wrong shape is rejected.
-        let mut c = ParamStore::new();
-        c.register("w", Tensor::zeros(&[3]));
-        assert!(c.restore_from(&path).is_err());
-
-        // Wrong name is rejected.
-        let mut d = ParamStore::new();
-        d.register("other", Tensor::zeros(&[2, 2]));
-        assert!(d.restore_from(&path).is_err());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let path = tmp("garbage.bin");
-        std::fs::write(&path, b"definitely not a parameter file").unwrap();
-        assert!(ParamStore::load(&path).is_err());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn load_never_panics_on_corrupted_or_truncated_bytes() {
-        // Build one valid file, then attack it: truncate at every length,
-        // flip bytes at every offset. Every variant must yield Err, never a
-        // panic or a huge allocation.
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut store = ParamStore::new();
-        store.register("weight", Tensor::rand_normal(&[4, 3], 0.0, 1.0, &mut rng));
-        store.register("bias", Tensor::rand_normal(&[3], 0.0, 1.0, &mut rng));
-        let path = tmp("fuzz.bin");
-        store.save(&path).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        let attack = tmp("fuzz_attack.bin");
-        for cut in 0..good.len() {
-            std::fs::write(&attack, &good[..cut]).unwrap();
-            assert!(ParamStore::load(&attack).is_err(), "truncation at {cut} accepted");
-        }
-        for (i, step) in (0..good.len()).step_by(3).enumerate() {
-            let mut evil = good.clone();
-            evil[step] ^= 0x80 | (i as u8 & 0x7f);
-            std::fs::write(&attack, &evil).unwrap();
-            // A flip may land in tensor payload (still a valid file), but it
-            // must never panic; parsing either succeeds or errors cleanly.
-            let _ = ParamStore::load(&attack);
-        }
-        // Trailing junk after a valid image is rejected.
-        let mut padded = good.clone();
-        padded.extend_from_slice(b"junk");
-        std::fs::write(&attack, &padded).unwrap();
-        assert!(ParamStore::load(&attack).is_err());
-
-        std::fs::remove_file(path).ok();
-        std::fs::remove_file(attack).ok();
-    }
-
-    #[test]
-    fn load_rejects_giant_claimed_sizes_without_allocating() {
-        // A file claiming 2^60 parameters / elements must be rejected by the
-        // size-vs-file check, not by attempting the allocation.
-        let path = tmp("giant.bin");
-        let mut evil = Vec::new();
-        evil.extend_from_slice(MAGIC);
-        evil.extend_from_slice(&1u32.to_le_bytes());
-        evil.extend_from_slice(&(1u64 << 60).to_le_bytes()); // param count
-        std::fs::write(&path, &evil).unwrap();
-        assert!(ParamStore::load(&path).is_err());
-
-        // Same for a giant name length inside an otherwise sane header.
-        let mut evil = Vec::new();
-        evil.extend_from_slice(MAGIC);
-        evil.extend_from_slice(&1u32.to_le_bytes());
-        evil.extend_from_slice(&1u64.to_le_bytes()); // one param
-        evil.extend_from_slice(&(1u64 << 40).to_le_bytes()); // name length
-        std::fs::write(&path, &evil).unwrap();
-        assert!(ParamStore::load(&path).is_err());
-
-        // And a giant tensor dim whose product overflows usize.
-        let mut evil = Vec::new();
-        evil.extend_from_slice(MAGIC);
-        evil.extend_from_slice(&1u32.to_le_bytes());
-        evil.extend_from_slice(&1u64.to_le_bytes());
-        evil.extend_from_slice(&1u64.to_le_bytes());
-        evil.push(b'w');
-        evil.extend_from_slice(&2u64.to_le_bytes()); // rank 2
-        evil.extend_from_slice(&(u64::MAX / 2).to_le_bytes());
-        evil.extend_from_slice(&(u64::MAX / 2).to_le_bytes());
-        std::fs::write(&path, &evil).unwrap();
-        assert!(ParamStore::load(&path).is_err());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn atomic_write_replaces_or_preserves() {
         let path = tmp("atomic.bin");
-        atomic_write(&path, b"first").unwrap();
+        let io = sthsl_chaos::RealIo;
+        atomic_write_io(&io, &path, b"first").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        atomic_write(&path, b"second").unwrap();
+        atomic_write_io(&io, &path, b"second").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
         std::fs::remove_file(path).ok();
     }

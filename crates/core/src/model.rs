@@ -282,25 +282,13 @@ impl StHsl {
         (self.rows, self.cols)
     }
 
-    /// Persist the trained parameters to a file (see
-    /// `sthsl_autograd::ParamStore::save` for the format).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.store.save(path)
-    }
-
-    /// Restore trained parameters into this (architecturally identical)
-    /// model. Construct the model with the same config and dataset dims, then
-    /// restore.
-    pub fn restore(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.store.restore_from(path)
-    }
-
-    /// Snapshot the current parameters as a fresh checkpoint-v2 artifact
+    /// Snapshot the current parameters as a fresh checkpoint artifact
     /// (empty optimizer moments, zeroed trainer progress, the config seed).
-    /// This is the hand-off format `sthsl serve` loads via
-    /// [`sthsl_autograd::load_latest_verified`] — useful for publishing a
-    /// trained model into a serving directory without re-running the
-    /// trainer's own checkpoint hook.
+    /// This is the one persisted form of a trained model: save it with
+    /// [`sthsl_autograd::Checkpoint::save`], load it with
+    /// [`sthsl_autograd::Checkpoint::load`] and hand the parameters to
+    /// [`Self::install_params`]. `sthsl train` writes its `--model` file and
+    /// `best.params` this way, and `sthsl serve` scans directories of them.
     pub fn export_checkpoint(&self) -> sthsl_autograd::Checkpoint {
         sthsl_autograd::Checkpoint {
             params: self.store.clone(),
@@ -329,31 +317,6 @@ impl StHsl {
     /// startup gate `sthsl serve` relies on to reject a checkpoint trained
     /// under a different model config before the first request arrives.
     pub fn install_params(&mut self, source: &ParamStore) -> Result<()> {
-        if source.len() != self.store.len() {
-            return Err(TensorError::Invalid(format!(
-                "checkpoint has {} parameters, model config expects {}",
-                source.len(),
-                self.store.len()
-            )));
-        }
-        for (id, other) in self.store.ids().zip(source.ids()) {
-            let (name, want) = (self.store.name(id), self.store.get(id).shape());
-            if source.name(other) != name {
-                return Err(TensorError::Invalid(format!(
-                    "checkpoint parameter #{} is '{}', model config expects '{}'",
-                    id.0,
-                    source.name(other),
-                    name
-                )));
-            }
-            let got = source.get(other).shape();
-            if got != want {
-                return Err(TensorError::Invalid(format!(
-                    "checkpoint parameter '{name}' has shape {got:?}, \
-                     model config expects {want:?}"
-                )));
-            }
-        }
         self.store.copy_values_from(source).map_err(TensorError::Invalid)
     }
 
@@ -457,27 +420,11 @@ impl StHsl {
     /// cost model) over the graph this model builds for training. Does not
     /// execute forward or backward beyond the single tape-recording pass.
     pub fn graph_audit(&self, data: &CrimeDataset) -> Result<AuditReport> {
-        self.graph_audit_with(data, None)
-    }
-
-    /// [`Self::graph_audit`] with an explicit float-error accumulation
-    /// budget (`None` keeps [`sthsl_graphcheck::DEFAULT_MAX_ACCUM_DEPTH`]).
-    pub fn graph_audit_with(
-        &self,
-        data: &CrimeDataset,
-        max_accum_depth: Option<u64>,
-    ) -> Result<AuditReport> {
         let (g, loss, params) = self.audit_artifacts(data)?;
         let spec = g.export_tape();
         let indexed: Vec<(String, usize)> =
             params.iter().map(|(n, v)| (n.clone(), v.index())).collect();
-        let mut opts = AuditOptions {
-            allow_unreachable: self.expected_inactive_prefixes(),
-            ..AuditOptions::default()
-        };
-        if let Some(depth) = max_accum_depth {
-            opts.max_accum_depth = depth;
-        }
+        let opts = AuditOptions { allow_unreachable: self.expected_inactive_prefixes() };
         Ok(sthsl_graphcheck::audit("ST-HSL", &spec, loss.index(), &indexed, &opts))
     }
 
@@ -670,18 +617,18 @@ mod tests {
     fn save_restore_preserves_predictions() {
         let data = tiny_dataset();
         let model = StHsl::new(tiny_cfg(), &data).unwrap();
-        // Perturb away from init so restore is observable.
         let sample = data.sample(20).unwrap();
         let before = model.predict(&data, &sample.input).unwrap();
         let mut path = std::env::temp_dir();
         path.push(format!("sthsl_model_{}.bin", std::process::id()));
-        model.save(&path).unwrap();
+        model.export_checkpoint().save(&path).unwrap();
         // A fresh model with a different seed predicts differently…
         let mut other = StHsl::new(tiny_cfg().with_seed(999), &data).unwrap();
         let fresh = other.predict(&data, &sample.input).unwrap();
         assert_ne!(fresh.data(), before.data());
-        // …until we restore the saved parameters.
-        other.restore(&path).unwrap();
+        // …until we install the saved parameters.
+        let loaded = sthsl_autograd::Checkpoint::load(&path).unwrap();
+        other.install_params(&loaded.params).unwrap();
         let restored = other.predict(&data, &sample.input).unwrap();
         assert_eq!(restored.data(), before.data());
         std::fs::remove_file(path).ok();

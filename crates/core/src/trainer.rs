@@ -27,7 +27,10 @@
 //!   budget is exhausted it stops gracefully with the last good parameters.
 //! * **Early stopping** — with [`TrainOptions::patience`], validation loss
 //!   is tracked each epoch, the best parameters are kept (in memory and as
-//!   `best.params` in the checkpoint dir) and restored when training ends.
+//!   `best.params`, a checksummed [`Checkpoint`], in the checkpoint dir) and
+//!   restored when training ends. A resume reinstalls `best.params`; if it
+//!   fails its checksum it is quarantined and the resume fails with a typed
+//!   error, since no older generation can stand in for it.
 //!
 //! [`TrainHooks`] exposes the loop's seams (fault injection, batch/epoch
 //! boundaries, divergence events, checkpoint writes) for tests and drivers;
@@ -48,7 +51,7 @@ use sthsl_autograd::checkpoint::{
 };
 use sthsl_autograd::optim::{self, Adam, AdamState, Optimizer};
 use sthsl_autograd::{Graph, ParamStore};
-use sthsl_chaos::{retry, Io, RealIo, RecoveryAction, RetryPolicy, Sleeper, ThreadSleeper};
+use sthsl_chaos::{Io, RealIo, RecoveryAction, RetryPolicy, Sleeper, ThreadSleeper};
 use sthsl_data::{CrimeDataset, FitReport, Split};
 use sthsl_tensor::{Result, Tensor, TensorError};
 
@@ -302,7 +305,7 @@ impl TrainLoop {
 
         let mut state = TrainerState { seed: cfg.seed, ..TrainerState::default() };
         let mut resumed_at = None;
-        let mut best_params: Option<ParamStore> = None;
+        let mut best: Option<Checkpoint> = None;
         if let Some(path) = &self.opts.resume_from {
             let ck = self.load_resume_checkpoint(io.as_ref(), path)?;
             if ck.trainer.seed != cfg.seed {
@@ -317,10 +320,9 @@ impl TrainLoop {
             state = ck.trainer;
             resumed_at = Some((state.epoch, state.batch_in_epoch));
             if let Some(dir) = &self.opts.checkpoint_dir {
-                let best_path = dir.join("best.params");
+                let best_path = dir.join(BEST_PARAMS);
                 if io.exists(&best_path) {
-                    best_params =
-                        Some(ParamStore::load_io(io.as_ref(), &best_path).map_err(ckpt_err)?);
+                    best = Some(self.load_best(io.as_ref(), &best_path)?);
                 }
             }
         }
@@ -455,17 +457,16 @@ impl TrainLoop {
                 if state.best_val.is_nan() || v < state.best_val {
                     state.best_val = v;
                     state.epochs_since_improve = 0;
-                    best_params = Some(model.store.clone());
+                    let best_ck = best.insert(model.export_checkpoint());
                     if let Some(dir) = &self.opts.checkpoint_dir {
                         if !ckpt_health.disabled {
-                            let best_path = dir.join("best.params");
+                            let best_path = dir.join(BEST_PARAMS);
                             let saved = io.create_dir_all(dir).and_then(|()| {
-                                retry(
+                                best_ck.save_with_retry(
+                                    io.as_ref(),
+                                    &best_path,
                                     self.retry,
                                     self.sleeper.as_ref(),
-                                    io.chaos_log(),
-                                    &best_path.to_string_lossy(),
-                                    || model.store.save_io(io.as_ref(), &best_path),
                                 )
                             });
                             if let Err(e) = saved {
@@ -504,8 +505,8 @@ impl TrainLoop {
 
         // With early stopping active, hand back the best-validation model.
         if self.opts.patience.is_some() {
-            if let Some(best) = &best_params {
-                model.store.copy_values_from(best).map_err(TensorError::Invalid)?;
+            if let Some(best) = &best {
+                model.store.copy_values_from(&best.params).map_err(TensorError::Invalid)?;
             }
         }
 
@@ -580,6 +581,29 @@ impl TrainLoop {
         }
     }
 
+    /// Load `best.params` for a resume. Unlike a checkpoint generation it has
+    /// no older copy to fall back on, and resuming without it would hand back
+    /// different parameters than the uninterrupted run, so a file that fails
+    /// its checksum (persistently, after a healing re-read) is quarantined as
+    /// `best.params.corrupt` and the resume fails with a typed error.
+    fn load_best(&self, io: &dyn Io, path: &Path) -> Result<Checkpoint> {
+        load_with_reread(io, path, RetryPolicy::default_read(), self.sleeper.as_ref()).map_err(
+            |e| {
+                if e.kind() != std::io::ErrorKind::InvalidData {
+                    return ckpt_err(e);
+                }
+                let fate = match quarantine(io, path) {
+                    Ok(dest) => format!("quarantined as {}", dest.display()),
+                    Err(q) => format!("quarantine failed: {q}"),
+                };
+                TensorError::Invalid(format!(
+                    "resume: best-validation parameters are corrupt ({e}); {fate}; resuming \
+                     without them would not reproduce the uninterrupted run"
+                ))
+            },
+        )
+    }
+
     /// Latch checkpointing off after a write-path failure; training goes on.
     fn degrade(
         &self,
@@ -630,6 +654,10 @@ impl TrainLoop {
         Ok(())
     }
 }
+
+/// File name of the best-validation parameters inside the checkpoint dir.
+/// It does not match `ckpt-*.sthsl`, so retention pruning never deletes it.
+const BEST_PARAMS: &str = "best.params";
 
 fn ckpt_err(e: std::io::Error) -> TensorError {
     TensorError::Invalid(format!("checkpoint: {e}"))
@@ -890,9 +918,9 @@ mod tests {
                 }
             }
         }
-        let param_bytes = |model: &StHsl, path: &Path| -> Vec<u8> {
-            model.save(path).unwrap();
-            std::fs::read(path).unwrap()
+        let param_bits = |model: &StHsl| -> Vec<u32> {
+            let s = &model.store;
+            s.ids().flat_map(|id| s.get(id).data().iter().map(|v| v.to_bits())).collect()
         };
 
         let data = dataset();
@@ -901,10 +929,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("sthsl-fallback-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let want = {
-            std::fs::create_dir_all(&dir).unwrap();
-            param_bytes(&reference, &dir.join("reference.params"))
-        };
+        let want = param_bits(&reference);
 
         // Kill at step 5: the run leaves ckpt-4 (epoch 0 end) and ckpt-5
         // (written on stop) — two generations.
@@ -925,7 +950,7 @@ mod tests {
         let outcome = TrainLoop::new(opts).run(&mut revived, &data, &mut NoHooks).unwrap();
         assert_eq!(outcome.resumed_at, Some((1, 0)), "must resume from the epoch-0-end fallback");
 
-        let got = param_bytes(&revived, &dir.join("resumed.params"));
+        let got = param_bits(&revived);
         assert_eq!(got, want, "fallback resume diverged from the uninterrupted run");
         let corrupt = PathBuf::from(format!("{}.corrupt", newest.display()));
         assert!(corrupt.exists(), "corrupt generation must be quarantined, not deleted");

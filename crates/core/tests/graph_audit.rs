@@ -34,10 +34,7 @@ fn serving_audit(model: &StHsl, data: &CrimeDataset) -> AuditReport {
     let (g, root, params) = model.serving_artifacts(data).unwrap();
     let indexed: Vec<(String, usize)> =
         params.iter().map(|(n, v)| (n.clone(), v.index())).collect();
-    let opts = AuditOptions {
-        allow_unreachable: model.expected_serving_inactive_prefixes(),
-        ..AuditOptions::default()
-    };
+    let opts = AuditOptions { allow_unreachable: model.expected_serving_inactive_prefixes() };
     sthsl_graphcheck::audit("ST-HSL (serving)", &g.export_tape(), root.index(), &indexed, &opts)
 }
 

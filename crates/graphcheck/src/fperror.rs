@@ -8,9 +8,9 @@
 //! longest run of dependent f32 adds inside one output element, after any
 //! fixed-block reassociation is credited) and the *cumulative* depth along
 //! the deepest producer path, then flags any single op whose own chain
-//! exceeds the configurable `max_accum_depth` budget.
+//! exceeds the [`crate::MAX_ACCUM_DEPTH`] budget.
 //!
-//! The default budget is `2 ·` [`sthsl_parallel::REDUCE_BLOCK`] (8192): the
+//! The budget is `2 ·` [`sthsl_parallel::REDUCE_BLOCK`] (8192): the
 //! full reductions in this workspace reassociate through 4096-element blocks
 //! (dependent chain `block + ceil(n/block)`, under two blocks for any
 //! realistic tensor), so any kernel that exceeds the budget is accumulating
@@ -191,7 +191,7 @@ mod tests {
         // 4096-element blocks + ceil(100000/4096) = 25 block combines.
         assert_eq!(own[s], 4096 + 25);
         let mut diags = vec![];
-        let info = analyze(&spec, &own, s, crate::DEFAULT_MAX_ACCUM_DEPTH, &mut diags);
+        let info = analyze(&spec, &own, s, crate::MAX_ACCUM_DEPTH, &mut diags);
         assert!(diags.is_empty(), "blocked reduce fits the budget: {diags:?}");
         assert_eq!(info.loss_depth, 4096 + 25);
     }

@@ -52,31 +52,22 @@ use sthsl_autograd::TapeSpec;
 
 pub use report::{AuditReport, Diagnostic, MemoryReport, Pass, Severity, REPORT_VERSION};
 
-/// Default single-op f32 accumulation budget: twice the fixed reassociation
+/// Single-op f32 accumulation budget: twice the fixed reassociation
 /// block of the workspace's full reductions
 /// ([`sthsl_parallel::REDUCE_BLOCK`]). A blocked reduction's dependent chain
 /// is `block + ceil(n / block)` adds — under `2·block` for any input up to
 /// `block²` (≈16.7M) elements — so every first-party reassociated kernel
 /// fits, while a naive single-accumulator chain longer than two blocks is
 /// flagged.
-pub const DEFAULT_MAX_ACCUM_DEPTH: u64 = 2 * sthsl_parallel::REDUCE_BLOCK as u64;
+pub const MAX_ACCUM_DEPTH: u64 = 2 * sthsl_parallel::REDUCE_BLOCK as u64;
 
 /// Knobs for one audit run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditOptions {
     /// Name prefixes of parameters *expected* to be detached from the loss
     /// (ablated branches). Their grad-flow finding is downgraded from Error
     /// to Info.
     pub allow_unreachable: Vec<String>,
-    /// Longest single-op sequential f32 accumulation the float-error pass
-    /// accepts without a warning.
-    pub max_accum_depth: u64,
-}
-
-impl Default for AuditOptions {
-    fn default() -> Self {
-        Self { allow_unreachable: Vec::new(), max_accum_depth: DEFAULT_MAX_ACCUM_DEPTH }
-    }
 }
 
 /// Statically audit one model graph.
@@ -130,7 +121,7 @@ pub fn audit(
         liveness::analyze(spec, &shape_info.shapes, &reach_info.grad_reachable, &mut diags);
     let own = fperror::own_extents(spec, &shape_info.shapes);
     let ranges = range::analyze(spec, &shape_info.shapes, &signs, &own, &mut diags);
-    let float_error = fperror::analyze(spec, &own, loss, opts.max_accum_depth, &mut diags);
+    let float_error = fperror::analyze(spec, &own, loss, MAX_ACCUM_DEPTH, &mut diags);
     let determinism = determinism::analyze(spec, &mut diags);
     let cost = cost::analyze(spec, &shape_info.shapes);
 

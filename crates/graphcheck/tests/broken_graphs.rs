@@ -74,8 +74,7 @@ fn ablated_branch_is_downgraded_to_info() {
     let s = spec.push(OpKind::Square, &[w]);
     let loss = spec.push(OpKind::SumAll, &[s]);
     let params = vec![("w".to_string(), w), ("infomax.proj".to_string(), ablated)];
-    let opts =
-        AuditOptions { allow_unreachable: vec!["infomax.".to_string()], ..AuditOptions::default() };
+    let opts = AuditOptions { allow_unreachable: vec!["infomax.".to_string()] };
     let r = audit("ablated", &spec, loss, &params, &opts);
 
     assert!(!r.has_errors());
@@ -346,10 +345,6 @@ fn deep_f32_accumulation_is_flagged() {
         "{}",
         flagged[0].msg
     );
-    // Tightening the budget is configurable; loosening it silences the flag.
-    let loose = AuditOptions { max_accum_depth: 200_000, ..AuditOptions::default() };
-    let r2 = audit("deep-accum", &spec, loss, &params, &loose);
-    assert!(r2.diagnostics.iter().all(|d| d.pass != Pass::FloatError));
 }
 
 #[test]

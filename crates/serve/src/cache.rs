@@ -28,7 +28,8 @@ pub struct TileKey {
     pub day: usize,
     /// Steps ahead (1 = the classic next-day forecast).
     pub horizon: usize,
-    /// Region-tile index: regions `[tile * tile_regions, …)`.
+    /// Region-tile index: regions `[tile * TILE_REGIONS, …)` (see
+    /// [`crate::server::TILE_REGIONS`]).
     pub tile: usize,
 }
 

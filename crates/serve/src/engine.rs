@@ -19,7 +19,7 @@
 use crate::error::{ServeError, StartupError};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use sthsl_autograd::load_latest_verified;
+use sthsl_autograd::{load_latest_verified, Checkpoint, ParamStore};
 use sthsl_chaos::{Io, RetryPolicy, Sleeper};
 use sthsl_core::{StHsl, StHslConfig};
 use sthsl_data::CrimeDataset;
@@ -56,25 +56,34 @@ impl ForecastEngine {
         let Some((path, ck)) = loaded else {
             return Err(StartupError::NoCheckpoint(dir.display().to_string()));
         };
-        let mut model = StHsl::new(cfg, &data).map_err(|e| StartupError::Dataset(e.to_string()))?;
-        model
-            .install_params(&ck.params)
-            .map_err(|e| StartupError::CheckpointMismatch(e.to_string()))?;
-        let engine = Self::from_parts(model, data, max_horizon)?;
+        let engine = Self::from_params(&ck.params, cfg, data, max_horizon)?;
         Ok((engine, path))
     }
 
-    /// Build from a bare parameter file written by [`StHsl::save`].
+    /// Build from one checkpoint file — the `--model` artifact `sthsl train`
+    /// writes. A corrupt file fails its checksum here, at startup.
     pub fn from_model_file(
         path: &Path,
         cfg: StHslConfig,
         data: CrimeDataset,
         max_horizon: usize,
     ) -> Result<Self, StartupError> {
+        let ck = Checkpoint::load(path).map_err(|e| StartupError::Io(e.to_string()))?;
+        Self::from_params(&ck.params, cfg, data, max_horizon)
+    }
+
+    /// The shared startup gate: install `params` into a fresh model under
+    /// `cfg` (names and shapes checked first), then run the pre-flight.
+    fn from_params(
+        params: &ParamStore,
+        cfg: StHslConfig,
+        data: CrimeDataset,
+        max_horizon: usize,
+    ) -> Result<Self, StartupError> {
         let mut model = StHsl::new(cfg, &data).map_err(|e| StartupError::Dataset(e.to_string()))?;
         model
-            .restore(path)
-            .map_err(|e| StartupError::CheckpointMismatch(format!("{}: {e}", path.display())))?;
+            .install_params(params)
+            .map_err(|e| StartupError::CheckpointMismatch(e.to_string()))?;
         Self::from_parts(model, data, max_horizon)
     }
 
@@ -296,10 +305,7 @@ fn preflight(model: &StHsl, data: &CrimeDataset) -> Result<(), StartupError> {
     let spec = g.export_tape();
     let indexed: Vec<(String, usize)> =
         params.iter().map(|(n, v)| (n.clone(), v.index())).collect();
-    let opts = AuditOptions {
-        allow_unreachable: model.expected_serving_inactive_prefixes(),
-        ..AuditOptions::default()
-    };
+    let opts = AuditOptions { allow_unreachable: model.expected_serving_inactive_prefixes() };
     let report = sthsl_graphcheck::audit("ST-HSL", &spec, root.index(), &indexed, &opts);
     if report.has_errors() {
         return Err(StartupError::AuditFailed(report.render()));
@@ -404,6 +410,22 @@ mod tests {
         let want = model.predict(&data, &sample.input).unwrap();
         let got = engine.grid_forecast(day, 1).unwrap();
         assert_eq!(want.data(), got.data());
+
+        // `--model` boots the same file through the same gate…
+        let file = dir.join("ckpt-0000000001.sthsl");
+        let single = ForecastEngine::from_model_file(&file, tiny_cfg(), tiny_dataset(), 4).unwrap();
+        assert_eq!(single.grid_forecast(day, 1).unwrap().data(), want.data());
+        // …and a one-bit flip fails the checksum at startup.
+        let mut bytes = std::fs::read(&file).unwrap();
+        let last = bytes.len() - 9;
+        bytes[last] ^= 0x01;
+        let flipped = dir.join("flipped.sthsl");
+        std::fs::write(&flipped, &bytes).unwrap();
+        let Err(err) = ForecastEngine::from_model_file(&flipped, tiny_cfg(), tiny_dataset(), 4)
+        else {
+            panic!("flipped model file accepted")
+        };
+        assert!(err.to_string().contains("checksum"), "{err}");
 
         // A config whose shapes disagree must be rejected at startup.
         let Err(err) = ForecastEngine::from_checkpoint_dir(

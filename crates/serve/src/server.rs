@@ -32,6 +32,10 @@ use std::time::{Duration, Instant};
 use sthsl_chaos::{RealIo, RetryPolicy, ThreadSleeper};
 use sthsl_obs::{Json, TraceEmitter, TraceEvent};
 
+/// Regions per forecast-cache tile: a tile holds one `(day, horizon)`
+/// forecast for this many consecutive regions.
+pub const TILE_REGIONS: usize = 4;
+
 /// Knobs for the accept loop and the cache.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -52,8 +56,6 @@ pub struct ServerConfig {
     pub max_requests: Option<u64>,
     /// Forecast cache capacity, in tiles.
     pub cache_capacity: usize,
-    /// Regions per cache tile.
-    pub tile_regions: usize,
     /// Horizon cap for requests.
     pub max_horizon: usize,
     /// Directory `/reload` rescans; `None` disables the endpoint.
@@ -70,7 +72,6 @@ impl Default for ServerConfig {
             max_body: 256 * 1024,
             max_requests: None,
             cache_capacity: 1024,
-            tile_regions: 4,
             max_horizon: 7,
             checkpoint_dir: None,
         }
@@ -366,7 +367,7 @@ impl Server {
             city: self.cfg.city.clone(),
             day: q.day,
             horizon: q.horizon,
-            tile: q.region / self.cfg.tile_regions.max(1),
+            tile: q.region / TILE_REGIONS,
         }
     }
 
@@ -374,10 +375,8 @@ impl Server {
     fn populate_tiles(&mut self, day: usize, horizon: usize, grid: &sthsl_tensor::Tensor) {
         let r = self.engine.data().num_regions();
         let c = self.columns();
-        let tile_regions = self.cfg.tile_regions.max(1);
-        let mut start = 0;
-        while start < r {
-            let len = tile_regions.min(r - start);
+        for start in (0..r).step_by(TILE_REGIONS) {
+            let len = TILE_REGIONS.min(r - start);
             let mut counts = Vec::with_capacity(len * c);
             for region in start..start + len {
                 for cat in 0..c {
@@ -385,9 +384,8 @@ impl Server {
                 }
             }
             let key =
-                TileKey { city: self.cfg.city.clone(), day, horizon, tile: start / tile_regions };
+                TileKey { city: self.cfg.city.clone(), day, horizon, tile: start / TILE_REGIONS };
             self.cache.insert(key, TileEntry { region_start: start, regions: len, counts });
-            start += len;
         }
     }
 

@@ -174,15 +174,16 @@ fn train_once(
     Ok((model, outcome))
 }
 
-/// Final-state fingerprint: FNV-1a over the serialised parameters, salted
-/// with the bit pattern of the final loss. Computed through [`RealIo`] so it
-/// sits outside any faulty seam.
-fn fingerprint(wd: &Path, tag: &str, model: &StHsl, outcome: &TrainOutcome) -> Result<u64, String> {
-    let p = wd.join(format!("fp-{tag}.params"));
-    model.save(&p).map_err(|e| format!("{}: {e}", p.display()))?;
-    let bytes = RealIo.read(&p).map_err(|e| format!("{}: {e}", p.display()))?;
-    let _ = RealIo.remove_file(&p);
-    Ok(fnv1a(&bytes) ^ outcome.report.final_loss.to_bits())
+/// Final-state fingerprint: FNV-1a over the parameter bits in memory,
+/// salted with the bit pattern of the final loss. Nothing touches the disk,
+/// so it sits outside any faulty seam.
+fn fingerprint(model: &StHsl, outcome: &TrainOutcome) -> u64 {
+    let params = model.export_checkpoint().params;
+    let bytes: Vec<u8> = params
+        .ids()
+        .flat_map(|id| params.get(id).data().iter().flat_map(|v| v.to_le_bytes()))
+        .collect();
+    fnv1a(&bytes) ^ outcome.report.final_loss.to_bits()
 }
 
 /// Re-emit one scenario's chaos log into the fault trace; returns
@@ -242,7 +243,7 @@ fn run_ckpt_scenario(
 
     let (outcome, ok, detail) = match res {
         Ok((model, out)) => {
-            let fp = fingerprint(wd, s.name, &model, &out)?;
+            let fp = fingerprint(&model, &out);
             let mut ok = fp == baseline_fp && faults > 0;
             let mut detail = format!("fingerprint {}", hex(fp));
             if s.expect_disabled {
@@ -294,7 +295,6 @@ struct DataScenario {
 #[allow(clippy::too_many_arguments)]
 fn run_data_scenario(
     s: &DataScenario,
-    wd: &Path,
     csv_path: &Path,
     csv_fnv: u64,
     grid: &GridSpec,
@@ -317,7 +317,7 @@ fn run_data_scenario(
 
     let (outcome, ok, detail) = match res {
         Ok((model, out)) => {
-            let fp = fingerprint(wd, s.name, &model, &out)?;
+            let fp = fingerprint(&model, &out);
             let name = if fp == baseline_fp { EXPECT_BIT_IDENTICAL } else { EXPECT_RECOVERED };
             let ok = name == s.expected && faults > 0;
             (name, ok, format!("fingerprint {}", hex(fp)))
@@ -389,7 +389,7 @@ fn run_resume_scenario(
 
     let (outcome, ok, detail) = match res {
         Ok((model, out)) => {
-            let fp = fingerprint(wd, name, &model, &out)?;
+            let fp = fingerprint(&model, &out);
             let mut corrupt_name = newest.as_os_str().to_os_string();
             corrupt_name.push(".corrupt");
             let quarantined = RealIo.exists(Path::new(&corrupt_name)) && !RealIo.exists(&newest);
@@ -445,7 +445,7 @@ fn run_trace_scenario(
 
     let (outcome, ok, detail) = match res {
         Ok((model, out)) => {
-            let fp = fingerprint(wd, name, &model, &out)?;
+            let fp = fingerprint(&model, &out);
             let latched = victim.had_error();
             let ok = fp == baseline_fp && latched && faults > 0;
             let name = if fp == baseline_fp { EXPECT_BIT_IDENTICAL } else { EXPECT_RECOVERED };
@@ -471,7 +471,6 @@ fn run_trace_scenario(
 /// epoch-start snapshot, halve the learning rate) and finish with finite
 /// loss. The trajectory legitimately differs from the baseline.
 fn run_nan_scenario(
-    wd: &Path,
     data: &CrimeDataset,
     seed: u64,
     baseline_fp: u64,
@@ -485,7 +484,7 @@ fn run_nan_scenario(
 
     let (outcome, ok, divergences, detail) = match res {
         Ok((model, out)) => {
-            let fp = fingerprint(wd, name, &model, &out)?;
+            let fp = fingerprint(&model, &out);
             let finite = out.report.final_loss.is_finite();
             let ok = out.divergence_events >= 1 && finite;
             let name = if fp == baseline_fp { EXPECT_BIT_IDENTICAL } else { EXPECT_RECOVERED };
@@ -605,7 +604,7 @@ fn campaign_in(
     let clean: Rc<dyn Io> = Rc::new(RealIo);
     let data = load_data(&RealIo, &csv_path, csv_fnv, &grid, &cats)?;
     let (bmodel, bout) = train_once(&clean, &data, seed, None, None, &mut NoHooks)?;
-    let baseline_fp = fingerprint(wd, "baseline", &bmodel, &bout)?;
+    let baseline_fp = fingerprint(&bmodel, &bout);
     let baseline_loss = bout.report.final_loss;
 
     if let Some(parent) = trace_path.parent() {
@@ -689,7 +688,6 @@ fn campaign_in(
     for s in &data_matrix {
         results.push(run_data_scenario(
             s,
-            wd,
             &csv_path,
             csv_fnv,
             &grid,
@@ -701,7 +699,7 @@ fn campaign_in(
     }
     results.push(run_resume_scenario(wd, &data, seed, baseline_fp, &emitter)?);
     results.push(run_trace_scenario(wd, &data, seed, baseline_fp, &emitter)?);
-    results.push(run_nan_scenario(wd, &data, seed, baseline_fp, &emitter)?);
+    results.push(run_nan_scenario(&data, seed, baseline_fp, &emitter)?);
 
     emitter.flush().map_err(|e| format!("{}: {e}", trace_path.display()))?;
     if emitter.had_error() {

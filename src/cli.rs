@@ -90,11 +90,9 @@ struct Flags {
     top: usize,
     ranges: bool,
     cost: bool,
-    max_accum_depth: Option<u64>,
     json: bool,
     addr: Option<String>,
     cache_capacity: usize,
-    tile_regions: usize,
     max_horizon: usize,
     batch_window_ms: u64,
     max_requests: Option<u64>,
@@ -127,11 +125,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         top: 10,
         ranges: false,
         cost: false,
-        max_accum_depth: None,
         json: false,
         addr: None,
         cache_capacity: 1024,
-        tile_regions: 4,
         max_horizon: 7,
         batch_window_ms: 2,
         max_requests: None,
@@ -231,10 +227,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 f.cost = true;
                 i += 1;
             }
-            "--max-accum-depth" => {
-                f.max_accum_depth = Some(parse_value(key, value(i)?)?);
-                i += 2;
-            }
             "--json" => {
                 f.json = true;
                 i += 1;
@@ -245,10 +237,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--cache-capacity" => {
                 f.cache_capacity = parse_value(key, value(i)?)?;
-                i += 2;
-            }
-            "--tile-regions" => {
-                f.tile_regions = parse_value(key, value(i)?)?;
                 i += 2;
             }
             "--max-horizon" => {
@@ -423,7 +411,7 @@ fn cmd_train(flags: &Flags) -> Result<String, CliError> {
         None => model.fit_with(&data, opts, &mut NoHooks).map_err(|e| e.to_string())?,
     };
     let path = flags.model.clone().unwrap_or_else(|| "model.bin".into());
-    model.save(&path).map_err(|e| e.to_string())?;
+    model.export_checkpoint().save(&path).map_err(|e| e.to_string())?;
     let report = &outcome.report;
     let mut msg = format!(
         "trained {} epochs in {:.1}s (final loss {:.4}); saved to {path}",
@@ -448,7 +436,8 @@ fn cmd_train(flags: &Flags) -> Result<String, CliError> {
 fn restore_model(flags: &Flags, data: &CrimeDataset) -> Result<StHsl, CliError> {
     let path = flags.model.as_ref().ok_or_else(|| CliError::usage("--model is required"))?;
     let mut model = StHsl::new(model_config(flags), data).map_err(|e| e.to_string())?;
-    model.restore(path).map_err(|e| format!("{path}: {e}"))?;
+    let ck = Checkpoint::load(path).map_err(|e| e.to_string())?;
+    model.install_params(&ck.params).map_err(|e| format!("{path}: {e}"))?;
     Ok(model)
 }
 
@@ -507,7 +496,7 @@ fn cmd_graph_audit(flags: &Flags) -> Result<String, CliError> {
 
     let mut reports = Vec::new();
     let model = StHsl::new(model_config(flags), &data).map_err(|e| e.to_string())?;
-    reports.push(model.graph_audit_with(&data, flags.max_accum_depth).map_err(|e| e.to_string())?);
+    reports.push(model.graph_audit(&data).map_err(|e| e.to_string())?);
     let bcfg = BaselineConfig { seed: flags.seed, ..BaselineConfig::quick() };
     for m in all_auditable(&bcfg, &data).map_err(|e| e.to_string())? {
         reports.push(m.graph_audit(&data).map_err(|e| e.to_string())?);
@@ -711,7 +700,6 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         batch_window_ms: flags.batch_window_ms,
         max_requests: flags.max_requests,
         cache_capacity: flags.cache_capacity,
-        tile_regions: flags.tile_regions,
         max_horizon: flags.max_horizon,
         checkpoint_dir: flags.checkpoint_dir.clone().map(PathBuf::from),
         ..ServerConfig::default()
@@ -771,7 +759,6 @@ const USAGE: &str =
                                    picks an ephemeral port, printed at startup)
             [--max-horizon N]      deepest forecast horizon served (default 7)
             [--cache-capacity N]   LRU forecast-tile cache entries (default 1024)
-            [--tile-regions N]     regions per cache tile (default 4)
             [--batch-window-ms N]  micro-batch collection window (default 2)
             [--max-requests N]     exit after N requests (for smoke tests)
             (--trace-out writes per-request spans + cache/latency metrics)
@@ -781,8 +768,6 @@ const USAGE: &str =
             [--ranges]             also print the widest proven value intervals
             [--cost]               also print the full static cost table
             [--top N]              rows in the --ranges listing (default 10)
-            [--max-accum-depth N]  f32 accumulation budget for the float-error
-                                   pass (default 8192 = 2x the reduction block)
             [--json]               emit one machine-readable JSON document
                                    instead of the text report
   profile:  time one training step per-op and print the hot-op report
@@ -956,11 +941,17 @@ mod tests {
             &model,
             "--checkpoint-dir",
             &ckdir,
+            "--patience",
+            "2",
         ]);
         train.extend(str_args(&common));
         run(&train).unwrap();
         let latest = latest_checkpoint(&ckdir).unwrap();
         assert!(latest.is_some(), "training left no checkpoint in {ckdir}");
+        // The `--model` file and `best.params` are checksummed checkpoints.
+        for artifact in [PathBuf::from(&model), Path::new(&ckdir).join("best.params")] {
+            Checkpoint::load(&artifact).unwrap_or_else(|e| panic!("{}: {e}", artifact.display()));
+        }
 
         // Resuming from the final checkpoint is a no-op train that succeeds.
         let mut resume = str_args(&[
@@ -972,6 +963,8 @@ mod tests {
             &model,
             "--checkpoint-dir",
             &ckdir,
+            "--patience",
+            "2",
             "--resume",
         ]);
         resume.extend(str_args(&common));

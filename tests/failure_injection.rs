@@ -139,10 +139,10 @@ impl TrainHooks for KillAt {
     }
 }
 
-/// Save a model's parameters and return the raw file bytes.
-fn param_bytes(model: &StHsl, path: &std::path::Path) -> Vec<u8> {
-    model.save(path).unwrap();
-    std::fs::read(path).unwrap()
+/// A model's parameter bits, in registration order.
+fn param_bits(model: &StHsl) -> Vec<u32> {
+    let params = model.export_checkpoint().params;
+    params.ids().flat_map(|id| params.get(id).data().iter().map(|v| v.to_bits())).collect()
 }
 
 #[test]
@@ -155,9 +155,7 @@ fn resume_after_kill_is_bit_identical_to_uninterrupted_run() {
     // Reference: one uninterrupted run.
     let mut reference = StHsl::new(cfg.clone(), &data).unwrap();
     reference.fit_with(&data, TrainOptions::resilient(), &mut NoHooks).unwrap();
-    let scratch = tmp_dir("ref");
-    std::fs::create_dir_all(&scratch).unwrap();
-    let want = param_bytes(&reference, &scratch.join("reference.params"));
+    let want = param_bits(&reference);
 
     // Kill at several batch boundaries, spanning mid-epoch and epoch edges.
     for kill_step in [1u64, 3, 4] {
@@ -176,14 +174,13 @@ fn resume_after_kill_is_bit_identical_to_uninterrupted_run() {
         assert!(outcome.resumed_at.is_some(), "resume metadata missing");
         assert!(!outcome.interrupted);
 
-        let got = param_bytes(&revived, &dir.join("resumed.params"));
+        let got = param_bits(&revived);
         assert_eq!(
             got, want,
             "kill at step {kill_step}/{total_steps}: resumed parameters differ from uninterrupted run"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
-    std::fs::remove_dir_all(&scratch).unwrap();
 }
 
 #[test]
@@ -198,9 +195,7 @@ fn threaded_resume_after_kill_matches_single_threaded_run() {
     sthsl::parallel::set_num_threads(1);
     let mut reference = StHsl::new(cfg.clone(), &data).unwrap();
     reference.fit_with(&data, TrainOptions::resilient(), &mut NoHooks).unwrap();
-    let scratch = tmp_dir("threaded_ref");
-    std::fs::create_dir_all(&scratch).unwrap();
-    let want = param_bytes(&reference, &scratch.join("reference.params"));
+    let want = param_bits(&reference);
 
     sthsl::parallel::set_num_threads(4);
     let dir = tmp_dir("threaded_kill");
@@ -215,14 +210,13 @@ fn threaded_resume_after_kill_matches_single_threaded_run() {
     let outcome = revived.fit_with(&data, opts, &mut NoHooks).unwrap();
     assert!(outcome.resumed_at.is_some());
 
-    let got = param_bytes(&revived, &dir.join("resumed.params"));
+    let got = param_bits(&revived);
     sthsl::parallel::set_num_threads(0);
     assert_eq!(
         got, want,
         "4-thread kill/resume parameters differ from the 1-thread uninterrupted run"
     );
     std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&scratch).unwrap();
 }
 
 #[test]
@@ -245,6 +239,39 @@ fn resume_from_corrupted_checkpoint_errors_without_panicking() {
     let opts = TrainOptions { resume_from: Some(ck), ..opts };
     let err = revived.fit_with(&data, opts, &mut NoHooks).unwrap_err();
     assert!(err.to_string().contains("checkpoint"), "unexpected error: {err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resume_with_corrupt_best_params_is_a_typed_error_and_quarantines_it() {
+    let data = dataset();
+    let dir = tmp_dir("best");
+    let opts = TrainOptions {
+        checkpoint_dir: Some(dir.clone()),
+        patience: Some(2),
+        ..TrainOptions::resilient()
+    };
+    // Epoch 0 (steps 1-3) validates and writes best.params; stop in epoch 1.
+    let mut model = StHsl::new(tiny_cfg(), &data).unwrap();
+    let outcome = model.fit_with(&data, opts.clone(), &mut KillAt { step: 4 }).unwrap();
+    assert!(outcome.interrupted);
+
+    // Flip one payload bit: without a checksum this still parses, and the
+    // resumed run would silently hand back the flipped weights.
+    let best = dir.join("best.params");
+    let mut bytes = std::fs::read(&best).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&best, &bytes).unwrap();
+
+    let ck = latest_checkpoint(&dir).unwrap().expect("no checkpoint written");
+    let mut revived = StHsl::new(tiny_cfg(), &data).unwrap();
+    let opts = TrainOptions { resume_from: Some(ck), ..opts };
+    let err = revived.fit_with(&data, opts, &mut NoHooks).unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("best.params") && msg.contains("checksum"), "unexpected error: {msg}");
+    assert!(!best.exists(), "corrupt best.params must be moved aside");
+    assert!(dir.join("best.params.corrupt").exists(), "corrupt best.params must be kept");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

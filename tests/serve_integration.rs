@@ -49,7 +49,6 @@ fn spawn_server(
             city: "testville".into(),
             cache_capacity,
             max_requests: Some(max_requests),
-            tile_regions: 4,
             max_horizon: 3,
             ..ServerConfig::default()
         };
