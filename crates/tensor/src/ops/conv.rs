@@ -3,6 +3,32 @@
 //! These are correlation-style convolutions as used by every deep-learning
 //! framework. Backward kernels are exposed so the autograd crate can wire
 //! them as node gradients without re-deriving index arithmetic.
+//!
+//! # Kernel contract
+//!
+//! Every output element receives the same f32 operations, in the same order,
+//! as the direct loops kept in `ops/oracle.rs`, so results are bit-identical
+//! to them (the oracle test compares `to_bits()`):
+//!
+//! - **Forward:** bias, then `x·w` for each tap in `(ci, ky, kx)` order.
+//! - **Input gradient:** `g·w` in `co → oy → ox` order, which for a fixed
+//!   input element is `co` ascending, then `ky`, `kx` *descending*.
+//! - **Weight gradient:** `g·x` in `(bi, oy, ox)` order.
+//!
+//! The loops are arranged so that each inner loop is a contiguous,
+//! branch-free run over one row that the compiler vectorizes. Taps that
+//! fall into the zero padding are clipped out of each run ([`Span`]); they
+//! are never multiplied by a zero. Where a lane must skip a term — a zero
+//! `grad_out` element, or an im2col lane in the padding — it adds `-0.0`
+//! instead. Under round-to-nearest, `x + (-0.0)` returns `x` bit for bit
+//! for every `x` except a signalling NaN: `-0.0 + -0.0 = -0.0`,
+//! `+0.0 + -0.0 = +0.0`, infinities and quiet NaNs pass through. Arithmetic
+//! never produces a signalling NaN, so a branch-free lane matches the
+//! skipped term exactly. (Multiplying instead would not: `0·∞` is NaN and
+//! `-0.0 + 0·w` can flip the sign of a zero.)
+//!
+//! A 1-D convolution is the 2-D one over a single row whose column taps are
+//! dilated, so both share [`Geom`] and one kernel per pass.
 
 use crate::{Result, Tensor, TensorError};
 
@@ -39,83 +65,10 @@ impl Tensor {
         bias: Option<&Tensor>,
         pad: (usize, usize),
     ) -> Result<Tensor> {
-        let [b, cin, h, w] = dims4(self, "conv2d input")?;
-        let [cout, cin_w, kh, kw] = dims4(weight, "conv2d weight")?;
-        if cin != cin_w {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv2d",
-                lhs: self.shape().to_vec(),
-                rhs: weight.shape().to_vec(),
-            });
-        }
-        let (ph, pw) = pad;
-        let oh = (h + 2 * ph).checked_sub(kh - 1).ok_or_else(|| {
-            TensorError::Invalid(format!(
-                "conv2d: kernel {kh} too large for height {h} with pad {ph}"
-            ))
-        })?;
-        let ow = (w + 2 * pw).checked_sub(kw - 1).ok_or_else(|| {
-            TensorError::Invalid(format!(
-                "conv2d: kernel {kw} too large for width {w} with pad {pw}"
-            ))
-        })?;
-        if let Some(bs) = bias {
-            if bs.shape() != [cout] {
-                return Err(TensorError::ShapeMismatch {
-                    op: "conv2d bias",
-                    lhs: bs.shape().to_vec(),
-                    rhs: vec![cout],
-                });
-            }
-        }
-        let x = self.data();
-        let wt = weight.data();
-        let bias_data = bias.map(super::super::tensor::Tensor::data);
-        let mut out = vec![0.0f32; b * cout * oh * ow];
-        // One output plane per (batch, out-channel) pair; planes are disjoint
-        // and each element keeps the serial accumulation order, so the result
-        // is bit-identical at every thread count.
-        let per_plane = oh * ow * cin * kh * kw;
-        let min_planes = (MIN_WORK_PER_BAND / per_plane.max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(
-            &mut out,
-            b * cout,
-            oh * ow,
-            min_planes,
-            |planes, band| {
-                for (local, plane) in planes.enumerate() {
-                    let (bi, co) = (plane / cout, plane % cout);
-                    let bias_v = bias_data.map_or(0.0, |bd| bd[co]);
-                    let oplane = &mut band[local * oh * ow..(local + 1) * oh * ow];
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut acc = bias_v;
-                            for ci in 0..cin {
-                                let xbase = ((bi * cin + ci) * h) * w;
-                                let wbase = ((co * cin + ci) * kh) * kw;
-                                for ky in 0..kh {
-                                    let iy = oy + ky;
-                                    if iy < ph || iy >= h + ph {
-                                        continue;
-                                    }
-                                    let iy = iy - ph;
-                                    for kx in 0..kw {
-                                        let ix = ox + kx;
-                                        if ix < pw || ix >= w + pw {
-                                            continue;
-                                        }
-                                        let ix = ix - pw;
-                                        acc += x[xbase + iy * w + ix] * wt[wbase + ky * kw + kx];
-                                    }
-                                }
-                            }
-                            oplane[oy * ow + ox] = acc;
-                        }
-                    }
-                }
-            },
-        );
-        Tensor::from_vec(out, &[b, cout, oh, ow])
+        let geom = Geom::conv2d("conv2d", self.shape(), weight.shape(), pad)?;
+        let bias = check_bias("conv2d bias", bias, geom.cout)?;
+        let out = forward(self.data(), weight.data(), bias, geom);
+        Tensor::from_vec(out, &geom.out_shape2d())
     }
 
     /// Gradient of `conv2d` w.r.t. its input (a transposed convolution with
@@ -126,59 +79,10 @@ impl Tensor {
         input_shape: &[usize],
         pad: (usize, usize),
     ) -> Result<Tensor> {
-        let [b, cout, oh, ow] = dims4(grad_out, "conv2d grad_out")?;
-        let [cout_w, cin, kh, kw] = dims4(weight, "conv2d weight")?;
-        if cout != cout_w || input_shape.len() != 4 {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv2d_grad_input",
-                lhs: grad_out.shape().to_vec(),
-                rhs: weight.shape().to_vec(),
-            });
-        }
-        let (ph, pw) = pad;
-        let (h, w) = (input_shape[2], input_shape[3]);
-        let go = grad_out.data();
-        let wt = weight.data();
-        let mut gx = vec![0.0f32; b * cin * h * w];
-        // Each batch element's input-gradient block is disjoint; the serial
-        // co → oy → ox accumulation order is preserved within each block.
-        let per_batch = cout * oh * ow * cin * kh * kw;
-        let min_rows = (MIN_WORK_PER_BAND / per_batch.max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(&mut gx, b, cin * h * w, min_rows, |batches, band| {
-            for (local, bi) in batches.enumerate() {
-                let gblock = &mut band[local * cin * h * w..(local + 1) * cin * h * w];
-                for co in 0..cout {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let g = go[((bi * cout + co) * oh + oy) * ow + ox];
-                            if g == 0.0 {
-                                continue;
-                            }
-                            for ci in 0..cin {
-                                let xbase = (ci * h) * w;
-                                let wbase = ((co * cin + ci) * kh) * kw;
-                                for ky in 0..kh {
-                                    let iy = oy + ky;
-                                    if iy < ph || iy >= h + ph {
-                                        continue;
-                                    }
-                                    let iy = iy - ph;
-                                    for kx in 0..kw {
-                                        let ix = ox + kx;
-                                        if ix < pw || ix >= w + pw {
-                                            continue;
-                                        }
-                                        let ix = ix - pw;
-                                        gblock[xbase + iy * w + ix] += g * wt[wbase + ky * kw + kx];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        });
-        Tensor::from_vec(gx, input_shape)
+        const OP: &str = "conv2d_grad_input";
+        let geom = Geom::conv2d(OP, input_shape, weight.shape(), pad)?;
+        check_grad_out(OP, grad_out, &geom.out_shape2d())?;
+        Tensor::from_vec(grad_input(grad_out.data(), weight.data(), geom), input_shape)
     }
 
     /// Gradient of `conv2d` w.r.t. its weight.
@@ -188,74 +92,16 @@ impl Tensor {
         weight_shape: &[usize],
         pad: (usize, usize),
     ) -> Result<Tensor> {
-        let [b, cout, oh, ow] = dims4(grad_out, "conv2d grad_out")?;
-        let [b_x, cin, h, w] = dims4(input, "conv2d input")?;
-        if b != b_x || weight_shape.len() != 4 {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv2d_grad_weight",
-                lhs: grad_out.shape().to_vec(),
-                rhs: input.shape().to_vec(),
-            });
-        }
-        let (kh, kw) = (weight_shape[2], weight_shape[3]);
-        let (ph, pw) = pad;
-        let go = grad_out.data();
-        let x = input.data();
-        let mut gw = vec![0.0f32; cout * cin * kh * kw];
-        // Each out-channel's weight-gradient block is disjoint. Hoisting the
-        // co loop outermost keeps the bi → oy → ox accumulation order of the
-        // serial kernel for every weight element.
-        let per_cout = b * oh * ow * cin * kh * kw;
-        let min_rows = (MIN_WORK_PER_BAND / per_cout.max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(&mut gw, cout, cin * kh * kw, min_rows, |couts, band| {
-            for (local, co) in couts.enumerate() {
-                let gblock = &mut band[local * cin * kh * kw..(local + 1) * cin * kh * kw];
-                for bi in 0..b {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let g = go[((bi * cout + co) * oh + oy) * ow + ox];
-                            if g == 0.0 {
-                                continue;
-                            }
-                            for ci in 0..cin {
-                                let xbase = ((bi * cin + ci) * h) * w;
-                                let wbase = (ci * kh) * kw;
-                                for ky in 0..kh {
-                                    let iy = oy + ky;
-                                    if iy < ph || iy >= h + ph {
-                                        continue;
-                                    }
-                                    let iy = iy - ph;
-                                    for kx in 0..kw {
-                                        let ix = ox + kx;
-                                        if ix < pw || ix >= w + pw {
-                                            continue;
-                                        }
-                                        let ix = ix - pw;
-                                        gblock[wbase + ky * kw + kx] += g * x[xbase + iy * w + ix];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        });
-        Tensor::from_vec(gw, weight_shape)
+        const OP: &str = "conv2d_grad_weight";
+        let geom = Geom::conv2d(OP, input.shape(), weight_shape, pad)?;
+        check_grad_out(OP, grad_out, &geom.out_shape2d())?;
+        Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom), weight_shape)
     }
 
     /// Gradient of a conv bias: sum of `grad_out` over batch and spatial axes.
     pub fn conv2d_grad_bias(grad_out: &Tensor) -> Result<Tensor> {
-        let [b, cout, oh, ow] = dims4(grad_out, "conv2d grad_out")?;
-        let go = grad_out.data();
-        let mut gb = vec![0.0f32; cout];
-        for bi in 0..b {
-            for (co, gbc) in gb.iter_mut().enumerate() {
-                let base = ((bi * cout + co) * oh) * ow;
-                *gbc += go[base..base + oh * ow].iter().sum::<f32>();
-            }
-        }
-        Tensor::from_vec(gb, &[cout])
+        let [b, cout, oh, ow] = dims(grad_out.shape(), "conv2d grad_out")?;
+        grad_bias(grad_out.data(), b, cout, oh * ow)
     }
 
     /// 1-D convolution with dilation. `self: [B, Cin, L]`,
@@ -268,63 +114,10 @@ impl Tensor {
         pad: Pad1d,
         dilation: usize,
     ) -> Result<Tensor> {
-        let [b, cin, l] = dims3(self, "conv1d input")?;
-        let [cout, cin_w, k] = dims3(weight, "conv1d weight")?;
-        if cin != cin_w {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv1d",
-                lhs: self.shape().to_vec(),
-                rhs: weight.shape().to_vec(),
-            });
-        }
-        if dilation == 0 {
-            return Err(TensorError::Invalid("conv1d: dilation must be >= 1".into()));
-        }
-        let span = dilation * (k - 1);
-        let ol = (l + pad.left + pad.right).checked_sub(span).ok_or_else(|| {
-            TensorError::Invalid(format!(
-                "conv1d: dilated kernel span {span} exceeds padded length {}",
-                l + pad.left + pad.right
-            ))
-        })?;
-        if let Some(bs) = bias {
-            if bs.shape() != [cout] {
-                return Err(TensorError::ShapeMismatch {
-                    op: "conv1d bias",
-                    lhs: bs.shape().to_vec(),
-                    rhs: vec![cout],
-                });
-            }
-        }
-        let x = self.data();
-        let wt = weight.data();
-        let bias_data = bias.map(super::super::tensor::Tensor::data);
-        let mut out = vec![0.0f32; b * cout * ol];
-        let per_plane = ol * cin * k;
-        let min_planes = (MIN_WORK_PER_BAND / per_plane.max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(&mut out, b * cout, ol, min_planes, |planes, band| {
-            for (local, plane) in planes.enumerate() {
-                let (bi, co) = (plane / cout, plane % cout);
-                let bias_v = bias_data.map_or(0.0, |bd| bd[co]);
-                let oplane = &mut band[local * ol..(local + 1) * ol];
-                for (o, slot) in oplane.iter_mut().enumerate() {
-                    let mut acc = bias_v;
-                    for ci in 0..cin {
-                        let xbase = (bi * cin + ci) * l;
-                        let wbase = (co * cin + ci) * k;
-                        for kk in 0..k {
-                            let ip = o + kk * dilation;
-                            if ip < pad.left || ip >= l + pad.left {
-                                continue;
-                            }
-                            acc += x[xbase + ip - pad.left] * wt[wbase + kk];
-                        }
-                    }
-                    *slot = acc;
-                }
-            }
-        });
-        Tensor::from_vec(out, &[b, cout, ol])
+        let geom = Geom::conv1d("conv1d", self.shape(), weight.shape(), pad, dilation)?;
+        let bias = check_bias("conv1d bias", bias, geom.cout)?;
+        let out = forward(self.data(), weight.data(), bias, geom);
+        Tensor::from_vec(out, &geom.out_shape1d())
     }
 
     /// Gradient of `conv1d` w.r.t. its input.
@@ -335,38 +128,10 @@ impl Tensor {
         pad: Pad1d,
         dilation: usize,
     ) -> Result<Tensor> {
-        let [b, cout, ol] = dims3(grad_out, "conv1d grad_out")?;
-        let [_, cin, k] = dims3(weight, "conv1d weight")?;
-        let l = input_shape[2];
-        let go = grad_out.data();
-        let wt = weight.data();
-        let mut gx = vec![0.0f32; b * cin * l];
-        let per_batch = cout * ol * cin * k;
-        let min_rows = (MIN_WORK_PER_BAND / per_batch.max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(&mut gx, b, cin * l, min_rows, |batches, band| {
-            for (local, bi) in batches.enumerate() {
-                let gblock = &mut band[local * cin * l..(local + 1) * cin * l];
-                for co in 0..cout {
-                    for o in 0..ol {
-                        let g = go[(bi * cout + co) * ol + o];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for ci in 0..cin {
-                            let wbase = (co * cin + ci) * k;
-                            for kk in 0..k {
-                                let ip = o + kk * dilation;
-                                if ip < pad.left || ip >= l + pad.left {
-                                    continue;
-                                }
-                                gblock[ci * l + ip - pad.left] += g * wt[wbase + kk];
-                            }
-                        }
-                    }
-                }
-            }
-        });
-        Tensor::from_vec(gx, input_shape)
+        const OP: &str = "conv1d_grad_input";
+        let geom = Geom::conv1d(OP, input_shape, weight.shape(), pad, dilation)?;
+        check_grad_out(OP, grad_out, &geom.out_shape1d())?;
+        Tensor::from_vec(grad_input(grad_out.data(), weight.data(), geom), input_shape)
     }
 
     /// Gradient of `conv1d` w.r.t. its weight.
@@ -377,82 +142,405 @@ impl Tensor {
         pad: Pad1d,
         dilation: usize,
     ) -> Result<Tensor> {
-        let [b, cout, ol] = dims3(grad_out, "conv1d grad_out")?;
-        let [_, cin, l] = dims3(input, "conv1d input")?;
-        let k = weight_shape[2];
-        let go = grad_out.data();
-        let x = input.data();
-        let mut gw = vec![0.0f32; cout * cin * k];
-        let per_cout = b * ol * cin * k;
-        let min_rows = (MIN_WORK_PER_BAND / per_cout.max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(&mut gw, cout, cin * k, min_rows, |couts, band| {
-            for (local, co) in couts.enumerate() {
-                let gblock = &mut band[local * cin * k..(local + 1) * cin * k];
-                for bi in 0..b {
-                    for o in 0..ol {
-                        let g = go[(bi * cout + co) * ol + o];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for ci in 0..cin {
-                            let xbase = (bi * cin + ci) * l;
-                            for kk in 0..k {
-                                let ip = o + kk * dilation;
-                                if ip < pad.left || ip >= l + pad.left {
-                                    continue;
+        const OP: &str = "conv1d_grad_weight";
+        let geom = Geom::conv1d(OP, input.shape(), weight_shape, pad, dilation)?;
+        check_grad_out(OP, grad_out, &geom.out_shape1d())?;
+        Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom), weight_shape)
+    }
+
+    /// Gradient of a 1-D conv bias: sum over batch and length axes.
+    pub fn conv1d_grad_bias(grad_out: &Tensor) -> Result<Tensor> {
+        let [b, cout, ol] = dims(grad_out.shape(), "conv1d grad_out")?;
+        grad_bias(grad_out.data(), b, cout, ol)
+    }
+}
+
+/// Validated geometry of a stride-1 convolution. A 1-D conv is a 2-D conv
+/// over one row (`h = kh = oh = 1`, `ph = 0`) with dilated column taps.
+#[derive(Debug, Clone, Copy)]
+struct Geom {
+    b: usize,
+    cin: usize,
+    cout: usize,
+    /// Input plane.
+    h: usize,
+    w: usize,
+    /// Kernel.
+    kh: usize,
+    kw: usize,
+    /// Output plane.
+    oh: usize,
+    ow: usize,
+    /// Leading (top, left) zero padding; trailing padding only sets `oh`/`ow`.
+    ph: usize,
+    pw: usize,
+    /// Spacing of the column taps.
+    dilation: usize,
+}
+
+impl Geom {
+    /// `input: [B, Cin, H, W]`, `weight: [Cout, Cin, kh, kw]`.
+    fn conv2d(
+        op: &'static str,
+        input: &[usize],
+        weight: &[usize],
+        (ph, pw): (usize, usize),
+    ) -> Result<Geom> {
+        let [b, cin, h, w] = dims(input, "conv2d input")?;
+        let [cout, cin_w, kh, kw] = dims(weight, "conv2d weight")?;
+        check_channels(op, input, weight, cin, cin_w)?;
+        let oh = out_len(h + 2 * ph, kh, 1).ok_or_else(|| {
+            TensorError::Invalid(format!(
+                "{op}: kernel {kh} too large for height {h} with pad {ph}"
+            ))
+        })?;
+        let ow = out_len(w + 2 * pw, kw, 1).ok_or_else(|| {
+            TensorError::Invalid(format!("{op}: kernel {kw} too large for width {w} with pad {pw}"))
+        })?;
+        Ok(Geom { b, cin, cout, h, w, kh, kw, oh, ow, ph, pw, dilation: 1 })
+    }
+
+    /// `input: [B, Cin, L]`, `weight: [Cout, Cin, k]`.
+    fn conv1d(
+        op: &'static str,
+        input: &[usize],
+        weight: &[usize],
+        pad: Pad1d,
+        dilation: usize,
+    ) -> Result<Geom> {
+        let [b, cin, l] = dims(input, "conv1d input")?;
+        let [cout, cin_w, k] = dims(weight, "conv1d weight")?;
+        check_channels(op, input, weight, cin, cin_w)?;
+        if dilation == 0 {
+            return Err(TensorError::Invalid(format!("{op}: dilation must be >= 1")));
+        }
+        let padded = l + pad.left + pad.right;
+        let ol = out_len(padded, k, dilation).ok_or_else(|| {
+            TensorError::Invalid(format!(
+                "{op}: dilated kernel span {} exceeds padded length {padded}",
+                dilation * k.saturating_sub(1)
+            ))
+        })?;
+        Ok(Geom {
+            b,
+            cin,
+            cout,
+            h: 1,
+            w: l,
+            kh: 1,
+            kw: k,
+            oh: 1,
+            ow: ol,
+            ph: 0,
+            pw: pad.left,
+            dilation,
+        })
+    }
+
+    fn out_shape2d(&self) -> [usize; 4] {
+        [self.b, self.cout, self.oh, self.ow]
+    }
+
+    fn out_shape1d(&self) -> [usize; 3] {
+        [self.b, self.cout, self.ow]
+    }
+
+    fn in_plane(&self) -> usize {
+        self.h * self.w
+    }
+
+    fn out_plane(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Kernel taps per (out-channel, in-channel) pair.
+    fn taps(&self) -> usize {
+        self.kh * self.kw
+    }
+
+    /// Multiply-adds one output element costs (the banding work unit).
+    fn macs_per_out(&self) -> usize {
+        self.cin * self.taps()
+    }
+
+    /// Valid output-row run of each kernel row `ky`.
+    fn row_spans(&self) -> Vec<Span> {
+        (0..self.kh).map(|ky| Span::new(ky, self.ph, self.h, self.oh)).collect()
+    }
+
+    /// Valid output-column run of each kernel column `kx`.
+    fn col_spans(&self) -> Vec<Span> {
+        (0..self.kw).map(|kx| Span::new(kx * self.dilation, self.pw, self.w, self.ow)).collect()
+    }
+}
+
+/// The output positions `lo..hi` at which one tap reads inside the input,
+/// and the input position `src` that output `lo` reads. Output `o` reads
+/// input `o + offset − pad`; every other tap position is zero padding and is
+/// clipped away here rather than multiplied.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    lo: usize,
+    hi: usize,
+    src: usize,
+}
+
+impl Span {
+    fn new(offset: usize, pad: usize, in_len: usize, out_len: usize) -> Span {
+        let hi = (in_len + pad).saturating_sub(offset).min(out_len);
+        let lo = pad.saturating_sub(offset);
+        if lo >= hi {
+            // Empty at offset 0, so its runs still slice in bounds.
+            return Span { lo: 0, hi: 0, src: 0 };
+        }
+        Span { lo, hi, src: lo + offset - pad }
+    }
+
+    fn len(&self) -> usize {
+        self.hi - self.lo
+    }
+}
+
+/// The contiguous runs of one tap: for each output row of `ry`, the offset
+/// of the run `rx` in a plane of row stride `ostride`, and of the input it
+/// reads in a plane of row stride `istride`. Each run is `rx.len()` long.
+fn runs(
+    ry: Span,
+    rx: Span,
+    ostride: usize,
+    istride: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    (ry.lo..ry.hi).map(move |oy| (oy * ostride + rx.lo, (ry.src + oy - ry.lo) * istride + rx.src))
+}
+
+/// `out[p] = bias + Σ x·w` over `(ci, ky, kx)`: one row-axpy per tap.
+fn forward(x: &[f32], wt: &[f32], bias: Option<&[f32]>, g: Geom) -> Vec<f32> {
+    let (in_plane, out_plane, taps) = (g.in_plane(), g.out_plane(), g.taps());
+    let (rows, cols) = (g.row_spans(), g.col_spans());
+    let mut out = vec![0.0f32; g.b * g.cout * out_plane];
+    // One output plane per (batch, out-channel) pair; planes are disjoint, so
+    // the result is bit-identical at every thread count.
+    let min_planes = (MIN_WORK_PER_BAND / (out_plane * g.macs_per_out()).max(1)).max(1);
+    sthsl_parallel::parallel_rows_mut(
+        &mut out,
+        g.b * g.cout,
+        out_plane,
+        min_planes,
+        |planes, band| {
+            for (local, plane) in planes.enumerate() {
+                let (bi, co) = (plane / g.cout, plane % g.cout);
+                let oplane = &mut band[local * out_plane..(local + 1) * out_plane];
+                oplane.fill(bias.map_or(0.0, |bd| bd[co]));
+                for ci in 0..g.cin {
+                    let xplane = &x[(bi * g.cin + ci) * in_plane..][..in_plane];
+                    let wk = &wt[(co * g.cin + ci) * taps..][..taps];
+                    for (ky, &ry) in rows.iter().enumerate() {
+                        for (kx, &rx) in cols.iter().enumerate() {
+                            let wv = wk[ky * g.kw + kx];
+                            for (o, i) in runs(ry, rx, g.ow, g.w) {
+                                let dst = &mut oplane[o..o + rx.len()];
+                                let src = &xplane[i..i + rx.len()];
+                                for (acc, &xv) in dst.iter_mut().zip(src) {
+                                    *acc += xv * wv;
                                 }
-                                gblock[ci * k + kk] += g * x[xbase + ip - pad.left];
                             }
                         }
                     }
                 }
             }
-        });
-        Tensor::from_vec(gw, weight_shape)
-    }
+        },
+    );
+    out
+}
 
-    /// Gradient of a 1-D conv bias: sum over batch and length axes.
-    pub fn conv1d_grad_bias(grad_out: &Tensor) -> Result<Tensor> {
-        let [b, cout, ol] = dims3(grad_out, "conv1d grad_out")?;
-        let go = grad_out.data();
-        let mut gb = vec![0.0f32; cout];
-        for bi in 0..b {
-            for (co, gbc) in gb.iter_mut().enumerate() {
-                let base = (bi * cout + co) * ol;
-                *gbc += go[base..base + ol].iter().sum::<f32>();
+/// `gx[i] += g·w` in the oracle's `co → oy → ox` order: one row-axpy from a
+/// `grad_out` row into an input row per tap, taps walked with `ky`, `kx`
+/// descending.
+fn grad_input(go: &[f32], wt: &[f32], g: Geom) -> Vec<f32> {
+    let (in_plane, out_plane, taps) = (g.in_plane(), g.out_plane(), g.taps());
+    let (rows, cols) = (g.row_spans(), g.col_spans());
+    let block = g.cin * in_plane;
+    let mut gx = vec![0.0f32; g.b * block];
+    // Each batch element's input-gradient block is disjoint.
+    let min_rows = (MIN_WORK_PER_BAND / (g.cout * out_plane * g.macs_per_out()).max(1)).max(1);
+    sthsl_parallel::parallel_rows_mut(&mut gx, g.b, block, min_rows, |batches, band| {
+        for (local, bi) in batches.enumerate() {
+            let gblock = &mut band[local * block..(local + 1) * block];
+            for co in 0..g.cout {
+                let gplane = &go[(bi * g.cout + co) * out_plane..][..out_plane];
+                for ci in 0..g.cin {
+                    let xplane = &mut gblock[ci * in_plane..(ci + 1) * in_plane];
+                    let wk = &wt[(co * g.cin + ci) * taps..][..taps];
+                    // For one input element, output rows ascend as ky
+                    // descends (oy = iy + ph − ky), and likewise for columns.
+                    for (ky, &ry) in rows.iter().enumerate().rev() {
+                        for (kx, &rx) in cols.iter().enumerate().rev() {
+                            let wv = wk[ky * g.kw + kx];
+                            for (o, i) in runs(ry, rx, g.ow, g.w) {
+                                let src = &gplane[o..o + rx.len()];
+                                let dst = &mut xplane[i..i + rx.len()];
+                                for (acc, &gv) in dst.iter_mut().zip(src) {
+                                    // A zero gradient adds -0.0: the oracle's skip. A
+                                    // plain select vectorizes here as a per-lane blend;
+                                    // `grad_weight` needs `keep_or_neg_zero` because its
+                                    // lane also depends on a padding mask.
+                                    *acc += if gv == 0.0 { -0.0 } else { gv * wv };
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
-        Tensor::from_vec(gb, &[cout])
+    });
+    gx
+}
+
+/// `gw[co, j] += g·patch[j]` over `(bi, oy, ox)`: for each output pixel, a
+/// rank-1 update of all `cin·kh·kw` weights of one out-channel from the
+/// pixel's im2col patch.
+fn grad_weight(go: &[f32], x: &[f32], g: Geom) -> Vec<f32> {
+    let (in_plane, out_plane, taps) = (g.in_plane(), g.out_plane(), g.taps());
+    let (rows, cols) = (g.row_spans(), g.col_spans());
+    let kvol = g.cin * taps;
+    let mut gw = vec![0.0f32; g.cout * kvol];
+    if kvol == 0 {
+        return gw;
+    }
+    // Which im2col lanes read inside the input: the same for every batch
+    // element.
+    let mut valid = vec![0u32; out_plane * kvol];
+    im2col(&mut valid, &vec![u32::MAX; g.cin * in_plane], &g, &rows, &cols);
+    // Each out-channel's weight-gradient block is disjoint; walking `bi`
+    // outside the band's out-channels shares one patch buffer among them
+    // without changing any weight's `(bi, oy, ox)` order.
+    let min_rows = (MIN_WORK_PER_BAND / (g.b * out_plane * kvol).max(1)).max(1);
+    sthsl_parallel::parallel_rows_mut(&mut gw, g.cout, kvol, min_rows, |couts, band| {
+        let mut patches = vec![0.0f32; out_plane * kvol];
+        for bi in 0..g.b {
+            im2col(&mut patches, &x[bi * g.cin * in_plane..][..g.cin * in_plane], &g, &rows, &cols);
+            for (gblock, co) in band.chunks_exact_mut(kvol).zip(couts.clone()) {
+                let gplane = &go[(bi * g.cout + co) * out_plane..][..out_plane];
+                let pixels = patches.chunks_exact(kvol).zip(valid.chunks_exact(kvol));
+                for (&gv, (patch, lanes)) in gplane.iter().zip(pixels) {
+                    // Lanes of a zero gradient or in the padding add -0.0.
+                    let keep = if gv == 0.0 { 0 } else { u32::MAX };
+                    for ((acc, &xv), &ok) in gblock.iter_mut().zip(patch).zip(lanes) {
+                        *acc += keep_or_neg_zero(gv * xv, ok & keep);
+                    }
+                }
+            }
+        }
+    });
+    gw
+}
+
+/// Scatter one batch element's input `src: [Cin, H, W]` into im2col layout:
+/// patch `p` (output pixel `p`) holds the value that weight
+/// `j = (ci·kh + ky)·kw + kx` multiplies at `cells[p·kvol + j]`. Lanes in the
+/// padding are left as they are.
+fn im2col<T: Copy>(cells: &mut [T], src: &[T], g: &Geom, rows: &[Span], cols: &[Span]) {
+    let kvol = g.cin * g.taps();
+    for ci in 0..g.cin {
+        let plane = &src[ci * g.in_plane()..][..g.in_plane()];
+        for (ky, &ry) in rows.iter().enumerate() {
+            for (kx, &rx) in cols.iter().enumerate() {
+                let j = (ci * g.kh + ky) * g.kw + kx;
+                for (o, i) in runs(ry, rx, g.ow, g.w) {
+                    let lanes = cells[o * kvol + j..].iter_mut().step_by(kvol);
+                    for (cell, &v) in lanes.zip(&plane[i..i + rx.len()]) {
+                        *cell = v;
+                    }
+                }
+            }
+        }
     }
 }
 
-fn dims4(t: &Tensor, op: &'static str) -> Result<[usize; 4]> {
-    if t.ndim() != 4 {
-        return Err(TensorError::RankMismatch {
-            op,
-            expected: 4,
-            got: t.ndim(),
-            shape: t.shape().to_vec(),
-        });
-    }
-    Ok([t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]])
+/// `x` where `mask` is all ones, `-0.0` where it is all zeros: a bit select,
+/// which vectorizes where a branchy `if` does not.
+#[inline(always)]
+fn keep_or_neg_zero(x: f32, mask: u32) -> f32 {
+    f32::from_bits((x.to_bits() & mask) | ((-0.0f32).to_bits() & !mask))
 }
 
-fn dims3(t: &Tensor, op: &'static str) -> Result<[usize; 3]> {
-    if t.ndim() != 3 {
+/// Bias gradient: per out-channel sum of `grad_out` over batch and plane.
+fn grad_bias(go: &[f32], b: usize, cout: usize, plane: usize) -> Result<Tensor> {
+    let mut gb = vec![0.0f32; cout];
+    for bi in 0..b {
+        for (co, gbc) in gb.iter_mut().enumerate() {
+            let base = (bi * cout + co) * plane;
+            *gbc += go[base..base + plane].iter().sum::<f32>();
+        }
+    }
+    Tensor::from_vec(gb, &[cout])
+}
+
+/// Output length of a stride-1 conv: `padded − dilation·(k−1)`, or `None`
+/// for an empty kernel or one whose span exceeds the padded input.
+fn out_len(padded: usize, k: usize, dilation: usize) -> Option<usize> {
+    padded.checked_sub(dilation * k.checked_sub(1)?)
+}
+
+fn check_channels(
+    op: &'static str,
+    input: &[usize],
+    weight: &[usize],
+    cin: usize,
+    cin_w: usize,
+) -> Result<()> {
+    if cin == cin_w {
+        return Ok(());
+    }
+    Err(TensorError::ShapeMismatch { op, lhs: input.to_vec(), rhs: weight.to_vec() })
+}
+
+fn check_bias<'a>(
+    op: &'static str,
+    bias: Option<&'a Tensor>,
+    cout: usize,
+) -> Result<Option<&'a [f32]>> {
+    match bias {
+        Some(bs) if bs.shape() != [cout] => {
+            Err(TensorError::ShapeMismatch { op, lhs: bs.shape().to_vec(), rhs: vec![cout] })
+        }
+        _ => Ok(bias.map(Tensor::data)),
+    }
+}
+
+/// `grad_out` must have exactly the forward output's shape.
+fn check_grad_out(op: &'static str, grad_out: &Tensor, expected: &[usize]) -> Result<()> {
+    if grad_out.ndim() != expected.len() {
         return Err(TensorError::RankMismatch {
             op,
-            expected: 3,
-            got: t.ndim(),
-            shape: t.shape().to_vec(),
+            expected: expected.len(),
+            got: grad_out.ndim(),
+            shape: grad_out.shape().to_vec(),
         });
     }
-    Ok([t.shape()[0], t.shape()[1], t.shape()[2]])
+    if grad_out.shape() != expected {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: grad_out.shape().to_vec(),
+            rhs: expected.to_vec(),
+        });
+    }
+    Ok(())
+}
+
+fn dims<const N: usize>(shape: &[usize], op: &'static str) -> Result<[usize; N]> {
+    shape.try_into().map_err(|_| TensorError::RankMismatch {
+        op,
+        expected: N,
+        got: shape.len(),
+        shape: shape.to_vec(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::oracle;
 
     /// Naive reference conv2d used only for cross-checking the kernel.
     fn conv2d_ref(x: &Tensor, w: &Tensor, pad: (usize, usize)) -> Tensor {
@@ -487,17 +575,20 @@ mod tests {
         out
     }
 
+    /// The kernel and the bitwise oracle it is held to both agree with the
+    /// definition of correlation.
     #[test]
     fn conv2d_matches_reference() {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         let x = Tensor::rand_normal(&[2, 3, 5, 4], 0.0, 1.0, &mut rng);
         let w = Tensor::rand_normal(&[2, 3, 3, 3], 0.0, 1.0, &mut rng);
-        let got = x.conv2d(&w, None, (1, 1)).unwrap();
         let want = conv2d_ref(&x, &w, (1, 1));
-        assert_eq!(got.shape(), want.shape());
-        for (g, wv) in got.data().iter().zip(want.data()) {
-            assert!((g - wv).abs() < 1e-4, "{g} vs {wv}");
+        for got in [x.conv2d(&w, None, (1, 1)).unwrap(), oracle::conv2d(&x, &w, None, (1, 1))] {
+            assert_eq!(got.shape(), want.shape());
+            for (g, wv) in got.data().iter().zip(want.data()) {
+                assert!((g - wv).abs() < 1e-4, "{g} vs {wv}");
+            }
         }
     }
 
@@ -641,5 +732,56 @@ mod tests {
         let w1 = Tensor::zeros(&[1, 1, 5]); // kernel longer than input, no pad
         assert!(x1.conv1d(&w1, None, Pad1d { left: 0, right: 0 }, 1).is_err());
         assert!(x1.conv1d(&w1, None, Pad1d::same(5), 0).is_err()); // dilation 0
+    }
+    /// `grad_out` with 3 channels against a 2-out-channel weight.
+    #[test]
+    fn conv1d_grad_input_rejects_cout_mismatch() {
+        let go = Tensor::ones(&[1, 3, 5]);
+        let w = Tensor::ones(&[2, 1, 3]);
+        let err = Tensor::conv1d_grad_input(&go, &w, &[1, 1, 5], Pad1d::same(3), 1);
+        assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn conv1d_grad_input_rejects_rank1_input_shape() {
+        let go = Tensor::ones(&[1, 2, 10]);
+        let w = Tensor::ones(&[2, 1, 3]);
+        let err = Tensor::conv1d_grad_input(&go, &w, &[10], Pad1d::same(3), 1);
+        assert!(matches!(err, Err(TensorError::RankMismatch { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn conv1d_grad_weight_rejects_short_weight_shape() {
+        let go = Tensor::ones(&[1, 2, 5]);
+        let x = Tensor::ones(&[1, 1, 5]);
+        let err = Tensor::conv1d_grad_weight(&go, &x, &[2, 1], Pad1d::same(3), 1);
+        assert!(matches!(err, Err(TensorError::RankMismatch { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn conv1d_grad_weight_rejects_batch_mismatch() {
+        let go = Tensor::ones(&[3, 2, 5]);
+        let x = Tensor::ones(&[1, 1, 5]);
+        let err = Tensor::conv1d_grad_weight(&go, &x, &[2, 1, 3], Pad1d::same(3), 1);
+        assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })), "{err:?}");
+    }
+
+    /// `input_shape` claims batch 1 and 2 in-channels; the real conv has
+    /// batch 2 and 1 in-channel (same element count).
+    #[test]
+    fn conv2d_grad_input_rejects_wrong_input_shape() {
+        let go = Tensor::ones(&[2, 1, 4, 4]);
+        let w = Tensor::ones(&[1, 1, 3, 3]);
+        let err = Tensor::conv2d_grad_input(&go, &w, &[1, 2, 4, 4], (1, 1));
+        assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })), "{err:?}");
+    }
+
+    /// A 2×2 `grad_out` cannot come from a same-padded 4×4 input.
+    #[test]
+    fn conv2d_grad_weight_rejects_grad_out_plane_mismatch() {
+        let go = Tensor::ones(&[1, 1, 2, 2]);
+        let x = Tensor::ones(&[1, 1, 4, 4]);
+        let err = Tensor::conv2d_grad_weight(&go, &x, &[1, 1, 3, 3], (1, 1));
+        assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })), "{err:?}");
     }
 }

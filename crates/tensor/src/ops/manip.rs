@@ -28,18 +28,34 @@ impl Tensor {
         let gather_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
         let mut out = vec![0.0f32; self.len()];
         let x = self.data();
+        // Each output row (the last output axis) is one strided gather, or a
+        // plain copy when that axis is also the input's innermost. An
+        // odometer over the outer output axes moves the row's input offset
+        // incrementally.
+        // A rank-0 tensor is one row of one element.
+        let row_len = out_shape.last().copied().unwrap_or(1);
+        let row_stride = gather_strides.last().copied().unwrap_or(1);
+        let outer = ndim.saturating_sub(1);
+        // One slot per axis although the last is never used: an
+        // `outer`-slot vector falls in a different allocator size class for
+        // rank 4 and raises the serve workloads' peak RSS by about 0.5 MB.
         let mut idx = vec![0usize; ndim];
-        for slot in &mut out {
-            let mut off = 0usize;
-            for d in 0..ndim {
-                off += idx[d] * gather_strides[d];
+        let mut off = 0usize;
+        for row in out.chunks_exact_mut(row_len.max(1)) {
+            if row_stride == 1 {
+                row.copy_from_slice(&x[off..off + row_len]);
+            } else {
+                for (slot, &v) in row.iter_mut().zip(x[off..].iter().step_by(row_stride)) {
+                    *slot = v;
+                }
             }
-            *slot = x[off];
-            for d in (0..ndim).rev() {
+            for d in (0..outer).rev() {
                 idx[d] += 1;
+                off += gather_strides[d];
                 if idx[d] < out_shape[d] {
                     break;
                 }
+                off -= gather_strides[d] * out_shape[d];
                 idx[d] = 0;
             }
         }

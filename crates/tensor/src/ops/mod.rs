@@ -9,4 +9,6 @@
 pub mod conv;
 pub mod manip;
 pub mod matmul;
+#[cfg(test)]
+mod oracle;
 pub mod reduce;

@@ -1,0 +1,482 @@
+//! Test oracles: the direct convolution and permute loops that the
+//! vectorizable kernels in [`super::conv`] and [`super::manip`] replaced,
+//! kept verbatim. Each output element here receives its f32 operations one
+//! at a time in the defining order, so a bit-for-bit match against these
+//! loops is the kernel contract (DESIGN.md §6b). Shapes are assumed valid;
+//! the property test below only feeds shapes the real kernels accept.
+#![cfg(test)]
+
+use super::conv::Pad1d;
+use crate::shape::strides_of;
+use crate::Tensor;
+
+const MIN_WORK_PER_BAND: usize = 1 << 15;
+
+pub fn conv2d(x_t: &Tensor, weight: &Tensor, bias: Option<&Tensor>, pad: (usize, usize)) -> Tensor {
+    let [b, cin, h, w] = dims4(x_t);
+    let [cout, _, kh, kw] = dims4(weight);
+    let (ph, pw) = pad;
+    let oh = h + 2 * ph - (kh - 1);
+    let ow = w + 2 * pw - (kw - 1);
+    let x = x_t.data();
+    let wt = weight.data();
+    let bias_data = bias.map(Tensor::data);
+    let mut out = vec![0.0f32; b * cout * oh * ow];
+    let per_plane = oh * ow * cin * kh * kw;
+    let min_planes = (MIN_WORK_PER_BAND / per_plane.max(1)).max(1);
+    sthsl_parallel::parallel_rows_mut(&mut out, b * cout, oh * ow, min_planes, |planes, band| {
+        for (local, plane) in planes.enumerate() {
+            let (bi, co) = (plane / cout, plane % cout);
+            let bias_v = bias_data.map_or(0.0, |bd| bd[co]);
+            let oplane = &mut band[local * oh * ow..(local + 1) * oh * ow];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = bias_v;
+                    for ci in 0..cin {
+                        let xbase = ((bi * cin + ci) * h) * w;
+                        let wbase = ((co * cin + ci) * kh) * kw;
+                        for ky in 0..kh {
+                            let iy = oy + ky;
+                            if iy < ph || iy >= h + ph {
+                                continue;
+                            }
+                            let iy = iy - ph;
+                            for kx in 0..kw {
+                                let ix = ox + kx;
+                                if ix < pw || ix >= w + pw {
+                                    continue;
+                                }
+                                let ix = ix - pw;
+                                acc += x[xbase + iy * w + ix] * wt[wbase + ky * kw + kx];
+                            }
+                        }
+                    }
+                    oplane[oy * ow + ox] = acc;
+                }
+            }
+        }
+    });
+    Tensor::from_vec(out, &[b, cout, oh, ow]).unwrap()
+}
+
+pub fn conv2d_grad_input(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    input_shape: &[usize],
+    pad: (usize, usize),
+) -> Tensor {
+    let [b, cout, oh, ow] = dims4(grad_out);
+    let [_, cin, kh, kw] = dims4(weight);
+    let (ph, pw) = pad;
+    let (h, w) = (input_shape[2], input_shape[3]);
+    let go = grad_out.data();
+    let wt = weight.data();
+    let mut gx = vec![0.0f32; b * cin * h * w];
+    let per_batch = cout * oh * ow * cin * kh * kw;
+    let min_rows = (MIN_WORK_PER_BAND / per_batch.max(1)).max(1);
+    sthsl_parallel::parallel_rows_mut(&mut gx, b, cin * h * w, min_rows, |batches, band| {
+        for (local, bi) in batches.enumerate() {
+            let gblock = &mut band[local * cin * h * w..(local + 1) * cin * h * w];
+            for co in 0..cout {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = go[((bi * cout + co) * oh + oy) * ow + ox];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        for ci in 0..cin {
+                            let xbase = (ci * h) * w;
+                            let wbase = ((co * cin + ci) * kh) * kw;
+                            for ky in 0..kh {
+                                let iy = oy + ky;
+                                if iy < ph || iy >= h + ph {
+                                    continue;
+                                }
+                                let iy = iy - ph;
+                                for kx in 0..kw {
+                                    let ix = ox + kx;
+                                    if ix < pw || ix >= w + pw {
+                                        continue;
+                                    }
+                                    let ix = ix - pw;
+                                    gblock[xbase + iy * w + ix] += g * wt[wbase + ky * kw + kx];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
+    Tensor::from_vec(gx, input_shape).unwrap()
+}
+
+pub fn conv2d_grad_weight(
+    grad_out: &Tensor,
+    input: &Tensor,
+    weight_shape: &[usize],
+    pad: (usize, usize),
+) -> Tensor {
+    let [b, cout, oh, ow] = dims4(grad_out);
+    let [_, cin, h, w] = dims4(input);
+    let (kh, kw) = (weight_shape[2], weight_shape[3]);
+    let (ph, pw) = pad;
+    let go = grad_out.data();
+    let x = input.data();
+    let mut gw = vec![0.0f32; cout * cin * kh * kw];
+    let per_cout = b * oh * ow * cin * kh * kw;
+    let min_rows = (MIN_WORK_PER_BAND / per_cout.max(1)).max(1);
+    sthsl_parallel::parallel_rows_mut(&mut gw, cout, cin * kh * kw, min_rows, |couts, band| {
+        for (local, co) in couts.enumerate() {
+            let gblock = &mut band[local * cin * kh * kw..(local + 1) * cin * kh * kw];
+            for bi in 0..b {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = go[((bi * cout + co) * oh + oy) * ow + ox];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        for ci in 0..cin {
+                            let xbase = ((bi * cin + ci) * h) * w;
+                            let wbase = (ci * kh) * kw;
+                            for ky in 0..kh {
+                                let iy = oy + ky;
+                                if iy < ph || iy >= h + ph {
+                                    continue;
+                                }
+                                let iy = iy - ph;
+                                for kx in 0..kw {
+                                    let ix = ox + kx;
+                                    if ix < pw || ix >= w + pw {
+                                        continue;
+                                    }
+                                    let ix = ix - pw;
+                                    gblock[wbase + ky * kw + kx] += g * x[xbase + iy * w + ix];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
+    Tensor::from_vec(gw, weight_shape).unwrap()
+}
+
+pub fn conv1d(
+    x_t: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    pad: Pad1d,
+    dilation: usize,
+) -> Tensor {
+    let [b, cin, l] = dims3(x_t);
+    let [cout, _, k] = dims3(weight);
+    let ol = l + pad.left + pad.right - dilation * (k - 1);
+    let x = x_t.data();
+    let wt = weight.data();
+    let bias_data = bias.map(Tensor::data);
+    let mut out = vec![0.0f32; b * cout * ol];
+    let per_plane = ol * cin * k;
+    let min_planes = (MIN_WORK_PER_BAND / per_plane.max(1)).max(1);
+    sthsl_parallel::parallel_rows_mut(&mut out, b * cout, ol, min_planes, |planes, band| {
+        for (local, plane) in planes.enumerate() {
+            let (bi, co) = (plane / cout, plane % cout);
+            let bias_v = bias_data.map_or(0.0, |bd| bd[co]);
+            let oplane = &mut band[local * ol..(local + 1) * ol];
+            for (o, slot) in oplane.iter_mut().enumerate() {
+                let mut acc = bias_v;
+                for ci in 0..cin {
+                    let xbase = (bi * cin + ci) * l;
+                    let wbase = (co * cin + ci) * k;
+                    for kk in 0..k {
+                        let ip = o + kk * dilation;
+                        if ip < pad.left || ip >= l + pad.left {
+                            continue;
+                        }
+                        acc += x[xbase + ip - pad.left] * wt[wbase + kk];
+                    }
+                }
+                *slot = acc;
+            }
+        }
+    });
+    Tensor::from_vec(out, &[b, cout, ol]).unwrap()
+}
+
+pub fn conv1d_grad_input(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    input_shape: &[usize],
+    pad: Pad1d,
+    dilation: usize,
+) -> Tensor {
+    let [b, cout, ol] = dims3(grad_out);
+    let [_, cin, k] = dims3(weight);
+    let l = input_shape[2];
+    let go = grad_out.data();
+    let wt = weight.data();
+    let mut gx = vec![0.0f32; b * cin * l];
+    let per_batch = cout * ol * cin * k;
+    let min_rows = (MIN_WORK_PER_BAND / per_batch.max(1)).max(1);
+    sthsl_parallel::parallel_rows_mut(&mut gx, b, cin * l, min_rows, |batches, band| {
+        for (local, bi) in batches.enumerate() {
+            let gblock = &mut band[local * cin * l..(local + 1) * cin * l];
+            for co in 0..cout {
+                for o in 0..ol {
+                    let g = go[(bi * cout + co) * ol + o];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for ci in 0..cin {
+                        let wbase = (co * cin + ci) * k;
+                        for kk in 0..k {
+                            let ip = o + kk * dilation;
+                            if ip < pad.left || ip >= l + pad.left {
+                                continue;
+                            }
+                            gblock[ci * l + ip - pad.left] += g * wt[wbase + kk];
+                        }
+                    }
+                }
+            }
+        }
+    });
+    Tensor::from_vec(gx, input_shape).unwrap()
+}
+
+pub fn conv1d_grad_weight(
+    grad_out: &Tensor,
+    input: &Tensor,
+    weight_shape: &[usize],
+    pad: Pad1d,
+    dilation: usize,
+) -> Tensor {
+    let [b, cout, ol] = dims3(grad_out);
+    let [_, cin, l] = dims3(input);
+    let k = weight_shape[2];
+    let go = grad_out.data();
+    let x = input.data();
+    let mut gw = vec![0.0f32; cout * cin * k];
+    let per_cout = b * ol * cin * k;
+    let min_rows = (MIN_WORK_PER_BAND / per_cout.max(1)).max(1);
+    sthsl_parallel::parallel_rows_mut(&mut gw, cout, cin * k, min_rows, |couts, band| {
+        for (local, co) in couts.enumerate() {
+            let gblock = &mut band[local * cin * k..(local + 1) * cin * k];
+            for bi in 0..b {
+                for o in 0..ol {
+                    let g = go[(bi * cout + co) * ol + o];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for ci in 0..cin {
+                        let xbase = (bi * cin + ci) * l;
+                        for kk in 0..k {
+                            let ip = o + kk * dilation;
+                            if ip < pad.left || ip >= l + pad.left {
+                                continue;
+                            }
+                            gblock[ci * k + kk] += g * x[xbase + ip - pad.left];
+                        }
+                    }
+                }
+            }
+        }
+    });
+    Tensor::from_vec(gw, weight_shape).unwrap()
+}
+
+pub fn permute(t: &Tensor, perm: &[usize]) -> Tensor {
+    let ndim = t.ndim();
+    let in_shape = t.shape();
+    let out_shape: Vec<usize> = perm.iter().map(|&p| in_shape[p]).collect();
+    let in_strides = strides_of(in_shape);
+    let gather_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
+    let mut out = vec![0.0f32; t.len()];
+    let x = t.data();
+    let mut idx = vec![0usize; ndim];
+    for slot in &mut out {
+        let mut off = 0usize;
+        for d in 0..ndim {
+            off += idx[d] * gather_strides[d];
+        }
+        *slot = x[off];
+        for d in (0..ndim).rev() {
+            idx[d] += 1;
+            if idx[d] < out_shape[d] {
+                break;
+            }
+            idx[d] = 0;
+        }
+    }
+    Tensor::from_vec(out, &out_shape).unwrap()
+}
+
+fn dims4(t: &Tensor) -> [usize; 4] {
+    [t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]]
+}
+
+fn dims3(t: &Tensor) -> [usize; 3] {
+    [t.shape()[0], t.shape()[1], t.shape()[2]]
+}
+
+/// Seeded property test: every conv kernel and `permute` must match its
+/// oracle bit for bit on shapes that exercise clipping from every side and
+/// on values that exercise the `-0.0` skip argument (exact zeros in
+/// `grad_out`, `-0.0` biases, NaN and ±∞ in every operand).
+mod tests {
+    use super::Pad1d;
+    use crate::Tensor;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Cases per conv kernel family.
+    const CASES: usize = 400;
+
+    /// A value drawn from a mix of normal numbers, signed zeros and, when
+    /// `special`, NaN and ±∞. `zeros` is the chance of an exact zero.
+    fn value(rng: &mut StdRng, zeros: f64, special: bool) -> f32 {
+        if rng.gen_bool(zeros) {
+            return if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+        }
+        if special && rng.gen_bool(0.06) {
+            return [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3usize)];
+        }
+        rng.gen_range(-2.0f32..2.0)
+    }
+
+    fn tensor(rng: &mut StdRng, shape: &[usize], zeros: f64, special: bool) -> Tensor {
+        let n = shape.iter().product();
+        Tensor::from_vec((0..n).map(|_| value(rng, zeros, special)).collect(), shape).unwrap()
+    }
+
+    /// Bit-for-bit equality. Two NaNs count as equal whatever their payload:
+    /// Rust does not specify which NaN an operation returns, so payload bits
+    /// are not part of the kernel contract.
+    fn assert_bits(label: &str, got: &Tensor, want: &Tensor) {
+        assert_eq!(got.shape(), want.shape(), "{label}: shape");
+        for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+            let same = a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+            assert!(
+                same,
+                "{label}: element {i}: {a:?} ({:#x}) vs {b:?} ({:#x})",
+                a.to_bits(),
+                b.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn conv2d_kernels_match_oracle_bits() {
+        let mut rng = StdRng::seed_from_u64(0xc2d);
+        let mut checked = 0;
+        while checked < CASES {
+            let (b, cin, cout) =
+                (rng.gen_range(1..4usize), rng.gen_range(1..6usize), rng.gen_range(1..6usize));
+            let (h, w) = (rng.gen_range(1..10usize), rng.gen_range(1..10usize));
+            let (kh, kw) = (rng.gen_range(1..6usize), rng.gen_range(1..6usize));
+            let pad = (rng.gen_range(0..kh), rng.gen_range(0..kw));
+            if h + 2 * pad.0 < kh || w + 2 * pad.1 < kw {
+                continue;
+            }
+            checked += 1;
+            let special = rng.gen_bool(0.5);
+            let x = tensor(&mut rng, &[b, cin, h, w], 0.1, special);
+            let wt = tensor(&mut rng, &[cout, cin, kh, kw], 0.1, special);
+            let bias = tensor(&mut rng, &[cout], 0.5, false);
+            let label =
+                format!("b{b} {cin}->{cout} {h}x{w} k{kh}x{kw} pad{pad:?} special={special}");
+            let y = x.conv2d(&wt, Some(&bias), pad).unwrap();
+            assert_bits(&format!("conv2d {label}"), &y, &super::conv2d(&x, &wt, Some(&bias), pad));
+            let y0 = x.conv2d(&wt, None, pad).unwrap();
+            assert_bits(&format!("conv2d nobias {label}"), &y0, &super::conv2d(&x, &wt, None, pad));
+            let go = tensor(&mut rng, y.shape(), 0.4, special);
+            assert_bits(
+                &format!("conv2d_grad_input {label}"),
+                &Tensor::conv2d_grad_input(&go, &wt, x.shape(), pad).unwrap(),
+                &super::conv2d_grad_input(&go, &wt, x.shape(), pad),
+            );
+            assert_bits(
+                &format!("conv2d_grad_weight {label}"),
+                &Tensor::conv2d_grad_weight(&go, &x, wt.shape(), pad).unwrap(),
+                &super::conv2d_grad_weight(&go, &x, wt.shape(), pad),
+            );
+        }
+    }
+
+    #[test]
+    fn conv1d_kernels_match_oracle_bits() {
+        let mut rng = StdRng::seed_from_u64(0xc1d);
+        let mut checked = 0;
+        while checked < CASES {
+            let (b, cin, cout) =
+                (rng.gen_range(1..4usize), rng.gen_range(1..6usize), rng.gen_range(1..6usize));
+            let l = rng.gen_range(1..12usize);
+            let k = rng.gen_range(1..6usize);
+            let dilation = rng.gen_range(1..4usize);
+            let pad = match rng.gen_range(0..3usize) {
+                0 => Pad1d::same(k),
+                1 => Pad1d::causal(k, dilation),
+                _ => Pad1d { left: rng.gen_range(0..2 * k), right: rng.gen_range(0..2 * k) },
+            };
+            if l + pad.left + pad.right < dilation * (k - 1) + 1 {
+                continue;
+            }
+            checked += 1;
+            let special = rng.gen_bool(0.5);
+            let x = tensor(&mut rng, &[b, cin, l], 0.1, special);
+            let wt = tensor(&mut rng, &[cout, cin, k], 0.1, special);
+            let bias = tensor(&mut rng, &[cout], 0.5, false);
+            let label =
+                format!("b{b} {cin}->{cout} l{l} k{k} d{dilation} {pad:?} special={special}");
+            let y = x.conv1d(&wt, Some(&bias), pad, dilation).unwrap();
+            assert_bits(
+                &format!("conv1d {label}"),
+                &y,
+                &super::conv1d(&x, &wt, Some(&bias), pad, dilation),
+            );
+            let go = tensor(&mut rng, y.shape(), 0.4, special);
+            assert_bits(
+                &format!("conv1d_grad_input {label}"),
+                &Tensor::conv1d_grad_input(&go, &wt, x.shape(), pad, dilation).unwrap(),
+                &super::conv1d_grad_input(&go, &wt, x.shape(), pad, dilation),
+            );
+            assert_bits(
+                &format!("conv1d_grad_weight {label}"),
+                &Tensor::conv1d_grad_weight(&go, &x, wt.shape(), pad, dilation).unwrap(),
+                &super::conv1d_grad_weight(&go, &x, wt.shape(), pad, dilation),
+            );
+        }
+    }
+
+    /// All permutations of `0..n` in lexicographic order.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for first in 0..n {
+            for rest in permutations(n - 1) {
+                let mut p = vec![first];
+                p.extend(rest.into_iter().map(|r| if r >= first { r + 1 } else { r }));
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn permute_matches_oracle_bits_for_every_permutation() {
+        let mut rng = StdRng::seed_from_u64(0x9e7);
+        for rank in 1..=5 {
+            for perm in permutations(rank) {
+                // Two shapes per permutation; size-1 axes are common.
+                for _ in 0..2 {
+                    let shape: Vec<usize> = (0..rank).map(|_| rng.gen_range(1..5usize)).collect();
+                    let x = tensor(&mut rng, &shape, 0.1, true);
+                    let label = format!("permute {shape:?} by {perm:?}");
+                    assert_bits(&label, &x.permute(&perm).unwrap(), &super::permute(&x, &perm));
+                }
+            }
+        }
+    }
+}

@@ -154,6 +154,67 @@ fn conv1d_forward_and_grads_bit_identical() {
     }
 }
 
+/// FNV-1a over the bit patterns of `v`.
+fn bits_digest(v: &[f32]) -> u64 {
+    v.iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// One fixed case per conv kernel and for `permute`, pinned to digests of
+/// the direct-loop kernels' output bits: the vectorized kernels must give
+/// every element the same operations in the same order (DESIGN.md §6b).
+/// The case clips padding on every side (an even kernel, an output plane
+/// larger than the input, asymmetric dilated 1-D padding) and holds exact
+/// zeros in `grad_out` and the weights plus a `-0.0` bias. The seeded
+/// oracle property test in `sthsl-tensor` covers many more shapes.
+#[test]
+fn conv_and_permute_bits_match_pinned_direct_loop_digests() {
+    let mut rng = StdRng::seed_from_u64(16);
+    let mut sparse = |shape: &[usize], every: usize| {
+        let mut t = Tensor::rand_normal(shape, 0.0, 1.0, &mut rng);
+        t.data_mut().iter_mut().step_by(every).for_each(|v| *v = 0.0);
+        t
+    };
+    let check = |label: &str, want: u64, f: &dyn Fn() -> Vec<f32>| {
+        assert_bitwise_across_thread_counts(label, f);
+        assert_eq!(bits_digest(&f()), want, "{label}: bits differ from the pinned digest");
+    };
+
+    let x = sparse(&[2, 3, 5, 7], 11);
+    let wt = sparse(&[4, 3, 4, 3], 5);
+    let mut bias = sparse(&[4], 4);
+    bias.data_mut()[0] = -0.0;
+    let pad = (2, 1);
+    let go = sparse(&[2, 4, 6, 7], 3);
+    check("conv2d", 0x62a4_525a_d47f_dcff, &|| x.conv2d(&wt, Some(&bias), pad).unwrap().into_vec());
+    check("conv2d grad_input", 0x6c84_c9d6_7c68_5b0f, &|| {
+        Tensor::conv2d_grad_input(&go, &wt, x.shape(), pad).unwrap().into_vec()
+    });
+    check("conv2d grad_weight", 0x8167_e134_8dbe_84c2, &|| {
+        Tensor::conv2d_grad_weight(&go, &x, wt.shape(), pad).unwrap().into_vec()
+    });
+
+    let x = sparse(&[2, 3, 9], 7);
+    let wt = sparse(&[2, 3, 3], 4);
+    let (pad, dilation) = (Pad1d { left: 3, right: 1 }, 2);
+    let mut bias = sparse(&[2], 2);
+    bias.data_mut()[1] = -0.0;
+    let go = sparse(&[2, 2, 9], 3);
+    check("conv1d", 0x5cd8_0b59_0468_9ce2, &|| {
+        x.conv1d(&wt, Some(&bias), pad, dilation).unwrap().into_vec()
+    });
+    check("conv1d grad_input", 0xc853_2816_b95e_6b62, &|| {
+        Tensor::conv1d_grad_input(&go, &wt, x.shape(), pad, dilation).unwrap().into_vec()
+    });
+    check("conv1d grad_weight", 0xa0a8_6113_7291_3a15, &|| {
+        Tensor::conv1d_grad_weight(&go, &x, wt.shape(), pad, dilation).unwrap().into_vec()
+    });
+
+    let t = sparse(&[2, 3, 1, 4, 5], 6);
+    check("permute", 0xc3c7_91ad_a9c6_91db, &|| t.permute(&[3, 1, 4, 0, 2]).unwrap().into_vec());
+}
+
 #[test]
 fn elementwise_ops_bit_identical_above_cutoff() {
     let mut rng = StdRng::seed_from_u64(15);
