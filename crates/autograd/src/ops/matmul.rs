@@ -15,7 +15,7 @@ impl Graph {
             vec![a, b],
             Box::new(|g, p, _| {
                 let ga = g.matmul(&p[1].transpose2d()?)?;
-                let gb = p[0].transpose2d()?.matmul(g)?;
+                let gb = p[0].transpose_matmul(g)?;
                 Ok(vec![Some(ga), Some(gb)])
             }),
         ))
@@ -31,8 +31,7 @@ impl Graph {
             vec![a, b],
             Box::new(|g, p, _| {
                 let bt = p[1].permute(&[0, 2, 1])?;
-                let at = p[0].permute(&[0, 2, 1])?;
-                Ok(vec![Some(g.batched_matmul(&bt)?), Some(at.batched_matmul(g)?)])
+                Ok(vec![Some(g.batched_matmul(&bt)?), Some(p[0].batched_transpose_matmul(g)?)])
             }),
         ))
     }
@@ -52,8 +51,9 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use crate::gradcheck::gradcheck;
+    use crate::graph::{Graph, Var};
     use rand::{rngs::StdRng, SeedableRng};
-    use sthsl_tensor::Tensor;
+    use sthsl_tensor::{Result, Tensor};
 
     #[test]
     fn matmul_grads() {
@@ -83,6 +83,78 @@ mod tests {
                 Ok(g.sum_all(y))
             },
         );
+        // Wider than one 16-lane register tile, with exact zeros in the lhs
+        // and a weighted loss so every output column gets its own gradient.
+        let mut lhs = Tensor::rand_normal(&[2, 3, 5], 0.0, 1.0, &mut rng);
+        lhs.data_mut().iter_mut().step_by(3).for_each(|v| *v = 0.0);
+        let weights = Tensor::rand_normal(&[2, 3, 21], 0.0, 1.0, &mut rng);
+        gradcheck(&[lhs, Tensor::rand_normal(&[2, 5, 21], 0.0, 1.0, &mut rng)], |g, vars| {
+            let y = g.batched_matmul(vars[0], vars[1])?;
+            let w = g.constant(weights.clone());
+            let wy = g.mul(y, w)?;
+            Ok(g.sum_all(wy))
+        });
+    }
+
+    /// A normal tensor with every `every`-th element exactly zero.
+    fn sparse(rng: &mut StdRng, shape: &[usize], every: usize) -> Tensor {
+        let mut t = Tensor::rand_normal(shape, 0.0, 1.0, rng);
+        t.data_mut().iter_mut().step_by(every).for_each(|v| *v = 0.0);
+        t
+    }
+
+    /// Gradients of `sum(product(a, b) ⊙ upstream)`: exactly `upstream`
+    /// reaches the product node, so its backward sees that gradient bit for
+    /// bit.
+    fn product_grads(
+        a: &Tensor,
+        b: &Tensor,
+        upstream: &Tensor,
+        product: impl Fn(&Graph, Var, Var) -> Result<Var>,
+    ) -> (Tensor, Tensor) {
+        let g = Graph::new();
+        let (av, bv) = (g.leaf(a.clone()), g.leaf(b.clone()));
+        let y = product(&g, av, bv).unwrap();
+        let weighted = g.mul(y, g.constant(upstream.clone())).unwrap();
+        let grads = g.backward(g.sum_all(weighted)).unwrap();
+        (grads.get(av).unwrap().clone(), grads.get(bv).unwrap().clone())
+    }
+
+    fn assert_same_bits(label: &str, got: &Tensor, want: &Tensor) {
+        assert_eq!(got.shape(), want.shape(), "{label}");
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{label}");
+    }
+
+    #[test]
+    fn transposed_lhs_backward_equals_permuted_copy_formula() {
+        // Hypergraph-shaped: incidence [Tw, H, RC] · embeddings [Tw, RC, d]
+        // (hop 1), then its transpose · hubs (hop 2), with zeros in every
+        // operand and in the upstream gradients.
+        let mut rng = StdRng::seed_from_u64(6);
+        let (tw, edges, nodes, d) = (3, 20, 72, 16);
+        let h = sparse(&mut rng, &[tw, edges, nodes], 6);
+        let e = sparse(&mut rng, &[tw, nodes, d], 5);
+        let hubs = sparse(&mut rng, &[tw, edges, d], 4);
+        let ht = h.permute(&[0, 2, 1]).unwrap();
+        let swap = [0, 2, 1];
+        for (label, a, b, gy) in [
+            ("hop 1", &h, &e, sparse(&mut rng, &[tw, edges, d], 3)),
+            ("hop 2", &ht, &hubs, sparse(&mut rng, &[tw, nodes, d], 3)),
+        ] {
+            let (ga, gb) = product_grads(a, b, &gy, Graph::batched_matmul);
+            let want_ga = gy.batched_matmul(&b.permute(&swap).unwrap()).unwrap();
+            let want_gb = a.permute(&swap).unwrap().batched_matmul(&gy).unwrap();
+            assert_same_bits(&format!("{label} grad_a"), &ga, &want_ga);
+            assert_same_bits(&format!("{label} grad_b"), &gb, &want_gb);
+        }
+        // 2-D: `Graph::matmul`'s grad_b against `transpose2d` then `matmul`.
+        let (a, b) = (sparse(&mut rng, &[edges, nodes], 6), sparse(&mut rng, &[nodes, d], 5));
+        let gy = sparse(&mut rng, &[edges, d], 3);
+        let (ga, gb) = product_grads(&a, &b, &gy, Graph::matmul);
+        let want_ga = gy.matmul(&b.transpose2d().unwrap()).unwrap();
+        assert_same_bits("2-D grad_a", &ga, &want_ga);
+        assert_same_bits("2-D grad_b", &gb, &a.transpose2d().unwrap().matmul(&gy).unwrap());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!    config is a typed [`StartupError`] before the socket opens — never a
 //!    surprise at first request.
 //! 2. **Serving** — [`Server::run`] drains concurrent connections into
-//!    micro-batches and answers every forecast query in a batch through a
-//!    single batched forward pass ([`ForecastEngine::grid_forecast_batch`]),
+//!    micro-batches and answers every forecast query in a batch through
+//!    one shared graph and parameter injection per horizon step, with one
+//!    forward pass per window ([`ForecastEngine::grid_forecast_batch`]),
 //!    fronted by an LRU tile cache ([`ForecastCache`]) keyed by
 //!    `(city, window-end day, horizon, region-tile)` and explicitly
 //!    invalidated on `/reload`. Responses are bit-identical to the offline

@@ -1,82 +1,152 @@
-//! Matrix multiplication kernels: cache-blocked and multi-threaded.
+//! Matrix multiplication kernels: register-tiled and multi-threaded.
 //!
-//! # Determinism contract
+//! # Kernel contract
 //!
-//! Every kernel here partitions work over *output rows*, so each output
-//! element is produced by exactly one thread with the same per-element
-//! accumulation order as the single-threaded path (contributions are added in
-//! ascending `k` order regardless of the cache blocking, because k-blocks are
-//! visited in ascending order). Results are therefore **bit-identical** at
-//! every thread count, including 1.
+//! Every product runs through one kernel, [`matmul_band`]. For each output
+//! row it keeps a tile of [`LANES`] accumulators in registers across the
+//! whole inner dimension `k` and stores the tile once; the columns past the
+//! last full tile form one narrower tile. Each output element is `+0.0` plus
+//! `a[i,p]·b[p,j]` for `p` ascending, and a zero lhs element is skipped by
+//! one scalar test for the whole tile. Those are the operations, in the
+//! order, of the row-axpy loop kept in `ops/oracle.rs`, so results are
+//! bit-identical to it (the oracle test compares `to_bits()`).
+//!
+//! The lhs may also be read transposed (`selfᵀ·other`): the kernel copies
+//! the lhs columns of up to [`PANEL`] output rows into a small row-major
+//! panel, one contiguous read per stored lhs row, and then runs the same
+//! tiles over it. Each output row reads the same values in the same order
+//! as a product with an explicitly permuted copy, so autograd's `Aᵀ·G`
+//! needs no transposed copy of `A`.
+//!
+//! Work is partitioned over output rows, so each output element is produced
+//! by exactly one thread: results are bit-identical at every thread count.
 
 use crate::{Result, Tensor, TensorError};
 use std::ops::Range;
 
-/// k-dimension cache-block: a `KC × n` panel of the rhs stays hot in L2 while
-/// it is streamed against every row of a band.
-const KC: usize = 128;
+/// Output columns one register tile accumulates.
+const LANES: usize = 16;
+
+/// Output rows whose transposed-lhs columns are gathered into one panel.
+const PANEL: usize = 16;
 
 /// Minimum flops a band must carry before it is worth a thread.
 const MIN_FLOPS_PER_BAND: usize = 1 << 16;
 
-/// The shared inner kernel: accumulate `band` (rows `rows` of the output,
-/// row-major with stride `n`) for a 2-D product with inner dimension `k`.
-/// `row_a` maps a global output-row index to the offset of its lhs row, and
-/// `row_b` maps it to the base offset of its rhs matrix (non-zero only for
-/// batched products).
-#[allow(clippy::too_many_arguments)]
-fn matmul_band(
-    a: &[f32],
-    b: &[f32],
+/// `batch` products `[m, k] · [k, n]`. A transposed lhs is stored as
+/// `[batch, k, m]`, a plain one as `[batch, m, k]`.
+#[derive(Clone, Copy)]
+struct Product {
+    batch: usize,
+    m: usize,
     k: usize,
     n: usize,
-    rows: Range<usize>,
-    band: &mut [f32],
-    row_a: impl Fn(usize) -> usize,
-    row_b: impl Fn(usize) -> usize,
-) {
-    for k0 in (0..k).step_by(KC) {
-        let k1 = (k0 + KC).min(k);
-        for (local, gi) in rows.clone().enumerate() {
-            let abase = row_a(gi);
-            let bbase = row_b(gi);
-            let arow = &a[abase + k0..abase + k1];
-            let orow = &mut band[local * n..(local + 1) * n];
-            for (pp, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue; // sparse inputs (z-scored zero days) are common
-                }
-                let brow = &b[bbase + (k0 + pp) * n..bbase + (k0 + pp + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
+    lhs_transposed: bool,
+}
+
+impl Product {
+    /// The `[batch·m, n]` output, parallel over bands of output rows.
+    fn run(self, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.batch * self.m * self.n];
+        let min_rows = (MIN_FLOPS_PER_BAND / (2 * self.k * self.n).max(1)).max(1);
+        sthsl_parallel::parallel_rows_mut(
+            &mut out,
+            self.batch * self.m,
+            self.n,
+            min_rows,
+            |rows, band| {
+                matmul_band(a, b, self, rows, band);
+            },
+        );
+        out
+    }
+}
+
+/// Fill `band`, the output rows `rows` (row-major, stride `n`), in blocks
+/// of at most [`PANEL`] rows of one batch. A transposed lhs has the block's
+/// columns copied into a row-major panel first, one contiguous read per
+/// lhs row, so every output row then reads its lhs contiguously.
+fn matmul_band(a: &[f32], b: &[f32], p: Product, rows: Range<usize>, band: &mut [f32]) {
+    let Product { m, k, n, lhs_transposed, .. } = p;
+    if n == 0 {
+        return;
+    }
+    let mut panel = vec![0.0f32; if lhs_transposed { PANEL * k } else { 0 }];
+    let mut orows = band.chunks_exact_mut(n);
+    let mut gi = rows.start;
+    while gi < rows.end {
+        let (bi, i0) = (gi / m, gi % m);
+        let r = PANEL.min(m - i0).min(rows.end - gi);
+        let lhs = &a[bi * m * k..(bi + 1) * m * k];
+        let rhs = &b[bi * k * n..(bi + 1) * k * n];
+        if lhs_transposed {
+            for (pk, arow) in lhs.chunks_exact(m).enumerate() {
+                for (j, &v) in arow[i0..i0 + r].iter().enumerate() {
+                    panel[j * k + pk] = v;
                 }
             }
         }
+        for (j, orow) in orows.by_ref().take(r).enumerate() {
+            let lrow =
+                if lhs_transposed { &panel[j * k..][..k] } else { &lhs[(i0 + j) * k..][..k] };
+            let mut tiles = orow.chunks_exact_mut(LANES);
+            for (t, tile) in tiles.by_ref().enumerate() {
+                accumulate_tile(lrow, rhs, n, t * LANES, tile);
+            }
+            let tail = tiles.into_remainder();
+            if !tail.is_empty() {
+                accumulate_tile(lrow, rhs, n, n - tail.len(), tail);
+            }
+        }
+        gi += r;
     }
+}
+
+/// `out[j] = Σ_p lhs[p]·rhs[p·n + j0 + j]` for `j < out.len() ≤ LANES`,
+/// summed in ascending `p` in accumulators that stay in registers, then
+/// stored once. Inlined, a full tile's width is the constant `LANES`.
+#[inline(always)]
+fn accumulate_tile(lhs: &[f32], rhs: &[f32], n: usize, j0: usize, out: &mut [f32]) {
+    let w = out.len();
+    let mut acc = [0.0f32; LANES];
+    for (&av, brow) in lhs.iter().zip(rhs.chunks_exact(n)) {
+        if av == 0.0 {
+            continue; // sparse inputs (z-scored zero days) are common
+        }
+        for (s, &bv) in acc[..w].iter_mut().zip(&brow[j0..j0 + w]) {
+            *s += av * bv;
+        }
+    }
+    out.copy_from_slice(&acc[..w]);
 }
 
 impl Tensor {
     /// 2-D matrix product: `[m, k] · [k, n] → [m, n]`.
     ///
-    /// Cache-blocked over `k` and parallelised over row bands; see the module
-    /// docs for the determinism contract.
+    /// Register-tiled and parallelised over row bands; see the module docs
+    /// for the kernel contract.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
         let (m, k) = as_2d(self, "matmul lhs")?;
         let (k2, n) = as_2d(other, "matmul rhs")?;
         if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul",
-                lhs: self.shape().to_vec(),
-                rhs: other.shape().to_vec(),
-            });
+            return Err(shape_mismatch("matmul", self, other));
         }
-        let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f32; m * n];
-        let min_rows = (MIN_FLOPS_PER_BAND / (2 * k * n).max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(&mut out, m, n, min_rows, |rows, band| {
-            matmul_band(a, b, k, n, rows, band, |i| i * k, |_| 0);
-        });
+        let out =
+            Product { batch: 1, m, k, n, lhs_transposed: false }.run(self.data(), other.data());
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// 2-D product with a transposed lhs: `[k, m]ᵀ · [k, n] → [m, n]`,
+    /// without materialising the transpose. Bit-identical to
+    /// `self.transpose2d()?.matmul(other)`.
+    pub fn transpose_matmul(&self, other: &Tensor) -> Result<Tensor> {
+        let (k, m) = as_2d(self, "transpose_matmul lhs")?;
+        let (k2, n) = as_2d(other, "transpose_matmul rhs")?;
+        if k != k2 {
+            return Err(shape_mismatch("transpose_matmul", self, other));
+        }
+        let out =
+            Product { batch: 1, m, k, n, lhs_transposed: true }.run(self.data(), other.data());
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -88,30 +158,25 @@ impl Tensor {
         let (ba, m, k) = as_3d(self, "batched_matmul lhs")?;
         let (bb, k2, n) = as_3d(other, "batched_matmul rhs")?;
         if ba != bb || k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "batched_matmul",
-                lhs: self.shape().to_vec(),
-                rhs: other.shape().to_vec(),
-            });
+            return Err(shape_mismatch("batched_matmul", self, other));
         }
-        let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f32; ba * m * n];
-        let min_rows = (MIN_FLOPS_PER_BAND / (2 * k * n).max(1)).max(1);
-        if m > 0 {
-            sthsl_parallel::parallel_rows_mut(&mut out, ba * m, n, min_rows, |rows, band| {
-                matmul_band(
-                    a,
-                    b,
-                    k,
-                    n,
-                    rows,
-                    band,
-                    |gi| (gi / m) * m * k + (gi % m) * k,
-                    |gi| (gi / m) * k * n,
-                );
-            });
+        let out =
+            Product { batch: ba, m, k, n, lhs_transposed: false }.run(self.data(), other.data());
+        Tensor::from_vec(out, &[ba, m, n])
+    }
+
+    /// Batched product with transposed lhs matrices:
+    /// `[b, k, m]ᵀ · [b, k, n] → [b, m, n]`, without materialising the
+    /// transpose. Bit-identical to
+    /// `self.permute(&[0, 2, 1])?.batched_matmul(other)`.
+    pub fn batched_transpose_matmul(&self, other: &Tensor) -> Result<Tensor> {
+        let (ba, k, m) = as_3d(self, "batched_transpose_matmul lhs")?;
+        let (bb, k2, n) = as_3d(other, "batched_transpose_matmul rhs")?;
+        if ba != bb || k != k2 {
+            return Err(shape_mismatch("batched_transpose_matmul", self, other));
         }
+        let out =
+            Product { batch: ba, m, k, n, lhs_transposed: true }.run(self.data(), other.data());
         Tensor::from_vec(out, &[ba, m, n])
     }
 
@@ -136,11 +201,7 @@ impl Tensor {
     pub fn matvec(&self, v: &Tensor) -> Result<Tensor> {
         let (m, k) = as_2d(self, "matvec lhs")?;
         if v.ndim() != 1 || v.shape()[0] != k {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec",
-                lhs: self.shape().to_vec(),
-                rhs: v.shape().to_vec(),
-            });
+            return Err(shape_mismatch("matvec", self, v));
         }
         let a = self.data();
         let x = v.data();
@@ -178,6 +239,10 @@ fn as_3d(t: &Tensor, op: &'static str) -> Result<(usize, usize, usize)> {
         });
     }
     Ok((t.shape()[0], t.shape()[1], t.shape()[2]))
+}
+
+fn shape_mismatch(op: &'static str, lhs: &Tensor, rhs: &Tensor) -> TensorError {
+    TensorError::ShapeMismatch { op, lhs: lhs.shape().to_vec(), rhs: rhs.shape().to_vec() }
 }
 
 #[cfg(test)]
@@ -225,6 +290,37 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("[2, 3, 4]") && err.contains("[2, 5, 4]"), "{err}");
+        // The transposed-lhs entries: the lhs is `[k, m]` (`[b, k, m]`), so
+        // its *leading* dim must match the rhs rows.
+        let err = a.transpose_matmul(&Tensor::zeros(&[3, 2])).unwrap_err().to_string();
+        assert!(
+            err.contains("transpose_matmul") && err.contains("[2, 3]") && err.contains("[3, 2]"),
+            "{err}"
+        );
+        let err = a.transpose_matmul(&Tensor::zeros(&[2, 2, 2])).unwrap_err().to_string();
+        assert!(err.contains("transpose_matmul rhs") && err.contains("[2, 2, 2]"), "{err}");
+        let err = Tensor::zeros(&[4, 2, 3])
+            .batched_transpose_matmul(&Tensor::zeros(&[4, 3, 5]))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("batched_transpose_matmul")
+                && err.contains("[4, 2, 3]")
+                && err.contains("[4, 3, 5]"),
+            "{err}"
+        );
+        let err = Tensor::zeros(&[4, 2, 3])
+            .batched_transpose_matmul(&Tensor::zeros(&[3, 2, 5]))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("[4, 2, 3]") && err.contains("[3, 2, 5]"), "{err}");
+        let err = a.batched_transpose_matmul(&a).unwrap_err().to_string();
+        assert!(
+            err.contains("batched_transpose_matmul lhs")
+                && err.contains("rank 3")
+                && err.contains("[2, 3]"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -257,12 +353,12 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matmul_matches_naive_ikj_bitwise() {
-        // The cache-blocked kernel must preserve the naive per-element
-        // accumulation order exactly — including across the KC boundary.
+    fn matmul_matches_naive_ikj_bitwise() {
+        // The tiled kernel must preserve the naive per-element accumulation
+        // order exactly, over a long inner dimension and a partial tile.
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
-        let (m, k, n) = (7, KC * 2 + 3, 9);
+        let (m, k, n) = (7, 259, 9);
         let a = Tensor::rand_normal(&[m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(&[k, n], 0.0, 1.0, &mut rng);
         let got = a.matmul(&b).unwrap();

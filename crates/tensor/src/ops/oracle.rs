@@ -1,16 +1,88 @@
 //! Test oracles: the direct convolution and permute loops that the
 //! vectorizable kernels in [`super::conv`] and [`super::manip`] replaced,
-//! kept verbatim. Each output element here receives its f32 operations one
-//! at a time in the defining order, so a bit-for-bit match against these
-//! loops is the kernel contract (DESIGN.md §6b). Shapes are assumed valid;
-//! the property test below only feeds shapes the real kernels accept.
+//! and the cache-blocked row-axpy loop that the register-tiled kernel in
+//! [`super::matmul`] replaced, kept verbatim. Each output element here
+//! receives its f32 operations one at a time in the defining order, so a
+//! bit-for-bit match against these loops is the kernel contract (DESIGN.md
+//! §6b). Shapes are assumed valid; the property tests below only feed
+//! shapes the real kernels accept.
 #![cfg(test)]
 
 use super::conv::Pad1d;
 use crate::shape::strides_of;
 use crate::Tensor;
+use std::ops::Range;
 
 const MIN_WORK_PER_BAND: usize = 1 << 15;
+
+/// k-dimension cache-block: a `KC × n` panel of the rhs stays hot in L2 while
+/// it is streamed against every row of a band.
+const KC: usize = 128;
+
+/// Minimum flops a band must carry before it is worth a thread.
+const MIN_FLOPS_PER_BAND: usize = 1 << 16;
+
+/// The shared inner kernel: accumulate `band` (rows `rows` of the output,
+/// row-major with stride `n`) for a 2-D product with inner dimension `k`.
+/// `row_a` maps a global output-row index to the offset of its lhs row, and
+/// `row_b` maps it to the base offset of its rhs matrix (non-zero only for
+/// batched products).
+#[allow(clippy::too_many_arguments)]
+fn matmul_band(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    rows: Range<usize>,
+    band: &mut [f32],
+    row_a: impl Fn(usize) -> usize,
+    row_b: impl Fn(usize) -> usize,
+) {
+    for k0 in (0..k).step_by(KC) {
+        let k1 = (k0 + KC).min(k);
+        for (local, gi) in rows.clone().enumerate() {
+            let abase = row_a(gi);
+            let bbase = row_b(gi);
+            let arow = &a[abase + k0..abase + k1];
+            let orow = &mut band[local * n..(local + 1) * n];
+            for (pp, &av) in arow.iter().enumerate() {
+                if av == 0.0 {
+                    continue; // sparse inputs (z-scored zero days) are common
+                }
+                let brow = &b[bbase + (k0 + pp) * n..bbase + (k0 + pp + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+}
+
+/// `[b, m, k] · [b, k, n] → [b, m, n]` through [`matmul_band`]; a 2-D
+/// product is the batch-1 case.
+pub fn batched_matmul(lhs: &Tensor, rhs: &Tensor) -> Tensor {
+    let [ba, m, k] = dims3(lhs);
+    let n = rhs.shape()[2];
+    let a = lhs.data();
+    let b = rhs.data();
+    let mut out = vec![0.0f32; ba * m * n];
+    let min_rows = (MIN_FLOPS_PER_BAND / (2 * k * n).max(1)).max(1);
+    if m > 0 {
+        sthsl_parallel::parallel_rows_mut(&mut out, ba * m, n, min_rows, |rows, band| {
+            matmul_band(
+                a,
+                b,
+                k,
+                n,
+                rows,
+                band,
+                |gi| (gi / m) * m * k + (gi % m) * k,
+                |gi| (gi / m) * k * n,
+            );
+        });
+    }
+    Tensor::from_vec(out, &[ba, m, n]).unwrap()
+}
 
 pub fn conv2d(x_t: &Tensor, weight: &Tensor, bias: Option<&Tensor>, pad: (usize, usize)) -> Tensor {
     let [b, cin, h, w] = dims4(x_t);
@@ -320,10 +392,11 @@ fn dims3(t: &Tensor) -> [usize; 3] {
     [t.shape()[0], t.shape()[1], t.shape()[2]]
 }
 
-/// Seeded property test: every conv kernel and `permute` must match its
-/// oracle bit for bit on shapes that exercise clipping from every side and
-/// on values that exercise the `-0.0` skip argument (exact zeros in
-/// `grad_out`, `-0.0` biases, NaN and ±∞ in every operand).
+/// Seeded property tests: every conv kernel, `permute` and the matmul
+/// family must match their oracles bit for bit on shapes that exercise
+/// clipping from every side and partial register tiles, and on values that
+/// exercise the zero skips (exact zeros in `grad_out` and in matmul lhs
+/// operands, `-0.0`, NaN and ±∞ in every operand).
 mod tests {
     use super::Pad1d;
     use crate::Tensor;
@@ -477,6 +550,75 @@ mod tests {
                     assert_bits(&label, &x.permute(&perm).unwrap(), &super::permute(&x, &perm));
                 }
             }
+        }
+    }
+
+    /// Rhs widths around the register tile: below, at and past one tile,
+    /// several tiles, and the hypergraph hops' widths.
+    const MATMUL_NS: [usize; 7] = [1, 15, 16, 17, 33, 64, 256];
+
+    /// `[batch, m, k]` lhs with scattered exact zeros, some all-zero rows
+    /// and some all-zero columns, and a `[batch, k, n]` rhs whose rows
+    /// under an all-zero lhs column hold only NaN and ±∞: the skip must keep
+    /// them out of every output (multiplying would give `0·∞ = NaN`).
+    fn matmul_operands(rng: &mut StdRng, shape: [usize; 4], special: bool) -> (Tensor, Tensor) {
+        let [batch, m, k, n] = shape;
+        let zeros = rng.gen_range(0.0..0.5);
+        let mut a = tensor(rng, &[batch, m, k], zeros, special);
+        let mut b = tensor(rng, &[batch, k, n], 0.1, special);
+        let zero_rows: Vec<bool> = (0..batch * m).map(|_| rng.gen_bool(0.15)).collect();
+        let dead_cols: Vec<bool> = (0..k).map(|_| rng.gen_bool(0.2)).collect();
+        for (row, &zero_row) in a.data_mut().chunks_exact_mut(k.max(1)).zip(&zero_rows) {
+            for (v, &dead) in row.iter_mut().zip(&dead_cols) {
+                if zero_row || dead {
+                    *v = if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+                }
+            }
+        }
+        for (p, brow) in b.data_mut().chunks_exact_mut(n).enumerate() {
+            if dead_cols[p % k] {
+                for v in brow {
+                    *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3usize)];
+                }
+            }
+        }
+        (a, b)
+    }
+
+    #[test]
+    fn matmul_family_matches_oracle_bits() {
+        let mut rng = StdRng::seed_from_u64(0x3a7);
+        for case in 0..CASES {
+            let n = MATMUL_NS[case % MATMUL_NS.len()];
+            // k crosses the oracle's KC = 128 block boundary; m = 0 and
+            // k = 0 are empty products.
+            let k = if case % 25 == 3 { 0 } else { rng.gen_range(1..300usize) };
+            let m = if case % 25 == 7 { 0 } else { rng.gen_range(1..12usize) };
+            let batch = rng.gen_range(1..5usize);
+            let special = rng.gen_bool(0.5);
+            let (a, b) = matmul_operands(&mut rng, [batch, m, k, n], special);
+            let label = format!("b{batch} m{m} k{k} n{n} special={special}");
+            let want = super::batched_matmul(&a, &b);
+            assert_bits(&format!("batched_matmul {label}"), &a.batched_matmul(&b).unwrap(), &want);
+            // The transposed entry reads `at` column-wise; the oracle gets
+            // the explicitly permuted copy `a`.
+            let at = super::permute(&a, &[0, 2, 1]);
+            assert_bits(
+                &format!("batched_transpose_matmul {label}"),
+                &at.batched_transpose_matmul(&b).unwrap(),
+                &want,
+            );
+            // 2-D products on batch 0: the oracle's batch-0 rows.
+            let a2 = Tensor::from_vec(a.data()[..m * k].to_vec(), &[m, k]).unwrap();
+            let b2 = Tensor::from_vec(b.data()[..k * n].to_vec(), &[k, n]).unwrap();
+            let want2 = Tensor::from_vec(want.data()[..m * n].to_vec(), &[m, n]).unwrap();
+            assert_bits(&format!("matmul {label}"), &a2.matmul(&b2).unwrap(), &want2);
+            let at2 = super::permute(&a2, &[1, 0]);
+            assert_bits(
+                &format!("transpose_matmul {label}"),
+                &at2.transpose_matmul(&b2).unwrap(),
+                &want2,
+            );
         }
     }
 }

@@ -25,7 +25,7 @@ pub const fn data_movement() -> ScheduleMeta {
 }
 
 /// Dense (batched) matmul / matvec / transpose (`ops/matmul.rs`): row-banded
-/// over output rows, each output element accumulating its KC-blocked k-loop
+/// over output rows, each output element accumulating its k-loop
 /// sequentially in ascending index order.
 #[must_use]
 pub const fn matmul_family() -> ScheduleMeta {

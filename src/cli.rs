@@ -668,8 +668,10 @@ fn cmd_chaos(flags: &Flags) -> Result<String, CliError> {
 /// win) or from a `--model` parameter file. Either way the parameters are
 /// cross-checked against the model config and the serving tape passes a
 /// graphcheck audit before the socket opens. Concurrent requests are
-/// micro-batched through one batched forward pass per accept-loop drain,
-/// behind an LRU forecast cache that `POST /reload` explicitly invalidates.
+/// drained into micro-batches; each horizon step of a batch is one
+/// `predict_batch` call, which shares one graph and one parameter injection
+/// but still runs one forward pass per window. An LRU forecast cache in
+/// front is explicitly invalidated by `POST /reload`.
 fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     let data = dataset_or_synth(flags)?;
     let cfg = model_config(flags);
@@ -752,7 +754,8 @@ const USAGE: &str =
   evaluate: --data crimes.csv --model model.bin
   predict:  --data crimes.csv --model model.bin [--out forecast.csv]
   serve:    answer forecast requests over HTTP from a trained artifact;
-            requests are micro-batched through one forward pass and cached
+            requests are micro-batched onto one shared graph (one forward
+            per window) and cached
             --checkpoint-dir DIR   load the newest verified checkpoint in DIR
                                    (or --model model.bin for a parameter file)
             [--addr HOST:PORT]     bind address (default 127.0.0.1:8356; port 0

@@ -53,6 +53,13 @@ fn assert_bitwise_across_thread_counts(label: &str, f: impl Fn() -> Vec<f32>) {
     set_num_threads(0); // back to the environment-resolved default
 }
 
+/// A standard-normal tensor with every `every`-th element exactly zero.
+fn sparse_normal(rng: &mut StdRng, shape: &[usize], every: usize) -> Tensor {
+    let mut t = Tensor::rand_normal(shape, 0.0, 1.0, rng);
+    t.data_mut().iter_mut().step_by(every).for_each(|v| *v = 0.0);
+    t
+}
+
 #[test]
 fn matmul_bit_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(11);
@@ -63,6 +70,10 @@ fn matmul_bit_identical_across_thread_counts() {
         let b = Tensor::rand_normal(&[k, n], 0.0, 1.0, &mut rng);
         assert_bitwise_across_thread_counts(&format!("matmul {m}x{k}x{n}"), || {
             a.matmul(&b).unwrap().into_vec()
+        });
+        let at = Tensor::rand_normal(&[k, m], 0.0, 1.0, &mut rng);
+        assert_bitwise_across_thread_counts(&format!("transpose_matmul {k}x{m}x{n}"), || {
+            at.transpose_matmul(&b).unwrap().into_vec()
         });
     }
 }
@@ -75,13 +86,19 @@ fn batched_matmul_and_matvec_bit_identical() {
             rng.gen_range(1usize..6),
             rng.gen_range(1usize..20),
             rng.gen_range(1usize..64),
-            rng.gen_range(1usize..20),
+            rng.gen_range(1usize..80),
         );
-        let a = Tensor::rand_normal(&[ba, m, k], 0.0, 1.0, &mut rng);
+        let every = rng.gen_range(2usize..9);
+        let a = sparse_normal(&mut rng, &[ba, m, k], every);
         let b = Tensor::rand_normal(&[ba, k, n], 0.0, 1.0, &mut rng);
         assert_bitwise_across_thread_counts(&format!("batched_matmul {ba}x{m}x{k}x{n}"), || {
             a.batched_matmul(&b).unwrap().into_vec()
         });
+        let at = sparse_normal(&mut rng, &[ba, k, m], every);
+        assert_bitwise_across_thread_counts(
+            &format!("batched_transpose_matmul {ba}x{k}x{m}x{n}"),
+            || at.batched_transpose_matmul(&b).unwrap().into_vec(),
+        );
         let mat = Tensor::rand_normal(&[m, k], 0.0, 1.0, &mut rng);
         let v = Tensor::rand_normal(&[k], 0.0, 1.0, &mut rng);
         assert_bitwise_across_thread_counts(&format!("matvec {m}x{k}"), || {
@@ -161,6 +178,12 @@ fn bits_digest(v: &[f32]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
+/// `f` is bit-identical across thread counts and its bits hash to `want`.
+fn assert_pinned_digest(label: &str, want: u64, f: &dyn Fn() -> Vec<f32>) {
+    assert_bitwise_across_thread_counts(label, f);
+    assert_eq!(bits_digest(&f()), want, "{label}: bits differ from the pinned digest");
+}
+
 /// One fixed case per conv kernel and for `permute`, pinned to digests of
 /// the direct-loop kernels' output bits: the vectorized kernels must give
 /// every element the same operations in the same order (DESIGN.md §6b).
@@ -171,15 +194,8 @@ fn bits_digest(v: &[f32]) -> u64 {
 #[test]
 fn conv_and_permute_bits_match_pinned_direct_loop_digests() {
     let mut rng = StdRng::seed_from_u64(16);
-    let mut sparse = |shape: &[usize], every: usize| {
-        let mut t = Tensor::rand_normal(shape, 0.0, 1.0, &mut rng);
-        t.data_mut().iter_mut().step_by(every).for_each(|v| *v = 0.0);
-        t
-    };
-    let check = |label: &str, want: u64, f: &dyn Fn() -> Vec<f32>| {
-        assert_bitwise_across_thread_counts(label, f);
-        assert_eq!(bits_digest(&f()), want, "{label}: bits differ from the pinned digest");
-    };
+    let mut sparse = |shape: &[usize], every: usize| sparse_normal(&mut rng, shape, every);
+    let check = assert_pinned_digest;
 
     let x = sparse(&[2, 3, 5, 7], 11);
     let wt = sparse(&[4, 3, 4, 3], 5);
@@ -213,6 +229,45 @@ fn conv_and_permute_bits_match_pinned_direct_loop_digests() {
 
     let t = sparse(&[2, 3, 1, 4, 5], 6);
     check("permute", 0xc3c7_91ad_a9c6_91db, &|| t.permute(&[3, 1, 4, 0, 2]).unwrap().into_vec());
+}
+
+/// The hypergraph hops (paper Eq. 4) on a small window, pinned to digests
+/// of the cache-blocked row-axpy kernel's output bits: the register-tiled
+/// kernel, and its transposed-lhs reads in the backward products, must give
+/// every element the same operations in the same order (DESIGN.md §6b).
+/// The incidence tensor, the embeddings and the gradients hold exact zeros,
+/// and one hyperedge has no members at all. The reference digests of the
+/// transposed products are those of an explicit `permute` followed by
+/// `batched_matmul` (or `transpose2d` then `matmul`).
+#[test]
+fn hypergraph_matmuls_match_pinned_row_axpy_digests() {
+    let mut rng = StdRng::seed_from_u64(18);
+    let (tw, edges, nodes, d) = (3, 24, 72, 16);
+    let mut h = sparse_normal(&mut rng, &[tw, edges, nodes], 7);
+    h.data_mut()[nodes..2 * nodes].fill(0.0);
+    let e = sparse_normal(&mut rng, &[tw, nodes, d], 5);
+    let hubs = sparse_normal(&mut rng, &[tw, edges, d], 4);
+    let g_hubs = sparse_normal(&mut rng, &[tw, edges, d], 3);
+    let g_out = sparse_normal(&mut rng, &[tw, nodes, d], 3);
+    let ht = h.permute(&[0, 2, 1]).unwrap();
+    let et = e.permute(&[0, 2, 1]).unwrap();
+    let check = assert_pinned_digest;
+
+    check("hop 1", 0x614a_4630_9462_4fae, &|| h.batched_matmul(&e).unwrap().into_vec());
+    check("hop 2", 0x7332_8a05_c0af_bec2, &|| ht.batched_matmul(&hubs).unwrap().into_vec());
+    check("hop 1 grad_a", 0xeaa4_7849_fd93_fa4e, &|| {
+        g_hubs.batched_matmul(&et).unwrap().into_vec()
+    });
+    check("hop 1 grad_b", 0xd896_738c_91ab_ee99, &|| {
+        h.batched_transpose_matmul(&g_hubs).unwrap().into_vec()
+    });
+    check("hop 2 grad_b", 0xc240_4807_385c_b22a, &|| {
+        ht.batched_transpose_matmul(&g_out).unwrap().into_vec()
+    });
+
+    let h2 = Tensor::from_vec(h.data()[..edges * nodes].to_vec(), &[edges, nodes]).unwrap();
+    let g2 = Tensor::from_vec(g_hubs.data()[..edges * d].to_vec(), &[edges, d]).unwrap();
+    check("2-D grad_b", 0x96c3_fa18_aedf_ffd5, &|| h2.transpose_matmul(&g2).unwrap().into_vec());
 }
 
 #[test]
