@@ -1,12 +1,8 @@
 //! First-order optimizers operating on a [`crate::ParamStore`].
 
 mod adam;
-mod schedule;
-mod sgd;
 
 pub use adam::{Adam, AdamState};
-pub use schedule::LrSchedule;
-pub use sgd::Sgd;
 
 use crate::graph::Gradients;
 use crate::params::{ParamId, ParamStore, ParamVars};

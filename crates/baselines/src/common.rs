@@ -151,8 +151,8 @@ pub trait GraphAudited: Predictor {
     /// Record one training step's graph on the first training day.
     fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts>;
 
-    /// Run the full static audit (shape, grad-flow, NaN-taint, liveness)
-    /// over the recorded graph.
+    /// Run the full static audit (shape, grad-flow, value ranges, float
+    /// error, determinism, cost) over the recorded graph.
     fn graph_audit(&self, data: &CrimeDataset) -> Result<AuditReport> {
         let art = self.audit_artifacts(data)?;
         let spec = art.graph.export_tape();

@@ -1,9 +1,11 @@
 //! Every neural baseline's training graph must statically certify: shapes
-//! consistent, every parameter grad-reachable, no structural defects. This is
-//! the fleet-wide guarantee `--graph-audit` exposes on the CLI.
+//! consistent, every parameter grad-reachable, every value interval bounded,
+//! no structural defects and no warnings. This is the fleet-wide guarantee
+//! `--graph-audit` exposes on the CLI.
 
 use sthsl_baselines::{all_auditable, BaselineConfig};
 use sthsl_data::{CrimeDataset, DatasetConfig, SynthCity, SynthConfig};
+use sthsl_graphcheck::Severity;
 
 fn tiny_dataset() -> CrimeDataset {
     let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 80)).unwrap();
@@ -30,6 +32,25 @@ fn every_neural_baseline_certifies_clean() {
             report.render()
         );
         assert!(report.param_count > 0, "{}: audit saw no parameters", model.name());
+        // The invariant that lets the range pass stand alone as graphcheck's
+        // NaN and overflow analysis: every node gets a finite interval.
+        let ranges = report.ranges.as_ref().expect("range pass must run");
+        assert_eq!(
+            ranges.bounded,
+            ranges.total,
+            "{}: every interval must be bounded:\n{}",
+            model.name(),
+            report.render()
+        );
+        // No advisory findings either (GWN's last TCN layer feeds only its
+        // skip connection, so its tape carries no dead residual add).
+        assert_eq!(
+            report.count(Severity::Warning),
+            0,
+            "{}: unexpected warnings:\n{}",
+            model.name(),
+            report.render()
+        );
     }
 }
 

@@ -1,9 +1,10 @@
 //! Statically certifies the training graph of every model at the chosen
 //! scale before any experiment spends compute on it: shape consistency,
-//! gradient flow into every parameter, NaN hazards and the liveness memory
-//! estimate, per model. Fails (non-zero exit) if any graph carries an
-//! error-level finding, so `run_all` stops before burning hours on a
-//! miswired model.
+//! gradient flow into every parameter, value ranges (overflow and NaN
+//! poles), float error and determinism, with the tape's total output bytes
+//! from the cost model, per model. Fails (non-zero exit) if any graph
+//! carries an error-level finding, so `run_all` stops before burning hours
+//! on a miswired model.
 
 use sthsl_baselines::all_auditable;
 use sthsl_bench::{parse_args, write_csv, MarkdownTable, TimingManifest};
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.model.clone(),
             report.node_count.to_string(),
             report.param_count.to_string(),
-            format!("{:.1}", report.memory.tape_bytes as f64 / 1024.0),
+            format!("{:.1}", report.cost.as_ref().map_or(0, |c| c.total_out_bytes) as f64 / 1024.0),
             errors.to_string(),
             report.count(sthsl_graphcheck::Severity::Warning).to_string(),
         ]);

@@ -148,8 +148,6 @@ pub struct StHslConfig {
     pub lambda3: f32,
     /// Learning rate η.
     pub lr: f32,
-    /// Learning-rate schedule applied per epoch (paper: constant).
-    pub lr_schedule: sthsl_autograd::optim::LrSchedule,
     /// Training epochs.
     pub epochs: usize,
     /// Samples per gradient step.
@@ -189,7 +187,6 @@ impl StHslConfig {
             lambda2: 0.1,
             lambda3: 1e-4,
             lr: 1e-3,
-            lr_schedule: sthsl_autograd::optim::LrSchedule::Constant,
             epochs: 30,
             batch_size: 8,
             max_batches_per_epoch: None,

@@ -329,7 +329,7 @@ impl TrainLoop {
 
         // Mandatory pre-flight: statically audit the graph this configuration
         // actually builds — shape consistency, parameter reachability,
-        // NaN hazards, memory budget — and refuse to spend a single optimizer
+        // value ranges, determinism — and refuse to spend a single optimizer
         // step on a miswired model.
         let audit = model.graph_audit(data)?;
         if audit.has_errors() {
@@ -347,7 +347,6 @@ impl TrainLoop {
 
         'training: while state.epoch < cfg.epochs as u64 {
             let epoch = state.epoch as usize;
-            let lr_sched = cfg.lr_schedule.lr_at(epoch, cfg.lr);
 
             // Per-epoch day order: a fresh shuffle of the sorted list, seeded
             // by (seed, epoch) — independent of any earlier history, so a
@@ -367,7 +366,7 @@ impl TrainLoop {
                     batch_start: state.batch_in_epoch,
                     epoch_loss_accum: state.epoch_loss_accum,
                 };
-                opt.lr = lr_sched * state.lr_scale;
+                opt.lr = cfg.lr * state.lr_scale;
 
                 for (bi, chunk) in chunks.iter().enumerate() {
                     if (bi as u64) < state.batch_in_epoch {
@@ -486,7 +485,7 @@ impl TrainLoop {
                 epoch,
                 train_loss: state.last_train_loss,
                 val_loss,
-                lr: lr_sched * state.lr_scale,
+                lr: cfg.lr * state.lr_scale,
             });
             if self.opts.checkpoint_dir.is_some() || action == HookAction::Checkpoint {
                 self.write_checkpoint(model, &opt, &state, hooks, &mut ckpt_health)?;

@@ -108,7 +108,7 @@ fn every_named_ablation_certifies_clean() {
 }
 
 /// The exact report for the fixed-seed tiny configuration. Pinned verbatim:
-/// any drift in node count, inference coverage, memory accounting or
+/// any drift in node count, inference coverage, cost accounting or
 /// diagnostic text is a behavior change that must be reviewed, not absorbed.
 ///
 /// Re-derived for graphcheck v2: the report now carries the interval
@@ -125,24 +125,21 @@ fn every_named_ablation_certifies_clean() {
 /// Re-derived when the CSR propagation path was deleted: each view's two
 /// propagation hops are one `batched_matmul` each again (316 → 196 nodes,
 /// identical FLOPs, ranges and diagnostics).
+///
+/// Re-derived for report v4: the sign-taint pass and the liveness pass are
+/// deleted, so the `nan-taint:` line and the `memory:` block are gone; the
+/// `cost:` line carries `tape` (the cost model's total output bytes, the
+/// same sum the `memory: tape` figure was). Every other line is unchanged.
 const GOLDEN_TINY_REPORT: &str = "\
 == graph audit: ST-HSL ==
-report-version: 3
+report-version: 4
 nodes: 196   params: 21   errors: 0   warnings: 1   info: 0
 shape: OK (196/196 node shapes inferred ahead of time)
 grad-flow: OK (21/21 parameters reachable from the loss)
-nan-taint: 0 hazard(s)
 ranges: OK (196/196 intervals bounded; max |bound| 1.062e12)
 float-error: max f32 chain 448 adds (budget 8192); loss path ~554 adds; 0 over-budget op(s)
 determinism: OK (196/196 ops certified thread-invariant; 8 rng-seeded)
-memory: tape 499.4 KiB | forward eager-free peak 46.6 KiB | backward peak 46.6 KiB (tape + grads 546.0 KiB)
-  reshape                 33 node(s)  82.8 KiB
-  permute                 10 node(s)  77.0 KiB
-  leaky_relu              12 node(s)  71.3 KiB
-  add                     18 node(s)  70.2 KiB
-  dropout                  8 node(s)  56.0 KiB
-  conv1d                   6 node(s)  42.0 KiB
-cost: fwd 578.3 Kflop + bwd 1.15 Mflop | traffic 1.11 MiB | 1.48 flop/B
+cost: fwd 578.3 Kflop + bwd 1.15 Mflop | tape 499.4 KiB | traffic 1.11 MiB | 1.48 flop/B
   conv2d                   2 node(s)   784.8 Kflop  26.28 flop/B
   conv1d                   6 node(s)   419.3 Kflop  4.84 flop/B
   batched_matmul           4 node(s)   258.0 Kflop  3.46 flop/B

@@ -16,8 +16,9 @@
 //!   (each op's backward reads the incoming cotangent and touches each
 //!   operand once) and 0 for data movement and constants.
 //!
-//! The pass is advisory: it emits no diagnostics, only the ranked table the
-//! report renders and `sthsl graph-audit --cost` prints in full.
+//! The pass is advisory: it emits no diagnostics, only the tape's total
+//! output bytes and the ranked table the report renders and
+//! `sthsl graph-audit --cost` prints in full.
 
 use std::collections::BTreeMap;
 
@@ -205,6 +206,20 @@ mod tests {
         assert_eq!(ranked[0].1.bwd_flops, 2 * ranked[0].1.fwd_flops);
         assert_eq!(ranked[0].1.out_bytes, 4 * 64 * 32);
         assert_eq!(cost.unknown_nodes, 0);
+    }
+
+    #[test]
+    fn out_bytes_sum_every_value() {
+        // leaf [4] -> square [4] -> sum_all [].
+        let mut spec = TapeSpec::new();
+        let w = spec.leaf("w", &[4]);
+        let s = spec.push(OpKind::Square, &[w]);
+        let _loss = spec.push(OpKind::SumAll, &[s]);
+        let cost = analyze(&spec, &shapes_of(&spec));
+        // 16 (leaf) + 16 (square) + 4 (scalar; len 1 despite rank 0).
+        assert_eq!(cost.total_out_bytes, 16 + 16 + 4);
+        assert_eq!(cost.per_family["leaf"].out_bytes, 16);
+        assert_eq!(cost.per_family["sum_all"].out_bytes, 4);
     }
 
     #[test]

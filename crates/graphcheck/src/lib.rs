@@ -14,23 +14,19 @@
 //! 3. **grad-flow** ([`reach`]) — every registered parameter must be
 //!    reachable from the loss; detached parameters and dead subgraphs are
 //!    flagged.
-//! 4. **nan-taint** ([`taint`]) — `ln`/`sqrt`/`div` nodes whose operands are
-//!    not provably positive are reported with their full producer chain.
-//! 5. **liveness** ([`liveness`]) — a peak-memory estimate and per-phase
-//!    byte budget.
-//! 6. **ranges** ([`range`]) — interval-domain abstract interpretation
+//! 4. **ranges** ([`range`]) — interval-domain abstract interpretation
 //!    seeded from declared input ranges: proves absence of overflow/NaN and
 //!    reports poles (`ln(≤0)`, `/0`, `sqrt(<0)`) an interval cannot exclude,
-//!    cross-checked against both the sign-taint lattice and the observed
-//!    runtime ranges stamped on the tape.
-//! 7. **float-error** ([`fperror`]) — worst-case f32 accumulation depth per
+//!    cross-checked against the observed runtime ranges stamped on the tape.
+//! 5. **float-error** ([`fperror`]) — worst-case f32 accumulation depth per
 //!    op and along the loss path; flags naive reduction chains deeper than
 //!    the configured budget.
-//! 8. **determinism** ([`determinism`]) — certifies "bit-identical at any
+//! 6. **determinism** ([`determinism`]) — certifies "bit-identical at any
 //!    thread count" from per-op schedule metadata; thread-order-dependent
 //!    reductions and clock reads are blocking.
-//! 9. **cost** ([`cost`]) — static FLOP/bytes/intensity model with a ranked
-//!    hot-op table (advisory; cross-validated against the runtime profiler).
+//! 7. **cost** ([`cost`]) — static FLOP/bytes/intensity model with a ranked
+//!    hot-op table and the tape's total output bytes (advisory;
+//!    cross-validated against the runtime profiler).
 //!
 //! The entry point is [`audit`]; [`AuditReport::has_errors`] decides whether
 //! a trainer pre-flight must fail. Ranges and determinism findings block
@@ -41,16 +37,14 @@ pub mod chain;
 pub mod cost;
 pub mod determinism;
 pub mod fperror;
-pub mod liveness;
 pub mod range;
 pub mod reach;
 pub mod report;
 pub mod shape;
-pub mod taint;
 
 use sthsl_autograd::TapeSpec;
 
-pub use report::{AuditReport, Diagnostic, MemoryReport, Pass, Severity, REPORT_VERSION};
+pub use report::{AuditReport, Diagnostic, Pass, Severity, REPORT_VERSION};
 
 /// Single-op f32 accumulation budget: twice the fixed reassociation
 /// block of the workspace's full reductions
@@ -91,11 +85,6 @@ pub fn audit(
     let mut diags: Vec<Diagnostic> = Vec::new();
     let structurally_sound = validate_structure(spec, loss, &mut diags);
 
-    let mut op_counts = std::collections::BTreeMap::new();
-    for node in &spec.nodes {
-        *op_counts.entry(node.kind.name()).or_insert(0) += 1;
-    }
-
     if !structurally_sound {
         return AuditReport {
             model: model.to_string(),
@@ -104,8 +93,6 @@ pub fn audit(
             reachable_params: 0,
             inferred_shapes: 0,
             diagnostics: diags,
-            memory: MemoryReport::default(),
-            op_counts,
             ranges: None,
             float_error: None,
             determinism: None,
@@ -116,11 +103,8 @@ pub fn audit(
     let shape_info = shape::analyze(spec, &mut diags);
     let reach_info =
         reach::analyze(spec, loss, params, &shape_info.shapes, &opts.allow_unreachable, &mut diags);
-    let signs = taint::analyze(spec, &shape_info.shapes, &mut diags);
-    let memory =
-        liveness::analyze(spec, &shape_info.shapes, &reach_info.grad_reachable, &mut diags);
     let own = fperror::own_extents(spec, &shape_info.shapes);
-    let ranges = range::analyze(spec, &shape_info.shapes, &signs, &own, &mut diags);
+    let ranges = range::analyze(spec, &shape_info.shapes, &own, &mut diags);
     let float_error = fperror::analyze(spec, &own, loss, MAX_ACCUM_DEPTH, &mut diags);
     let determinism = determinism::analyze(spec, &mut diags);
     let cost = cost::analyze(spec, &shape_info.shapes);
@@ -132,8 +116,6 @@ pub fn audit(
         reachable_params: reach_info.reachable_params,
         inferred_shapes: shape_info.inferred,
         diagnostics: diags,
-        memory,
-        op_counts,
         ranges: Some(ranges),
         float_error: Some(float_error),
         determinism: Some(determinism),

@@ -11,16 +11,11 @@
 //! f64 arithmetic on the interval endpoints and then **widened outward** by a
 //! relative slack proportional to the op's sequential accumulation length
 //! (`(L + 8)·ε_f32`), which dominates the classic `n·ε` worst-case rounding
-//! of an `n`-term f32 chain. Two cross-checks keep the analyzer itself
-//! honest:
-//!
-//! * every exported node carries its *observed* runtime `(min, max)`; an
-//!   observed value escaping the predicted interval is reported as an
-//!   analyzer soundness error, so every audited tape is also a test of the
-//!   transfer functions;
-//! * the sign-taint lattice ([`crate::taint`]) is compared against the
-//!   intervals — a node proven `Pos` whose interval sits at or below zero is
-//!   a contradiction between the two abstract domains.
+//! of an `n`-term f32 chain. A cross-check keeps the analyzer itself honest:
+//! every exported node carries its *observed* runtime `(min, max)`; an
+//! observed value escaping the predicted interval is reported as an analyzer
+//! soundness error, so every audited tape is also a test of the transfer
+//! functions.
 //!
 //! One relational refinement is applied on top of the non-relational domain:
 //! the **normalized-quotient pattern** `x / sqrt(reduce(x²) + eps)` (l2
@@ -33,7 +28,6 @@ use sthsl_autograd::{OpKind, TapeSpec};
 
 use crate::chain::producer_chain;
 use crate::report::{Diagnostic, Pass, Severity};
-use crate::taint::Sign;
 
 const EPS32: f64 = f32::EPSILON as f64;
 /// Absolute outward slack covering subnormal rounding at zero.
@@ -78,13 +72,11 @@ pub struct RangeSummary {
     pub max_abs_bound: f64,
 }
 
-/// Run the range pass. `signs` are the taint facts (for the cross-domain
-/// check) and `own_extents` the per-op sequential accumulation lengths (for
-/// rounding-aware widening).
+/// Run the range pass. `own_extents` are the per-op sequential accumulation
+/// lengths (for rounding-aware widening).
 pub fn analyze(
     spec: &TapeSpec,
     shapes: &[Option<Vec<usize>>],
-    signs: &[Sign],
     own_extents: &[u64],
     diags: &mut Vec<Diagnostic>,
 ) -> RangeSummary {
@@ -120,7 +112,7 @@ pub fn analyze(
             }
         });
         if let Some(interval) = finished {
-            cross_check(spec, i, interval, signs, diags);
+            cross_check(spec, i, interval, diags);
         }
         iv.push(finished);
     }
@@ -162,73 +154,40 @@ fn input_interval(spec: &TapeSpec, i: usize, diags: &mut Vec<Diagnostic>) -> Opt
     Some((f64::from(lo), f64::from(hi)))
 }
 
-/// Analyzer self-checks: observed runtime range must lie inside the predicted
-/// interval, and the interval must not contradict the sign-taint lattice.
-fn cross_check(
-    spec: &TapeSpec,
-    i: usize,
-    interval: Interval,
-    signs: &[Sign],
-    diags: &mut Vec<Diagnostic>,
-) {
+/// Analyzer self-check: the observed runtime range must lie inside the
+/// predicted interval.
+fn cross_check(spec: &TapeSpec, i: usize, interval: Interval, diags: &mut Vec<Diagnostic>) {
     let node = &spec.nodes[i];
-    if !node.kind.is_input() {
-        if let Some((mn, mx)) = node.value_range {
-            if mn.is_nan() {
-                diags.push(Diagnostic {
-                    pass: Pass::ValueRange,
-                    severity: Severity::Error,
-                    node: Some(i),
-                    msg: format!(
-                        "{}: runtime value contains NaN although the predicted interval \
-                         [{:.3e}, {:.3e}] is NaN-free — analyzer soundness violation",
-                        node.kind.name(),
-                        interval.lo,
-                        interval.hi
-                    ),
-                });
-            } else if f64::from(mn) < interval.lo || f64::from(mx) > interval.hi {
-                diags.push(Diagnostic {
-                    pass: Pass::ValueRange,
-                    severity: Severity::Error,
-                    node: Some(i),
-                    msg: format!(
-                        "{}: observed runtime range [{mn:.3e}, {mx:.3e}] escapes the predicted \
-                         interval [{:.3e}, {:.3e}] — analyzer soundness violation",
-                        node.kind.name(),
-                        interval.lo,
-                        interval.hi
-                    ),
-                });
-            }
-        }
+    if node.kind.is_input() {
+        return;
     }
-    match signs.get(i) {
-        Some(Sign::Pos) if interval.hi <= 0.0 => diags.push(Diagnostic {
+    let Some((mn, mx)) = node.value_range else { return };
+    if mn.is_nan() {
+        diags.push(Diagnostic {
             pass: Pass::ValueRange,
             severity: Severity::Error,
             node: Some(i),
             msg: format!(
-                "{}: sign-taint proves Pos but the interval [{:.3e}, {:.3e}] sits at or below \
-                 zero — the abstract domains contradict each other",
+                "{}: runtime value contains NaN although the predicted interval \
+                 [{:.3e}, {:.3e}] is NaN-free — analyzer soundness violation",
                 node.kind.name(),
                 interval.lo,
                 interval.hi
             ),
-        }),
-        Some(Sign::NonNeg) if interval.hi < 0.0 => diags.push(Diagnostic {
+        });
+    } else if f64::from(mn) < interval.lo || f64::from(mx) > interval.hi {
+        diags.push(Diagnostic {
             pass: Pass::ValueRange,
             severity: Severity::Error,
             node: Some(i),
             msg: format!(
-                "{}: sign-taint proves NonNeg but the interval [{:.3e}, {:.3e}] is strictly \
-                 negative — the abstract domains contradict each other",
+                "{}: observed runtime range [{mn:.3e}, {mx:.3e}] escapes the predicted \
+                 interval [{:.3e}, {:.3e}] — analyzer soundness violation",
                 node.kind.name(),
                 interval.lo,
                 interval.hi
             ),
-        }),
-        _ => {}
+        });
     }
 }
 
@@ -621,9 +580,8 @@ mod tests {
         let mut diags = vec![];
         let shapes = crate::shape::analyze(spec, &mut diags).shapes;
         assert!(diags.is_empty(), "fixture should be shape-clean: {diags:?}");
-        let signs = crate::taint::analyze(spec, &shapes, &mut diags);
         let own = crate::fperror::own_extents(spec, &shapes);
-        let info = analyze(spec, &shapes, &signs, &own, &mut diags);
+        let info = analyze(spec, &shapes, &own, &mut diags);
         let range_diags = diags.into_iter().filter(|d| d.pass == Pass::ValueRange).collect();
         (info, range_diags)
     }

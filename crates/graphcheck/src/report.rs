@@ -1,15 +1,16 @@
 //! Diagnostic and report types shared by all analysis passes.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Version of the rendered/serialized report format. Bumped whenever the
-/// report layout changes so golden re-derivations are diffable across PRs:
-/// a diff whose only `report-version` line changed is a format migration,
-/// anything else is a behavior change.
+/// Version of the rendered report format. Bumped whenever the report layout
+/// changes so golden re-derivations are diffable across PRs: a diff whose
+/// only `report-version` line changed is a format migration, anything else
+/// is a behavior change.
 ///
-/// v3: adds this header plus the JSON serialization ([`AuditReport::to_json`]).
-pub const REPORT_VERSION: u32 = 3;
+/// v3: adds this header.
+/// v4: drops the `nan-taint:` line and the `memory:` block; the `cost:` line
+/// carries the tape's total output bytes instead.
+pub const REPORT_VERSION: u32 = 4;
 
 /// Which analysis pass produced a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -20,10 +21,6 @@ pub enum Pass {
     Shape,
     /// Gradient-flow reachability.
     GradFlow,
-    /// NaN-hazard sign taint.
-    NanTaint,
-    /// Liveness / memory estimation.
-    Liveness,
     /// Interval-domain value ranges (overflow / NaN / pole proofs).
     ValueRange,
     /// Float-error accumulation depth.
@@ -41,8 +38,6 @@ impl Pass {
             Pass::Structure => "structure",
             Pass::Shape => "shape",
             Pass::GradFlow => "grad-flow",
-            Pass::NanTaint => "nan-taint",
-            Pass::Liveness => "liveness",
             Pass::ValueRange => "ranges",
             Pass::FloatError => "float-error",
             Pass::Determinism => "determinism",
@@ -88,29 +83,6 @@ pub struct Diagnostic {
     pub msg: String,
 }
 
-/// Byte accounting from the liveness pass (f32 elements, 4 bytes each).
-#[derive(Debug, Clone, Default)]
-pub struct MemoryReport {
-    /// Bytes of every forward value on the tape. The tape retains all of
-    /// them until the graph is dropped, so this is the real forward cost.
-    pub tape_bytes: usize,
-    /// Hypothetical peak if forward values were freed eagerly at last use —
-    /// the lower bound a checkpointing/freeing executor could reach.
-    pub forward_eager_peak_bytes: usize,
-    /// Peak of simultaneously-live gradient buffers during the reverse
-    /// sweep (on top of the retained tape).
-    pub backward_grad_peak_bytes: usize,
-    /// Forward-value bytes per op family, for the report's top-k table.
-    pub bytes_per_op: BTreeMap<&'static str, usize>,
-}
-
-impl MemoryReport {
-    /// Peak of the backward phase: retained tape plus peak live gradients.
-    pub fn backward_phase_peak_bytes(&self) -> usize {
-        self.tape_bytes + self.backward_grad_peak_bytes
-    }
-}
-
 /// Outcome of a full audit of one model graph.
 #[derive(Debug, Clone)]
 pub struct AuditReport {
@@ -126,10 +98,6 @@ pub struct AuditReport {
     pub inferred_shapes: usize,
     /// All findings, in pass order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Liveness accounting.
-    pub memory: MemoryReport,
-    /// Node count per op family.
-    pub op_counts: BTreeMap<&'static str, usize>,
     /// Interval-domain value ranges (`None` when the audit short-circuited).
     pub ranges: Option<crate::range::RangeSummary>,
     /// Float-error accumulation depths.
@@ -199,8 +167,6 @@ impl AuditReport {
             "grad-flow: {flow_status} ({}/{} parameters reachable from the loss)",
             self.reachable_params, self.param_count
         );
-        let hazards = self.diagnostics.iter().filter(|d| d.pass == Pass::NanTaint).count();
-        let _ = writeln!(out, "nan-taint: {hazards} hazard(s)");
         match &self.ranges {
             Some(r) => {
                 let status = if self
@@ -255,28 +221,14 @@ impl AuditReport {
                 let _ = writeln!(out, "determinism: skipped");
             }
         }
-        let _ = writeln!(
-            out,
-            "memory: tape {} | forward eager-free peak {} | backward peak {} (tape + grads {})",
-            fmt_bytes(self.memory.tape_bytes),
-            fmt_bytes(self.memory.forward_eager_peak_bytes),
-            fmt_bytes(self.memory.backward_grad_peak_bytes),
-            fmt_bytes(self.memory.backward_phase_peak_bytes()),
-        );
-        let mut by_bytes: Vec<(&str, usize)> =
-            self.memory.bytes_per_op.iter().map(|(&k, &v)| (k, v)).collect();
-        by_bytes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        for (name, bytes) in by_bytes.iter().take(6) {
-            let count = self.op_counts.get(name).copied().unwrap_or(0);
-            let _ = writeln!(out, "  {name:<20} {count:>5} node(s)  {}", fmt_bytes(*bytes));
-        }
         match &self.cost {
             Some(cost) => {
                 let _ = writeln!(
                     out,
-                    "cost: fwd {} + bwd {} | traffic {} | {} flop/B",
+                    "cost: fwd {} + bwd {} | tape {} | traffic {} | {} flop/B",
                     fmt_flops(cost.total_fwd_flops),
                     fmt_flops(cost.total_bwd_flops),
+                    fmt_bytes(usize::try_from(cost.total_out_bytes).unwrap_or(usize::MAX)),
                     fmt_bytes(usize::try_from(cost.total_traffic_bytes).unwrap_or(usize::MAX)),
                     fmt_hundredths(
                         (cost.total_traffic_bytes > 0)
@@ -315,160 +267,6 @@ impl AuditReport {
             }
         }
         out
-    }
-
-    /// Deterministic machine-readable JSON rendering of the report, for CI
-    /// jobs that diff audits structurally instead of via golden text. The
-    /// field set mirrors [`AuditReport::render`]; diagnostics are emitted in
-    /// the same sorted order as the text report so two JSON reports for the
-    /// same graph are byte-identical.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let _ = write!(out, "\"report_version\":{REPORT_VERSION}");
-        let _ = write!(out, ",\"model\":{}", json_str(&self.model));
-        let _ = write!(out, ",\"nodes\":{}", self.node_count);
-        let _ = write!(out, ",\"params\":{}", self.param_count);
-        let _ = write!(out, ",\"reachable_params\":{}", self.reachable_params);
-        let _ = write!(out, ",\"inferred_shapes\":{}", self.inferred_shapes);
-        let _ = write!(out, ",\"errors\":{}", self.count(Severity::Error));
-        let _ = write!(out, ",\"warnings\":{}", self.count(Severity::Warning));
-        let _ = write!(out, ",\"info\":{}", self.count(Severity::Info));
-        let _ = write!(
-            out,
-            ",\"memory\":{{\"tape_bytes\":{},\"forward_eager_peak_bytes\":{},\
-             \"backward_grad_peak_bytes\":{}}}",
-            self.memory.tape_bytes,
-            self.memory.forward_eager_peak_bytes,
-            self.memory.backward_grad_peak_bytes
-        );
-        out.push_str(",\"op_counts\":{");
-        for (i, (name, count)) in self.op_counts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{count}", json_str(name));
-        }
-        out.push('}');
-        match &self.ranges {
-            Some(r) => {
-                let _ = write!(
-                    out,
-                    ",\"ranges\":{{\"bounded\":{},\"total\":{},\"max_abs_bound\":{}}}",
-                    r.bounded,
-                    r.total,
-                    json_f64(r.max_abs_bound)
-                );
-            }
-            None => out.push_str(",\"ranges\":null"),
-        }
-        match &self.float_error {
-            Some(fe) => {
-                let _ = write!(
-                    out,
-                    ",\"float_error\":{{\"max_own\":{},\"limit\":{},\"loss_depth\":{}}}",
-                    fe.max_own, fe.limit, fe.loss_depth
-                );
-            }
-            None => out.push_str(",\"float_error\":null"),
-        }
-        match &self.determinism {
-            Some(det) => {
-                let _ = write!(
-                    out,
-                    ",\"determinism\":{{\"certified\":{},\"total\":{},\"rng_nodes\":{},\
-                     \"unknown\":{},\"violations\":{}}}",
-                    det.certified, det.total, det.rng_nodes, det.unknown, det.violations
-                );
-            }
-            None => out.push_str(",\"determinism\":null"),
-        }
-        match &self.cost {
-            Some(cost) => {
-                let _ = write!(
-                    out,
-                    ",\"cost\":{{\"fwd_flops\":{},\"bwd_flops\":{},\"out_bytes\":{},\
-                     \"traffic_bytes\":{},\"unknown_nodes\":{},\"per_family\":{{",
-                    cost.total_fwd_flops,
-                    cost.total_bwd_flops,
-                    cost.total_out_bytes,
-                    cost.total_traffic_bytes,
-                    cost.unknown_nodes
-                );
-                for (i, (name, row)) in cost.per_family.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{}:{{\"count\":{},\"fwd_flops\":{},\"bwd_flops\":{},\"out_bytes\":{},\
-                         \"traffic_bytes\":{}}}",
-                        json_str(name),
-                        row.count,
-                        row.fwd_flops,
-                        row.bwd_flops,
-                        row.out_bytes,
-                        row.traffic_bytes
-                    );
-                }
-                out.push_str("}}");
-            }
-            None => out.push_str(",\"cost\":null"),
-        }
-        out.push_str(",\"diagnostics\":[");
-        let mut ordered: Vec<&Diagnostic> = self.diagnostics.iter().collect();
-        ordered.sort_by_key(|d| (d.pass, d.severity, d.node.unwrap_or(usize::MAX)));
-        for (i, d) in ordered.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"pass\":{},\"severity\":{},\"node\":",
-                json_str(d.pass.name()),
-                json_str(d.severity.name())
-            );
-            match d.node {
-                Some(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                None => out.push_str("null"),
-            }
-            let _ = write!(out, ",\"msg\":{}}}", json_str(&d.msg));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Escape a string for inclusion in JSON output.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Render a float as a JSON number (`null` when non-finite, which JSON
-/// cannot represent). Rust's shortest-roundtrip formatting is deterministic.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -531,8 +329,6 @@ mod tests {
             reachable_params: 0,
             inferred_shapes: 0,
             diagnostics: vec![],
-            memory: MemoryReport::default(),
-            op_counts: BTreeMap::new(),
             ranges: None,
             float_error: None,
             determinism: None,
@@ -558,8 +354,6 @@ mod tests {
             reachable_params: 0,
             inferred_shapes: 0,
             diagnostics: vec![],
-            memory: MemoryReport::default(),
-            op_counts: BTreeMap::new(),
             ranges: None,
             float_error: None,
             determinism: None,
@@ -571,35 +365,5 @@ mod tests {
                 .starts_with(&format!("== graph audit: m ==\nreport-version: {REPORT_VERSION}\n")),
             "{rendered}"
         );
-    }
-
-    #[test]
-    fn json_escapes_and_is_deterministic() {
-        let mut r = AuditReport {
-            model: "quote\"back\\slash\nnewline".into(),
-            node_count: 2,
-            param_count: 1,
-            reachable_params: 1,
-            inferred_shapes: 2,
-            diagnostics: vec![],
-            memory: MemoryReport::default(),
-            op_counts: BTreeMap::new(),
-            ranges: None,
-            float_error: None,
-            determinism: None,
-            cost: None,
-        };
-        r.diagnostics.push(Diagnostic {
-            pass: Pass::Shape,
-            severity: Severity::Warning,
-            node: None,
-            msg: "tab\there".into(),
-        });
-        let j = r.to_json();
-        assert_eq!(j, r.to_json(), "serialization must be deterministic");
-        assert!(j.contains("\"model\":\"quote\\\"back\\\\slash\\nnewline\""), "{j}");
-        assert!(j.contains("\"node\":null,\"msg\":\"tab\\there\""), "{j}");
-        assert!(j.contains(&format!("\"report_version\":{REPORT_VERSION}")), "{j}");
-        assert!(j.contains("\"ranges\":null"), "{j}");
     }
 }

@@ -86,22 +86,22 @@ fn ablated_branch_is_downgraded_to_info() {
 #[test]
 fn unguarded_log_reports_the_producer_chain() {
     let mut spec = TapeSpec::new();
-    let w = spec.leaf("w", &[4, 4]);
-    let x = spec.constant(&[4, 4]);
+    let w = spec.leaf_ranged("w", &[4, 4], -1.0, 1.0);
+    let x = spec.constant_ranged(&[4, 4], 0.0, 1.0);
     let h = spec.push(OpKind::Matmul, &[w, x]);
     let l = spec.push(OpKind::LnEps { eps: 0.0 }, &[h]);
     let loss = spec.push(OpKind::SumAll, &[l]);
     let r = audit("unguarded-log", &spec, loss, &no_params(), &AuditOptions::default());
 
-    let hazards: Vec<_> = r.diagnostics.iter().filter(|d| d.pass == Pass::NanTaint).collect();
-    assert_eq!(hazards.len(), 1);
-    assert_eq!(hazards[0].severity, Severity::Warning);
-    assert_eq!(hazards[0].node, Some(l));
+    let errs: Vec<_> = r.errors().collect();
+    assert_eq!(errs.len(), 1, "{}", r.render());
+    assert_eq!(errs[0].pass, Pass::ValueRange);
+    assert_eq!(errs[0].node, Some(l));
     assert_eq!(
-        hazards[0].msg,
+        errs[0].msg,
         format!(
-            "ln_eps: argument of ln_eps(eps=0e0) is not provably positive \
-             (operand %{h} = matmul); chain: %{h} = matmul <- %{w} = leaf \"w\""
+            "ln_eps: argument range [-4.000e0, 4.000e0] + eps=0e0 cannot exclude ln(<= 0); \
+             chain: %{h} = matmul <- %{w} = leaf \"w\""
         )
     );
 }
@@ -109,23 +109,26 @@ fn unguarded_log_reports_the_producer_chain() {
 #[test]
 fn softmax_guard_silences_the_log_hazard() {
     let mut spec = TapeSpec::new();
-    let w = spec.leaf("w", &[4, 4]);
-    let x = spec.constant(&[4, 4]);
+    let w = spec.leaf_ranged("w", &[4, 4], -1.0, 1.0);
+    let x = spec.constant_ranged(&[4, 4], 0.0, 1.0);
     let h = spec.push(OpKind::Matmul, &[w, x]);
     let sm = spec.push(OpKind::SoftmaxLastdim, &[h]);
     let l = spec.push(OpKind::LnEps { eps: 1e-8 }, &[sm]);
-    let _loss = spec.push(OpKind::SumAll, &[l]);
-    let loss = spec.nodes.len() - 1;
+    let loss = spec.push(OpKind::SumAll, &[l]);
     let r = audit("guarded-log", &spec, loss, &no_params(), &AuditOptions::default());
-    assert!(r.diagnostics.iter().all(|d| d.pass != Pass::NanTaint));
+
+    assert!(!r.has_errors(), "{}", r.render());
+    let ranges = r.ranges.as_ref().expect("range pass must run");
+    assert_eq!(ranges.bounded, ranges.total, "{}", r.render());
 }
 
 #[test]
 fn l2_normalize_denominator_is_proven_positive() {
     // x / sqrt(sum(x², axis=-1, keepdim) + eps): the exact pattern
-    // `Graph::l2_normalize_lastdim` emits. No hazard may fire.
+    // `Graph::l2_normalize_lastdim` emits. No pole may fire, and the
+    // quotient stays bounded however wide x is.
     let mut spec = TapeSpec::new();
-    let x = spec.leaf("x", &[6, 8]);
+    let x = spec.leaf_ranged("x", &[6, 8], -1e3, 1e3);
     let sq = spec.push(OpKind::Square, &[x]);
     let s = spec.push(OpKind::SumAxis { axis: 1 }, &[sq]);
     let keep = spec.push(OpKind::Reshape { shape: vec![6, 1] }, &[s]);
@@ -136,12 +139,13 @@ fn l2_normalize_denominator_is_proven_positive() {
     let params = vec![("x".to_string(), x)];
     let r = audit("l2-normalize", &spec, loss, &params, &AuditOptions::default());
 
-    assert!(!r.has_errors());
     assert!(
-        r.diagnostics.iter().all(|d| d.pass != Pass::NanTaint),
+        r.diagnostics.iter().all(|d| d.pass != Pass::ValueRange),
         "l2-normalize must be proven safe, got {:?}",
         r.diagnostics
     );
+    let ranges = r.ranges.as_ref().expect("range pass must run");
+    assert_eq!(ranges.bounded, ranges.total, "{}", r.render());
 }
 
 #[test]
@@ -218,15 +222,13 @@ fn report_renders_deterministically() {
     assert!(a.contains("== graph audit: render-fixture =="));
     assert!(a.contains("shape: OK"));
     assert!(a.contains("grad-flow: OK (1/1 parameters reachable from the loss)"));
-    assert!(a.contains("nan-taint: 0 hazard(s)"));
-    assert!(a.contains("memory: tape"));
 }
 
 #[test]
 fn hypergraph_propagation_tape_audits_clean() {
     // A tape exported from a real executed graph of the two-hop hypergraph
     // propagation (Eq. 4) over a `[Tw, H, RC]` incidence with structural
-    // zeros: shape inference, grad-flow and NaN-taint must all certify it.
+    // zeros: shape inference, grad-flow and the range pass must certify it.
     use sthsl_autograd::Graph;
     use sthsl_tensor::Tensor;
 
@@ -253,7 +255,8 @@ fn hypergraph_propagation_tape_audits_clean() {
     assert_eq!(r.reachable_params, 1);
     let rendered = r.render();
     assert!(rendered.contains("shape: OK"), "{rendered}");
-    assert!(rendered.contains("nan-taint: 0 hazard(s)"), "{rendered}");
+    let ranges = r.ranges.as_ref().expect("range pass must run");
+    assert_eq!(ranges.bounded, ranges.total, "{rendered}");
     // The op is modelled by name, not hidden behind an opaque escape hatch.
     assert!(
         spec.nodes.iter().any(|n| n.kind.name() == "batched_matmul"),

@@ -90,7 +90,6 @@ struct Flags {
     top: usize,
     ranges: bool,
     cost: bool,
-    json: bool,
     addr: Option<String>,
     cache_capacity: usize,
     max_horizon: usize,
@@ -125,7 +124,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         top: 10,
         ranges: false,
         cost: false,
-        json: false,
         addr: None,
         cache_capacity: 1024,
         max_horizon: 7,
@@ -225,10 +223,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--cost" => {
                 f.cost = true;
-                i += 1;
-            }
-            "--json" => {
-                f.json = true;
                 i += 1;
             }
             "--addr" => {
@@ -490,7 +484,8 @@ fn cmd_predict(flags: &Flags) -> Result<String, CliError> {
 
 /// `graph-audit`: statically certify the training graphs of ST-HSL and every
 /// neural baseline — shape consistency, gradient flow to every parameter,
-/// NaN hazards, memory budget — without running a single optimizer step.
+/// value ranges (overflow and NaN poles), float error, determinism and static
+/// cost — without running a single optimizer step.
 fn cmd_graph_audit(flags: &Flags) -> Result<String, CliError> {
     let data = dataset_or_synth(flags)?;
 
@@ -504,22 +499,6 @@ fn cmd_graph_audit(flags: &Flags) -> Result<String, CliError> {
 
     let failing: Vec<&str> =
         reports.iter().filter(|r| r.has_errors()).map(|r| r.model.as_str()).collect();
-
-    if flags.json {
-        // Machine-readable mode: one JSON document wrapping every per-model
-        // report, byte-deterministic for structural diffing in CI. The exit
-        // code still signals the verdict.
-        let body = reports.iter().map(sthsl_graphcheck::AuditReport::to_json).collect::<Vec<_>>();
-        let doc = format!(
-            "{{\"schema\":\"sthsl-graph-audit-v1\",\"clean\":{},\"reports\":[{}]}}",
-            failing.is_empty(),
-            body.join(",")
-        );
-        if let Some(path) = &flags.out {
-            fs::write(path, &doc).map_err(|e| e.to_string())?;
-        }
-        return if failing.is_empty() { Ok(doc) } else { Err(doc.into()) };
-    }
 
     let mut out = String::new();
     for r in &reports {
@@ -765,14 +744,14 @@ const USAGE: &str =
             [--batch-window-ms N]  micro-batch collection window (default 2)
             [--max-requests N]     exit after N requests (for smoke tests)
             (--trace-out writes per-request spans + cache/latency metrics)
-  graph-audit: statically verify every model's training graph
+  graph-audit: statically verify every model's training graph (shapes,
+            grad flow, value ranges, float error, determinism, cost);
+            nonzero exit on any error-level finding
             [--data crimes.csv]    audit against a real dataset (default: synthetic)
             [--out report.txt]     write the full report to a file
             [--ranges]             also print the widest proven value intervals
             [--cost]               also print the full static cost table
             [--top N]              rows in the --ranges listing (default 10)
-            [--json]               emit one machine-readable JSON document
-                                   instead of the text report
   profile:  time one training step per-op and print the hot-op report
             [--data crimes.csv]    profile a real dataset (default: synthetic)
             [--top N]              rows in the report (default 10)
@@ -1093,28 +1072,17 @@ mod tests {
     }
 
     #[test]
-    fn graph_audit_json_emits_one_parseable_document() {
+    fn graph_audit_text_report_is_byte_deterministic() {
         let flags = parse_flags(&str_args(&[
-            "--rows", "4", "--cols", "4", "--days", "60", "--window", "7", "--json",
+            "--rows", "4", "--cols", "4", "--days", "60", "--window", "7",
         ]))
         .unwrap();
-        assert!(flags.json);
         let doc = cmd_graph_audit(&flags).unwrap();
-        let json = crate::obs::parse_json(&doc).unwrap();
-        assert_eq!(
-            json.get("schema").and_then(crate::obs::Json::as_str),
-            Some("sthsl-graph-audit-v1")
-        );
-        assert_eq!(json.get("clean").and_then(crate::obs::Json::as_bool), Some(true));
-        let Some(crate::obs::Json::Arr(reports)) = json.get("reports") else {
-            panic!("reports must be an array: {doc}");
-        };
-        assert_eq!(reports.len(), 14, "one report per audited model");
-        for r in reports {
-            assert!(r.get("report_version").is_some(), "{doc}");
-            assert_eq!(r.get("errors").and_then(crate::obs::Json::as_u64), Some(0), "{doc}");
-        }
-        // Byte-determinism: CI diffs these structurally and textually.
+        let header = format!("report-version: {}\n", sthsl_graphcheck::REPORT_VERSION);
+        assert_eq!(doc.matches(&header).count(), 14, "one report per audited model:\n{doc}");
+        assert_eq!(doc.matches("   errors: 0   ").count(), 14, "{doc}");
+        assert!(doc.ends_with("audited 14 model graphs: all clean"), "{doc}");
+        // Byte-determinism: the text report is the one format CI diffs.
         assert_eq!(doc, cmd_graph_audit(&flags).unwrap());
     }
 
