@@ -2,21 +2,18 @@
 
 use crate::graph::{Graph, Var};
 use crate::tape::OpKind;
-use rand::Rng;
-use sthsl_tensor::{Result, Tensor};
+use sthsl_tensor::{Result, Tensor, TensorError};
 
 impl Graph {
     /// Leaky rectified linear unit with negative slope `alpha` — the
     /// activation the ST-HSL paper denotes σ(·) in Eqs. 2–5.
     pub fn leaky_relu(&self, x: Var, alpha: f32) -> Var {
-        let out = self.value(x).map(|v| if v > 0.0 { v } else { alpha * v });
+        let out = self.value(x).leaky_relu(alpha);
         self.op(
             OpKind::LeakyRelu { alpha },
             out,
             vec![x],
-            Box::new(move |g, p, _| {
-                Ok(vec![Some(g.zip_map(&p[0], |gv, xv| if xv > 0.0 { gv } else { alpha * gv })?)])
-            }),
+            Box::new(move |g, p, _| Ok(vec![Some(g.leaky_relu_grad(&p[0], alpha)?)])),
         )
     }
 
@@ -32,7 +29,7 @@ impl Graph {
             OpKind::Sigmoid,
             out,
             vec![x],
-            Box::new(|g, _, y| Ok(vec![Some(g.zip_map(y, |gv, yv| gv * yv * (1.0 - yv))?)])),
+            Box::new(|g, _, y| Ok(vec![Some(g.zip_map(y, move |gv, yv| gv * yv * (1.0 - yv))?)])),
         )
     }
 
@@ -43,7 +40,7 @@ impl Graph {
             OpKind::Tanh,
             out,
             vec![x],
-            Box::new(|g, _, y| Ok(vec![Some(g.zip_map(y, |gv, yv| gv * (1.0 - yv * yv))?)])),
+            Box::new(|g, _, y| Ok(vec![Some(g.zip_map(y, move |gv, yv| gv * (1.0 - yv * yv))?)])),
         )
     }
 
@@ -55,23 +52,25 @@ impl Graph {
 
     /// Natural log of `x + eps` (the eps guards sparse zero counts).
     pub fn ln_eps(&self, x: Var, eps: f32) -> Var {
-        let out = self.value(x).map(|v| (v + eps).ln());
+        let out = self.value(x).map(move |v| (v + eps).ln());
         self.op(
             OpKind::LnEps { eps },
             out,
             vec![x],
-            Box::new(move |g, p, _| Ok(vec![Some(g.zip_map(&p[0], |gv, xv| gv / (xv + eps))?)])),
+            Box::new(move |g, p, _| {
+                Ok(vec![Some(g.zip_map(&p[0], move |gv, xv| gv / (xv + eps))?)])
+            }),
         )
     }
 
     /// Elementwise square root of `x + eps`.
     pub fn sqrt_eps(&self, x: Var, eps: f32) -> Var {
-        let out = self.value(x).map(|v| (v + eps).sqrt());
+        let out = self.value(x).map(move |v| (v + eps).sqrt());
         self.op(
             OpKind::SqrtEps { eps },
             out,
             vec![x],
-            Box::new(|g, _, y| Ok(vec![Some(g.zip_map(y, |gv, yv| gv / (2.0 * yv))?)])),
+            Box::new(|g, _, y| Ok(vec![Some(g.zip_map(y, move |gv, yv| gv / (2.0 * yv))?)])),
         )
     }
 
@@ -85,29 +84,26 @@ impl Graph {
             out,
             vec![x],
             Box::new(|g, p, _| {
-                Ok(vec![Some(g.zip_map(&p[0], |gv, xv| gv / (1.0 + (-xv).exp()))?)])
+                Ok(vec![Some(g.zip_map(&p[0], move |gv, xv| gv / (1.0 + (-xv).exp()))?)])
             }),
         )
     }
 
     /// Inverted dropout with keep-scaling. Identity in inference mode or when
-    /// `p == 0`. The mask is sampled from the graph's seeded RNG, so training
-    /// runs are reproducible.
+    /// `p <= 0`. The mask is sampled from the graph's seeded RNG, so training
+    /// runs are reproducible. A NaN or `p >= 1` is a typed error in either
+    /// mode: it would drop every element.
     pub fn dropout(&self, x: Var, p: f32) -> Result<Var> {
+        if p.is_nan() || p >= 1.0 {
+            return Err(TensorError::Invalid(format!(
+                "dropout probability must be below 1, got {p}"
+            )));
+        }
         if !self.is_training() || p <= 0.0 {
             return Ok(x);
         }
-        let keep = 1.0 - p;
         let xv = self.value(x);
-        let mut mask = Tensor::zeros(xv.shape());
-        {
-            let mut rng = self.rng.borrow_mut();
-            for m in mask.data_mut() {
-                if rng.gen::<f32>() < keep {
-                    *m = 1.0 / keep;
-                }
-            }
-        }
+        let mask = Tensor::dropout_mask(xv.shape(), 1.0 - p, &mut *self.rng.borrow_mut());
         let out = xv.mul(&mask)?;
         Ok(self.op(
             OpKind::Dropout { p },
@@ -194,6 +190,21 @@ mod tests {
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
         // Surviving entries are scaled by 1/keep.
         assert!(g.value(y).data().iter().all(|&v| v == 0.0 || (v - 1.0 / 0.7).abs() < 1e-5));
+    }
+
+    #[test]
+    fn dropout_rejects_nan_and_probabilities_of_one_or_more() {
+        for p in [f32::NAN, 1.0, 1.5, f32::INFINITY] {
+            for g in [Graph::training(3), Graph::new()] {
+                let x = g.leaf(t(vec![1.0, 2.0]));
+                let err = g.dropout(x, p).unwrap_err();
+                assert!(matches!(err, TensorError::Invalid(_)), "p = {p}: {err:?}");
+            }
+        }
+        // The boundary just below 1 still samples a mask.
+        let g = Graph::training(3);
+        let x = g.leaf(Tensor::ones(&[64]));
+        assert!(g.dropout(x, 0.999).is_ok());
     }
 
     #[test]

@@ -500,7 +500,7 @@ fn broadcast(kind: &OpKind, lhs: &[usize], rhs: &[usize]) -> Result<Vec<usize>, 
         let l = if i < ndim - lhs.len() { 1 } else { lhs[i - (ndim - lhs.len())] };
         let r = if i < ndim - rhs.len() { 1 } else { rhs[i - (ndim - rhs.len())] };
         if l == r || l == 1 || r == 1 {
-            *slot = l.max(r);
+            *slot = if l == 1 { r } else { l };
         } else {
             return Err(format!(
                 "{}: shapes {lhs:?} and {rhs:?} are not broadcastable",

@@ -39,6 +39,14 @@
 //!   training run, and an `unreachable!` is an unproved invariant — prove it
 //!   in the type system or return an error. Test code and binaries keep
 //!   them (an `else { unreachable!() }` in a test is an assertion).
+//! - **R9 `kernel-closure-by-ref`** — in `tensor` and `autograd`, a closure
+//!   literal passed to `parallel_rows_mut(`, `zip_map(` or `map_inplace(`
+//!   must be a `move` closure. Such a closure runs once per element or row;
+//!   a scalar it captures by reference is re-read through a pointer on
+//!   every call, which kept LeakyReLU's per-element loop from vectorizing.
+//!   A `move` closure copies the scalar in. Approximation: `.map(` is left
+//!   out, because the lexer cannot tell `Tensor::map` from `Iterator::map`
+//!   and `Option::map`, whose closures may rightly borrow.
 //!
 //! Rules are lexical by design: they see the token stream of
 //! [`crate::lexer`], never a full AST, so they are cheap, total and easy to
@@ -63,7 +71,7 @@ pub struct Violation {
 }
 
 /// All rule slugs, in catalog order.
-pub const ALL_RULES: [&str; 8] = [
+pub const ALL_RULES: [&str; 9] = [
     "unsafe-without-safety-comment",
     "thread-outside-pool",
     "panic-in-library",
@@ -72,6 +80,7 @@ pub const ALL_RULES: [&str; 8] = [
     "print-in-library",
     "lossy-cast-in-kernel",
     "unfinished-code",
+    "kernel-closure-by-ref",
 ];
 
 /// How a file participates in the rule catalog, derived from its
@@ -92,6 +101,8 @@ pub struct FileClass {
     pub is_cast_kernel: bool,
     /// Inside `crates/parallel` (the one place threads may live).
     pub is_pool: bool,
+    /// Inside `tensor` or `autograd`, whose elementwise closures R9 checks.
+    pub is_closure_kernel: bool,
 }
 
 impl FileClass {
@@ -115,6 +126,7 @@ impl FileClass {
             is_kernel: matches!(crate_name, Some("tensor" | "autograd" | "parallel")),
             is_cast_kernel: matches!(crate_name, Some("tensor" | "parallel")),
             is_pool: crate_name == Some("parallel"),
+            is_closure_kernel: matches!(crate_name, Some("tensor" | "autograd")),
         }
     }
 
@@ -467,6 +479,46 @@ pub fn check_file(rel: &str, toks: &[Tok]) -> Vec<Violation> {
                     t.text
                 ),
             });
+        }
+
+        // R9: closure literals handed to the per-element/per-row kernel
+        // entry points must be `move`. Scan the call's own argument list
+        // (depth 1 of its parentheses) for a `|` that opens a closure: one
+        // right after the `(` or a `,`, which a `move` would precede.
+        if class.is_closure_kernel
+            && !class.is_test_file
+            && !in_test
+            && t.kind == TokKind::Ident
+            && matches!(t.text.as_str(), "parallel_rows_mut" | "zip_map" | "map_inplace")
+            && tok_at(ci + 1).is_some_and(|n| n.is_punct("("))
+            && !tok_at(ci - 1).is_some_and(|p| p.is_ident("fn"))
+        {
+            let mut depth = 0usize;
+            let mut cj = ci + 1;
+            while let Some(tk) = tok_at(cj) {
+                if tk.is_punct("(") || tk.is_punct("[") || tk.is_punct("{") {
+                    depth += 1;
+                } else if tk.is_punct(")") || tk.is_punct("]") || tk.is_punct("}") {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        break;
+                    }
+                } else if depth == 1
+                    && tk.is_punct("|")
+                    && tok_at(cj - 1).is_some_and(|p| p.is_punct("(") || p.is_punct(","))
+                {
+                    out.push(Violation {
+                        rule: "kernel-closure-by-ref",
+                        path: rel.to_string(),
+                        line: tk.line,
+                        msg: format!(
+                            "closure passed to `{}(` without `move` — captured scalars are re-read through a reference per element",
+                            t.text
+                        ),
+                    });
+                }
+                cj += 1;
+            }
         }
     }
     out

@@ -89,6 +89,22 @@ fn bad_unfinished_triggers_only_r8_outside_tests_and_bins() {
 }
 
 #[test]
+fn bad_closure_by_ref_triggers_only_r9_in_tensor_and_autograd() {
+    for class in ["crates/tensor/src/fixture.rs", "crates/autograd/src/fixture.rs"] {
+        let v = lint_fixture("bad_closure_by_ref.rs", class);
+        assert_eq!(by_rule(&v), BTreeMap::from([("kernel-closure-by-ref", 3)]), "{class}");
+        let lines: Vec<usize> = v.iter().map(|x| x.line).collect();
+        assert_eq!(lines, vec![21, 25, 29], "diagnostics must point at each closure");
+    }
+    // Other crates, the pool crate included, and test files are out of scope.
+    for class in
+        ["crates/parallel/src/fixture.rs", "crates/core/src/fixture.rs", "crates/tensor/tests/x.rs"]
+    {
+        assert!(lint_fixture("bad_closure_by_ref.rs", class).is_empty(), "{class}");
+    }
+}
+
+#[test]
 fn good_kernel_passes_every_rule_under_kernel_classification() {
     for class in [
         "crates/tensor/src/fixture.rs",

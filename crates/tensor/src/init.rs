@@ -15,6 +15,27 @@ impl Tensor {
         t
     }
 
+    /// Inverted-dropout mask: one `rng.gen::<f32>()` draw per element in
+    /// row-major order, `1 / keep` where the draw is below `keep` and `0.0`
+    /// elsewhere.
+    ///
+    /// The draws are stored first and turned into mask values in a second
+    /// pass, a select the compiler vectorizes; fused into the draw loop it
+    /// compiles to one branch per element, mispredicted at every dropped
+    /// one. A select, not `kept · (1 / keep)`: at `keep = 0` the scale is
+    /// `∞` and `0 · ∞` would be NaN.
+    pub fn dropout_mask(shape: &[usize], keep: f32, rng: &mut impl Rng) -> Tensor {
+        let scale = 1.0 / keep;
+        let mut mask = Tensor::zeros(shape);
+        for m in mask.data_mut() {
+            *m = rng.gen::<f32>();
+        }
+        for m in mask.data_mut() {
+            *m = if *m < keep { scale } else { 0.0 };
+        }
+        mask
+    }
+
     /// Gaussian samples with the given mean and standard deviation.
     ///
     /// A degenerate `std` (negative or non-finite) yields the distribution's

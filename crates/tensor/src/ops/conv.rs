@@ -326,7 +326,7 @@ fn forward(x: &[f32], wt: &[f32], bias: Option<&[f32]>, g: Geom) -> Vec<f32> {
         g.b * g.cout,
         out_plane,
         min_planes,
-        |planes, band| {
+        move |planes, band| {
             for (local, plane) in planes.enumerate() {
                 let (bi, co) = (plane / g.cout, plane % g.cout);
                 let oplane = &mut band[local * out_plane..(local + 1) * out_plane];
@@ -363,7 +363,7 @@ fn grad_input(go: &[f32], wt: &[f32], g: Geom) -> Vec<f32> {
     let mut gx = vec![0.0f32; g.b * block];
     // Each batch element's input-gradient block is disjoint.
     let min_rows = (MIN_WORK_PER_BAND / (g.cout * out_plane * g.macs_per_out()).max(1)).max(1);
-    sthsl_parallel::parallel_rows_mut(&mut gx, g.b, block, min_rows, |batches, band| {
+    sthsl_parallel::parallel_rows_mut(&mut gx, g.b, block, min_rows, move |batches, band| {
         for (local, bi) in batches.enumerate() {
             let gblock = &mut band[local * block..(local + 1) * block];
             for co in 0..g.cout {
@@ -415,7 +415,7 @@ fn grad_weight(go: &[f32], x: &[f32], g: Geom) -> Vec<f32> {
     // outside the band's out-channels shares one patch buffer among them
     // without changing any weight's `(bi, oy, ox)` order.
     let min_rows = (MIN_WORK_PER_BAND / (g.b * out_plane * kvol).max(1)).max(1);
-    sthsl_parallel::parallel_rows_mut(&mut gw, g.cout, kvol, min_rows, |couts, band| {
+    sthsl_parallel::parallel_rows_mut(&mut gw, g.cout, kvol, min_rows, move |couts, band| {
         let mut patches = vec![0.0f32; out_plane * kvol];
         for bi in 0..g.b {
             im2col(&mut patches, &x[bi * g.cin * in_plane..][..g.cin * in_plane], &g, &rows, &cols);

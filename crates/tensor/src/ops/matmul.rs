@@ -54,7 +54,7 @@ impl Product {
             self.batch * self.m,
             self.n,
             min_rows,
-            |rows, band| {
+            move |rows, band| {
                 matmul_band(a, b, self, rows, band);
             },
         );
@@ -186,7 +186,7 @@ impl Tensor {
         let a = self.data();
         let mut out = vec![0.0f32; m * n];
         let min_rows = ((1 << 14) / m.max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(&mut out, n, m, min_rows, |rows, band| {
+        sthsl_parallel::parallel_rows_mut(&mut out, n, m, min_rows, move |rows, band| {
             for (local, j) in rows.enumerate() {
                 let orow = &mut band[local * m..(local + 1) * m];
                 for (i, o) in orow.iter_mut().enumerate() {
@@ -207,7 +207,7 @@ impl Tensor {
         let x = v.data();
         let mut out = vec![0.0f32; m];
         let min_rows = (MIN_FLOPS_PER_BAND / (2 * k).max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(&mut out, m, 1, min_rows, |rows, band| {
+        sthsl_parallel::parallel_rows_mut(&mut out, m, 1, min_rows, move |rows, band| {
             for (local, i) in rows.enumerate() {
                 let row = &a[i * k..(i + 1) * k];
                 band[local] = row.iter().zip(x).map(|(&av, &xv)| av * xv).sum();

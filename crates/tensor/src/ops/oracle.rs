@@ -1,7 +1,9 @@
 //! Test oracles: the direct convolution and permute loops that the
 //! vectorizable kernels in [`super::conv`] and [`super::manip`] replaced,
-//! and the cache-blocked row-axpy loop that the register-tiled kernel in
-//! [`super::matmul`] replaced, kept verbatim. Each output element here
+//! the cache-blocked row-axpy loop that the register-tiled kernel in
+//! [`super::matmul`] replaced, and the per-element broadcast, axis and
+//! activation loops and the branchy dropout mask that the row-wise
+//! elementwise kernels replaced, kept verbatim. Each output element here
 //! receives its f32 operations one at a time in the defining order, so a
 //! bit-for-bit match against these loops is the kernel contract (DESIGN.md
 //! §6b). Shapes are assumed valid; the property tests below only feed
@@ -9,8 +11,10 @@
 #![cfg(test)]
 
 use super::conv::Pad1d;
-use crate::shape::strides_of;
+use crate::shape::{broadcast_shapes, strides_of};
+use crate::tensor::broadcast_strides;
 use crate::Tensor;
+use rand::Rng;
 use std::ops::Range;
 
 const MIN_WORK_PER_BAND: usize = 1 << 15;
@@ -384,6 +388,134 @@ pub fn permute(t: &Tensor, perm: &[usize]) -> Tensor {
     Tensor::from_vec(out, &out_shape).unwrap()
 }
 
+/// `Tensor::zip_map` with broadcasting: one odometer step per element.
+pub fn zip_map(lhs: &Tensor, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    let out_shape = broadcast_shapes(lhs.shape(), rhs.shape()).unwrap();
+    let out_len: usize = out_shape.iter().product();
+    let mut data = vec![0.0f32; out_len];
+    let lhs_bstrides = broadcast_strides(lhs.shape(), &out_shape);
+    let rhs_bstrides = broadcast_strides(rhs.shape(), &out_shape);
+    let ndim = out_shape.len();
+    let mut idx = vec![0usize; ndim];
+    for slot in &mut data {
+        let mut l = 0usize;
+        let mut r = 0usize;
+        for d in 0..ndim {
+            l += idx[d] * lhs_bstrides[d];
+            r += idx[d] * rhs_bstrides[d];
+        }
+        *slot = f(lhs.data()[l], rhs.data()[r]);
+        // advance odometer
+        for d in (0..ndim).rev() {
+            idx[d] += 1;
+            if idx[d] < out_shape[d] {
+                break;
+            }
+            idx[d] = 0;
+        }
+    }
+    Tensor::from_vec(data, &out_shape).unwrap()
+}
+
+/// `Tensor::reduce_to_shape`: every source element added onto its target
+/// element in source order, one odometer step per element.
+pub fn reduce_to_shape(t: &Tensor, target_shape: &[usize]) -> Tensor {
+    if t.shape() == target_shape {
+        return t.clone();
+    }
+    let mut out = Tensor::zeros(target_shape);
+    let tgt_bstrides = broadcast_strides(target_shape, t.shape());
+    let ndim = t.ndim();
+    let mut idx = vec![0usize; ndim];
+    for &v in t.data() {
+        let mut off = 0usize;
+        for d in 0..ndim {
+            off += idx[d] * tgt_bstrides[d];
+        }
+        out.data_mut()[off] += v;
+        for d in (0..ndim).rev() {
+            idx[d] += 1;
+            if idx[d] < t.shape()[d] {
+                break;
+            }
+            idx[d] = 0;
+        }
+    }
+    out
+}
+
+/// `Tensor::sum_axis` (`mean = false`) and `Tensor::mean_axis`.
+pub fn reduce_axis(t: &Tensor, axis: usize, mean: bool) -> Tensor {
+    let shape = t.shape();
+    let out_shape: Vec<usize> =
+        shape.iter().enumerate().filter(|(i, _)| *i != axis).map(|(_, &d)| d).collect();
+    let axis_len = shape[axis];
+    let strides = strides_of(shape);
+    let outer: usize = shape[..axis].iter().product();
+    let inner: usize = shape[axis + 1..].iter().product();
+    let mut out = vec![0.0f32; outer * inner];
+    let x = t.data();
+    let min_rows = (MIN_WORK_PER_BAND / (axis_len * inner).max(1)).max(1);
+    sthsl_parallel::parallel_rows_mut(&mut out, outer, inner, min_rows, |outers, band| {
+        for (local, o) in outers.enumerate() {
+            let orow = &mut band[local * inner..(local + 1) * inner];
+            for a in 0..axis_len {
+                let base = o * axis_len * inner + a * strides[axis];
+                let xrow = &x[base..base + inner];
+                for (ov, &xv) in orow.iter_mut().zip(xrow) {
+                    *ov += xv;
+                }
+            }
+            if mean && axis_len > 0 {
+                let inv = 1.0 / axis_len as f32;
+                for v in orow.iter_mut() {
+                    *v *= inv;
+                }
+            }
+        }
+    });
+    Tensor::from_vec(out, &out_shape).unwrap()
+}
+
+/// `Tensor::repeat_axis`: one row copy per repeat, whatever the row length.
+pub fn repeat_axis(t: &Tensor, axis: usize, axis_len: usize) -> Tensor {
+    let mut out_shape = t.shape().to_vec();
+    out_shape.insert(axis, axis_len);
+    let outer: usize = t.shape()[..axis].iter().product();
+    let inner: usize = t.shape()[axis..].iter().product();
+    let x = t.data();
+    let mut out = vec![0.0f32; outer * axis_len * inner];
+    for o in 0..outer {
+        let src = &x[o * inner..(o + 1) * inner];
+        for a in 0..axis_len {
+            let dst_base = (o * axis_len + a) * inner;
+            out[dst_base..dst_base + inner].copy_from_slice(src);
+        }
+    }
+    Tensor::from_vec(out, &out_shape).unwrap()
+}
+
+/// `Tensor::leaky_relu`: the branchy form.
+pub fn leaky_relu(x: &Tensor, alpha: f32) -> Tensor {
+    x.map(|v| if v > 0.0 { v } else { alpha * v })
+}
+
+/// `Tensor::leaky_relu_grad`: the branchy form.
+pub fn leaky_relu_grad(g: &Tensor, x: &Tensor, alpha: f32) -> Tensor {
+    g.zip_map(x, |gv, xv| if xv > 0.0 { gv } else { alpha * gv }).unwrap()
+}
+
+/// `Tensor::dropout_mask`: one branch per draw, writing kept elements only.
+pub fn dropout_mask(shape: &[usize], keep: f32, rng: &mut impl Rng) -> Tensor {
+    let mut mask = Tensor::zeros(shape);
+    for m in mask.data_mut() {
+        if rng.gen::<f32>() < keep {
+            *m = 1.0 / keep;
+        }
+    }
+    mask
+}
+
 fn dims4(t: &Tensor) -> [usize; 4] {
     [t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]]
 }
@@ -396,10 +528,12 @@ fn dims3(t: &Tensor) -> [usize; 3] {
 /// family must match their oracles bit for bit on shapes that exercise
 /// clipping from every side and partial register tiles, and on values that
 /// exercise the zero skips (exact zeros in `grad_out` and in matmul lhs
-/// operands, `-0.0`, NaN and ±∞ in every operand).
+/// operands, `-0.0`, NaN and ±∞ in every operand). The elementwise and
+/// broadcast kernels must match theirs over size-1, missing and zero-length
+/// axes, with subnormals among the values too.
 mod tests {
     use super::Pad1d;
-    use crate::Tensor;
+    use crate::{broadcast_shapes, Tensor};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// Cases per conv kernel family.
@@ -619,6 +753,181 @@ mod tests {
                 &at2.transpose_matmul(&b2).unwrap(),
                 &want2,
             );
+        }
+    }
+
+    /// Like [`value`] with `special`, plus subnormals and the extremes.
+    fn edge_value(rng: &mut StdRng) -> f32 {
+        const EDGES: [f32; 10] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::MIN_POSITIVE / 3.0,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
+        if rng.gen_bool(0.3) {
+            return EDGES[rng.gen_range(0..EDGES.len())];
+        }
+        rng.gen_range(-2.0f32..2.0)
+    }
+
+    fn edge_tensor(rng: &mut StdRng, shape: &[usize]) -> Tensor {
+        let n = shape.iter().product();
+        Tensor::from_vec((0..n).map(|_| edge_value(rng)).collect(), shape).unwrap()
+    }
+
+    /// Extents for broadcast shapes: zero-length, unit, short rows, a
+    /// 16-wide row like the model's embedding axis, and odd lengths.
+    const EXTENTS: [usize; 8] = [0, 1, 1, 2, 3, 5, 16, 17];
+
+    /// Two operand shapes that broadcast together: each keeps a suffix of
+    /// one full shape's axes (a rank-prefix broadcast, down to a rank-0
+    /// scalar) with some axes set to 1.
+    fn broadcast_case(rng: &mut StdRng) -> [Vec<usize>; 2] {
+        let rank = rng.gen_range(0..6usize);
+        let zero_ok = rng.gen_bool(0.1);
+        let out: Vec<usize> = (0..rank)
+            .map(|_| loop {
+                let e = EXTENTS[rng.gen_range(0..EXTENTS.len())];
+                if e > 0 || zero_ok {
+                    break e;
+                }
+            })
+            .collect();
+        let operand = |rng: &mut StdRng| -> Vec<usize> {
+            let keep = rng.gen_range(0..=rank);
+            out[rank - keep..].iter().map(|&e| if rng.gen_bool(0.35) { 1 } else { e }).collect()
+        };
+        [operand(rng), operand(rng)]
+    }
+
+    #[test]
+    fn broadcast_arithmetic_and_reduce_to_shape_match_oracle_bits() {
+        let mut rng = StdRng::seed_from_u64(0xb0a);
+        type Kernel = fn(&Tensor, &Tensor) -> crate::Result<Tensor>;
+        type Scalar = fn(f32, f32) -> f32;
+        let ops: [(&str, Kernel, Scalar); 4] = [
+            ("add", Tensor::add, |a, b| a + b),
+            ("sub", Tensor::sub, |a, b| a - b),
+            ("mul", Tensor::mul, |a, b| a * b),
+            ("div", Tensor::div, |a, b| a / b),
+        ];
+        // The model's three broadcast products, above the parallel cutoff.
+        let fixed = [
+            [vec![64, 14, 4, 1], vec![4, 16]],
+            [vec![14, 64, 4, 16], vec![14, 1, 4, 16]],
+            [vec![14, 1, 4, 16], vec![14, 64, 4, 16]],
+        ];
+        let random = (0..CASES).map(|_| broadcast_case(&mut rng)).collect::<Vec<_>>();
+        for [ls, rs] in fixed.into_iter().chain(random) {
+            let (a, b) = (edge_tensor(&mut rng, &ls), edge_tensor(&mut rng, &rs));
+            for (name, op, f) in ops {
+                let label = format!("{name} {ls:?} x {rs:?}");
+                assert_bits(&label, &op(&a, &b).unwrap(), &super::zip_map(&a, &b, f));
+            }
+            let out = broadcast_shapes(&ls, &rs).unwrap();
+            // Mostly finite sums: one NaN or ∞ term would hide a reordering.
+            let g = if rng.gen_bool(0.2) {
+                edge_tensor(&mut rng, &out)
+            } else {
+                tensor(&mut rng, &out, 0.1, false)
+            };
+            for target in [&ls, &rs] {
+                assert_bits(
+                    &format!("reduce_to_shape {out:?} -> {target:?}"),
+                    &g.reduce_to_shape(target).unwrap(),
+                    &super::reduce_to_shape(&g, target),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn leaky_relu_and_grad_match_oracle_bits() {
+        let mut rng = StdRng::seed_from_u64(0x1e4);
+        // Every edge value as input and as gradient, then random mixes
+        // long enough to span several parallel bands.
+        let edges: Vec<f32> = (0..4000).map(|_| edge_value(&mut rng)).collect();
+        for n in [edges.len(), 70_000] {
+            let x = if n == edges.len() {
+                Tensor::from_vec(edges.clone(), &[n]).unwrap()
+            } else {
+                edge_tensor(&mut rng, &[n])
+            };
+            let g = edge_tensor(&mut rng, &[n]);
+            for alpha in [0.0, 0.1] {
+                let label = format!("n{n} alpha={alpha}");
+                assert_bits(
+                    &format!("leaky_relu {label}"),
+                    &x.leaky_relu(alpha),
+                    &super::leaky_relu(&x, alpha),
+                );
+                assert_bits(
+                    &format!("leaky_relu_grad {label}"),
+                    &g.leaky_relu_grad(&x, alpha).unwrap(),
+                    &super::leaky_relu_grad(&g, &x, alpha),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn axis_kernels_match_oracle_bits_with_unit_inner_extents() {
+        let mut rng = StdRng::seed_from_u64(0xa15);
+        // `[.., axis_len]` plus trailing size-1 axes keeps `inner == 1`;
+        // the infomax score shape is `[14, 64, 4, 16]` reduced over axis 3.
+        let mut shapes = vec![vec![14, 64, 4, 16], vec![2000, 17, 1]];
+        for _ in 0..CASES {
+            let rank = rng.gen_range(1..5usize);
+            let mut s: Vec<usize> = (0..rank).map(|_| rng.gen_range(0..7usize)).collect();
+            s.extend(std::iter::repeat_n(1, rng.gen_range(0..3usize)));
+            shapes.push(s);
+        }
+        for shape in shapes {
+            let x = if rng.gen_bool(0.2) {
+                edge_tensor(&mut rng, &shape)
+            } else {
+                tensor(&mut rng, &shape, 0.1, false)
+            };
+            // Every axis: the unit-inner path and the general one.
+            for axis in 0..shape.len() {
+                let label = format!("{shape:?} axis {axis}");
+                assert_bits(
+                    &format!("sum_axis {label}"),
+                    &x.sum_axis(axis).unwrap(),
+                    &super::reduce_axis(&x, axis, false),
+                );
+                assert_bits(
+                    &format!("mean_axis {label}"),
+                    &x.mean_axis(axis).unwrap(),
+                    &super::reduce_axis(&x, axis, true),
+                );
+                let r = x.sum_axis(axis).unwrap();
+                assert_bits(
+                    &format!("repeat_axis {label}"),
+                    &r.repeat_axis(axis, shape[axis]).unwrap(),
+                    &super::repeat_axis(&r, axis, shape[axis]),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dropout_mask_matches_oracle_bits_and_leaves_the_same_rng_state() {
+        for p in [0.2f32, 0.5] {
+            for (seed, shape) in [(1u64, vec![0]), (2, vec![7]), (3, vec![64, 14, 4, 16])] {
+                let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let keep = 1.0 - p;
+                let got = Tensor::dropout_mask(&shape, keep, &mut r1);
+                let want = super::dropout_mask(&shape, keep, &mut r2);
+                assert_bits(&format!("dropout_mask p={p} {shape:?}"), &got, &want);
+                assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "p={p} {shape:?}: next draw");
+            }
         }
     }
 }

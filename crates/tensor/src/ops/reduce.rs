@@ -66,10 +66,24 @@ impl Tensor {
         let inner: usize = shape[axis + 1..].iter().product();
         let mut out = vec![0.0f32; outer * inner];
         let x = self.data();
+        let inv = 1.0 / axis_len as f32;
+        let scale = mean && axis_len > 0;
         // Parallel over the outer slices: each output element is accumulated
         // by one thread in ascending `a` order, exactly as the serial loop.
         let min_rows = (MIN_ELEMS_PER_BAND / (axis_len * inner).max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(&mut out, outer, inner, min_rows, |outers, band| {
+        sthsl_parallel::parallel_rows_mut(&mut out, outer, inner, min_rows, move |outers, band| {
+            if inner == 1 {
+                // A unit inner extent: each output element sums one
+                // contiguous run of `axis_len` inputs, from `+0.0`.
+                for (ov, o) in band.iter_mut().zip(outers) {
+                    let mut acc = 0.0f32;
+                    for &xv in &x[o * axis_len..(o + 1) * axis_len] {
+                        acc += xv;
+                    }
+                    *ov = if scale { acc * inv } else { acc };
+                }
+                return;
+            }
             for (local, o) in outers.enumerate() {
                 let orow = &mut band[local * inner..(local + 1) * inner];
                 for a in 0..axis_len {
@@ -79,8 +93,7 @@ impl Tensor {
                         *ov += xv;
                     }
                 }
-                if mean && axis_len > 0 {
-                    let inv = 1.0 / axis_len as f32;
+                if scale {
                     for v in orow.iter_mut() {
                         *v *= inv;
                     }
@@ -103,11 +116,19 @@ impl Tensor {
         let inner: usize = self.shape()[axis..].iter().product();
         let x = self.data();
         let mut out = vec![0.0f32; outer * axis_len * inner];
-        for o in 0..outer {
-            let src = &x[o * inner..(o + 1) * inner];
-            for a in 0..axis_len {
-                let dst_base = (o * axis_len + a) * inner;
-                out[dst_base..dst_base + inner].copy_from_slice(src);
+        if inner == 1 {
+            // A unit inner extent: one fill per input element instead of
+            // `axis_len` one-element copies.
+            for (o, &v) in x.iter().enumerate() {
+                out[o * axis_len..(o + 1) * axis_len].fill(v);
+            }
+        } else {
+            for o in 0..outer {
+                let src = &x[o * inner..(o + 1) * inner];
+                for a in 0..axis_len {
+                    let dst_base = (o * axis_len + a) * inner;
+                    out[dst_base..dst_base + inner].copy_from_slice(src);
+                }
             }
         }
         Tensor::from_vec(out, &out_shape)
@@ -143,7 +164,7 @@ impl Tensor {
             rows,
             last,
             min_rows,
-            |band_rows, band| {
+            move |band_rows, band| {
                 for local in 0..band_rows.len() {
                     let row = &mut band[local * last..(local + 1) * last];
                     let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);

@@ -65,7 +65,8 @@ pub fn broadcast_shapes(lhs: &[usize], rhs: &[usize]) -> Result<Vec<usize>> {
         let l = if i < ndim - lhs.len() { 1 } else { lhs[i - (ndim - lhs.len())] };
         let r = if i < ndim - rhs.len() { 1 } else { rhs[i - (ndim - rhs.len())] };
         if l == r || l == 1 || r == 1 {
-            out[i] = l.max(r);
+            // A size-1 axis takes the other's extent, zero included.
+            out[i] = if l == 1 { r } else { l };
         } else {
             return Err(TensorError::ShapeMismatch {
                 op: "broadcast",
@@ -126,6 +127,9 @@ mod tests {
         assert_eq!(broadcast_shapes(&[2, 3], &[3]).unwrap(), vec![2, 3]);
         assert_eq!(broadcast_shapes(&[4, 1, 3], &[2, 1]).unwrap(), vec![4, 2, 3]);
         assert_eq!(broadcast_shapes(&[1], &[7]).unwrap(), vec![7]);
+        // A size-1 axis broadcasts to a zero-length one.
+        assert_eq!(broadcast_shapes(&[1, 3], &[0, 1]).unwrap(), vec![0, 3]);
+        assert_eq!(broadcast_shapes(&[0], &[1]).unwrap(), vec![0]);
     }
 
     #[test]

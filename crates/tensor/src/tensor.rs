@@ -1,5 +1,6 @@
 use crate::shape::{broadcast_shapes, strides_of};
 use crate::{Result, TensorError};
+use std::ops::Range;
 use sthsl_parallel::REDUCE_BLOCK;
 
 /// Elementwise kernels only fan out above this element count; below it the
@@ -142,64 +143,104 @@ impl Tensor {
         let n = self.data.len();
         let src = &self.data;
         let mut data = vec![0.0f32; n];
-        sthsl_parallel::parallel_rows_mut(&mut data, n, 1, MIN_ELEMS_PER_BAND, |rows, band| {
-            for (o, &v) in band.iter_mut().zip(&src[rows]) {
-                *o = f(v);
-            }
-        });
+        sthsl_parallel::parallel_rows_mut(
+            &mut data,
+            n,
+            1,
+            MIN_ELEMS_PER_BAND,
+            move |rows, band| {
+                for (o, &v) in band.iter_mut().zip(&src[rows]) {
+                    *o = f(v);
+                }
+            },
+        );
         Tensor { data, shape: self.shape.clone() }
     }
 
     /// Apply `f` elementwise in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
         let n = self.data.len();
-        sthsl_parallel::parallel_rows_mut(&mut self.data, n, 1, MIN_ELEMS_PER_BAND, |_, band| {
-            for v in band.iter_mut() {
-                *v = f(*v);
-            }
-        });
+        sthsl_parallel::parallel_rows_mut(
+            &mut self.data,
+            n,
+            1,
+            MIN_ELEMS_PER_BAND,
+            move |_, band| {
+                for v in band.iter_mut() {
+                    *v = f(*v);
+                }
+            },
+        );
     }
 
     /// Combine two tensors elementwise with NumPy broadcasting.
+    ///
+    /// A broadcast walks the output one row at a time ([`RowPlan`]): each
+    /// operand is read as a contiguous row or as one repeated scalar, and
+    /// the rows are partitioned over threads. Every output element is
+    /// `f(a, b)` of the same two operands as a per-element walk, so the bits
+    /// are the same at every thread count.
     pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
         if self.shape == other.shape {
             // Fast path: identical shapes need no index arithmetic.
             let n = self.data.len();
             let (lhs, rhs) = (&self.data, &other.data);
             let mut data = vec![0.0f32; n];
-            sthsl_parallel::parallel_rows_mut(&mut data, n, 1, MIN_ELEMS_PER_BAND, |rows, band| {
-                for ((o, &a), &b) in band.iter_mut().zip(&lhs[rows.clone()]).zip(&rhs[rows]) {
-                    *o = f(a, b);
-                }
-            });
+            sthsl_parallel::parallel_rows_mut(
+                &mut data,
+                n,
+                1,
+                MIN_ELEMS_PER_BAND,
+                move |rows, band| {
+                    for ((o, &a), &b) in band.iter_mut().zip(&lhs[rows.clone()]).zip(&rhs[rows]) {
+                        *o = f(a, b);
+                    }
+                },
+            );
             return Ok(Tensor { data, shape: self.shape.clone() });
         }
         let out_shape = broadcast_shapes(&self.shape, &other.shape)?;
-        let out_len: usize = out_shape.iter().product();
-        let mut data = vec![0.0f32; out_len];
-        let lhs_bstrides = broadcast_strides(&self.shape, &out_shape);
-        let rhs_bstrides = broadcast_strides(&other.shape, &out_shape);
-        let out_strides = strides_of(&out_shape);
-        let ndim = out_shape.len();
-        let mut idx = vec![0usize; ndim];
-        for slot in &mut data {
-            let mut l = 0usize;
-            let mut r = 0usize;
-            for d in 0..ndim {
-                l += idx[d] * lhs_bstrides[d];
-                r += idx[d] * rhs_bstrides[d];
-            }
-            *slot = f(self.data[l], other.data[r]);
-            // advance odometer
-            for d in (0..ndim).rev() {
-                idx[d] += 1;
-                if idx[d] < out_shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
+        let mut data = vec![0.0f32; out_shape.iter().product()];
+        if data.is_empty() {
+            return Ok(Tensor { data, shape: out_shape });
         }
-        let _ = out_strides;
+        let plan = RowPlan::new(
+            &out_shape,
+            [
+                broadcast_strides(&self.shape, &out_shape),
+                broadcast_strides(&other.shape, &out_shape),
+            ],
+        )?;
+        let (lhs, rhs) = (&self.data, &other.data);
+        let (rows, row) = (plan.rows(), plan.row);
+        let min_rows = (MIN_ELEMS_PER_BAND / row).max(1);
+        sthsl_parallel::parallel_rows_mut(&mut data, rows, row, min_rows, move |rows, band| {
+            plan.for_each_row(rows, |k, [l, r]| {
+                let out = &mut band[k * row..(k + 1) * row];
+                match plan.row_stride {
+                    [1, 1] => {
+                        for ((o, &a), &b) in
+                            out.iter_mut().zip(&lhs[l..l + row]).zip(&rhs[r..r + row])
+                        {
+                            *o = f(a, b);
+                        }
+                    }
+                    [1, _] => {
+                        let b = rhs[r];
+                        for (o, &a) in out.iter_mut().zip(&lhs[l..l + row]) {
+                            *o = f(a, b);
+                        }
+                    }
+                    [_, 1] => {
+                        let a = lhs[l];
+                        for (o, &b) in out.iter_mut().zip(&rhs[r..r + row]) {
+                            *o = f(a, b);
+                        }
+                    }
+                    _ => out.fill(f(lhs[l], rhs[r])),
+                }
+            });
+        });
         Ok(Tensor { data, shape: out_shape })
     }
 
@@ -207,32 +248,46 @@ impl Tensor {
 
     /// Elementwise addition with broadcasting.
     pub fn add(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_map(other, |a, b| a + b)
+        self.zip_map(other, move |a, b| a + b)
     }
 
     /// Elementwise subtraction with broadcasting.
     pub fn sub(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_map(other, |a, b| a - b)
+        self.zip_map(other, move |a, b| a - b)
     }
 
     /// Elementwise multiplication with broadcasting.
     pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_map(other, |a, b| a * b)
+        self.zip_map(other, move |a, b| a * b)
     }
 
     /// Elementwise division with broadcasting.
     pub fn div(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_map(other, |a, b| a / b)
+        self.zip_map(other, move |a, b| a / b)
     }
 
     /// Multiply every element by a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
-        self.map(|v| v * s)
+        self.map(move |v| v * s)
     }
 
     /// Add a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|v| v + s)
+        self.map(move |v| v + s)
+    }
+
+    /// LeakyReLU with negative slope `alpha`: `v` where `v > 0`, else
+    /// `alpha · v`. Written as a multiply by a selected factor, which the
+    /// compiler vectorizes; `v · 1` is `v` for every `v`, so the bits equal
+    /// the branchy form's for NaN, ±0, ±∞ and subnormals alike.
+    pub fn leaky_relu(&self, alpha: f32) -> Tensor {
+        self.map(move |v| v * if v > 0.0 { 1.0 } else { alpha })
+    }
+
+    /// Gradient of [`Tensor::leaky_relu`] at `x`, with `self` the incoming
+    /// gradient: `g` where `x > 0`, else `alpha · g`.
+    pub fn leaky_relu_grad(&self, x: &Tensor, alpha: f32) -> Result<Tensor> {
+        self.zip_map(x, move |g, v| g * if v > 0.0 { 1.0 } else { alpha })
     }
 
     /// In-place scaled accumulation: `self += alpha * other`. Shapes must
@@ -253,7 +308,7 @@ impl Tensor {
             n,
             1,
             MIN_ELEMS_PER_BAND,
-            |rows, band| {
+            move |rows, band| {
                 for (a, &b) in band.iter_mut().zip(&rhs[rows]) {
                     *a += alpha * b;
                 }
@@ -328,23 +383,29 @@ impl Tensor {
             });
         }
         let mut out = Tensor::zeros(target_shape);
-        let tgt_bstrides = broadcast_strides(target_shape, &self.shape);
-        let ndim = self.shape.len();
-        let mut idx = vec![0usize; ndim];
-        for &v in &self.data {
-            let mut off = 0usize;
-            for d in 0..ndim {
-                off += idx[d] * tgt_bstrides[d];
-            }
-            out.data[off] += v;
-            for d in (0..ndim).rev() {
-                idx[d] += 1;
-                if idx[d] < self.shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
+        if self.data.is_empty() {
+            return Ok(out);
         }
+        // Serial on purpose: a target element gathers from many source rows,
+        // and splitting the rows over threads would reorder its sum.
+        let plan = RowPlan::new(&self.shape, [broadcast_strides(target_shape, &self.shape)])?;
+        let row = plan.row;
+        plan.for_each_row(0..plan.rows(), |k, [t]| {
+            let src = &self.data[k * row..(k + 1) * row];
+            if plan.row_stride[0] == 1 {
+                for (o, &v) in out.data[t..t + row].iter_mut().zip(src) {
+                    *o += v;
+                }
+            } else {
+                // One target element takes the whole row, added in source
+                // order onto its current value.
+                let mut acc = out.data[t];
+                for &v in src {
+                    acc += v;
+                }
+                out.data[t] = acc;
+            }
+        });
         Ok(out)
     }
 }
@@ -359,6 +420,112 @@ pub(crate) fn broadcast_strides(shape: &[usize], out_shape: &[usize]) -> Vec<usi
         out[offset + i] = if shape[i] == 1 && out_shape[offset + i] != 1 { 0 } else { strides[i] };
     }
     out
+}
+
+/// Most axes a [`RowPlan`] keeps, the row axis included, once size-1
+/// axes are dropped and neighbours merged.
+const PLAN_AXES: usize = 16;
+
+/// A broadcast walked one row at a time.
+///
+/// Built from an iteration shape and each operand's strides over it (0 on
+/// broadcast axes). Size-1 axes are dropped, and neighbouring axes merge
+/// wherever every operand steps through them as through one axis. The last
+/// remaining axis is the row: each operand reads it as a contiguous run
+/// (stride 1) or as one repeated element (stride 0), so an index odometer
+/// advances once per row instead of once per element.
+///
+/// The plan and its odometer live on the stack: small heap blocks in this
+/// kernel, some of them on pool workers, move the serving benchmark's peak
+/// RSS by a few percent through allocator placement alone.
+struct RowPlan<const N: usize> {
+    /// Extents of the axes before the row axis, in `outer[..nd]`.
+    outer: [usize; PLAN_AXES],
+    nd: usize,
+    /// Each operand's strides over `outer[..nd]`.
+    strides: [[usize; PLAN_AXES]; N],
+    /// Row length: the extent of the last remaining axis, 1 if none is left.
+    row: usize,
+    /// Each operand's stride along the row: 1 or 0.
+    row_stride: [usize; N],
+}
+
+impl<const N: usize> RowPlan<N> {
+    fn new(shape: &[usize], bstrides: [Vec<usize>; N]) -> Result<Self> {
+        let mut outer = [0usize; PLAN_AXES];
+        let mut strides = [[0usize; PLAN_AXES]; N];
+        let mut nd = 0;
+        for (d, &extent) in shape.iter().enumerate() {
+            if extent == 1 {
+                continue;
+            }
+            let merges =
+                nd > 0 && strides.iter().zip(&bstrides).all(|(s, b)| s[nd - 1] == b[d] * extent);
+            if merges {
+                outer[nd - 1] *= extent;
+            } else if nd < PLAN_AXES {
+                outer[nd] = extent;
+                nd += 1;
+            } else {
+                return Err(TensorError::Invalid(format!(
+                    "broadcast over {shape:?} keeps more than {PLAN_AXES} axes after merging"
+                )));
+            }
+            for (s, b) in strides.iter_mut().zip(&bstrides) {
+                s[nd - 1] = b[d];
+            }
+        }
+        let (row, row_stride) = match nd.checked_sub(1) {
+            Some(last) => {
+                nd = last;
+                (outer[last], std::array::from_fn(|i| strides[i][last]))
+            }
+            None => (1, [0; N]),
+        };
+        debug_assert!(row_stride.iter().all(|&s| s <= 1), "row strides {row_stride:?}");
+        Ok(RowPlan { outer, nd, strides, row, row_stride })
+    }
+
+    /// Number of rows.
+    fn rows(&self) -> usize {
+        self.outer[..self.nd].iter().product()
+    }
+
+    /// Call `f(k, offsets)` for the rows in `range`, in order, where `k`
+    /// counts from 0 at `range.start` and `offsets[i]` is where operand `i`
+    /// reads the row's first element.
+    fn for_each_row(&self, range: Range<usize>, mut f: impl FnMut(usize, [usize; N])) {
+        if range.is_empty() {
+            return;
+        }
+        let extents = &self.outer[..self.nd];
+        let mut idx = [0usize; PLAN_AXES];
+        let mut offs = [0usize; N];
+        let mut rest = range.start;
+        for (d, &extent) in extents.iter().enumerate().rev() {
+            idx[d] = rest % extent;
+            rest /= extent;
+            for (o, s) in offs.iter_mut().zip(&self.strides) {
+                *o += idx[d] * s[d];
+            }
+        }
+        for k in 0..range.len() {
+            f(k, offs);
+            for (d, &extent) in extents.iter().enumerate().rev() {
+                idx[d] += 1;
+                if idx[d] < extent {
+                    for (o, s) in offs.iter_mut().zip(&self.strides) {
+                        *o += s[d];
+                    }
+                    break;
+                }
+                idx[d] = 0;
+                for (o, s) in offs.iter_mut().zip(&self.strides) {
+                    *o -= (extent - 1) * s[d];
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -401,6 +568,18 @@ mod tests {
         let m = Tensor::from_vec(vec![1., 2.], &[2]).unwrap();
         let s = Tensor::scalar(5.0);
         assert_eq!(m.add(&s).unwrap().data(), &[6., 7.]);
+    }
+
+    #[test]
+    fn broadcast_plans_are_bounded_by_a_typed_error() {
+        // 16 alternating broadcast axes never merge: the row and 15 outer
+        // axes fit, one more axis does not.
+        let shape = |rank: usize| -> Vec<usize> { (0..rank).map(|d| 1 + d % 2).collect() };
+        let flip = |rank: usize| -> Vec<usize> { (0..rank).map(|d| 2 - d % 2).collect() };
+        let ok = Tensor::ones(&shape(16)).add(&Tensor::ones(&flip(16))).unwrap();
+        assert_eq!(ok.len(), 1 << 16);
+        let err = Tensor::ones(&shape(17)).add(&Tensor::ones(&flip(17))).unwrap_err();
+        assert!(matches!(err, TensorError::Invalid(_)), "{err:?}");
     }
 
     #[test]

@@ -270,6 +270,54 @@ fn hypergraph_matmuls_match_pinned_row_axpy_digests() {
     check("2-D grad_b", 0x96c3_fa18_aedf_ffd5, &|| h2.transpose_matmul(&g2).unwrap().into_vec());
 }
 
+/// `a · b` and its two reduced gradients pinned to `[fwd, grad_a, grad_b]`.
+fn check_broadcast_mul(rng: &mut StdRng, name: &str, shapes: [&[usize]; 2], digests: [u64; 3]) {
+    let [a_shape, b_shape] = shapes;
+    let mut a = sparse_normal(rng, a_shape, 9);
+    a.data_mut()[1] = -0.0;
+    let b = sparse_normal(rng, b_shape, 5);
+    let g = sparse_normal(rng, a.mul(&b).unwrap().shape(), 3);
+    assert_pinned_digest(&format!("{name} mul"), digests[0], &|| a.mul(&b).unwrap().into_vec());
+    assert_pinned_digest(&format!("{name} grad_a"), digests[1], &|| {
+        g.mul(&b).unwrap().reduce_to_shape(a_shape).unwrap().into_vec()
+    });
+    assert_pinned_digest(&format!("{name} grad_b"), digests[2], &|| {
+        g.mul(&a).unwrap().reduce_to_shape(b_shape).unwrap().into_vec()
+    });
+}
+
+/// The model's broadcast products, pinned to digests of the per-element
+/// odometer loops' output bits: the row-wise `zip_map` and
+/// `reduce_to_shape` must give every element the same operands, and every
+/// reduced element its terms in the same order (DESIGN.md §6b). The
+/// embedding product is `z ⊗ e_c` (paper Eq. 1, a column times a row); the
+/// infomax one scores every region against the per-window summary
+/// (Eqs. 6–7). Backward is `g·b` and `g·a`, each reduced to its operand's
+/// shape, then the infomax score's `sum_axis(3)` and its adjoint.
+#[test]
+fn broadcast_muls_match_pinned_odometer_digests() {
+    let mut rng = StdRng::seed_from_u64(19);
+    let check = assert_pinned_digest;
+    check_broadcast_mul(
+        &mut rng,
+        "embedding",
+        [&[64, 14, 4, 1], &[4, 16]],
+        [0x1e6a_546e_cfdc_bbfb, 0x1f6c_55df_5281_63e6, 0x6e6d_f2cc_d057_dfaf],
+    );
+    check_broadcast_mul(
+        &mut rng,
+        "infomax",
+        [&[14, 64, 4, 16], &[14, 1, 4, 16]],
+        [0x5ef4_3e8a_2e9b_eea6, 0xb8be_241c_e26a_d199, 0xfefb_e16d_6d8f_69d4],
+    );
+    let score = sparse_normal(&mut rng, &[14, 64, 4, 16], 6);
+    check("infomax sum_axis", 0x6750_cff4_d962_a952, &|| score.sum_axis(3).unwrap().into_vec());
+    let g_score = sparse_normal(&mut rng, &[14, 64, 4], 4);
+    check("infomax repeat_axis", 0xcf1f_308b_308c_df45, &|| {
+        g_score.repeat_axis(3, 16).unwrap().into_vec()
+    });
+}
+
 #[test]
 fn elementwise_ops_bit_identical_above_cutoff() {
     let mut rng = StdRng::seed_from_u64(15);
