@@ -62,8 +62,8 @@ pub struct TrainerState {
     /// The config seed the run was started with; resuming under a different
     /// seed is rejected.
     pub seed: u64,
-    /// Multiplier on the scheduled learning rate (halved by divergence
-    /// recovery).
+    /// Divergence back-off scale: the learning rate is `cfg.lr` times this
+    /// (1.0 at the start, halved by each divergence recovery).
     pub lr_scale: f32,
     /// Divergence recoveries consumed so far.
     pub divergence_retries: u32,

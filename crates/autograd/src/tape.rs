@@ -410,12 +410,8 @@ impl OpKind {
                         if *kh == 0 || *kw == 0 {
                             return Err("conv2d: kernel dims must be >= 1".to_string());
                         }
-                        let oh = (h + 2 * ph)
-                            .checked_sub(kh - 1)
-                            .ok_or_else(|| conv_too_small("conv2d", h + 2 * ph, *kh))?;
-                        let ow = (wd + 2 * pw)
-                            .checked_sub(kw - 1)
-                            .ok_or_else(|| conv_too_small("conv2d", wd + 2 * pw, *kw))?;
+                        let oh = conv_out_len("conv2d", *h, (*ph, *ph), *kh, 1)?;
+                        let ow = conv_out_len("conv2d", *wd, (*pw, *pw), *kw, 1)?;
                         Ok(Some(vec![*b, *cout, oh, ow]))
                     }
                     _ => Err(format!(
@@ -440,13 +436,8 @@ impl OpKind {
                         if *k == 0 {
                             return Err("conv1d: kernel length must be >= 1".to_string());
                         }
-                        let span = dilation * (k - 1);
-                        let ol = (l + pad_left + pad_right).checked_sub(span).ok_or_else(|| {
-                            format!(
-                                "conv1d: dilated kernel span {span} exceeds padded length {}",
-                                l + pad_left + pad_right
-                            )
-                        })?;
+                        let pad = (*pad_left, *pad_right);
+                        let ol = conv_out_len("conv1d", *l, pad, *k, *dilation)?;
                         Ok(Some(vec![*b, *cout, ol]))
                     }
                     _ => Err(format!(
@@ -535,8 +526,26 @@ fn check_conv_bias(
     Ok(())
 }
 
-fn conv_too_small(op: &str, padded: usize, kernel: usize) -> String {
-    format!("{op}: kernel extent {kernel} exceeds padded input extent {padded}")
+/// Output extent of a stride-1 conv axis: `len + lo + hi − dilation·(k−1)`
+/// for `k >= 1`, in checked arithmetic, so that an overflowing geometry is an
+/// error rather than a wrapped size.
+fn conv_out_len(
+    op: &str,
+    len: usize,
+    (lo, hi): (usize, usize),
+    k: usize,
+    dilation: usize,
+) -> Result<usize, String> {
+    let padded = len
+        .checked_add(lo)
+        .and_then(|n| n.checked_add(hi))
+        .ok_or_else(|| format!("{op}: padded extent {len} + {lo} + {hi} overflows usize"))?;
+    let span = k.checked_sub(1).and_then(|n| n.checked_mul(dilation)).ok_or_else(|| {
+        format!("{op}: span of kernel {k} at dilation {dilation} overflows usize")
+    })?;
+    padded
+        .checked_sub(span)
+        .ok_or_else(|| format!("{op}: kernel span {span} exceeds padded extent {padded}"))
 }
 
 /// One node of an exported tape: pure data, safe to build by hand in tests.
@@ -701,6 +710,27 @@ mod tests {
         let c1 = OpKind::Conv1d { pad_left: 2, pad_right: 0, dilation: 2, has_bias: false };
         // causal pad for k=2, dilation=2: L stays 8.
         assert_eq!(c1.infer_shape(&[vec![2, 2, 8], vec![3, 2, 2]]).unwrap(), Some(vec![2, 3, 8]));
+    }
+
+    /// Geometry whose padded extent or dilated span overflows `usize` is an
+    /// error, not a wrapped (release) or panicking (debug) size.
+    #[test]
+    fn conv_rules_reject_overflowing_geometry() {
+        let half = usize::MAX / 2 + 1;
+        let conv1d = |pad_left, dilation| OpKind::Conv1d {
+            pad_left,
+            pad_right: 1,
+            dilation,
+            has_bias: false,
+        };
+        let (x1, w1) = (vec![1, 1, 8], vec![1, 1, 3]);
+        for kind in [conv1d(1, half), conv1d(usize::MAX, 1)] {
+            let err = kind.infer_shape(&[x1.clone(), w1.clone()]).unwrap_err();
+            assert!(err.contains("overflows usize"), "{err}");
+        }
+        let conv2d = OpKind::Conv2d { pad: (half, 1), has_bias: false };
+        let err = conv2d.infer_shape(&[vec![1, 1, 4, 4], vec![1, 1, 3, 3]]).unwrap_err();
+        assert!(err.contains("overflows usize"), "{err}");
     }
 
     #[test]

@@ -118,7 +118,8 @@ pub struct EpochCtx {
     pub train_loss: f64,
     /// Mean validation loss, when validation ran this epoch.
     pub val_loss: Option<f64>,
-    /// Effective learning rate used this epoch (schedule × backoff scale).
+    /// Effective learning rate used this epoch: `cfg.lr` times the
+    /// divergence back-off scale.
     pub lr: f32,
 }
 

@@ -15,26 +15,48 @@
 //!   input element is `co` ascending, then `ky`, `kx` *descending*.
 //! - **Weight gradient:** `g·x` in `(bi, oy, ox)` order.
 //!
-//! The loops are arranged so that each inner loop is a contiguous,
-//! branch-free run over one row that the compiler vectorizes. Taps that
-//! fall into the zero padding are clipped out of each run ([`Span`]); they
-//! are never multiplied by a zero. Where a lane must skip a term — a zero
-//! `grad_out` element, or an im2col lane in the padding — it adds `-0.0`
-//! instead. Under round-to-nearest, `x + (-0.0)` returns `x` bit for bit
-//! for every `x` except a signalling NaN: `-0.0 + -0.0 = -0.0`,
-//! `+0.0 + -0.0 = +0.0`, infinities and quiet NaNs pass through. Arithmetic
-//! never produces a signalling NaN, so a branch-free lane matches the
-//! skipped term exactly. (Multiplying instead would not: `0·∞` is NaN and
-//! `-0.0 + 0·w` can flip the sign of a zero.)
+//! **Forward and input gradient: batch elements are the vector lanes.** The
+//! model's rows are short (8 or 14 floats) but its conv batches are long
+//! (224 to 4096 elements), and every batch element uses the same taps. So
+//! both passes pack the source blocks of [`P`] = 16 batch elements into a
+//! lane-major panel and accumulate each destination element in 16 lanes at
+//! once, one register-resident accumulator per lane, then write each lane
+//! back to its own batch element. One driver ([`panel_pass`]) serves both,
+//! because the input gradient is the forward pass of the flipped kernel; each
+//! pass brings its own tap table ([`Taps`]) and term. The forward table walks
+//! `(ci, ky, kx)` ascending from the bias; the input-gradient table walks
+//! `co` ascending, then `ky`, `kx` descending, from `+0.0`. Taps that fall
+//! into the zero padding are left out of the table, so they are skipped for
+//! all 16 lanes at once, as the oracle's `continue` skips them.
+//!
+//! **Weight gradient: row loops.** Its `(bi, oy, ox)` order runs serially
+//! over the batch, so batch lanes would reorder its sums. It is an im2col
+//! rank-1 update per output pixel instead, with taps in the padding clipped
+//! out of each contiguous run ([`Span`]).
+//!
+//! Where a lane must skip a term — a zero `grad_out` element in either
+//! gradient, or an im2col lane in the padding — it adds `-0.0` instead.
+//! Under round-to-nearest, `x + (-0.0)` returns `x` bit for bit for every `x`
+//! except a signalling NaN: `-0.0 + -0.0 = -0.0`, `+0.0 + -0.0 = +0.0`,
+//! infinities and quiet NaNs pass through. Arithmetic never produces a
+//! signalling NaN, so a branch-free lane matches the skipped term exactly.
+//! (Multiplying instead would not: `0·∞` is NaN and `-0.0 + 0·w` can flip
+//! the sign of a zero.)
 //!
 //! A 1-D convolution is the 2-D one over a single row whose column taps are
-//! dilated, so both share [`Geom`] and one kernel per pass.
+//! dilated, so both share [`Geom`] and one kernel per pass. Its geometry is
+//! computed in checked arithmetic: an extent that overflows `usize` is a
+//! [`TensorError::Invalid`].
 
 use crate::{Result, Tensor, TensorError};
 
 /// Minimum multiply-accumulate count a band must carry before it is worth a
 /// thread (shared by every conv kernel below).
 const MIN_WORK_PER_BAND: usize = 1 << 15;
+
+/// Batch elements per panel: the vector lanes of `forward` and `grad_input`.
+/// One panel row is one cache line.
+const P: usize = 16;
 
 /// Padding specification for 1-D convolutions; 2-D uses symmetric padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +89,7 @@ impl Tensor {
     ) -> Result<Tensor> {
         let geom = Geom::conv2d("conv2d", self.shape(), weight.shape(), pad)?;
         let bias = check_bias("conv2d bias", bias, geom.cout)?;
-        let out = forward(self.data(), weight.data(), bias, geom);
+        let out = forward(self.data(), weight.data(), bias, geom)?;
         Tensor::from_vec(out, &geom.out_shape2d())
     }
 
@@ -82,7 +104,7 @@ impl Tensor {
         const OP: &str = "conv2d_grad_input";
         let geom = Geom::conv2d(OP, input_shape, weight.shape(), pad)?;
         check_grad_out(OP, grad_out, &geom.out_shape2d())?;
-        Tensor::from_vec(grad_input(grad_out.data(), weight.data(), geom), input_shape)
+        Tensor::from_vec(grad_input(grad_out.data(), weight.data(), geom)?, input_shape)
     }
 
     /// Gradient of `conv2d` w.r.t. its weight.
@@ -116,7 +138,7 @@ impl Tensor {
     ) -> Result<Tensor> {
         let geom = Geom::conv1d("conv1d", self.shape(), weight.shape(), pad, dilation)?;
         let bias = check_bias("conv1d bias", bias, geom.cout)?;
-        let out = forward(self.data(), weight.data(), bias, geom);
+        let out = forward(self.data(), weight.data(), bias, geom)?;
         Tensor::from_vec(out, &geom.out_shape1d())
     }
 
@@ -131,7 +153,7 @@ impl Tensor {
         const OP: &str = "conv1d_grad_input";
         let geom = Geom::conv1d(OP, input_shape, weight.shape(), pad, dilation)?;
         check_grad_out(OP, grad_out, &geom.out_shape1d())?;
-        Tensor::from_vec(grad_input(grad_out.data(), weight.data(), geom), input_shape)
+        Tensor::from_vec(grad_input(grad_out.data(), weight.data(), geom)?, input_shape)
     }
 
     /// Gradient of `conv1d` w.r.t. its weight.
@@ -189,15 +211,9 @@ impl Geom {
         let [b, cin, h, w] = dims(input, "conv2d input")?;
         let [cout, cin_w, kh, kw] = dims(weight, "conv2d weight")?;
         check_channels(op, input, weight, cin, cin_w)?;
-        let oh = out_len(h + 2 * ph, kh, 1).ok_or_else(|| {
-            TensorError::Invalid(format!(
-                "{op}: kernel {kh} too large for height {h} with pad {ph}"
-            ))
-        })?;
-        let ow = out_len(w + 2 * pw, kw, 1).ok_or_else(|| {
-            TensorError::Invalid(format!("{op}: kernel {kw} too large for width {w} with pad {pw}"))
-        })?;
-        Ok(Geom { b, cin, cout, h, w, kh, kw, oh, ow, ph, pw, dilation: 1 })
+        let oh = out_len(op, padded(op, h, ph, ph)?, kh, 1)?;
+        let ow = out_len(op, padded(op, w, pw, pw)?, kw, 1)?;
+        Geom { b, cin, cout, h, w, kh, kw, oh, ow, ph, pw, dilation: 1 }.checked(op)
     }
 
     /// `input: [B, Cin, L]`, `weight: [Cout, Cin, k]`.
@@ -214,14 +230,8 @@ impl Geom {
         if dilation == 0 {
             return Err(TensorError::Invalid(format!("{op}: dilation must be >= 1")));
         }
-        let padded = l + pad.left + pad.right;
-        let ol = out_len(padded, k, dilation).ok_or_else(|| {
-            TensorError::Invalid(format!(
-                "{op}: dilated kernel span {} exceeds padded length {padded}",
-                dilation * k.saturating_sub(1)
-            ))
-        })?;
-        Ok(Geom {
+        let ol = out_len(op, padded(op, l, pad.left, pad.right)?, k, dilation)?;
+        Geom {
             b,
             cin,
             cout,
@@ -234,7 +244,23 @@ impl Geom {
             ph: 0,
             pw: pad.left,
             dilation,
-        })
+        }
+        .checked(op)
+    }
+
+    /// `self`, once every tensor it describes has an element count that
+    /// fits `usize`.
+    fn checked(self, op: &'static str) -> Result<Geom> {
+        let numel = |dims: &[usize]| dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        let sizes = [
+            numel(&[self.b, self.cin, self.h, self.w]),
+            numel(&[self.b, self.cout, self.oh, self.ow]),
+            numel(&[self.cout, self.cin, self.kh, self.kw]),
+        ];
+        if sizes.iter().any(Option::is_none) {
+            return Err(TensorError::Invalid(format!("{op}: tensor size overflows usize")));
+        }
+        Ok(self)
     }
 
     fn out_shape2d(&self) -> [usize; 4] {
@@ -256,11 +282,6 @@ impl Geom {
     /// Kernel taps per (out-channel, in-channel) pair.
     fn taps(&self) -> usize {
         self.kh * self.kw
-    }
-
-    /// Multiply-adds one output element costs (the banding work unit).
-    fn macs_per_out(&self) -> usize {
-        self.cin * self.taps()
     }
 
     /// Valid output-row run of each kernel row `ky`.
@@ -313,87 +334,146 @@ fn runs(
     (ry.lo..ry.hi).map(move |oy| (oy * ostride + rx.lo, (ry.src + oy - ry.lo) * istride + rx.src))
 }
 
-/// `out[p] = bias + Σ x·w` over `(ci, ky, kx)`: one row-axpy per tap.
-fn forward(x: &[f32], wt: &[f32], bias: Option<&[f32]>, g: Geom) -> Vec<f32> {
-    let (in_plane, out_plane, taps) = (g.in_plane(), g.out_plane(), g.taps());
-    let (rows, cols) = (g.row_spans(), g.col_spans());
-    let mut out = vec![0.0f32; g.b * g.cout * out_plane];
-    // One output plane per (batch, out-channel) pair; planes are disjoint, so
-    // the result is bit-identical at every thread count.
-    let min_planes = (MIN_WORK_PER_BAND / (out_plane * g.macs_per_out()).max(1)).max(1);
-    sthsl_parallel::parallel_rows_mut(
-        &mut out,
-        g.b * g.cout,
-        out_plane,
-        min_planes,
-        move |planes, band| {
-            for (local, plane) in planes.enumerate() {
-                let (bi, co) = (plane / g.cout, plane % g.cout);
-                let oplane = &mut band[local * out_plane..(local + 1) * out_plane];
-                oplane.fill(bias.map_or(0.0, |bd| bd[co]));
-                for ci in 0..g.cin {
-                    let xplane = &x[(bi * g.cin + ci) * in_plane..][..in_plane];
-                    let wk = &wt[(co * g.cin + ci) * taps..][..taps];
-                    for (ky, &ry) in rows.iter().enumerate() {
-                        for (kx, &rx) in cols.iter().enumerate() {
-                            let wv = wk[ky * g.kw + kx];
-                            for (o, i) in runs(ry, rx, g.ow, g.w) {
-                                let dst = &mut oplane[o..o + rx.len()];
-                                let src = &xplane[i..i + rx.len()];
-                                for (acc, &xv) in dst.iter_mut().zip(src) {
-                                    *acc += xv * wv;
-                                }
-                            }
+/// `out[p] = bias + Σ x·w` over `(ci, ky, kx)`, 16 batch elements at a time.
+fn forward(x: &[f32], wt: &[f32], bias: Option<&[f32]>, g: Geom) -> Result<Vec<f32>> {
+    let init = move |co: usize| bias.map_or(0.0, |bd| bd[co]);
+    panel_pass(x, wt, g, false, init, move |acc, row, wv| {
+        for (a, &xv) in acc.iter_mut().zip(row) {
+            *a += xv * wv;
+        }
+    })
+}
+
+/// `gx[i] += g·w` in the oracle's `co → oy → ox` order, 16 batch elements at
+/// a time: the forward pass of the flipped kernel.
+fn grad_input(go: &[f32], wt: &[f32], g: Geom) -> Result<Vec<f32>> {
+    let term = move |acc: &mut [f32; P], row: &[f32; P], wv: f32| {
+        for (a, &gv) in acc.iter_mut().zip(row) {
+            // A zero gradient adds -0.0: the oracle's skip, as a lane select.
+            *a += if gv == 0.0 { -0.0 } else { gv * wv };
+        }
+    };
+    panel_pass(go, wt, g, true, move |_| 0.0, term)
+}
+
+/// The tap table of one pass: for each destination pixel, the `(source
+/// row, weight offset)` of every tap that reads inside the source, in
+/// accumulation order. A source row is `channel·plane + pixel`; a weight
+/// offset counts from the destination channel's first weight. Taps that fall
+/// into the zero padding are left out, so no lane ever adds their term.
+struct Taps {
+    /// `taps[ends[p]..ends[p + 1]]` belong to destination pixel `p`.
+    ends: Vec<usize>,
+    taps: Vec<(u32, u32)>,
+}
+
+impl Taps {
+    /// Forward (`flip = false`): destination `(co, oy, ox)` reads input
+    /// `(ci, oy + ky − ph, ox + kx·d − pw)` for `(ci, ky, kx)` ascending.
+    /// Input gradient (`flip = true`): destination `(ci, iy, ix)` reads
+    /// `grad_out` `(co, iy + ph − ky, ix + pw − kx·d)` for `co` ascending,
+    /// then `ky`, `kx` descending, which is the oracle's `co → oy → ox`.
+    fn new(g: &Geom, flip: bool) -> Result<Taps> {
+        let (dh, dw, sch, sh, sw) =
+            if flip { (g.h, g.w, g.cout, g.oh, g.ow) } else { (g.oh, g.ow, g.cin, g.h, g.w) };
+        let wstride = if flip { g.cin * g.taps() } else { g.taps() };
+        let order = move |n: usize| (0..n).map(move |k| if flip { n - 1 - k } else { k });
+        // Source position of destination position `dp` under tap offset `off`.
+        let source = move |dp: usize, pad: usize, off: usize, len: usize| {
+            let sp = if flip { (dp + pad).checked_sub(off) } else { (dp + off).checked_sub(pad) };
+            sp.filter(|&p| p < len)
+        };
+        let entry = |v: usize| {
+            u32::try_from(v).map_err(|_| {
+                TensorError::Invalid(format!("conv: tap index {v} does not fit the tap table"))
+            })
+        };
+        let mut ends = vec![0];
+        let mut taps = Vec::new();
+        for dy in 0..dh {
+            for dx in 0..dw {
+                for sc in 0..sch {
+                    for ky in order(g.kh) {
+                        let Some(sy) = source(dy, g.ph, ky, sh) else { continue };
+                        for kx in order(g.kw) {
+                            let Some(sx) = source(dx, g.pw, kx * g.dilation, sw) else {
+                                continue;
+                            };
+                            let woff = sc * wstride + ky * g.kw + kx;
+                            taps.push((entry((sc * sh + sy) * sw + sx)?, entry(woff)?));
                         }
                     }
                 }
+                ends.push(taps.len());
             }
-        },
-    );
-    out
+        }
+        Ok(Taps { ends, taps })
+    }
 }
 
-/// `gx[i] += g·w` in the oracle's `co → oy → ox` order: one row-axpy from a
-/// `grad_out` row into an input row per tap, taps walked with `ky`, `kx`
-/// descending.
-fn grad_input(go: &[f32], wt: &[f32], g: Geom) -> Vec<f32> {
-    let (in_plane, out_plane, taps) = (g.in_plane(), g.out_plane(), g.taps());
-    let (rows, cols) = (g.row_spans(), g.col_spans());
-    let block = g.cin * in_plane;
-    let mut gx = vec![0.0f32; g.b * block];
-    // Each batch element's input-gradient block is disjoint.
-    let min_rows = (MIN_WORK_PER_BAND / (g.cout * out_plane * g.macs_per_out()).max(1)).max(1);
-    sthsl_parallel::parallel_rows_mut(&mut gx, g.b, block, min_rows, move |batches, band| {
-        for (local, bi) in batches.enumerate() {
-            let gblock = &mut band[local * block..(local + 1) * block];
-            for co in 0..g.cout {
-                let gplane = &go[(bi * g.cout + co) * out_plane..][..out_plane];
-                for ci in 0..g.cin {
-                    let xplane = &mut gblock[ci * in_plane..(ci + 1) * in_plane];
-                    let wk = &wt[(co * g.cin + ci) * taps..][..taps];
-                    // For one input element, output rows ascend as ky
-                    // descends (oy = iy + ph − ky), and likewise for columns.
-                    for (ky, &ry) in rows.iter().enumerate().rev() {
-                        for (kx, &rx) in cols.iter().enumerate().rev() {
-                            let wv = wk[ky * g.kw + kx];
-                            for (o, i) in runs(ry, rx, g.ow, g.w) {
-                                let src = &gplane[o..o + rx.len()];
-                                let dst = &mut xplane[i..i + rx.len()];
-                                for (acc, &gv) in dst.iter_mut().zip(src) {
-                                    // A zero gradient adds -0.0: the oracle's skip. A
-                                    // plain select vectorizes here as a per-lane blend;
-                                    // `grad_weight` needs `keep_or_neg_zero` because its
-                                    // lane also depends on a padding mask.
-                                    *acc += if gv == 0.0 { -0.0 } else { gv * wv };
-                                }
-                            }
-                        }
+/// Index of a tap-table entry (lossless: `u32` fits `usize` on every target
+/// this crate builds for).
+#[inline(always)]
+fn at(i: u32) -> usize {
+    usize::try_from(i).unwrap_or(usize::MAX)
+}
+
+/// The panel driver shared by `forward` (`flip = false`: `src` is the input)
+/// and `grad_input` (`flip = true`: `src` is `grad_out`). Batch elements are
+/// the vector lanes: each panel packs the source blocks of up to [`P`] of
+/// them lane-major, then every destination element starts from
+/// `init(channel)` and folds in its taps with `term(acc, source, weight)` in
+/// table order, all lanes at once. Lanes past the batch's end compute on
+/// stale data and are never written back.
+fn panel_pass(
+    src: &[f32],
+    wt: &[f32],
+    g: Geom,
+    flip: bool,
+    init: impl Fn(usize) -> f32 + Sync,
+    term: impl Fn(&mut [f32; P], &[f32; P], f32) + Sync,
+) -> Result<Vec<f32>> {
+    let table = Taps::new(&g, flip)?;
+    let (dch, dplane, sblock) = if flip {
+        (g.cin, g.in_plane(), g.cout * g.out_plane())
+    } else {
+        (g.cout, g.out_plane(), g.cin * g.in_plane())
+    };
+    // Weights of one destination channel start `wdst` apart.
+    let wdst = if flip { g.taps() } else { g.cin * g.taps() };
+    let dblock = dch * dplane;
+    let mut out = vec![0.0f32; g.b * dblock];
+    // Each batch element lives in exactly one band, so the result is
+    // bit-identical at every thread count.
+    let min_rows = (MIN_WORK_PER_BAND / (dch * table.taps.len()).max(1)).max(P);
+    sthsl_parallel::parallel_rows_mut(&mut out, g.b, dblock, min_rows, move |batch, band| {
+        let mut panel = vec![[0.0f32; P]; sblock];
+        for b0 in batch.clone().step_by(P) {
+            let lanes = P.min(batch.end - b0);
+            for l in 0..lanes {
+                let block = &src[(b0 + l) * sblock..][..sblock];
+                for (row, &v) in panel.iter_mut().zip(block) {
+                    row[l] = v;
+                }
+            }
+            let dst = &mut band[(b0 - batch.start) * dblock..][..lanes * dblock];
+            for dc in 0..dch {
+                let wk = &wt[dc * wdst..];
+                let acc0 = init(dc);
+                for (p, ends) in table.ends.windows(2).enumerate() {
+                    let mut acc = [acc0; P];
+                    for &(s, o) in &table.taps[ends[0]..ends[1]] {
+                        term(&mut acc, &panel[at(s)], wk[at(o)]);
+                    }
+                    let d = dc * dplane + p;
+                    for (l, &a) in acc[..lanes].iter().enumerate() {
+                        dst[l * dblock + d] = a;
                     }
                 }
             }
         }
     });
-    gx
+    Ok(out)
 }
 
 /// `gw[co, j] += g·patch[j]` over `(bi, oy, ox)`: for each output pixel, a
@@ -476,10 +556,28 @@ fn grad_bias(go: &[f32], b: usize, cout: usize, plane: usize) -> Result<Tensor> 
     Tensor::from_vec(gb, &[cout])
 }
 
-/// Output length of a stride-1 conv: `padded − dilation·(k−1)`, or `None`
-/// for an empty kernel or one whose span exceeds the padded input.
-fn out_len(padded: usize, k: usize, dilation: usize) -> Option<usize> {
-    padded.checked_sub(dilation * k.checked_sub(1)?)
+/// `len + lo + hi`, the extent of a padded axis.
+fn padded(op: &'static str, len: usize, lo: usize, hi: usize) -> Result<usize> {
+    len.checked_add(lo).and_then(|n| n.checked_add(hi)).ok_or_else(|| {
+        TensorError::Invalid(format!("{op}: padded extent {len} + {lo} + {hi} overflows usize"))
+    })
+}
+
+/// Output length of a stride-1 conv, `padded − dilation·(k−1)`. An empty
+/// kernel, a span that overflows and one that exceeds the padded input are
+/// errors.
+fn out_len(op: &'static str, padded: usize, k: usize, dilation: usize) -> Result<usize> {
+    let span = k
+        .checked_sub(1)
+        .ok_or_else(|| TensorError::Invalid(format!("{op}: kernel extent must be >= 1")))?;
+    let span = span.checked_mul(dilation).ok_or_else(|| {
+        TensorError::Invalid(format!(
+            "{op}: dilated kernel span {dilation}·({k}−1) overflows usize"
+        ))
+    })?;
+    padded.checked_sub(span).ok_or_else(|| {
+        TensorError::Invalid(format!("{op}: kernel span {span} exceeds padded extent {padded}"))
+    })
 }
 
 fn check_channels(
@@ -733,6 +831,28 @@ mod tests {
         assert!(x1.conv1d(&w1, None, Pad1d { left: 0, right: 0 }, 1).is_err());
         assert!(x1.conv1d(&w1, None, Pad1d::same(5), 0).is_err()); // dilation 0
     }
+    /// Geometry whose padded extent or dilated span overflows `usize` is a
+    /// typed error at every entry point, not a wrapped (release) or
+    /// panicking (debug) size.
+    #[test]
+    fn conv_rejects_overflowing_geometry() {
+        let half = usize::MAX / 2 + 1;
+        let invalid =
+            |r: Result<Tensor>| assert!(matches!(r, Err(TensorError::Invalid(_))), "{r:?}");
+        let (x1, w1) = (Tensor::ones(&[1, 1, 8]), Tensor::ones(&[1, 1, 3]));
+        let same = Pad1d::same(3);
+        invalid(x1.conv1d(&w1, None, same, half));
+        invalid(x1.conv1d(&w1, None, Pad1d { left: usize::MAX, right: 1 }, 1));
+        let (x2, w2) = (Tensor::ones(&[1, 1, 4, 4]), Tensor::ones(&[1, 1, 3, 3]));
+        invalid(x2.conv2d(&w2, None, (half, 1)));
+        let go1 = Tensor::ones(&[1, 1, 8]);
+        invalid(Tensor::conv1d_grad_input(&go1, &w1, x1.shape(), same, half));
+        invalid(Tensor::conv1d_grad_weight(&go1, &x1, w1.shape(), same, half));
+        let go2 = Tensor::ones(&[1, 1, 4, 4]);
+        invalid(Tensor::conv2d_grad_input(&go2, &w2, x2.shape(), (1, half)));
+        invalid(Tensor::conv2d_grad_weight(&go2, &x2, w2.shape(), (half, 1)));
+    }
+
     /// `grad_out` with 3 channels against a 2-out-channel weight.
     #[test]
     fn conv1d_grad_input_rejects_cout_mismatch() {

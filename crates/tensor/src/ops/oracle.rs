@@ -526,7 +526,8 @@ fn dims3(t: &Tensor) -> [usize; 3] {
 
 /// Seeded property tests: every conv kernel, `permute` and the matmul
 /// family must match their oracles bit for bit on shapes that exercise
-/// clipping from every side and partial register tiles, and on values that
+/// clipping from every side, partial register tiles and conv batches that
+/// fill part of one 16-lane panel, all of one or several, and on values that
 /// exercise the zero skips (exact zeros in `grad_out` and in matmul lhs
 /// operands, `-0.0`, NaN and ±∞ in every operand). The elementwise and
 /// broadcast kernels must match theirs over size-1, missing and zero-length
@@ -578,7 +579,7 @@ mod tests {
         let mut checked = 0;
         while checked < CASES {
             let (b, cin, cout) =
-                (rng.gen_range(1..4usize), rng.gen_range(1..6usize), rng.gen_range(1..6usize));
+                (rng.gen_range(1..41usize), rng.gen_range(1..6usize), rng.gen_range(1..6usize));
             let (h, w) = (rng.gen_range(1..10usize), rng.gen_range(1..10usize));
             let (kh, kw) = (rng.gen_range(1..6usize), rng.gen_range(1..6usize));
             let pad = (rng.gen_range(0..kh), rng.gen_range(0..kw));
@@ -615,8 +616,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xc1d);
         let mut checked = 0;
         while checked < CASES {
-            let (b, cin, cout) =
-                (rng.gen_range(1..4usize), rng.gen_range(1..6usize), rng.gen_range(1..6usize));
+            // Every eighth case has the global temporal conv's shape: one
+            // channel in and out over a long batch.
+            let (b, cin, cout) = if checked % 8 == 0 {
+                (rng.gen_range(41..300usize), 1, 1)
+            } else {
+                (rng.gen_range(1..41usize), rng.gen_range(1..6usize), rng.gen_range(1..6usize))
+            };
             let l = rng.gen_range(1..12usize);
             let k = rng.gen_range(1..6usize);
             let dilation = rng.gen_range(1..4usize);

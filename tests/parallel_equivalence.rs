@@ -231,6 +231,75 @@ fn conv_and_permute_bits_match_pinned_direct_loop_digests() {
     check("permute", 0xc3c7_91ad_a9c6_91db, &|| t.permute(&[3, 1, 4, 0, 2]).unwrap().into_vec());
 }
 
+/// A conv's forward, input gradient and weight gradient, the last two
+/// called as `(grad_out, weight or input, input or weight shape)`.
+type ConvFn<'a> = &'a dyn Fn(&Tensor, &Tensor, &Tensor) -> Tensor;
+type ConvGradFn<'a> = &'a dyn Fn(&Tensor, &Tensor, &[usize]) -> Tensor;
+
+/// A conv at one of the model's shapes, pinned to `[fwd, grad_input,
+/// grad_weight]` digests of the direct-loop kernels' output bits. The input,
+/// the weights and `grad_out` hold exact zeros, and the bias a `-0.0`.
+fn check_model_conv(
+    rng: &mut StdRng,
+    name: &str,
+    [x_shape, w_shape]: [&[usize]; 2],
+    (conv, grad_input, grad_weight): (ConvFn, ConvGradFn, ConvGradFn),
+    digests: [u64; 3],
+) {
+    let x = sparse_normal(rng, x_shape, 9);
+    let wt = sparse_normal(rng, w_shape, 5);
+    let mut bias = sparse_normal(rng, &w_shape[..1], 3);
+    bias.data_mut()[0] = -0.0;
+    let go = sparse_normal(rng, conv(&x, &wt, &bias).shape(), 4);
+    let check = assert_pinned_digest;
+    check(&format!("{name} fwd"), digests[0], &|| conv(&x, &wt, &bias).into_vec());
+    check(&format!("{name} grad_input"), digests[1], &|| grad_input(&go, &wt, x_shape).into_vec());
+    check(&format!("{name} grad_weight"), digests[2], &|| grad_weight(&go, &x, w_shape).into_vec());
+}
+
+/// The model's three conv shapes (paper Eqs. 2–3 and 5: the local
+/// category-mixing conv2d over the 8×8 grid, the local temporal conv1d and
+/// the single-channel global temporal conv1d over a 14-day window). Their
+/// batches span many 16-lane panels and, at 2–8 threads, bands that split
+/// inside a panel, so these pin the batch-lane kernels against the direct
+/// loops where the seeded small-batch cases cannot.
+#[test]
+fn model_conv_shapes_match_pinned_direct_loop_digests() {
+    let mut rng = StdRng::seed_from_u64(20);
+    let pad2 = (1, 1);
+    check_model_conv(
+        &mut rng,
+        "local conv2d",
+        [&[224, 4, 8, 8], &[4, 4, 3, 3]],
+        (
+            &|x, w, b| x.conv2d(w, Some(b), pad2).unwrap(),
+            &|go, w, shape| Tensor::conv2d_grad_input(go, w, shape, pad2).unwrap(),
+            &|go, x, shape| Tensor::conv2d_grad_weight(go, x, shape, pad2).unwrap(),
+        ),
+        [0xb822_1c1a_b6f8_4849, 0x0014_5fc3_61d7_06f3, 0x9f1b_1772_8f5f_6e9a],
+    );
+    let pad1 = Pad1d::same(3);
+    let conv1d: (ConvFn, ConvGradFn, ConvGradFn) = (
+        &|x, w, b| x.conv1d(w, Some(b), pad1, 1).unwrap(),
+        &|go, w, shape| Tensor::conv1d_grad_input(go, w, shape, pad1, 1).unwrap(),
+        &|go, x, shape| Tensor::conv1d_grad_weight(go, x, shape, pad1, 1).unwrap(),
+    );
+    check_model_conv(
+        &mut rng,
+        "local conv1d",
+        [&[1024, 4, 14], &[4, 4, 3]],
+        conv1d,
+        [0x9f99_a616_5509_dcdd, 0xd646_ac55_e7e3_df25, 0x6f24_58b1_6ed1_7955],
+    );
+    check_model_conv(
+        &mut rng,
+        "global conv1d",
+        [&[4096, 1, 14], &[1, 1, 3]],
+        conv1d,
+        [0x53f7_d461_8332_308a, 0xa9e4_9e58_c1ec_860d, 0xb443_9e56_c5b9_3dc6],
+    );
+}
+
 /// The hypergraph hops (paper Eq. 4) on a small window, pinned to digests
 /// of the cache-blocked row-axpy kernel's output bits: the register-tiled
 /// kernel, and its transposed-lhs reads in the backward products, must give
