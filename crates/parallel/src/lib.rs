@@ -389,25 +389,34 @@ where
 
 /// Debug-build proof obligation for the `unsafe` in [`parallel_rows_mut`]:
 /// the bands must be pairwise disjoint and exactly cover `[0, rows)`.
-/// Contiguity + ascending order implies both, so that is what is checked.
 fn debug_assert_bands_partition(ranges: &[Range<usize>], rows: usize) {
     if cfg!(debug_assertions) {
-        let mut expected_start = 0;
-        for (i, r) in ranges.iter().enumerate() {
-            assert_eq!(
-                r.start, expected_start,
+        assert_eq!(check_bands_partition(ranges, rows), Ok(()), "invalid band partition");
+    }
+}
+
+/// Whether `ranges` are pairwise disjoint and exactly cover `[0, rows)`.
+/// Contiguity + ascending order implies both, so that is what is checked.
+/// Compiled in every profile, so its tests run in release builds too.
+fn check_bands_partition(ranges: &[Range<usize>], rows: usize) -> Result<(), String> {
+    let mut expected_start = 0;
+    for (i, r) in ranges.iter().enumerate() {
+        if r.start != expected_start {
+            return Err(format!(
                 "band {i} starts at {} but the previous band ended at {expected_start}: \
                  bands must be contiguous (disjoint, gap-free)",
                 r.start
-            );
-            assert!(r.end >= r.start, "band {i} is inverted");
-            expected_start = r.end;
+            ));
         }
-        assert_eq!(
-            expected_start, rows,
-            "bands cover [0, {expected_start}) but the data has {rows} rows"
-        );
+        if r.end < r.start {
+            return Err(format!("band {i} is inverted"));
+        }
+        expected_start = r.end;
     }
+    if expected_start != rows {
+        return Err(format!("bands cover [0, {expected_start}) but the data has {rows} rows"));
+    }
+    Ok(())
 }
 
 // ------------------------------------------------------ deterministic reduce
@@ -478,8 +487,8 @@ mod tests {
 
     #[test]
     fn band_partition_assertion_accepts_partitions_and_rejects_overlap_and_gaps() {
-        debug_assert_bands_partition(&split_bands(97, 13), 97);
-        debug_assert_bands_partition(&[], 0);
+        assert_eq!(check_bands_partition(&split_bands(97, 13), 97), Ok(()));
+        assert_eq!(check_bands_partition(&[], 0), Ok(()));
         let one = |r: Range<usize>| vec![r]; // sidestep vec![a..b] init lint
         for bad in [
             vec![0..5, 4..10], // overlap
@@ -487,8 +496,7 @@ mod tests {
             one(1..10),        // does not start at 0
             one(0..9),         // does not cover all rows
         ] {
-            let r = std::panic::catch_unwind(|| debug_assert_bands_partition(&bad, 10));
-            assert!(r.is_err(), "accepted invalid partition {bad:?}");
+            assert!(check_bands_partition(&bad, 10).is_err(), "accepted invalid partition {bad:?}");
         }
     }
 

@@ -28,6 +28,7 @@ mod tensor;
 
 pub mod ops;
 pub mod schedule;
+pub mod simd;
 
 pub use error::TensorError;
 pub use shape::{broadcast_shapes, flatten_index, for_each_index, strides_of, Shape};

@@ -31,8 +31,15 @@
 //!
 //! **Weight gradient: row loops.** Its `(bi, oy, ox)` order runs serially
 //! over the batch, so batch lanes would reorder its sums. It is an im2col
-//! rank-1 update per output pixel instead, with taps in the padding clipped
-//! out of each contiguous run ([`Span`]).
+//! rank-1 update per output pixel instead. Each batch element's patches are
+//! gathered through a per-call index table: the table is [`im2col`] run once
+//! over the input offsets, with taps in the padding clipped out of each
+//! contiguous run ([`Span`]); its padding lanes read offset 0 and a per-call
+//! mask turns them into `-0.0`.
+//!
+//! Every kernel body runs under [`wide!`], which picks its AVX2 copy where
+//! the CPU has one. The operations and their order are the same at every
+//! level, and so are the bits.
 //!
 //! Where a lane must skip a term — a zero `grad_out` element in either
 //! gradient, or an im2col lane in the padding — it adds `-0.0` instead.
@@ -48,6 +55,7 @@
 //! computed in checked arithmetic: an extent that overflows `usize` is a
 //! [`TensorError::Invalid`].
 
+use crate::simd::wide;
 use crate::{Result, Tensor, TensorError};
 
 /// Minimum multiply-accumulate count a band must carry before it is worth a
@@ -117,7 +125,7 @@ impl Tensor {
         const OP: &str = "conv2d_grad_weight";
         let geom = Geom::conv2d(OP, input.shape(), weight_shape, pad)?;
         check_grad_out(OP, grad_out, &geom.out_shape2d())?;
-        Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom), weight_shape)
+        Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom)?, weight_shape)
     }
 
     /// Gradient of a conv bias: sum of `grad_out` over batch and spatial axes.
@@ -167,7 +175,7 @@ impl Tensor {
         const OP: &str = "conv1d_grad_weight";
         let geom = Geom::conv1d(OP, input.shape(), weight_shape, pad, dilation)?;
         check_grad_out(OP, grad_out, &geom.out_shape1d())?;
-        Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom), weight_shape)
+        Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom)?, weight_shape)
     }
 
     /// Gradient of a 1-D conv bias: sum over batch and length axes.
@@ -383,11 +391,6 @@ impl Taps {
             let sp = if flip { (dp + pad).checked_sub(off) } else { (dp + off).checked_sub(pad) };
             sp.filter(|&p| p < len)
         };
-        let entry = |v: usize| {
-            u32::try_from(v).map_err(|_| {
-                TensorError::Invalid(format!("conv: tap index {v} does not fit the tap table"))
-            })
-        };
         let mut ends = vec![0];
         let mut taps = Vec::new();
         for dy in 0..dh {
@@ -400,7 +403,7 @@ impl Taps {
                                 continue;
                             };
                             let woff = sc * wstride + ky * g.kw + kx;
-                            taps.push((entry((sc * sh + sy) * sw + sx)?, entry(woff)?));
+                            taps.push((tap_index((sc * sh + sy) * sw + sx)?, tap_index(woff)?));
                         }
                     }
                 }
@@ -409,6 +412,14 @@ impl Taps {
         }
         Ok(Taps { ends, taps })
     }
+}
+
+/// `v` as a tap- or gather-table entry; one that does not fit `u32` is a
+/// typed error.
+fn tap_index(v: usize) -> Result<u32> {
+    u32::try_from(v).map_err(|_| {
+        TensorError::Invalid(format!("conv: index {v} does not fit a tap or gather table"))
+    })
 }
 
 /// Index of a tap-table entry (lossless: `u32` fits `usize` on every target
@@ -447,31 +458,33 @@ fn panel_pass(
     // bit-identical at every thread count.
     let min_rows = (MIN_WORK_PER_BAND / (dch * table.taps.len()).max(1)).max(P);
     sthsl_parallel::parallel_rows_mut(&mut out, g.b, dblock, min_rows, move |batch, band| {
-        let mut panel = vec![[0.0f32; P]; sblock];
-        for b0 in batch.clone().step_by(P) {
-            let lanes = P.min(batch.end - b0);
-            for l in 0..lanes {
-                let block = &src[(b0 + l) * sblock..][..sblock];
-                for (row, &v) in panel.iter_mut().zip(block) {
-                    row[l] = v;
-                }
-            }
-            let dst = &mut band[(b0 - batch.start) * dblock..][..lanes * dblock];
-            for dc in 0..dch {
-                let wk = &wt[dc * wdst..];
-                let acc0 = init(dc);
-                for (p, ends) in table.ends.windows(2).enumerate() {
-                    let mut acc = [acc0; P];
-                    for &(s, o) in &table.taps[ends[0]..ends[1]] {
-                        term(&mut acc, &panel[at(s)], wk[at(o)]);
-                    }
-                    let d = dc * dplane + p;
-                    for (l, &a) in acc[..lanes].iter().enumerate() {
-                        dst[l * dblock + d] = a;
+        wide!(band, |band| {
+            let mut panel = vec![[0.0f32; P]; sblock];
+            for b0 in batch.clone().step_by(P) {
+                let lanes = P.min(batch.end - b0);
+                for l in 0..lanes {
+                    let block = &src[(b0 + l) * sblock..][..sblock];
+                    for (row, &v) in panel.iter_mut().zip(block) {
+                        row[l] = v;
                     }
                 }
+                let dst = &mut band[(b0 - batch.start) * dblock..][..lanes * dblock];
+                for dc in 0..dch {
+                    let wk = &wt[dc * wdst..];
+                    let acc0 = init(dc);
+                    for (p, ends) in table.ends.windows(2).enumerate() {
+                        let mut acc = [acc0; P];
+                        for &(s, o) in &table.taps[ends[0]..ends[1]] {
+                            term(&mut acc, &panel[at(s)], wk[at(o)]);
+                        }
+                        let d = dc * dplane + p;
+                        for (l, &a) in acc[..lanes].iter().enumerate() {
+                            dst[l * dblock + d] = a;
+                        }
+                    }
+                }
             }
-        }
+        });
     });
     Ok(out)
 }
@@ -479,46 +492,57 @@ fn panel_pass(
 /// `gw[co, j] += g·patch[j]` over `(bi, oy, ox)`: for each output pixel, a
 /// rank-1 update of all `cin·kh·kw` weights of one out-channel from the
 /// pixel's im2col patch.
-fn grad_weight(go: &[f32], x: &[f32], g: Geom) -> Vec<f32> {
+fn grad_weight(go: &[f32], x: &[f32], g: Geom) -> Result<Vec<f32>> {
     let (in_plane, out_plane, taps) = (g.in_plane(), g.out_plane(), g.taps());
     let (rows, cols) = (g.row_spans(), g.col_spans());
-    let kvol = g.cin * taps;
+    let (kvol, xblock) = (g.cin * taps, g.cin * in_plane);
     let mut gw = vec![0.0f32; g.cout * kvol];
-    if kvol == 0 {
-        return gw;
+    if kvol == 0 || xblock == 0 {
+        // No weights, or every patch lane lies in the padding and adds -0.0.
+        return Ok(gw);
     }
-    // Which im2col lanes read inside the input: the same for every batch
-    // element.
+    // The same for every batch element: which im2col lanes read inside the
+    // input, and the offset in the input block each lane reads. A lane in
+    // the padding reads offset 0 and is masked to -0.0.
     let mut valid = vec![0u32; out_plane * kvol];
-    im2col(&mut valid, &vec![u32::MAX; g.cin * in_plane], &g, &rows, &cols);
+    im2col(&mut valid, &vec![u32::MAX; xblock], &g, &rows, &cols);
+    let offsets = (0..xblock).map(tap_index).collect::<Result<Vec<u32>>>()?;
+    let mut gather = vec![0u32; out_plane * kvol];
+    im2col(&mut gather, &offsets, &g, &rows, &cols);
     // Each out-channel's weight-gradient block is disjoint; walking `bi`
     // outside the band's out-channels shares one patch buffer among them
     // without changing any weight's `(bi, oy, ox)` order.
     let min_rows = (MIN_WORK_PER_BAND / (g.b * out_plane * kvol).max(1)).max(1);
     sthsl_parallel::parallel_rows_mut(&mut gw, g.cout, kvol, min_rows, move |couts, band| {
-        let mut patches = vec![0.0f32; out_plane * kvol];
-        for bi in 0..g.b {
-            im2col(&mut patches, &x[bi * g.cin * in_plane..][..g.cin * in_plane], &g, &rows, &cols);
-            for (gblock, co) in band.chunks_exact_mut(kvol).zip(couts.clone()) {
-                let gplane = &go[(bi * g.cout + co) * out_plane..][..out_plane];
-                let pixels = patches.chunks_exact(kvol).zip(valid.chunks_exact(kvol));
-                for (&gv, (patch, lanes)) in gplane.iter().zip(pixels) {
-                    // Lanes of a zero gradient or in the padding add -0.0.
-                    let keep = if gv == 0.0 { 0 } else { u32::MAX };
-                    for ((acc, &xv), &ok) in gblock.iter_mut().zip(patch).zip(lanes) {
-                        *acc += keep_or_neg_zero(gv * xv, ok & keep);
+        wide!(band, |band| {
+            let mut patches = vec![0.0f32; out_plane * kvol];
+            for bi in 0..g.b {
+                let xb = &x[bi * xblock..][..xblock];
+                for (cell, &i) in patches.iter_mut().zip(&gather) {
+                    *cell = xb[at(i)];
+                }
+                for (gblock, co) in band.chunks_exact_mut(kvol).zip(couts.clone()) {
+                    let gplane = &go[(bi * g.cout + co) * out_plane..][..out_plane];
+                    let pixels = patches.chunks_exact(kvol).zip(valid.chunks_exact(kvol));
+                    for (&gv, (patch, lanes)) in gplane.iter().zip(pixels) {
+                        // Lanes of a zero gradient or in the padding add -0.0.
+                        let keep = if gv == 0.0 { 0 } else { u32::MAX };
+                        for ((acc, &xv), &ok) in gblock.iter_mut().zip(patch).zip(lanes) {
+                            *acc += keep_or_neg_zero(gv * xv, ok & keep);
+                        }
                     }
                 }
             }
-        }
+        });
     });
-    gw
+    Ok(gw)
 }
 
-/// Scatter one batch element's input `src: [Cin, H, W]` into im2col layout:
-/// patch `p` (output pixel `p`) holds the value that weight
+/// Lay one batch element's `src: [Cin, H, W]` out in im2col order: patch
+/// `p` (output pixel `p`) holds the value that weight
 /// `j = (ci·kh + ky)·kw + kx` multiplies at `cells[p·kvol + j]`. Lanes in the
-/// padding are left as they are.
+/// padding are left as they are. Run once per call, over offsets or masks,
+/// to build the weight gradient's per-call tables.
 fn im2col<T: Copy>(cells: &mut [T], src: &[T], g: &Geom, rows: &[Span], cols: &[Span]) {
     let kvol = g.cin * g.taps();
     for ci in 0..g.cin {
@@ -903,5 +927,22 @@ mod tests {
         let x = Tensor::ones(&[1, 1, 4, 4]);
         let err = Tensor::conv2d_grad_weight(&go, &x, &[1, 1, 3, 3], (1, 1));
         assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })), "{err:?}");
+    }
+
+    /// An empty input plane with padding still has output pixels, all of
+    /// whose patch lanes lie in the padding: the gather table has no input
+    /// offset to read, and every weight's gradient is `+0.0`, as the
+    /// oracle's.
+    #[test]
+    fn conv_grad_weight_over_an_empty_input_plane_is_zero() {
+        let x = Tensor::zeros(&[2, 1, 0, 3]);
+        let go = Tensor::from_vec(vec![f32::NAN; 2 * 2 * 2 * 3], &[2, 2, 2, 3]).unwrap();
+        let gw = Tensor::conv2d_grad_weight(&go, &x, &[2, 1, 1, 1], (1, 0)).unwrap();
+        let want = oracle::conv2d_grad_weight(&go, &x, &[2, 1, 1, 1], (1, 0));
+        assert_eq!(gw.data(), want.data());
+        assert!(gw.data().iter().all(|v| v.to_bits() == 0), "{:?}", gw.data());
+        let (x1, go1) = (Tensor::zeros(&[1, 1, 0]), Tensor::ones(&[1, 1, 2]));
+        let gw1 = Tensor::conv1d_grad_weight(&go1, &x1, &[1, 1, 1], Pad1d::same(3), 1);
+        assert_eq!(gw1.unwrap().data(), &[0.0]);
     }
 }

@@ -5,7 +5,8 @@
 //! Every product runs through one kernel, [`matmul_band`]. For each output
 //! row it keeps a tile of [`LANES`] accumulators in registers across the
 //! whole inner dimension `k` and stores the tile once; the columns past the
-//! last full tile form one narrower tile. Each output element is `+0.0` plus
+//! last full tile form narrower tiles of 8, 4, 2 and 1 columns, each of a
+//! width fixed at compile time. Each output element is `+0.0` plus
 //! `a[i,p]·b[p,j]` for `p` ascending, and a zero lhs element is skipped by
 //! one scalar test for the whole tile. Those are the operations, in the
 //! order, of the row-axpy loop kept in `ops/oracle.rs`, so results are
@@ -21,6 +22,7 @@
 //! Work is partitioned over output rows, so each output element is produced
 //! by exactly one thread: results are bit-identical at every thread count.
 
+use crate::simd::wide;
 use crate::{Result, Tensor, TensorError};
 use std::ops::Range;
 
@@ -55,7 +57,7 @@ impl Product {
             self.n,
             min_rows,
             move |rows, band| {
-                matmul_band(a, b, self, rows, band);
+                wide!(band, |band| matmul_band(a, b, self, rows, band));
             },
         );
         out
@@ -65,7 +67,9 @@ impl Product {
 /// Fill `band`, the output rows `rows` (row-major, stride `n`), in blocks
 /// of at most [`PANEL`] rows of one batch. A transposed lhs has the block's
 /// columns copied into a row-major panel first, one contiguous read per
-/// lhs row, so every output row then reads its lhs contiguously.
+/// lhs row, so every output row then reads its lhs contiguously. Always
+/// inlined, so that its tiles are compiled into each [`wide!`] copy.
+#[inline(always)]
 fn matmul_band(a: &[f32], b: &[f32], p: Product, rows: Range<usize>, band: &mut [f32]) {
     let Product { m, k, n, lhs_transposed, .. } = p;
     if n == 0 {
@@ -91,33 +95,44 @@ fn matmul_band(a: &[f32], b: &[f32], p: Product, rows: Range<usize>, band: &mut 
                 if lhs_transposed { &panel[j * k..][..k] } else { &lhs[(i0 + j) * k..][..k] };
             let mut tiles = orow.chunks_exact_mut(LANES);
             for (t, tile) in tiles.by_ref().enumerate() {
-                accumulate_tile(lrow, rhs, n, t * LANES, tile);
+                accumulate_tile::<LANES>(lrow, rhs, n, t * LANES, tile);
             }
-            let tail = tiles.into_remainder();
-            if !tail.is_empty() {
-                accumulate_tile(lrow, rhs, n, n - tail.len(), tail);
+            // The last `n mod 16` columns, in pieces of 8, 4, 2 and 1: a
+            // tile of runtime width compiles to masked loads and stores of
+            // its accumulators, whose store-to-load stalls made the AVX2
+            // copy 3× slower than SSE2 on a one-column product.
+            let mut rest = tiles.into_remainder();
+            while !rest.is_empty() {
+                let (j0, w) = (n - rest.len(), 1usize << rest.len().ilog2());
+                let (piece, later) = rest.split_at_mut(w);
+                match w {
+                    8 => accumulate_tile::<8>(lrow, rhs, n, j0, piece),
+                    4 => accumulate_tile::<4>(lrow, rhs, n, j0, piece),
+                    2 => accumulate_tile::<2>(lrow, rhs, n, j0, piece),
+                    _ => accumulate_tile::<1>(lrow, rhs, n, j0, piece),
+                }
+                rest = later;
             }
         }
         gi += r;
     }
 }
 
-/// `out[j] = Σ_p lhs[p]·rhs[p·n + j0 + j]` for `j < out.len() ≤ LANES`,
-/// summed in ascending `p` in accumulators that stay in registers, then
-/// stored once. Inlined, a full tile's width is the constant `LANES`.
+/// `out[j] = Σ_p lhs[p]·rhs[p·n + j0 + j]` for `j < W = out.len()`,
+/// summed in ascending `p` in `W` accumulators that stay in registers, then
+/// stored once.
 #[inline(always)]
-fn accumulate_tile(lhs: &[f32], rhs: &[f32], n: usize, j0: usize, out: &mut [f32]) {
-    let w = out.len();
-    let mut acc = [0.0f32; LANES];
+fn accumulate_tile<const W: usize>(lhs: &[f32], rhs: &[f32], n: usize, j0: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; W];
     for (&av, brow) in lhs.iter().zip(rhs.chunks_exact(n)) {
         if av == 0.0 {
             continue; // sparse inputs (z-scored zero days) are common
         }
-        for (s, &bv) in acc[..w].iter_mut().zip(&brow[j0..j0 + w]) {
+        for (s, &bv) in acc.iter_mut().zip(&brow[j0..j0 + W]) {
             *s += av * bv;
         }
     }
-    out.copy_from_slice(&acc[..w]);
+    out.copy_from_slice(&acc);
 }
 
 impl Tensor {

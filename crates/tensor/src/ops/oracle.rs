@@ -531,11 +531,21 @@ fn dims3(t: &Tensor) -> [usize; 3] {
 /// exercise the zero skips (exact zeros in `grad_out` and in matmul lhs
 /// operands, `-0.0`, NaN and ±∞ in every operand). The elementwise and
 /// broadcast kernels must match theirs over size-1, missing and zero-length
-/// axes, with subnormals among the values too.
+/// axes, with subnormals among the values too. The conv, matmul and
+/// elementwise cases run once per vector level the CPU has (SSE2, and AVX2
+/// where detected), so each of the kernels' dispatched copies is checked.
 mod tests {
     use super::Pad1d;
     use crate::{broadcast_shapes, Tensor};
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// `simd::at_each_level`, serialised: the tests run on parallel threads
+    /// and the level it holds is process-global.
+    fn at_each_level(f: impl FnMut(&'static str)) {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        crate::simd::at_each_level(f);
+    }
 
     /// Cases per conv kernel family.
     const CASES: usize = 400;
@@ -575,6 +585,10 @@ mod tests {
 
     #[test]
     fn conv2d_kernels_match_oracle_bits() {
+        at_each_level(conv2d_cases);
+    }
+
+    fn conv2d_cases(level: &str) {
         let mut rng = StdRng::seed_from_u64(0xc2d);
         let mut checked = 0;
         while checked < CASES {
@@ -591,8 +605,9 @@ mod tests {
             let x = tensor(&mut rng, &[b, cin, h, w], 0.1, special);
             let wt = tensor(&mut rng, &[cout, cin, kh, kw], 0.1, special);
             let bias = tensor(&mut rng, &[cout], 0.5, false);
-            let label =
-                format!("b{b} {cin}->{cout} {h}x{w} k{kh}x{kw} pad{pad:?} special={special}");
+            let label = format!(
+                "{level} b{b} {cin}->{cout} {h}x{w} k{kh}x{kw} pad{pad:?} special={special}"
+            );
             let y = x.conv2d(&wt, Some(&bias), pad).unwrap();
             assert_bits(&format!("conv2d {label}"), &y, &super::conv2d(&x, &wt, Some(&bias), pad));
             let y0 = x.conv2d(&wt, None, pad).unwrap();
@@ -613,6 +628,10 @@ mod tests {
 
     #[test]
     fn conv1d_kernels_match_oracle_bits() {
+        at_each_level(conv1d_cases);
+    }
+
+    fn conv1d_cases(level: &str) {
         let mut rng = StdRng::seed_from_u64(0xc1d);
         let mut checked = 0;
         while checked < CASES {
@@ -639,8 +658,9 @@ mod tests {
             let x = tensor(&mut rng, &[b, cin, l], 0.1, special);
             let wt = tensor(&mut rng, &[cout, cin, k], 0.1, special);
             let bias = tensor(&mut rng, &[cout], 0.5, false);
-            let label =
-                format!("b{b} {cin}->{cout} l{l} k{k} d{dilation} {pad:?} special={special}");
+            let label = format!(
+                "{level} b{b} {cin}->{cout} l{l} k{k} d{dilation} {pad:?} special={special}"
+            );
             let y = x.conv1d(&wt, Some(&bias), pad, dilation).unwrap();
             assert_bits(
                 &format!("conv1d {label}"),
@@ -727,6 +747,10 @@ mod tests {
 
     #[test]
     fn matmul_family_matches_oracle_bits() {
+        at_each_level(matmul_cases);
+    }
+
+    fn matmul_cases(level: &str) {
         let mut rng = StdRng::seed_from_u64(0x3a7);
         for case in 0..CASES {
             let n = MATMUL_NS[case % MATMUL_NS.len()];
@@ -737,7 +761,7 @@ mod tests {
             let batch = rng.gen_range(1..5usize);
             let special = rng.gen_bool(0.5);
             let (a, b) = matmul_operands(&mut rng, [batch, m, k, n], special);
-            let label = format!("b{batch} m{m} k{k} n{n} special={special}");
+            let label = format!("{level} b{batch} m{m} k{k} n{n} special={special}");
             let want = super::batched_matmul(&a, &b);
             assert_bits(&format!("batched_matmul {label}"), &a.batched_matmul(&b).unwrap(), &want);
             // The transposed entry reads `at` column-wise; the oracle gets
@@ -814,6 +838,10 @@ mod tests {
 
     #[test]
     fn broadcast_arithmetic_and_reduce_to_shape_match_oracle_bits() {
+        at_each_level(broadcast_cases);
+    }
+
+    fn broadcast_cases(level: &str) {
         let mut rng = StdRng::seed_from_u64(0xb0a);
         type Kernel = fn(&Tensor, &Tensor) -> crate::Result<Tensor>;
         type Scalar = fn(f32, f32) -> f32;
@@ -833,7 +861,7 @@ mod tests {
         for [ls, rs] in fixed.into_iter().chain(random) {
             let (a, b) = (edge_tensor(&mut rng, &ls), edge_tensor(&mut rng, &rs));
             for (name, op, f) in ops {
-                let label = format!("{name} {ls:?} x {rs:?}");
+                let label = format!("{level} {name} {ls:?} x {rs:?}");
                 assert_bits(&label, &op(&a, &b).unwrap(), &super::zip_map(&a, &b, f));
             }
             let out = broadcast_shapes(&ls, &rs).unwrap();
@@ -855,6 +883,10 @@ mod tests {
 
     #[test]
     fn leaky_relu_and_grad_match_oracle_bits() {
+        at_each_level(leaky_relu_cases);
+    }
+
+    fn leaky_relu_cases(level: &str) {
         let mut rng = StdRng::seed_from_u64(0x1e4);
         // Every edge value as input and as gradient, then random mixes
         // long enough to span several parallel bands.
@@ -867,7 +899,7 @@ mod tests {
             };
             let g = edge_tensor(&mut rng, &[n]);
             for alpha in [0.0, 0.1] {
-                let label = format!("n{n} alpha={alpha}");
+                let label = format!("{level} n{n} alpha={alpha}");
                 assert_bits(
                     &format!("leaky_relu {label}"),
                     &x.leaky_relu(alpha),

@@ -1,4 +1,5 @@
 use crate::shape::{broadcast_shapes, strides_of};
+use crate::simd::wide;
 use crate::{Result, TensorError};
 use std::ops::Range;
 use sthsl_parallel::REDUCE_BLOCK;
@@ -149,9 +150,11 @@ impl Tensor {
             1,
             MIN_ELEMS_PER_BAND,
             move |rows, band| {
-                for (o, &v) in band.iter_mut().zip(&src[rows]) {
-                    *o = f(v);
-                }
+                wide!(band, |band| {
+                    for (o, &v) in band.iter_mut().zip(&src[rows]) {
+                        *o = f(v);
+                    }
+                });
             },
         );
         Tensor { data, shape: self.shape.clone() }
@@ -166,9 +169,11 @@ impl Tensor {
             1,
             MIN_ELEMS_PER_BAND,
             move |_, band| {
-                for v in band.iter_mut() {
-                    *v = f(*v);
-                }
+                wide!(band, |band| {
+                    for v in band.iter_mut() {
+                        *v = f(*v);
+                    }
+                });
             },
         );
     }
@@ -192,9 +197,12 @@ impl Tensor {
                 1,
                 MIN_ELEMS_PER_BAND,
                 move |rows, band| {
-                    for ((o, &a), &b) in band.iter_mut().zip(&lhs[rows.clone()]).zip(&rhs[rows]) {
-                        *o = f(a, b);
-                    }
+                    wide!(band, |band| {
+                        for ((o, &a), &b) in band.iter_mut().zip(&lhs[rows.clone()]).zip(&rhs[rows])
+                        {
+                            *o = f(a, b);
+                        }
+                    });
                 },
             );
             return Ok(Tensor { data, shape: self.shape.clone() });
@@ -215,30 +223,32 @@ impl Tensor {
         let (rows, row) = (plan.rows(), plan.row);
         let min_rows = (MIN_ELEMS_PER_BAND / row).max(1);
         sthsl_parallel::parallel_rows_mut(&mut data, rows, row, min_rows, move |rows, band| {
-            plan.for_each_row(rows, |k, [l, r]| {
-                let out = &mut band[k * row..(k + 1) * row];
-                match plan.row_stride {
-                    [1, 1] => {
-                        for ((o, &a), &b) in
-                            out.iter_mut().zip(&lhs[l..l + row]).zip(&rhs[r..r + row])
-                        {
-                            *o = f(a, b);
+            wide!(band, |band| {
+                plan.for_each_row(rows, |k, [l, r]| {
+                    let out = &mut band[k * row..(k + 1) * row];
+                    match plan.row_stride {
+                        [1, 1] => {
+                            for ((o, &a), &b) in
+                                out.iter_mut().zip(&lhs[l..l + row]).zip(&rhs[r..r + row])
+                            {
+                                *o = f(a, b);
+                            }
                         }
-                    }
-                    [1, _] => {
-                        let b = rhs[r];
-                        for (o, &a) in out.iter_mut().zip(&lhs[l..l + row]) {
-                            *o = f(a, b);
+                        [1, _] => {
+                            let b = rhs[r];
+                            for (o, &a) in out.iter_mut().zip(&lhs[l..l + row]) {
+                                *o = f(a, b);
+                            }
                         }
-                    }
-                    [_, 1] => {
-                        let a = lhs[l];
-                        for (o, &b) in out.iter_mut().zip(&rhs[r..r + row]) {
-                            *o = f(a, b);
+                        [_, 1] => {
+                            let a = lhs[l];
+                            for (o, &b) in out.iter_mut().zip(&rhs[r..r + row]) {
+                                *o = f(a, b);
+                            }
                         }
+                        _ => out.fill(f(lhs[l], rhs[r])),
                     }
-                    _ => out.fill(f(lhs[l], rhs[r])),
-                }
+                });
             });
         });
         Ok(Tensor { data, shape: out_shape })
@@ -309,9 +319,11 @@ impl Tensor {
             1,
             MIN_ELEMS_PER_BAND,
             move |rows, band| {
-                for (a, &b) in band.iter_mut().zip(&rhs[rows]) {
-                    *a += alpha * b;
-                }
+                wide!(band, |band| {
+                    for (a, &b) in band.iter_mut().zip(&rhs[rows]) {
+                        *a += alpha * b;
+                    }
+                });
             },
         );
         Ok(())
@@ -493,7 +505,9 @@ impl<const N: usize> RowPlan<N> {
 
     /// Call `f(k, offsets)` for the rows in `range`, in order, where `k`
     /// counts from 0 at `range.start` and `offsets[i]` is where operand `i`
-    /// reads the row's first element.
+    /// reads the row's first element. Always inlined, so that a caller's
+    /// kernel body under [`wide!`] keeps the row loop in its vector copy.
+    #[inline(always)]
     fn for_each_row(&self, range: Range<usize>, mut f: impl FnMut(usize, [usize; N])) {
         if range.is_empty() {
             return;

@@ -12,12 +12,15 @@
 //!    normal f32 rounding of a linear serial sum.
 //!
 //! Every test fuzzes shapes with a fixed seed and compares results across
-//! thread counts {1, 2, 4, 8}, plus a run-to-run determinism check.
+//! thread counts {1, 2, 4, 8}, plus a run-to-run determinism check. The
+//! pinned digests are checked at every vector level the kernels dispatch to
+//! on this CPU (SSE2, and AVX2 where detected).
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Mutex;
 use sthsl::parallel::{num_threads, set_num_threads};
 use sthsl::tensor::ops::conv::Pad1d;
+use sthsl::tensor::simd::at_each_level;
 use sthsl::tensor::Tensor;
 
 /// Thread counts every kernel is exercised at.
@@ -178,10 +181,17 @@ fn bits_digest(v: &[f32]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// `f` is bit-identical across thread counts and its bits hash to `want`.
+/// `f` is bit-identical across thread counts and its bits hash to `want`,
+/// at every vector level the kernels dispatch to on this CPU.
 fn assert_pinned_digest(label: &str, want: u64, f: &dyn Fn() -> Vec<f32>) {
-    assert_bitwise_across_thread_counts(label, f);
-    assert_eq!(bits_digest(&f()), want, "{label}: bits differ from the pinned digest");
+    // The level `at_each_level` holds is process-global: one caller at a time.
+    static LEVEL_LOCK: Mutex<()> = Mutex::new(());
+    let _guard = LEVEL_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    at_each_level(|level| {
+        let label = format!("{label} [{level}]");
+        assert_bitwise_across_thread_counts(&label, f);
+        assert_eq!(bits_digest(&f()), want, "{label}: bits differ from the pinned digest");
+    });
 }
 
 /// One fixed case per conv kernel and for `permute`, pinned to digests of
