@@ -10,7 +10,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use sthsl_obs::{Clock, TraceEmitter, TraceEvent, WallClock};
+use sthsl_obs::{Clock, RealIo, TraceEmitter, TraceEvent, WallClock};
 
 use crate::scale::ExpArgs;
 
@@ -39,7 +39,7 @@ impl TimingManifest {
     ) -> io::Result<Self> {
         let clock: Rc<dyn Clock> = Rc::new(WallClock::new());
         let path = dir.join(format!("{name}_timing.jsonl"));
-        let emitter = TraceEmitter::to_file(&path, Rc::clone(&clock))?;
+        let emitter = TraceEmitter::to_file(&RealIo, &path, Rc::clone(&clock))?;
         emitter.emit(&TraceEvent::Manifest { run: name.to_string(), seed, args: args.to_vec() });
         let now = clock.now_ns();
         Ok(TimingManifest { run_start: now, section_start: now, clock, emitter, path })

@@ -5,8 +5,8 @@
 //! offset, torn-write cut point, short-read length), is a pure function of
 //! `(plan.seed, rule index, per-rule op counter)` via [`mix64`]. Running the
 //! same plan against the same sequence of operations injects byte-identical
-//! faults, which is what lets a chaos campaign be replayed and asserted
-//! against bit-identical baselines.
+//! faults, which is what lets a fault-injection test be replayed and
+//! asserted against a bit-identical fault-free run.
 
 use std::cell::Cell;
 use std::io::{self, Write};
@@ -43,7 +43,7 @@ pub enum FaultKind {
     FsyncFail,
     /// The operation succeeds but a seeded latency is charged to the
     /// virtual clock (recorded in the event detail; no real sleeping, so
-    /// campaigns stay fast and deterministic).
+    /// tests stay fast and deterministic).
     Latency,
 }
 

@@ -2,11 +2,11 @@
 //!
 //! Every filesystem touch made by the checkpoint, data-loading and trace
 //! paths goes through [`Io`]. Healthy runs use [`RealIo`], a zero-cost
-//! forwarder to `std::fs`; campaigns wrap it in
+//! forwarder to `std::fs`; tests wrap it in
 //! [`FaultyIo`](crate::fault::FaultyIo) to inject seeded faults.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::log::ChaosLog;
@@ -81,8 +81,8 @@ pub trait Io {
     /// Whether a filesystem object exists at `path`.
     fn exists(&self, path: &Path) -> bool;
 
-    /// Open `path` for appending stream writes (creating it if absent).
-    /// Used by long-lived sinks such as the JSONL trace emitter.
+    /// Create or truncate `path` for buffered stream writes. Used by
+    /// long-lived sinks such as the JSONL trace emitter.
     fn open_writer(&self, path: &Path) -> io::Result<Box<dyn Write>>;
 
     /// The chaos log attached to this seam, if any. [`RealIo`] has none;
@@ -145,8 +145,7 @@ impl Io for RealIo {
     }
 
     fn open_writer(&self, path: &Path) -> io::Result<Box<dyn Write>> {
-        let f = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Box::new(f))
+        Ok(Box::new(BufWriter::new(File::create(path)?)))
     }
 }
 
@@ -179,7 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn real_io_stream_writer_appends() {
+    fn real_io_stream_writer_truncates() {
         let dir = tmp_dir("stream");
         let io = RealIo;
         let p = dir.join("log.jsonl");
@@ -190,8 +189,9 @@ mod tests {
         {
             let mut w = io.open_writer(&p).expect("reopen");
             w.write_all(b"two\n").expect("w2");
+            w.flush().expect("flush");
         }
-        assert_eq!(io.read(&p).expect("read"), b"one\ntwo\n");
+        assert_eq!(io.read(&p).expect("read"), b"two\n");
         fs::remove_dir_all(&dir).ok();
     }
 

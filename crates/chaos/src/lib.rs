@@ -18,11 +18,12 @@
 //! * [`fault`] — [`FaultyIo`] wraps another [`Io`] and injects faults from a
 //!   [`FaultPlan`]: a seeded list of [`FaultRule`]s (fault kind × operation
 //!   class × path filter × rate × budget). Every decision is a pure function
-//!   of `(seed, rule, op counter)`, so a campaign replays bit-identically.
+//!   of `(seed, rule, op counter)`, so a fault plan replays bit-identically.
 //! * [`log`] — the [`ChaosLog`]: a shared, append-only record of every
 //!   injected [`ChaosEvent::Fault`] and every [`ChaosEvent::Recovery`]
 //!   action taken by the healing code (retry, quarantine, fallback, tmp
-//!   sweep, degrade). Drained by drivers into `sthsl-obs` trace events.
+//!   sweep, degrade). Tests assert on it; the checkpoint `degrade` action
+//!   also reaches the JSONL trace through `sthsl-core`'s `TraceHooks`.
 //! * [`retry`] — bounded exponential backoff ([`RetryPolicy`], [`retry`])
 //!   over an injectable [`Sleeper`], plus [`read_file_verified`]: a
 //!   checksum-verified read that re-reads on transient corruption.

@@ -4,8 +4,8 @@
 //! [`FaultyIo`](crate::fault::FaultyIo) appends a [`ChaosEvent::Fault`] for
 //! every fault it injects; retry/quarantine/fallback code appends
 //! [`ChaosEvent::Recovery`] entries through the same shared log (reached via
-//! [`Io::chaos_log`](crate::io::Io::chaos_log)). Campaign drivers drain the
-//! log and convert each entry into an `sthsl-obs` trace event.
+//! [`Io::chaos_log`](crate::io::Io::chaos_log)). Tests read it back through
+//! the counters and [`ChaosLog::snapshot`].
 
 use std::cell::RefCell;
 
@@ -32,7 +32,7 @@ pub enum RecoveryAction {
 }
 
 impl RecoveryAction {
-    /// Stable lowercase name, used in chaos/trace events.
+    /// Stable lowercase name, used in chaos-log and trace events.
     pub fn as_str(self) -> &'static str {
         match self {
             RecoveryAction::Retry => "retry",
@@ -127,11 +127,6 @@ impl ChaosLog {
     pub fn snapshot(&self) -> Vec<ChaosEvent> {
         self.events.borrow().clone()
     }
-
-    /// Remove and return all events.
-    pub fn drain(&self) -> Vec<ChaosEvent> {
-        std::mem::take(&mut *self.events.borrow_mut())
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +134,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn log_records_and_drains_in_order() {
+    fn log_records_in_order() {
         let log = ChaosLog::new();
         assert!(log.is_empty());
         log.fault(OpClass::Write, FaultKind::TornWrite, "/a", "cut at 3".into());
@@ -148,9 +143,8 @@ mod tests {
         assert_eq!(log.len(), 3);
         assert_eq!(log.fault_count(), 1);
         assert_eq!(log.recovery_count(), 2);
-        let events = log.drain();
+        let events = log.snapshot();
         assert_eq!(events.len(), 3);
-        assert!(log.is_empty());
         match &events[0] {
             ChaosEvent::Fault { op, kind, path, detail } => {
                 assert_eq!(*op, OpClass::Write);

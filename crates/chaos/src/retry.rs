@@ -3,7 +3,7 @@
 //!
 //! Delays go through an injectable [`Sleeper`]; the default
 //! [`VirtualSleeper`] only *records* the time it would have slept, so
-//! campaigns and tests are instantaneous and bit-identical across machines.
+//! tests are instantaneous and bit-identical across machines.
 
 use std::cell::Cell;
 use std::io::{self, ErrorKind};
@@ -56,8 +56,8 @@ pub trait Sleeper {
     fn sleep_ns(&self, ns: u64);
 }
 
-/// Records total virtual sleep without ever blocking. The default for tests
-/// and campaigns: backoff behaviour is observable (and assertable) while
+/// Records total virtual sleep without ever blocking. The default for
+/// tests: backoff behaviour is observable (and assertable) while
 /// runs stay instantaneous and deterministic.
 #[derive(Debug, Default)]
 pub struct VirtualSleeper {

@@ -7,13 +7,14 @@
 //! use sthsl_core::obs_hooks::TraceHooks;
 //! use sthsl_core::{StHsl, StHslConfig, TrainLoop, TrainOptions};
 //! use sthsl_data::{CrimeDataset, DatasetConfig, SynthCity, SynthConfig};
-//! use sthsl_obs::{TraceEmitter, WallClock};
+//! use sthsl_obs::{RealIo, TraceEmitter, WallClock};
 //!
 //! let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(8, 8, 200)).unwrap();
 //! let data = CrimeDataset::from_city(&city, DatasetConfig::default()).unwrap();
 //! let mut model = StHsl::new(StHslConfig::quick(), &data).unwrap();
 //! let emitter =
-//!     TraceEmitter::to_file("trace.jsonl".as_ref(), Rc::new(WallClock::new())).unwrap();
+//!     TraceEmitter::to_file(&RealIo, "trace.jsonl".as_ref(), Rc::new(WallClock::new()))
+//!         .unwrap();
 //! let mut hooks = TraceHooks::new(&emitter);
 //! TrainLoop::new(TrainOptions::resilient()).run(&mut model, &data, &mut hooks).unwrap();
 //! emitter.flush().unwrap();

@@ -265,9 +265,9 @@ impl TrainLoop {
     }
 
     /// A loop whose every filesystem touch (checkpoints, `best.params`,
-    /// resume reads, pruning, tmp sweeps) goes through `io` — the seam the
-    /// chaos campaign uses to inject faults — retried under `retry` with
-    /// backoff delays served by `sleeper`.
+    /// resume reads, pruning, tmp sweeps) goes through `io` — the seam
+    /// `tests/failure_injection.rs` injects faults through — retried under
+    /// `retry` with backoff delays served by `sleeper`.
     pub fn with_io(
         opts: TrainOptions,
         io: Rc<dyn Io>,
@@ -857,104 +857,5 @@ mod tests {
         let loop_ = TrainLoop::new(TrainOptions::default());
         let v = loop_.validation_loss(&model, &data, &val_days).unwrap();
         assert!((v - best).abs() < 1e-9, "restored val {v} != best {best}");
-    }
-
-    #[test]
-    fn exhausted_checkpoint_retries_degrade_without_stopping_training() {
-        use sthsl_chaos::{FaultKind, FaultPlan, FaultRule, FaultyIo, OpClass, VirtualSleeper};
-
-        struct DegradeSpy {
-            degraded: Vec<String>,
-            checkpoints: usize,
-        }
-        impl TrainHooks for DegradeSpy {
-            fn on_checkpoint(&mut self, _path: &Path) {
-                self.checkpoints += 1;
-            }
-            fn on_checkpoint_degraded(&mut self, path: &Path, error: &str) {
-                self.degraded.push(format!("{}: {error}", path.display()));
-            }
-        }
-
-        let data = dataset();
-        let mut model = StHsl::new(cfg(), &data).unwrap();
-        let dir = std::env::temp_dir().join(format!("sthsl-degrade-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Every write of a checkpoint file hits ENOSPC (non-retryable).
-        let plan = FaultPlan::new(7)
-            .rule(FaultRule::always(FaultKind::Enospc, OpClass::Write).on_path("ckpt-"));
-        let io: Rc<dyn Io> = Rc::new(FaultyIo::new(RealIo, plan));
-        let opts = TrainOptions { checkpoint_dir: Some(dir.clone()), ..TrainOptions::resilient() };
-        let mut hooks = DegradeSpy { degraded: Vec::new(), checkpoints: 0 };
-        let outcome = TrainLoop::with_io(
-            opts,
-            io,
-            Rc::new(VirtualSleeper::new()),
-            RetryPolicy::default_checkpoint(),
-        )
-        .run(&mut model, &data, &mut hooks)
-        .unwrap();
-        assert!(outcome.checkpointing_disabled, "ENOSPC must latch checkpointing off");
-        assert_eq!(outcome.checkpoint_failures, 1);
-        assert_eq!(hooks.degraded.len(), 1, "degradation hook fires exactly once");
-        assert!(hooks.degraded[0].contains("ckpt-"), "{:?}", hooks.degraded);
-        assert_eq!(hooks.checkpoints, 0, "no checkpoint can succeed under this plan");
-        assert_eq!(outcome.report.epochs, 3, "training must continue after degradation");
-        assert!(outcome.report.final_loss.is_finite());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_resume_target_falls_back_to_older_generation_bit_identically() {
-        use sthsl_autograd::checkpoint::latest_checkpoint;
-
-        struct StopAt(u64);
-        impl TrainHooks for StopAt {
-            fn on_batch_end(&mut self, ctx: &BatchCtx) -> HookAction {
-                if ctx.global_step == self.0 {
-                    HookAction::Stop
-                } else {
-                    HookAction::Continue
-                }
-            }
-        }
-        let param_bits = |model: &StHsl| -> Vec<u32> {
-            let s = &model.store;
-            s.ids().flat_map(|id| s.get(id).data().iter().map(|v| v.to_bits())).collect()
-        };
-
-        let data = dataset();
-        let mut reference = StHsl::new(cfg(), &data).unwrap();
-        TrainLoop::new(TrainOptions::resilient()).run(&mut reference, &data, &mut NoHooks).unwrap();
-
-        let dir = std::env::temp_dir().join(format!("sthsl-fallback-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let want = param_bits(&reference);
-
-        // Kill at step 5: the run leaves ckpt-4 (epoch 0 end) and ckpt-5
-        // (written on stop) — two generations.
-        let opts = TrainOptions { checkpoint_dir: Some(dir.clone()), ..TrainOptions::resilient() };
-        let mut victim = StHsl::new(cfg(), &data).unwrap();
-        TrainLoop::new(opts.clone()).run(&mut victim, &data, &mut StopAt(5)).unwrap();
-
-        // Corrupt the newest generation; resume must quarantine it, fall
-        // back to ckpt-4 and still reproduce the uninterrupted run exactly.
-        let newest = latest_checkpoint(&dir).unwrap().expect("no checkpoint written");
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        std::fs::write(&newest, &bytes).unwrap();
-
-        let mut revived = StHsl::new(cfg(), &data).unwrap();
-        let opts = TrainOptions { resume_from: Some(newest.clone()), ..opts };
-        let outcome = TrainLoop::new(opts).run(&mut revived, &data, &mut NoHooks).unwrap();
-        assert_eq!(outcome.resumed_at, Some((1, 0)), "must resume from the epoch-0-end fallback");
-
-        let got = param_bits(&revived);
-        assert_eq!(got, want, "fallback resume diverged from the uninterrupted run");
-        let corrupt = PathBuf::from(format!("{}.corrupt", newest.display()));
-        assert!(corrupt.exists(), "corrupt generation must be quarantined, not deleted");
-        assert!(!newest.exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -370,7 +370,8 @@ impl SynthCity {
     /// Export the city as the headerless-CSV record format the loader
     /// consumes (`category,day,lon,lat`, one row per simulated case, with
     /// region centres as coordinates). The single source of the export
-    /// format: `sthsl simulate` and the chaos campaign both write this.
+    /// format: `sthsl simulate` and the fault-injection tests both write
+    /// this.
     pub fn export_csv(&self) -> String {
         use std::fmt::Write as _;
         let (r, t, c) = (self.num_regions(), self.num_days(), self.num_categories());

@@ -10,6 +10,8 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::rc::Rc;
 
+use sthsl_chaos::Io;
+
 use crate::clock::Clock;
 use crate::event::TraceEvent;
 use crate::json::Json;
@@ -28,33 +30,17 @@ impl TraceEmitter {
         TraceEmitter { out: RefCell::new(out), clock, seq: Cell::new(0), failed: Cell::new(false) }
     }
 
-    /// An emitter writing to a (buffered) file, creating parent directories.
-    pub fn to_file(path: &Path, clock: Rc<dyn Clock>) -> io::Result<Self> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let file = std::fs::File::create(path)?;
-        Ok(Self::new(Box::new(io::BufWriter::new(file)), clock))
-    }
-
-    /// [`TraceEmitter::to_file`] through an injectable I/O seam: the sink
-    /// comes from [`Io::open_writer`], so a chaos campaign can inject stream
-    /// faults into the trace path and assert they stay latched (never
-    /// fatal).
-    pub fn to_file_io(
-        io: &dyn sthsl_chaos::Io,
-        path: &Path,
-        clock: Rc<dyn Clock>,
-    ) -> io::Result<Self> {
+    /// An emitter writing to the file at `path`, creating parent
+    /// directories. The sink is [`Io::open_writer`]'s: a truncated,
+    /// buffered file for [`RealIo`](sthsl_chaos::RealIo), and a stream that
+    /// injects write faults for [`FaultyIo`](sthsl_chaos::FaultyIo).
+    pub fn to_file(io: &dyn Io, path: &Path, clock: Rc<dyn Clock>) -> io::Result<Self> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 io.create_dir_all(parent)?;
             }
         }
-        let sink = io.open_writer(path)?;
-        Ok(Self::new(sink, clock))
+        Ok(Self::new(io.open_writer(path)?, clock))
     }
 
     /// Append one event as a JSON line: `{"seq":…,"t_ns":…,"type":…,…}`.
@@ -81,7 +67,7 @@ impl TraceEmitter {
         self.failed.get()
     }
 
-    /// Flush the sink (e.g. the `BufWriter` from [`TraceEmitter::to_file`]).
+    /// Flush the sink (e.g. the buffered file from [`TraceEmitter::to_file`]).
     pub fn flush(&self) -> io::Result<()> {
         self.out.borrow_mut().flush()
     }

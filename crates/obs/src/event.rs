@@ -29,10 +29,8 @@ pub enum TraceEvent {
     Divergence { epoch: u64, global_step: u64, loss: f64, retries_used: u64, lr_scale: f64 },
     /// A checkpoint file was durably written.
     Checkpoint { path: String },
-    /// A fault was observed (or injected by `sthsl-chaos`) on the I/O seam.
-    Fault { op: String, fault: String, path: String, detail: String },
-    /// A self-healing action taken in response to a fault: retry,
-    /// quarantine, fallback, tmp sweep, degrade, reread.
+    /// A self-healing action taken in response to a fault. Only the
+    /// checkpoint `degrade` action reaches a trace, via `TraceHooks`.
     Recovery { action: String, path: String, detail: String },
 }
 
@@ -96,7 +94,6 @@ impl TraceEvent {
             TraceEvent::Epoch { .. } => "epoch",
             TraceEvent::Divergence { .. } => "divergence",
             TraceEvent::Checkpoint { .. } => "checkpoint",
-            TraceEvent::Fault { .. } => "fault",
             TraceEvent::Recovery { .. } => "recovery",
         }
     }
@@ -156,12 +153,6 @@ impl TraceEvent {
             }
             TraceEvent::Checkpoint { path } => {
                 out.push(("path".into(), s(path)));
-            }
-            TraceEvent::Fault { op, fault, path, detail } => {
-                out.push(("op".into(), s(op)));
-                out.push(("fault".into(), s(fault)));
-                out.push(("path".into(), s(path)));
-                out.push(("detail".into(), s(detail)));
             }
             TraceEvent::Recovery { action, path, detail } => {
                 out.push(("action".into(), s(action)));
@@ -241,36 +232,12 @@ impl TraceEvent {
                 lr_scale: f64_field(j, "lr_scale")?,
             }),
             "checkpoint" => Ok(TraceEvent::Checkpoint { path: str_field(j, "path")? }),
-            "fault" => Ok(TraceEvent::Fault {
-                op: str_field(j, "op")?,
-                fault: str_field(j, "fault")?,
-                path: str_field(j, "path")?,
-                detail: str_field(j, "detail")?,
-            }),
             "recovery" => Ok(TraceEvent::Recovery {
                 action: str_field(j, "action")?,
                 path: str_field(j, "path")?,
                 detail: str_field(j, "detail")?,
             }),
             other => Err(format!("unknown trace event type `{other}`")),
-        }
-    }
-
-    /// Bridge a chaos-log entry into the trace schema, so every injected
-    /// fault and every recovery action shows up in the run's JSONL trace.
-    pub fn from_chaos(ev: &sthsl_chaos::ChaosEvent) -> TraceEvent {
-        match ev {
-            sthsl_chaos::ChaosEvent::Fault { op, kind, path, detail } => TraceEvent::Fault {
-                op: op.as_str().to_string(),
-                fault: kind.as_str().to_string(),
-                path: path.clone(),
-                detail: detail.clone(),
-            },
-            sthsl_chaos::ChaosEvent::Recovery { action, path, detail } => TraceEvent::Recovery {
-                action: action.as_str().to_string(),
-                path: path.clone(),
-                detail: detail.clone(),
-            },
         }
     }
 }
@@ -323,12 +290,6 @@ mod tests {
                 lr_scale: 0.5,
             },
             TraceEvent::Checkpoint { path: "ckpt/step-000010.ckpt".into() },
-            TraceEvent::Fault {
-                op: "write".into(),
-                fault: "torn_write".into(),
-                path: "ckpt/ckpt-0000000010.sthsl".into(),
-                detail: "cut at 120/4096".into(),
-            },
             TraceEvent::Recovery {
                 action: "quarantine".into(),
                 path: "ckpt/ckpt-0000000010.sthsl".into(),
@@ -369,36 +330,6 @@ mod tests {
             TraceEvent::Divergence { loss, .. } => assert!(loss.is_nan()),
             other => panic!("wrong variant: {other:?}"),
         }
-    }
-
-    #[test]
-    fn chaos_events_bridge_into_the_trace_schema() {
-        use sthsl_chaos::{ChaosEvent, FaultKind, OpClass, RecoveryAction};
-        let fault = ChaosEvent::Fault {
-            op: OpClass::Write,
-            kind: FaultKind::Enospc,
-            path: "/ckpt/a".into(),
-            detail: "disk full".into(),
-        };
-        let ev = TraceEvent::from_chaos(&fault);
-        assert_eq!(
-            ev,
-            TraceEvent::Fault {
-                op: "write".into(),
-                fault: "enospc".into(),
-                path: "/ckpt/a".into(),
-                detail: "disk full".into(),
-            }
-        );
-        let rec = ChaosEvent::Recovery {
-            action: RecoveryAction::Fallback,
-            path: "/ckpt/b".into(),
-            detail: "older verified generation".into(),
-        };
-        let ev = TraceEvent::from_chaos(&rec);
-        // And it survives the JSONL schema roundtrip.
-        let back = TraceEvent::from_json(&parse(&ev.to_json().render()).unwrap()).unwrap();
-        assert_eq!(back, ev);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! * [`event`] — the typed [`TraceEvent`] schema with a round-trippable
 //!   JSON encoding.
 //! * [`emit`] — [`TraceEmitter`] writes events as JSON lines with a
-//!   `seq`/`t_ns` envelope; I/O failures are latched, never fatal.
+//!   `seq`/`t_ns` envelope; I/O failures are latched, never fatal. Its file
+//!   sink opens through the `sthsl-chaos` [`Io`] seam, re-exported here
+//!   with [`RealIo`] for callers that do not depend on that crate.
 //! * [`profile`] — [`TapeProfiler`] implements
 //!   [`sthsl_autograd::TapeObserver`] and attributes wall time per tape op
 //!   (delta profiling: the time between successive notifications belongs to
@@ -49,3 +51,4 @@ pub use emit::{parse_trace, parse_trace_line, TraceEmitter};
 pub use event::TraceEvent;
 pub use json::{parse as parse_json, Json, JsonError};
 pub use profile::{phase_name, OpStat, ProfileReport, ProfileRow, TapeProfiler};
+pub use sthsl_chaos::{Io, RealIo};

@@ -387,7 +387,7 @@ fn cmd_train(flags: &Flags) -> Result<String, CliError> {
     }
     let outcome = match &flags.trace_out {
         Some(trace) => {
-            let emitter = TraceEmitter::to_file(trace.as_ref(), Rc::new(WallClock::new()))
+            let emitter = TraceEmitter::to_file(&RealIo, trace.as_ref(), Rc::new(WallClock::new()))
                 .map_err(|e| format!("{trace}: {e}"))?;
             emitter.emit(&TraceEvent::Manifest {
                 run: "train".into(),
@@ -607,7 +607,7 @@ fn cmd_profile(flags: &Flags) -> Result<String, CliError> {
     let report = profiler.report(flags.top);
 
     if let Some(trace) = &flags.trace_out {
-        let emitter = TraceEmitter::to_file(trace.as_ref(), Rc::clone(&clock))
+        let emitter = TraceEmitter::to_file(&RealIo, trace.as_ref(), Rc::clone(&clock))
             .map_err(|e| format!("{trace}: {e}"))?;
         emitter.emit(&TraceEvent::Manifest {
             run: "profile".into(),
@@ -624,20 +624,6 @@ fn cmd_profile(flags: &Flags) -> Result<String, CliError> {
         emitter.flush().map_err(|e| format!("{trace}: {e}"))?;
     }
     Ok(report.render())
-}
-
-/// `chaos`: run the seeded fault-injection campaign and write the verdict
-/// to a JSON report plus a JSONL fault trace. Exits nonzero when any
-/// scenario misses its recovery contract.
-fn cmd_chaos(flags: &Flags) -> Result<String, CliError> {
-    let report = flags.out.clone().unwrap_or_else(|| "results/chaos_report.json".into());
-    let trace = flags.trace_out.clone().unwrap_or_else(|| "results/chaos_fault_trace.jsonl".into());
-    let outcome = crate::chaos::run_campaign(flags.seed, report.as_ref(), trace.as_ref())?;
-    if outcome.passed {
-        Ok(outcome.summary)
-    } else {
-        Err(outcome.summary.into())
-    }
 }
 
 /// `serve`: load a trained artifact and answer forecast requests over HTTP.
@@ -687,7 +673,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     };
     let emitter = match &flags.trace_out {
         Some(trace) => {
-            let emitter = TraceEmitter::to_file(trace.as_ref(), Rc::new(WallClock::new()))
+            let emitter = TraceEmitter::to_file(&RealIo, trace.as_ref(), Rc::new(WallClock::new()))
                 .map_err(|e| format!("{trace}: {e}"))?;
             emitter.emit(&TraceEvent::Manifest {
                 run: "serve".into(),
@@ -715,7 +701,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
 }
 
 const USAGE: &str =
-    "usage: sthsl <simulate|train|evaluate|predict|serve|graph-audit|profile|chaos> [flags]
+    "usage: sthsl <simulate|train|evaluate|predict|serve|graph-audit|profile> [flags]
   common flags:
     --city nyc|chi   synthetic city preset (default nyc)
     --rows N --cols N --days N --window N --seed N
@@ -756,13 +742,7 @@ const USAGE: &str =
             [--data crimes.csv]    profile a real dataset (default: synthetic)
             [--top N]              rows in the report (default 10)
             [--fake-clock]         deterministic clock: rank by op count
-            (--trace-out also writes the stats as JSONL op_stat events)
-  chaos:    run the seeded fault-injection campaign; nonzero exit on any
-            missed recovery contract
-            [--seed N]             campaign seed (default 7)
-            [--out report.json]    verdict (default results/chaos_report.json)
-            [--trace-out t.jsonl]  fault/recovery trace
-                                   (default results/chaos_fault_trace.jsonl)";
+            (--trace-out also writes the stats as JSONL op_stat events)";
 
 /// Entry point: `args` as produced by `std::env::args().collect()`.
 ///
@@ -797,7 +777,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         "serve" => cmd_serve(&flags)?,
         "graph-audit" | "--graph-audit" => cmd_graph_audit(&flags)?,
         "profile" => cmd_profile(&flags)?,
-        "chaos" => cmd_chaos(&flags)?,
         other => return Err(CliError::usage(format!("unknown command {other}\n{USAGE}"))),
     };
     println!("{output}");
@@ -1176,41 +1155,6 @@ rank op                   phase        count       total_ns        bytes   share
         assert_eq!(epochs, 2, "{text}");
 
         for p in [csv, model, trace] {
-            fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    fn chaos_campaign_passes_and_writes_schema_valid_artifacts() {
-        let report = tmp("chaos_report.json");
-        let trace = tmp("chaos_trace.jsonl");
-        let args =
-            str_args(&["sthsl", "chaos", "--seed", "11", "--out", &report, "--trace-out", &trace]);
-        run(&args).unwrap();
-
-        // Verdict: schema-valid JSON, passed, with every scenario ok.
-        let text = fs::read_to_string(&report).unwrap();
-        let json = crate::obs::parse_json(&text).unwrap();
-        assert_eq!(
-            json.get("schema").and_then(crate::obs::Json::as_str),
-            Some("sthsl-chaos-report-v1")
-        );
-        assert_eq!(json.get("passed").and_then(crate::obs::Json::as_bool), Some(true), "{text}");
-        let Some(crate::obs::Json::Arr(scenarios)) = json.get("scenarios") else {
-            panic!("scenarios must be an array: {text}");
-        };
-        assert!(scenarios.len() >= 10, "expected the full matrix, got {}", scenarios.len());
-        for s in scenarios {
-            assert_eq!(s.get("ok").and_then(crate::obs::Json::as_bool), Some(true), "{text}");
-        }
-
-        // Fault trace: parseable JSONL containing fault AND recovery events.
-        let trace_text = fs::read_to_string(&trace).unwrap();
-        let events = crate::obs::parse_trace(&trace_text).unwrap();
-        assert!(events.iter().any(|e| matches!(e, crate::obs::TraceEvent::Fault { .. })));
-        assert!(events.iter().any(|e| matches!(e, crate::obs::TraceEvent::Recovery { .. })));
-
-        for p in [report, trace] {
             fs::remove_file(p).ok();
         }
     }

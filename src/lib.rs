@@ -5,7 +5,8 @@
 //! the public API of every workspace crate:
 //!
 //! - [`faults`] — the deterministic fault-injection I/O seam and retry
-//!   toolkit (the `sthsl chaos` campaign lives in [`chaos`]).
+//!   toolkit (its recovery contracts are tested in
+//!   `tests/failure_injection.rs`).
 //! - [`parallel`] — the scoped thread pool behind every multi-threaded kernel.
 //! - [`tensor`] — dense f32 tensors, convolutions, matmul.
 //! - [`autograd`] — tape-based reverse-mode autodiff, NN layers, optimizers.
@@ -28,7 +29,6 @@
 //! println!("MAE {:.4}", report.mae_overall());
 //! ```
 
-pub mod chaos;
 pub mod cli;
 
 pub use sthsl_autograd as autograd;

@@ -1,6 +1,14 @@
 //! Failure-injection tests: the public API must return typed errors (never
-//! panic) on malformed inputs, and training must survive pathological data.
+//! panic) on malformed inputs, training must survive pathological data, and
+//! every seeded I/O fault must either heal to the fault-free run's exact
+//! parameter bits or end in a typed error.
 
+use std::path::{Path, PathBuf};
+use std::rc::Rc;
+use std::sync::OnceLock;
+
+use sthsl::data::{dataset_from_csv_path_io, GridSpec};
+use sthsl::faults::{fnv1a, ChaosEvent, RecoveryAction};
 use sthsl::prelude::*;
 
 fn dataset() -> CrimeDataset {
@@ -294,32 +302,276 @@ fn resume_with_different_seed_is_rejected() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Injects a NaN loss exactly once, mid-training.
-struct NanOnce {
-    at_step: u64,
-    fired: bool,
-}
+/// Injects a NaN loss at each listed optimizer step, once each.
+struct NanAt(Vec<u64>);
 
-impl TrainHooks for NanOnce {
+impl TrainHooks for NanAt {
     fn inject_fault(&mut self, ctx: &BatchCtx) -> Option<Fault> {
-        if !self.fired && ctx.global_step == self.at_step {
-            self.fired = true;
-            return Some(Fault::NanLoss);
-        }
-        None
+        let at = self.0.iter().position(|s| *s == ctx.global_step)?;
+        self.0.remove(at);
+        Some(Fault::NanLoss)
     }
 }
 
 #[test]
 fn injected_divergence_heals_and_finishes_with_finite_loss() {
     let data = dataset();
-    let mut model = StHsl::new(tiny_cfg(), &data).unwrap();
-    let outcome = model
-        .fit_with(&data, TrainOptions::resilient(), &mut NanOnce { at_step: 4, fired: false })
+    // One NaN mid-training, then a storm of two, one in each epoch.
+    for steps in [vec![4], vec![2, 6]] {
+        let mut model = StHsl::new(tiny_cfg(), &data).unwrap();
+        let outcome =
+            model.fit_with(&data, TrainOptions::resilient(), &mut NanAt(steps.clone())).unwrap();
+        assert_eq!(outcome.divergence_events as usize, steps.len(), "NaN at {steps:?}");
+        assert!(outcome.report.final_loss.is_finite(), "NaN at {steps:?}");
+        let sample = data.sample(30).unwrap();
+        let pred = model.predict(&data, &sample.input).unwrap();
+        assert!(pred.data().iter().all(|v| v.is_finite()), "NaN at {steps:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded I/O fault matrix. Each row injects one fault through `FaultyIo`
+// into the checkpoint, data or trace path of a small training job and
+// checks it against the same job run fault-free.
+// ---------------------------------------------------------------------------
+
+/// Seed of every fault plan.
+const SEED: u64 = 7;
+/// Days of history in the job's city.
+const DAYS: usize = 80;
+
+/// The job's city, exported to `crimes.csv` in a fresh directory.
+struct Job {
+    dir: PathBuf,
+    csv: PathBuf,
+    fnv: u64,
+    grid: GridSpec,
+    cats: Vec<String>,
+}
+
+impl Job {
+    fn new(name: &str) -> Job {
+        let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, DAYS)).unwrap();
+        let text = city.export_csv();
+        let dir = tmp_dir(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join("crimes.csv");
+        std::fs::write(&csv, &text).unwrap();
+        Job {
+            dir,
+            csv,
+            fnv: fnv1a(text.as_bytes()),
+            grid: city.export_grid_spec(),
+            cats: city.category_names,
+        }
+    }
+
+    /// Load the CSV through `io` and the checksum-verified reader.
+    fn load(&self, io: &dyn Io) -> sthsl::tensor::Result<CrimeDataset> {
+        let cats: Vec<&str> = self.cats.iter().map(String::as_str).collect();
+        let config = DatasetConfig { window: 7, val_days: 5, train_fraction: 7.0 / 8.0 };
+        let sleeper = VirtualSleeper::new();
+        let policy = RetryPolicy::default_read();
+        dataset_from_csv_path_io(
+            io,
+            &self.csv,
+            Some(self.fnv),
+            policy,
+            &sleeper,
+            &self.grid,
+            &cats,
+            DAYS,
+            config,
+        )
+        .map(|(data, _stats)| data)
+    }
+}
+
+impl Drop for Job {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Train the job's model with every file touch going through `io` and
+/// backoff served by a virtual clock.
+fn train_io(
+    io: Rc<dyn Io>,
+    data: &CrimeDataset,
+    opts: TrainOptions,
+    hooks: &mut dyn TrainHooks,
+) -> (StHsl, TrainOutcome) {
+    let mut model = StHsl::new(tiny_cfg(), data).unwrap();
+    let sleeper = Rc::new(VirtualSleeper::new());
+    let outcome = TrainLoop::with_io(opts, io, sleeper, RetryPolicy::default_checkpoint())
+        .run(&mut model, data, hooks)
         .unwrap();
-    assert_eq!(outcome.divergence_events, 1);
-    assert!(outcome.report.final_loss.is_finite());
-    let sample = data.sample(30).unwrap();
-    let pred = model.predict(&data, &sample.input).unwrap();
-    assert!(pred.data().iter().all(|v| v.is_finite()));
+    (model, outcome)
+}
+
+/// Parameter bits of the fault-free job, trained once per test binary.
+fn reference_bits() -> &'static [u32] {
+    static BITS: OnceLock<Vec<u32>> = OnceLock::new();
+    BITS.get_or_init(|| {
+        let data = Job::new("reference").load(&RealIo).unwrap();
+        param_bits(&train_io(Rc::new(RealIo), &data, TrainOptions::resilient(), &mut NoHooks).0)
+    })
+}
+
+/// Records the trainer's checkpoint outcomes.
+#[derive(Default)]
+struct CkptSpy {
+    written: usize,
+    degraded: Vec<String>,
+}
+
+impl TrainHooks for CkptSpy {
+    fn on_checkpoint(&mut self, _path: &Path) {
+        self.written += 1;
+    }
+    fn on_checkpoint_degraded(&mut self, path: &Path, error: &str) {
+        self.degraded.push(format!("{}: {error}", path.display()));
+    }
+}
+
+#[test]
+fn checkpoint_write_faults_leave_training_bit_identical() {
+    let job = Job::new("ckpt_faults");
+    let data = job.load(&RealIo).unwrap();
+    // (fault, fires; `None` fires on every checkpoint write)
+    let rows = [
+        (FaultKind::TornWrite, Some(2)),
+        (FaultKind::TransientEio, Some(3)),
+        (FaultKind::Enospc, None),
+        (FaultKind::FsyncFail, Some(1)),
+        (FaultKind::Latency, None),
+    ];
+    for (kind, fires) in rows {
+        let name = kind.as_str();
+        let dir = job.dir.join(name);
+        let mut rule = FaultRule::always(kind, OpClass::Write).on_path("ckpt-");
+        if let Some(n) = fires {
+            rule = rule.with_max_fires(n);
+        }
+        let io = Rc::new(FaultyIo::new(RealIo, FaultPlan::new(SEED).rule(rule)));
+        let log = io.log_handle();
+        let opts = TrainOptions { checkpoint_dir: Some(dir.clone()), ..TrainOptions::resilient() };
+        let mut spy = CkptSpy::default();
+        let (model, outcome) = train_io(io, &data, opts, &mut spy);
+
+        assert_eq!(param_bits(&model), reference_bits(), "{name}: parameters differ");
+        assert!(log.fault_count() > 0, "{name}: no fault fired");
+        // Faults land on the atomic writer's temp file, never on a final
+        // name: a crash at that moment leaves the older generations whole.
+        for ev in log.snapshot() {
+            if let ChaosEvent::Fault { path, .. } = ev {
+                let file = Path::new(&path).file_name().unwrap().to_string_lossy();
+                assert!(file.starts_with('.'), "{name}: fault on a final checkpoint name {path}");
+            }
+        }
+        assert_eq!(outcome.report.epochs, tiny_cfg().epochs, "{name}: training must continue");
+        assert!(outcome.report.final_loss.is_finite(), "{name}");
+        if kind == FaultKind::Enospc {
+            // ENOSPC is not retryable: the first checkpoint write latches
+            // checkpointing off and training goes on without it.
+            assert!(outcome.checkpointing_disabled, "ENOSPC must latch checkpointing off");
+            assert_eq!(outcome.checkpoint_failures, 1);
+            assert_eq!(spy.degraded.len(), 1, "degradation hook fires exactly once");
+            assert!(spy.degraded[0].contains("ckpt-"), "{:?}", spy.degraded);
+            assert_eq!(spy.written, 0, "no checkpoint can succeed under this plan");
+        } else {
+            assert!(!outcome.checkpointing_disabled, "{name}: a healed fault must not degrade");
+            assert!(spy.degraded.is_empty(), "{name}: {:?}", spy.degraded);
+            // The newest generation loads whole, so nothing is quarantined.
+            let newest = latest_checkpoint(&dir).unwrap().expect("no checkpoint written");
+            let sleeper = VirtualSleeper::new();
+            let (survivor, _) =
+                load_latest_verified(&RealIo, &dir, RetryPolicy::default_read(), &sleeper)
+                    .unwrap()
+                    .unwrap_or_else(|| panic!("{name}: no verified checkpoint survives"));
+            assert_eq!(survivor, newest, "{name}: the newest checkpoint is corrupt");
+        }
+    }
+}
+
+#[test]
+fn data_read_faults_heal_bit_identically_or_fail_the_checksum() {
+    let job = Job::new("data_faults");
+    // (fault, fires; `None` fires on every read, which never heals)
+    let rows = [
+        (FaultKind::BitFlip, Some(1)),
+        (FaultKind::TransientEio, Some(2)),
+        (FaultKind::ShortRead, None),
+    ];
+    for (kind, fires) in rows {
+        let name = kind.as_str();
+        let mut rule = FaultRule::always(kind, OpClass::Read).on_path("crimes.csv");
+        if let Some(n) = fires {
+            rule = rule.with_max_fires(n);
+        }
+        let io = Rc::new(FaultyIo::new(RealIo, FaultPlan::new(SEED).rule(rule)));
+        let log = io.log_handle();
+        let loaded = job.load(io.as_ref());
+        assert!(log.fault_count() > 0, "{name}: no fault fired");
+        match (fires, loaded) {
+            (Some(_), Ok(data)) => {
+                assert!(log.recovery_count() > 0, "{name}: healed without a recorded recovery");
+                let (model, _) = train_io(io, &data, TrainOptions::resilient(), &mut NoHooks);
+                assert_eq!(param_bits(&model), reference_bits(), "{name}: parameters differ");
+            }
+            (None, Err(e)) => assert!(e.to_string().contains("checksum"), "{name}: {e}"),
+            (Some(_), Err(e)) => panic!("{name}: a bounded fault must heal: {e}"),
+            (None, Ok(_)) => panic!("{name}: corrupt data was accepted"),
+        }
+    }
+}
+
+#[test]
+fn corrupt_resume_target_falls_back_to_older_generation_bit_identically() {
+    let job = Job::new("resume_corrupt");
+    let data = job.load(&RealIo).unwrap();
+    let dir = job.dir.join("ckpt");
+
+    // Kill at step 5: the run leaves ckpt-3 (epoch 0 end) and ckpt-5
+    // (written on stop) — two generations.
+    let opts = TrainOptions { checkpoint_dir: Some(dir.clone()), ..TrainOptions::resilient() };
+    train_io(Rc::new(RealIo), &data, opts.clone(), &mut KillAt { step: 5 });
+
+    // Corrupt the newest generation; resume must quarantine it, fall back
+    // to ckpt-3 and still reproduce the uninterrupted run exactly.
+    let newest = latest_checkpoint(&dir).unwrap().expect("no checkpoint written");
+    let mut bytes = std::fs::read(&newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&newest, &bytes).unwrap();
+
+    let io = Rc::new(FaultyIo::new(RealIo, FaultPlan::new(SEED)));
+    let log = io.log_handle();
+    let opts = TrainOptions { resume_from: Some(newest.clone()), ..opts };
+    let (revived, outcome) = train_io(io, &data, opts, &mut NoHooks);
+    assert_eq!(outcome.resumed_at, Some((1, 0)), "must resume from the epoch-0-end fallback");
+    assert_eq!(param_bits(&revived), reference_bits(), "fallback resume diverged");
+    let corrupt = PathBuf::from(format!("{}.corrupt", newest.display()));
+    assert!(corrupt.exists(), "corrupt generation must be quarantined, not deleted");
+    assert!(!newest.exists());
+    let quarantined = log
+        .snapshot()
+        .into_iter()
+        .any(|ev| matches!(ev, ChaosEvent::Recovery { action: RecoveryAction::Quarantine, .. }));
+    assert!(quarantined, "the quarantine is missing from the chaos log");
+}
+
+#[test]
+fn trace_sink_torn_write_latches_without_touching_training() {
+    let job = Job::new("trace_torn");
+    let data = job.load(&RealIo).unwrap();
+    let rule = FaultRule::always(FaultKind::TornWrite, OpClass::StreamWrite).on_path("victim");
+    let io = FaultyIo::new(RealIo, FaultPlan::new(SEED).rule(rule));
+    let path = job.dir.join("victim.jsonl");
+    let emitter = TraceEmitter::to_file(&io, &path, Rc::new(FakeClock::new(1))).unwrap();
+    let mut hooks = TraceHooks::new(&emitter);
+    let (model, _) = train_io(Rc::new(RealIo), &data, TrainOptions::resilient(), &mut hooks);
+    assert!(emitter.had_error(), "a torn trace write must latch in the emitter");
+    assert!(io.log_handle().fault_count() > 0, "no fault fired");
+    assert_eq!(param_bits(&model), reference_bits(), "parameters differ");
 }
