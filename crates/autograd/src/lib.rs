@@ -45,8 +45,8 @@ pub mod tape;
 
 pub use checkpoint::{
     checkpoint_file_name, latest_checkpoint, latest_checkpoint_io, load_latest_verified,
-    load_with_reread, prune_checkpoints, prune_checkpoints_io, quarantine, sweep_stale_tmp,
-    Checkpoint, PruneReport, TrainerState,
+    load_with_reread, prune_checkpoints_io, quarantine, sweep_stale_tmp, Checkpoint, PruneReport,
+    TrainerState,
 };
 pub use gradcheck::{gradcheck, gradcheck_tol, try_gradcheck_tol};
 pub use graph::{Gradients, Graph, TapeObserver, TapePhase, Var};

@@ -52,6 +52,10 @@ pub fn global_grad_norm(store: &ParamStore, pv: &ParamVars, grads: &Gradients) -
 }
 
 /// Shared helper: fetch the (possibly clipped) gradient for one parameter.
+#[expect(
+    clippy::float_cmp,
+    reason = "R4: 1.0 is `global_clip_factor`'s exact no-clip sentinel, not a computed value"
+)]
 pub(crate) fn effective_grad(
     pv: &ParamVars,
     grads: &Gradients,

@@ -6,6 +6,11 @@
 //! `q` lags of the estimated innovations. Forecasting filters the prediction
 //! window through the fitted model to reconstruct recent innovations.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "R5: reports wall-clock fit time for Table III; outside the kernel crates"
+)]
+
 use crate::common::BaselineConfig;
 use std::time::Instant;
 use sthsl_data::predictor::sanitize_counts;

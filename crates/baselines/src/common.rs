@@ -1,5 +1,10 @@
 //! Shared configuration and the neural-baseline training harness.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "R5: reports wall-clock fit time for Table III; outside the kernel crates"
+)]
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

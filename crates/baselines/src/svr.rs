@@ -2,6 +2,11 @@
 //! on lag features, trained with averaged subgradient descent (the SMO of
 //! libsvm is replaced by SGD; the loss and regulariser are the same).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "R5: reports wall-clock fit time for Table III; outside the kernel crates"
+)]
+
 use crate::common::BaselineConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -2,6 +2,11 @@
 //! on both cities, MAE and masked MAPE per crime category, averaged over all
 //! test days.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "R5: reports wall-clock fit time per model; outside the kernel crates"
+)]
+
 use sthsl_baselines::all_baselines;
 use sthsl_bench::{evaluate_model, parse_args, write_csv, MarkdownTable, TimingManifest};
 use sthsl_core::StHsl;

@@ -37,6 +37,11 @@
 //! the plain [`train`] entry point is a thin wrapper for callers that want
 //! none of this.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "R5: reports wall-clock training time (Table V); the clock never feeds the arithmetic"
+)]
+
 use crate::infomax::corruption_permutation;
 use crate::model::StHsl;
 use rand::rngs::StdRng;
@@ -51,24 +56,16 @@ use sthsl_autograd::checkpoint::{
 };
 use sthsl_autograd::optim::{self, Adam, AdamState, Optimizer};
 use sthsl_autograd::{Graph, ParamStore};
-use sthsl_chaos::{Io, RealIo, RecoveryAction, RetryPolicy, Sleeper, ThreadSleeper};
+use sthsl_chaos::{mix64, Io, RealIo, RecoveryAction, RetryPolicy, Sleeper, ThreadSleeper};
 use sthsl_data::{CrimeDataset, FitReport, Split};
 use sthsl_tensor::{Result, Tensor, TensorError};
 
 /// Domain-mixing salts so each consumer of the seed gets an independent
-/// stream.
+/// stream. Every sub-seed is [`mix64`] of `(seed, salt, counter)`: making all
+/// randomness a pure function of counters is what lets a checkpoint capture
+/// "RNG state" as three integers.
 const SHUFFLE_SALT: u64 = 0x5348_5546_464c_4531; // "SHUFFLE1"
 const PERM_SALT: u64 = 0x434f_5252_5550_5431; // "CORRUPT1"
-
-/// Derive an independent sub-seed from `(seed, salt, counter)` (splitmix64
-/// finalizer). Making all randomness a pure function of counters is what
-/// lets a checkpoint capture "RNG state" as three integers.
-fn mix(seed: u64, salt: u64, counter: u64) -> u64 {
-    let mut z = seed ^ salt.rotate_left(17) ^ counter.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A fault a [`TrainHooks`] implementation can inject at a batch boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,7 +350,7 @@ impl TrainLoop {
             // by (seed, epoch) — independent of any earlier history, so a
             // resume re-derives it exactly.
             let mut days = sorted_days.clone();
-            days.shuffle(&mut StdRng::seed_from_u64(mix(cfg.seed, SHUFFLE_SALT, state.epoch)));
+            days.shuffle(&mut StdRng::seed_from_u64(mix64(cfg.seed, SHUFFLE_SALT, state.epoch)));
             let mut chunks: Vec<&[usize]> = days.chunks(cfg.batch_size.max(1)).collect();
             if let Some(max) = cfg.max_batches_per_epoch {
                 chunks.truncate(max);
@@ -379,7 +376,7 @@ impl TrainLoop {
                     // Corruption permutations come from a per-batch RNG seeded
                     // by (seed, global_step): replayable from the counters.
                     let mut perm_rng =
-                        StdRng::seed_from_u64(mix(cfg.seed, PERM_SALT, state.global_step));
+                        StdRng::seed_from_u64(mix64(cfg.seed, PERM_SALT, state.global_step));
                     let mut loss = g.constant(Tensor::scalar(0.0));
                     for &day in *chunk {
                         let sample = data.sample(day)?;

@@ -195,13 +195,13 @@ impl CrimeDataset {
     /// Z-score a raw window per Eq. 1 (training statistics).
     pub fn zscore(&self, x: &Tensor) -> Tensor {
         let (mu, sigma) = (self.mu, self.sigma);
-        x.map(|v| (v - mu) / sigma)
+        x.map(move |v| (v - mu) / sigma)
     }
 
     /// Invert the z-scoring.
     pub fn un_zscore(&self, z: &Tensor) -> Tensor {
         let (mu, sigma) = (self.mu, self.sigma);
-        z.map(|v| v * sigma + mu)
+        z.map(move |v| v * sigma + mu)
     }
 
     /// Per-region crime-sequence density degree: the fraction of non-zero

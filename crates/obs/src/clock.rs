@@ -5,6 +5,11 @@
 //! the kernel crates stay clock-free (the R5 lint bans `Instant` there — the
 //! clock lives on this side of the observer seam).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "R5: `WallClock` is the one production clock; kernels see time only through the observer seam"
+)]
+
 use std::cell::Cell;
 use std::time::Instant;
 

@@ -21,17 +21,35 @@
 //! sections execute serially on the calling thread rather than deadlocking.
 //!
 //! Every `unsafe` site below carries a `SAFETY:` argument, checked
-//! mechanically by `sthsl-lint` (rule R1); `unsafe_op_in_unsafe_fn` is
-//! denied so no unsafe operation can hide inside an `unsafe fn` body
-//! without its own block.
+//! mechanically by clippy's `undocumented_unsafe_blocks` (rule R1, denied in
+//! the workspace lint table); `unsafe_op_in_unsafe_fn` is denied so no
+//! unsafe operation can hide inside an `unsafe fn` body without its own
+//! block. This crate is the one place threads and locks live (rule R2): its
+//! pool items carry the only R2 exemptions outside test code.
 
 #![deny(unsafe_op_in_unsafe_fn)]
+// R7: a numeric `as` cast in kernel code can silently truncate (a `usize as
+// f32` above 2^24 corrupts means and norms). Library code uses `From` /
+// `try_from`; the grandfathered sites carry an `expect` with a reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss
+    )
+)]
 
 pub mod schedule;
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+#[expect(
+    clippy::disallowed_types,
+    reason = "R2: the pool is the one place threads and locks live"
+)]
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 // --------------------------------------------------------------------- config
@@ -101,12 +119,14 @@ struct Job {
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
+#[expect(clippy::disallowed_types, reason = "R2: the pool is the one place threads and locks live")]
 struct Shared {
     state: Mutex<Option<Job>>,
     work_cv: Condvar,
     done_cv: Condvar,
 }
 
+#[expect(clippy::disallowed_types, reason = "R2: the pool is the one place threads and locks live")]
 struct Pool {
     shared: Arc<Shared>,
     /// Serialises concurrent callers; workers never take this lock.
@@ -172,6 +192,7 @@ fn worker_loop(shared: Arc<Shared>) {
     }
 }
 
+#[expect(clippy::disallowed_types, reason = "R2: the pool is the one place threads and locks live")]
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool {
@@ -187,6 +208,10 @@ fn pool() -> &'static Pool {
 
 impl Pool {
     /// Grow the worker set to `target` threads (never shrinks).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "R2: the pool is the one place threads and locks live"
+    )]
     fn ensure_workers(&self, target: usize) {
         let mut spawned = recover(self.spawned.lock());
         while *spawned < target {
@@ -454,6 +479,7 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     /// Serialises tests that mutate the global thread configuration.
+    #[expect(clippy::disallowed_types, reason = "R2: the pool's own tests share one config lock")]
     fn config_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -19,6 +19,11 @@
 //! are typed [`ServeError`] responses with a JSON body; none of them
 //! terminate the accept loop.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "R5: wall-clock latency, accept-wait and uptime metrics; serving is outside the kernel crates"
+)]
+
 use crate::cache::{ForecastCache, TileEntry, TileKey};
 use crate::engine::ForecastEngine;
 use crate::error::{ServeError, StartupError};

@@ -55,6 +55,10 @@ impl Tensor {
 
     /// Xavier/Glorot uniform initialisation: `U(-a, a)` with
     /// `a = sqrt(6 / (fan_in + fan_out))`.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "R7: fan sizes are layer widths, far below 2^24, where the f32 is exact"
+    )]
     pub fn xavier_uniform(
         shape: &[usize],
         fan_in: usize,
@@ -67,6 +71,10 @@ impl Tensor {
 
     /// He/Kaiming normal initialisation: `N(0, sqrt(2 / fan_in))`, the usual
     /// choice in front of (Leaky)ReLU nonlinearities.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "R7: fan sizes are layer widths, far below 2^24, where the f32 is exact"
+    )]
     pub fn he_normal(shape: &[usize], fan_in: usize, rng: &mut impl Rng) -> Tensor {
         let std = (2.0 / fan_in.max(1) as f32).sqrt();
         Tensor::rand_normal(shape, 0.0, std, rng)

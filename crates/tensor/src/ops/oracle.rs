@@ -497,12 +497,12 @@ pub fn repeat_axis(t: &Tensor, axis: usize, axis_len: usize) -> Tensor {
 
 /// `Tensor::leaky_relu`: the branchy form.
 pub fn leaky_relu(x: &Tensor, alpha: f32) -> Tensor {
-    x.map(|v| if v > 0.0 { v } else { alpha * v })
+    x.map(move |v| if v > 0.0 { v } else { alpha * v })
 }
 
 /// `Tensor::leaky_relu_grad`: the branchy form.
 pub fn leaky_relu_grad(g: &Tensor, x: &Tensor, alpha: f32) -> Tensor {
-    g.zip_map(x, |gv, xv| if xv > 0.0 { gv } else { alpha * gv }).unwrap()
+    g.zip_map(x, move |gv, xv| if xv > 0.0 { gv } else { alpha * gv }).unwrap()
 }
 
 /// `Tensor::dropout_mask`: one branch per draw, writing kept elements only.
@@ -541,6 +541,10 @@ mod tests {
 
     /// `simd::at_each_level`, serialised: the tests run on parallel threads
     /// and the level it holds is process-global.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "R2: a test-harness lock serialising the process-global SIMD level"
+    )]
     fn at_each_level(f: impl FnMut(&'static str)) {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);

@@ -23,6 +23,10 @@ impl Tensor {
     }
 
     /// Mean of all elements (0 for an empty tensor).
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "R7: a length above 2^24 rounds to the nearest f32, a relative error of at most 2^-24 in the mean"
+    )]
     pub fn mean_all(&self) -> f32 {
         if self.is_empty() {
             0.0
@@ -51,6 +55,10 @@ impl Tensor {
         self.reduce_axis(axis, true)
     }
 
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "R7: a length above 2^24 rounds to the nearest f32, a relative error of at most 2^-24 in the mean"
+    )]
     fn reduce_axis(&self, axis: usize, mean: bool) -> Result<Tensor> {
         let ndim = self.ndim();
         if axis >= ndim {
@@ -184,6 +192,10 @@ impl Tensor {
     }
 
     /// Mean and (population) standard deviation of all elements.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "R7: a length above 2^24 rounds to the nearest f32, a relative error of at most 2^-24 in the mean"
+    )]
     pub fn mean_std(&self) -> (f32, f32) {
         let mean = self.mean_all();
         if self.is_empty() {
@@ -264,7 +276,7 @@ mod tests {
         let (m, s) = t.mean_std();
         assert_eq!(m, 5.0);
         assert!((s - 5.0f32.sqrt()).abs() < 1e-5);
-        let z = t.map(|v| (v - m) / s);
+        let z = t.map(move |v| (v - m) / s);
         let (zm, zs) = z.mean_std();
         assert!(zm.abs() < 1e-6);
         assert!((zs - 1.0).abs() < 1e-5);

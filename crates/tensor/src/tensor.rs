@@ -61,6 +61,10 @@ impl Tensor {
     }
 
     /// `[0, 1, ..., n-1]` as a 1-D tensor.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "R7: an index above 2^24 rounds to the nearest f32, as any f32 ramp must"
+    )]
     pub fn arange(n: usize) -> Self {
         Tensor { data: (0..n).map(|i| i as f32).collect(), shape: vec![n] }
     }
@@ -140,7 +144,7 @@ impl Tensor {
     /// Apply `f` elementwise, producing a new tensor of the same shape.
     /// Parallel above a size cutoff; each element is written by exactly one
     /// thread, so results are bit-identical at every thread count.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync + 'static) -> Tensor {
         let n = self.data.len();
         let src = &self.data;
         let mut data = vec![0.0f32; n];
@@ -161,7 +165,7 @@ impl Tensor {
     }
 
     /// Apply `f` elementwise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
+    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync + 'static) {
         let n = self.data.len();
         sthsl_parallel::parallel_rows_mut(
             &mut self.data,
@@ -185,7 +189,11 @@ impl Tensor {
     /// the rows are partitioned over threads. Every output element is
     /// `f(a, b)` of the same two operands as a per-element walk, so the bits
     /// are the same at every thread count.
-    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
+    pub fn zip_map(
+        &self,
+        other: &Tensor,
+        f: impl Fn(f32, f32) -> f32 + Sync + 'static,
+    ) -> Result<Tensor> {
         if self.shape == other.shape {
             // Fast path: identical shapes need no index arithmetic.
             let n = self.data.len();

@@ -3,6 +3,12 @@
 //! Kept in the library so the subcommands are directly testable; the binary
 //! in `main.rs` is a thin shim around [`run`].
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "R6: the CLI owns stdout and stderr; the library crates report through return values"
+)]
+
 use crate::prelude::*;
 use std::fmt::Write as _;
 use std::fs;

@@ -528,37 +528,51 @@ fn data_read_faults_heal_bit_identically_or_fail_the_checksum() {
 
 #[test]
 fn corrupt_resume_target_falls_back_to_older_generation_bit_identically() {
-    let job = Job::new("resume_corrupt");
-    let data = job.load(&RealIo).unwrap();
-    let dir = job.dir.join("ckpt");
+    // Rows: the resume target is the newest generation itself, or a copy of
+    // it in a sibling dir under a non-`ckpt-*` name, which the scan of the
+    // checkpoint dir never lists, so only the trainer's own quarantine can
+    // preserve it. `resumed_at` is the `(epoch, batch)` of the fallback.
+    for (row, outside, resumed_at) in [("in_dir", false, (1, 0)), ("sibling_dir", true, (1, 2))] {
+        let job = Job::new(&format!("resume_corrupt_{row}"));
+        let data = job.load(&RealIo).unwrap();
+        let dir = job.dir.join("ckpt");
 
-    // Kill at step 5: the run leaves ckpt-3 (epoch 0 end) and ckpt-5
-    // (written on stop) — two generations.
-    let opts = TrainOptions { checkpoint_dir: Some(dir.clone()), ..TrainOptions::resilient() };
-    train_io(Rc::new(RealIo), &data, opts.clone(), &mut KillAt { step: 5 });
+        // Kill at step 5: the run leaves ckpt-3 (epoch 0 end) and ckpt-5
+        // (written on stop) — two generations.
+        let opts = TrainOptions { checkpoint_dir: Some(dir.clone()), ..TrainOptions::resilient() };
+        train_io(Rc::new(RealIo), &data, opts.clone(), &mut KillAt { step: 5 });
 
-    // Corrupt the newest generation; resume must quarantine it, fall back
-    // to ckpt-3 and still reproduce the uninterrupted run exactly.
-    let newest = latest_checkpoint(&dir).unwrap().expect("no checkpoint written");
-    let mut bytes = std::fs::read(&newest).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x10;
-    std::fs::write(&newest, &bytes).unwrap();
+        // Corrupt the target; resume must quarantine it, fall back to the
+        // newest verified generation in `dir` (ckpt-3 when the target was
+        // ckpt-5, else the intact ckpt-5) and still reproduce the
+        // uninterrupted run exactly.
+        let newest = latest_checkpoint(&dir).unwrap().expect("no checkpoint written");
+        let target = if outside {
+            let elsewhere = job.dir.join("elsewhere");
+            std::fs::create_dir_all(&elsewhere).unwrap();
+            elsewhere.join("resume-me.sthsl")
+        } else {
+            newest.clone()
+        };
+        let mut bytes = std::fs::read(&newest).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(&target, &bytes).unwrap();
 
-    let io = Rc::new(FaultyIo::new(RealIo, FaultPlan::new(SEED)));
-    let log = io.log_handle();
-    let opts = TrainOptions { resume_from: Some(newest.clone()), ..opts };
-    let (revived, outcome) = train_io(io, &data, opts, &mut NoHooks);
-    assert_eq!(outcome.resumed_at, Some((1, 0)), "must resume from the epoch-0-end fallback");
-    assert_eq!(param_bits(&revived), reference_bits(), "fallback resume diverged");
-    let corrupt = PathBuf::from(format!("{}.corrupt", newest.display()));
-    assert!(corrupt.exists(), "corrupt generation must be quarantined, not deleted");
-    assert!(!newest.exists());
-    let quarantined = log
-        .snapshot()
-        .into_iter()
-        .any(|ev| matches!(ev, ChaosEvent::Recovery { action: RecoveryAction::Quarantine, .. }));
-    assert!(quarantined, "the quarantine is missing from the chaos log");
+        let io = Rc::new(FaultyIo::new(RealIo, FaultPlan::new(SEED)));
+        let log = io.log_handle();
+        let opts = TrainOptions { resume_from: Some(target.clone()), ..opts };
+        let (revived, outcome) = train_io(io, &data, opts, &mut NoHooks);
+        assert_eq!(outcome.resumed_at, Some(resumed_at), "{row}: wrong fallback generation");
+        assert_eq!(param_bits(&revived), reference_bits(), "{row}: fallback resume diverged");
+        let corrupt = PathBuf::from(format!("{}.corrupt", target.display()));
+        assert!(corrupt.exists(), "{row}: the corrupt target must be quarantined, not deleted");
+        assert!(!target.exists(), "{row}: the corrupt target is still in place");
+        let quarantined = log.snapshot().into_iter().any(|ev| {
+            matches!(ev, ChaosEvent::Recovery { action: RecoveryAction::Quarantine, .. })
+        });
+        assert!(quarantined, "{row}: the quarantine is missing from the chaos log");
+    }
 }
 
 #[test]

@@ -16,6 +16,11 @@
 //! pinned digests are checked at every vector level the kernels dispatch to
 //! on this CPU (SSE2, and AVX2 where detected).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "R2: a test harness; its locks serialise tests that set the process-global thread count and SIMD level"
+)]
+
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Mutex;
 use sthsl::parallel::{num_threads, set_num_threads};

@@ -14,6 +14,11 @@
 //!   (`FaultyIo` + retry policy) and reports typed startup errors when the
 //!   artifact is genuinely unreadable or shape-incompatible.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R2: a test harness; the server and its concurrent clients each need a thread"
+)]
+
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::mpsc;
