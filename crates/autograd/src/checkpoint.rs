@@ -107,6 +107,18 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
+    /// A parameters-only checkpoint: empty optimizer moments, zeroed trainer
+    /// progress and the run's seed. This is the persisted form of a trained
+    /// model (`--model`, `best.params`): install its parameters into a
+    /// freshly built model of the same config.
+    pub fn of_params(params: ParamStore, seed: u64) -> Checkpoint {
+        Checkpoint {
+            params,
+            adam: AdamState { t: 0, m: Vec::new(), v: Vec::new() },
+            trainer: TrainerState { seed, ..TrainerState::default() },
+        }
+    }
+
     /// Serialise to `path` atomically (temp file + fsync + rename): a crash
     /// mid-save can never leave a torn checkpoint at `path`.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {

@@ -3,16 +3,15 @@
 //! embeddings, plus node-specific bias generated from the same embeddings
 //! (node-adaptive parameter learning, simplified to FiLM-style modulation).
 
-use crate::common::{mse_audit, train_nn, AuditArtifacts, BaselineConfig, GraphAudited};
+use crate::common::{BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{Embedding, GruCell, Linear};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor};
 
-struct Net {
+/// The AGCRN network.
+pub struct Net {
     node_emb: Embedding,
     input_proj: Linear,
     node_bias: Linear,
@@ -28,6 +27,32 @@ impl Net {
         let s = g.matmul(e, et)?;
         let s = g.relu(s);
         g.softmax_lastdim(s)
+    }
+}
+
+/// The AGCRN predictor.
+pub type Agcrn = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "AGCRN";
+
+    /// Build with 8-dim node embeddings.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        let r = data.num_regions();
+        Ok(Net {
+            node_emb: Embedding::new(store, "agcrn.emb", r, 8, rng),
+            input_proj: Linear::new(store, "agcrn.in", c, h, true, rng),
+            node_bias: Linear::new(store, "agcrn.bias", 8, h, true, rng),
+            cell: GruCell::new(store, "agcrn.gru", h, h, rng),
+            head: Linear::new(store, "agcrn.head", h, c, true, rng),
+        })
     }
 
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
@@ -49,62 +74,10 @@ impl Net {
     }
 }
 
-/// The AGCRN predictor.
-pub struct Agcrn {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl Agcrn {
-    /// Build with 8-dim node embeddings.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        let r = data.num_regions();
-        let net = Net {
-            node_emb: Embedding::new(&mut store, "agcrn.emb", r, 8, &mut rng),
-            input_proj: Linear::new(&mut store, "agcrn.in", c, h, true, &mut rng),
-            node_bias: Linear::new(&mut store, "agcrn.bias", 8, h, true, &mut rng),
-            cell: GruCell::new(&mut store, "agcrn.gru", h, h, &mut rng),
-            head: Linear::new(&mut store, "agcrn.head", h, c, true, &mut rng),
-        };
-        Ok(Agcrn { cfg, store, net })
-    }
-}
-
-impl Predictor for Agcrn {
-    fn name(&self) -> String {
-        "AGCRN".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for Agcrn {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

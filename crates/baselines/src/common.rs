@@ -1,16 +1,11 @@
-//! Shared configuration and the neural-baseline training harness.
-
-#![expect(
-    clippy::disallowed_types,
-    reason = "R5: reports wall-clock fit time for Table III; outside the kernel crates"
-)]
+//! Shared configuration and the one implementation every neural baseline
+//! shares: [`Neural`], a [`Network`] trained by `sthsl-core`'s `TrainLoop`.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::time::Instant;
-use sthsl_autograd::optim::{Adam, Optimizer};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
+use sthsl_core::trainer::{self, Schedule, Trainable};
+use sthsl_data::predictor::sanitize_counts;
 use sthsl_data::{CrimeDataset, FitReport, Predictor, Split};
 use sthsl_graphcheck::{AuditOptions, AuditReport};
 use sthsl_tensor::{Result, Tensor, TensorError};
@@ -74,129 +69,113 @@ impl BaselineConfig {
     }
 }
 
-/// Generic mini-batch MSE trainer for neural baselines.
-///
-/// `forward(graph, params, zscored_window) → predicted counts [R, C]`.
-/// Handles batching, shuffling, Adam with weight decay, gradient clipping and
-/// NaN bail-out — so each baseline implements only its forward pass.
-pub fn train_nn<F>(
-    cfg: &BaselineConfig,
-    store: &mut ParamStore,
-    data: &CrimeDataset,
-    forward: F,
-) -> Result<FitReport>
-where
-    F: Fn(&Graph, &ParamVars, &Tensor) -> Result<Var>,
-{
-    let mut opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
-    opt.max_grad_norm = Some(5.0);
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0xA24B_AED4));
-    let mut days = data.target_days(Split::Train);
-    if days.is_empty() {
-        return Err(TensorError::Invalid("train_nn: no training days".into()));
-    }
-    let start = Instant::now();
-    let mut final_loss = f64::NAN;
-    let mut step = 0u64;
-    for _epoch in 0..cfg.epochs {
-        days.shuffle(&mut rng);
-        let mut epoch_loss = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in days.chunks(cfg.batch_size.max(1)) {
-            if let Some(max) = cfg.max_batches_per_epoch {
-                if batches >= max {
-                    break;
-                }
-            }
-            step += 1;
-            let g = Graph::training(cfg.seed ^ step);
-            let pv = store.inject(&g);
-            let mut loss = g.constant(Tensor::scalar(0.0));
-            for &day in chunk {
-                let sample = data.sample(day)?;
-                let z = data.zscore(&sample.input);
-                let pred = forward(&g, &pv, &z)?;
-                let t = g.constant(sample.target.clone());
-                let l = g.mse(pred, t)?;
-                loss = g.add(loss, l)?;
-            }
-            let loss = g.scale(loss, 1.0 / chunk.len() as f32);
-            let lv = g.value(loss).item()?;
-            if !lv.is_finite() {
-                return Ok(FitReport::new(1, final_loss, start.elapsed().as_secs_f64()));
-            }
-            epoch_loss += f64::from(lv);
-            batches += 1;
-            let grads = g.backward(loss)?;
-            opt.step(store, &pv, &grads)?;
-        }
-        if batches > 0 {
-            final_loss = epoch_loss / batches as f64;
-        }
-    }
-    Ok(FitReport::new(cfg.epochs, final_loss, start.elapsed().as_secs_f64()))
+/// What distinguishes one neural baseline from another: its name, its
+/// parameters and its forward pass.
+pub trait Network: Sized {
+    /// The model's Table III name.
+    const NAME: &'static str;
+
+    /// Register the network's parameters in `store`, drawing initial values
+    /// from `rng`.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self>;
+
+    /// `forward(graph, params, zscored_window [R, Tw, C]) → predicted counts
+    /// [R, C]`.
+    fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var>;
 }
 
-/// Everything the static graph analyzer needs from one model: the recorded
-/// (unexecuted) training graph, the loss node backward would start from, and
-/// every named parameter.
-pub struct AuditArtifacts {
-    /// The tape-recorded training graph.
-    pub graph: Graph,
-    /// Loss `Var` backward would start from.
-    pub loss: Var,
-    /// `(name, var)` for every registered parameter.
-    pub params: Vec<(String, Var)>,
+/// A neural baseline: a [`Network`], its parameters and its config. It
+/// trains through the same `TrainLoop` as ST-HSL, on the squared error of
+/// its forecast, with Adam, the config's weight decay and a 5.0 gradient
+/// clip.
+pub struct Neural<N> {
+    cfg: BaselineConfig,
+    pub(crate) store: ParamStore,
+    pub(crate) net: N,
 }
 
-/// Neural models whose training graph can be statically certified before any
-/// optimizer step. Classic baselines (ARIMA, SVR, HA) build no graph and are
-/// out of scope.
-pub trait GraphAudited: Predictor {
-    /// Record one training step's graph on the first training day.
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts>;
+impl<N: Network> Neural<N> {
+    /// Build the network for a dataset's dimensions, with initial weights
+    /// drawn from `cfg.seed`.
+    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut store = ParamStore::new();
+        let net = N::build(&cfg, data, &mut store, &mut rng)?;
+        Ok(Neural { cfg, store, net })
+    }
+}
 
-    /// Run the full static audit (shape, grad-flow, value ranges, float
-    /// error, determinism, cost) over the recorded graph.
+impl<N: Network> Predictor for Neural<N> {
+    fn name(&self) -> String {
+        N::NAME.into()
+    }
+
+    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
+        trainer::train(self, data)
+    }
+
+    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
+        let g = Graph::new();
+        let pv = self.store.inject(&g);
+        let z = data.zscore(window);
+        let pred = self.net.forward(&g, &pv, &z)?;
+        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
+    }
+}
+
+impl<N: Network> Trainable for Neural<N> {
+    fn params(&self) -> &ParamStore {
+        &self.store
+    }
+
+    fn params_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn schedule(&self) -> Schedule {
+        Schedule {
+            epochs: self.cfg.epochs,
+            batch_size: self.cfg.batch_size,
+            max_batches_per_epoch: self.cfg.max_batches_per_epoch,
+            lr: self.cfg.lr,
+            weight_decay: self.cfg.weight_decay,
+            seed: self.cfg.seed,
+        }
+    }
+
+    fn loss(
+        &self,
+        g: &Graph,
+        pv: &ParamVars,
+        zscored: &Tensor,
+        target: &Tensor,
+        _corrupt: Option<&mut StdRng>,
+    ) -> Result<Var> {
+        let pred = self.net.forward(g, pv, zscored)?;
+        let t = g.constant(target.clone());
+        g.mse(pred, t)
+    }
+
+    /// Audits the graph of one training step on the first training day.
     fn graph_audit(&self, data: &CrimeDataset) -> Result<AuditReport> {
-        let art = self.audit_artifacts(data)?;
-        let spec = art.graph.export_tape();
+        let day = *data.target_days(Split::Train).first().ok_or_else(|| {
+            TensorError::Invalid("graph audit: dataset has no training days".into())
+        })?;
+        let g = Graph::training(self.cfg.seed);
+        let pv = self.store.inject(&g);
+        let sample = data.sample(day)?;
+        let z = data.zscore(&sample.input);
+        let loss = self.loss(&g, &pv, &z, &sample.target, None)?;
         let params: Vec<(String, usize)> =
-            art.params.iter().map(|(n, v)| (n.clone(), v.index())).collect();
-        Ok(sthsl_graphcheck::audit(
-            &self.name(),
-            &spec,
-            art.loss.index(),
-            &params,
-            &AuditOptions::default(),
-        ))
+            self.store.named_vars(&pv).into_iter().map(|(n, v)| (n, v.index())).collect();
+        let spec = g.export_tape();
+        Ok(sthsl_graphcheck::audit(N::NAME, &spec, loss.index(), &params, &AuditOptions::default()))
     }
-}
-
-/// The shared audit-artifact recorder for MSE-trained baselines: exactly the
-/// graph [`train_nn`] builds for a single-day batch.
-pub fn mse_audit<F>(
-    store: &ParamStore,
-    seed: u64,
-    data: &CrimeDataset,
-    forward: F,
-) -> Result<AuditArtifacts>
-where
-    F: Fn(&Graph, &ParamVars, &Tensor) -> Result<Var>,
-{
-    let day = *data
-        .target_days(Split::Train)
-        .first()
-        .ok_or_else(|| TensorError::Invalid("graph audit: dataset has no training days".into()))?;
-    let g = Graph::training(seed);
-    let pv = store.inject(&g);
-    let sample = data.sample(day)?;
-    let z = data.zscore(&sample.input);
-    let pred = forward(&g, &pv, &z)?;
-    let t = g.constant(sample.target.clone());
-    let loss = g.mse(pred, t)?;
-    let params = store.named_vars(&pv);
-    Ok(AuditArtifacts { graph: g, loss, params })
 }
 
 /// Split a z-scored window `[R, Tw, C]` into per-day constants `[R, C]`,
@@ -214,7 +193,6 @@ pub fn window_days(g: &Graph, z: &Tensor) -> Result<Vec<Var>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
     use sthsl_autograd::nn::Linear;
     use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
 
@@ -227,25 +205,43 @@ mod tests {
         .unwrap()
     }
 
+    /// A one-layer linear forecaster over the flattened window.
+    struct LinearNet {
+        lin: Linear,
+        flat: usize,
+    }
+
+    impl Network for LinearNet {
+        const NAME: &'static str = "Linear";
+
+        fn build(
+            _cfg: &BaselineConfig,
+            data: &CrimeDataset,
+            store: &mut ParamStore,
+            rng: &mut StdRng,
+        ) -> Result<Self> {
+            let c = data.num_categories();
+            let flat = data.config.window * c;
+            Ok(LinearNet { lin: Linear::new(store, "lin", flat, c, true, rng), flat })
+        }
+
+        fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
+            let r = z.shape()[0];
+            let flat = g.constant(z.reshape(&[r, self.flat])?);
+            self.lin.forward(g, pv, flat)
+        }
+    }
+
     #[test]
     fn trainer_reduces_loss_for_linear_model() {
         let data = data();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let w = data.config.window;
-        let lin = Linear::new(&mut store, "lin", w * c, c, true, &mut rng);
-        let forward = |g: &Graph, pv: &ParamVars, z: &Tensor| {
-            let r = z.shape()[0];
-            let flat = g.constant(z.reshape(&[r, w * c])?);
-            lin.forward(g, pv, flat)
-        };
         let cfg = BaselineConfig { epochs: 6, ..BaselineConfig::tiny() };
-        let report = train_nn(&cfg, &mut store, &data, forward).unwrap();
+        let mut model = Neural::<LinearNet>::new(cfg, &data).unwrap();
+        let report = model.fit(&data).unwrap();
         assert!(report.final_loss.is_finite());
         assert!(report.seconds_per_epoch > 0.0);
         // Re-run one more epoch set: loss should not explode.
-        let report2 = train_nn(&cfg, &mut store, &data, forward).unwrap();
+        let report2 = model.fit(&data).unwrap();
         assert!(report2.final_loss <= report.final_loss * 1.5);
     }
 

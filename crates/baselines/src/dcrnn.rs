@@ -2,14 +2,12 @@
 //! random walks over the region graph — embedded in a GRU cell
 //! (seq2seq reduced to a one-step decoder for the next-day task).
 
-use crate::common::{mse_audit, train_nn, AuditArtifacts, BaselineConfig, GraphAudited};
+use crate::common::{BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{GraphConv, Linear};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
 use sthsl_data::graph::RegionGraph;
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor};
 
 /// A GRU cell whose gate transforms are diffusion convolutions.
@@ -34,14 +32,45 @@ impl DcGruCell {
     }
 }
 
-struct Net {
+/// The DCRNN network.
+pub struct Net {
     cell: DcGruCell,
     head: Linear,
     supports: Vec<Tensor>,
     c: usize,
 }
 
-impl Net {
+/// The DCRNN predictor.
+pub type Dcrnn = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "DCRNN";
+
+    /// Build with bidirectional 2-hop diffusion supports on the grid graph.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        let graph = RegionGraph::eight_connected(data.rows, data.cols);
+        let fwd = graph.random_walk()?;
+        let bwd = graph.reverse_random_walk()?;
+        let mut supports = graph.diffusion_supports(&fwd, 2)?;
+        supports.extend(graph.diffusion_supports(&bwd, 2)?);
+        let num_s = supports.len();
+        let cell = DcGruCell {
+            gate_z: GraphConv::new(store, "dcrnn.z", num_s, c + h, h, rng),
+            gate_r: GraphConv::new(store, "dcrnn.r", num_s, c + h, h, rng),
+            cand: GraphConv::new(store, "dcrnn.c", num_s, c + h, h, rng),
+            hidden: h,
+        };
+        let head = Linear::new(store, "dcrnn.head", h, c, true, rng);
+        Ok(Net { cell, head, supports, c })
+    }
+
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
         let (r, tw, c) = (z.shape()[0], z.shape()[1], z.shape()[2]);
         debug_assert_eq!(c, self.c);
@@ -55,67 +84,10 @@ impl Net {
     }
 }
 
-/// The DCRNN predictor.
-pub struct Dcrnn {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl Dcrnn {
-    /// Build with bidirectional 2-hop diffusion supports on the grid graph.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        let graph = RegionGraph::eight_connected(data.rows, data.cols);
-        let fwd = graph.random_walk()?;
-        let bwd = graph.reverse_random_walk()?;
-        let mut supports = graph.diffusion_supports(&fwd, 2)?;
-        supports.extend(graph.diffusion_supports(&bwd, 2)?);
-        let num_s = supports.len();
-        let cell = DcGruCell {
-            gate_z: GraphConv::new(&mut store, "dcrnn.z", num_s, c + h, h, &mut rng),
-            gate_r: GraphConv::new(&mut store, "dcrnn.r", num_s, c + h, h, &mut rng),
-            cand: GraphConv::new(&mut store, "dcrnn.c", num_s, c + h, h, &mut rng),
-            hidden: h,
-        };
-        let head = Linear::new(&mut store, "dcrnn.head", h, c, true, &mut rng);
-        Ok(Dcrnn { cfg, store, net: Net { cell, head, supports, c } })
-    }
-}
-
-impl Predictor for Dcrnn {
-    fn name(&self) -> String {
-        "DCRNN".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for Dcrnn {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

@@ -2,18 +2,15 @@
 //! with a GRU and hierarchical attention over the hidden states — the
 //! representative deep crime-prediction baseline.
 
-use crate::common::{
-    mse_audit, train_nn, window_days, AuditArtifacts, BaselineConfig, GraphAudited,
-};
+use crate::common::{window_days, BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{Embedding, GruCell, Linear};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor, TensorError};
 
-struct Net {
+/// The DeepCrime network.
+pub struct Net {
     cat_emb: Embedding,
     input_proj: Linear,
     cell: GruCell,
@@ -22,7 +19,31 @@ struct Net {
     c: usize,
 }
 
-impl Net {
+/// The DeepCrime predictor.
+pub type DeepCrime = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "DeepCrime";
+
+    /// Build the recurrent attentive network.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        Ok(Net {
+            cat_emb: Embedding::new(store, "deepcrime.cat", c, 8, rng),
+            input_proj: Linear::new(store, "deepcrime.in", 8, h, true, rng),
+            cell: GruCell::new(store, "deepcrime.gru", h, h, rng),
+            attn: Linear::new(store, "deepcrime.attn", h, 1, true, rng),
+            head: Linear::new(store, "deepcrime.head", h, c, true, rng),
+            c,
+        })
+    }
+
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
         let r = z.shape()[0];
         // Category-aware input: counts weighted through a learned category
@@ -63,62 +84,10 @@ impl Net {
     }
 }
 
-/// The DeepCrime predictor.
-pub struct DeepCrime {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl DeepCrime {
-    /// Build the recurrent attentive network.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        let net = Net {
-            cat_emb: Embedding::new(&mut store, "deepcrime.cat", c, 8, &mut rng),
-            input_proj: Linear::new(&mut store, "deepcrime.in", 8, h, true, &mut rng),
-            cell: GruCell::new(&mut store, "deepcrime.gru", h, h, &mut rng),
-            attn: Linear::new(&mut store, "deepcrime.attn", h, 1, true, &mut rng),
-            head: Linear::new(&mut store, "deepcrime.head", h, c, true, &mut rng),
-            c,
-        };
-        Ok(DeepCrime { cfg, store, net })
-    }
-}
-
-impl Predictor for DeepCrime {
-    fn name(&self) -> String {
-        "DeepCrime".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for DeepCrime {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

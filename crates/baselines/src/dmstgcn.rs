@@ -2,16 +2,15 @@
 //! the adjacency is factorised over day-of-week embeddings and node
 //! embeddings — combined with graph convolution and a temporal conv stack.
 
-use crate::common::{mse_audit, train_nn, AuditArtifacts, BaselineConfig, GraphAudited};
+use crate::common::{BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{Conv1d, Embedding, Linear};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor};
 
-struct Net {
+/// The DMSTGCN network.
+pub struct Net {
     node_emb: Embedding,
     dow_emb: Embedding,
     input_proj: Linear,
@@ -32,6 +31,33 @@ impl Net {
         let s = g.relu(s);
         g.softmax_lastdim(s)
     }
+}
+
+/// The DMSTGCN predictor.
+pub type Dmstgcn = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "DMSTGCN";
+
+    /// Build with 7 day-of-week slots.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        let r = data.num_regions();
+        Ok(Net {
+            node_emb: Embedding::new(store, "dmst.node", r, 8, rng),
+            dow_emb: Embedding::new(store, "dmst.dow", 7, 8, rng),
+            input_proj: Linear::new(store, "dmst.in", c, h, true, rng),
+            tconv: Conv1d::same(store, "dmst.t", h, h, 3, true, rng),
+            gconv: Linear::new(store, "dmst.g", h, h, true, rng),
+            head: Linear::new(store, "dmst.head", h, c, true, rng),
+        })
+    }
 
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
         let (_r, tw, _c) = (z.shape()[0], z.shape()[1], z.shape()[2]);
@@ -51,63 +77,10 @@ impl Net {
     }
 }
 
-/// The DMSTGCN predictor.
-pub struct Dmstgcn {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl Dmstgcn {
-    /// Build with 7 day-of-week slots.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        let r = data.num_regions();
-        let net = Net {
-            node_emb: Embedding::new(&mut store, "dmst.node", r, 8, &mut rng),
-            dow_emb: Embedding::new(&mut store, "dmst.dow", 7, 8, &mut rng),
-            input_proj: Linear::new(&mut store, "dmst.in", c, h, true, &mut rng),
-            tconv: Conv1d::same(&mut store, "dmst.t", h, h, 3, true, &mut rng),
-            gconv: Linear::new(&mut store, "dmst.g", h, h, true, &mut rng),
-            head: Linear::new(&mut store, "dmst.head", h, c, true, &mut rng),
-        };
-        Ok(Dmstgcn { cfg, store, net })
-    }
-}
-
-impl Predictor for Dmstgcn {
-    fn name(&self) -> String {
-        "DMSTGCN".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for Dmstgcn {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

@@ -2,16 +2,15 @@
 //! temporal attention across the window, combined by a gated fusion.
 //! The transform-attention decoder is unnecessary for a one-step horizon.
 
-use crate::common::{mse_audit, train_nn, AuditArtifacts, BaselineConfig, GraphAudited};
+use crate::common::{BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{scaled_dot_attention, Linear};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor};
 
-struct Net {
+/// The GMAN network.
+pub struct Net {
     input_proj: Linear,
     tq: Linear,
     tk: Linear,
@@ -24,7 +23,35 @@ struct Net {
     hidden: usize,
 }
 
-impl Net {
+/// The GMAN predictor.
+pub type Gman = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "GMAN";
+
+    /// Build the attention stacks.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        Ok(Net {
+            input_proj: Linear::new(store, "gman.in", c, h, true, rng),
+            tq: Linear::new(store, "gman.tq", h, h, false, rng),
+            tk: Linear::new(store, "gman.tk", h, h, false, rng),
+            tv: Linear::new(store, "gman.tv", h, h, false, rng),
+            sq: Linear::new(store, "gman.sq", h, h, false, rng),
+            sk: Linear::new(store, "gman.sk", h, h, false, rng),
+            sv: Linear::new(store, "gman.sv", h, h, false, rng),
+            gate: Linear::new(store, "gman.gate", 2 * h, h, true, rng),
+            head: Linear::new(store, "gman.head", h, c, true, rng),
+            hidden: h,
+        })
+    }
+
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
         let (r, _tw, _c) = (z.shape()[0], z.shape()[1], z.shape()[2]);
         let h = self.hidden;
@@ -61,66 +88,10 @@ impl Net {
     }
 }
 
-/// The GMAN predictor.
-pub struct Gman {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl Gman {
-    /// Build the attention stacks.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        let net = Net {
-            input_proj: Linear::new(&mut store, "gman.in", c, h, true, &mut rng),
-            tq: Linear::new(&mut store, "gman.tq", h, h, false, &mut rng),
-            tk: Linear::new(&mut store, "gman.tk", h, h, false, &mut rng),
-            tv: Linear::new(&mut store, "gman.tv", h, h, false, &mut rng),
-            sq: Linear::new(&mut store, "gman.sq", h, h, false, &mut rng),
-            sk: Linear::new(&mut store, "gman.sk", h, h, false, &mut rng),
-            sv: Linear::new(&mut store, "gman.sv", h, h, false, &mut rng),
-            gate: Linear::new(&mut store, "gman.gate", 2 * h, h, true, &mut rng),
-            head: Linear::new(&mut store, "gman.head", h, c, true, &mut rng),
-            hidden: h,
-        };
-        Ok(Gman { cfg, store, net })
-    }
-}
-
-impl Predictor for Gman {
-    fn name(&self) -> String {
-        "GMAN".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for Gman {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

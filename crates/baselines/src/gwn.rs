@@ -2,13 +2,11 @@
 //! learned from node embeddings, combined with gated dilated causal temporal
 //! convolutions and skip connections.
 
-use crate::common::{mse_audit, train_nn, AuditArtifacts, BaselineConfig, GraphAudited};
+use crate::common::{BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{Conv1d, Embedding, Linear};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor, TensorError};
 
 struct TcnLayer {
@@ -17,7 +15,8 @@ struct TcnLayer {
     skip: Linear,
 }
 
-struct Net {
+/// The GWN network.
+pub struct Net {
     input_proj: Linear,
     e1: Embedding,
     e2: Embedding,
@@ -36,6 +35,42 @@ impl Net {
         let scores = g.matmul(e1, e2t)?;
         let scores = g.relu(scores);
         g.softmax_lastdim(scores)
+    }
+}
+
+/// The Graph WaveNet predictor.
+pub type GraphWaveNet = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "GWN";
+
+    /// Build with 3 dilated TCN layers (dilations 1, 2, 4) and 10-dim node
+    /// embeddings for the adaptive adjacency.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        let r = data.num_regions();
+        let input_proj = Linear::new(store, "gwn.in", c, h, true, rng);
+        let e1 = Embedding::new(store, "gwn.e1", r, 10, rng);
+        let e2 = Embedding::new(store, "gwn.e2", r, 10, rng);
+        let layers = (0..3)
+            .map(|i| {
+                let dil = 1usize << i;
+                TcnLayer {
+                    filter: Conv1d::causal(store, &format!("gwn.{i}.f"), h, h, 2, dil, true, rng),
+                    gate: Conv1d::causal(store, &format!("gwn.{i}.g"), h, h, 2, dil, true, rng),
+                    skip: Linear::new(store, &format!("gwn.{i}.s"), h, h, true, rng),
+                }
+            })
+            .collect();
+        let gconv = Linear::new(store, "gwn.gc", h, h, true, rng);
+        let head = Linear::new(store, "gwn.head", h, c, true, rng);
+        Ok(Net { input_proj, e1, e2, layers, gconv, head, hidden: h })
     }
 
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
@@ -77,93 +112,10 @@ impl Net {
     }
 }
 
-/// The Graph WaveNet predictor.
-pub struct GraphWaveNet {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl GraphWaveNet {
-    /// Build with 3 dilated TCN layers (dilations 1, 2, 4) and 10-dim node
-    /// embeddings for the adaptive adjacency.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        let r = data.num_regions();
-        let input_proj = Linear::new(&mut store, "gwn.in", c, h, true, &mut rng);
-        let e1 = Embedding::new(&mut store, "gwn.e1", r, 10, &mut rng);
-        let e2 = Embedding::new(&mut store, "gwn.e2", r, 10, &mut rng);
-        let layers = (0..3)
-            .map(|i| {
-                let dil = 1usize << i;
-                TcnLayer {
-                    filter: Conv1d::causal(
-                        &mut store,
-                        &format!("gwn.{i}.f"),
-                        h,
-                        h,
-                        2,
-                        dil,
-                        true,
-                        &mut rng,
-                    ),
-                    gate: Conv1d::causal(
-                        &mut store,
-                        &format!("gwn.{i}.g"),
-                        h,
-                        h,
-                        2,
-                        dil,
-                        true,
-                        &mut rng,
-                    ),
-                    skip: Linear::new(&mut store, &format!("gwn.{i}.s"), h, h, true, &mut rng),
-                }
-            })
-            .collect();
-        let gconv = Linear::new(&mut store, "gwn.gc", h, h, true, &mut rng);
-        let head = Linear::new(&mut store, "gwn.head", h, c, true, &mut rng);
-        Ok(GraphWaveNet {
-            cfg,
-            store,
-            net: Net { input_proj, e1, e2, layers, gconv, head, hidden: h },
-        })
-    }
-}
-
-impl Predictor for GraphWaveNet {
-    fn name(&self) -> String {
-        "GWN".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for GraphWaveNet {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();
@@ -225,6 +177,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(hash, 0xde0d_6c15_2908_953a, "GWN forecast bits drifted: {hash:#018x}");
+        assert_eq!(hash, 0x427e_a28b_4b14_b29e, "GWN forecast bits drifted: {hash:#018x}");
     }
 }

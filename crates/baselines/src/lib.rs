@@ -3,11 +3,13 @@
 //! From-scratch reimplementations of the 15 spatial-temporal forecasting
 //! baselines the ST-HSL paper evaluates against (Table III), plus a
 //! historical-average sanity baseline. Every model implements
-//! [`sthsl_data::Predictor`] over the same windowed next-day task, trains on
-//! the same `sthsl-autograd` substrate, and is driven by the same experiment
-//! harness — so the comparison isolates architecture exactly as the paper's
-//! evaluation does. Documented simplifications per model live in
-//! DESIGN.md §4.
+//! [`sthsl_data::Predictor`] over the same windowed next-day task and is
+//! driven by the same experiment harness — so the comparison isolates
+//! architecture exactly as the paper's evaluation does. The 13 neural
+//! baselines are each a [`Neural`] wrapper around a model-specific
+//! [`Network`] and train through the same `sthsl_core::TrainLoop` as ST-HSL;
+//! ARIMA, SVR and HA keep their own fits. Documented simplifications per
+//! model live in DESIGN.md §4.
 //!
 //! | Paper baseline | Module |
 //! |---|---|
@@ -46,8 +48,9 @@ pub mod stshn;
 pub mod sttrans;
 pub mod svr;
 
-pub use common::{BaselineConfig, GraphAudited};
+pub use common::{BaselineConfig, Network, Neural};
 
+use sthsl_core::Trainable;
 use sthsl_data::{CrimeDataset, Predictor, Result};
 
 /// Instantiate every baseline for a dataset, in the paper's Table III order.
@@ -71,13 +74,11 @@ pub fn all_baselines(cfg: &BaselineConfig, data: &CrimeDataset) -> Result<Vec<Bo
     ])
 }
 
-/// Instantiate every *neural* baseline behind its [`GraphAudited`] interface,
-/// in Table III order. ARIMA, SVR and HA fit closed-form / iterative
-/// estimators without recording a graph, so they have nothing to audit.
-pub fn all_auditable(
-    cfg: &BaselineConfig,
-    data: &CrimeDataset,
-) -> Result<Vec<Box<dyn GraphAudited>>> {
+/// Instantiate every *neural* baseline behind its [`Trainable`] interface
+/// (which carries the graph audit), in Table III order. ARIMA, SVR and HA
+/// fit closed-form / iterative estimators without recording a graph, so they
+/// have nothing to audit.
+pub fn all_auditable(cfg: &BaselineConfig, data: &CrimeDataset) -> Result<Vec<Box<dyn Trainable>>> {
     Ok(vec![
         Box::new(st_resnet::StResNet::new(cfg.clone(), data)?),
         Box::new(dcrnn::Dcrnn::new(cfg.clone(), data)?),

@@ -1,16 +1,15 @@
 //! MTGNN (Wu et al., KDD 2020): a uni-directional learned graph plus
 //! mix-hop propagation and a dilated temporal inception module.
 
-use crate::common::{mse_audit, train_nn, AuditArtifacts, BaselineConfig, GraphAudited};
+use crate::common::{BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{Conv1d, Embedding, Linear};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor};
 
-struct Net {
+/// The MTGNN network.
+pub struct Net {
     m1: Embedding,
     m2: Embedding,
     input_proj: Linear,
@@ -52,6 +51,37 @@ impl Net {
         }
         Ok(acc)
     }
+}
+
+/// The MTGNN predictor.
+pub type Mtgnn = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "MTGNN";
+
+    /// Build with 2 mix-hops and kernel-2/3 temporal inception.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        let r = data.num_regions();
+        Ok(Net {
+            m1: Embedding::new(store, "mtgnn.m1", r, 8, rng),
+            m2: Embedding::new(store, "mtgnn.m2", r, 8, rng),
+            input_proj: Linear::new(store, "mtgnn.in", c, h, true, rng),
+            incept_k2: Conv1d::causal(store, "mtgnn.k2", h, h, 2, 1, true, rng),
+            incept_k3: Conv1d::same(store, "mtgnn.k3", h, h, 3, true, rng),
+            hop_proj: (0..2)
+                .map(|i| Linear::new(store, &format!("mtgnn.hop{i}"), h, h, false, rng))
+                .collect(),
+            head: Linear::new(store, "mtgnn.head", h, c, true, rng),
+            beta: 0.05,
+        })
+    }
 
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
         let (r, _tw, _c) = (z.shape()[0], z.shape()[1], z.shape()[2]);
@@ -72,67 +102,10 @@ impl Net {
     }
 }
 
-/// The MTGNN predictor.
-pub struct Mtgnn {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl Mtgnn {
-    /// Build with 2 mix-hops and kernel-2/3 temporal inception.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        let r = data.num_regions();
-        let net = Net {
-            m1: Embedding::new(&mut store, "mtgnn.m1", r, 8, &mut rng),
-            m2: Embedding::new(&mut store, "mtgnn.m2", r, 8, &mut rng),
-            input_proj: Linear::new(&mut store, "mtgnn.in", c, h, true, &mut rng),
-            incept_k2: Conv1d::causal(&mut store, "mtgnn.k2", h, h, 2, 1, true, &mut rng),
-            incept_k3: Conv1d::same(&mut store, "mtgnn.k3", h, h, 3, true, &mut rng),
-            hop_proj: (0..2)
-                .map(|i| Linear::new(&mut store, &format!("mtgnn.hop{i}"), h, h, false, &mut rng))
-                .collect(),
-            head: Linear::new(&mut store, "mtgnn.head", h, c, true, &mut rng),
-            beta: 0.05,
-        };
-        Ok(Mtgnn { cfg, store, net })
-    }
-}
-
-impl Predictor for Mtgnn {
-    fn name(&self) -> String {
-        "MTGNN".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for Mtgnn {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

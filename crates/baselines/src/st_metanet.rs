@@ -3,18 +3,15 @@
 //! (FiLM-style scale and shift applied around a shared GRU), so each region
 //! gets its own effective weights without a per-region parameter explosion.
 
-use crate::common::{
-    mse_audit, train_nn, window_days, AuditArtifacts, BaselineConfig, GraphAudited,
-};
+use crate::common::{window_days, BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{Embedding, GruCell, Linear};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor};
 
-struct Net {
+/// The ST-MetaNet network.
+pub struct Net {
     meta_emb: Embedding,
     meta_scale: Linear,
     meta_shift: Linear,
@@ -23,7 +20,32 @@ struct Net {
     head: Linear,
 }
 
-impl Net {
+/// The ST-MetaNet predictor.
+pub type StMetaNet = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "ST-MetaNet";
+
+    /// Build with 8-dim region meta-embeddings.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        let r = data.num_regions();
+        Ok(Net {
+            meta_emb: Embedding::new(store, "meta.emb", r, 8, rng),
+            meta_scale: Linear::new(store, "meta.scale", 8, h, true, rng),
+            meta_shift: Linear::new(store, "meta.shift", 8, h, true, rng),
+            input_proj: Linear::new(store, "meta.in", c, h, true, rng),
+            cell: GruCell::new(store, "meta.gru", h, h, rng),
+            head: Linear::new(store, "meta.head", h, c, true, rng),
+        })
+    }
+
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
         let r = z.shape()[0];
         // Meta-knowledge: per-region scale (centred at 1) and shift.
@@ -45,63 +67,10 @@ impl Net {
     }
 }
 
-/// The ST-MetaNet predictor.
-pub struct StMetaNet {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl StMetaNet {
-    /// Build with 8-dim region meta-embeddings.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        let r = data.num_regions();
-        let net = Net {
-            meta_emb: Embedding::new(&mut store, "meta.emb", r, 8, &mut rng),
-            meta_scale: Linear::new(&mut store, "meta.scale", 8, h, true, &mut rng),
-            meta_shift: Linear::new(&mut store, "meta.shift", 8, h, true, &mut rng),
-            input_proj: Linear::new(&mut store, "meta.in", c, h, true, &mut rng),
-            cell: GruCell::new(&mut store, "meta.gru", h, h, &mut rng),
-            head: Linear::new(&mut store, "meta.head", h, c, true, &mut rng),
-        };
-        Ok(StMetaNet { cfg, store, net })
-    }
-}
-
-impl Predictor for StMetaNet {
-    fn name(&self) -> String {
-        "ST-MetaNet".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for StMetaNet {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

@@ -2,16 +2,15 @@
 //! region grid, with separate *closeness* (recent days) and *period* (same
 //! weekday, previous weeks) input branches fused by learned weights.
 
-use crate::common::{mse_audit, train_nn, AuditArtifacts, BaselineConfig, GraphAudited};
+use crate::common::{BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::Conv2d;
 use sthsl_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor};
 
-struct Net {
+/// The ST-ResNet network.
+pub struct Net {
     close_in: Conv2d,
     period_in: Conv2d,
     res_blocks: Vec<(Conv2d, Conv2d)>,
@@ -56,6 +55,56 @@ impl Net {
         }
         Ok(h)
     }
+}
+
+/// The ST-ResNet predictor.
+pub type StResNet = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "ST-ResNet";
+
+    /// Build for a dataset's grid.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden.max(c);
+        let closeness = 3usize;
+        let periods = 2usize;
+        let close_in = Conv2d::same(store, "resnet.close_in", c * closeness, h, 3, true, rng);
+        // Period branch channel count depends on how many weekly offsets fit;
+        // we fix `periods` channels and clamp offsets at forward time, so use
+        // the worst case (periods) and pad-by-reuse when the window is short.
+        let period_in = Conv2d::same(store, "resnet.period_in", c * periods, h, 3, true, rng);
+        let res_blocks = (0..2)
+            .map(|i| {
+                (
+                    Conv2d::same(store, &format!("resnet.res{i}a"), h, h, 3, true, rng),
+                    Conv2d::same(store, &format!("resnet.res{i}b"), h, h, 3, true, rng),
+                )
+            })
+            .collect();
+        let out = Conv2d::same(store, "resnet.out", h, c, 3, true, rng);
+        let fuse_close = store.register("resnet.fuse_close", Tensor::ones(&[1]));
+        let fuse_period = store.register("resnet.fuse_period", Tensor::full(&[1], 0.5));
+        Ok(Net {
+            close_in,
+            period_in,
+            res_blocks,
+            out,
+            fuse_close,
+            fuse_period,
+            rows: data.rows,
+            cols: data.cols,
+            c,
+            closeness,
+            period_stride: 7,
+            periods,
+        })
+    }
 
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
         let tw = z.shape()[1];
@@ -80,88 +129,10 @@ impl Net {
     }
 }
 
-/// The ST-ResNet predictor.
-pub struct StResNet {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl StResNet {
-    /// Build for a dataset's grid.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden.max(c);
-        let closeness = 3usize;
-        let periods = 2usize;
-        let close_in =
-            Conv2d::same(&mut store, "resnet.close_in", c * closeness, h, 3, true, &mut rng);
-        // Period branch channel count depends on how many weekly offsets fit;
-        // we fix `periods` channels and clamp offsets at forward time, so use
-        // the worst case (periods) and pad-by-reuse when the window is short.
-        let period_in =
-            Conv2d::same(&mut store, "resnet.period_in", c * periods, h, 3, true, &mut rng);
-        let res_blocks = (0..2)
-            .map(|i| {
-                (
-                    Conv2d::same(&mut store, &format!("resnet.res{i}a"), h, h, 3, true, &mut rng),
-                    Conv2d::same(&mut store, &format!("resnet.res{i}b"), h, h, 3, true, &mut rng),
-                )
-            })
-            .collect();
-        let out = Conv2d::same(&mut store, "resnet.out", h, c, 3, true, &mut rng);
-        let fuse_close = store.register("resnet.fuse_close", Tensor::ones(&[1]));
-        let fuse_period = store.register("resnet.fuse_period", Tensor::full(&[1], 0.5));
-        let net = Net {
-            close_in,
-            period_in,
-            res_blocks,
-            out,
-            fuse_close,
-            fuse_period,
-            rows: data.rows,
-            cols: data.cols,
-            c,
-            closeness,
-            period_stride: 7,
-            periods,
-        };
-        Ok(StResNet { cfg, store, net })
-    }
-}
-
-impl Predictor for StResNet {
-    fn name(&self) -> String {
-        "ST-ResNet".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for StResNet {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 120)).unwrap();

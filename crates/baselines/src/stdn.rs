@@ -2,16 +2,15 @@
 //! flow-gating mechanism, and periodically *shifted* attention over the
 //! window's weekly positions feeding a recurrent summary.
 
-use crate::common::{mse_audit, train_nn, AuditArtifacts, BaselineConfig, GraphAudited};
+use crate::common::{BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{Conv2d, GruCell, Linear};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor, TensorError};
 
-struct Net {
+/// The STDN network.
+pub struct Net {
     local_conv: Conv2d,
     flow_gate: Conv2d,
     cell: GruCell,
@@ -39,6 +38,36 @@ impl Net {
         let gated = g.mul(f, gate)?; // [1, hidden, I, J]
         let flat = g.reshape(gated, &[self.hidden, r])?;
         g.transpose2d(flat)
+    }
+}
+
+/// The STDN predictor.
+pub type Stdn = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "STDN";
+
+    /// Build the flow-gated conv + shifted attention stack.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        Ok(Net {
+            local_conv: Conv2d::same(store, "stdn.conv", c, h, 3, true, rng),
+            flow_gate: Conv2d::same(store, "stdn.gate", c, h, 3, true, rng),
+            cell: GruCell::new(store, "stdn.gru", h, h, rng),
+            attn_q: Linear::new(store, "stdn.q", h, h, false, rng),
+            attn_k: Linear::new(store, "stdn.k", h, h, false, rng),
+            head: Linear::new(store, "stdn.head", h, c, true, rng),
+            rows: data.rows,
+            cols: data.cols,
+            c,
+            hidden: h,
+        })
     }
 
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
@@ -84,66 +113,10 @@ impl Net {
     }
 }
 
-/// The STDN predictor.
-pub struct Stdn {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl Stdn {
-    /// Build the flow-gated conv + shifted attention stack.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        let net = Net {
-            local_conv: Conv2d::same(&mut store, "stdn.conv", c, h, 3, true, &mut rng),
-            flow_gate: Conv2d::same(&mut store, "stdn.gate", c, h, 3, true, &mut rng),
-            cell: GruCell::new(&mut store, "stdn.gru", h, h, &mut rng),
-            attn_q: Linear::new(&mut store, "stdn.q", h, h, false, &mut rng),
-            attn_k: Linear::new(&mut store, "stdn.k", h, h, false, &mut rng),
-            head: Linear::new(&mut store, "stdn.head", h, c, true, &mut rng),
-            rows: data.rows,
-            cols: data.cols,
-            c,
-            hidden: h,
-        };
-        Ok(Stdn { cfg, store, net })
-    }
-}
-
-impl Predictor for Stdn {
-    fn name(&self) -> String {
-        "STDN".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for Stdn {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

@@ -2,14 +2,12 @@
 //! gated temporal convolution (GLU), Chebyshev-style graph convolution,
 //! gated temporal convolution again — followed by an output layer.
 
-use crate::common::{mse_audit, train_nn, AuditArtifacts, BaselineConfig, GraphAudited};
+use crate::common::{BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{Conv1d, GraphConv, Linear};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
 use sthsl_data::graph::RegionGraph;
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor};
 
 /// Gated temporal conv: `GLU(conv(x)) = a ⊙ σ(b)` with channel split.
@@ -49,7 +47,8 @@ struct StBlock {
     t2: GatedTemporalConv,
 }
 
-struct Net {
+/// The STGCN network.
+pub struct Net {
     blocks: Vec<StBlock>,
     head: Linear,
     /// Chebyshev polynomial supports T_0..T_{K-1} of the scaled Laplacian.
@@ -57,7 +56,38 @@ struct Net {
     hidden: usize,
 }
 
-impl Net {
+/// The STGCN predictor.
+pub type Stgcn = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "STGCN";
+
+    /// Build with two ST-Conv blocks on the normalised grid adjacency.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        // Kernel size 3 in the spectral sense: Chebyshev order K = 3, the
+        // paper's STGCN setting.
+        let supports = RegionGraph::eight_connected(data.rows, data.cols).chebyshev_supports(3)?;
+        let mut blocks = Vec::new();
+        let mut in_ch = c;
+        for i in 0..2 {
+            blocks.push(StBlock {
+                t1: GatedTemporalConv::new(store, &format!("stgcn.{i}.t1"), in_ch, h, 3, rng),
+                spatial: GraphConv::new(store, &format!("stgcn.{i}.sp"), 3, h, h, rng),
+                t2: GatedTemporalConv::new(store, &format!("stgcn.{i}.t2"), h, h, 3, rng),
+            });
+            in_ch = h;
+        }
+        let head = Linear::new(store, "stgcn.head", h, c, true, rng);
+        Ok(Net { blocks, head, supports, hidden: h })
+    }
+
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
         let (r, tw, c) = (z.shape()[0], z.shape()[1], z.shape()[2]);
         // [R, Tw, C] → [R, C, Tw]: regions as batch, categories as channels.
@@ -88,75 +118,11 @@ impl Net {
     }
 }
 
-/// The STGCN predictor.
-pub struct Stgcn {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl Stgcn {
-    /// Build with two ST-Conv blocks on the normalised grid adjacency.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        // Kernel size 3 in the spectral sense: Chebyshev order K = 3, the
-        // paper's STGCN setting.
-        let supports = RegionGraph::eight_connected(data.rows, data.cols).chebyshev_supports(3)?;
-        let mut blocks = Vec::new();
-        let mut in_ch = c;
-        for i in 0..2 {
-            blocks.push(StBlock {
-                t1: GatedTemporalConv::new(
-                    &mut store,
-                    &format!("stgcn.{i}.t1"),
-                    in_ch,
-                    h,
-                    3,
-                    &mut rng,
-                ),
-                spatial: GraphConv::new(&mut store, &format!("stgcn.{i}.sp"), 3, h, h, &mut rng),
-                t2: GatedTemporalConv::new(&mut store, &format!("stgcn.{i}.t2"), h, h, 3, &mut rng),
-            });
-            in_ch = h;
-        }
-        let head = Linear::new(&mut store, "stgcn.head", h, c, true, &mut rng);
-        Ok(Stgcn { cfg, store, net: Net { blocks, head, supports, hidden: h } })
-    }
-}
-
-impl Predictor for Stgcn {
-    fn name(&self) -> String {
-        "STGCN".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for Stgcn {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use rand::SeedableRng;
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

@@ -4,16 +4,15 @@
 //! once but is not time-dependent and there is no self-supervision; the
 //! contrast with ST-HSL isolates the paper's contributions.
 
-use crate::common::{mse_audit, train_nn, AuditArtifacts, BaselineConfig, GraphAudited};
+use crate::common::{BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{Conv1d, Linear};
 use sthsl_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor};
 
-struct Net {
+/// The STSHN network.
+pub struct Net {
     input_proj: Linear,
     hyper: ParamId,
     path_proj: Vec<Linear>,
@@ -21,7 +20,38 @@ struct Net {
     head: Linear,
 }
 
-impl Net {
+/// The STSHN predictor.
+pub type Stshn = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "STSHN";
+
+    /// Build with a static learnable hypergraph (paper setting: stationary
+    /// construction, 2 spatial aggregation layers).
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        let r = data.num_regions();
+        // Match ST-HSL's hyperedge budget for fair comparison, scaled down
+        // with the hidden width in quick configs.
+        let hyperedges = (cfg.hidden * 2).max(4);
+        Ok(Net {
+            input_proj: Linear::new(store, "stshn.in", c, h, true, rng),
+            hyper: store
+                .register("stshn.hyper", Tensor::rand_normal(&[hyperedges, r], 0.0, 0.05, rng)),
+            path_proj: (0..2)
+                .map(|i| Linear::new(store, &format!("stshn.path{i}"), h, h, false, rng))
+                .collect(),
+            tconv: Conv1d::same(store, "stshn.t", h, h, 3, true, rng),
+            head: Linear::new(store, "stshn.head", h, c, true, rng),
+        })
+    }
+
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
         let (r, _tw, _c) = (z.shape()[0], z.shape()[1], z.shape()[2]);
         let x = self.input_proj.forward(g, pv, g.constant(z.clone()))?; // [R,Tw,h]
@@ -44,71 +74,10 @@ impl Net {
     }
 }
 
-/// The STSHN predictor.
-pub struct Stshn {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl Stshn {
-    /// Build with a static learnable hypergraph (paper setting: stationary
-    /// construction, 2 spatial aggregation layers).
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        let r = data.num_regions();
-        // Match ST-HSL's hyperedge budget for fair comparison, scaled down
-        // with the hidden width in quick configs.
-        let hyperedges = (cfg.hidden * 2).max(4);
-        let net = Net {
-            input_proj: Linear::new(&mut store, "stshn.in", c, h, true, &mut rng),
-            hyper: store.register(
-                "stshn.hyper",
-                Tensor::rand_normal(&[hyperedges, r], 0.0, 0.05, &mut rng),
-            ),
-            path_proj: (0..2)
-                .map(|i| Linear::new(&mut store, &format!("stshn.path{i}"), h, h, false, &mut rng))
-                .collect(),
-            tconv: Conv1d::same(&mut store, "stshn.t", h, h, 3, true, &mut rng),
-            head: Linear::new(&mut store, "stshn.head", h, c, true, &mut rng),
-        };
-        Ok(Stshn { cfg, store, net })
-    }
-}
-
-impl Predictor for Stshn {
-    fn name(&self) -> String {
-        "STSHN".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for Stshn {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

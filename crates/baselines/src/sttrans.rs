@@ -1,13 +1,11 @@
 //! STtrans (Wu et al., WWW 2020): stacked spatial and temporal Transformer
 //! encoder layers over locations and time for sparse crime forecasting.
 
-use crate::common::{mse_audit, train_nn, AuditArtifacts, BaselineConfig, GraphAudited};
+use crate::common::{BaselineConfig, Network, Neural};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sthsl_autograd::nn::{scaled_dot_attention, LayerNorm, Linear};
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
-use sthsl_data::predictor::sanitize_counts;
-use sthsl_data::{CrimeDataset, FitReport, Predictor};
+use sthsl_data::CrimeDataset;
 use sthsl_tensor::{Result, Tensor};
 
 /// One Transformer encoder layer (single head) with pre-norm residuals.
@@ -48,14 +46,41 @@ impl EncoderLayer {
     }
 }
 
-struct Net {
+/// The STtrans network.
+pub struct Net {
     input_proj: Linear,
     spatial: Vec<EncoderLayer>,
     temporal: Vec<EncoderLayer>,
     head: Linear,
 }
 
-impl Net {
+/// The STtrans predictor.
+pub type StTrans = Neural<Net>;
+
+impl Network for Net {
+    const NAME: &'static str = "STtrans";
+
+    /// Build two spatial and two temporal encoder layers.
+    fn build(
+        cfg: &BaselineConfig,
+        data: &CrimeDataset,
+        store: &mut ParamStore,
+        rng: &mut StdRng,
+    ) -> Result<Self> {
+        let c = data.num_categories();
+        let h = cfg.hidden;
+        Ok(Net {
+            input_proj: Linear::new(store, "sttrans.in", c, h, true, rng),
+            spatial: (0..2)
+                .map(|i| EncoderLayer::new(store, &format!("sttrans.s{i}"), h, rng))
+                .collect(),
+            temporal: (0..2)
+                .map(|i| EncoderLayer::new(store, &format!("sttrans.t{i}"), h, rng))
+                .collect(),
+            head: Linear::new(store, "sttrans.head", h, c, true, rng),
+        })
+    }
+
     fn forward(&self, g: &Graph, pv: &ParamVars, z: &Tensor) -> Result<Var> {
         let (r, tw, _c) = (z.shape()[0], z.shape()[1], z.shape()[2]);
         let x = self.input_proj.forward(g, pv, g.constant(z.clone()))?; // [R,Tw,h]
@@ -84,64 +109,11 @@ impl Net {
     }
 }
 
-/// The STtrans predictor.
-pub struct StTrans {
-    cfg: BaselineConfig,
-    store: ParamStore,
-    net: Net,
-}
-
-impl StTrans {
-    /// Build two spatial and two temporal encoder layers.
-    pub fn new(cfg: BaselineConfig, data: &CrimeDataset) -> Result<Self> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut store = ParamStore::new();
-        let c = data.num_categories();
-        let h = cfg.hidden;
-        let net = Net {
-            input_proj: Linear::new(&mut store, "sttrans.in", c, h, true, &mut rng),
-            spatial: (0..2)
-                .map(|i| EncoderLayer::new(&mut store, &format!("sttrans.s{i}"), h, &mut rng))
-                .collect(),
-            temporal: (0..2)
-                .map(|i| EncoderLayer::new(&mut store, &format!("sttrans.t{i}"), h, &mut rng))
-                .collect(),
-            head: Linear::new(&mut store, "sttrans.head", h, c, true, &mut rng),
-        };
-        Ok(StTrans { cfg, store, net })
-    }
-}
-
-impl Predictor for StTrans {
-    fn name(&self) -> String {
-        "STtrans".into()
-    }
-
-    fn fit(&mut self, data: &CrimeDataset) -> Result<FitReport> {
-        let net = &self.net;
-        train_nn(&self.cfg, &mut self.store, data, |g, pv, z| net.forward(g, pv, z))
-    }
-
-    fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let pred = self.net.forward(&g, &pv, &z)?;
-        Ok(sanitize_counts(g.value(pred).as_ref().clone()))
-    }
-}
-
-impl GraphAudited for StTrans {
-    fn audit_artifacts(&self, data: &CrimeDataset) -> Result<AuditArtifacts> {
-        let net = &self.net;
-        mse_audit(&self.store, self.cfg.seed, data, |g, pv, z| net.forward(g, pv, z))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
+    use rand::SeedableRng;
+    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
 
     fn data() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

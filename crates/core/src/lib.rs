@@ -54,8 +54,8 @@ pub use config::{Ablation, StHslConfig};
 pub use model::{AuditGraph, StHsl};
 pub use obs_hooks::TraceHooks;
 pub use trainer::{
-    BatchCtx, DivergenceCtx, EpochCtx, Fault, HookAction, NoHooks, TrainHooks, TrainLoop,
-    TrainOptions, TrainOutcome,
+    BatchCtx, DivergenceCtx, EpochCtx, Fault, HookAction, NoHooks, Schedule, TrainHooks, TrainLoop,
+    TrainOptions, TrainOutcome, Trainable,
 };
 
 pub use sthsl_tensor::{Result, Tensor, TensorError};

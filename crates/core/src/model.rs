@@ -9,10 +9,10 @@ use crate::hypergraph::HypergraphEncoder;
 use crate::infomax::{corruption_permutation, InfomaxHead};
 use crate::local::LocalEncoder;
 use crate::predict::PredictionHead;
-use crate::trainer;
+use crate::trainer::{self, Schedule, Trainable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
+use sthsl_autograd::{Checkpoint, Graph, ParamStore, ParamVars, Var};
 use sthsl_data::predictor::sanitize_counts;
 use sthsl_data::{CrimeDataset, FitReport, Predictor, Split};
 use sthsl_graphcheck::{AuditOptions, AuditReport};
@@ -283,21 +283,13 @@ impl StHsl {
     }
 
     /// Snapshot the current parameters as a fresh checkpoint artifact
-    /// (empty optimizer moments, zeroed trainer progress, the config seed).
-    /// This is the one persisted form of a trained model: save it with
-    /// [`sthsl_autograd::Checkpoint::save`], load it with
-    /// [`sthsl_autograd::Checkpoint::load`] and hand the parameters to
+    /// ([`Checkpoint::of_params`] with the config seed). This is the one
+    /// persisted form of a trained model: save it with [`Checkpoint::save`],
+    /// load it with [`Checkpoint::load`] and hand the parameters to
     /// [`Self::install_params`]. `sthsl train` writes its `--model` file and
     /// `best.params` this way, and `sthsl serve` scans directories of them.
-    pub fn export_checkpoint(&self) -> sthsl_autograd::Checkpoint {
-        sthsl_autograd::Checkpoint {
-            params: self.store.clone(),
-            adam: sthsl_autograd::AdamState { t: 0, m: Vec::new(), v: Vec::new() },
-            trainer: sthsl_autograd::TrainerState {
-                seed: self.cfg.seed,
-                ..sthsl_autograd::TrainerState::default()
-            },
-        }
+    pub fn export_checkpoint(&self) -> Checkpoint {
+        Checkpoint::of_params(self.store.clone(), self.cfg.seed)
     }
 
     /// Named parameter table `(name, shape)` in registration order — the
@@ -492,6 +484,46 @@ impl Predictor for StHsl {
         let z = data.zscore(window);
         let art = self.forward(&g, &pv, &z, Pass::Predict)?;
         Ok(sanitize_counts(g.value(art.pred).as_ref().clone()))
+    }
+}
+
+impl Trainable for StHsl {
+    fn params(&self) -> &ParamStore {
+        &self.store
+    }
+
+    fn params_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    /// λ3 (Eq. 10) is realised as Adam weight decay `2·λ3`.
+    fn schedule(&self) -> Schedule {
+        Schedule {
+            epochs: self.cfg.epochs,
+            batch_size: self.cfg.batch_size,
+            max_batches_per_epoch: self.cfg.max_batches_per_epoch,
+            lr: self.cfg.lr,
+            weight_decay: 2.0 * self.cfg.lambda3,
+            seed: self.cfg.seed,
+        }
+    }
+
+    /// Draws the infomax corruption permutation from `corrupt`, one per
+    /// sample, then records the joint objective (Eq. 10) via `sample_loss`.
+    fn loss(
+        &self,
+        g: &Graph,
+        pv: &ParamVars,
+        zscored: &Tensor,
+        target: &Tensor,
+        corrupt: Option<&mut StdRng>,
+    ) -> Result<Var> {
+        let perm = corrupt.map(|rng| corruption_permutation(self.rows * self.cols, rng));
+        self.sample_loss(g, pv, zscored, target, perm.as_deref())
+    }
+
+    fn graph_audit(&self, data: &CrimeDataset) -> Result<AuditReport> {
+        StHsl::graph_audit(self, data)
     }
 }
 

@@ -1,6 +1,8 @@
-//! Resumable, self-healing training runtime for ST-HSL (paper Alg. 1).
+//! Resumable, self-healing training runtime (paper Alg. 1) for ST-HSL and
+//! every neural baseline.
 //!
-//! [`TrainLoop`] drives Adam over the joint objective, mini-batched over
+//! [`TrainLoop`] drives Adam over a [`Trainable`] model's per-sample loss
+//! (ST-HSL's joint objective, a baseline's squared error), mini-batched over
 //! training days, and layers the fault-tolerance machinery on top:
 //!
 //! * **Checkpointing** — with a [`TrainOptions::checkpoint_dir`], the loop
@@ -42,8 +44,6 @@
     reason = "R5: reports wall-clock training time (Table V); the clock never feeds the arithmetic"
 )]
 
-use crate::infomax::corruption_permutation;
-use crate::model::StHsl;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -55,9 +55,10 @@ use sthsl_autograd::checkpoint::{
     sweep_stale_tmp, Checkpoint, TrainerState,
 };
 use sthsl_autograd::optim::{self, Adam, AdamState, Optimizer};
-use sthsl_autograd::{Graph, ParamStore};
+use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
 use sthsl_chaos::{mix64, Io, RealIo, RecoveryAction, RetryPolicy, Sleeper, ThreadSleeper};
-use sthsl_data::{CrimeDataset, FitReport, Split};
+use sthsl_data::{CrimeDataset, FitReport, Predictor, Split};
+use sthsl_graphcheck::AuditReport;
 use sthsl_tensor::{Result, Tensor, TensorError};
 
 /// Domain-mixing salts so each consumer of the seed gets an independent
@@ -66,6 +67,51 @@ use sthsl_tensor::{Result, Tensor, TensorError};
 /// "RNG state" as three integers.
 const SHUFFLE_SALT: u64 = 0x5348_5546_464c_4531; // "SHUFFLE1"
 const PERM_SALT: u64 = 0x434f_5252_5550_5431; // "CORRUPT1"
+
+/// The optimisation settings a model's config hands [`TrainLoop::run`].
+#[derive(Debug, Clone, Copy)]
+pub struct Schedule {
+    /// Training epochs.
+    pub epochs: usize,
+    /// Samples per optimizer step.
+    pub batch_size: usize,
+    /// Optional cap on batches per epoch.
+    pub max_batches_per_epoch: Option<usize>,
+    /// Adam learning rate.
+    pub lr: f32,
+    /// Adam weight decay.
+    pub weight_decay: f32,
+    /// Seed every random choice of the run is derived from.
+    pub seed: u64,
+}
+
+/// A model [`TrainLoop::run`] can train: ST-HSL and every neural baseline.
+pub trait Trainable: Predictor {
+    /// The parameters the optimizer updates.
+    fn params(&self) -> &ParamStore;
+
+    /// Mutable parameters, for optimizer steps, snapshot restores and resumes.
+    fn params_mut(&mut self) -> &mut ParamStore;
+
+    /// Epochs, batching, optimizer settings and seed from the model's config.
+    fn schedule(&self) -> Schedule;
+
+    /// Training loss of one z-scored window against its target counts,
+    /// recorded on `g`. `corrupt` is the step's corruption RNG in training
+    /// and `None` in validation; models without a corruption branch ignore it.
+    fn loss(
+        &self,
+        g: &Graph,
+        pv: &ParamVars,
+        zscored: &Tensor,
+        target: &Tensor,
+        corrupt: Option<&mut StdRng>,
+    ) -> Result<Var>;
+
+    /// Static audit of the training graph; the loop refuses to train a model
+    /// whose report carries an error.
+    fn graph_audit(&self, data: &CrimeDataset) -> Result<AuditReport>;
+}
 
 /// A fault a [`TrainHooks`] implementation can inject at a batch boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,13 +323,12 @@ impl TrainLoop {
     /// Train `model` on `data`'s training split.
     pub fn run(
         &self,
-        model: &mut StHsl,
+        model: &mut dyn Trainable,
         data: &CrimeDataset,
         hooks: &mut dyn TrainHooks,
     ) -> Result<TrainOutcome> {
-        let cfg = model.cfg.clone();
-        let r = data.num_regions();
-        let mut opt = Adam::with_weight_decay(cfg.lr, 2.0 * cfg.lambda3);
+        let cfg = model.schedule();
+        let mut opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
         opt.max_grad_norm = Some(5.0);
 
         let sorted_days = data.target_days(Split::Train);
@@ -313,7 +358,7 @@ impl TrainLoop {
                     ck.trainer.seed, cfg.seed
                 )));
             }
-            model.store.copy_values_from(&ck.params).map_err(TensorError::Invalid)?;
+            model.params_mut().copy_values_from(&ck.params).map_err(TensorError::Invalid)?;
             opt.import_state(ck.adam);
             state = ck.trainer;
             resumed_at = Some((state.epoch, state.batch_in_epoch));
@@ -358,7 +403,7 @@ impl TrainLoop {
 
             'attempt: loop {
                 let snap = Snapshot {
-                    params: model.store.clone(),
+                    params: model.params().clone(),
                     adam: opt.export_state(),
                     global_step: state.global_step,
                     batch_start: state.batch_in_epoch,
@@ -372,17 +417,16 @@ impl TrainLoop {
                     }
                     state.global_step += 1;
                     let g = Graph::training(cfg.seed ^ state.global_step);
-                    let pv = model.store.inject(&g);
-                    // Corruption permutations come from a per-batch RNG seeded
-                    // by (seed, global_step): replayable from the counters.
+                    let pv = model.params().inject(&g);
+                    // Corruption draws come from a per-batch RNG seeded by
+                    // (seed, global_step): replayable from the counters.
                     let mut perm_rng =
                         StdRng::seed_from_u64(mix64(cfg.seed, PERM_SALT, state.global_step));
                     let mut loss = g.constant(Tensor::scalar(0.0));
                     for &day in *chunk {
                         let sample = data.sample(day)?;
                         let z = data.zscore(&sample.input);
-                        let perm = corruption_permutation(r, &mut perm_rng);
-                        let l = model.sample_loss(&g, &pv, &z, &sample.target, Some(&perm))?;
+                        let l = model.loss(&g, &pv, &z, &sample.target, Some(&mut perm_rng))?;
                         loss = g.add(loss, l)?;
                     }
                     let loss = g.scale(loss, 1.0 / chunk.len() as f32);
@@ -403,7 +447,10 @@ impl TrainLoop {
                         // Restore the snapshot; either back off and retry or,
                         // with the budget spent, stop with the last good
                         // parameters.
-                        model.store.copy_values_from(&snap.params).map_err(TensorError::Invalid)?;
+                        model
+                            .params_mut()
+                            .copy_values_from(&snap.params)
+                            .map_err(TensorError::Invalid)?;
                         opt.import_state(snap.adam.clone());
                         state.global_step = snap.global_step;
                         state.batch_in_epoch = snap.batch_start;
@@ -425,8 +472,8 @@ impl TrainLoop {
                     }
 
                     let grads = g.backward(loss)?;
-                    ctx.grad_norm = Some(optim::global_grad_norm(&model.store, &pv, &grads));
-                    opt.step(&mut model.store, &pv, &grads)?;
+                    ctx.grad_norm = Some(optim::global_grad_norm(model.params(), &pv, &grads));
+                    opt.step(model.params_mut(), &pv, &grads)?;
                     state.batch_in_epoch = bi as u64 + 1;
                     state.epoch_loss_accum += f64::from(lv);
 
@@ -434,7 +481,13 @@ impl TrainLoop {
                         && state.global_step.is_multiple_of(self.opts.checkpoint_every as u64);
                     let action = hooks.on_batch_end(&ctx);
                     if periodic || action != HookAction::Continue {
-                        self.write_checkpoint(model, &opt, &state, hooks, &mut ckpt_health)?;
+                        self.write_checkpoint(
+                            model.params(),
+                            &opt,
+                            &state,
+                            hooks,
+                            &mut ckpt_health,
+                        )?;
                     }
                     if action == HookAction::Stop {
                         interrupted = true;
@@ -454,7 +507,8 @@ impl TrainLoop {
                 if state.best_val.is_nan() || v < state.best_val {
                     state.best_val = v;
                     state.epochs_since_improve = 0;
-                    let best_ck = best.insert(model.export_checkpoint());
+                    let best_ck =
+                        best.insert(Checkpoint::of_params(model.params().clone(), cfg.seed));
                     if let Some(dir) = &self.opts.checkpoint_dir {
                         if !ckpt_health.disabled {
                             let best_path = dir.join(BEST_PARAMS);
@@ -486,7 +540,7 @@ impl TrainLoop {
                 lr: cfg.lr * state.lr_scale,
             });
             if self.opts.checkpoint_dir.is_some() || action == HookAction::Checkpoint {
-                self.write_checkpoint(model, &opt, &state, hooks, &mut ckpt_health)?;
+                self.write_checkpoint(model.params(), &opt, &state, hooks, &mut ckpt_health)?;
             }
             if action == HookAction::Stop {
                 interrupted = true;
@@ -503,7 +557,7 @@ impl TrainLoop {
         // With early stopping active, hand back the best-validation model.
         if self.opts.patience.is_some() {
             if let Some(best) = &best {
-                model.store.copy_values_from(&best.params).map_err(TensorError::Invalid)?;
+                model.params_mut().copy_values_from(&best.params).map_err(TensorError::Invalid)?;
             }
         }
 
@@ -528,17 +582,17 @@ impl TrainLoop {
     /// dropout, no corruption branch).
     fn validation_loss(
         &self,
-        model: &StHsl,
+        model: &dyn Trainable,
         data: &CrimeDataset,
         val_days: &[usize],
     ) -> Result<f64> {
         let mut total = 0.0f64;
         for &day in val_days {
             let g = Graph::new();
-            let pv = model.store.inject(&g);
+            let pv = model.params().inject(&g);
             let sample = data.sample(day)?;
             let z = data.zscore(&sample.input);
-            let l = model.sample_loss(&g, &pv, &z, &sample.target, None)?;
+            let l = model.loss(&g, &pv, &z, &sample.target, None)?;
             total += f64::from(g.value(l).item()?);
         }
         Ok(total / val_days.len() as f64)
@@ -623,7 +677,7 @@ impl TrainLoop {
 
     fn write_checkpoint(
         &self,
-        model: &StHsl,
+        params: &ParamStore,
         opt: &Adam,
         state: &TrainerState,
         hooks: &mut dyn TrainHooks,
@@ -635,11 +689,8 @@ impl TrainLoop {
         }
         let io = self.io.as_ref();
         let path = dir.join(checkpoint_file_name(state.global_step));
-        let ck = Checkpoint {
-            params: model.store.clone(),
-            adam: opt.export_state(),
-            trainer: state.clone(),
-        };
+        let ck =
+            Checkpoint { params: params.clone(), adam: opt.export_state(), trainer: state.clone() };
         let written = io
             .create_dir_all(dir)
             .and_then(|()| ck.save_with_retry(io, &path, self.retry, self.sleeper.as_ref()))
@@ -663,8 +714,9 @@ fn ckpt_err(e: std::io::Error) -> TensorError {
 /// Train `model` on `data`'s training split, returning the fit report.
 ///
 /// Thin driver over [`TrainLoop`] with no checkpointing, no hooks and the
-/// default divergence-recovery budget.
-pub fn train(model: &mut StHsl, data: &CrimeDataset) -> Result<FitReport> {
+/// default divergence-recovery budget: what [`Predictor::fit`] runs for
+/// ST-HSL and every neural baseline.
+pub fn train(model: &mut dyn Trainable, data: &CrimeDataset) -> Result<FitReport> {
     TrainLoop::new(TrainOptions::resilient())
         .run(model, data, &mut NoHooks)
         .map(|outcome| outcome.report)
@@ -674,7 +726,8 @@ pub fn train(model: &mut StHsl, data: &CrimeDataset) -> Result<FitReport> {
 mod tests {
     use super::*;
     use crate::config::StHslConfig;
-    use sthsl_data::{DatasetConfig, Predictor, SynthCity, SynthConfig};
+    use crate::model::StHsl;
+    use sthsl_data::{DatasetConfig, SynthCity, SynthConfig};
 
     fn dataset() -> CrimeDataset {
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 100)).unwrap();

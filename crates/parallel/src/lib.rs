@@ -22,12 +22,11 @@
 //!
 //! Every `unsafe` site below carries a `SAFETY:` argument, checked
 //! mechanically by clippy's `undocumented_unsafe_blocks` (rule R1, denied in
-//! the workspace lint table); `unsafe_op_in_unsafe_fn` is denied so no
-//! unsafe operation can hide inside an `unsafe fn` body without its own
-//! block. This crate is the one place threads and locks live (rule R2): its
+//! the workspace lint table); the same table's `[workspace.lints.rust]`
+//! denies `unsafe_op_in_unsafe_fn`, so no unsafe operation can hide inside an
+//! `unsafe fn` body without its own block. This crate is the one place threads and locks live (rule R2): its
 //! pool items carry the only R2 exemptions outside test code.
 
-#![deny(unsafe_op_in_unsafe_fn)]
 // R7: a numeric `as` cast in kernel code can silently truncate (a `usize as
 // f32` above 2^24 corrupts means and norms). Library code uses `From` /
 // `try_from`; the grandfathered sites carry an `expect` with a reason.

@@ -48,14 +48,14 @@ pub mod prelude {
         latest_checkpoint, load_latest_verified, quarantine, Checkpoint, Gradients, Graph,
         ParamStore, PruneReport, TapeObserver, TapePhase, TrainerState, Var,
     };
-    pub use sthsl_baselines::{all_auditable, all_baselines, BaselineConfig, GraphAudited};
+    pub use sthsl_baselines::{all_auditable, all_baselines, BaselineConfig};
     pub use sthsl_chaos::{
         retry, FaultKind, FaultPlan, FaultRule, FaultyIo, Io, OpClass, RealIo, RetryPolicy,
         ThreadSleeper, VirtualSleeper,
     };
     pub use sthsl_core::{
         Ablation, BatchCtx, DivergenceCtx, EpochCtx, Fault, HookAction, NoHooks, StHsl,
-        StHslConfig, TraceHooks, TrainHooks, TrainLoop, TrainOptions, TrainOutcome,
+        StHslConfig, TraceHooks, TrainHooks, TrainLoop, TrainOptions, TrainOutcome, Trainable,
     };
     pub use sthsl_data::{
         CrimeDataset, DatasetConfig, EvalReport, FitReport, Predictor, Split, SynthCity,

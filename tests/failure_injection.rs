@@ -7,6 +7,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::OnceLock;
 
+use sthsl::baselines::stshn::Stshn;
 use sthsl::data::{dataset_from_csv_path_io, GridSpec};
 use sthsl::faults::{fnv1a, ChaosEvent, RecoveryAction};
 use sthsl::prelude::*;
@@ -148,46 +149,66 @@ impl TrainHooks for KillAt {
 }
 
 /// A model's parameter bits, in registration order.
-fn param_bits(model: &StHsl) -> Vec<u32> {
-    let params = model.export_checkpoint().params;
+fn param_bits(model: &dyn Trainable) -> Vec<u32> {
+    let params = model.params();
     params.ids().flat_map(|id| params.get(id).data().iter().map(|v| v.to_bits())).collect()
 }
+
+fn tiny_sthsl(data: &CrimeDataset) -> Box<dyn Trainable> {
+    Box::new(StHsl::new(tiny_cfg(), data).unwrap())
+}
+
+fn tiny_stshn(data: &CrimeDataset) -> Box<dyn Trainable> {
+    Box::new(Stshn::new(BaselineConfig::tiny(), data).unwrap())
+}
+
+/// Builds a fresh, untrained model for a dataset.
+type Build = fn(&CrimeDataset) -> Box<dyn Trainable>;
+
+/// ST-HSL and a neural baseline, both trained by the one `TrainLoop`. Each
+/// runs 2 epochs × 3 batches of 2: 6 optimizer steps.
+const TINY_MODELS: [Build; 2] = [tiny_sthsl, tiny_stshn];
 
 #[test]
 fn resume_after_kill_is_bit_identical_to_uninterrupted_run() {
     let data = dataset();
-    let cfg = tiny_cfg();
-    // 2 epochs × 3 batches/epoch = 6 optimizer steps total.
     let total_steps = 6u64;
+    for build in TINY_MODELS {
+        // Reference: one uninterrupted run.
+        let mut reference = build(&data);
+        let name = reference.name();
+        TrainLoop::new(TrainOptions::resilient())
+            .run(&mut *reference, &data, &mut NoHooks)
+            .unwrap();
+        let want = param_bits(&*reference);
 
-    // Reference: one uninterrupted run.
-    let mut reference = StHsl::new(cfg.clone(), &data).unwrap();
-    reference.fit_with(&data, TrainOptions::resilient(), &mut NoHooks).unwrap();
-    let want = param_bits(&reference);
+        // Kill at several batch boundaries, spanning mid-epoch and epoch edges.
+        for kill_step in [1u64, 3, 4] {
+            let dir = tmp_dir(&format!("kill{kill_step}_{name}"));
+            let opts =
+                TrainOptions { checkpoint_dir: Some(dir.clone()), ..TrainOptions::resilient() };
+            let mut victim = build(&data);
+            let outcome = TrainLoop::new(opts.clone())
+                .run(&mut *victim, &data, &mut KillAt { step: kill_step })
+                .unwrap();
+            assert!(outcome.interrupted, "{name}: kill at step {kill_step} did not interrupt");
 
-    // Kill at several batch boundaries, spanning mid-epoch and epoch edges.
-    for kill_step in [1u64, 3, 4] {
-        let dir = tmp_dir(&format!("kill{kill_step}"));
-        let opts = TrainOptions { checkpoint_dir: Some(dir.clone()), ..TrainOptions::resilient() };
-        let mut victim = StHsl::new(cfg.clone(), &data).unwrap();
-        let outcome =
-            victim.fit_with(&data, opts.clone(), &mut KillAt { step: kill_step }).unwrap();
-        assert!(outcome.interrupted, "kill at step {kill_step} did not interrupt");
+            // A fresh process: new model, resume from the latest checkpoint.
+            let ck = latest_checkpoint(&dir).unwrap().expect("no checkpoint written");
+            let mut revived = build(&data);
+            let opts = TrainOptions { resume_from: Some(ck), ..opts };
+            let outcome = TrainLoop::new(opts).run(&mut *revived, &data, &mut NoHooks).unwrap();
+            assert!(outcome.resumed_at.is_some(), "{name}: resume metadata missing");
+            assert!(!outcome.interrupted);
 
-        // A fresh process: new model, resume from the latest checkpoint.
-        let ck = latest_checkpoint(&dir).unwrap().expect("no checkpoint written");
-        let mut revived = StHsl::new(cfg.clone(), &data).unwrap();
-        let opts = TrainOptions { resume_from: Some(ck), ..opts };
-        let outcome = revived.fit_with(&data, opts, &mut NoHooks).unwrap();
-        assert!(outcome.resumed_at.is_some(), "resume metadata missing");
-        assert!(!outcome.interrupted);
-
-        let got = param_bits(&revived);
-        assert_eq!(
-            got, want,
-            "kill at step {kill_step}/{total_steps}: resumed parameters differ from uninterrupted run"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+            let got = param_bits(&*revived);
+            assert_eq!(
+                got, want,
+                "{name}: kill at step {kill_step}/{total_steps}: resumed parameters differ from \
+                 uninterrupted run"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }
 
@@ -317,15 +338,17 @@ impl TrainHooks for NanAt {
 fn injected_divergence_heals_and_finishes_with_finite_loss() {
     let data = dataset();
     // One NaN mid-training, then a storm of two, one in each epoch.
-    for steps in [vec![4], vec![2, 6]] {
-        let mut model = StHsl::new(tiny_cfg(), &data).unwrap();
-        let outcome =
-            model.fit_with(&data, TrainOptions::resilient(), &mut NanAt(steps.clone())).unwrap();
-        assert_eq!(outcome.divergence_events as usize, steps.len(), "NaN at {steps:?}");
-        assert!(outcome.report.final_loss.is_finite(), "NaN at {steps:?}");
+    for (build, steps) in TINY_MODELS.into_iter().flat_map(|b| [(b, vec![4]), (b, vec![2, 6])]) {
+        let mut model = build(&data);
+        let name = model.name();
+        let outcome = TrainLoop::new(TrainOptions::resilient())
+            .run(&mut *model, &data, &mut NanAt(steps.clone()))
+            .unwrap();
+        assert_eq!(outcome.divergence_events as usize, steps.len(), "{name}: NaN at {steps:?}");
+        assert!(outcome.report.final_loss.is_finite(), "{name}: NaN at {steps:?}");
         let sample = data.sample(30).unwrap();
         let pred = model.predict(&data, &sample.input).unwrap();
-        assert!(pred.data().iter().all(|v| v.is_finite()), "NaN at {steps:?}");
+        assert!(pred.data().iter().all(|v| v.is_finite()), "{name}: NaN at {steps:?}");
     }
 }
 
