@@ -266,7 +266,6 @@ impl Graph {
                     requires_grad: n.requires_grad,
                     runtime_shape: Some(n.value.shape().to_vec()),
                     value_range: observed_range(n.value.data()),
-                    schedule: None,
                 })
                 .collect(),
         }

@@ -52,6 +52,6 @@ pub use gradcheck::{gradcheck, gradcheck_tol, try_gradcheck_tol};
 pub use graph::{Gradients, Graph, TapeObserver, TapePhase, Var};
 pub use optim::AdamState;
 pub use params::{ParamId, ParamStore, ParamVars};
-pub use tape::{NodeSpec, OpKind, PartitionStrategy, ReductionOrder, ScheduleMeta, TapeSpec};
+pub use tape::{NodeSpec, OpKind, TapeSpec};
 
 pub use sthsl_tensor::{Result, Tensor, TensorError};

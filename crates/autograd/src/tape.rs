@@ -14,8 +14,6 @@
 //!
 //! [`Graph::export_tape`]: crate::Graph::export_tape
 
-pub use sthsl_tensor::schedule::{PartitionStrategy, ReductionOrder, ScheduleMeta};
-
 /// Kind and attributes of one tape node. Attributes are everything the op's
 /// *shape and hazard semantics* depend on; runtime-only details (RNG masks,
 /// captured tensors) stay in the backward closure.
@@ -177,61 +175,6 @@ impl OpKind {
     /// True for input nodes whose shape is given, not inferred.
     pub fn is_input(&self) -> bool {
         matches!(self, OpKind::Leaf | OpKind::Constant)
-    }
-
-    /// Parallel schedule of the kernel that executes this op, from the
-    /// per-family table in `sthsl_tensor::schedule`. `None` for
-    /// [`OpKind::Opaque`] — the analyzer cannot certify what it cannot see.
-    ///
-    /// This is the static side of the "bit-identical at any thread count"
-    /// contract: the runtime witnesses are the serial/parallel equivalence
-    /// suites, and the determinism audit checks the structural claim here.
-    pub fn schedule(&self) -> Option<ScheduleMeta> {
-        use sthsl_tensor::schedule as sched;
-        Some(match self {
-            // Inputs are recorded, not computed.
-            OpKind::Leaf | OpKind::Constant => sched::data_movement(),
-
-            OpKind::Add
-            | OpKind::Sub
-            | OpKind::Mul
-            | OpKind::Div
-            | OpKind::Scale { .. }
-            | OpKind::AddScalar { .. }
-            | OpKind::Square
-            | OpKind::LeakyRelu { .. }
-            | OpKind::Sigmoid
-            | OpKind::Tanh
-            | OpKind::Exp
-            | OpKind::LnEps { .. }
-            | OpKind::SqrtEps { .. }
-            | OpKind::Softplus => sched::elementwise(),
-
-            OpKind::Dropout { .. } => sched::dropout_family(),
-
-            OpKind::Reshape { .. }
-            | OpKind::Permute { .. }
-            | OpKind::Concat { .. }
-            | OpKind::SliceAxis { .. }
-            | OpKind::PadAxis { .. }
-            | OpKind::IndexSelect { .. }
-            | OpKind::Transpose2d => sched::data_movement(),
-
-            OpKind::Matmul | OpKind::BatchedMatmul => sched::matmul_family(),
-
-            OpKind::SumAll | OpKind::MeanAll => sched::full_reduce_family(),
-            OpKind::SumAxis { .. }
-            | OpKind::MeanAxis { .. }
-            | OpKind::SoftmaxLastdim
-            | OpKind::LogSoftmaxLastdim => sched::axis_reduce_family(),
-
-            OpKind::Conv2d { .. } | OpKind::Conv1d { .. } => sched::conv_family(),
-
-            // Fused loss: one serial pass over the logits rows.
-            OpKind::InfoNceDiag => ScheduleMeta::serial_sequential(),
-
-            OpKind::Opaque { .. } => return None,
-        })
     }
 
     /// Ahead-of-time output shape from parent shapes, mirroring the runtime
@@ -569,19 +512,6 @@ pub struct NodeSpec {
     /// its predicted interval against. `(NaN, NaN)` records "contains NaN";
     /// `None` means unranged (empty tensor, or a hand-built spec).
     pub value_range: Option<(f32, f32)>,
-    /// Schedule override for hand-built specs. `None` derives the schedule
-    /// from [`OpKind::schedule`]; fixtures set `Some` to model foreign ops
-    /// (e.g. a thread-order-dependent scatter) the determinism pass must
-    /// reject.
-    pub schedule: Option<ScheduleMeta>,
-}
-
-impl NodeSpec {
-    /// The schedule the determinism pass audits: the explicit override if
-    /// present, the per-kind table otherwise.
-    pub fn effective_schedule(&self) -> Option<ScheduleMeta> {
-        self.schedule.or_else(|| self.kind.schedule())
-    }
 }
 
 /// An executable-free snapshot of an autograd tape, in topological order.
@@ -606,7 +536,6 @@ impl TapeSpec {
             requires_grad: true,
             runtime_shape: Some(shape.to_vec()),
             value_range: None,
-            schedule: None,
         });
         self.nodes.len() - 1
     }
@@ -628,7 +557,6 @@ impl TapeSpec {
             requires_grad: false,
             runtime_shape: Some(shape.to_vec()),
             value_range: None,
-            schedule: None,
         });
         self.nodes.len() - 1
     }
@@ -651,22 +579,8 @@ impl TapeSpec {
             requires_grad,
             runtime_shape: None,
             value_range: None,
-            schedule: None,
         });
         self.nodes.len() - 1
-    }
-
-    /// Append an op node with an explicit schedule override, for modelling
-    /// foreign ops in determinism-pass fixtures.
-    pub fn push_scheduled(
-        &mut self,
-        kind: OpKind,
-        parents: &[usize],
-        schedule: ScheduleMeta,
-    ) -> usize {
-        let i = self.push(kind, parents);
-        self.nodes[i].schedule = Some(schedule);
-        i
     }
 }
 

@@ -1,8 +1,8 @@
 //! Statically certifies the training graph of every model at the chosen
 //! scale before any experiment spends compute on it: shape consistency,
 //! gradient flow into every parameter, value ranges (overflow and NaN
-//! poles), float error and determinism, with the tape's total output bytes
-//! from the cost model, per model. Fails (non-zero exit) if any graph
+//! poles) and float error, with the tape's total output bytes from the cost
+//! model, per model. Fails (non-zero exit) if any graph
 //! carries an error-level finding, so `run_all` stops before burning hours
 //! on a miswired model.
 

@@ -408,8 +408,9 @@ impl StHsl {
     }
 
     /// Run the full static audit (shape, grad-flow, value ranges, float-error
-    /// depth, determinism certification, static cost model) over the graph this model builds for training. Does not
-    /// execute forward or backward beyond the single tape-recording pass.
+    /// depth, static cost model) over the graph this model builds for
+    /// training. Does not execute forward or backward beyond the single
+    /// tape-recording pass.
     pub fn graph_audit(&self, data: &CrimeDataset) -> Result<AuditReport> {
         let (g, loss, params) = self.audit_artifacts(data)?;
         let spec = g.export_tape();

@@ -372,7 +372,7 @@ impl TrainLoop {
 
         // Mandatory pre-flight: statically audit the graph this configuration
         // actually builds — shape consistency, parameter reachability,
-        // value ranges, determinism — and refuse to spend a single optimizer
+        // value ranges, float error — and refuse to spend a single optimizer
         // step on a miswired model.
         let audit = model.graph_audit(data)?;
         if audit.has_errors() {

@@ -81,19 +81,12 @@ fn every_named_ablation_certifies_clean() {
         let report = model.graph_audit(&data).unwrap();
         assert_clean_and_explained(name, &report);
         assert_clean_and_explained(&format!("{name} serving"), &serving_audit(&model, &data));
-        // graphcheck v2: every interval bounded, every op certified
-        // thread-invariant, nothing over the accumulation budget.
+        // Every interval bounded, nothing over the accumulation budget.
         let ranges = report.ranges.as_ref().expect("range pass must run");
         assert_eq!(
             ranges.bounded,
             ranges.total,
             "{name}: every interval must be bounded:\n{}",
-            report.render()
-        );
-        let det = report.determinism.as_ref().expect("determinism pass must run");
-        assert!(
-            det.certified_clean(),
-            "{name}: determinism must certify clean:\n{}",
             report.render()
         );
         let fe = report.float_error.as_ref().expect("float-error pass must run");
@@ -130,15 +123,19 @@ fn every_named_ablation_certifies_clean() {
 /// deleted, so the `nan-taint:` line and the `memory:` block are gone; the
 /// `cost:` line carries `tape` (the cost model's total output bytes, the
 /// same sum the `memory: tape` figure was). Every other line is unchanged.
+///
+/// Re-derived for report v5: the static determinism pass is deleted, so the
+/// `determinism:` line is gone (bit-identity across thread counts is gated
+/// at runtime by `tests/parallel_equivalence.rs`). Every other line is
+/// unchanged.
 const GOLDEN_TINY_REPORT: &str = "\
 == graph audit: ST-HSL ==
-report-version: 4
+report-version: 5
 nodes: 196   params: 21   errors: 0   warnings: 1   info: 0
 shape: OK (196/196 node shapes inferred ahead of time)
 grad-flow: OK (21/21 parameters reachable from the loss)
 ranges: OK (196/196 intervals bounded; max |bound| 1.062e12)
 float-error: max f32 chain 448 adds (budget 8192); loss path ~554 adds; 0 over-budget op(s)
-determinism: OK (196/196 ops certified thread-invariant; 8 rng-seeded)
 cost: fwd 578.3 Kflop + bwd 1.15 Mflop | tape 499.4 KiB | traffic 1.11 MiB | 1.48 flop/B
   conv2d                   2 node(s)   784.8 Kflop  26.28 flop/B
   conv1d                   6 node(s)   419.3 Kflop  4.84 flop/B

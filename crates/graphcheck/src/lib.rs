@@ -21,21 +21,18 @@
 //! 5. **float-error** ([`fperror`]) — worst-case f32 accumulation depth per
 //!    op and along the loss path; flags naive reduction chains deeper than
 //!    the configured budget.
-//! 6. **determinism** ([`determinism`]) — certifies "bit-identical at any
-//!    thread count" from per-op schedule metadata; thread-order-dependent
-//!    reductions and clock reads are blocking.
-//! 7. **cost** ([`cost`]) — static FLOP/bytes/intensity model with a ranked
+//! 6. **cost** ([`cost`]) — static FLOP/bytes/intensity model with a ranked
 //!    hot-op table and the tape's total output bytes (advisory;
 //!    cross-validated against the runtime profiler).
 //!
 //! The entry point is [`audit`]; [`AuditReport::has_errors`] decides whether
-//! a trainer pre-flight must fail. Ranges and determinism findings block
-//! (they are Error-severity); float-error depth findings are Warnings and
-//! the cost model never diagnoses.
+//! a trainer pre-flight must fail. Range findings block (they are
+//! Error-severity); float-error depth findings are Warnings and the cost
+//! model never diagnoses. Bit-identity across thread counts is not a static
+//! pass: the runtime suites in `tests/parallel_equivalence.rs` gate it.
 
 pub mod chain;
 pub mod cost;
-pub mod determinism;
 pub mod fperror;
 pub mod range;
 pub mod reach;
@@ -95,7 +92,6 @@ pub fn audit(
             diagnostics: diags,
             ranges: None,
             float_error: None,
-            determinism: None,
             cost: None,
         };
     }
@@ -106,7 +102,6 @@ pub fn audit(
     let own = fperror::own_extents(spec, &shape_info.shapes);
     let ranges = range::analyze(spec, &shape_info.shapes, &own, &mut diags);
     let float_error = fperror::analyze(spec, &own, loss, MAX_ACCUM_DEPTH, &mut diags);
-    let determinism = determinism::analyze(spec, &mut diags);
     let cost = cost::analyze(spec, &shape_info.shapes);
 
     AuditReport {
@@ -118,7 +113,6 @@ pub fn audit(
         diagnostics: diags,
         ranges: Some(ranges),
         float_error: Some(float_error),
-        determinism: Some(determinism),
         cost: Some(cost),
     }
 }

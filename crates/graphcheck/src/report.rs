@@ -10,7 +10,9 @@ use std::fmt::Write as _;
 /// v3: adds this header.
 /// v4: drops the `nan-taint:` line and the `memory:` block; the `cost:` line
 /// carries the tape's total output bytes instead.
-pub const REPORT_VERSION: u32 = 4;
+/// v5: drops the `determinism:` line (bit-identity across thread counts is
+/// gated at runtime by `tests/parallel_equivalence.rs`, not by a static pass).
+pub const REPORT_VERSION: u32 = 5;
 
 /// Which analysis pass produced a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -25,8 +27,6 @@ pub enum Pass {
     ValueRange,
     /// Float-error accumulation depth.
     FloatError,
-    /// Thread-count-invariance certification.
-    Determinism,
     /// Static cost model (advisory).
     Cost,
 }
@@ -40,7 +40,6 @@ impl Pass {
             Pass::GradFlow => "grad-flow",
             Pass::ValueRange => "ranges",
             Pass::FloatError => "float-error",
-            Pass::Determinism => "determinism",
             Pass::Cost => "cost",
         }
     }
@@ -102,8 +101,6 @@ pub struct AuditReport {
     pub ranges: Option<crate::range::RangeSummary>,
     /// Float-error accumulation depths.
     pub float_error: Option<crate::fperror::FloatErrorSummary>,
-    /// Determinism certification.
-    pub determinism: Option<crate::determinism::DeterminismSummary>,
     /// Static cost model.
     pub cost: Option<crate::cost::CostSummary>,
 }
@@ -200,25 +197,6 @@ impl AuditReport {
             }
             None => {
                 let _ = writeln!(out, "float-error: skipped");
-            }
-        }
-        match &self.determinism {
-            Some(det) => {
-                let status = if det.violations > 0 { "FAIL" } else { "OK" };
-                let unknown = if det.unknown > 0 {
-                    format!("; {} uncertifiable", det.unknown)
-                } else {
-                    String::new()
-                };
-                let _ = writeln!(
-                    out,
-                    "determinism: {status} ({}/{} ops certified thread-invariant; {} \
-                     rng-seeded{unknown})",
-                    det.certified, det.total, det.rng_nodes
-                );
-            }
-            None => {
-                let _ = writeln!(out, "determinism: skipped");
             }
         }
         match &self.cost {
@@ -331,7 +309,6 @@ mod tests {
             diagnostics: vec![],
             ranges: None,
             float_error: None,
-            determinism: None,
             cost: None,
         };
         assert!(!r.has_errors());
@@ -356,7 +333,6 @@ mod tests {
             diagnostics: vec![],
             ranges: None,
             float_error: None,
-            determinism: None,
             cost: None,
         };
         let rendered = r.render();

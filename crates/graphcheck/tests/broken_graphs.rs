@@ -350,52 +350,6 @@ fn deep_f32_accumulation_is_flagged() {
     );
 }
 
-#[test]
-fn thread_order_dependent_schedule_fails_determinism() {
-    use sthsl_autograd::{PartitionStrategy, ReductionOrder, ScheduleMeta};
-    let mut spec = TapeSpec::new();
-    let w = spec.leaf("w", &[8, 8]);
-    // Model a foreign op whose scatter commits in thread order.
-    let scatter = ScheduleMeta {
-        partition: PartitionStrategy::RowBands,
-        reduction: ReductionOrder::ThreadOrderDependent,
-        uses_rng: false,
-        uses_clock: false,
-    };
-    let s = spec.push_scheduled(OpKind::SumAll, &[w], scatter);
-    let params = vec![("w".to_string(), w)];
-    let r = audit("toc-scatter", &spec, s, &params, &AuditOptions::default());
-
-    assert!(r.has_errors());
-    let errs: Vec<_> = r.errors().collect();
-    assert_eq!(errs.len(), 1);
-    assert_eq!(errs[0].pass, Pass::Determinism);
-    assert_eq!(errs[0].node, Some(s));
-    assert!(
-        errs[0].msg.contains("thread-order-dependent (row-bands/thread-order-dependent)"),
-        "{}",
-        errs[0].msg
-    );
-}
-
-#[test]
-fn opaque_ops_cannot_be_certified_deterministic() {
-    let mut spec = TapeSpec::new();
-    let w = spec.leaf("w", &[4]);
-    let o = spec.push(OpKind::Opaque { name: "foreign_kernel" }, &[w]);
-    let loss = spec.push(OpKind::SumAll, &[o]);
-    let params = vec![("w".to_string(), w)];
-    let r = audit("opaque-determinism", &spec, loss, &params, &AuditOptions::default());
-
-    // Opaque ops already draw shape/grad warnings; the determinism pass adds
-    // its own uncertifiable warning without escalating to an error.
-    let det: Vec<_> = r.diagnostics.iter().filter(|d| d.pass == Pass::Determinism).collect();
-    assert_eq!(det.len(), 1);
-    assert_eq!(det[0].severity, Severity::Warning);
-    assert_eq!(det[0].node, Some(o));
-    assert!(det[0].msg.contains("cannot be certified"), "{}", det[0].msg);
-}
-
 /// A runtime range escaping the predicted interval is an analyzer soundness
 /// violation — the cross-check that keeps the transfer functions honest.
 #[test]

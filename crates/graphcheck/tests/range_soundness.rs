@@ -11,7 +11,7 @@
 //! export's min/max summary.
 
 use sthsl_autograd::{Graph, Var};
-use sthsl_graphcheck::{audit, AuditOptions, Pass};
+use sthsl_graphcheck::{audit, AuditOptions};
 use sthsl_tensor::Tensor;
 
 /// Deterministic xorshift so the fuzz corpus is reproducible without a rand
@@ -117,23 +117,17 @@ fn runtime_values_stay_inside_predicted_intervals() {
     sthsl_parallel::set_num_threads(0);
 }
 
-/// The determinism certificate is not just structural: the same seed must
-/// produce bit-identical forward values at 1 and 4 threads.
+/// The same seed must produce bit-identical forward values at 1 and 4
+/// threads.
 #[test]
-fn certified_tape_is_bit_identical_across_thread_counts() {
+fn forward_values_are_bit_identical_across_thread_counts() {
     for &density in &[0.01f32, 0.21] {
         let mut collected: Vec<Vec<Vec<f32>>> = Vec::new();
         for &threads in &[1usize, 4] {
             sthsl_parallel::set_num_threads(threads);
             let mut rng = XorShift(0xabcd_ef01);
             let g = Graph::training(42);
-            let (loss, vars) = build(&g, &mut rng, density);
-            let spec = g.export_tape();
-            let params = vec![("hypergraph.h".to_string(), vars[1].index())];
-            let r = audit("bits", &spec, loss.index(), &params, &AuditOptions::default());
-            let det = r.determinism.as_ref().expect("determinism pass must run");
-            assert!(det.certified_clean(), "{}", r.render());
-            assert!(r.diagnostics.iter().all(|d| d.pass != Pass::Determinism), "{}", r.render());
+            let (_, vars) = build(&g, &mut rng, density);
             collected.push(vars.iter().map(|v| g.value(*v).data().to_vec()).collect());
         }
         sthsl_parallel::set_num_threads(0);

@@ -40,8 +40,6 @@
     )
 )]
 
-pub mod schedule;
-
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

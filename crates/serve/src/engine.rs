@@ -296,7 +296,7 @@ impl ForecastEngine {
 }
 
 /// The graphcheck pre-flight over the serving tape: shapes, reachability,
-/// value ranges, determinism — the same audit `sthsl graph-audit` runs, scoped
+/// value ranges, float error — the same audit `sthsl graph-audit` runs, scoped
 /// to the inference graph. Parameters that only feed the self-supervised
 /// losses are expected-inactive, not errors.
 fn preflight(model: &StHsl, data: &CrimeDataset) -> Result<(), StartupError> {

@@ -40,7 +40,6 @@ mod shape;
 mod tensor;
 
 pub mod ops;
-pub mod schedule;
 pub mod simd;
 
 pub use error::TensorError;

@@ -1,4 +1,5 @@
-//! Serial/parallel equivalence suite for the multi-threaded tensor kernels.
+//! Serial/parallel equivalence suite for the multi-threaded tensor kernels
+//! and for the models that run on them.
 //!
 //! The determinism contract (DESIGN.md, "Threading model") has two halves:
 //!
@@ -11,10 +12,11 @@
 //!    so they too must be bit-identical across thread counts — and within
 //!    normal f32 rounding of a linear serial sum.
 //!
-//! Every test fuzzes shapes with a fixed seed and compares results across
-//! thread counts {1, 2, 4, 8}, plus a run-to-run determinism check. The
-//! pinned digests are checked at every vector level the kernels dispatch to
-//! on this CPU (SSE2, and AVX2 where detected).
+//! Every kernel test fuzzes shapes with a fixed seed and compares results
+//! across thread counts {1, 2, 4, 8}, plus a run-to-run determinism check.
+//! The pinned digests are checked at every vector level the kernels dispatch
+//! to on this CPU (SSE2, and AVX2 where detected). A last test trains ST-HSL
+//! and every neural baseline at 1 and 4 threads and compares parameter bits.
 
 #![expect(
     clippy::disallowed_types,
@@ -24,6 +26,10 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Mutex;
 use sthsl::parallel::{num_threads, set_num_threads};
+use sthsl::prelude::{
+    all_auditable, BaselineConfig, CrimeDataset, DatasetConfig, NoHooks, StHsl, StHslConfig,
+    SynthCity, SynthConfig, TrainLoop, TrainOptions,
+};
 use sthsl::tensor::ops::conv::Pad1d;
 use sthsl::tensor::simd::at_each_level;
 use sthsl::tensor::Tensor;
@@ -489,4 +495,62 @@ fn thread_count_config_round_trips() {
     assert_eq!(num_threads(), 3);
     set_num_threads(0);
     assert!(num_threads() >= 1);
+}
+
+/// The model-level gate: ST-HSL and every neural baseline, trained end to end
+/// by the one `TrainLoop`, must finish with the same parameter bits at 1 and
+/// at 4 threads. The kernel tests above fuzz shapes; this one runs the shapes
+/// the models actually build, on a grid large enough (64 regions) that their
+/// matmuls split into several bands.
+#[test]
+fn every_neural_model_trains_bit_identically_at_1_and_4_threads() {
+    let _guard = config_lock();
+    let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(8, 8, 100)).unwrap();
+    let data = CrimeDataset::from_city(
+        &city,
+        DatasetConfig { window: 8, val_days: 6, train_fraction: 7.0 / 8.0 },
+    )
+    .unwrap();
+    // Quick-scale widths (d = 16, 64 hyperedges): on this grid, at d = 4
+    // with 6 hyperedges no ST-HSL matmul is large enough to split into bands.
+    let sthsl_cfg = StHslConfig {
+        epochs: 2,
+        batch_size: 2,
+        max_batches_per_epoch: Some(3),
+        ..StHslConfig::quick()
+    };
+    let trained_bits = |threads: usize| -> Vec<(String, Vec<u32>)> {
+        set_num_threads(threads);
+        let mut models = all_auditable(&BaselineConfig::tiny(), &data).unwrap();
+        models.insert(0, Box::new(StHsl::new(sthsl_cfg.clone(), &data).unwrap()));
+        models
+            .iter_mut()
+            .map(|model| {
+                TrainLoop::new(TrainOptions::resilient())
+                    .run(&mut **model, &data, &mut NoHooks)
+                    .unwrap();
+                let params = model.params();
+                let bits = params
+                    .ids()
+                    .flat_map(|id| params.get(id).data().iter().map(|v| v.to_bits()))
+                    .collect();
+                (model.name(), bits)
+            })
+            .collect()
+    };
+    let serial = trained_bits(1);
+    let threaded = trained_bits(4);
+    set_num_threads(0);
+    assert_eq!(serial.len(), 14, "ST-HSL and the 13 neural baselines");
+    let differing: Vec<&str> = serial
+        .iter()
+        .zip(&threaded)
+        .filter(|((_, want), (_, got))| want != got)
+        .map(|((name, _), _)| name.as_str())
+        .collect();
+    assert!(
+        differing.is_empty(),
+        "parameters trained at 4 threads differ from 1 thread for: {}",
+        differing.join(", ")
+    );
 }

@@ -26,6 +26,14 @@ fn trained_cfg() -> StHslConfig {
 
 /// Paper RQ1/Table III, aggregate form: the full ST-HSL beats the static
 /// hypergraph predecessor STSHN it directly improves on.
+///
+/// The margin is inside training noise. Measured as the gap between the two
+/// MAEs: 0.27% (ST-HSL 0.915872 vs STSHN 0.918339) while STSHN trained with
+/// its own loop and one running shuffle, and 0.95% (0.915872 vs 0.924554)
+/// once it trained through `TrainLoop` with counter-derived day orders. That
+/// change of shuffle alone moved STSHN by 0.7%, so a failure after a shuffle
+/// or seed change is not by itself a regression; the claim needs several
+/// seeds or a converged protocol to stand.
 #[test]
 #[ignore = "trains two models to convergence (~2 min in release)"]
 fn sthsl_beats_static_hypergraph_predecessor() {
