@@ -29,31 +29,44 @@
 //! into the zero padding are left out of the table, so they are skipped for
 //! all 16 lanes at once, as the oracle's `continue` skips them.
 //!
-//! **Weight gradient: row loops.** Its `(bi, oy, ox)` order runs serially
-//! over the batch, so batch lanes would reorder its sums. It is an im2col
-//! rank-1 update per output pixel instead. Each batch element's patches are
-//! gathered through a per-call index table: the table is [`im2col`] run once
-//! over the input offsets, with taps in the padding clipped out of each
-//! contiguous run ([`Span`]); its padding lanes read offset 0 and a per-call
-//! mask turns them into `-0.0`.
+//! **Weight gradient: out-channel lanes.** Its `(bi, oy, ox)` order runs
+//! serially over the batch, so batch lanes would reorder its sums; the
+//! out-channels are the lanes instead. Each band takes its out-channels in
+//! blocks of 8 lanes and, per lane block, its `cin·kh·kw` taps kernel column
+//! by kernel column in blocks of 8 ([`tap_block`]). A block of `C` lanes by
+//! `T` taps keeps its `C·T` sums in registers for the whole `(bi, oy, ox)`
+//! walk, reads `x` directly at each tap's offset and stores once; a last,
+//! shorter block is padded with copies of its first lane or tap, whose sums
+//! are dropped. A tap that reads the padding is skipped
+//! through its two [`Span`]s, as the oracle's `continue` skips it: a row
+//! outside its row span by a test made once per row, and a column outside
+//! its column span by never being visited, since taps of one kernel column
+//! share that span. Only a block that straddles two kernel columns tests
+//! each tap at the columns where their spans differ. No table, gather or
+//! patch buffer is built.
 //!
 //! Every kernel body runs under [`wide!`], which picks its AVX2 copy where
 //! the CPU has one. The operations and their order are the same at every
 //! level, and so are the bits.
 //!
-//! Where a lane must skip a term — a zero `grad_out` element in either
-//! gradient, or an im2col lane in the padding — it adds `-0.0` instead.
-//! Under round-to-nearest, `x + (-0.0)` returns `x` bit for bit for every `x`
+//! Where a lane must skip a term for a zero `grad_out` element, it adds a
+//! zero instead. In the input gradient that is `-0.0`: under
+//! round-to-nearest, `x + (-0.0)` returns `x` bit for bit for every `x`
 //! except a signalling NaN: `-0.0 + -0.0 = -0.0`, `+0.0 + -0.0 = +0.0`,
 //! infinities and quiet NaNs pass through. Arithmetic never produces a
 //! signalling NaN, so a branch-free lane matches the skipped term exactly.
 //! (Multiplying instead would not: `0·∞` is NaN and `-0.0 + 0·w` can flip
-//! the sign of a zero.)
+//! the sign of a zero.) The weight gradient adds `+0.0`, which one `and`
+//! selects: its sums start at `+0.0`, and with no flush to zero a sum is
+//! `-0.0` only when both addends are, so none of its sums is ever `-0.0`,
+//! and `x + (+0.0)` returns every other `x` bit for bit.
 //!
 //! A 1-D convolution is the 2-D one over a single row whose column taps are
 //! dilated, so both share [`Geom`] and one kernel per pass. Its geometry is
 //! computed in checked arithmetic: an extent that overflows `usize` is a
 //! [`TensorError::Invalid`].
+
+use std::ops::Range;
 
 use crate::simd::wide;
 use crate::{Result, Tensor, TensorError};
@@ -292,14 +305,21 @@ impl Geom {
         self.kh * self.kw
     }
 
-    /// Valid output-row run of each kernel row `ky`.
-    fn row_spans(&self) -> Vec<Span> {
-        (0..self.kh).map(|ky| Span::new(ky, self.ph, self.h, self.oh)).collect()
-    }
-
-    /// Valid output-column run of each kernel column `kx`.
-    fn col_spans(&self) -> Vec<Span> {
-        (0..self.kw).map(|kx| Span::new(kx * self.dilation, self.pw, self.w, self.ow)).collect()
+    /// The weight gradient's taps, kernel column by kernel column (`kx`,
+    /// then `ci`, `ky`): consecutive taps mostly share their column span.
+    fn weight_taps(&self) -> Vec<WeightTap> {
+        let mut taps = Vec::with_capacity(self.cin * self.taps());
+        for kx in 0..self.kw {
+            let rx = Span::new(kx * self.dilation, self.pw, self.w, self.ow);
+            for ci in 0..self.cin {
+                for ky in 0..self.kh {
+                    let ry = Span::new(ky, self.ph, self.h, self.oh);
+                    let (j, src) = ((ci * self.kh + ky) * self.kw + kx, ci * self.in_plane());
+                    taps.push(WeightTap { j, ry, rx, src: src + ry.src * self.w + rx.src });
+                }
+            }
+        }
+        taps
     }
 }
 
@@ -319,7 +339,7 @@ impl Span {
         let hi = (in_len + pad).saturating_sub(offset).min(out_len);
         let lo = pad.saturating_sub(offset);
         if lo >= hi {
-            // Empty at offset 0, so its runs still slice in bounds.
+            // Empty at offset 0: no output reads inside the input.
             return Span { lo: 0, hi: 0, src: 0 };
         }
         Span { lo, hi, src: lo + offset - pad }
@@ -328,18 +348,21 @@ impl Span {
     fn len(&self) -> usize {
         self.hi - self.lo
     }
+
+    fn contains(&self, o: usize) -> bool {
+        (self.lo..self.hi).contains(&o)
+    }
 }
 
-/// The contiguous runs of one tap: for each output row of `ry`, the offset
-/// of the run `rx` in a plane of row stride `ostride`, and of the input it
-/// reads in a plane of row stride `istride`. Each run is `rx.len()` long.
-fn runs(
+/// The tap of weight `j` (`= (ci·kh + ky)·kw + kx`): the output rows `ry`
+/// and columns `rx` at which it reads inside the input, and the offset in a
+/// batch element's `[Cin, H, W]` block that output `(ry.lo, rx.lo)` reads.
+#[derive(Debug, Clone, Copy)]
+struct WeightTap {
+    j: usize,
     ry: Span,
     rx: Span,
-    ostride: usize,
-    istride: usize,
-) -> impl Iterator<Item = (usize, usize)> {
-    (ry.lo..ry.hi).map(move |oy| (oy * ostride + rx.lo, (ry.src + oy - ry.lo) * istride + rx.src))
+    src: usize,
 }
 
 /// `out[p] = bias + Σ x·w` over `(ci, ky, kx)`, 16 batch elements at a time.
@@ -414,12 +437,10 @@ impl Taps {
     }
 }
 
-/// `v` as a tap- or gather-table entry; one that does not fit `u32` is a
-/// typed error.
+/// `v` as a tap-table entry; one that does not fit `u32` is a typed error.
 fn tap_index(v: usize) -> Result<u32> {
-    u32::try_from(v).map_err(|_| {
-        TensorError::Invalid(format!("conv: index {v} does not fit a tap or gather table"))
-    })
+    u32::try_from(v)
+        .map_err(|_| TensorError::Invalid(format!("conv: index {v} does not fit a tap table")))
 }
 
 /// Index of a tap-table entry (lossless: `u32` fits `usize` on every target
@@ -489,48 +510,32 @@ fn panel_pass(
     Ok(out)
 }
 
-/// `gw[co, j] += g·patch[j]` over `(bi, oy, ox)`: for each output pixel, a
-/// rank-1 update of all `cin·kh·kw` weights of one out-channel from the
-/// pixel's im2col patch.
+/// `gw[co, j] += g·x` over `(bi, oy, ox)`, out-channels as the vector
+/// lanes: each band's out-channels go in blocks of 8 lanes and, per lane
+/// block, the taps in blocks of 8, whose sums [`tap_block`] keeps in
+/// registers. A last, shorter block runs at the narrowest width that holds
+/// it (8, 4 or 2 lanes; 8, 4, 3, 2 or 1 taps), padded with copies of its
+/// first lane or tap whose sums are never stored. There is no one-lane
+/// block: it would compile to scalar code, in which the compiler turns the
+/// zero-gradient select into a branch that mispredicts on dropout's zeros.
+/// A 3-tap block fits the commonest kernel, 1→1 with width 3, unpadded.
 fn grad_weight(go: &[f32], x: &[f32], g: Geom) -> Result<Vec<f32>> {
-    let (in_plane, out_plane, taps) = (g.in_plane(), g.out_plane(), g.taps());
-    let (rows, cols) = (g.row_spans(), g.col_spans());
-    let (kvol, xblock) = (g.cin * taps, g.cin * in_plane);
+    let taps = g.weight_taps();
+    let kvol = taps.len();
     let mut gw = vec![0.0f32; g.cout * kvol];
-    if kvol == 0 || xblock == 0 {
-        // No weights, or every patch lane lies in the padding and adds -0.0.
+    if kvol == 0 {
         return Ok(gw);
     }
-    // The same for every batch element: which im2col lanes read inside the
-    // input, and the offset in the input block each lane reads. A lane in
-    // the padding reads offset 0 and is masked to -0.0.
-    let mut valid = vec![0u32; out_plane * kvol];
-    im2col(&mut valid, &vec![u32::MAX; xblock], &g, &rows, &cols);
-    let offsets = (0..xblock).map(tap_index).collect::<Result<Vec<u32>>>()?;
-    let mut gather = vec![0u32; out_plane * kvol];
-    im2col(&mut gather, &offsets, &g, &rows, &cols);
-    // Each out-channel's weight-gradient block is disjoint; walking `bi`
-    // outside the band's out-channels shares one patch buffer among them
-    // without changing any weight's `(bi, oy, ox)` order.
-    let min_rows = (MIN_WORK_PER_BAND / (g.b * out_plane * kvol).max(1)).max(1);
+    // Each out-channel's weight-gradient block is disjoint, so a band's
+    // blocks, and the lanes within them, sum independently.
+    let min_rows = (MIN_WORK_PER_BAND / (g.b * g.out_plane() * kvol).max(1)).max(1);
     sthsl_parallel::parallel_rows_mut(&mut gw, g.cout, kvol, min_rows, move |couts, band| {
         wide!(band, |band| {
-            let mut patches = vec![0.0f32; out_plane * kvol];
-            for bi in 0..g.b {
-                let xb = &x[bi * xblock..][..xblock];
-                for (cell, &i) in patches.iter_mut().zip(&gather) {
-                    *cell = xb[at(i)];
-                }
-                for (gblock, co) in band.chunks_exact_mut(kvol).zip(couts.clone()) {
-                    let gplane = &go[(bi * g.cout + co) * out_plane..][..out_plane];
-                    let pixels = patches.chunks_exact(kvol).zip(valid.chunks_exact(kvol));
-                    for (&gv, (patch, lanes)) in gplane.iter().zip(pixels) {
-                        // Lanes of a zero gradient or in the padding add -0.0.
-                        let keep = if gv == 0.0 { 0 } else { u32::MAX };
-                        for ((acc, &xv), &ok) in gblock.iter_mut().zip(patch).zip(lanes) {
-                            *acc += keep_or_neg_zero(gv * xv, ok & keep);
-                        }
-                    }
+            for (rows, co) in band.chunks_mut(8 * kvol).zip(couts.step_by(8)) {
+                match (rows.len() / kvol).next_power_of_two() {
+                    8 => lane_block::<8>(go, x, &g, &taps, co, rows),
+                    4 => lane_block::<4>(go, x, &g, &taps, co, rows),
+                    _ => lane_block::<2>(go, x, &g, &taps, co, rows),
                 }
             }
         });
@@ -538,34 +543,192 @@ fn grad_weight(go: &[f32], x: &[f32], g: Geom) -> Result<Vec<f32>> {
     Ok(gw)
 }
 
-/// Lay one batch element's `src: [Cin, H, W]` out in im2col order: patch
-/// `p` (output pixel `p`) holds the value that weight
-/// `j = (ci·kh + ky)·kw + kx` multiplies at `cells[p·kvol + j]`. Lanes in the
-/// padding are left as they are. Run once per call, over offsets or masks,
-/// to build the weight gradient's per-call tables.
-fn im2col<T: Copy>(cells: &mut [T], src: &[T], g: &Geom, rows: &[Span], cols: &[Span]) {
+/// The weight gradients of the out-channels from `co` on into `rows`
+/// (`[lanes, cin·kh·kw]`, at most `C` lanes), in tap blocks of at most 8.
+#[inline(always)]
+fn lane_block<const C: usize>(
+    go: &[f32],
+    x: &[f32],
+    g: &Geom,
+    taps: &[WeightTap],
+    co: usize,
+    rows: &mut [f32],
+) {
+    let real = rows.len() / taps.len();
+    let lanes: [usize; C] = std::array::from_fn(|c| co + if c < real { c } else { 0 });
+    for block in taps.chunks(8) {
+        match block.len() {
+            5.. => tap_block::<C, 8>(go, x, g, &lanes, block, rows),
+            4 => tap_block::<C, 4>(go, x, g, &lanes, block, rows),
+            3 => tap_block::<C, 3>(go, x, g, &lanes, block, rows),
+            2 => tap_block::<C, 2>(go, x, g, &lanes, block, rows),
+            _ => tap_block::<C, 1>(go, x, g, &lanes, block, rows),
+        }
+    }
+}
+
+/// The gradients of the out-channels `lanes` by the taps of `block`. The
+/// `C·T` accumulators stay in registers for the whole `(bi, oy, ox)` walk,
+/// each tap reading `x` directly where the pixel reads it, and are stored
+/// once. A tap is skipped where it reads the padding, as the oracle's
+/// `continue` skips it, by its [`Span`]s: a row outside `ry` by a test made
+/// once per row, a column outside `rx` by never visiting it. Only where the
+/// block's taps come from two kernel columns do the columns outside the
+/// span they all share test each tap at each pixel.
+#[inline(always)]
+fn tap_block<const C: usize, const T: usize>(
+    go: &[f32],
+    x: &[f32],
+    g: &Geom,
+    lanes: &[usize; C],
+    block: &[WeightTap],
+    rows: &mut [f32],
+) {
+    let real = block.len();
+    let block: [WeightTap; T] = std::array::from_fn(|t| block[if t < real { t } else { 0 }]);
+    // The columns that every tap reads inside the input, and those that
+    // any tap does.
+    let spans = block.iter().map(|tap| tap.rx).filter(|rx| rx.len() > 0);
+    let inner = spans.clone().fold(0..g.ow, |r, rx| r.start.max(rx.lo)..r.end.min(rx.hi));
+    let all = spans.fold(g.ow..0, |r, rx| r.start.min(rx.lo)..r.end.max(rx.hi));
+    let inner = if inner.is_empty() || all.is_empty() { all.end..all.end } else { inner };
+    let lines: Vec<Line<T>> = (0..g.oh).map(|oy| Line::new(&block, oy, g.w)).collect();
+    let (plane, xblock) = (g.out_plane(), g.cin * g.in_plane());
+    let mut acc = [[0.0f32; C]; T];
+    for bi in 0..g.b {
+        let xb = &x[bi * xblock..][..xblock];
+        for (oy, line) in lines.iter().enumerate() {
+            if !line.inside.iter().any(|&v| v) {
+                continue;
+            }
+            let grow: [&[f32]; C] = std::array::from_fn(|c| {
+                &go[(bi * g.cout + lanes[c]) * plane + oy * g.ow..][..g.ow]
+            });
+            line.border(&mut acc, &block, &grow, xb, all.start..inner.start);
+            line.inner(&mut acc, &block, &grow, xb, inner.clone());
+            line.border(&mut acc, &block, &grow, xb, inner.end..all.end);
+        }
+    }
     let kvol = g.cin * g.taps();
-    for ci in 0..g.cin {
-        let plane = &src[ci * g.in_plane()..][..g.in_plane()];
-        for (ky, &ry) in rows.iter().enumerate() {
-            for (kx, &rx) in cols.iter().enumerate() {
-                let j = (ci * g.kh + ky) * g.kw + kx;
-                for (o, i) in runs(ry, rx, g.ow, g.w) {
-                    let lanes = cells[o * kvol + j..].iter_mut().step_by(kvol);
-                    for (cell, &v) in lanes.zip(&plane[i..i + rx.len()]) {
-                        *cell = v;
-                    }
+    for (lane, wrow) in rows.chunks_exact_mut(kvol).enumerate() {
+        for (tap, sums) in block[..real].iter().zip(&acc) {
+            wrow[tap.j] = sums[lane];
+        }
+    }
+}
+
+/// Output row `oy` as the taps of one block read it, the same for every
+/// batch element.
+struct Line<const T: usize> {
+    /// Whether each tap reads inside the input on this row.
+    inside: [bool; T],
+    /// Where each inside tap reads at column `rx.lo`, in a `[Cin, H, W]`
+    /// block; column `ox` reads `ox − rx.lo` further on.
+    start: [usize; T],
+}
+
+impl<const T: usize> Line<T> {
+    fn new(block: &[WeightTap; T], oy: usize, w: usize) -> Self {
+        let inside: [bool; T] =
+            std::array::from_fn(|t| block[t].ry.contains(oy) && block[t].rx.len() > 0);
+        let start = std::array::from_fn(|t| {
+            let tap = &block[t];
+            if inside[t] {
+                tap.src + (oy - tap.ry.lo) * w
+            } else {
+                0
+            }
+        });
+        Line { inside, start }
+    }
+
+    /// The columns `cols`, inside every tap's column span: each operand is
+    /// sliced to the run once, and a tap outside the row is skipped by a
+    /// test that every column of the row repeats alike.
+    #[inline(always)]
+    fn inner<const C: usize>(
+        &self,
+        acc: &mut [[f32; C]; T],
+        block: &[WeightTap; T],
+        grow: &[&[f32]; C],
+        x: &[f32],
+        cols: Range<usize>,
+    ) {
+        let n = cols.len();
+        if n == 0 {
+            return;
+        }
+        let gs: [&[f32]; C] = std::array::from_fn(|c| &grow[c][cols.clone()]);
+        let xs: [&[f32]; T] = std::array::from_fn(|t| {
+            let at = self.start[t] + cols.start;
+            if self.inside[t] {
+                &x[at - block[t].rx.lo..][..n]
+            } else {
+                &[]
+            }
+        });
+        if self.inside.iter().all(|&v| v) {
+            walk::<C, T, false>(acc, &gs, &xs, &self.inside);
+        } else {
+            walk::<C, T, true>(acc, &gs, &xs, &self.inside);
+        }
+    }
+
+    /// The columns `cols` one by one, where some tap reads the padding: each
+    /// tap is added only where its row and column spans both hold.
+    #[inline(always)]
+    fn border<const C: usize>(
+        &self,
+        acc: &mut [[f32; C]; T],
+        block: &[WeightTap; T],
+        grow: &[&[f32]; C],
+        x: &[f32],
+        cols: Range<usize>,
+    ) {
+        for ox in cols {
+            let gv: [f32; C] = std::array::from_fn(|c| grow[c][ox]);
+            for (t, (sums, tap)) in acc.iter_mut().zip(block).enumerate() {
+                if self.inside[t] && tap.rx.contains(ox) {
+                    add_lanes(sums, &gv, x[self.start[t] + ox - tap.rx.lo]);
                 }
             }
         }
     }
 }
 
-/// `x` where `mask` is all ones, `-0.0` where it is all zeros: a bit select,
-/// which vectorizes where a branchy `if` does not.
+/// One run of columns: `acc[t][c] += gs[c][i]·xs[t][i]` for `i` ascending.
+/// With `CHECK`, a tap that is not `inside` the row is skipped.
 #[inline(always)]
-fn keep_or_neg_zero(x: f32, mask: u32) -> f32 {
-    f32::from_bits((x.to_bits() & mask) | ((-0.0f32).to_bits() & !mask))
+fn walk<const C: usize, const T: usize, const CHECK: bool>(
+    acc: &mut [[f32; C]; T],
+    gs: &[&[f32]; C],
+    xs: &[&[f32]; T],
+    inside: &[bool; T],
+) {
+    // Every run read has this length; folding it over them lets the
+    // compiler see that no read below leaves its run.
+    let runs = xs.iter().zip(inside).filter(|(_, &on)| on).map(|(xr, _)| xr);
+    let n = gs.iter().chain(runs).fold(usize::MAX, |n, run| n.min(run.len()));
+    for i in 0..n {
+        let gv: [f32; C] = std::array::from_fn(|c| gs[c][i]);
+        for ((sums, xr), &on) in acc.iter_mut().zip(xs).zip(inside) {
+            if !CHECK || on {
+                add_lanes(sums, &gv, xr[i]);
+            }
+        }
+    }
+}
+
+/// `sums[c] += g[c]·x`, where a zero gradient adds `+0.0`: the oracle's
+/// skip, as a lane select that compiles to one `and` (a `-0.0` select is a
+/// blend, three µops on recent x86 cores). Every sum starts at `+0.0` and an
+/// IEEE sum is `-0.0` only when both addends are, so no sum is ever `-0.0`,
+/// and `s + (+0.0)` returns every other `s` bit for bit.
+#[inline(always)]
+fn add_lanes<const C: usize>(sums: &mut [f32; C], gv: &[f32; C], xv: f32) {
+    for (a, &gc) in sums.iter_mut().zip(gv) {
+        *a += if gc == 0.0 { 0.0 } else { gc * xv };
+    }
 }
 
 /// Bias gradient: per out-channel sum of `grad_out` over batch and plane.
@@ -929,10 +1092,10 @@ mod tests {
         assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })), "{err:?}");
     }
 
-    /// An empty input plane with padding still has output pixels, all of
-    /// whose patch lanes lie in the padding: the gather table has no input
-    /// offset to read, and every weight's gradient is `+0.0`, as the
-    /// oracle's.
+    /// An empty input plane with padding still has output pixels, at every
+    /// one of which each tap reads the padding: no tap has a row or column
+    /// to visit, no input is read, and every weight's gradient is `+0.0`,
+    /// as the oracle's.
     #[test]
     fn conv_grad_weight_over_an_empty_input_plane_is_zero() {
         let x = Tensor::zeros(&[2, 1, 0, 3]);

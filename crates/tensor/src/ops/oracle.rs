@@ -592,15 +592,32 @@ mod tests {
         at_each_level(conv2d_cases);
     }
 
+    /// A conv2d case: `(b, cin, cout, h, w, kh, kw, pad)`.
+    type Conv2dShape = (usize, usize, usize, usize, usize, usize, usize, (usize, usize));
+
+    /// Fixed conv2d rows checked before the random ones: the local spatial
+    /// conv's shape.
+    const CONV2D_ROWS: [Conv2dShape; 1] = [(224, 4, 4, 8, 8, 3, 3, (1, 1))];
+
     fn conv2d_cases(level: &str) {
         let mut rng = StdRng::seed_from_u64(0xc2d);
         let mut checked = 0;
         while checked < CASES {
-            let (b, cin, cout) =
-                (rng.gen_range(1..41usize), rng.gen_range(1..6usize), rng.gen_range(1..6usize));
-            let (h, w) = (rng.gen_range(1..10usize), rng.gen_range(1..10usize));
-            let (kh, kw) = (rng.gen_range(1..6usize), rng.gen_range(1..6usize));
-            let pad = (rng.gen_range(0..kh), rng.gen_range(0..kw));
+            // Channel counts run past the weight gradient's 8-lane and
+            // 8-tap blocks, so full blocks and every padded tail occur.
+            let (b, cin, cout, h, w, kh, kw, pad) = match CONV2D_ROWS.get(checked) {
+                Some(&row) => row,
+                None => {
+                    let (b, cin, cout) = (
+                        rng.gen_range(1..41usize),
+                        rng.gen_range(1..11usize),
+                        rng.gen_range(1..20usize),
+                    );
+                    let (h, w) = (rng.gen_range(1..10usize), rng.gen_range(1..10usize));
+                    let (kh, kw) = (rng.gen_range(1..6usize), rng.gen_range(1..6usize));
+                    (b, cin, cout, h, w, kh, kw, (rng.gen_range(0..kh), rng.gen_range(0..kw)))
+                }
+            };
             if h + 2 * pad.0 < kh || w + 2 * pad.1 < kw {
                 continue;
             }
@@ -635,24 +652,49 @@ mod tests {
         at_each_level(conv1d_cases);
     }
 
+    /// A conv1d case: `(b, cin, cout, l, k, dilation, pad)`.
+    type Conv1dShape = (usize, usize, usize, usize, usize, usize, Pad1d);
+
+    /// Fixed conv1d rows checked before the random ones: the local temporal
+    /// and the global temporal conv's shapes, and GWN's dilated causal conv.
+    const CONV1D_ROWS: [Conv1dShape; 3] = [
+        (1024, 4, 4, 14, 3, 1, Pad1d { left: 1, right: 1 }),
+        (4096, 1, 1, 14, 3, 1, Pad1d { left: 1, right: 1 }),
+        (64, 8, 16, 14, 3, 2, Pad1d { left: 4, right: 0 }),
+    ];
+
     fn conv1d_cases(level: &str) {
         let mut rng = StdRng::seed_from_u64(0xc1d);
         let mut checked = 0;
         while checked < CASES {
-            // Every eighth case has the global temporal conv's shape: one
-            // channel in and out over a long batch.
-            let (b, cin, cout) = if checked % 8 == 0 {
-                (rng.gen_range(41..300usize), 1, 1)
-            } else {
-                (rng.gen_range(1..41usize), rng.gen_range(1..6usize), rng.gen_range(1..6usize))
-            };
-            let l = rng.gen_range(1..12usize);
-            let k = rng.gen_range(1..6usize);
-            let dilation = rng.gen_range(1..4usize);
-            let pad = match rng.gen_range(0..3usize) {
-                0 => Pad1d::same(k),
-                1 => Pad1d::causal(k, dilation),
-                _ => Pad1d { left: rng.gen_range(0..2 * k), right: rng.gen_range(0..2 * k) },
+            let (b, cin, cout, l, k, dilation, pad) = match CONV1D_ROWS.get(checked) {
+                Some(&row) => row,
+                None => {
+                    // Every eighth case has the global temporal conv's
+                    // shape: one channel in and out over a long batch. The
+                    // others run their channel counts past the weight
+                    // gradient's 8-lane and 8-tap blocks.
+                    let (b, cin, cout) = if checked % 8 == 0 {
+                        (rng.gen_range(41..300usize), 1, 1)
+                    } else {
+                        (
+                            rng.gen_range(1..41usize),
+                            rng.gen_range(1..11usize),
+                            rng.gen_range(1..20usize),
+                        )
+                    };
+                    let l = rng.gen_range(1..12usize);
+                    let k = rng.gen_range(1..6usize);
+                    let dilation = rng.gen_range(1..4usize);
+                    let pad = match rng.gen_range(0..3usize) {
+                        0 => Pad1d::same(k),
+                        1 => Pad1d::causal(k, dilation),
+                        _ => {
+                            Pad1d { left: rng.gen_range(0..2 * k), right: rng.gen_range(0..2 * k) }
+                        }
+                    };
+                    (b, cin, cout, l, k, dilation, pad)
+                }
             };
             if l + pad.left + pad.right < dilation * (k - 1) + 1 {
                 continue;
