@@ -207,10 +207,11 @@ impl Graph {
     pub(crate) fn op(
         &self,
         kind: OpKind,
-        value: Tensor,
+        value: impl Into<Rc<Tensor>>,
         parents: Vec<Var>,
         grad_fn: GradFn,
     ) -> Var {
+        let value = value.into();
         let requires_grad = {
             let nodes = self.nodes.borrow();
             parents.iter().any(|p| nodes[p.0].requires_grad)
@@ -237,7 +238,7 @@ impl Graph {
             }
         }
         self.push(Node {
-            value: Rc::new(value),
+            value,
             parents: parents.into_iter().map(|v| v.0).collect(),
             grad_fn: if requires_grad { Some(grad_fn) } else { None },
             requires_grad,

@@ -2,6 +2,7 @@
 
 use crate::graph::{Graph, Var};
 use crate::tape::OpKind;
+use sthsl_tensor::ops::conv::ConvView;
 use sthsl_tensor::{Result, Tensor, TensorError};
 
 impl Graph {
@@ -94,6 +95,15 @@ impl Graph {
     /// runs are reproducible. A NaN or `p >= 1` is a typed error in either
     /// mode: it would drop every element.
     pub fn dropout(&self, x: Var, p: f32) -> Result<Var> {
+        self.dropout_view(x, p, None)
+    }
+
+    /// [`Graph::dropout`] of a conv output in `view`'s layout: the mask is
+    /// drawn in the order of the operand the view reads, `[B, C, H, W]`
+    /// row-major (see [`Tensor::dropout_mask_view`]), so each element keeps
+    /// the draw the contiguous layout would give it. `None` draws in `x`'s
+    /// own order.
+    pub fn dropout_view(&self, x: Var, p: f32, view: Option<ConvView>) -> Result<Var> {
         if p.is_nan() || p >= 1.0 {
             return Err(TensorError::Invalid(format!(
                 "dropout probability must be below 1, got {p}"
@@ -103,7 +113,13 @@ impl Graph {
             return Ok(x);
         }
         let xv = self.value(x);
-        let mask = Tensor::dropout_mask(xv.shape(), 1.0 - p, &mut *self.rng.borrow_mut());
+        let mask = {
+            let rng = &mut *self.rng.borrow_mut();
+            match view {
+                None => Tensor::dropout_mask(xv.shape(), 1.0 - p, rng),
+                Some(v) => Tensor::dropout_mask_view(xv.shape(), 1.0 - p, &v, rng)?,
+            }
+        };
         let out = xv.mul(&mask)?;
         Ok(self.op(
             OpKind::Dropout { p },

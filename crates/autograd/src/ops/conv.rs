@@ -3,31 +3,48 @@
 
 use crate::graph::{Graph, Var};
 use crate::tape::OpKind;
-use sthsl_tensor::ops::conv::Pad1d;
+use sthsl_tensor::ops::conv::{ConvView, Pad1d};
 use sthsl_tensor::{Result, Tensor};
 
 impl Graph {
     /// 2-D convolution. `x: [B,Cin,H,W]`, `w: [Cout,Cin,kh,kw]`,
     /// `bias: [Cout]`, symmetric padding `(ph, pw)`, stride 1.
     pub fn conv2d(&self, x: Var, w: Var, bias: Option<Var>, pad: (usize, usize)) -> Result<Var> {
+        self.conv2d_view(x, w, bias, pad, None)
+    }
+
+    /// [`Graph::conv2d`] of the operand `view` reads out of `x` (see
+    /// [`ConvView`]): a same-padded C→C conv whose output has `x`'s shape
+    /// and layout. `None` reads `x` itself as `[B,Cin,H,W]`.
+    pub fn conv2d_view(
+        &self,
+        x: Var,
+        w: Var,
+        bias: Option<Var>,
+        pad: (usize, usize),
+        view: Option<ConvView>,
+    ) -> Result<Var> {
         let (xv, wv) = (self.value(x), self.value(w));
         let bv = bias.map(|b| self.value(b));
-        let out = xv.conv2d(&wv, bv.as_deref(), pad)?;
+        let out = xv.conv2d_view(&wv, bv.as_deref(), pad, view)?;
         let mut parents = vec![x, w];
         if let Some(b) = bias {
             parents.push(b);
         }
         let has_bias = bias.is_some();
         Ok(self.op(
-            OpKind::Conv2d { pad, has_bias },
+            OpKind::Conv2d { pad, has_bias, view },
             out,
             parents,
             Box::new(move |g, p, _| {
-                let gx = Tensor::conv2d_grad_input(g, &p[1], p[0].shape(), pad)?;
-                let gw = Tensor::conv2d_grad_weight(g, &p[0], p[1].shape(), pad)?;
+                let gx = Tensor::conv2d_view_grad_input(g, &p[1], p[0].shape(), pad, view)?;
+                let gw = Tensor::conv2d_view_grad_weight(g, &p[0], p[1].shape(), pad, view)?;
                 let mut grads = vec![Some(gx), Some(gw)];
                 if has_bias {
-                    grads.push(Some(Tensor::conv2d_grad_bias(g)?));
+                    grads.push(Some(match view {
+                        Some(v) => Tensor::conv_view_grad_bias(g, v)?,
+                        None => Tensor::conv2d_grad_bias(g)?,
+                    }));
                 }
                 Ok(grads)
             }),
@@ -43,25 +60,44 @@ impl Graph {
         pad: Pad1d,
         dilation: usize,
     ) -> Result<Var> {
+        self.conv1d_view(x, w, bias, pad, dilation, None)
+    }
+
+    /// [`Graph::conv1d`] through a view, as [`Graph::conv2d_view`].
+    pub fn conv1d_view(
+        &self,
+        x: Var,
+        w: Var,
+        bias: Option<Var>,
+        pad: Pad1d,
+        dilation: usize,
+        view: Option<ConvView>,
+    ) -> Result<Var> {
         let (xv, wv) = (self.value(x), self.value(w));
         let bv = bias.map(|b| self.value(b));
-        let out = xv.conv1d(&wv, bv.as_deref(), pad, dilation)?;
+        let out = xv.conv1d_view(&wv, bv.as_deref(), pad, dilation, view)?;
         let mut parents = vec![x, w];
         if let Some(b) = bias {
             parents.push(b);
         }
         let has_bias = bias.is_some();
-        let kind = OpKind::Conv1d { pad_left: pad.left, pad_right: pad.right, dilation, has_bias };
+        let kind =
+            OpKind::Conv1d { pad_left: pad.left, pad_right: pad.right, dilation, has_bias, view };
         Ok(self.op(
             kind,
             out,
             parents,
             Box::new(move |g, p, _| {
-                let gx = Tensor::conv1d_grad_input(g, &p[1], p[0].shape(), pad, dilation)?;
-                let gw = Tensor::conv1d_grad_weight(g, &p[0], p[1].shape(), pad, dilation)?;
+                let shape = p[0].shape();
+                let gx = Tensor::conv1d_view_grad_input(g, &p[1], shape, pad, dilation, view)?;
+                let gw =
+                    Tensor::conv1d_view_grad_weight(g, &p[0], p[1].shape(), pad, dilation, view)?;
                 let mut grads = vec![Some(gx), Some(gw)];
                 if has_bias {
-                    grads.push(Some(Tensor::conv1d_grad_bias(g)?));
+                    grads.push(Some(match view {
+                        Some(v) => Tensor::conv_view_grad_bias(g, v)?,
+                        None => Tensor::conv1d_grad_bias(g)?,
+                    }));
                 }
                 Ok(grads)
             }),

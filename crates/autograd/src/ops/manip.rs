@@ -2,13 +2,15 @@
 
 use crate::graph::{Graph, Var};
 use crate::tape::OpKind;
+use std::rc::Rc;
 use sthsl_tensor::{Result, Tensor};
 
 impl Graph {
-    /// Reshape to a new shape with the same element count.
+    /// Reshape to a new shape with the same element count. A reshape to the
+    /// input's own shape shares its value, with no copy.
     pub fn reshape(&self, x: Var, shape: &[usize]) -> Result<Var> {
         let xv = self.value(x);
-        let out = xv.reshape(shape)?;
+        let out = if xv.shape() == shape { Rc::clone(&xv) } else { Rc::new(xv.reshape(shape)?) };
         let in_shape = xv.shape().to_vec();
         let kind = OpKind::Reshape { shape: shape.to_vec() };
         Ok(self.op(

@@ -26,12 +26,33 @@ impl Graph {
         let (av, bv) = (self.value(a), self.value(b));
         let out = av.batched_matmul(&bv)?;
         Ok(self.op(
-            OpKind::BatchedMatmul,
+            OpKind::BatchedMatmul { lhs_transposed: false },
             out,
             vec![a, b],
             Box::new(|g, p, _| {
                 let bt = p[1].permute(&[0, 2, 1])?;
                 Ok(vec![Some(g.batched_matmul(&bt)?), Some(p[0].batched_transpose_matmul(g)?)])
+            }),
+        ))
+    }
+
+    /// Batched product with transposed lhs matrices,
+    /// `[b,k,m]ᵀ · [b,k,n] → [b,m,n]`, the lhs read in place. For
+    /// `y = aᵀ·c`: `grad_c = a·G`, a plain product, and `grad_a = c·Gᵀ`.
+    /// These are the bits of `permute(a) → batched_matmul` for finite
+    /// values; `grad_a` skips a term on a zero element of `c` where that
+    /// pair skipped it on a zero of `G`, which differs only where the other
+    /// factor is non-finite (`0·∞` is NaN).
+    pub fn batched_transpose_matmul(&self, a: Var, c: Var) -> Result<Var> {
+        let (av, cv) = (self.value(a), self.value(c));
+        let out = av.batched_transpose_matmul(&cv)?;
+        Ok(self.op(
+            OpKind::BatchedMatmul { lhs_transposed: true },
+            out,
+            vec![a, c],
+            Box::new(|g, p, _| {
+                let gt = g.permute(&[0, 2, 1])?;
+                Ok(vec![Some(p[1].batched_matmul(&gt)?), Some(p[0].batched_matmul(g)?)])
             }),
         ))
     }
@@ -124,6 +145,50 @@ mod tests {
         assert_eq!(got.shape(), want.shape(), "{label}");
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(got), bits(want), "{label}");
+    }
+
+    #[test]
+    fn batched_transpose_matmul_grads() {
+        let mut rng = StdRng::seed_from_u64(7);
+        // `[b,k,m]ᵀ · [b,k,n]` with m < k and n past one register tile, a
+        // weighted loss so every output element has its own gradient.
+        let weights = Tensor::rand_normal(&[2, 3, 19], 0.0, 1.0, &mut rng);
+        gradcheck(
+            &[
+                sparse(&mut rng, &[2, 5, 3], 4),
+                Tensor::rand_normal(&[2, 5, 19], 0.0, 1.0, &mut rng),
+            ],
+            |g, vars| {
+                let y = g.batched_transpose_matmul(vars[0], vars[1])?;
+                let wy = g.mul(y, g.constant(weights.clone()))?;
+                Ok(g.sum_all(wy))
+            },
+        );
+    }
+
+    /// The transposed-lhs op against the permuted copy it replaces: the
+    /// hypergraph's hop 2, `Hᵀ·hubs`, at its shape and at one with m > k,
+    /// with zeros in every operand and in the upstream gradient. On finite
+    /// values the output and both gradients match bit for bit.
+    #[test]
+    fn batched_transpose_matmul_equals_permute_then_product() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for (tw, edges, nodes, d) in [(3, 20, 72, 16), (2, 9, 4, 21)] {
+            let h = sparse(&mut rng, &[tw, edges, nodes], 6);
+            let hubs = sparse(&mut rng, &[tw, edges, d], 4);
+            let gy = sparse(&mut rng, &[tw, nodes, d], 3);
+            let (ga, gb) = product_grads(&h, &hubs, &gy, Graph::batched_transpose_matmul);
+            let (want_ga, want_gb) = product_grads(&h, &hubs, &gy, |g, a, b| {
+                let at = g.permute(a, &[0, 2, 1])?;
+                g.batched_matmul(at, b)
+            });
+            let label = format!("[{tw},{edges},{nodes}]ᵀ·[{tw},{edges},{d}]");
+            assert_same_bits(&format!("{label} grad_a"), &ga, &want_ga);
+            assert_same_bits(&format!("{label} grad_b"), &gb, &want_gb);
+            let y = h.batched_transpose_matmul(&hubs).unwrap();
+            let want = h.permute(&[0, 2, 1]).unwrap().batched_matmul(&hubs).unwrap();
+            assert_same_bits(&format!("{label} forward"), &y, &want);
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!
 //! [`Graph::export_tape`]: crate::Graph::export_tape
 
+use sthsl_tensor::ops::conv::ConvView;
+
 /// Kind and attributes of one tape node. Attributes are everything the op's
 /// *shape and hazard semantics* depend on; runtime-only details (RNG masks,
 /// captured tensors) stay in the backward closure.
@@ -67,8 +69,10 @@ pub enum OpKind {
     IndexSelect { axis: usize, indices: Vec<usize> },
     /// 2-D matrix product `[m,k] · [k,n] → [m,n]`.
     Matmul,
-    /// Batched matrix product `[b,m,k] · [b,k,n] → [b,m,n]`.
-    BatchedMatmul,
+    /// Batched matrix product `[b,m,k] · [b,k,n] → [b,m,n]`, or with
+    /// `lhs_transposed`, `[b,k,m]ᵀ · [b,k,n] → [b,m,n]` (the lhs is read
+    /// transposed, never copied).
+    BatchedMatmul { lhs_transposed: bool },
     /// 2-D transpose.
     Transpose2d,
     /// Sum of all elements → scalar.
@@ -83,10 +87,19 @@ pub enum OpKind {
     SoftmaxLastdim,
     /// Log-softmax over the last axis.
     LogSoftmaxLastdim,
-    /// 2-D convolution, stride 1, symmetric padding `(ph, pw)`.
-    Conv2d { pad: (usize, usize), has_bias: bool },
-    /// 1-D convolution with explicit left/right padding and dilation.
-    Conv1d { pad_left: usize, pad_right: usize, dilation: usize, has_bias: bool },
+    /// 2-D convolution, stride 1, symmetric padding `(ph, pw)`. With a
+    /// `view`, the input is the operand the view reads, and the output has
+    /// the input's shape (see [`ConvView`]).
+    Conv2d { pad: (usize, usize), has_bias: bool, view: Option<ConvView> },
+    /// 1-D convolution with explicit left/right padding and dilation, and
+    /// an optional view as [`OpKind::Conv2d`]'s.
+    Conv1d {
+        pad_left: usize,
+        pad_right: usize,
+        dilation: usize,
+        has_bias: bool,
+        view: Option<ConvView>,
+    },
     /// Diagonal InfoNCE over square logits → scalar.
     InfoNceDiag,
     /// Escape hatch for ops the analyzer cannot model (test doubles).
@@ -122,7 +135,7 @@ impl OpKind {
             OpKind::PadAxis { .. } => "pad_axis",
             OpKind::IndexSelect { .. } => "index_select",
             OpKind::Matmul => "matmul",
-            OpKind::BatchedMatmul => "batched_matmul",
+            OpKind::BatchedMatmul { .. } => "batched_matmul",
             OpKind::Transpose2d => "transpose2d",
             OpKind::SumAll => "sum_all",
             OpKind::MeanAll => "mean_all",
@@ -161,11 +174,13 @@ impl OpKind {
             }
             OpKind::SumAxis { axis } => format!("sum_axis(axis={axis})"),
             OpKind::MeanAxis { axis } => format!("mean_axis(axis={axis})"),
-            OpKind::Conv2d { pad, has_bias } => {
-                format!("conv2d(pad=({},{}), bias={has_bias})", pad.0, pad.1)
+            OpKind::BatchedMatmul { lhs_transposed: true } => "batched_matmul(lhs^T)".to_string(),
+            OpKind::Conv2d { pad, has_bias, view } => {
+                format!("conv2d(pad=({},{}), bias={has_bias}{})", pad.0, pad.1, view_note(*view))
             }
-            OpKind::Conv1d { pad_left, pad_right, dilation, has_bias } => format!(
-                "conv1d(pad=({pad_left},{pad_right}), dilation={dilation}, bias={has_bias})"
+            OpKind::Conv1d { pad_left, pad_right, dilation, has_bias, view } => format!(
+                "conv1d(pad=({pad_left},{pad_right}), dilation={dilation}, bias={has_bias}{})",
+                view_note(*view)
             ),
             OpKind::Opaque { name } => format!("opaque({name})"),
             _ => self.name().to_string(),
@@ -293,12 +308,19 @@ impl OpKind {
                 }
             }
 
-            OpKind::BatchedMatmul => {
+            OpKind::BatchedMatmul { lhs_transposed } => {
                 let [a, b] = two(self, ps)?;
-                match (a.as_slice(), b.as_slice()) {
-                    ([ba, m, k], [bb, k2, n]) if ba == bb && k == k2 => Ok(Some(vec![*ba, *m, *n])),
-                    _ => Err(format!(
+                match (a.as_slice(), b.as_slice(), lhs_transposed) {
+                    ([ba, m, k], [bb, k2, n], false) | ([ba, k, m], [bb, k2, n], true)
+                        if ba == bb && k == k2 =>
+                    {
+                        Ok(Some(vec![*ba, *m, *n]))
+                    }
+                    (.., false) => Err(format!(
                         "batched_matmul: expected [b,m,k] · [b,k,n], got {a:?} · {b:?}"
+                    )),
+                    (.., true) => Err(format!(
+                        "batched_matmul: expected [b,k,m]ᵀ · [b,k,n], got {a:?} · {b:?}"
                     )),
                 }
             }
@@ -340,9 +362,10 @@ impl OpKind {
                 Ok(Some(x.clone()))
             }
 
-            OpKind::Conv2d { pad: (ph, pw), has_bias } => {
+            OpKind::Conv2d { pad: (ph, pw), has_bias, view } => {
                 let (x, w) = conv_io(self, ps, *has_bias)?;
-                match (x.as_slice(), w.as_slice()) {
+                let operand = conv_operand(self, x, *view, 4)?;
+                match (operand.as_slice(), w.as_slice()) {
                     ([b, cin, h, wd], [cout, cin_w, kh, kw]) => {
                         if cin != cin_w {
                             return Err(format!(
@@ -355,7 +378,7 @@ impl OpKind {
                         }
                         let oh = conv_out_len("conv2d", *h, (*ph, *ph), *kh, 1)?;
                         let ow = conv_out_len("conv2d", *wd, (*pw, *pw), *kw, 1)?;
-                        Ok(Some(vec![*b, *cout, oh, ow]))
+                        conv_output(self, x, &operand, vec![*b, *cout, oh, ow], *view)
                     }
                     _ => Err(format!(
                         "conv2d: expected x [B,Cin,H,W] and w [Cout,Cin,kh,kw], got {x:?} and {w:?}"
@@ -363,9 +386,10 @@ impl OpKind {
                 }
             }
 
-            OpKind::Conv1d { pad_left, pad_right, dilation, has_bias } => {
+            OpKind::Conv1d { pad_left, pad_right, dilation, has_bias, view } => {
                 let (x, w) = conv_io(self, ps, *has_bias)?;
-                match (x.as_slice(), w.as_slice()) {
+                let operand = conv_operand(self, x, *view, 3)?;
+                match (operand.as_slice(), w.as_slice()) {
                     ([b, cin, l], [cout, cin_w, k]) => {
                         if cin != cin_w {
                             return Err(format!(
@@ -381,7 +405,7 @@ impl OpKind {
                         }
                         let pad = (*pad_left, *pad_right);
                         let ol = conv_out_len("conv1d", *l, pad, *k, *dilation)?;
-                        Ok(Some(vec![*b, *cout, ol]))
+                        conv_output(self, x, &operand, vec![*b, *cout, ol], *view)
                     }
                     _ => Err(format!(
                         "conv1d: expected x [B,Cin,L] and w [Cout,Cin,k], got {x:?} and {w:?}"
@@ -394,6 +418,53 @@ impl OpKind {
 
 fn numel(shape: &[usize]) -> usize {
     shape.iter().product()
+}
+
+/// `, view` in a conv's display when it reads through one.
+fn view_note(view: Option<ConvView>) -> &'static str {
+    if view.is_some() {
+        ", view"
+    } else {
+        ""
+    }
+}
+
+/// The `[B, C, H, W]` (`rank` 4) or `[B, C, L]` (`rank` 3) operand a conv
+/// reads: `x` itself, or what `view` reads out of it.
+fn conv_operand(
+    kind: &OpKind,
+    x: &[usize],
+    view: Option<ConvView>,
+    rank: usize,
+) -> Result<Vec<usize>, String> {
+    let Some(v) = view else { return Ok(x.to_vec()) };
+    v.check(numel(x)).map_err(|e| format!("{}: {e}", kind.name()))?;
+    let [b, c, h, w] = v.dims();
+    match rank {
+        3 if h == 1 => Ok(vec![b, c, w]),
+        3 => Err(format!("{}: a 1-D view has one row, got {v:?}", kind.name())),
+        _ => Ok(vec![b, c, h, w]),
+    }
+}
+
+/// A conv's output shape: `dense` without a view; through one, `x`'s own
+/// shape, which needs the output geometry to equal the operand's.
+fn conv_output(
+    kind: &OpKind,
+    x: &[usize],
+    operand: &[usize],
+    dense: Vec<usize>,
+    view: Option<ConvView>,
+) -> Result<Option<Vec<usize>>, String> {
+    match view {
+        None => Ok(Some(dense)),
+        Some(_) if dense == operand => Ok(Some(x.to_vec())),
+        Some(_) => Err(format!(
+            "{}: a conv through a view must map its operand {operand:?} to the same \
+             geometry, got {dense:?}",
+            kind.name()
+        )),
+    }
 }
 
 fn is_permutation(perm: &[usize]) -> bool {
@@ -615,15 +686,51 @@ mod tests {
 
     #[test]
     fn conv_rules_match_kernel_arithmetic() {
-        let k = OpKind::Conv2d { pad: (1, 1), has_bias: true };
+        let k = OpKind::Conv2d { pad: (1, 1), has_bias: true, view: None };
         assert_eq!(
             k.infer_shape(&[vec![1, 2, 4, 4], vec![3, 2, 3, 3], vec![3]]).unwrap(),
             Some(vec![1, 3, 4, 4])
         );
         assert!(k.infer_shape(&[vec![1, 2, 4, 4], vec![3, 2, 3, 3], vec![5]]).is_err());
-        let c1 = OpKind::Conv1d { pad_left: 2, pad_right: 0, dilation: 2, has_bias: false };
+        let c1 =
+            OpKind::Conv1d { pad_left: 2, pad_right: 0, dilation: 2, has_bias: false, view: None };
         // causal pad for k=2, dilation=2: L stays 8.
         assert_eq!(c1.infer_shape(&[vec![2, 2, 8], vec![3, 2, 2]]).unwrap(), Some(vec![2, 3, 8]));
+    }
+
+    /// Through a view, a conv reads the operand the view describes and
+    /// returns its input's shape; a view that does not tile the input, or a
+    /// conv that would change the geometry, is rejected.
+    #[test]
+    fn view_conv_rules() {
+        // `[R=4, Tw=3, C=2, d=5]` read as batch (Tw, d), channels C, a 2×2 plane.
+        let (x, cd) = (vec![4, 3, 2, 5], 2 * 5);
+        let view = ConvView {
+            batch: [(3, cd), (5, 1)],
+            channels: (2, 5),
+            rows: (2, 2 * 3 * cd),
+            cols: (2, 3 * cd),
+        };
+        let k = OpKind::Conv2d { pad: (1, 1), has_bias: true, view: Some(view) };
+        assert_eq!(
+            k.infer_shape(&[x.clone(), vec![2, 2, 3, 3], vec![2]]).unwrap(),
+            Some(x.clone())
+        );
+        // C→C' and shrinking convs cannot write through the input's view.
+        assert!(k.infer_shape(&[x.clone(), vec![3, 2, 3, 3], vec![3]]).is_err());
+        let valid = OpKind::Conv2d { pad: (0, 0), has_bias: false, view: Some(view) };
+        assert!(valid.infer_shape(&[x.clone(), vec![2, 2, 3, 3]]).is_err());
+        // The view must tile the input.
+        assert!(k.infer_shape(&[vec![4, 3, 2, 6], vec![2, 2, 3, 3], vec![2]]).is_err());
+        // A 1-D view has one row.
+        let c1 = OpKind::Conv1d {
+            pad_left: 1,
+            pad_right: 1,
+            dilation: 1,
+            has_bias: false,
+            view: Some(view),
+        };
+        assert!(c1.infer_shape(&[x, vec![2, 2, 3]]).is_err());
     }
 
     /// Geometry whose padded extent or dilated span overflows `usize` is an
@@ -636,13 +743,14 @@ mod tests {
             pad_right: 1,
             dilation,
             has_bias: false,
+            view: None,
         };
         let (x1, w1) = (vec![1, 1, 8], vec![1, 1, 3]);
         for kind in [conv1d(1, half), conv1d(usize::MAX, 1)] {
             let err = kind.infer_shape(&[x1.clone(), w1.clone()]).unwrap_err();
             assert!(err.contains("overflows usize"), "{err}");
         }
-        let conv2d = OpKind::Conv2d { pad: (half, 1), has_bias: false };
+        let conv2d = OpKind::Conv2d { pad: (half, 1), has_bias: false, view: None };
         let err = conv2d.infer_shape(&[vec![1, 1, 4, 4], vec![1, 1, 3, 3]]).unwrap_err();
         assert!(err.contains("overflows usize"), "{err}");
     }

@@ -10,7 +10,7 @@
 use crate::config::StHslConfig;
 use rand::Rng;
 use sthsl_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
-use sthsl_tensor::ops::conv::Pad1d;
+use sthsl_tensor::ops::conv::{ConvView, Pad1d};
 use sthsl_tensor::{Result, Tensor};
 
 /// Four-layer (configurable) temporal convolution over the global branch.
@@ -46,27 +46,31 @@ impl GlobalTemporal {
         let shape = g.shape_of(gamma)?;
         crate::guard::expect_rank("global_temporal", &shape, 3)?;
         let (tw, n, d) = (shape[0], shape[1], shape[2]);
-        // [Tw, RC, d] → [RC, d, Tw] → [RC·d, 1, Tw]: time is the conv axis,
+        // Read in place as a [RC·d, 1, Tw] batch: time is the conv axis,
         // every (node, slot) pair is a batch element.
-        let mut t = g.permute(gamma, &[1, 2, 0])?;
-        t = g.reshape(t, &[n * d, 1, tw])?;
+        let view =
+            ConvView { batch: [(n, d), (d, 1)], channels: (1, 1), rows: (1, 1), cols: (tw, n * d) };
+        // One node holds the stack's input, so that the first layer's two
+        // gradients (conv input and residual) are summed with each other
+        // before the infomax head's gradient joins them, as when the stack
+        // read a permuted copy: training keeps its bits.
+        let mut t = g.reshape(gamma, &shape)?;
         for l in 0..self.weights.len() {
-            let conv = g.conv1d(
+            let conv = g.conv1d_view(
                 t,
                 pv.var(self.weights[l]),
                 Some(pv.var(self.biases[l])),
                 Pad1d::same(self.kernel),
                 1,
+                Some(view),
             )?;
             // Pre-activation residual: Eq. 5 is σ(δ(V*Γ + c)); wrapping only
             // the conv branch keeps the identity path linear so four stacked
             // layers do not attenuate sign-symmetric embeddings.
-            let act = g.leaky_relu(g.dropout(conv, self.dropout)?, 0.1);
+            let act = g.leaky_relu(g.dropout_view(conv, self.dropout, Some(view))?, 0.1);
             t = g.add(act, t)?;
         }
-        let mut out = g.reshape(t, &[n, d, tw])?;
-        out = g.permute(out, &[2, 0, 1])?;
-        Ok(out)
+        Ok(t)
     }
 }
 

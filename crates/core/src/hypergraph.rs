@@ -64,9 +64,9 @@ impl HypergraphEncoder {
         // Node → hyperedge: [Tw,H,RC]·[Tw,RC,d] → [Tw,H,d].
         let hubs = g.batched_matmul(h_struct, e)?;
         let hubs = g.leaky_relu(hubs, 0.1);
-        // Hyperedge → node: [Tw,RC,H]·[Tw,H,d] → [Tw,RC,d].
-        let ht = g.permute(h_struct, &[0, 2, 1])?;
-        let out = g.batched_matmul(ht, hubs)?;
+        // Hyperedge → node: [Tw,H,RC]ᵀ·[Tw,H,d] → [Tw,RC,d], the incidence
+        // read transposed in place.
+        let out = g.batched_transpose_matmul(h_struct, hubs)?;
         Ok(g.leaky_relu(out, 0.1))
     }
 

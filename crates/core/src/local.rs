@@ -18,7 +18,7 @@
 use crate::config::{Ablation, StHslConfig};
 use rand::Rng;
 use sthsl_autograd::{Graph, ParamId, ParamStore, ParamVars, Var};
-use sthsl_tensor::ops::conv::Pad1d;
+use sthsl_tensor::ops::conv::{ConvView, Pad1d};
 use sthsl_tensor::{Result, Tensor};
 
 /// The local (nearby-regions, nearby-days) relation encoder.
@@ -126,12 +126,26 @@ impl LocalEncoder {
         let (r, tw, c, d) = (shape[0], shape[1], shape[2], shape[3]);
         let k = self.kernel;
         let pad = (k / 2, k / 2);
+        // Both stacks read and write E's [R,Tw,C,d] layout in place; the
+        // views name the conv operand each one sees.
+        let region = tw * c * d;
+        let (slot, category) = ((d, 1), (c, d));
+
+        // One node holds the stacks' input, so that the first layer's two
+        // gradients (conv input and residual) are summed with each other
+        // before the global branch's gradients of E join them, as when the
+        // stack read a permuted copy: training keeps its bits.
+        let mut h = g.reshape(e, &shape)?;
 
         // ---- Spatial + category view (Eq. 2) ---------------------------
-        // [R,Tw,C,d] → [Tw,d,C,R] → [Tw·d, C, I, J]: time and embedding slots
-        // form the conv batch; categories are the channels.
-        let mut h = g.permute(e, &[1, 3, 2, 0])?;
-        h = g.reshape(h, &[tw * d, c, self.rows, self.cols])?;
+        // A [Tw·d, C, I, J] batch: time and embedding slots form the conv
+        // batch; categories are the channels.
+        let spatial = ConvView {
+            batch: [(tw, c * d), slot],
+            channels: category,
+            rows: (self.rows, self.cols * region),
+            cols: (self.cols, region),
+        };
         let smask = self.spatial_mask().map(|m| g.constant(m));
         let cmask = self.category_mask2d().map(|m| g.constant(m));
         for l in 0..self.spatial_w.len() {
@@ -142,34 +156,34 @@ impl LocalEncoder {
             if let Some(m) = cmask {
                 w = g.mul(w, m)?;
             }
-            let conv = g.conv2d(h, w, Some(pv.var(self.spatial_b[l])), pad)?;
-            let conv = g.dropout(conv, self.dropout)?;
+            let bias = Some(pv.var(self.spatial_b[l]));
+            let conv = g.conv2d_view(h, w, bias, pad, Some(spatial))?;
+            let conv = g.dropout_view(conv, self.dropout, Some(spatial))?;
             let res = g.add(conv, h)?; // residual (Eq. 2)
             h = g.leaky_relu(res, 0.1);
         }
-        // Back to [R,Tw,C,d].
-        let mut h = g.reshape(h, &[tw, d, c, r])?;
-        h = g.permute(h, &[3, 0, 2, 1])?;
 
         // ---- Temporal view (Eq. 3) --------------------------------------
         if self.ablation.temporal_conv {
-            // [R,Tw,C,d] → [R,d,C,Tw] → [R·d, C, Tw].
-            let mut t = g.permute(h, &[0, 3, 2, 1])?;
-            t = g.reshape(t, &[r * d, c, tw])?;
+            // A [R·d, C, Tw] batch.
+            let temporal = ConvView {
+                batch: [(r, region), slot],
+                channels: category,
+                rows: (1, 1),
+                cols: (tw, c * d),
+            };
             let cmask1 = self.category_mask1d().map(|m| g.constant(m));
             for l in 0..self.temporal_w.len() {
                 let mut w = pv.var(self.temporal_w[l]);
                 if let Some(m) = cmask1 {
                     w = g.mul(w, m)?;
                 }
-                let conv = g.conv1d(t, w, Some(pv.var(self.temporal_b[l])), Pad1d::same(k), 1)?;
-                let conv = g.dropout(conv, self.dropout)?;
-                let res = g.add(conv, t)?; // residual (Eq. 3)
-                t = g.leaky_relu(res, 0.1);
+                let bias = Some(pv.var(self.temporal_b[l]));
+                let conv = g.conv1d_view(h, w, bias, Pad1d::same(k), 1, Some(temporal))?;
+                let conv = g.dropout_view(conv, self.dropout, Some(temporal))?;
+                let res = g.add(conv, h)?; // residual (Eq. 3)
+                h = g.leaky_relu(res, 0.1);
             }
-            let mut t = g.reshape(t, &[r, d, c, tw])?;
-            t = g.permute(t, &[0, 3, 2, 1])?;
-            h = t;
         }
         Ok(h)
     }

@@ -768,4 +768,29 @@ mod tests {
         assert!(top[0].1 >= top[1].1 && top[1].1 >= top[2].1);
         assert!(model.top_regions_for_hyperedge(999, 3).is_err());
     }
+
+    /// At quick width the training tape keeps exactly two permutes: the
+    /// node-layout flattenings of E and of its corruption for the global
+    /// branch. The convs read their layouts through views and the
+    /// hypergraph's second hop reads its incidence transposed, so neither
+    /// adds a copy.
+    #[test]
+    fn training_tape_keeps_only_the_two_node_layout_permutes() {
+        use sthsl_autograd::OpKind;
+        let data = tiny_dataset();
+        let model = StHsl::new(StHslConfig::quick(), &data).unwrap();
+        let (g, _, _) = model.audit_artifacts(&data).unwrap();
+        let tape = g.export_tape();
+        let permutes: Vec<_> =
+            tape.nodes.iter().filter(|n| matches!(n.kind, OpKind::Permute { .. })).collect();
+        assert_eq!(permutes.len(), 2, "{permutes:?}");
+        let flatten = OpKind::Permute { perm: vec![1, 0, 2, 3] };
+        assert!(permutes.iter().all(|p| p.kind == flatten), "{permutes:?}");
+        // E itself (the embedding's broadcast product) and its corruption,
+        // a region shuffle of E.
+        let (e, corrupt) = (permutes[0].parents[0], &tape.nodes[permutes[1].parents[0]]);
+        assert_eq!(tape.nodes[e].kind, OpKind::Mul);
+        assert!(matches!(corrupt.kind, OpKind::IndexSelect { axis: 0, .. }), "{corrupt:?}");
+        assert_eq!(corrupt.parents, [e]);
+    }
 }

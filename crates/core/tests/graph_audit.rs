@@ -128,15 +128,24 @@ fn every_named_ablation_certifies_clean() {
 /// `determinism:` line is gone (bit-identity across thread counts is gated
 /// at runtime by `tests/parallel_equivalence.rs`). Every other line is
 /// unchanged.
+///
+/// Re-derived when the model went layout-native: the convs read E's
+/// `[R, Tw, C, d]` layout and the hypergraph's `[Tw, RC, d]` through views
+/// and the hop-2 incidence transposed in place, so the 14 permute/reshape
+/// copies around the local stacks, the global temporal stack and the two
+/// hypergraph hops are gone, and two same-shape reshapes (which share their
+/// input) are added to keep the gradient sums' order: 196 → 184 nodes, and
+/// the tape and traffic bytes fall by those copies. FLOPs, ranges, float
+/// error and the per-family rows are unchanged.
 const GOLDEN_TINY_REPORT: &str = "\
 == graph audit: ST-HSL ==
 report-version: 5
-nodes: 196   params: 21   errors: 0   warnings: 1   info: 0
-shape: OK (196/196 node shapes inferred ahead of time)
+nodes: 184   params: 21   errors: 0   warnings: 1   info: 0
+shape: OK (184/184 node shapes inferred ahead of time)
 grad-flow: OK (21/21 parameters reachable from the loss)
-ranges: OK (196/196 intervals bounded; max |bound| 1.062e12)
+ranges: OK (184/184 intervals bounded; max |bound| 1.062e12)
 float-error: max f32 chain 448 adds (budget 8192); loss path ~554 adds; 0 over-budget op(s)
-cost: fwd 578.3 Kflop + bwd 1.15 Mflop | tape 499.4 KiB | traffic 1.11 MiB | 1.48 flop/B
+cost: fwd 578.3 Kflop + bwd 1.15 Mflop | tape 408.4 KiB | traffic 955.8 KiB | 1.77 flop/B
   conv2d                   2 node(s)   784.8 Kflop  26.28 flop/B
   conv1d                   6 node(s)   419.3 Kflop  4.84 flop/B
   batched_matmul           4 node(s)   258.0 Kflop  3.46 flop/B

@@ -162,8 +162,9 @@ fn fwd_flops(spec: &TapeSpec, shapes: &[Option<Vec<usize>>], i: usize, out_numel
             let k = parent_shape(0).and_then(|s| s.last().copied()).unwrap_or(0) as u128;
             2 * out_numel * k
         }
-        OpKind::BatchedMatmul => {
-            let k = parent_shape(0).and_then(|s| s.get(2).copied()).unwrap_or(0) as u128;
+        OpKind::BatchedMatmul { lhs_transposed } => {
+            let axis = if *lhs_transposed { 1 } else { 2 };
+            let k = parent_shape(0).and_then(|s| s.get(axis).copied()).unwrap_or(0) as u128;
             2 * out_numel * k
         }
         OpKind::Conv2d { has_bias, .. } | OpKind::Conv1d { has_bias, .. } => {

@@ -86,8 +86,9 @@ fn own_extent(spec: &TapeSpec, shapes: &[Option<Vec<usize>>], i: usize) -> u64 {
         | OpKind::Dropout { .. } => 1,
         // k dependent multiply-adds per output element.
         OpKind::Matmul => parent_shape(0).and_then(|s| s.last().copied()).unwrap_or(1) as u64,
-        OpKind::BatchedMatmul => {
-            parent_shape(0).and_then(|s| s.get(2).copied()).unwrap_or(1) as u64
+        OpKind::BatchedMatmul { lhs_transposed } => {
+            let axis = if *lhs_transposed { 1 } else { 2 };
+            parent_shape(0).and_then(|s| s.get(axis).copied()).unwrap_or(1) as u64
         }
         // cin * kh * kw products (+ bias) into one output element.
         OpKind::Conv2d { has_bias, .. } | OpKind::Conv1d { has_bias, .. } => {

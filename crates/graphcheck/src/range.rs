@@ -416,13 +416,17 @@ fn transfer(
             }
             acc.map(|v| (v.lo, v.hi))
         }
-        OpKind::Matmul | OpKind::BatchedMatmul => {
+        OpKind::Matmul | OpKind::BatchedMatmul { .. } => {
             let (a, b) = (p(0)?, p(1)?);
+            // The inner dimension: the lhs's last, or for a transposed
+            // `[b, k, m]` lhs its middle one.
+            let transposed = node.kind == OpKind::BatchedMatmul { lhs_transposed: true };
+            let k_axis = |s: &Vec<usize>| if transposed { s.get(1) } else { s.last() }.copied();
             let k = parents
                 .first()
                 .and_then(|&x| shapes.get(x))
                 .and_then(|s| s.as_ref())
-                .and_then(|s| s.last().copied())? as f64;
+                .and_then(k_axis)? as f64;
             let (pl, ph) = product_bounds(a, b);
             Some((k * pl, k * ph))
         }

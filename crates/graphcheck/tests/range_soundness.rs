@@ -140,3 +140,34 @@ fn forward_values_are_bit_identical_across_thread_counts() {
         }
     }
 }
+
+/// A transposed-lhs product `[b, k, m]ᵀ · [b, k, n]` sums `k` products per
+/// output element, and `k` is the lhs's middle dimension, not its last. With
+/// `m < k` and every factor near 1, each output is near `k`: an interval
+/// sized by the last dimension `m` would not hold the values the runtime
+/// computes.
+#[test]
+fn transposed_lhs_product_interval_sums_the_inner_dimension() {
+    let (b, k, m, n) = (2, 6, 2, 3);
+    let mut rng = XorShift(0x7a5e);
+    let g = Graph::training(7);
+    let h = g.named_leaf("hypergraph.h", sparse_tensor(&mut rng, &[b, k, m], 0.9, 1.0, 1.0));
+    let hubs = g.named_leaf("hubs", sparse_tensor(&mut rng, &[b, k, n], 0.9, 1.0, 1.0));
+    let y = g.batched_transpose_matmul(h, hubs).unwrap();
+    let loss = g.sum_all(y);
+    let spec = g.export_tape();
+    let params = vec![("hypergraph.h".to_string(), h.index())];
+    let r = audit("transposed", &spec, loss.index(), &params, &AuditOptions::default());
+    assert!(!r.has_errors(), "{}", r.render());
+    let iv = r.ranges.as_ref().expect("range pass must run").intervals[y.index()]
+        .expect("the product has an interval");
+    for &v in g.value(y).data() {
+        assert!(v > 4.0, "each output sums {k} products of factors in [0.9, 1]: {v}");
+        assert!(
+            f64::from(v) >= iv.lo && f64::from(v) <= iv.hi,
+            "{v} escapes [{}, {}]",
+            iv.lo,
+            iv.hi
+        );
+    }
+}

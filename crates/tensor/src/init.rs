@@ -1,6 +1,7 @@
 //! Random tensor initialisers used by model parameter construction.
 
-use crate::Tensor;
+use crate::ops::conv::ConvView;
+use crate::{Result, Tensor, TensorError};
 use rand::Rng;
 use rand_distr::{Distribution, Normal, Uniform};
 
@@ -25,15 +26,25 @@ impl Tensor {
     /// one. A select, not `kept · (1 / keep)`: at `keep = 0` the scale is
     /// `∞` and `0 · ∞` would be NaN.
     pub fn dropout_mask(shape: &[usize], keep: f32, rng: &mut impl Rng) -> Tensor {
-        let scale = 1.0 / keep;
         let mut mask = Tensor::zeros(shape);
-        for m in mask.data_mut() {
-            *m = rng.gen::<f32>();
-        }
-        for m in mask.data_mut() {
-            *m = if *m < keep { scale } else { 0.0 };
-        }
+        draw_mask(mask.data_mut(), keep, rng);
         mask
+    }
+
+    /// [`Tensor::dropout_mask`] of a tensor that `view` reads as
+    /// `[B, C, H, W]`: the draws are made in that operand's row-major order
+    /// and each is stored where the view places its element, so a conv's
+    /// output keeps the mask its contiguous layout would draw.
+    pub fn dropout_mask_view(
+        shape: &[usize],
+        keep: f32,
+        view: &ConvView,
+        rng: &mut impl Rng,
+    ) -> Result<Tensor> {
+        let mut mask = Tensor::zeros(shape);
+        view.check(mask.len()).map_err(|e| TensorError::Invalid(format!("dropout mask: {e}")))?;
+        view.fill(mask.data_mut(), |block| draw_mask(block, keep, rng));
+        Ok(mask)
     }
 
     /// Gaussian samples with the given mean and standard deviation.
@@ -78,6 +89,18 @@ impl Tensor {
     pub fn he_normal(shape: &[usize], fan_in: usize, rng: &mut impl Rng) -> Tensor {
         let std = (2.0 / fan_in.max(1) as f32).sqrt();
         Tensor::rand_normal(shape, 0.0, std, rng)
+    }
+}
+
+/// One draw per element of `mask`, in order, then each draw as its mask
+/// value: `1 / keep` below `keep`, else `0.0`.
+fn draw_mask(mask: &mut [f32], keep: f32, rng: &mut impl Rng) {
+    for m in mask.iter_mut() {
+        *m = rng.gen::<f32>();
+    }
+    let scale = 1.0 / keep;
+    for m in mask.iter_mut() {
+        *m = if *m < keep { scale } else { 0.0 };
     }
 }
 

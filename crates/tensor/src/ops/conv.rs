@@ -65,6 +65,18 @@
 //! dilated, so both share [`Geom`] and one kernel per pass. Its geometry is
 //! computed in checked arithmetic: an extent that overflows `usize` is a
 //! [`TensorError::Invalid`].
+//!
+//! **Views.** Every pass reads its operands, and forward and the input
+//! gradient write their results, through a [`ConvView`]: the batch as up to
+//! two `(extent, stride)` axes, plus channel and spatial strides. The
+//! contiguous `[B, C, H, W]` layout is the default view. A caller's view
+//! serves a same-padded C→C conv, whose output has the input's shape and is
+//! written through the same view, so a model can convolve a tensor in the
+//! layout the layer before left it, with no permuted copy. The panels pack
+//! and unpack through the view; the weight gradient copies chunks of batch
+//! elements out of it, lane-interleaved as the panels hold them, and walks
+//! their rows 16 floats apart. The values each element sees and their order
+//! do not depend on the view, and neither do the bits.
 
 use std::ops::Range;
 
@@ -78,6 +90,135 @@ const MIN_WORK_PER_BAND: usize = 1 << 15;
 /// Batch elements per panel: the vector lanes of `forward` and `grad_input`.
 /// One panel row is one cache line.
 const P: usize = 16;
+
+/// Floats of one chunk of `x` and `grad_out` that the weight gradient
+/// copies out of a caller's view (32 KB, about an L1 data cache).
+const CHUNK: usize = 1 << 13;
+
+/// Where the elements of a conv operand `[B, C, H, W]` sit in its buffer.
+/// Each axis is an `(extent, stride)` pair. The batch is two axes, outer
+/// then inner: batch element `b` starts at
+/// `(b / inner extent)·outer stride + (b % inner extent)·inner stride`. A
+/// 1-D conv's sequence is `cols`, under `rows` of extent 1.
+///
+/// A view must be dense: its axes, ordered by stride, tile the buffer
+/// exactly, so it is a permutation of a contiguous layout and every element
+/// has one place ([`ConvView::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvView {
+    pub batch: [(usize, usize); 2],
+    pub channels: (usize, usize),
+    pub rows: (usize, usize),
+    pub cols: (usize, usize),
+}
+
+impl ConvView {
+    /// The contiguous `[B, C, H, W]` layout.
+    pub(crate) fn nchw([b, c, h, w]: [usize; 4]) -> ConvView {
+        let plane = h * w;
+        ConvView {
+            batch: [(b, c * plane), (1, 1)],
+            channels: (c, plane),
+            rows: (h, w),
+            cols: (w, 1),
+        }
+    }
+
+    /// Batch elements the view holds.
+    fn batch_len(&self) -> usize {
+        self.batch[0].0 * self.batch[1].0
+    }
+
+    /// `[B, C, H, W]` as the view reads them.
+    pub fn dims(&self) -> [usize; 4] {
+        [self.batch_len(), self.channels.0, self.rows.0, self.cols.0]
+    }
+
+    /// `Ok` when the view tiles a buffer of `len` elements exactly: ordered
+    /// by stride, each axis of extent above 1 has the stride of all smaller
+    /// axes together, and all of them cover `len`.
+    pub fn check(&self, len: usize) -> std::result::Result<(), String> {
+        let axes = [self.batch[0], self.batch[1], self.channels, self.rows, self.cols];
+        if axes.iter().any(|&(n, _)| n == 0) {
+            return if len == 0 {
+                Ok(())
+            } else {
+                Err(format!("view {self:?} is empty but its buffer holds {len} elements"))
+            };
+        }
+        let mut axes: Vec<(usize, usize)> = axes.into_iter().filter(|&(n, _)| n > 1).collect();
+        axes.sort_by_key(|&(_, stride)| stride);
+        let mut next = 1usize;
+        for (n, stride) in axes {
+            if stride != next {
+                return Err(format!(
+                    "view {self:?} is not dense: stride {stride} where {next} is due"
+                ));
+            }
+            next = next.checked_mul(n).ok_or_else(|| format!("view {self:?} overflows usize"))?;
+        }
+        if next != len {
+            return Err(format!("view {self:?} covers {next} elements, its buffer holds {len}"));
+        }
+        Ok(())
+    }
+
+    /// Where batch element `b` starts.
+    #[inline(always)]
+    fn base(&self, b: usize) -> usize {
+        let [(_, outer), (n, inner)] = self.batch;
+        b / n * outer + b % n * inner
+    }
+
+    /// Where each element of one batch element sits from its start, in
+    /// `(channel, row, column)` order.
+    fn cells(&self) -> Vec<usize> {
+        let [(c, cs), (h, rs), (w, xs)] = [self.channels, self.rows, self.cols];
+        let mut cells = Vec::with_capacity(c * h * w);
+        for ci in 0..c {
+            for y in 0..h {
+                cells.extend((0..w).map(|x| ci * cs + y * rs + x * xs));
+            }
+        }
+        cells
+    }
+
+    /// Where each of the `lanes` batch elements from `b0` on starts.
+    #[inline(always)]
+    fn bases(&self, b0: usize, lanes: usize) -> [usize; P] {
+        std::array::from_fn(|l| if l < lanes { self.base(b0 + l) } else { 0 })
+    }
+
+    /// Fill every element of `data`, with values made in the operand's
+    /// row-major `(batch, channel, row, column)` order: `make` writes the
+    /// values of up to [`P`] batch elements at a time into a contiguous
+    /// block, which is then stored cell by cell, so where the view puts
+    /// those batch elements side by side each cell's values land as one run
+    /// of floats. The view must tile `data` ([`ConvView::check`]).
+    pub(crate) fn fill(&self, data: &mut [f32], mut make: impl FnMut(&mut [f32])) {
+        let cells = self.cells();
+        let n = cells.len();
+        let mut taken = vec![0.0f32; P * n];
+        let b = self.batch_len();
+        for b0 in (0..b).step_by(P) {
+            let lanes = P.min(b - b0);
+            make(&mut taken[..lanes * n]);
+            let base = self.bases(b0, lanes);
+            let dense = adjacent(&base, lanes);
+            for (k, &cell) in cells.iter().enumerate() {
+                if dense {
+                    for (l, v) in data[base[0] + cell..][..P].iter_mut().enumerate() {
+                        *v = taken[l * n + k];
+                    }
+                } else {
+                    for (l, &at) in base[..lanes].iter().enumerate() {
+                        data[at + cell] = taken[l * n + k];
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// Padding specification for 1-D convolutions; 2-D uses symmetric padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,10 +249,24 @@ impl Tensor {
         bias: Option<&Tensor>,
         pad: (usize, usize),
     ) -> Result<Tensor> {
-        let geom = Geom::conv2d("conv2d", self.shape(), weight.shape(), pad)?;
+        self.conv2d_view(weight, bias, pad, None)
+    }
+
+    /// [`Tensor::conv2d`] of the operand `view` reads out of `self`, or of
+    /// `self` itself as `[B, Cin, H, W]` for `None`. Through a view the conv
+    /// must be same-padded C→C; its output is written through the same
+    /// view and has `self`'s shape.
+    pub fn conv2d_view(
+        &self,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        pad: (usize, usize),
+        view: Option<ConvView>,
+    ) -> Result<Tensor> {
+        let geom = Geom::conv2d("conv2d", self.shape(), weight.shape(), pad, view)?;
         let bias = check_bias("conv2d bias", bias, geom.cout)?;
         let out = forward(self.data(), weight.data(), bias, geom)?;
-        Tensor::from_vec(out, &geom.out_shape2d())
+        Tensor::from_vec(out, &geom.out_shape(self.shape(), 4))
     }
 
     /// Gradient of `conv2d` w.r.t. its input (a transposed convolution with
@@ -122,9 +277,20 @@ impl Tensor {
         input_shape: &[usize],
         pad: (usize, usize),
     ) -> Result<Tensor> {
+        Tensor::conv2d_view_grad_input(grad_out, weight, input_shape, pad, None)
+    }
+
+    /// Gradient of [`Tensor::conv2d_view`] w.r.t. its input.
+    pub fn conv2d_view_grad_input(
+        grad_out: &Tensor,
+        weight: &Tensor,
+        input_shape: &[usize],
+        pad: (usize, usize),
+        view: Option<ConvView>,
+    ) -> Result<Tensor> {
         const OP: &str = "conv2d_grad_input";
-        let geom = Geom::conv2d(OP, input_shape, weight.shape(), pad)?;
-        check_grad_out(OP, grad_out, &geom.out_shape2d())?;
+        let geom = Geom::conv2d(OP, input_shape, weight.shape(), pad, view)?;
+        check_grad_out(OP, grad_out, &geom.out_shape(input_shape, 4))?;
         Tensor::from_vec(grad_input(grad_out.data(), weight.data(), geom)?, input_shape)
     }
 
@@ -135,16 +301,27 @@ impl Tensor {
         weight_shape: &[usize],
         pad: (usize, usize),
     ) -> Result<Tensor> {
+        Tensor::conv2d_view_grad_weight(grad_out, input, weight_shape, pad, None)
+    }
+
+    /// Gradient of [`Tensor::conv2d_view`] w.r.t. its weight.
+    pub fn conv2d_view_grad_weight(
+        grad_out: &Tensor,
+        input: &Tensor,
+        weight_shape: &[usize],
+        pad: (usize, usize),
+        view: Option<ConvView>,
+    ) -> Result<Tensor> {
         const OP: &str = "conv2d_grad_weight";
-        let geom = Geom::conv2d(OP, input.shape(), weight_shape, pad)?;
-        check_grad_out(OP, grad_out, &geom.out_shape2d())?;
+        let geom = Geom::conv2d(OP, input.shape(), weight_shape, pad, view)?;
+        check_grad_out(OP, grad_out, &geom.out_shape(input.shape(), 4))?;
         Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom)?, weight_shape)
     }
 
     /// Gradient of a conv bias: sum of `grad_out` over batch and spatial axes.
     pub fn conv2d_grad_bias(grad_out: &Tensor) -> Result<Tensor> {
-        let [b, cout, oh, ow] = dims(grad_out.shape(), "conv2d grad_out")?;
-        grad_bias(grad_out.data(), b, cout, oh * ow)
+        let dims = dims(grad_out.shape(), "conv2d grad_out")?;
+        grad_bias(grad_out.data(), ConvView::nchw(dims))
     }
 
     /// 1-D convolution with dilation. `self: [B, Cin, L]`,
@@ -157,10 +334,23 @@ impl Tensor {
         pad: Pad1d,
         dilation: usize,
     ) -> Result<Tensor> {
-        let geom = Geom::conv1d("conv1d", self.shape(), weight.shape(), pad, dilation)?;
+        self.conv1d_view(weight, bias, pad, dilation, None)
+    }
+
+    /// [`Tensor::conv1d`] of the operand `view` reads out of `self` (its
+    /// `rows` of extent 1), as [`Tensor::conv2d_view`].
+    pub fn conv1d_view(
+        &self,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        pad: Pad1d,
+        dilation: usize,
+        view: Option<ConvView>,
+    ) -> Result<Tensor> {
+        let geom = Geom::conv1d("conv1d", self.shape(), weight.shape(), pad, dilation, view)?;
         let bias = check_bias("conv1d bias", bias, geom.cout)?;
         let out = forward(self.data(), weight.data(), bias, geom)?;
-        Tensor::from_vec(out, &geom.out_shape1d())
+        Tensor::from_vec(out, &geom.out_shape(self.shape(), 3))
     }
 
     /// Gradient of `conv1d` w.r.t. its input.
@@ -171,9 +361,21 @@ impl Tensor {
         pad: Pad1d,
         dilation: usize,
     ) -> Result<Tensor> {
+        Tensor::conv1d_view_grad_input(grad_out, weight, input_shape, pad, dilation, None)
+    }
+
+    /// Gradient of [`Tensor::conv1d_view`] w.r.t. its input.
+    pub fn conv1d_view_grad_input(
+        grad_out: &Tensor,
+        weight: &Tensor,
+        input_shape: &[usize],
+        pad: Pad1d,
+        dilation: usize,
+        view: Option<ConvView>,
+    ) -> Result<Tensor> {
         const OP: &str = "conv1d_grad_input";
-        let geom = Geom::conv1d(OP, input_shape, weight.shape(), pad, dilation)?;
-        check_grad_out(OP, grad_out, &geom.out_shape1d())?;
+        let geom = Geom::conv1d(OP, input_shape, weight.shape(), pad, dilation, view)?;
+        check_grad_out(OP, grad_out, &geom.out_shape(input_shape, 3))?;
         Tensor::from_vec(grad_input(grad_out.data(), weight.data(), geom)?, input_shape)
     }
 
@@ -185,16 +387,36 @@ impl Tensor {
         pad: Pad1d,
         dilation: usize,
     ) -> Result<Tensor> {
+        Tensor::conv1d_view_grad_weight(grad_out, input, weight_shape, pad, dilation, None)
+    }
+
+    /// Gradient of [`Tensor::conv1d_view`] w.r.t. its weight.
+    pub fn conv1d_view_grad_weight(
+        grad_out: &Tensor,
+        input: &Tensor,
+        weight_shape: &[usize],
+        pad: Pad1d,
+        dilation: usize,
+        view: Option<ConvView>,
+    ) -> Result<Tensor> {
         const OP: &str = "conv1d_grad_weight";
-        let geom = Geom::conv1d(OP, input.shape(), weight_shape, pad, dilation)?;
-        check_grad_out(OP, grad_out, &geom.out_shape1d())?;
+        let geom = Geom::conv1d(OP, input.shape(), weight_shape, pad, dilation, view)?;
+        check_grad_out(OP, grad_out, &geom.out_shape(input.shape(), 3))?;
         Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom)?, weight_shape)
     }
 
     /// Gradient of a 1-D conv bias: sum over batch and length axes.
     pub fn conv1d_grad_bias(grad_out: &Tensor) -> Result<Tensor> {
         let [b, cout, ol] = dims(grad_out.shape(), "conv1d grad_out")?;
-        grad_bias(grad_out.data(), b, cout, ol)
+        grad_bias(grad_out.data(), ConvView::nchw([b, cout, 1, ol]))
+    }
+
+    /// Gradient of the bias of a conv through `view`: per channel, the sum
+    /// of `grad_out` over batch and plane, in the contiguous layout's order.
+    pub fn conv_view_grad_bias(grad_out: &Tensor, view: ConvView) -> Result<Tensor> {
+        view.check(grad_out.len())
+            .map_err(|e| TensorError::Invalid(format!("conv grad_bias: {e}")))?;
+        grad_bias(grad_out.data(), view)
     }
 }
 
@@ -219,33 +441,53 @@ struct Geom {
     pw: usize,
     /// Spacing of the column taps.
     dilation: usize,
+    /// The caller's view of input and output, or `None` for the
+    /// contiguous layouts.
+    view: Option<ConvView>,
 }
 
 impl Geom {
-    /// `input: [B, Cin, H, W]`, `weight: [Cout, Cin, kh, kw]`.
+    /// `input: [B, Cin, H, W]`, or what `view` reads out of it;
+    /// `weight: [Cout, Cin, kh, kw]`.
     fn conv2d(
         op: &'static str,
         input: &[usize],
         weight: &[usize],
         (ph, pw): (usize, usize),
+        view: Option<ConvView>,
     ) -> Result<Geom> {
-        let [b, cin, h, w] = dims(input, "conv2d input")?;
+        let [b, cin, h, w] = match view {
+            None => dims(input, "conv2d input")?,
+            Some(v) => viewed(op, input, v)?,
+        };
         let [cout, cin_w, kh, kw] = dims(weight, "conv2d weight")?;
         check_channels(op, input, weight, cin, cin_w)?;
         let oh = out_len(op, padded(op, h, ph, ph)?, kh, 1)?;
         let ow = out_len(op, padded(op, w, pw, pw)?, kw, 1)?;
-        Geom { b, cin, cout, h, w, kh, kw, oh, ow, ph, pw, dilation: 1 }.checked(op)
+        Geom { b, cin, cout, h, w, kh, kw, oh, ow, ph, pw, dilation: 1, view }.checked(op)
     }
 
-    /// `input: [B, Cin, L]`, `weight: [Cout, Cin, k]`.
+    /// `input: [B, Cin, L]`, or what `view` reads out of it (one row);
+    /// `weight: [Cout, Cin, k]`.
     fn conv1d(
         op: &'static str,
         input: &[usize],
         weight: &[usize],
         pad: Pad1d,
         dilation: usize,
+        view: Option<ConvView>,
     ) -> Result<Geom> {
-        let [b, cin, l] = dims(input, "conv1d input")?;
+        let [b, cin, l] = match view {
+            None => dims(input, "conv1d input")?,
+            Some(v) => match viewed(op, input, v)? {
+                [b, cin, 1, l] => [b, cin, l],
+                _ => {
+                    return Err(TensorError::Invalid(format!(
+                        "{op}: a 1-D view has one row, got {v:?}"
+                    )))
+                }
+            },
+        };
         let [cout, cin_w, k] = dims(weight, "conv1d weight")?;
         check_channels(op, input, weight, cin, cin_w)?;
         if dilation == 0 {
@@ -265,13 +507,22 @@ impl Geom {
             ph: 0,
             pw: pad.left,
             dilation,
+            view,
         }
         .checked(op)
     }
 
     /// `self`, once every tensor it describes has an element count that
-    /// fits `usize`.
+    /// fits `usize`, and an output written through the input's view has
+    /// the input's geometry.
     fn checked(self, op: &'static str) -> Result<Geom> {
+        if self.view.is_some() && (self.cout, self.oh, self.ow) != (self.cin, self.h, self.w) {
+            return Err(TensorError::Invalid(format!(
+                "{op}: a conv through a view writes its output through the same view, so it \
+                 must map {0} channels of {1}x{2} to {0} of {1}x{2}, not to {3} of {4}x{5}",
+                self.cin, self.h, self.w, self.cout, self.oh, self.ow
+            )));
+        }
         let numel = |dims: &[usize]| dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
         let sizes = [
             numel(&[self.b, self.cin, self.h, self.w]),
@@ -284,12 +535,25 @@ impl Geom {
         Ok(self)
     }
 
-    fn out_shape2d(&self) -> [usize; 4] {
-        [self.b, self.cout, self.oh, self.ow]
+    /// The output's shape: the input's own through a view, else
+    /// `[B, Cout, OH, OW]` (`rank` 4) or `[B, Cout, OL]` (`rank` 3).
+    fn out_shape(&self, input: &[usize], rank: usize) -> Vec<usize> {
+        match self.view {
+            Some(_) => input.to_vec(),
+            None if rank == 3 => vec![self.b, self.cout, self.ow],
+            None => vec![self.b, self.cout, self.oh, self.ow],
+        }
     }
 
-    fn out_shape1d(&self) -> [usize; 3] {
-        [self.b, self.cout, self.ow]
+    /// The views of the input and of the output.
+    fn views(&self) -> (ConvView, ConvView) {
+        self.view.map_or_else(
+            || {
+                let x = ConvView::nchw([self.b, self.cin, self.h, self.w]);
+                (x, ConvView::nchw([self.b, self.cout, self.oh, self.ow]))
+            },
+            |v| (v, v),
+        )
     }
 
     fn in_plane(&self) -> usize {
@@ -456,7 +720,10 @@ fn at(i: u32) -> usize {
 /// them lane-major, then every destination element starts from
 /// `init(channel)` and folds in its taps with `term(acc, source, weight)` in
 /// table order, all lanes at once. Lanes past the batch's end compute on
-/// stale data and are never written back.
+/// stale data and are never written back. Source and destination are read
+/// and written through their views; where a panel's lanes are 16 adjacent
+/// floats (the model's layouts put the embedding slots there), a panel row
+/// is one copy.
 fn panel_pass(
     src: &[f32],
     wt: &[f32],
@@ -466,48 +733,152 @@ fn panel_pass(
     term: impl Fn(&mut [f32; P], &[f32; P], f32) + Sync,
 ) -> Result<Vec<f32>> {
     let table = Taps::new(&g, flip)?;
-    let (dch, dplane, sblock) = if flip {
-        (g.cin, g.in_plane(), g.cout * g.out_plane())
-    } else {
-        (g.cout, g.out_plane(), g.cin * g.in_plane())
-    };
+    let (xview, yview) = g.views();
+    let (sview, dview, dch) = if flip { (yview, xview, g.cin) } else { (xview, yview, g.cout) };
+    // Where each panel row (source channel, row, column) and each
+    // destination element (channel, pixel) sits in its batch element.
+    let (rows, cells) = (sview.cells(), dview.cells());
+    let dplane = dview.rows.0 * dview.cols.0;
     // Weights of one destination channel start `wdst` apart.
     let wdst = if flip { g.taps() } else { g.cin * g.taps() };
-    let dblock = dch * dplane;
-    let mut out = vec![0.0f32; g.b * dblock];
-    // Each batch element lives in exactly one band, so the result is
+    let mut out = vec![0.0f32; g.b * cells.len()];
+    if out.is_empty() {
+        return Ok(out);
+    }
+    // Each destination element lives in exactly one band, so the result is
     // bit-identical at every thread count.
-    let min_rows = (MIN_WORK_PER_BAND / (dch * table.taps.len()).max(1)).max(P);
-    sthsl_parallel::parallel_rows_mut(&mut out, g.b, dblock, min_rows, move |batch, band| {
-        wide!(band, |band| {
-            let mut panel = vec![[0.0f32; P]; sblock];
-            for b0 in batch.clone().step_by(P) {
-                let lanes = P.min(batch.end - b0);
-                for l in 0..lanes {
-                    let block = &src[(b0 + l) * sblock..][..sblock];
-                    for (row, &v) in panel.iter_mut().zip(block) {
-                        row[l] = v;
+    let split = Split::new(&dview, out.len());
+    let per_unit = (g.b * dch * table.taps.len() / split.units).max(1);
+    let min_units = match split.axis {
+        Axis::Batch(inner) => (MIN_WORK_PER_BAND / per_unit).max(P.div_ceil(inner)),
+        _ => (MIN_WORK_PER_BAND / per_unit).max(1),
+    };
+    let (units, stride) = (split.units, split.stride);
+    sthsl_parallel::parallel_rows_mut(
+        &mut out,
+        units,
+        stride,
+        min_units,
+        move |band_units, band| {
+            wide!(band, |band| {
+                let start = band_units.start * stride;
+                let (batch, chans, pixels) = split.work(band_units.clone(), g.b, dch, dplane);
+                let mut panel = vec![[0.0f32; P]; rows.len()];
+                for b0 in batch.clone().step_by(P) {
+                    let lanes = P.min(batch.end - b0);
+                    let (sbase, dbase) = (sview.bases(b0, lanes), dview.bases(b0, lanes));
+                    pack(&mut panel, src, &sbase, lanes, &rows);
+                    let dense = adjacent(&dbase, lanes);
+                    for dc in chans.clone() {
+                        let wk = &wt[dc * wdst..];
+                        let acc0 = init(dc);
+                        for p in pixels.clone() {
+                            let mut acc = [acc0; P];
+                            for &(s, o) in &table.taps[table.ends[p]..table.ends[p + 1]] {
+                                term(&mut acc, &panel[at(s)], wk[at(o)]);
+                            }
+                            let cell = cells[dc * dplane + p];
+                            if dense {
+                                band[dbase[0] + cell - start..][..P].copy_from_slice(&acc);
+                            } else {
+                                for (&a, &base) in acc[..lanes].iter().zip(&dbase) {
+                                    band[base + cell - start] = a;
+                                }
+                            }
+                        }
                     }
                 }
-                let dst = &mut band[(b0 - batch.start) * dblock..][..lanes * dblock];
-                for dc in 0..dch {
-                    let wk = &wt[dc * wdst..];
-                    let acc0 = init(dc);
-                    for (p, ends) in table.ends.windows(2).enumerate() {
-                        let mut acc = [acc0; P];
-                        for &(s, o) in &table.taps[ends[0]..ends[1]] {
-                            term(&mut acc, &panel[at(s)], wk[at(o)]);
-                        }
-                        let d = dc * dplane + p;
-                        for (l, &a) in acc[..lanes].iter().enumerate() {
-                            dst[l * dblock + d] = a;
-                        }
-                    }
-                }
-            }
-        });
-    });
+            });
+        },
+    );
     Ok(out)
+}
+
+/// Whether the `lanes` batch elements starting at `base` are a full panel
+/// of adjacent floats.
+#[inline(always)]
+fn adjacent(base: &[usize; P], lanes: usize) -> bool {
+    lanes == P && base.iter().enumerate().all(|(l, &b)| b == base[0] + l)
+}
+
+/// Pack the source rows `rows` of the batch elements starting at `base`
+/// into `panel`, lane-major.
+#[inline(always)]
+fn pack(panel: &mut [[f32; P]], src: &[f32], base: &[usize; P], lanes: usize, rows: &[usize]) {
+    if adjacent(base, lanes) {
+        for (row, &r) in panel.iter_mut().zip(rows) {
+            row.copy_from_slice(&src[base[0] + r..][..P]);
+        }
+    } else {
+        for (l, &b) in base[..lanes].iter().enumerate() {
+            for (row, &r) in panel.iter_mut().zip(rows) {
+                row[l] = src[b + r];
+            }
+        }
+    }
+}
+
+/// Which destination elements one unit of a band holds.
+#[derive(Debug, Clone, Copy)]
+enum Axis {
+    /// The batch elements `unit·n .. (unit + 1)·n`.
+    Batch(usize),
+    /// Destination channel `unit`.
+    Channels,
+    /// The destination pixels `unit·n .. (unit + 1)·n`.
+    Pixels(usize),
+    /// Everything: one unit, one band.
+    Whole,
+}
+
+/// How `panel_pass` cuts its destination into bands: along the axis of the
+/// destination's view with the largest stride, whose `units` slabs of
+/// `stride` floats each tile the buffer, so that each band owns one
+/// contiguous run of it. A view whose outermost axis does not cut the work
+/// into ranges (an inner batch axis under an outer one, or columns under
+/// several rows) runs as one band.
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    axis: Axis,
+    units: usize,
+    stride: usize,
+}
+
+impl Split {
+    fn new(v: &ConvView, len: usize) -> Split {
+        let [outer, inner] = v.batch;
+        let axes = [
+            (outer, Axis::Batch(inner.0)),
+            (inner, if outer.0 == 1 { Axis::Batch(1) } else { Axis::Whole }),
+            (v.channels, Axis::Channels),
+            (v.rows, Axis::Pixels(v.cols.0)),
+            (v.cols, if v.rows.0 == 1 { Axis::Pixels(1) } else { Axis::Whole }),
+        ];
+        match axes.into_iter().filter(|&((n, _), _)| n > 1).max_by_key(|&((_, s), _)| s) {
+            Some(((units, stride), axis)) if !matches!(axis, Axis::Whole) => {
+                Split { axis, units, stride }
+            }
+            _ => Split { axis: Axis::Whole, units: 1, stride: len },
+        }
+    }
+
+    /// The batch elements, destination channels and destination pixels of
+    /// the units `units`.
+    fn work(
+        &self,
+        units: Range<usize>,
+        b: usize,
+        channels: usize,
+        plane: usize,
+    ) -> (Range<usize>, Range<usize>, Range<usize>) {
+        let per = |n: usize| units.start * n..units.end * n;
+        match self.axis {
+            Axis::Batch(n) => (per(n), 0..channels, 0..plane),
+            Axis::Channels => (0..b, units, 0..plane),
+            Axis::Pixels(n) => (0..b, 0..channels, per(n)),
+            Axis::Whole => (0..b, 0..channels, 0..plane),
+        }
+    }
 }
 
 /// `gw[co, j] += g·x` over `(bi, oy, ox)`, out-channels as the vector
@@ -519,6 +890,15 @@ fn panel_pass(
 /// block: it would compile to scalar code, in which the compiler turns the
 /// zero-gradient select into a branch that mispredicts on dropout's zeros.
 /// A 3-tap block fits the commonest kernel, 1→1 with width 3, unpadded.
+///
+/// Contiguous operands are read in place, the whole batch as one chunk.
+/// Operands in a caller's view are copied out [`CHUNK`] floats at a time,
+/// lane-interleaved ([`interleave`]), so that where the view puts a panel's
+/// batch elements side by side each row is one copy, not a transpose; the
+/// walk then reads a row's elements `P` floats apart. Each block of sums is
+/// loaded from `rows` at the start of a chunk and stored at its end, which
+/// moves the sums unchanged, so every weight still sums in `(bi, oy, ox)`
+/// order.
 fn grad_weight(go: &[f32], x: &[f32], g: Geom) -> Result<Vec<f32>> {
     let taps = g.weight_taps();
     let kvol = taps.len();
@@ -526,29 +906,95 @@ fn grad_weight(go: &[f32], x: &[f32], g: Geom) -> Result<Vec<f32>> {
     if kvol == 0 {
         return Ok(gw);
     }
+    let (xview, yview) = g.views();
+    let (xcells, ycells) = (xview.cells(), yview.cells());
+    // Whole panels, so that a chunk's batch elements sit side by side as
+    // the view's do.
+    let chunk = (CHUNK / (xcells.len() + ycells.len()).max(1) / P).max(1) * P;
     // Each out-channel's weight-gradient block is disjoint, so a band's
     // blocks, and the lanes within them, sum independently.
     let min_rows = (MIN_WORK_PER_BAND / (g.b * g.out_plane() * kvol).max(1)).max(1);
     sthsl_parallel::parallel_rows_mut(&mut gw, g.cout, kvol, min_rows, move |couts, band| {
         wide!(band, |band| {
-            for (rows, co) in band.chunks_mut(8 * kvol).zip(couts.step_by(8)) {
-                match (rows.len() / kvol).next_power_of_two() {
-                    8 => lane_block::<8>(go, x, &g, &taps, co, rows),
-                    4 => lane_block::<4>(go, x, &g, &taps, co, rows),
-                    _ => lane_block::<2>(go, x, &g, &taps, co, rows),
-                }
+            if g.view.is_none() {
+                lane_blocks::<1>(go, x, g.b, &g, &taps, couts, band);
+                return;
+            }
+            let (mut xs, mut gs) = (Vec::new(), Vec::new());
+            for b0 in (0..g.b).step_by(chunk) {
+                let batch = b0..g.b.min(b0 + chunk);
+                interleave(&mut xs, x, &xview, &xcells, batch.clone());
+                interleave(&mut gs, go, &yview, &ycells, batch.clone());
+                lane_blocks::<P>(&gs, &xs, batch.len(), &g, &taps, couts.clone(), band);
             }
         });
     });
     Ok(gw)
 }
 
-/// The weight gradients of the out-channels from `co` on into `rows`
-/// (`[lanes, cin·kh·kw]`, at most `C` lanes), in tap blocks of at most 8.
+/// The elements `cells` of the batch elements `batch` in `view`, into `dst`
+/// lane-interleaved as the panels hold them: each run of [`P`] batch
+/// elements is a block of `n = cells.len()` rows of `P` lanes, so element
+/// `k` of batch element `bi` (counted from `batch.start`) sits at
+/// `((bi / P)·n + k)·P + bi % P`. Where the view puts a panel's batch
+/// elements side by side, each row is one copy.
+fn interleave(
+    dst: &mut Vec<f32>,
+    src: &[f32],
+    view: &ConvView,
+    cells: &[usize],
+    batch: Range<usize>,
+) {
+    let n = cells.len();
+    dst.resize(batch.len().div_ceil(P) * n * P, 0.0);
+    for (block, b0) in dst.chunks_exact_mut(n * P).zip(batch.clone().step_by(P)) {
+        let lanes = P.min(batch.end - b0);
+        let base = view.bases(b0, lanes);
+        if adjacent(&base, lanes) {
+            for (row, &cell) in block.chunks_exact_mut(P).zip(cells) {
+                row.copy_from_slice(&src[base[0] + cell..][..P]);
+            }
+        } else {
+            for (row, &cell) in block.chunks_exact_mut(P).zip(cells) {
+                for (v, &at) in row.iter_mut().zip(&base[..lanes]) {
+                    *v = src[at + cell];
+                }
+            }
+        }
+    }
+}
+
+/// The weight gradients of the out-channels `couts` into `band`, over the
+/// `n` batch elements of `go` and `x`, whose consecutive elements along a
+/// row lie `S` floats apart: 1 in place, [`P`] lane-interleaved.
 #[inline(always)]
-fn lane_block<const C: usize>(
+fn lane_blocks<const S: usize>(
     go: &[f32],
     x: &[f32],
+    n: usize,
+    g: &Geom,
+    taps: &[WeightTap],
+    couts: Range<usize>,
+    band: &mut [f32],
+) {
+    let kvol = taps.len();
+    for (rows, co) in band.chunks_mut(8 * kvol).zip(couts.step_by(8)) {
+        match (rows.len() / kvol).next_power_of_two() {
+            8 => lane_block::<8, S>(go, x, n, g, taps, co, rows),
+            4 => lane_block::<4, S>(go, x, n, g, taps, co, rows),
+            _ => lane_block::<2, S>(go, x, n, g, taps, co, rows),
+        }
+    }
+}
+
+/// The weight gradients of the out-channels from `co` on into `rows`
+/// (`[lanes, cin·kh·kw]`, at most `C` lanes), in tap blocks of at most 8,
+/// over the `n` batch elements of `go` and `x`.
+#[inline(always)]
+fn lane_block<const C: usize, const S: usize>(
+    go: &[f32],
+    x: &[f32],
+    n: usize,
     g: &Geom,
     taps: &[WeightTap],
     co: usize,
@@ -558,11 +1004,11 @@ fn lane_block<const C: usize>(
     let lanes: [usize; C] = std::array::from_fn(|c| co + if c < real { c } else { 0 });
     for block in taps.chunks(8) {
         match block.len() {
-            5.. => tap_block::<C, 8>(go, x, g, &lanes, block, rows),
-            4 => tap_block::<C, 4>(go, x, g, &lanes, block, rows),
-            3 => tap_block::<C, 3>(go, x, g, &lanes, block, rows),
-            2 => tap_block::<C, 2>(go, x, g, &lanes, block, rows),
-            _ => tap_block::<C, 1>(go, x, g, &lanes, block, rows),
+            5.. => tap_block::<C, 8, S>(go, x, n, g, &lanes, block, rows),
+            4 => tap_block::<C, 4, S>(go, x, n, g, &lanes, block, rows),
+            3 => tap_block::<C, 3, S>(go, x, n, g, &lanes, block, rows),
+            2 => tap_block::<C, 2, S>(go, x, n, g, &lanes, block, rows),
+            _ => tap_block::<C, 1, S>(go, x, n, g, &lanes, block, rows),
         }
     }
 }
@@ -576,9 +1022,10 @@ fn lane_block<const C: usize>(
 /// block's taps come from two kernel columns do the columns outside the
 /// span they all share test each tap at each pixel.
 #[inline(always)]
-fn tap_block<const C: usize, const T: usize>(
+fn tap_block<const C: usize, const T: usize, const S: usize>(
     go: &[f32],
     x: &[f32],
+    n: usize,
     g: &Geom,
     lanes: &[usize; C],
     block: &[WeightTap],
@@ -593,23 +1040,32 @@ fn tap_block<const C: usize, const T: usize>(
     let all = spans.fold(g.ow..0, |r, rx| r.start.min(rx.lo)..r.end.max(rx.hi));
     let inner = if inner.is_empty() || all.is_empty() { all.end..all.end } else { inner };
     let lines: Vec<Line<T>> = (0..g.oh).map(|oy| Line::new(&block, oy, g.w)).collect();
-    let (plane, xblock) = (g.out_plane(), g.cin * g.in_plane());
-    let mut acc = [[0.0f32; C]; T];
-    for bi in 0..g.b {
-        let xb = &x[bi * xblock..][..xblock];
+    let (plane, xblock, kvol) = (g.out_plane(), g.cin * g.in_plane(), g.cin * g.taps());
+    let stored = rows.len() / kvol;
+    // The sums so far (`+0.0` before the first chunk); padded lanes and
+    // taps start from `+0.0` and are never stored.
+    let mut acc: [[f32; C]; T] = std::array::from_fn(|t| {
+        std::array::from_fn(
+            |c| if t < real && c < stored { rows[c * kvol + block[t].j] } else { 0.0 },
+        )
+    });
+    for bi in 0..n {
+        // Batch element `bi`'s first element; its others lie `S` apart.
+        let first = |block: usize| bi / S * block * S + bi % S;
+        let xb = &x[first(xblock)..][..run(xblock, S)];
+        let gb = first(g.cout * plane);
         for (oy, line) in lines.iter().enumerate() {
             if !line.inside.iter().any(|&v| v) {
                 continue;
             }
             let grow: [&[f32]; C] = std::array::from_fn(|c| {
-                &go[(bi * g.cout + lanes[c]) * plane + oy * g.ow..][..g.ow]
+                &go[gb + (lanes[c] * plane + oy * g.ow) * S..][..run(g.ow, S)]
             });
-            line.border(&mut acc, &block, &grow, xb, all.start..inner.start);
-            line.inner(&mut acc, &block, &grow, xb, inner.clone());
-            line.border(&mut acc, &block, &grow, xb, inner.end..all.end);
+            line.border::<C, S>(&mut acc, &block, &grow, xb, all.start..inner.start);
+            line.inner::<C, S>(&mut acc, &block, &grow, xb, inner.clone());
+            line.border::<C, S>(&mut acc, &block, &grow, xb, inner.end..all.end);
         }
     }
-    let kvol = g.cin * g.taps();
     for (lane, wrow) in rows.chunks_exact_mut(kvol).enumerate() {
         for (tap, sums) in block[..real].iter().zip(&acc) {
             wrow[tap.j] = sums[lane];
@@ -646,7 +1102,7 @@ impl<const T: usize> Line<T> {
     /// sliced to the run once, and a tap outside the row is skipped by a
     /// test that every column of the row repeats alike.
     #[inline(always)]
-    fn inner<const C: usize>(
+    fn inner<const C: usize, const S: usize>(
         &self,
         acc: &mut [[f32; C]; T],
         block: &[WeightTap; T],
@@ -658,26 +1114,26 @@ impl<const T: usize> Line<T> {
         if n == 0 {
             return;
         }
-        let gs: [&[f32]; C] = std::array::from_fn(|c| &grow[c][cols.clone()]);
+        let gs: [&[f32]; C] = std::array::from_fn(|c| &grow[c][cols.start * S..][..run(n, S)]);
         let xs: [&[f32]; T] = std::array::from_fn(|t| {
             let at = self.start[t] + cols.start;
             if self.inside[t] {
-                &x[at - block[t].rx.lo..][..n]
+                &x[(at - block[t].rx.lo) * S..][..run(n, S)]
             } else {
                 &[]
             }
         });
         if self.inside.iter().all(|&v| v) {
-            walk::<C, T, false>(acc, &gs, &xs, &self.inside);
+            walk::<C, T, S, false>(acc, &gs, &xs, &self.inside);
         } else {
-            walk::<C, T, true>(acc, &gs, &xs, &self.inside);
+            walk::<C, T, S, true>(acc, &gs, &xs, &self.inside);
         }
     }
 
     /// The columns `cols` one by one, where some tap reads the padding: each
     /// tap is added only where its row and column spans both hold.
     #[inline(always)]
-    fn border<const C: usize>(
+    fn border<const C: usize, const S: usize>(
         &self,
         acc: &mut [[f32; C]; T],
         block: &[WeightTap; T],
@@ -686,20 +1142,20 @@ impl<const T: usize> Line<T> {
         cols: Range<usize>,
     ) {
         for ox in cols {
-            let gv: [f32; C] = std::array::from_fn(|c| grow[c][ox]);
+            let gv: [f32; C] = std::array::from_fn(|c| grow[c][ox * S]);
             for (t, (sums, tap)) in acc.iter_mut().zip(block).enumerate() {
                 if self.inside[t] && tap.rx.contains(ox) {
-                    add_lanes(sums, &gv, x[self.start[t] + ox - tap.rx.lo]);
+                    add_lanes(sums, &gv, x[(self.start[t] + ox - tap.rx.lo) * S]);
                 }
             }
         }
     }
 }
 
-/// One run of columns: `acc[t][c] += gs[c][i]·xs[t][i]` for `i` ascending.
-/// With `CHECK`, a tap that is not `inside` the row is skipped.
+/// One run of columns: `acc[t][c] += gs[c][i·S]·xs[t][i·S]` for `i`
+/// ascending. With `CHECK`, a tap that is not `inside` the row is skipped.
 #[inline(always)]
-fn walk<const C: usize, const T: usize, const CHECK: bool>(
+fn walk<const C: usize, const T: usize, const S: usize, const CHECK: bool>(
     acc: &mut [[f32; C]; T],
     gs: &[&[f32]; C],
     xs: &[&[f32]; T],
@@ -708,15 +1164,21 @@ fn walk<const C: usize, const T: usize, const CHECK: bool>(
     // Every run read has this length; folding it over them lets the
     // compiler see that no read below leaves its run.
     let runs = xs.iter().zip(inside).filter(|(_, &on)| on).map(|(xr, _)| xr);
-    let n = gs.iter().chain(runs).fold(usize::MAX, |n, run| n.min(run.len()));
+    let n = gs.iter().chain(runs).fold(usize::MAX, |n, run| n.min(run.len())).div_ceil(S);
     for i in 0..n {
-        let gv: [f32; C] = std::array::from_fn(|c| gs[c][i]);
+        let gv: [f32; C] = std::array::from_fn(|c| gs[c][i * S]);
         for ((sums, xr), &on) in acc.iter_mut().zip(xs).zip(inside) {
             if !CHECK || on {
-                add_lanes(sums, &gv, xr[i]);
+                add_lanes(sums, &gv, xr[i * S]);
             }
         }
     }
+}
+
+/// The span of `n` elements `S` apart: from the first to the last.
+#[inline(always)]
+fn run(n: usize, s: usize) -> usize {
+    n.saturating_sub(1) * s + usize::from(n > 0)
 }
 
 /// `sums[c] += g[c]·x`, where a zero gradient adds `+0.0`: the oracle's
@@ -731,16 +1193,32 @@ fn add_lanes<const C: usize>(sums: &mut [f32; C], gv: &[f32; C], xv: f32) {
     }
 }
 
-/// Bias gradient: per out-channel sum of `grad_out` over batch and plane.
-fn grad_bias(go: &[f32], b: usize, cout: usize, plane: usize) -> Result<Tensor> {
+/// Bias gradient: per out-channel sum of `grad_out` over batch and plane,
+/// read through its view, each plane summed in `(oy, ox)` order.
+fn grad_bias(go: &[f32], view: ConvView) -> Result<Tensor> {
+    let cout = view.channels.0;
+    let cells = view.cells();
     let mut gb = vec![0.0f32; cout];
-    for bi in 0..b {
-        for (co, gbc) in gb.iter_mut().enumerate() {
-            let base = (bi * cout + co) * plane;
-            *gbc += go[base..base + plane].iter().sum::<f32>();
+    if cells.is_empty() {
+        return Tensor::from_vec(gb, &[cout]);
+    }
+    let plane = cells.len() / cout;
+    for bi in 0..view.batch_len() {
+        let base = view.base(bi);
+        for (gbc, cells) in gb.iter_mut().zip(cells.chunks_exact(plane)) {
+            *gbc += cells.iter().map(|&c| go[base + c]).sum::<f32>();
         }
     }
     Tensor::from_vec(gb, &[cout])
+}
+
+/// `[B, C, H, W]` of the operand `view` reads out of a tensor of shape
+/// `input`, once the view tiles that tensor.
+fn viewed(op: &'static str, input: &[usize], view: ConvView) -> Result<[usize; 4]> {
+    let len = input.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+    let len = len.ok_or_else(|| TensorError::Invalid(format!("{op}: input size overflows")))?;
+    view.check(len).map_err(|e| TensorError::Invalid(format!("{op}: {e}")))?;
+    Ok(view.dims())
 }
 
 /// `len + lo + hi`, the extent of a padded axis.
@@ -1038,6 +1516,41 @@ mod tests {
         let go2 = Tensor::ones(&[1, 1, 4, 4]);
         invalid(Tensor::conv2d_grad_input(&go2, &w2, x2.shape(), (1, half)));
         invalid(Tensor::conv2d_grad_weight(&go2, &x2, w2.shape(), (half, 1)));
+    }
+
+    /// A view must tile its tensor exactly, and a conv through one must
+    /// keep the operand's geometry; each violation is a typed error.
+    #[test]
+    fn conv_view_rejects_bad_views() {
+        let invalid =
+            |r: Result<Tensor>| assert!(matches!(r, Err(TensorError::Invalid(_))), "{r:?}");
+        // `[2, 3, 4]` read as batch 2, 3 channels, a 1×4 plane.
+        let x = Tensor::ones(&[2, 3, 4]);
+        let view =
+            ConvView { batch: [(2, 12), (1, 1)], channels: (3, 1), rows: (1, 1), cols: (4, 3) };
+        assert_eq!(view.check(24), Ok(()));
+        let w = Tensor::ones(&[3, 3, 1, 3]);
+        let y = x.conv2d_view(&w, None, (0, 1), Some(view)).unwrap();
+        assert_eq!(y.shape(), x.shape());
+        // Overlapping strides, a gap, and a view of the wrong size.
+        for bad in [
+            ConvView { cols: (4, 1), ..view },
+            ConvView { batch: [(2, 13), (1, 1)], ..view },
+            ConvView { batch: [(3, 12), (1, 1)], ..view },
+        ] {
+            assert!(bad.check(24).is_err(), "{bad:?}");
+            invalid(x.conv2d_view(&w, None, (0, 1), Some(bad)));
+        }
+        // C→C' and a shrinking conv cannot write through the input's view.
+        invalid(x.conv2d_view(&Tensor::ones(&[2, 3, 1, 3]), None, (0, 1), Some(view)));
+        invalid(x.conv2d_view(&w, None, (0, 0), Some(view)));
+        // A 1-D view has one row.
+        let two_rows = ConvView { rows: (2, 3), cols: (2, 6), ..view };
+        assert_eq!(two_rows.check(24), Ok(()));
+        let w1 = Tensor::ones(&[3, 3, 1]);
+        invalid(x.conv1d_view(&w1, None, Pad1d::same(1), 1, Some(two_rows)));
+        let go = Tensor::ones(&[2, 3, 5]);
+        invalid(Tensor::conv_view_grad_bias(&go, view));
     }
 
     /// `grad_out` with 3 channels against a 2-out-channel weight.

@@ -536,6 +536,7 @@ fn dims3(t: &Tensor) -> [usize; 3] {
 /// where detected), so each of the kernels' dispatched copies is checked.
 mod tests {
     use super::Pad1d;
+    use crate::ops::conv::ConvView;
     use crate::{broadcast_shapes, Tensor};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -724,6 +725,154 @@ mod tests {
                 &Tensor::conv1d_grad_weight(&go, &x, wt.shape(), pad, dilation).unwrap(),
                 &super::conv1d_grad_weight(&go, &x, wt.shape(), pad, dilation),
             );
+        }
+    }
+
+    /// A conv operand laid out in memory as a permutation of its logical
+    /// axes `[Bo, Bi, C, H, W]`: `order` lists them outermost first.
+    struct Layout {
+        extents: [usize; 5],
+        order: [usize; 5],
+    }
+
+    impl Layout {
+        /// The view that reads the operand out of its buffer.
+        fn view(&self) -> ConvView {
+            let mut strides = [0; 5];
+            let mut next = 1;
+            for &axis in self.order.iter().rev() {
+                strides[axis] = next;
+                next *= self.extents[axis];
+            }
+            let axis = |a: usize| (self.extents[a], strides[a]);
+            ConvView { batch: [axis(0), axis(1)], channels: axis(2), rows: axis(3), cols: axis(4) }
+        }
+
+        /// The buffer's own shape: the extents in memory order.
+        fn shape(&self) -> Vec<usize> {
+            self.order.iter().map(|&a| self.extents[a]).collect()
+        }
+
+        /// A contiguous `[B, C, H, W]` (or, for `rank` 3, `[B, C, W]`)
+        /// copy of a buffer in this layout, made by `permute`.
+        fn contiguous(&self, t: &Tensor, rank: usize) -> Tensor {
+            let mut perm = [0; 5];
+            for (at, &axis) in self.order.iter().enumerate() {
+                perm[axis] = at;
+            }
+            let [bo, bi, c, h, w] = self.extents;
+            let dims = if rank == 3 { vec![bo * bi, c, w] } else { vec![bo * bi, c, h, w] };
+            t.permute(&perm).unwrap().reshape(&dims).unwrap()
+        }
+    }
+
+    /// The model's three conv operands at quick width (8×8 grid, window
+    /// 14, 4 categories, d = 16), as `(layout, kernel, rank)`: the local
+    /// spatial conv over E's `[I, J, Tw, C, d]`, the local temporal conv
+    /// over `[R, Tw, C, d]` and the global temporal conv over `[Tw, RC, d]`.
+    const VIEW_ROWS: [([usize; 5], [usize; 5], usize, usize); 3] = [
+        ([14, 16, 4, 8, 8], [3, 4, 0, 2, 1], 3, 4),
+        ([64, 16, 4, 1, 14], [0, 3, 4, 2, 1], 3, 3),
+        ([256, 16, 1, 1, 14], [2, 3, 4, 0, 1], 3, 3),
+    ];
+
+    /// Every conv kernel through a view (forward, input, weight and bias
+    /// gradients, and the dropout mask drawn through it) must give the bits
+    /// the contiguous kernel gives on a permuted copy: at the model's three
+    /// views and at random ones (slot counts other than 16, batches whose
+    /// tail passes a 16-lane panel, dilation, causal and lopsided padding,
+    /// every memory order, so every way a band can cut the destination), at
+    /// each vector level and at 1 and 4 threads.
+    #[test]
+    fn conv_kernels_through_views_match_contiguous_bits() {
+        for threads in [1, 4] {
+            sthsl_parallel::set_num_threads(threads);
+            at_each_level(|level| view_cases(&format!("{level} t{threads}")));
+        }
+        sthsl_parallel::set_num_threads(0);
+    }
+
+    fn view_cases(level: &str) {
+        let mut rng = StdRng::seed_from_u64(0x71e3);
+        for case in 0..VIEW_ROWS.len() + 160 {
+            let (extents, order, k, rank) = match VIEW_ROWS.get(case) {
+                Some(&row) => row,
+                None => {
+                    let rank = if rng.gen_bool(0.5) { 3 } else { 4 };
+                    let extents = [
+                        rng.gen_range(1..6usize),
+                        rng.gen_range(1..21usize),
+                        rng.gen_range(1..6usize),
+                        if rank == 3 { 1 } else { rng.gen_range(1..7usize) },
+                        rng.gen_range(1..9usize),
+                    ];
+                    let mut order = [0, 1, 2, 3, 4];
+                    for i in (1..5).rev() {
+                        order.swap(i, rng.gen_range(0..=i));
+                    }
+                    (extents, order, rng.gen_range(1..6usize), rank)
+                }
+            };
+            let layout = Layout { extents, order };
+            let view = layout.view();
+            let c = extents[2];
+            let special = rng.gen_bool(0.5);
+            let x = tensor(&mut rng, &layout.shape(), 0.1, special);
+            let go = tensor(&mut rng, &layout.shape(), 0.4, special);
+            let bias = tensor(&mut rng, &[c], 0.5, false);
+            let (xc, goc) = (layout.contiguous(&x, rank), layout.contiguous(&go, rank));
+            let label = format!("{level} {extents:?} order {order:?} k{k} special={special}");
+            let back = |t: &Tensor| layout.contiguous(t, rank);
+            if rank == 4 {
+                // Same padding needs odd kernel sides.
+                let kw = if case < VIEW_ROWS.len() { k } else { 2 * rng.gen_range(0..3usize) + 1 };
+                let kh = 2 * (k / 2) + 1;
+                let wt = tensor(&mut rng, &[c, c, kh, kw], 0.1, special);
+                let pad = (kh / 2, kw / 2);
+                let y = x.conv2d_view(&wt, Some(&bias), pad, Some(view)).unwrap();
+                let want = xc.conv2d(&wt, Some(&bias), pad).unwrap();
+                assert_bits(&format!("conv2d {label}"), &back(&y), &want);
+                let gx = Tensor::conv2d_view_grad_input(&go, &wt, x.shape(), pad, Some(view));
+                let want = Tensor::conv2d_grad_input(&goc, &wt, xc.shape(), pad).unwrap();
+                assert_bits(&format!("conv2d_grad_input {label}"), &back(&gx.unwrap()), &want);
+                let gw = Tensor::conv2d_view_grad_weight(&go, &x, wt.shape(), pad, Some(view));
+                let want = Tensor::conv2d_grad_weight(&goc, &xc, wt.shape(), pad).unwrap();
+                assert_bits(&format!("conv2d_grad_weight {label}"), &gw.unwrap(), &want);
+                let want = Tensor::conv2d_grad_bias(&goc).unwrap();
+                let gb = Tensor::conv_view_grad_bias(&go, view).unwrap();
+                assert_bits(&format!("conv2d grad_bias {label}"), &gb, &want);
+            } else {
+                let dilation = rng.gen_range(1..4usize);
+                let span = dilation * (k - 1);
+                let left = match rng.gen_range(0..3usize) {
+                    0 => span / 2,
+                    1 => span,
+                    _ => rng.gen_range(0..=span),
+                };
+                let pad = Pad1d { left, right: span - left };
+                let wt = tensor(&mut rng, &[c, c, k], 0.1, special);
+                let label = format!("{label} d{dilation} {pad:?}");
+                let y = x.conv1d_view(&wt, Some(&bias), pad, dilation, Some(view)).unwrap();
+                let want = xc.conv1d(&wt, Some(&bias), pad, dilation).unwrap();
+                assert_bits(&format!("conv1d {label}"), &back(&y), &want);
+                let gx =
+                    Tensor::conv1d_view_grad_input(&go, &wt, x.shape(), pad, dilation, Some(view));
+                let want = Tensor::conv1d_grad_input(&goc, &wt, xc.shape(), pad, dilation).unwrap();
+                assert_bits(&format!("conv1d_grad_input {label}"), &back(&gx.unwrap()), &want);
+                let gw =
+                    Tensor::conv1d_view_grad_weight(&go, &x, wt.shape(), pad, dilation, Some(view));
+                let want =
+                    Tensor::conv1d_grad_weight(&goc, &xc, wt.shape(), pad, dilation).unwrap();
+                assert_bits(&format!("conv1d_grad_weight {label}"), &gw.unwrap(), &want);
+                let want = Tensor::conv1d_grad_bias(&goc).unwrap();
+                let gb = Tensor::conv_view_grad_bias(&go, view).unwrap();
+                assert_bits(&format!("conv1d grad_bias {label}"), &gb, &want);
+            }
+            let seed = rng.gen::<u64>();
+            let mask =
+                Tensor::dropout_mask_view(x.shape(), 0.8, &view, &mut StdRng::seed_from_u64(seed));
+            let want = Tensor::dropout_mask(xc.shape(), 0.8, &mut StdRng::seed_from_u64(seed));
+            assert_bits(&format!("dropout mask {label}"), &back(&mask.unwrap()), &want);
         }
     }
 
