@@ -14,9 +14,7 @@ impl Graph {
             out,
             vec![a, b],
             Box::new(|g, p, _| {
-                let ga = g.matmul(&p[1].transpose2d()?)?;
-                let gb = p[0].transpose_matmul(g)?;
-                Ok(vec![Some(ga), Some(gb)])
+                Ok(vec![Some(g.matmul_transpose(&p[1])?), Some(p[0].transpose_matmul(g)?)])
             }),
         ))
     }
@@ -30,8 +28,10 @@ impl Graph {
             out,
             vec![a, b],
             Box::new(|g, p, _| {
-                let bt = p[1].permute(&[0, 2, 1])?;
-                Ok(vec![Some(g.batched_matmul(&bt)?), Some(p[0].batched_transpose_matmul(g)?)])
+                Ok(vec![
+                    Some(g.batched_matmul_transpose(&p[1])?),
+                    Some(p[0].batched_transpose_matmul(g)?),
+                ])
             }),
         ))
     }
@@ -51,8 +51,7 @@ impl Graph {
             out,
             vec![a, c],
             Box::new(|g, p, _| {
-                let gt = g.permute(&[0, 2, 1])?;
-                Ok(vec![Some(p[1].batched_matmul(&gt)?), Some(p[0].batched_matmul(g)?)])
+                Ok(vec![Some(p[1].batched_matmul_transpose(g)?), Some(p[0].batched_matmul(g)?)])
             }),
         ))
     }
@@ -191,35 +190,67 @@ mod tests {
         }
     }
 
+    /// [`sparse`] plus, when `special`, NaN, +∞ and −∞ at every 5th element
+    /// from the 3rd on. No row length below is a multiple of 5, so every row
+    /// and column holds one, and each zero of one factor meets a non-finite
+    /// value in the other.
+    fn operand(rng: &mut StdRng, shape: &[usize], every: usize, special: bool) -> Tensor {
+        let mut t = sparse(rng, shape, every);
+        if special {
+            let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY].into_iter().cycle();
+            t.data_mut().iter_mut().skip(2).step_by(5).zip(specials).for_each(|(v, s)| *v = s);
+        }
+        t
+    }
+
+    /// The backward products that read an operand transposed in place
+    /// against the expressions they replaced, which copied it first with
+    /// `permute` or `transpose2d`. The shapes are the hypergraph's (incidence
+    /// `[Tw, H, RC]`, embeddings `[Tw, RC, d]`, hop 1 then hop 2) and one
+    /// whose every product has a row count that is not a multiple of the
+    /// kernel's 4-row tile; zeros sit in every operand and upstream
+    /// gradient, on finite values and then with NaN and ±∞ in the factor
+    /// opposite each zero. Every gradient matches bit for bit.
     #[test]
     fn transposed_lhs_backward_equals_permuted_copy_formula() {
-        // Hypergraph-shaped: incidence [Tw, H, RC] · embeddings [Tw, RC, d]
-        // (hop 1), then its transpose · hubs (hop 2), with zeros in every
-        // operand and in the upstream gradients.
         let mut rng = StdRng::seed_from_u64(6);
-        let (tw, edges, nodes, d) = (3, 20, 72, 16);
-        let h = sparse(&mut rng, &[tw, edges, nodes], 6);
-        let e = sparse(&mut rng, &[tw, nodes, d], 5);
-        let hubs = sparse(&mut rng, &[tw, edges, d], 4);
-        let ht = h.permute(&[0, 2, 1]).unwrap();
         let swap = [0, 2, 1];
-        for (label, a, b, gy) in [
-            ("hop 1", &h, &e, sparse(&mut rng, &[tw, edges, d], 3)),
-            ("hop 2", &ht, &hubs, sparse(&mut rng, &[tw, nodes, d], 3)),
-        ] {
-            let (ga, gb) = product_grads(a, b, &gy, Graph::batched_matmul);
-            let want_ga = gy.batched_matmul(&b.permute(&swap).unwrap()).unwrap();
-            let want_gb = a.permute(&swap).unwrap().batched_matmul(&gy).unwrap();
-            assert_same_bits(&format!("{label} grad_a"), &ga, &want_ga);
-            assert_same_bits(&format!("{label} grad_b"), &gb, &want_gb);
+        for special in [false, true] {
+            for (tw, edges, nodes, d) in [(3, 20, 72, 16), (2, 9, 7, 21)] {
+                let mut op = |shape: &[usize], every| operand(&mut rng, shape, every, special);
+                let h = op(&[tw, edges, nodes], 6);
+                let e = op(&[tw, nodes, d], 5);
+                let hubs = op(&[tw, edges, d], 4);
+                let (g_hubs, g_out) = (op(&[tw, edges, d], 3), op(&[tw, nodes, d], 3));
+                let ht = h.permute(&swap).unwrap();
+                let tag = format!("[{tw},{edges},{nodes},{d}] special={special}");
+                // `Graph::batched_matmul`: grad_a was `G·permute(B)`.
+                for (hop, a, b, gy) in [("hop 1", &h, &e, &g_hubs), ("hop 2", &ht, &hubs, &g_out)] {
+                    let (ga, gb) = product_grads(a, b, gy, Graph::batched_matmul);
+                    let want_ga = gy.batched_matmul(&b.permute(&swap).unwrap()).unwrap();
+                    let want_gb = a.permute(&swap).unwrap().batched_matmul(gy).unwrap();
+                    assert_same_bits(&format!("{hop} {tag} grad_a"), &ga, &want_ga);
+                    assert_same_bits(&format!("{hop} {tag} grad_b"), &gb, &want_gb);
+                }
+                // `Graph::batched_transpose_matmul`: grad_a was `C·permute(G)`.
+                let (ga, gc) = product_grads(&h, &hubs, &g_out, Graph::batched_transpose_matmul);
+                let want_ga = hubs.batched_matmul(&g_out.permute(&swap).unwrap()).unwrap();
+                assert_same_bits(&format!("Hᵀ·hubs {tag} grad_a"), &ga, &want_ga);
+                assert_same_bits(
+                    &format!("Hᵀ·hubs {tag} grad_c"),
+                    &gc,
+                    &h.batched_matmul(&g_out).unwrap(),
+                );
+                // `Graph::matmul`: grad_a was `G·transpose2d(B)`.
+                let (a, b) = (op(&[edges, nodes], 6), op(&[nodes, d], 5));
+                let gy = op(&[edges, d], 3);
+                let (ga, gb) = product_grads(&a, &b, &gy, Graph::matmul);
+                let want_ga = gy.matmul(&b.transpose2d().unwrap()).unwrap();
+                assert_same_bits(&format!("2-D {tag} grad_a"), &ga, &want_ga);
+                let want_gb = a.transpose2d().unwrap().matmul(&gy).unwrap();
+                assert_same_bits(&format!("2-D {tag} grad_b"), &gb, &want_gb);
+            }
         }
-        // 2-D: `Graph::matmul`'s grad_b against `transpose2d` then `matmul`.
-        let (a, b) = (sparse(&mut rng, &[edges, nodes], 6), sparse(&mut rng, &[nodes, d], 5));
-        let gy = sparse(&mut rng, &[edges, d], 3);
-        let (ga, gb) = product_grads(&a, &b, &gy, Graph::matmul);
-        let want_ga = gy.matmul(&b.transpose2d().unwrap()).unwrap();
-        assert_same_bits("2-D grad_a", &ga, &want_ga);
-        assert_same_bits("2-D grad_b", &gb, &a.transpose2d().unwrap().matmul(&gy).unwrap());
     }
 
     #[test]

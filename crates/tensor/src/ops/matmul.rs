@@ -2,41 +2,61 @@
 //!
 //! # Kernel contract
 //!
-//! Every product runs through one kernel, [`matmul_band`]. For each output
-//! row it keeps a tile of [`LANES`] accumulators in registers across the
-//! whole inner dimension `k` and stores the tile once; the columns past the
-//! last full tile form narrower tiles of 8, 4, 2 and 1 columns, each of a
-//! width fixed at compile time. Each output element is `+0.0` plus
-//! `a[i,p]·b[p,j]` for `p` ascending, and a zero lhs element is skipped by
-//! one scalar test for the whole tile. Those are the operations, in the
-//! order, of the row-axpy loop kept in `ops/oracle.rs`, so results are
-//! bit-identical to it (the oracle test compares `to_bits()`).
+//! Every product runs through one kernel, [`matmul_band`]. It walks the
+//! output in tiles of up to 4 rows × [`LANES`] columns, keeps each tile's
+//! accumulators in registers across the whole inner dimension `k` and
+//! stores the tile once: each rhs row it loads serves four output rows, and
+//! the four rows' add chains overlap. The last 1–3 rows of a batch slice
+//! form shorter tiles, and the columns past the last full tile narrower
+//! ones of 8, 4, 2 and 1 columns, each of a size fixed at compile time.
+//! Each output element is `+0.0` plus `a[i,p]·b[p,j]` for `p` ascending,
+//! the operations, in the order, of the row-axpy loop kept in
+//! `ops/oracle.rs`, so results are bit-identical to it (the oracle test
+//! compares `to_bits()`).
 //!
-//! The lhs may also be read transposed (`selfᵀ·other`): the kernel copies
-//! the lhs columns of up to [`PANEL`] output rows into a small row-major
-//! panel, one contiguous read per stored lhs row, and then runs the same
-//! tiles over it. Each output row reads the same values in the same order
-//! as a product with an explicitly permuted copy, so autograd's `Aᵀ·G`
-//! needs no transposed copy of `A`.
+//! That loop skips a zero lhs element. Adding its term instead gives the
+//! same bits whenever the rhs value is finite: `±0·b` is `±0`, a sum that
+//! starts at `+0.0` never becomes `-0.0` under round-to-nearest, and adding
+//! `±0` to any other sum leaves it unchanged. So a batch slice whose rhs is
+//! all finite, checked by one scan of the slice in each band that reads
+//! it, runs tiles without a branch; only a slice that holds a NaN or ±∞ runs one-row tiles that test
+//! every lhs element, which keeps `0·∞ = NaN` out of the output.
+//!
+//! Either operand may be read transposed. A transposed lhs
+//! (`selfᵀ·other`) is read in place: at step `p` the tile's rows read
+//! adjacent values. A transposed rhs (`self·otherᵀ`) is copied, 16 columns
+//! at a time, into a `k × 16` panel that the tiles read like a row-major
+//! rhs. Each output element reads the same values in the same order as a
+//! product with an explicitly permuted copy, so autograd's products with
+//! `Aᵀ` or `Bᵀ` need no transposed copy.
+//!
+//! At the AVX2 level the tiles of 16 and 8 columns are written with
+//! `std::arch` intrinsics, which keep the accumulators in registers; the
+//! same tile written portably and compiled for AVX2 ran hop 1 of the
+//! hypergraph 1.14× faster than the one-row tile it replaced, the
+//! intrinsics 1.50× (DESIGN.md §6b). The baseline level runs the portable
+//! tiles.
 //!
 //! Work is partitioned over output rows, so each output element is produced
 //! by exactly one thread: results are bit-identical at every thread count.
 
-use crate::simd::wide;
+#[cfg(target_arch = "x86_64")]
+use crate::simd;
 use crate::{Result, Tensor, TensorError};
 use std::ops::Range;
 
 /// Output columns one register tile accumulates.
 const LANES: usize = 16;
 
-/// Output rows whose transposed-lhs columns are gathered into one panel.
-const PANEL: usize = 16;
+/// Output rows one register tile accumulates.
+const ROWS: usize = 4;
 
 /// Minimum flops a band must carry before it is worth a thread.
 const MIN_FLOPS_PER_BAND: usize = 1 << 16;
 
 /// `batch` products `[m, k] · [k, n]`. A transposed lhs is stored as
-/// `[batch, k, m]`, a plain one as `[batch, m, k]`.
+/// `[batch, k, m]`, a plain one as `[batch, m, k]`; a transposed rhs as
+/// `[batch, n, k]`, a plain one as `[batch, k, n]`.
 #[derive(Clone, Copy)]
 struct Product {
     batch: usize,
@@ -44,6 +64,7 @@ struct Product {
     k: usize,
     n: usize,
     lhs_transposed: bool,
+    rhs_transposed: bool,
 }
 
 impl Product {
@@ -57,82 +78,314 @@ impl Product {
             self.n,
             min_rows,
             move |rows, band| {
-                wide!(band, |band| matmul_band(a, b, self, rows, band));
+                #[cfg(target_arch = "x86_64")]
+                if let Some(isa) = simd::avx2() {
+                    // SAFETY: `avx2_band` may only run on a CPU with AVX2,
+                    // and `simd::avx2()` returned a token, which it builds
+                    // only after detecting AVX2.
+                    return unsafe { avx2_band(isa, a, b, self, rows, band) };
+                }
+                matmul_band(Portable, a, b, self, rows, band);
             },
         );
         out
     }
 }
 
-/// Fill `band`, the output rows `rows` (row-major, stride `n`), in blocks
-/// of at most [`PANEL`] rows of one batch. A transposed lhs has the block's
-/// columns copied into a row-major panel first, one contiguous read per
-/// lhs row, so every output row then reads its lhs contiguously. Always
-/// inlined, so that its tiles are compiled into each [`wide!`] copy.
+/// Whether every value of `s` is finite, in one branch-free pass.
 #[inline(always)]
-fn matmul_band(a: &[f32], b: &[f32], p: Product, rows: Range<usize>, band: &mut [f32]) {
-    let Product { m, k, n, lhs_transposed, .. } = p;
-    if n == 0 {
-        return;
+fn all_finite(s: &[f32]) -> bool {
+    s.iter().fold(true, |ok, v| ok & v.is_finite())
+}
+
+/// [`matmul_band`] with the AVX2 tiles, compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2_band(
+    isa: simd::Avx2,
+    a: &[f32],
+    b: &[f32],
+    p: Product,
+    rows: Range<usize>,
+    band: &mut [f32],
+) {
+    matmul_band(isa, a, b, p, rows, band);
+}
+
+/// Fill `band`, the output rows `rows` (row-major, stride `n`), one batch
+/// slice at a time and, within it, one block of columns at a time: 16
+/// columns, then pieces of 8, 4, 2 and 1. A transposed rhs has the block's
+/// columns copied into a `k × width` panel first. Always inlined, so that
+/// the tiles are compiled into [`avx2_band`].
+#[inline(always)]
+fn matmul_band<T: Tiles>(
+    isa: T,
+    a: &[f32],
+    b: &[f32],
+    p: Product,
+    rows: Range<usize>,
+    band: &mut [f32],
+) {
+    let Product { m, k, n, lhs_transposed, rhs_transposed, .. } = p;
+    if n == 0 || k == 0 {
+        return; // the band already holds the empty sums, `+0.0`
     }
-    let mut panel = vec![0.0f32; if lhs_transposed { PANEL * k } else { 0 }];
-    let mut orows = band.chunks_exact_mut(n);
+    let mut panel = vec![0.0f32; if rhs_transposed { LANES * k } else { 0 }];
     let mut gi = rows.start;
     while gi < rows.end {
         let (bi, i0) = (gi / m, gi % m);
-        let r = PANEL.min(m - i0).min(rows.end - gi);
+        let count = (m - i0).min(rows.end - gi);
         let lhs = &a[bi * m * k..(bi + 1) * m * k];
+        let lhs = if lhs_transposed {
+            Lhs { data: &lhs[i0..], row: 1, step: m }
+        } else {
+            Lhs { data: &lhs[i0 * k..], row: k, step: 1 }
+        };
         let rhs = &b[bi * k * n..(bi + 1) * k * n];
-        if lhs_transposed {
-            for (pk, arow) in lhs.chunks_exact(m).enumerate() {
-                for (j, &v) in arow[i0..i0 + r].iter().enumerate() {
-                    panel[j * k + pk] = v;
-                }
+        let out = &mut band[(gi - rows.start) * n..][..count * n];
+        let block = Block { lhs, rows: count, rhs, rhs_transposed, finite: all_finite(rhs), k, n };
+        let mut j0 = 0;
+        while j0 < n {
+            let w = if n - j0 >= LANES { LANES } else { 1 << (n - j0).ilog2() };
+            let (panel, out) = (&mut panel[..], &mut out[j0..]);
+            match w {
+                LANES => block.columns::<T, LANES>(isa, j0, panel, out),
+                8 => block.columns::<T, 8>(isa, j0, panel, out),
+                4 => block.columns::<T, 4>(isa, j0, panel, out),
+                2 => block.columns::<T, 2>(isa, j0, panel, out),
+                _ => block.columns::<T, 1>(isa, j0, panel, out),
             }
+            j0 += w;
         }
-        for (j, orow) in orows.by_ref().take(r).enumerate() {
-            let lrow =
-                if lhs_transposed { &panel[j * k..][..k] } else { &lhs[(i0 + j) * k..][..k] };
-            let mut tiles = orow.chunks_exact_mut(LANES);
-            for (t, tile) in tiles.by_ref().enumerate() {
-                accumulate_tile::<LANES>(lrow, rhs, n, t * LANES, tile);
-            }
-            // The last `n mod 16` columns, in pieces of 8, 4, 2 and 1: a
-            // tile of runtime width compiles to masked loads and stores of
-            // its accumulators, whose store-to-load stalls made the AVX2
-            // copy 3× slower than SSE2 on a one-column product.
-            let mut rest = tiles.into_remainder();
-            while !rest.is_empty() {
-                let (j0, w) = (n - rest.len(), 1usize << rest.len().ilog2());
-                let (piece, later) = rest.split_at_mut(w);
-                match w {
-                    8 => accumulate_tile::<8>(lrow, rhs, n, j0, piece),
-                    4 => accumulate_tile::<4>(lrow, rhs, n, j0, piece),
-                    2 => accumulate_tile::<2>(lrow, rhs, n, j0, piece),
-                    _ => accumulate_tile::<1>(lrow, rhs, n, j0, piece),
-                }
-                rest = later;
-            }
-        }
-        gi += r;
+        gi += count;
     }
 }
 
-/// `out[j] = Σ_p lhs[p]·rhs[p·n + j0 + j]` for `j < W = out.len()`,
-/// summed in ascending `p` in `W` accumulators that stay in registers, then
-/// stored once.
-#[inline(always)]
-fn accumulate_tile<const W: usize>(lhs: &[f32], rhs: &[f32], n: usize, j0: usize, out: &mut [f32]) {
-    let mut acc = [0.0f32; W];
-    for (&av, brow) in lhs.iter().zip(rhs.chunks_exact(n)) {
-        if av == 0.0 {
-            continue; // sparse inputs (z-scored zero days) are common
+/// An lhs read in place: row `r`, step `p` is `data[r·row + p·step]`.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    row: usize,
+    step: usize,
+}
+
+impl Lhs<'_> {
+    #[inline(always)]
+    fn at(&self, r: usize, p: usize) -> f32 {
+        self.data[r * self.row + p * self.step]
+    }
+
+    /// The view from row `r` on.
+    #[inline(always)]
+    fn skip_rows(self, r: usize) -> Self {
+        Lhs { data: &self.data[r * self.row..], ..self }
+    }
+}
+
+/// The output rows of one batch slice that a band holds.
+#[derive(Clone, Copy)]
+struct Block<'a> {
+    lhs: Lhs<'a>,
+    rows: usize,
+    /// The slice's rhs, stored `[k, n]`, or `[n, k]` when transposed.
+    rhs: &'a [f32],
+    rhs_transposed: bool,
+    /// The slice's rhs holds no NaN or ±∞, so zero lhs elements need no test.
+    finite: bool,
+    k: usize,
+    n: usize,
+}
+
+impl Block<'_> {
+    /// The block's `W` output columns from `j0` on, into `out` (row stride
+    /// `n`): tiles of 4 rows, then one of 1–3. A transposed rhs has the
+    /// columns copied into `panel` as `[k, W]` first.
+    #[inline(always)]
+    fn columns<T: Tiles, const W: usize>(
+        self,
+        isa: T,
+        j0: usize,
+        panel: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let Block { lhs, rows, k, n, .. } = self;
+        let (rhs, step) = if self.rhs_transposed {
+            // Column `j` of the rhs is row `j` of the stored `[n, k]`.
+            let cols: [&[f32]; W] = std::array::from_fn(|c| &self.rhs[(j0 + c) * k..][..k]);
+            for (p, prow) in panel.chunks_exact_mut(W).take(k).enumerate() {
+                for (v, col) in prow.iter_mut().zip(&cols) {
+                    *v = col[p];
+                }
+            }
+            (&panel[..k * W], W)
+        } else {
+            (&self.rhs[j0..], n)
+        };
+        if !self.finite {
+            for r in 0..rows {
+                skipping_tile::<W>(lhs.skip_rows(r), rhs, step, k, &mut out[r * n..]);
+            }
+            return;
         }
-        for (s, &bv) in acc.iter_mut().zip(&brow[j0..j0 + W]) {
+        let mut r = 0;
+        while r + ROWS <= rows {
+            isa.tile::<ROWS, W>(lhs.skip_rows(r), rhs, step, k, &mut out[r * n..], n);
+            r += ROWS;
+        }
+        if r == rows {
+            return;
+        }
+        let (lhs, out) = (lhs.skip_rows(r), &mut out[r * n..]);
+        match rows - r {
+            3 => isa.tile::<3, W>(lhs, rhs, step, k, out, n),
+            2 => isa.tile::<2, W>(lhs, rhs, step, k, out, n),
+            _ => isa.tile::<1, W>(lhs, rhs, step, k, out, n),
+        }
+    }
+}
+
+/// A vector level's register tile.
+trait Tiles: Copy {
+    /// `out[r·n + j] = Σ_p lhs(r, p)·rhs[p·step + j]` for `r < R`,
+    /// `j < W`: every term added, in ascending `p`, from `+0.0`.
+    fn tile<const R: usize, const W: usize>(
+        self,
+        lhs: Lhs,
+        rhs: &[f32],
+        step: usize,
+        k: usize,
+        out: &mut [f32],
+        n: usize,
+    );
+}
+
+/// The baseline level's tiles: plain loops the compiler vectorizes.
+#[derive(Clone, Copy)]
+struct Portable;
+
+impl Tiles for Portable {
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(
+        self,
+        lhs: Lhs,
+        rhs: &[f32],
+        step: usize,
+        k: usize,
+        out: &mut [f32],
+        n: usize,
+    ) {
+        let mut acc = [[0.0f32; W]; R];
+        for p in 0..k {
+            let brow = &rhs[p * step..][..W];
+            for (r, sums) in acc.iter_mut().enumerate() {
+                let av = lhs.at(r, p);
+                for (s, &bv) in sums.iter_mut().zip(brow) {
+                    *s += av * bv;
+                }
+            }
+        }
+        for (r, sums) in acc.iter().enumerate() {
+            out[r * n..][..W].copy_from_slice(sums);
+        }
+    }
+}
+
+/// The AVX2 level's tiles: 16 and 8 columns in `__m256` accumulators, the
+/// narrower ones portable (compiled with AVX2 inside [`avx2_band`]).
+#[cfg(target_arch = "x86_64")]
+impl Tiles for simd::Avx2 {
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(
+        self,
+        lhs: Lhs,
+        rhs: &[f32],
+        step: usize,
+        k: usize,
+        out: &mut [f32],
+        n: usize,
+    ) {
+        // `avx2_tile` may only run on a CPU with AVX2, and `self` is a
+        // token that `simd::avx2()` builds only after detecting AVX2.
+        match W {
+            // SAFETY: the CPU has AVX2, as the token proves.
+            16 => unsafe { avx2_tile::<R, 2>(lhs, rhs, step, k, out, n) },
+            // SAFETY: the CPU has AVX2, as the token proves.
+            8 => unsafe { avx2_tile::<R, 1>(lhs, rhs, step, k, out, n) },
+            _ => Portable.tile::<R, W>(lhs, rhs, step, k, out, n),
+        }
+    }
+}
+
+/// [`Tiles::tile`] for `W = 8·V` columns in `R·V` `__m256` accumulators.
+/// A multiply and an add, never a fused multiply-add: the sums must round
+/// as the oracle's do. The operands are bounds-checked once, at their last
+/// element read; the per-step reads go unchecked, which ran the hypergraph
+/// products 15–20% faster than a check on every load.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_tile<const R: usize, const V: usize>(
+    lhs: Lhs,
+    rhs: &[f32],
+    step: usize,
+    k: usize,
+    out: &mut [f32],
+    n: usize,
+) {
+    use std::arch::x86_64::{_mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps};
+    use std::arch::x86_64::{_mm256_setzero_ps, _mm256_storeu_ps};
+    if k == 0 {
+        return;
+    }
+    // Every index read below is at most the last one: `lhs.at(r, p)` grows
+    // with `r < R` and `p < k`, rhs row `p` ends at `p·step + 8·V`.
+    let a = &lhs.data[..=(R - 1) * lhs.row + (k - 1) * lhs.step];
+    let b = &rhs[..(k - 1) * step + 8 * V];
+    let mut acc = [[_mm256_setzero_ps(); V]; R];
+    for p in 0..k {
+        let mut bv = [_mm256_setzero_ps(); V];
+        for (v, bvec) in bv.iter_mut().enumerate() {
+            // SAFETY: `p < k` and `v < V`, so the 8 floats from
+            // `p·step + 8·v` end within `b`, whose length is
+            // `(k-1)·step + 8·V`; `loadu` takes any alignment.
+            *bvec = unsafe { _mm256_loadu_ps(b.as_ptr().add(p * step + 8 * v)) };
+        }
+        for (r, sums) in acc.iter_mut().enumerate() {
+            // SAFETY: `r < R` and `p < k`, so the index is at most
+            // `(R-1)·row + (k-1)·step`, the last element of `a`.
+            let av = unsafe { *a.get_unchecked(r * lhs.row + p * lhs.step) };
+            let av = _mm256_set1_ps(av);
+            for (s, &bvec) in sums.iter_mut().zip(&bv) {
+                *s = _mm256_add_ps(*s, _mm256_mul_ps(av, bvec));
+            }
+        }
+    }
+    for (r, sums) in acc.iter().enumerate() {
+        let orow = &mut out[r * n..][..8 * V];
+        for (v, &s) in sums.iter().enumerate() {
+            // SAFETY: `orow` holds `8·V` floats, so the 8 from `8·v` on,
+            // `v < V`, are in bounds; `storeu` takes any alignment.
+            unsafe { _mm256_storeu_ps(orow.as_mut_ptr().add(8 * v), s) };
+        }
+    }
+}
+
+/// One output row over `W` columns for a slice whose rhs may hold NaN or
+/// ±∞: a zero lhs element is skipped, as the oracle skips it, so `0·∞`
+/// never reaches the sum.
+#[inline(always)]
+fn skipping_tile<const W: usize>(lhs: Lhs, rhs: &[f32], step: usize, k: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; W];
+    for p in 0..k {
+        let av = lhs.at(0, p);
+        if av == 0.0 {
+            continue;
+        }
+        for (s, &bv) in acc.iter_mut().zip(&rhs[p * step..][..W]) {
             *s += av * bv;
         }
     }
-    out.copy_from_slice(&acc);
+    out[..W].copy_from_slice(&acc);
 }
 
 impl Tensor {
@@ -146,8 +399,8 @@ impl Tensor {
         if k != k2 {
             return Err(shape_mismatch("matmul", self, other));
         }
-        let out =
-            Product { batch: 1, m, k, n, lhs_transposed: false }.run(self.data(), other.data());
+        let out = Product { batch: 1, m, k, n, lhs_transposed: false, rhs_transposed: false }
+            .run(self.data(), other.data());
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -160,8 +413,22 @@ impl Tensor {
         if k != k2 {
             return Err(shape_mismatch("transpose_matmul", self, other));
         }
-        let out =
-            Product { batch: 1, m, k, n, lhs_transposed: true }.run(self.data(), other.data());
+        let out = Product { batch: 1, m, k, n, lhs_transposed: true, rhs_transposed: false }
+            .run(self.data(), other.data());
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// 2-D product with a transposed rhs: `[m, k] · [n, k]ᵀ → [m, n]`,
+    /// without materialising the transpose. Bit-identical to
+    /// `self.matmul(&other.transpose2d()?)`.
+    pub fn matmul_transpose(&self, other: &Tensor) -> Result<Tensor> {
+        let (m, k) = as_2d(self, "matmul_transpose lhs")?;
+        let (n, k2) = as_2d(other, "matmul_transpose rhs")?;
+        if k != k2 {
+            return Err(shape_mismatch("matmul_transpose", self, other));
+        }
+        let out = Product { batch: 1, m, k, n, lhs_transposed: false, rhs_transposed: true }
+            .run(self.data(), other.data());
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -175,8 +442,8 @@ impl Tensor {
         if ba != bb || k != k2 {
             return Err(shape_mismatch("batched_matmul", self, other));
         }
-        let out =
-            Product { batch: ba, m, k, n, lhs_transposed: false }.run(self.data(), other.data());
+        let out = Product { batch: ba, m, k, n, lhs_transposed: false, rhs_transposed: false }
+            .run(self.data(), other.data());
         Tensor::from_vec(out, &[ba, m, n])
     }
 
@@ -190,8 +457,23 @@ impl Tensor {
         if ba != bb || k != k2 {
             return Err(shape_mismatch("batched_transpose_matmul", self, other));
         }
-        let out =
-            Product { batch: ba, m, k, n, lhs_transposed: true }.run(self.data(), other.data());
+        let out = Product { batch: ba, m, k, n, lhs_transposed: true, rhs_transposed: false }
+            .run(self.data(), other.data());
+        Tensor::from_vec(out, &[ba, m, n])
+    }
+
+    /// Batched product with transposed rhs matrices:
+    /// `[b, m, k] · [b, n, k]ᵀ → [b, m, n]`, without materialising the
+    /// transpose. Bit-identical to
+    /// `self.batched_matmul(&other.permute(&[0, 2, 1])?)`.
+    pub fn batched_matmul_transpose(&self, other: &Tensor) -> Result<Tensor> {
+        let (ba, m, k) = as_3d(self, "batched_matmul_transpose lhs")?;
+        let (bb, n, k2) = as_3d(other, "batched_matmul_transpose rhs")?;
+        if ba != bb || k != k2 {
+            return Err(shape_mismatch("batched_matmul_transpose", self, other));
+        }
+        let out = Product { batch: ba, m, k, n, lhs_transposed: false, rhs_transposed: true }
+            .run(self.data(), other.data());
         Tensor::from_vec(out, &[ba, m, n])
     }
 
@@ -329,6 +611,25 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("[4, 2, 3]") && err.contains("[3, 2, 5]"), "{err}");
+        // The transposed-rhs entries: the rhs is `[n, k]` (`[b, n, k]`), so
+        // its *trailing* dim must match the lhs columns.
+        let err = a.matmul_transpose(&Tensor::zeros(&[3, 2])).unwrap_err().to_string();
+        assert!(
+            err.contains("matmul_transpose") && err.contains("[2, 3]") && err.contains("[3, 2]"),
+            "{err}"
+        );
+        let err = Tensor::zeros(&[4, 2, 3])
+            .batched_matmul_transpose(&Tensor::zeros(&[4, 3, 5]))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("batched_matmul_transpose")
+                && err.contains("[4, 2, 3]")
+                && err.contains("[4, 3, 5]"),
+            "{err}"
+        );
+        let err = a.batched_matmul_transpose(&a).unwrap_err().to_string();
+        assert!(err.contains("batched_matmul_transpose lhs") && err.contains("rank 3"), "{err}");
         let err = a.batched_transpose_matmul(&a).unwrap_err().to_string();
         assert!(
             err.contains("batched_transpose_matmul lhs")

@@ -940,13 +940,82 @@ mod tests {
         (a, b)
     }
 
+    /// Every matmul entry point against the oracle, at each vector level and
+    /// at 1 and 4 threads: fixed rows first, then random ones.
     #[test]
     fn matmul_family_matches_oracle_bits() {
-        at_each_level(matmul_cases);
+        for threads in [1, 4] {
+            sthsl_parallel::set_num_threads(threads);
+            at_each_level(|level| matmul_cases(&format!("{level} t{threads}")));
+        }
+        sthsl_parallel::set_num_threads(0);
     }
+
+    /// The six entry points on `a: [batch, m, k]` and `b: [batch, k, n]`
+    /// against the oracle. The transposed entries read a `permute`d copy of
+    /// the operand they take transposed; the 2-D entries take batch 0.
+    fn check_matmul(label: &str, a: &Tensor, b: &Tensor) {
+        let (m, k, n) = (a.shape()[1], a.shape()[2], b.shape()[2]);
+        let want = super::batched_matmul(a, b);
+        let swap = |t: &Tensor| super::permute(t, &[0, 2, 1]);
+        let check = |entry: &str, got: Result<Tensor, crate::TensorError>, want: &Tensor| {
+            assert_bits(&format!("{entry} {label}"), &got.unwrap(), want);
+        };
+        check("batched_matmul", a.batched_matmul(b), &want);
+        check("batched_transpose_matmul", swap(a).batched_transpose_matmul(b), &want);
+        check("batched_matmul_transpose", a.batched_matmul_transpose(&swap(b)), &want);
+        let a2 = Tensor::from_vec(a.data()[..m * k].to_vec(), &[m, k]).unwrap();
+        let b2 = Tensor::from_vec(b.data()[..k * n].to_vec(), &[k, n]).unwrap();
+        let want2 = Tensor::from_vec(want.data()[..m * n].to_vec(), &[m, n]).unwrap();
+        let t2 = |t: &Tensor| super::permute(t, &[1, 0]);
+        check("matmul", a2.matmul(&b2), &want2);
+        check("transpose_matmul", t2(&a2).transpose_matmul(&b2), &want2);
+        check("matmul_transpose", a2.matmul_transpose(&t2(&b2)), &want2);
+    }
+
+    /// Fixed matmul rows `[batch, m, k, n]`, all finite: the hypergraph's
+    /// three products at batch 2 (hop 1 `H·E`, hop 2 `Hᵀ·hubs`, which
+    /// `check_matmul` also runs with the lhs stored transposed, and the
+    /// gradient shape `G·Eᵀ`), and row counts 1–3 past a 4-row tile.
+    const MATMUL_ROWS: [[usize; 4]; 9] = [
+        [2, 64, 256, 16],
+        [2, 256, 64, 16],
+        [2, 64, 16, 256],
+        [1, 1, 37, 19],
+        [2, 3, 37, 19],
+        [1, 5, 37, 19],
+        [3, 6, 37, 19],
+        [1, 7, 37, 19],
+        [2, 11, 9, 40],
+    ];
 
     fn matmul_cases(level: &str) {
         let mut rng = StdRng::seed_from_u64(0x3a7);
+        for [batch, m, k, n] in MATMUL_ROWS {
+            let a = tensor(&mut rng, &[batch, m, k], 0.1, false);
+            let b = tensor(&mut rng, &[batch, k, n], 0.1, false);
+            check_matmul(&format!("{level} fixed b{batch} m{m} k{k} n{n}"), &a, &b);
+        }
+        // A finite rhs under lhs ±0, half the elements and whole rows of
+        // each sign: the branch-free tiles add `±0·b` where the oracle skips
+        // it, and an all-`-0.0` row must still come out `+0.0`.
+        let (batch, m, k, n) = (2, 7, 29, 21);
+        let mut a = tensor(&mut rng, &[batch, m, k], 0.5, false);
+        a.data_mut()[..k].fill(-0.0);
+        a.data_mut()[k..2 * k].fill(0.0);
+        let b = tensor(&mut rng, &[batch, k, n], 0.1, false);
+        check_matmul(&format!("{level} signed zeros over a finite rhs"), &a, &b);
+        // One non-finite rhs value, in the last batch slice only, under an
+        // all-zero lhs column: that slice must run the skipping tiles, or
+        // `0·∞` puts NaN in every output row of the slice.
+        let (batch, m, k, n) = (3, 6, 23, 18);
+        let mut a = tensor(&mut rng, &[batch, m, k], 0.1, false);
+        let mut b = tensor(&mut rng, &[batch, k, n], 0.1, false);
+        for row in a.data_mut()[(batch - 1) * m * k..].chunks_exact_mut(k) {
+            row[5] = 0.0;
+        }
+        b.data_mut()[(batch - 1) * k * n + 5 * n + 17] = f32::INFINITY;
+        check_matmul(&format!("{level} ∞ in the last slice only"), &a, &b);
         for case in 0..CASES {
             let n = MATMUL_NS[case % MATMUL_NS.len()];
             // k crosses the oracle's KC = 128 block boundary; m = 0 and
@@ -956,28 +1025,7 @@ mod tests {
             let batch = rng.gen_range(1..5usize);
             let special = rng.gen_bool(0.5);
             let (a, b) = matmul_operands(&mut rng, [batch, m, k, n], special);
-            let label = format!("{level} b{batch} m{m} k{k} n{n} special={special}");
-            let want = super::batched_matmul(&a, &b);
-            assert_bits(&format!("batched_matmul {label}"), &a.batched_matmul(&b).unwrap(), &want);
-            // The transposed entry reads `at` column-wise; the oracle gets
-            // the explicitly permuted copy `a`.
-            let at = super::permute(&a, &[0, 2, 1]);
-            assert_bits(
-                &format!("batched_transpose_matmul {label}"),
-                &at.batched_transpose_matmul(&b).unwrap(),
-                &want,
-            );
-            // 2-D products on batch 0: the oracle's batch-0 rows.
-            let a2 = Tensor::from_vec(a.data()[..m * k].to_vec(), &[m, k]).unwrap();
-            let b2 = Tensor::from_vec(b.data()[..k * n].to_vec(), &[k, n]).unwrap();
-            let want2 = Tensor::from_vec(want.data()[..m * n].to_vec(), &[m, n]).unwrap();
-            assert_bits(&format!("matmul {label}"), &a2.matmul(&b2).unwrap(), &want2);
-            let at2 = super::permute(&a2, &[1, 0]);
-            assert_bits(
-                &format!("transpose_matmul {label}"),
-                &at2.transpose_matmul(&b2).unwrap(),
-                &want2,
-            );
+            check_matmul(&format!("{level} b{batch} m{m} k{k} n{n} special={special}"), &a, &b);
         }
     }
 

@@ -42,10 +42,10 @@ pub(crate) use wide;
 #[inline(always)]
 pub(crate) fn dispatch(band: &mut [f32], f: impl FnOnce(&mut [f32])) {
     #[cfg(target_arch = "x86_64")]
-    if !BASELINE.load(Ordering::Relaxed) && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `avx2` may only run on a CPU with AVX2, and
-        // `is_x86_feature_detected!("avx2")` has just confirmed this one has it.
-        return unsafe { avx2(band, f) };
+    if let Some(Avx2(())) = avx2() {
+        // SAFETY: `with_avx2` may only run on a CPU with AVX2, and `avx2()`
+        // returns a token only after `is_x86_feature_detected!("avx2")`.
+        return unsafe { with_avx2(band, f) };
     }
     f(band);
 }
@@ -54,8 +54,25 @@ pub(crate) fn dispatch(band: &mut [f32], f: impl FnOnce(&mut [f32])) {
 /// multiply-adds must stay two roundings.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn avx2(band: &mut [f32], f: impl FnOnce(&mut [f32])) {
+fn with_avx2(band: &mut [f32], f: impl FnOnce(&mut [f32])) {
     f(band);
+}
+
+/// Proof that this CPU has AVX2 and that [`at_each_level`] is not holding
+/// the baseline: only [`avx2`] builds one, after the check. A kernel
+/// written with `std::arch` intrinsics takes the token instead of checking
+/// again (the matmul tile, whose accumulators the portable form did not
+/// keep in registers).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct Avx2(());
+
+/// The AVX2 token, or `None` at the baseline level.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn avx2() -> Option<Avx2> {
+    let on = !BASELINE.load(Ordering::Relaxed) && std::arch::is_x86_feature_detected!("avx2");
+    on.then_some(Avx2(()))
 }
 
 /// Test hook: run `f` once per vector level this CPU can execute, with

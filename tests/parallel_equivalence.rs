@@ -187,8 +187,13 @@ fn conv1d_forward_and_grads_bit_identical() {
 
 /// FNV-1a over the bit patterns of `v`.
 fn bits_digest(v: &[f32]) -> u64 {
-    v.iter()
-        .flat_map(|x| x.to_bits().to_le_bytes())
+    fnv1a(v.iter().map(|x| x.to_bits()))
+}
+
+/// FNV-1a over the little-endian bytes of `bits`.
+fn fnv1a(bits: impl IntoIterator<Item = u32>) -> u64 {
+    bits.into_iter()
+        .flat_map(u32::to_le_bytes)
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
@@ -497,11 +502,32 @@ fn thread_count_config_round_trips() {
     assert!(num_threads() >= 1);
 }
 
+/// FNV-1a digests of each model's parameter bits after the 1-thread run of
+/// [`every_neural_model_trains_bit_identically_at_1_and_4_threads`], in
+/// training order. A kernel change that moves any trained bit fails here.
+const TRAINED_DIGESTS: [(&str, u64); 14] = [
+    ("ST-HSL", 0x1785_a360_dc4d_b65f),
+    ("ST-ResNet", 0x6253_ffca_e815_43b0),
+    ("DCRNN", 0x84f5_a7d4_53ee_20d9),
+    ("STGCN", 0xc5bd_800f_80e4_abb4),
+    ("GWN", 0xad23_7633_1ad2_669e),
+    ("STtrans", 0xdef5_1107_185b_f624),
+    ("DeepCrime", 0x00d6_2bc1_6a82_053c),
+    ("STDN", 0x89c8_97f6_8664_2409),
+    ("ST-MetaNet", 0xc39b_747e_35b7_e423),
+    ("GMAN", 0xdefe_b037_8207_4c30),
+    ("AGCRN", 0x50c5_4e54_49b8_ae8c),
+    ("MTGNN", 0xdded_8004_c5d1_71b4),
+    ("STSHN", 0x9b84_7e5c_dfaa_6084),
+    ("DMSTGCN", 0x3631_4b53_b4d1_565c),
+];
+
 /// The model-level gate: ST-HSL and every neural baseline, trained end to end
 /// by the one `TrainLoop`, must finish with the same parameter bits at 1 and
-/// at 4 threads. The kernel tests above fuzz shapes; this one runs the shapes
-/// the models actually build, on a grid large enough (64 regions) that their
-/// matmuls split into several bands.
+/// at 4 threads, and the 1-thread bits must hash to [`TRAINED_DIGESTS`]. The
+/// kernel tests above fuzz shapes; this one runs the shapes the models
+/// actually build, on a grid large enough (64 regions) that their matmuls
+/// split into several bands.
 #[test]
 fn every_neural_model_trains_bit_identically_at_1_and_4_threads() {
     let _guard = config_lock();
@@ -542,6 +568,12 @@ fn every_neural_model_trains_bit_identically_at_1_and_4_threads() {
     let threaded = trained_bits(4);
     set_num_threads(0);
     assert_eq!(serial.len(), 14, "ST-HSL and the 13 neural baselines");
+    let digests: Vec<(&str, u64)> =
+        serial.iter().map(|(name, bits)| (name.as_str(), fnv1a(bits.iter().copied()))).collect();
+    assert_eq!(
+        digests, TRAINED_DIGESTS,
+        "1-thread trained parameters differ from the pinned digests; a kernel moved a bit"
+    );
     let differing: Vec<&str> = serial
         .iter()
         .zip(&threaded)
