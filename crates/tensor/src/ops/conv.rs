@@ -14,20 +14,38 @@
 //! - **Input gradient:** `g·w` in `co → oy → ox` order, which for a fixed
 //!   input element is `co` ascending, then `ky`, `kx` *descending*.
 //! - **Weight gradient:** `g·x` in `(bi, oy, ox)` order.
+//! - **Bias gradient:** per batch element, its plane summed in `(oy, ox)`
+//!   order from `-0.0` (as `Iterator::sum` sums it), added in batch order.
 //!
 //! **Forward and input gradient: batch elements are the vector lanes.** The
 //! model's rows are short (8 or 14 floats) but its conv batches are long
 //! (224 to 4096 elements), and every batch element uses the same taps. So
 //! both passes pack the source blocks of [`P`] = 16 batch elements into a
 //! lane-major panel and accumulate each destination element in 16 lanes at
-//! once, one register-resident accumulator per lane, then write each lane
-//! back to its own batch element. One driver ([`panel_pass`]) serves both,
-//! because the input gradient is the forward pass of the flipped kernel; each
-//! pass brings its own tap table ([`Taps`]) and term. The forward table walks
-//! `(ci, ky, kx)` ascending from the bias; the input-gradient table walks
-//! `co` ascending, then `ky`, `kx` descending, from `+0.0`. Taps that fall
-//! into the zero padding are left out of the table, so they are skipped for
-//! all 16 lanes at once, as the oracle's `continue` skips them.
+//! once, register-resident, then write each lane back to its own batch
+//! element. One driver ([`panel_pass`]) serves both, because the input
+//! gradient is the forward pass of the flipped kernel; each pass brings its
+//! own tap table ([`Taps`]). The forward table walks `(ci, ky, kx)`
+//! ascending from the bias; the input-gradient table walks `co` ascending,
+//! then `ky`, `kx` descending, from `+0.0`. Taps that fall into the zero
+//! padding are left out of the table, so they are skipped for all 16 lanes
+//! at once, as the oracle's `continue` skips them.
+//!
+//! **Tiles.** One destination per panel-row load would be one dependent add
+//! chain, which waits on the add latency. So each tap's panel row and
+//! weight serve a tile of four destinations, four 16-lane accumulators
+//! whose add chains overlap:
+//! - **C→C, at least 4 destination channels** (the model's 4→4 spatial and
+//!   temporal layers): four destination channels of one pixel share each
+//!   panel row, each with its own weight; the channels past the last block
+//!   of four run one at a time.
+//! - **Fewer than 4 destination channels** (the 1→1 global temporal stack,
+//!   batch 4096): four consecutive panels, 64 batch elements, share each
+//!   tap's weight; the last 0–3 panels run one at a time.
+//!
+//! Every destination still folds its own taps in table order, from its own
+//! start, so a tile changes which destinations run side by side, never a
+//! destination's operations or their order.
 //!
 //! **Weight gradient: out-channel lanes.** Its `(bi, oy, ox)` order runs
 //! serially over the batch, so batch lanes would reorder its sums; the
@@ -49,17 +67,20 @@
 //! the CPU has one. The operations and their order are the same at every
 //! level, and so are the bits.
 //!
-//! Where a lane must skip a term for a zero `grad_out` element, it adds a
-//! zero instead. In the input gradient that is `-0.0`: under
-//! round-to-nearest, `x + (-0.0)` returns `x` bit for bit for every `x`
-//! except a signalling NaN: `-0.0 + -0.0 = -0.0`, `+0.0 + -0.0 = +0.0`,
-//! infinities and quiet NaNs pass through. Arithmetic never produces a
-//! signalling NaN, so a branch-free lane matches the skipped term exactly.
-//! (Multiplying instead would not: `0·∞` is NaN and `-0.0 + 0·w` can flip
-//! the sign of a zero.) The weight gradient adds `+0.0`, which one `and`
-//! selects: its sums start at `+0.0`, and with no flush to zero a sum is
-//! `-0.0` only when both addends are, so none of its sums is ever `-0.0`,
-//! and `x + (+0.0)` returns every other `x` bit for bit.
+//! **Zero gradients.** The oracle's input gradient skips a zero `grad_out`
+//! element. Over finite weights a tile adds its term anyway: `±0·w` is `±0`
+//! for a finite `w`, an input-gradient sum starts at `+0.0` and, with no
+//! flush to zero, is `-0.0` only when both addends are, so it is never
+//! `-0.0`; and `x + (±0)` returns every other `x` bit for bit. So adding the
+//! term equals skipping it, and the tiles need no test. [`grad_input`] scans
+//! the weights once per call, branch-free, as the matmul kernel scans its
+//! rhs slice; only weights holding a NaN or ±∞ run the lane select, where
+//! `0·∞` would be NaN. That select adds `-0.0` instead of the term: under
+//! round-to-nearest `x + (-0.0)` returns `x` bit for bit for every `x`
+//! except a signalling NaN, which arithmetic never produces. The weight
+//! gradient adds `+0.0`, which one `and` selects: its sums start at `+0.0`
+//! and so, as above, are never `-0.0`, and `x + (+0.0)` returns every other
+//! `x` bit for bit.
 //!
 //! A 1-D convolution is the 2-D one over a single row whose column taps are
 //! dilated, so both share [`Geom`] and one kernel per pass. Its geometry is
@@ -80,6 +101,7 @@
 
 use std::ops::Range;
 
+use super::matmul::all_finite;
 use crate::simd::wide;
 use crate::{Result, Tensor, TensorError};
 
@@ -163,13 +185,6 @@ impl ConvView {
         Ok(())
     }
 
-    /// Where batch element `b` starts.
-    #[inline(always)]
-    fn base(&self, b: usize) -> usize {
-        let [(_, outer), (n, inner)] = self.batch;
-        b / n * outer + b % n * inner
-    }
-
     /// Where each element of one batch element sits from its start, in
     /// `(channel, row, column)` order.
     fn cells(&self) -> Vec<usize> {
@@ -183,10 +198,23 @@ impl ConvView {
         cells
     }
 
-    /// Where each of the `lanes` batch elements from `b0` on starts.
+    /// Where each of the `lanes` batch elements from `b0` on starts: one
+    /// division for the first, then a step along the inner batch axis.
     #[inline(always)]
     fn bases(&self, b0: usize, lanes: usize) -> [usize; P] {
-        std::array::from_fn(|l| if l < lanes { self.base(b0 + l) } else { 0 })
+        let [(_, outer), (n, inner)] = self.batch;
+        let (mut q, mut r) = (b0 / n, b0 % n);
+        std::array::from_fn(|l| {
+            if l >= lanes {
+                return 0;
+            }
+            let at = q * outer + r * inner;
+            r += 1;
+            if r == n {
+                (q, r) = (q + 1, 0);
+            }
+            at
+        })
     }
 
     /// Fill every element of `data`, with values made in the operand's
@@ -631,24 +659,22 @@ struct WeightTap {
 
 /// `out[p] = bias + Σ x·w` over `(ci, ky, kx)`, 16 batch elements at a time.
 fn forward(x: &[f32], wt: &[f32], bias: Option<&[f32]>, g: Geom) -> Result<Vec<f32>> {
-    let init = move |co: usize| bias.map_or(0.0, |bd| bd[co]);
-    panel_pass(x, wt, g, false, init, move |acc, row, wv| {
-        for (a, &xv) in acc.iter_mut().zip(row) {
-            *a += xv * wv;
-        }
-    })
+    let init: Vec<f32> = (0..g.cout).map(|co| bias.map_or(0.0, |bd| bd[co])).collect();
+    panel_pass::<false>(x, wt, g, false, &init)
 }
 
 /// `gx[i] += g·w` in the oracle's `co → oy → ox` order, 16 batch elements at
-/// a time: the forward pass of the flipped kernel.
+/// a time: the forward pass of the flipped kernel. The oracle skips a zero
+/// `g`; over finite weights every term is added instead, which gives the
+/// same bits (`±0·w` is `±0`, and a sum that starts at `+0.0` is never
+/// `-0.0`), and only weights holding a NaN or ±∞ run the lane select.
 fn grad_input(go: &[f32], wt: &[f32], g: Geom) -> Result<Vec<f32>> {
-    let term = move |acc: &mut [f32; P], row: &[f32; P], wv: f32| {
-        for (a, &gv) in acc.iter_mut().zip(row) {
-            // A zero gradient adds -0.0: the oracle's skip, as a lane select.
-            *a += if gv == 0.0 { -0.0 } else { gv * wv };
-        }
-    };
-    panel_pass(go, wt, g, true, move |_| 0.0, term)
+    let init = vec![0.0; g.cin];
+    if all_finite(wt) {
+        panel_pass::<false>(go, wt, g, true, &init)
+    } else {
+        panel_pass::<true>(go, wt, g, true, &init)
+    }
 }
 
 /// The tap table of one pass: for each destination pixel, the `(source
@@ -714,23 +740,37 @@ fn at(i: u32) -> usize {
     usize::try_from(i).unwrap_or(usize::MAX)
 }
 
+/// Destination channels one channel tile folds at once: each panel row it
+/// loads serves that many.
+const CHANNELS: usize = 4;
+
+/// Panels one batch tile packs: a band with fewer than [`CHANNELS`]
+/// destination channels takes its batch elements `QUAD`·[`P`] at a time,
+/// so that each tap's weight serves four panels.
+const QUAD: usize = 4;
+
 /// The panel driver shared by `forward` (`flip = false`: `src` is the input)
 /// and `grad_input` (`flip = true`: `src` is `grad_out`). Batch elements are
 /// the vector lanes: each panel packs the source blocks of up to [`P`] of
 /// them lane-major, then every destination element starts from
-/// `init(channel)` and folds in its taps with `term(acc, source, weight)` in
-/// table order, all lanes at once. Lanes past the batch's end compute on
-/// stale data and are never written back. Source and destination are read
-/// and written through their views; where a panel's lanes are 16 adjacent
-/// floats (the model's layouts put the embedding slots there), a panel row
-/// is one copy.
-fn panel_pass(
+/// `init[channel]` and folds in its taps with [`term`] in table order, all
+/// lanes at once. A tile folds several destinations side by side, so that
+/// one panel row load feeds several add chains: a band with at least
+/// [`CHANNELS`] destination channels folds them four at a time per panel (and
+/// the channels past the last block of four one at a time); a band with
+/// fewer folds [`QUAD`] consecutive panels per channel (and the last 0–3
+/// panels one at a time). Each destination keeps its own taps in their
+/// order, so its bits do not depend on the tile. Lanes past the batch's end
+/// compute on stale data and are never written back. Source and destination
+/// are read and written through their views; where a panel's lanes are 16
+/// adjacent floats (the model's layouts put the embedding slots there), a
+/// panel row is one copy.
+fn panel_pass<const SKIP: bool>(
     src: &[f32],
     wt: &[f32],
     g: Geom,
     flip: bool,
-    init: impl Fn(usize) -> f32 + Sync,
-    term: impl Fn(&mut [f32; P], &[f32; P], f32) + Sync,
+    init: &[f32],
 ) -> Result<Vec<f32>> {
     let table = Taps::new(&g, flip)?;
     let (xview, yview) = g.views();
@@ -754,6 +794,7 @@ fn panel_pass(
         _ => (MIN_WORK_PER_BAND / per_unit).max(1),
     };
     let (units, stride) = (split.units, split.stride);
+    let pass = Pass { table: &table, wt, wdst, init };
     sthsl_parallel::parallel_rows_mut(
         &mut out,
         units,
@@ -763,35 +804,144 @@ fn panel_pass(
             wide!(band, |band| {
                 let start = band_units.start * stride;
                 let (batch, chans, pixels) = split.work(band_units.clone(), g.b, dch, dplane);
-                let mut panel = vec![[0.0f32; P]; rows.len()];
-                for b0 in batch.clone().step_by(P) {
-                    let lanes = P.min(batch.end - b0);
-                    let (sbase, dbase) = (sview.bases(b0, lanes), dview.bases(b0, lanes));
-                    pack(&mut panel, src, &sbase, lanes, &rows);
-                    let dense = adjacent(&dbase, lanes);
-                    for dc in chans.clone() {
-                        let wk = &wt[dc * wdst..];
-                        let acc0 = init(dc);
-                        for p in pixels.clone() {
-                            let mut acc = [acc0; P];
-                            for &(s, o) in &table.taps[table.ends[p]..table.ends[p + 1]] {
-                                term(&mut acc, &panel[at(s)], wk[at(o)]);
+                let quad = chans.len() < CHANNELS;
+                let mut panel = vec![[0.0f32; P]; rows.len() * if quad { QUAD } else { 1 }];
+                let mut b0 = batch.start;
+                while b0 < batch.end {
+                    let q = if quad && batch.end - b0 > (QUAD - 1) * P { QUAD } else { 1 };
+                    let lanes: [usize; QUAD] =
+                        std::array::from_fn(|i| P.min(batch.end.saturating_sub(b0 + i * P)));
+                    let dst = Dst::new(&dview, b0, &lanes[..q], start);
+                    for (i, &n) in lanes[..q].iter().enumerate() {
+                        let at = sview.bases(b0 + i * P, n);
+                        pack(panel.iter_mut().skip(i).step_by(q), src, &at, n, &rows);
+                    }
+                    let panel = &panel[..rows.len() * q];
+                    if q == QUAD {
+                        for dc in chans.clone() {
+                            for p in pixels.clone() {
+                                let acc = pass.tile::<1, QUAD, SKIP>(panel, dc, p);
+                                dst.store(band, &acc, &cells, dc * dplane + p, dplane);
                             }
-                            let cell = cells[dc * dplane + p];
-                            if dense {
-                                band[dbase[0] + cell - start..][..P].copy_from_slice(&acc);
-                            } else {
-                                for (&a, &base) in acc[..lanes].iter().zip(&dbase) {
-                                    band[base + cell - start] = a;
-                                }
+                        }
+                    } else {
+                        let mut dc = chans.start;
+                        while dc + CHANNELS <= chans.end {
+                            for p in pixels.clone() {
+                                let acc = pass.tile::<CHANNELS, 1, SKIP>(panel, dc, p);
+                                dst.store(band, &acc, &cells, dc * dplane + p, dplane);
+                            }
+                            dc += CHANNELS;
+                        }
+                        for dc in dc..chans.end {
+                            for p in pixels.clone() {
+                                let acc = pass.tile::<1, 1, SKIP>(panel, dc, p);
+                                dst.store(band, &acc, &cells, dc * dplane + p, dplane);
                             }
                         }
                     }
+                    b0 += q * P;
                 }
             });
         },
     );
     Ok(out)
+}
+
+/// What every tile of one pass reads: the tap table, the weights (those of
+/// destination channel `c` from `c·wdst` on) and each destination channel's
+/// starting value.
+#[derive(Clone, Copy)]
+struct Pass<'a> {
+    table: &'a Taps,
+    wt: &'a [f32],
+    wdst: usize,
+    init: &'a [f32],
+}
+
+impl Pass<'_> {
+    /// Destination pixel `p` of the `C` channels from `dc` on, in each of
+    /// the `Q` panels of `panel` (row `s` of panel `q` at `s·Q + q`): each
+    /// of the `C·Q` destinations starts from its channel's `init` and folds
+    /// in the pixel's taps in table order, and each panel row and weight is
+    /// loaded once for all of them.
+    #[inline(always)]
+    fn tile<const C: usize, const Q: usize, const SKIP: bool>(
+        &self,
+        panel: &[[f32; P]],
+        dc: usize,
+        p: usize,
+    ) -> [[[f32; P]; Q]; C] {
+        let mut acc: [[[f32; P]; Q]; C] = std::array::from_fn(|c| [[self.init[dc + c]; P]; Q]);
+        let w: [&[f32]; C] = std::array::from_fn(|c| &self.wt[(dc + c) * self.wdst..]);
+        let taps = &self.table.taps[self.table.ends[p]..self.table.ends[p + 1]];
+        for &(s, o) in taps {
+            let rows: [&[f32; P]; Q] = std::array::from_fn(|q| &panel[at(s) * Q + q]);
+            let wv: [f32; C] = std::array::from_fn(|c| w[c][at(o)]);
+            for (sums, wv) in acc.iter_mut().zip(wv) {
+                for (a, row) in sums.iter_mut().zip(rows) {
+                    term::<SKIP>(a, row, wv);
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// `acc[l] += row[l]·w` for every lane. With `SKIP`, a zero `row` value
+/// adds `-0.0` instead: the oracle's skip, as a lane select (module docs).
+#[inline(always)]
+fn term<const SKIP: bool>(acc: &mut [f32; P], row: &[f32; P], wv: f32) {
+    for (a, &v) in acc.iter_mut().zip(row) {
+        *a += if SKIP && v == 0.0 { -0.0 } else { v * wv };
+    }
+}
+
+/// Where the batch elements of up to [`QUAD`] consecutive panels from `b0`
+/// on sit in a band that starts at `start`.
+struct Dst {
+    base: [[usize; P]; QUAD],
+    lanes: [usize; QUAD],
+    dense: [bool; QUAD],
+    start: usize,
+}
+
+impl Dst {
+    fn new(view: &ConvView, b0: usize, lanes: &[usize], start: usize) -> Dst {
+        let mut dst = Dst { base: [[0; P]; QUAD], lanes: [0; QUAD], dense: [false; QUAD], start };
+        for (q, &n) in lanes.iter().enumerate() {
+            dst.base[q] = view.bases(b0 + q * P, n);
+            dst.lanes[q] = n;
+            dst.dense[q] = adjacent(&dst.base[q], n);
+        }
+        dst
+    }
+
+    /// Write a tile's sums: those of channel `c`, panel `q` to destination
+    /// element `cells[d + c·dplane]` of the panel's batch elements.
+    #[inline(always)]
+    fn store<const C: usize, const Q: usize>(
+        &self,
+        band: &mut [f32],
+        acc: &[[[f32; P]; Q]; C],
+        cells: &[usize],
+        d: usize,
+        dplane: usize,
+    ) {
+        for (c, sums) in acc.iter().enumerate() {
+            let cell = cells[d + c * dplane];
+            for (q, a) in sums.iter().enumerate() {
+                let base = &self.base[q];
+                if self.dense[q] {
+                    band[base[0] + cell - self.start..][..P].copy_from_slice(a);
+                } else {
+                    for (&v, &b) in a[..self.lanes[q]].iter().zip(base) {
+                        band[b + cell - self.start] = v;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Whether the `lanes` batch elements starting at `base` are a full panel
@@ -802,17 +952,23 @@ fn adjacent(base: &[usize; P], lanes: usize) -> bool {
 }
 
 /// Pack the source rows `rows` of the batch elements starting at `base`
-/// into `panel`, lane-major.
+/// into the panel rows `panel`, lane-major.
 #[inline(always)]
-fn pack(panel: &mut [[f32; P]], src: &[f32], base: &[usize; P], lanes: usize, rows: &[usize]) {
+fn pack<'a>(
+    panel: impl Iterator<Item = &'a mut [f32; P]>,
+    src: &[f32],
+    base: &[usize; P],
+    lanes: usize,
+    rows: &[usize],
+) {
     if adjacent(base, lanes) {
-        for (row, &r) in panel.iter_mut().zip(rows) {
+        for (row, &r) in panel.zip(rows) {
             row.copy_from_slice(&src[base[0] + r..][..P]);
         }
     } else {
-        for (l, &b) in base[..lanes].iter().enumerate() {
-            for (row, &r) in panel.iter_mut().zip(rows) {
-                row[l] = src[b + r];
+        for (row, &r) in panel.zip(rows) {
+            for (v, &b) in row.iter_mut().zip(&base[..lanes]) {
+                *v = src[b + r];
             }
         }
     }
@@ -1194,7 +1350,12 @@ fn add_lanes<const C: usize>(sums: &mut [f32; C], gv: &[f32; C], xv: f32) {
 }
 
 /// Bias gradient: per out-channel sum of `grad_out` over batch and plane,
-/// read through its view, each plane summed in `(oy, ox)` order.
+/// read through its view: each batch element's plane is summed in `(oy, ox)`
+/// order from `-0.0`, as `Iterator::sum::<f32>` sums it, and the plane sums
+/// go into the channel's total in batch order. Where a panel's [`P`] batch
+/// elements are adjacent floats (an inner batch axis of stride 1, as in all
+/// the model's views), they are the lanes: each lane sums its own plane, and
+/// the 16 sums then join the total one by one, in batch order.
 fn grad_bias(go: &[f32], view: ConvView) -> Result<Tensor> {
     let cout = view.channels.0;
     let cells = view.cells();
@@ -1203,12 +1364,32 @@ fn grad_bias(go: &[f32], view: ConvView) -> Result<Tensor> {
         return Tensor::from_vec(gb, &[cout]);
     }
     let plane = cells.len() / cout;
-    for bi in 0..view.batch_len() {
-        let base = view.base(bi);
-        for (gbc, cells) in gb.iter_mut().zip(cells.chunks_exact(plane)) {
-            *gbc += cells.iter().map(|&c| go[base + c]).sum::<f32>();
+    let b = view.batch_len();
+    wide!(&mut gb, |gb| {
+        for b0 in (0..b).step_by(P) {
+            let lanes = P.min(b - b0);
+            let base = view.bases(b0, lanes);
+            if adjacent(&base, lanes) {
+                for (total, cells) in gb.iter_mut().zip(cells.chunks_exact(plane)) {
+                    let mut sums = [-0.0f32; P];
+                    for &c in cells {
+                        for (s, &v) in sums.iter_mut().zip(&go[base[0] + c..][..P]) {
+                            *s += v;
+                        }
+                    }
+                    for s in sums {
+                        *total += s;
+                    }
+                }
+            } else {
+                for &at in &base[..lanes] {
+                    for (total, cells) in gb.iter_mut().zip(cells.chunks_exact(plane)) {
+                        *total += cells.iter().fold(-0.0, |sum, &c| sum + go[at + c]);
+                    }
+                }
+            }
         }
-    }
+    });
     Tensor::from_vec(gb, &[cout])
 }
 

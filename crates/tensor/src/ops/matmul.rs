@@ -94,7 +94,7 @@ impl Product {
 
 /// Whether every value of `s` is finite, in one branch-free pass.
 #[inline(always)]
-fn all_finite(s: &[f32]) -> bool {
+pub(crate) fn all_finite(s: &[f32]) -> bool {
     s.iter().fold(true, |ok, v| ok & v.is_finite())
 }
 

@@ -362,6 +362,21 @@ pub fn conv1d_grad_weight(
     Tensor::from_vec(gw, weight_shape).unwrap()
 }
 
+/// The bias gradient of a conv with a contiguous `[B, Cout, ..]`
+/// `grad_out`: per out-channel, each batch element's plane summed by
+/// `Iterator::sum`, added in batch order.
+pub fn conv_grad_bias(grad_out: &Tensor) -> Tensor {
+    let (b, cout) = (grad_out.shape()[0], grad_out.shape()[1]);
+    let plane: usize = grad_out.shape()[2..].iter().product();
+    let mut gb = vec![0.0f32; cout];
+    for bi in 0..b {
+        for (co, total) in gb.iter_mut().enumerate() {
+            *total += grad_out.data()[(bi * cout + co) * plane..][..plane].iter().sum::<f32>();
+        }
+    }
+    Tensor::from_vec(gb, &[cout]).unwrap()
+}
+
 pub fn permute(t: &Tensor, perm: &[usize]) -> Tensor {
     let ndim = t.ndim();
     let in_shape = t.shape();
@@ -627,25 +642,45 @@ mod tests {
             let x = tensor(&mut rng, &[b, cin, h, w], 0.1, special);
             let wt = tensor(&mut rng, &[cout, cin, kh, kw], 0.1, special);
             let bias = tensor(&mut rng, &[cout], 0.5, false);
+            let (oh, ow) = (h + 2 * pad.0 + 1 - kh, w + 2 * pad.1 + 1 - kw);
+            let go = tensor(&mut rng, &[b, cout, oh, ow], 0.4, special);
             let label = format!(
                 "{level} b{b} {cin}->{cout} {h}x{w} k{kh}x{kw} pad{pad:?} special={special}"
             );
-            let y = x.conv2d(&wt, Some(&bias), pad).unwrap();
-            assert_bits(&format!("conv2d {label}"), &y, &super::conv2d(&x, &wt, Some(&bias), pad));
-            let y0 = x.conv2d(&wt, None, pad).unwrap();
-            assert_bits(&format!("conv2d nobias {label}"), &y0, &super::conv2d(&x, &wt, None, pad));
-            let go = tensor(&mut rng, y.shape(), 0.4, special);
-            assert_bits(
-                &format!("conv2d_grad_input {label}"),
-                &Tensor::conv2d_grad_input(&go, &wt, x.shape(), pad).unwrap(),
-                &super::conv2d_grad_input(&go, &wt, x.shape(), pad),
-            );
-            assert_bits(
-                &format!("conv2d_grad_weight {label}"),
-                &Tensor::conv2d_grad_weight(&go, &x, wt.shape(), pad).unwrap(),
-                &super::conv2d_grad_weight(&go, &x, wt.shape(), pad),
-            );
+            check_conv2d(&label, &x, &wt, &bias, &go, pad);
         }
+    }
+
+    /// Every conv2d kernel against its oracle on one case: the forward pass
+    /// with and without bias, and the input, weight and bias gradients of
+    /// `go`.
+    fn check_conv2d(
+        label: &str,
+        x: &Tensor,
+        wt: &Tensor,
+        bias: &Tensor,
+        go: &Tensor,
+        pad: (usize, usize),
+    ) {
+        let y = x.conv2d(wt, Some(bias), pad).unwrap();
+        assert_bits(&format!("conv2d {label}"), &y, &super::conv2d(x, wt, Some(bias), pad));
+        let y0 = x.conv2d(wt, None, pad).unwrap();
+        assert_bits(&format!("conv2d nobias {label}"), &y0, &super::conv2d(x, wt, None, pad));
+        assert_bits(
+            &format!("conv2d_grad_input {label}"),
+            &Tensor::conv2d_grad_input(go, wt, x.shape(), pad).unwrap(),
+            &super::conv2d_grad_input(go, wt, x.shape(), pad),
+        );
+        assert_bits(
+            &format!("conv2d_grad_weight {label}"),
+            &Tensor::conv2d_grad_weight(go, x, wt.shape(), pad).unwrap(),
+            &super::conv2d_grad_weight(go, x, wt.shape(), pad),
+        );
+        assert_bits(
+            &format!("conv2d_grad_bias {label}"),
+            &Tensor::conv2d_grad_bias(go).unwrap(),
+            &super::conv_grad_bias(go),
+        );
     }
 
     #[test]
@@ -705,26 +740,109 @@ mod tests {
             let x = tensor(&mut rng, &[b, cin, l], 0.1, special);
             let wt = tensor(&mut rng, &[cout, cin, k], 0.1, special);
             let bias = tensor(&mut rng, &[cout], 0.5, false);
+            let ol = l + pad.left + pad.right - dilation * (k - 1);
+            let go = tensor(&mut rng, &[b, cout, ol], 0.4, special);
             let label = format!(
                 "{level} b{b} {cin}->{cout} l{l} k{k} d{dilation} {pad:?} special={special}"
             );
-            let y = x.conv1d(&wt, Some(&bias), pad, dilation).unwrap();
-            assert_bits(
-                &format!("conv1d {label}"),
-                &y,
-                &super::conv1d(&x, &wt, Some(&bias), pad, dilation),
-            );
-            let go = tensor(&mut rng, y.shape(), 0.4, special);
-            assert_bits(
-                &format!("conv1d_grad_input {label}"),
-                &Tensor::conv1d_grad_input(&go, &wt, x.shape(), pad, dilation).unwrap(),
-                &super::conv1d_grad_input(&go, &wt, x.shape(), pad, dilation),
-            );
-            assert_bits(
-                &format!("conv1d_grad_weight {label}"),
-                &Tensor::conv1d_grad_weight(&go, &x, wt.shape(), pad, dilation).unwrap(),
-                &super::conv1d_grad_weight(&go, &x, wt.shape(), pad, dilation),
-            );
+            check_conv1d(&label, &x, &wt, &bias, &go, pad, dilation);
+        }
+    }
+
+    /// Every conv1d kernel against its oracle on one case: the forward
+    /// pass, and the input, weight and bias gradients of `go`.
+    fn check_conv1d(
+        label: &str,
+        x: &Tensor,
+        wt: &Tensor,
+        bias: &Tensor,
+        go: &Tensor,
+        pad: Pad1d,
+        dilation: usize,
+    ) {
+        assert_bits(
+            &format!("conv1d {label}"),
+            &x.conv1d(wt, Some(bias), pad, dilation).unwrap(),
+            &super::conv1d(x, wt, Some(bias), pad, dilation),
+        );
+        assert_bits(
+            &format!("conv1d_grad_input {label}"),
+            &Tensor::conv1d_grad_input(go, wt, x.shape(), pad, dilation).unwrap(),
+            &super::conv1d_grad_input(go, wt, x.shape(), pad, dilation),
+        );
+        assert_bits(
+            &format!("conv1d_grad_weight {label}"),
+            &Tensor::conv1d_grad_weight(go, x, wt.shape(), pad, dilation).unwrap(),
+            &super::conv1d_grad_weight(go, x, wt.shape(), pad, dilation),
+        );
+        assert_bits(
+            &format!("conv1d_grad_bias {label}"),
+            &Tensor::conv1d_grad_bias(go).unwrap(),
+            &super::conv_grad_bias(go),
+        );
+    }
+
+    /// Fixed rows for the forward and input-gradient tiles, at each vector
+    /// level and at 1 and 4 threads:
+    /// - the model's 4→4 spatial and temporal shapes with one non-finite
+    ///   weight (∞, then NaN), in the last out-channel's last tap only: the
+    ///   input gradient's weight scan must reach it, or a zero `grad_out`
+    ///   meets it as `0·∞ = NaN` where the oracle skips the term;
+    /// - 5, 6 and 7 channels, a block of four plus a tail, with 2 channels
+    ///   on the other side, whose pass folds four panels per channel;
+    /// - 1→1 batches of `64·k + r`, so the four-panel tile meets every
+    ///   remainder, in one band and (at 4 threads) in several.
+    #[test]
+    fn conv_tiles_match_oracle_bits() {
+        for threads in [1, 4] {
+            sthsl_parallel::set_num_threads(threads);
+            at_each_level(|level| tile_cases(&format!("{level} t{threads}")));
+        }
+        sthsl_parallel::set_num_threads(0);
+    }
+
+    fn tile_cases(level: &str) {
+        let mut rng = StdRng::seed_from_u64(0x711e);
+        let same = Pad1d::same(3);
+        for bad in [f32::INFINITY, f32::NAN] {
+            let label = format!("{level} {bad} in the last weight only");
+            let x = tensor(&mut rng, &[224, 4, 8, 8], 0.1, false);
+            let mut wt = tensor(&mut rng, &[4, 4, 3, 3], 0.1, false);
+            *wt.data_mut().last_mut().unwrap() = bad;
+            let bias = tensor(&mut rng, &[4], 0.5, false);
+            let go = tensor(&mut rng, &[224, 4, 8, 8], 0.4, false);
+            check_conv2d(&format!("b224 4->4 8x8 {label}"), &x, &wt, &bias, &go, (1, 1));
+            let x = tensor(&mut rng, &[1024, 4, 14], 0.1, false);
+            let mut wt = tensor(&mut rng, &[4, 4, 3], 0.1, false);
+            *wt.data_mut().last_mut().unwrap() = bad;
+            let go = tensor(&mut rng, &[1024, 4, 14], 0.4, false);
+            check_conv1d(&format!("b1024 4->4 l14 {label}"), &x, &wt, &bias, &go, same, 1);
+        }
+        for c in [5, 6, 7] {
+            for (cin, cout) in [(c, c), (2, c), (c, 2)] {
+                let special = rng.gen_bool(0.5);
+                let label = format!("{level} b40 {cin}->{cout} special={special}");
+                let x = tensor(&mut rng, &[40, cin, 5, 6], 0.1, special);
+                let wt = tensor(&mut rng, &[cout, cin, 3, 3], 0.1, special);
+                let bias = tensor(&mut rng, &[cout], 0.5, false);
+                let go = tensor(&mut rng, &[40, cout, 5, 6], 0.4, special);
+                check_conv2d(&format!("{label} 5x6 k3x3"), &x, &wt, &bias, &go, (1, 1));
+                let x = tensor(&mut rng, &[40, cin, 9], 0.1, special);
+                let wt = tensor(&mut rng, &[cout, cin, 3], 0.1, special);
+                let go = tensor(&mut rng, &[40, cout, 9], 0.4, special);
+                check_conv1d(&format!("{label} l9 k3"), &x, &wt, &bias, &go, same, 1);
+            }
+        }
+        for k in [3, 40] {
+            for r in [1, 15, 16, 17, 48] {
+                let (b, special) = (64 * k + r, rng.gen_bool(0.5));
+                let x = tensor(&mut rng, &[b, 1, 14], 0.1, special);
+                let wt = tensor(&mut rng, &[1, 1, 3], 0.1, special);
+                let bias = tensor(&mut rng, &[1], 0.5, false);
+                let go = tensor(&mut rng, &[b, 1, 14], 0.4, special);
+                let label = format!("{level} b{b} 1->1 l14 k3 special={special}");
+                check_conv1d(&label, &x, &wt, &bias, &go, same, 1);
+            }
         }
     }
 
@@ -838,9 +956,6 @@ mod tests {
                 let gw = Tensor::conv2d_view_grad_weight(&go, &x, wt.shape(), pad, Some(view));
                 let want = Tensor::conv2d_grad_weight(&goc, &xc, wt.shape(), pad).unwrap();
                 assert_bits(&format!("conv2d_grad_weight {label}"), &gw.unwrap(), &want);
-                let want = Tensor::conv2d_grad_bias(&goc).unwrap();
-                let gb = Tensor::conv_view_grad_bias(&go, view).unwrap();
-                assert_bits(&format!("conv2d grad_bias {label}"), &gb, &want);
             } else {
                 let dilation = rng.gen_range(1..4usize);
                 let span = dilation * (k - 1);
@@ -864,10 +979,9 @@ mod tests {
                 let want =
                     Tensor::conv1d_grad_weight(&goc, &xc, wt.shape(), pad, dilation).unwrap();
                 assert_bits(&format!("conv1d_grad_weight {label}"), &gw.unwrap(), &want);
-                let want = Tensor::conv1d_grad_bias(&goc).unwrap();
-                let gb = Tensor::conv_view_grad_bias(&go, view).unwrap();
-                assert_bits(&format!("conv1d grad_bias {label}"), &gb, &want);
             }
+            let gb = Tensor::conv_view_grad_bias(&go, view).unwrap();
+            assert_bits(&format!("grad_bias {label}"), &gb, &super::conv_grad_bias(&goc));
             let seed = rng.gen::<u64>();
             let mask =
                 Tensor::dropout_mask_view(x.shape(), 0.8, &view, &mut StdRng::seed_from_u64(seed));
