@@ -1,11 +1,10 @@
 //! Every neural baseline's training graph must statically certify: shapes
-//! consistent, every parameter grad-reachable, every value interval bounded,
-//! no structural defects and no warnings. This is the fleet-wide guarantee
-//! `--graph-audit` exposes on the CLI.
+//! consistent, every parameter grad-reachable, no dead compute, every value
+//! interval bounded and no structural defects. This is the fleet-wide
+//! guarantee `--graph-audit` exposes on the CLI.
 
 use sthsl_baselines::{all_auditable, BaselineConfig};
 use sthsl_data::{CrimeDataset, DatasetConfig, SynthCity, SynthConfig};
-use sthsl_graphcheck::Severity;
 
 fn tiny_dataset() -> CrimeDataset {
     let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 80)).unwrap();
@@ -39,15 +38,6 @@ fn every_neural_baseline_certifies_clean() {
             ranges.bounded,
             ranges.total,
             "{}: every interval must be bounded:\n{}",
-            model.name(),
-            report.render()
-        );
-        // No advisory findings either (GWN's last TCN layer feeds only its
-        // skip connection, so its tape carries no dead residual add).
-        assert_eq!(
-            report.count(Severity::Warning),
-            0,
-            "{}: unexpected warnings:\n{}",
             model.name(),
             report.render()
         );

@@ -1,10 +1,10 @@
 //! Statically certifies the training graph of every model at the chosen
 //! scale before any experiment spends compute on it: shape consistency,
-//! gradient flow into every parameter, value ranges (overflow and NaN
-//! poles) and float error, with the tape's total output bytes from the cost
-//! model, per model. Fails (non-zero exit) if any graph
-//! carries an error-level finding, so `run_all` stops before burning hours
-//! on a miswired model.
+//! gradient flow into every parameter, no dead compute and value ranges
+//! (overflow and NaN poles), with the tape's total output bytes from the
+//! cost model, per model. Fails (non-zero exit) if any graph carries an
+//! error-level finding, so `run_all` stops before burning hours on a
+//! miswired model.
 
 use sthsl_baselines::all_auditable;
 use sthsl_bench::{parse_args, write_csv, MarkdownTable, TimingManifest};
@@ -13,8 +13,7 @@ use sthsl_core::StHsl;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args();
     let mut man = TimingManifest::for_args("exp_audit", &args)?;
-    let mut table =
-        MarkdownTable::new(&["Model", "Nodes", "Params", "Tape KiB", "Errors", "Warnings"]);
+    let mut table = MarkdownTable::new(&["Model", "Nodes", "Params", "Tape KiB", "Errors"]);
     let mut failing: Vec<String> = Vec::new();
     // Graph structure depends only on dataset dimensions, which both cities
     // share at a given scale — one city certifies the fleet.
@@ -41,7 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.param_count.to_string(),
             format!("{:.1}", report.cost.as_ref().map_or(0, |c| c.total_out_bytes) as f64 / 1024.0),
             errors.to_string(),
-            report.count(sthsl_graphcheck::Severity::Warning).to_string(),
         ]);
     }
 

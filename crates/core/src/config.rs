@@ -104,6 +104,15 @@ impl Ablation {
         Ablation { fusion: true, contrastive: false, ..Ablation::full() }
     }
 
+    /// Whether the training loss reads the local view: through the
+    /// prediction head ("w/o Global" or fusion) or through the cross-view
+    /// contrastive term, which needs a local encoder to contrast. Where it
+    /// does not ("w/o ConL", "w/o Local"), the loss pass does not record the
+    /// view and the local parameters are expected to stay detached.
+    pub fn loss_reads_local_view(&self) -> bool {
+        !self.global_branch || self.fusion || (self.contrastive && self.local_encoder)
+    }
+
     /// All named Table IV / Fig 5 variants with their paper labels.
     pub fn named_variants() -> Vec<(&'static str, Ablation)> {
         vec![

@@ -139,15 +139,18 @@ impl StHsl {
 
         // (2) Local multi-view encoder, Eqs. 2–3 (handles its own ablations).
         // A loss-building pass records it here, ahead of the global branch,
-        // where training's dropout masks expect it. Inference records it at
-        // the head (step 5), and only if the head reads it (fusion or "w/o
-        // Global"); otherwise it would feed nothing but the contrastive loss.
+        // where training's dropout masks expect it, and only if the loss
+        // reads it. Inference records it at the head (step 5), and only if
+        // the head reads it (fusion or "w/o Global"); otherwise it would feed
+        // nothing but the contrastive loss.
         let local_view = || -> Result<Var> {
             let h_local = self.local.forward(g, pv, e)?; // [R,Tw,C,d]
             g.mean_axis(h_local, 1) // [R,C,d]
         };
         let (local_pooled, corrupt_perm) = match pass {
-            Pass::Loss { corrupt_perm } => (Some(local_view()?), corrupt_perm),
+            Pass::Loss { corrupt_perm } => {
+                (ab.loss_reads_local_view().then(&local_view).transpose()?, corrupt_perm)
+            }
             Pass::Predict => (None, None),
         };
         let head_local = || local_pooled.map_or_else(&local_view, Ok);
@@ -376,11 +379,7 @@ impl StHsl {
     pub fn expected_inactive_prefixes(&self) -> Vec<String> {
         let ab = &self.cfg.ablation;
         let mut prefixes: Vec<&str> = Vec::new();
-        // The local view's output joins the loss through the prediction head
-        // ("w/o Global" or fusion) or through the contrastive coupling; with
-        // all three off ("w/o ConL"), the whole local stack is decorative.
-        let local_output_used = !ab.global_branch || ab.fusion || ab.contrastive;
-        if !ab.local_encoder || !local_output_used {
+        if !ab.local_encoder || !ab.loss_reads_local_view() {
             prefixes.push("local.");
         } else if !ab.temporal_conv {
             prefixes.push("local.temporal");
@@ -407,10 +406,9 @@ impl StHsl {
         out
     }
 
-    /// Run the full static audit (shape, grad-flow, value ranges, float-error
-    /// depth, static cost model) over the graph this model builds for
-    /// training. Does not execute forward or backward beyond the single
-    /// tape-recording pass.
+    /// Run the full static audit (shape, grad-flow, value ranges, static
+    /// cost model) over the graph this model builds for training. Does not
+    /// execute forward or backward beyond the single tape-recording pass.
     pub fn graph_audit(&self, data: &CrimeDataset) -> Result<AuditReport> {
         let (g, loss, params) = self.audit_artifacts(data)?;
         let spec = g.export_tape();
@@ -554,6 +552,27 @@ mod tests {
         }
     }
 
+    /// Op nodes recorded on `g` that are not ancestors of `root`, as
+    /// `%index name`.
+    fn ops_off_the_path(g: &Graph, root: Var) -> Vec<String> {
+        let spec = g.export_tape();
+        let mut needed = vec![false; spec.nodes.len()];
+        needed[root.index()] = true;
+        for i in (0..spec.nodes.len()).rev() {
+            if needed[i] {
+                for &p in &spec.nodes[i].parents {
+                    needed[p] = true;
+                }
+            }
+        }
+        spec.nodes
+            .iter()
+            .enumerate()
+            .filter(|(i, node)| !needed[*i] && !node.kind.is_input())
+            .map(|(i, node)| format!("%{i} {}", node.kind.name()))
+            .collect()
+    }
+
     #[test]
     fn forward_produces_predictions_and_losses() {
         let data = tiny_dataset();
@@ -632,6 +651,9 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             let v = g.value(loss).item().unwrap();
             assert!(v.is_finite(), "{name}: non-finite loss");
+            // Every recorded op reaches the loss: "w/o ConL" and "w/o Local"
+            // do not record the local view their loss never reads.
+            assert_eq!(ops_off_the_path(&g, loss), Vec::<String>::new(), "{name}");
         }
     }
 
@@ -693,23 +715,8 @@ mod tests {
 
             // Every op node on the serving tape is an ancestor of the root.
             let (g, root, _) = model.serving_artifacts(&data).unwrap();
+            assert_eq!(ops_off_the_path(&g, root), Vec::<String>::new(), "{name}");
             let spec = g.export_tape();
-            let mut needed = vec![false; spec.nodes.len()];
-            needed[root.index()] = true;
-            for i in (0..spec.nodes.len()).rev() {
-                if needed[i] {
-                    for &p in &spec.nodes[i].parents {
-                        needed[p] = true;
-                    }
-                }
-            }
-            for (i, node) in spec.nodes.iter().enumerate() {
-                assert!(
-                    needed[i] || node.kind.is_input(),
-                    "{name}: serving node %{i} ({}) does not reach the forecast",
-                    node.kind.name()
-                );
-            }
 
             // Without fusion the head reads only the global view: no local
             // convolution and no contrastive node is recorded. The conv1d

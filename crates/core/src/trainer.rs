@@ -371,9 +371,9 @@ impl TrainLoop {
         }
 
         // Mandatory pre-flight: statically audit the graph this configuration
-        // actually builds — shape consistency, parameter reachability,
-        // value ranges, float error — and refuse to spend a single optimizer
-        // step on a miswired model.
+        // actually builds — shape consistency, parameter reachability, dead
+        // compute, value ranges — and refuse to spend a single optimizer step
+        // on a miswired model.
         let audit = model.graph_audit(data)?;
         if audit.has_errors() {
             return Err(TensorError::Invalid(format!(

@@ -2,7 +2,7 @@
 //!
 //! ST-HSL's loss is a three-way composite (prediction + hypergraph infomax +
 //! cross-view contrastive), so a wiring mistake — a detached encoder branch,
-//! a broadcast that silently expands the wrong axis, a `log`/`div` fed a
+//! a branch computed but never added to the loss, a `log`/`div` fed a
 //! non-positive intermediate — trains without erroring and only shows up as
 //! degraded metrics. This crate audits the graph a model *actually builds*
 //! before the first optimizer step, without executing forward or backward:
@@ -12,28 +12,25 @@
 //! 2. **shape** ([`shape`]) — ahead-of-time shape inference for every op,
 //!    cross-checked against recorded runtime shapes.
 //! 3. **grad-flow** ([`reach`]) — every registered parameter must be
-//!    reachable from the loss; detached parameters and dead subgraphs are
-//!    flagged.
+//!    reachable from the loss, and every computed op must reach it;
+//!    detached parameters and dead subgraphs are flagged.
 //! 4. **ranges** ([`range`]) — interval-domain abstract interpretation
 //!    seeded from declared input ranges: proves absence of overflow/NaN and
 //!    reports poles (`ln(≤0)`, `/0`, `sqrt(<0)`) an interval cannot exclude,
 //!    cross-checked against the observed runtime ranges stamped on the tape.
-//! 5. **float-error** ([`fperror`]) — worst-case f32 accumulation depth per
-//!    op and along the loss path; flags naive reduction chains deeper than
-//!    the configured budget.
-//! 6. **cost** ([`cost`]) — static FLOP/bytes/intensity model with a ranked
+//! 5. **cost** ([`cost`]) — static FLOP/bytes/intensity model with a ranked
 //!    hot-op table and the tape's total output bytes (advisory;
 //!    cross-validated against the runtime profiler).
 //!
 //! The entry point is [`audit`]; [`AuditReport::has_errors`] decides whether
-//! a trainer pre-flight must fail. Range findings block (they are
-//! Error-severity); float-error depth findings are Warnings and the cost
-//! model never diagnoses. Bit-identity across thread counts is not a static
+//! a trainer pre-flight must fail. A finding is either an Error (the graph
+//! is wired wrong, and the pre-flight fails) or an Info (an expected
+//! condition, such as a parameter an ablation detaches); the cost model
+//! never diagnoses. Bit-identity across thread counts is not a static
 //! pass: the runtime suites in `tests/parallel_equivalence.rs` gate it.
 
 pub mod chain;
 pub mod cost;
-pub mod fperror;
 pub mod range;
 pub mod reach;
 pub mod report;
@@ -42,15 +39,6 @@ pub mod shape;
 use sthsl_autograd::TapeSpec;
 
 pub use report::{AuditReport, Diagnostic, Pass, Severity, REPORT_VERSION};
-
-/// Single-op f32 accumulation budget: twice the fixed reassociation
-/// block of the workspace's full reductions
-/// ([`sthsl_parallel::REDUCE_BLOCK`]). A blocked reduction's dependent chain
-/// is `block + ceil(n / block)` adds — under `2·block` for any input up to
-/// `block²` (≈16.7M) elements — so every first-party reassociated kernel
-/// fits, while a naive single-accumulator chain longer than two blocks is
-/// flagged.
-pub const MAX_ACCUM_DEPTH: u64 = 2 * sthsl_parallel::REDUCE_BLOCK as u64;
 
 /// Knobs for one audit run.
 #[derive(Debug, Clone, Default)]
@@ -91,7 +79,6 @@ pub fn audit(
             inferred_shapes: 0,
             diagnostics: diags,
             ranges: None,
-            float_error: None,
             cost: None,
         };
     }
@@ -99,9 +86,7 @@ pub fn audit(
     let shape_info = shape::analyze(spec, &mut diags);
     let reach_info =
         reach::analyze(spec, loss, params, &shape_info.shapes, &opts.allow_unreachable, &mut diags);
-    let own = fperror::own_extents(spec, &shape_info.shapes);
-    let ranges = range::analyze(spec, &shape_info.shapes, &own, &mut diags);
-    let float_error = fperror::analyze(spec, &own, loss, MAX_ACCUM_DEPTH, &mut diags);
+    let ranges = range::analyze(spec, &shape_info.shapes, &mut diags);
     let cost = cost::analyze(spec, &shape_info.shapes);
 
     AuditReport {
@@ -112,7 +97,6 @@ pub fn audit(
         inferred_shapes: shape_info.inferred,
         diagnostics: diags,
         ranges: Some(ranges),
-        float_error: Some(float_error),
         cost: Some(cost),
     }
 }

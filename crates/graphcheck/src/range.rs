@@ -35,6 +35,8 @@ const TINY: f64 = 1e-30;
 /// Largest magnitude a bound may reach before the op is reported as a
 /// potential f32 overflow.
 const F32_MAX: f64 = f32::MAX as f64;
+/// Block length credited to fixed-block-reassociated full reductions.
+const REASSOC_BLOCK: u64 = sthsl_parallel::REDUCE_BLOCK as u64;
 
 /// A closed interval with finite endpoints, `lo <= hi`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,15 +74,15 @@ pub struct RangeSummary {
     pub max_abs_bound: f64,
 }
 
-/// Run the range pass. `own_extents` are the per-op sequential accumulation
-/// lengths (for rounding-aware widening).
+/// Run the range pass, widening each interval for the rounding of the op's
+/// own accumulation chain (`own_extents`).
 pub fn analyze(
     spec: &TapeSpec,
     shapes: &[Option<Vec<usize>>],
-    own_extents: &[u64],
     diags: &mut Vec<Diagnostic>,
 ) -> RangeSummary {
     let n = spec.nodes.len();
+    let own = own_extents(spec, shapes);
     let mut iv: Vec<Option<Interval>> = Vec::with_capacity(n);
     for i in 0..n {
         let node = &spec.nodes[i];
@@ -90,7 +92,7 @@ pub fn analyze(
             transfer(spec, shapes, &iv, i, diags)
         };
         let finished = raw.and_then(|(lo, hi)| {
-            let slack = (own_extents.get(i).copied().unwrap_or(1) as f64 + 8.0) * EPS32;
+            let slack = (own.get(i).copied().unwrap_or(1) as f64 + 8.0) * EPS32;
             let lo = lo - lo.abs() * slack - TINY;
             let hi = hi + hi.abs() * slack + TINY;
             if !lo.is_finite() || !hi.is_finite() || hi > F32_MAX || lo < -F32_MAX {
@@ -575,6 +577,86 @@ fn normalized_quotient_bound(
     Some(bound * (1.0 + (m as f64 + 8.0) * EPS32))
 }
 
+/// Own sequential accumulation length of every node: the longest run of
+/// dependent f32 adds inside one output element, after any fixed-block
+/// reassociation is credited. [`analyze`] widens each interval by
+/// `(own + 8) · ε_f32` to stay sound over f32 execution.
+fn own_extents(spec: &TapeSpec, shapes: &[Option<Vec<usize>>]) -> Vec<u64> {
+    (0..spec.nodes.len()).map(|i| own_extent(spec, shapes, i)).collect()
+}
+
+fn own_extent(spec: &TapeSpec, shapes: &[Option<Vec<usize>>], i: usize) -> u64 {
+    let node = &spec.nodes[i];
+    let parent_shape = |k: usize| -> Option<&Vec<usize>> {
+        node.parents.get(k).and_then(|&x| shapes.get(x)).and_then(|s| s.as_ref())
+    };
+    let parent_numel =
+        |k: usize| -> Option<u64> { parent_shape(k).map(|s| s.iter().product::<usize>() as u64) };
+    match &node.kind {
+        OpKind::Leaf
+        | OpKind::Constant
+        | OpKind::Reshape { .. }
+        | OpKind::Permute { .. }
+        | OpKind::Concat { .. }
+        | OpKind::SliceAxis { .. }
+        | OpKind::PadAxis { .. }
+        | OpKind::IndexSelect { .. }
+        | OpKind::Transpose2d => 0,
+        // One rounding step per element; transcendentals are correctly
+        // rounded to within a few ulp, folded into the same unit cost.
+        OpKind::Add
+        | OpKind::Sub
+        | OpKind::Mul
+        | OpKind::Div
+        | OpKind::Scale { .. }
+        | OpKind::AddScalar { .. }
+        | OpKind::Square
+        | OpKind::LeakyRelu { .. }
+        | OpKind::Sigmoid
+        | OpKind::Tanh
+        | OpKind::Exp
+        | OpKind::LnEps { .. }
+        | OpKind::SqrtEps { .. }
+        | OpKind::Softplus
+        | OpKind::Dropout { .. } => 1,
+        // k dependent multiply-adds per output element.
+        OpKind::Matmul => parent_shape(0).and_then(|s| s.last().copied()).unwrap_or(1) as u64,
+        OpKind::BatchedMatmul { lhs_transposed } => {
+            let axis = if *lhs_transposed { 1 } else { 2 };
+            parent_shape(0).and_then(|s| s.get(axis).copied()).unwrap_or(1) as u64
+        }
+        // cin * kh * kw products (+ bias) into one output element.
+        OpKind::Conv2d { has_bias, .. } | OpKind::Conv1d { has_bias, .. } => {
+            let footprint =
+                parent_shape(1).map_or(1, |w| w.iter().skip(1).product::<usize>() as u64);
+            footprint + u64::from(*has_bias)
+        }
+        // Full reductions run through blocked_sum_f32: ceil(n / B) block
+        // partials of <= B sequential adds each, combined in block order.
+        OpKind::SumAll | OpKind::MeanAll => {
+            let n = parent_numel(0).unwrap_or(1);
+            if n > REASSOC_BLOCK {
+                REASSOC_BLOCK + n.div_ceil(REASSOC_BLOCK)
+            } else {
+                n
+            }
+        }
+        // Axis reductions and softmax accumulate the axis extent per output.
+        OpKind::SumAxis { axis } | OpKind::MeanAxis { axis } => {
+            parent_shape(0).and_then(|s| s.get(*axis).copied()).unwrap_or(1) as u64
+        }
+        OpKind::SoftmaxLastdim | OpKind::LogSoftmaxLastdim => {
+            parent_shape(0).and_then(|s| s.last().copied()).unwrap_or(1) as u64
+        }
+        // Per row: an n-term logsumexp plus the n-row mean (f64 accumulator
+        // in the kernel, but audited at the f32 contract).
+        OpKind::InfoNceDiag => {
+            2 * parent_shape(0).and_then(|s| s.first().copied()).unwrap_or(1) as u64
+        }
+        OpKind::Opaque { .. } => 0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,8 +666,7 @@ mod tests {
         let mut diags = vec![];
         let shapes = crate::shape::analyze(spec, &mut diags).shapes;
         assert!(diags.is_empty(), "fixture should be shape-clean: {diags:?}");
-        let own = crate::fperror::own_extents(spec, &shapes);
-        let info = analyze(spec, &shapes, &own, &mut diags);
+        let info = analyze(spec, &shapes, &mut diags);
         let range_diags = diags.into_iter().filter(|d| d.pass == Pass::ValueRange).collect();
         (info, range_diags)
     }
@@ -709,5 +790,17 @@ mod tests {
             diags.iter().any(|d| d.msg.contains("escapes the predicted interval")),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn blocked_full_reduce_is_credited_the_block_tree() {
+        let mut spec = TapeSpec::new();
+        let w = spec.leaf("w", &[100_000]);
+        let s = spec.push(OpKind::SumAll, &[w]);
+        let mut diags = vec![];
+        let shapes = crate::shape::analyze(&spec, &mut diags).shapes;
+        let own = own_extents(&spec, &shapes);
+        // 4096-element blocks + ceil(100000/4096) = 25 block combines.
+        assert_eq!(own[s], 4096 + 25);
     }
 }

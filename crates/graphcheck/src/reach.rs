@@ -10,8 +10,9 @@
 //!   subgraph bug (`constant` where `leaf` was meant, a fused branch that
 //!   drops a term, an ablation flag left on).
 //! * **Forward-reachable** set — all parent edges. Nodes outside it were
-//!   computed but never used by the loss: dead compute (Warning) or unused
-//!   inputs (Info).
+//!   computed but never used by the loss: dead compute (Error: every step
+//!   pays for it, and the branch it belongs to was meant to reach the loss)
+//!   or unused inputs (Info).
 
 use std::collections::VecDeque;
 
@@ -164,7 +165,7 @@ pub fn analyze(
         } else {
             diags.push(Diagnostic {
                 pass: Pass::GradFlow,
-                severity: Severity::Warning,
+                severity: Severity::Error,
                 node: Some(i),
                 msg: format!(
                     "dead subgraph: %{i} ({}) is computed but never reaches the loss",
@@ -234,6 +235,7 @@ mod tests {
         analyze(&spec, loss, &params, &shapes_of(&spec), &[], &mut diags);
         let dead: Vec<_> = diags.iter().filter(|d| d.msg.contains("dead subgraph")).collect();
         assert_eq!(dead.len(), 1);
+        assert_eq!(dead[0].severity, Severity::Error);
         assert_eq!(dead[0].node, Some(d2));
     }
 

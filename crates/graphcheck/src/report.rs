@@ -12,7 +12,9 @@ use std::fmt::Write as _;
 /// carries the tape's total output bytes instead.
 /// v5: drops the `determinism:` line (bit-identity across thread counts is
 /// gated at runtime by `tests/parallel_equivalence.rs`, not by a static pass).
-pub const REPORT_VERSION: u32 = 5;
+/// v6: drops the `float-error:` line and the `warnings:` count; a finding is
+/// an error or an info.
+pub const REPORT_VERSION: u32 = 6;
 
 /// Which analysis pass produced a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -25,10 +27,6 @@ pub enum Pass {
     GradFlow,
     /// Interval-domain value ranges (overflow / NaN / pole proofs).
     ValueRange,
-    /// Float-error accumulation depth.
-    FloatError,
-    /// Static cost model (advisory).
-    Cost,
 }
 
 impl Pass {
@@ -39,21 +37,16 @@ impl Pass {
             Pass::Shape => "shape",
             Pass::GradFlow => "grad-flow",
             Pass::ValueRange => "ranges",
-            Pass::FloatError => "float-error",
-            Pass::Cost => "cost",
         }
     }
 }
 
 /// How severe a diagnostic is. `Error` fails the trainer pre-flight;
-/// `Warning` is reported but does not block; `Info` records expected
-/// conditions (e.g. ablation-detached parameters).
+/// `Info` records expected conditions (e.g. ablation-detached parameters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Blocks training: the graph is wired wrong.
     Error,
-    /// Suspicious but not provably wrong.
-    Warning,
     /// Expected / informational.
     Info,
 }
@@ -63,7 +56,6 @@ impl Severity {
     pub fn name(self) -> &'static str {
         match self {
             Severity::Error => "error",
-            Severity::Warning => "warning",
             Severity::Info => "info",
         }
     }
@@ -99,8 +91,6 @@ pub struct AuditReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Interval-domain value ranges (`None` when the audit short-circuited).
     pub ranges: Option<crate::range::RangeSummary>,
-    /// Float-error accumulation depths.
-    pub float_error: Option<crate::fperror::FloatErrorSummary>,
     /// Static cost model.
     pub cost: Option<crate::cost::CostSummary>,
 }
@@ -129,11 +119,10 @@ impl AuditReport {
         let _ = writeln!(out, "report-version: {REPORT_VERSION}");
         let _ = writeln!(
             out,
-            "nodes: {}   params: {}   errors: {}   warnings: {}   info: {}",
+            "nodes: {}   params: {}   errors: {}   info: {}",
             self.node_count,
             self.param_count,
             self.count(Severity::Error),
-            self.count(Severity::Warning),
             self.count(Severity::Info),
         );
         let shape_status = if self
@@ -183,20 +172,6 @@ impl AuditReport {
             }
             None => {
                 let _ = writeln!(out, "ranges: skipped");
-            }
-        }
-        match &self.float_error {
-            Some(fe) => {
-                let over = self.diagnostics.iter().filter(|d| d.pass == Pass::FloatError).count();
-                let _ = writeln!(
-                    out,
-                    "float-error: max f32 chain {} adds (budget {}); loss path ~{} adds; \
-                     {over} over-budget op(s)",
-                    fe.max_own, fe.limit, fe.loss_depth
-                );
-            }
-            None => {
-                let _ = writeln!(out, "float-error: skipped");
             }
         }
         match &self.cost {
@@ -308,7 +283,6 @@ mod tests {
             inferred_shapes: 0,
             diagnostics: vec![],
             ranges: None,
-            float_error: None,
             cost: None,
         };
         assert!(!r.has_errors());
@@ -332,7 +306,6 @@ mod tests {
             inferred_shapes: 0,
             diagnostics: vec![],
             ranges: None,
-            float_error: None,
             cost: None,
         };
         let rendered = r.render();

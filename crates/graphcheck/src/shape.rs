@@ -1,22 +1,19 @@
 //! Ahead-of-time shape inference over a [`TapeSpec`].
 //!
 //! Walks the tape once in topological order, recomputing every op's output
-//! shape from its parents via [`OpKind::infer_shape`] — the same rules the
-//! runtime cross-checks in debug builds. Three findings come out of this
-//! pass:
+//! shape from its parents via [`sthsl_autograd::OpKind::infer_shape`] — the
+//! same rules the runtime cross-checks in debug builds. Two findings come
+//! out of this pass, both errors:
 //!
-//! * **Error** — an op the runtime would reject (mismatched matmul, bad
-//!   concat, kernel larger than its padded input, …), reported with the
-//!   producer chain of the offending node.
-//! * **Error** — an inferred shape that disagrees with the recorded runtime
-//!   shape (an inference-rule bug or a tape corrupted in transit).
-//! * **Warning** — a binary broadcast that expands *both* operands: legal,
-//!   but the classic symptom of a missing `reshape`/`keepdim` producing a
-//!   silently wrong outer product.
+//! * an op the runtime would reject (mismatched matmul, bad concat, kernel
+//!   larger than its padded input, …), reported with the producer chain of
+//!   the offending node;
+//! * an inferred shape that disagrees with the recorded runtime shape (an
+//!   inference-rule bug or a tape corrupted in transit).
 
-use sthsl_autograd::{OpKind, TapeSpec};
+use sthsl_autograd::TapeSpec;
 
-use crate::chain::producer_chain;
+use crate::chain::{node_desc, producer_chain};
 use crate::report::{Diagnostic, Pass, Severity};
 
 /// Resolved shapes for every node plus inference statistics.
@@ -45,7 +42,7 @@ pub fn analyze(spec: &TapeSpec, diags: &mut Vec<Diagnostic>) -> ShapeInfo {
                     msg: format!(
                         "input node %{i} ({}) carries no shape; \
                          inputs must declare their shape",
-                        describe(spec, i)
+                        node_desc(spec, i)
                     ),
                 });
             }
@@ -82,7 +79,6 @@ pub fn analyze(spec: &TapeSpec, diags: &mut Vec<Diagnostic>) -> ShapeInfo {
                         });
                     }
                 }
-                warn_double_expansion(spec, i, &parent_shapes, &shape, diags);
                 shapes.push(Some(shape));
             }
             Ok(None) => {
@@ -104,41 +100,6 @@ pub fn analyze(spec: &TapeSpec, diags: &mut Vec<Diagnostic>) -> ShapeInfo {
     }
 
     ShapeInfo { shapes, inferred }
-}
-
-/// A broadcast where *neither* operand already has the output shape means
-/// both sides were expanded — almost always a missing keepdim/reshape.
-fn warn_double_expansion(
-    spec: &TapeSpec,
-    i: usize,
-    parent_shapes: &[Vec<usize>],
-    out: &[usize],
-    diags: &mut Vec<Diagnostic>,
-) {
-    let kind = &spec.nodes[i].kind;
-    if !matches!(kind, OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div) {
-        return;
-    }
-    let [a, b] = parent_shapes else { return };
-    if a.as_slice() != out && b.as_slice() != out {
-        diags.push(Diagnostic {
-            pass: Pass::Shape,
-            severity: Severity::Warning,
-            node: Some(i),
-            msg: format!(
-                "{}: broadcast expands both operands ({a:?} and {b:?} -> {out:?}); \
-                 check for a missing reshape/keepdim",
-                kind.name()
-            ),
-        });
-    }
-}
-
-fn describe(spec: &TapeSpec, i: usize) -> String {
-    let node = &spec.nodes[i];
-    node.label
-        .as_ref()
-        .map_or_else(|| node.kind.display(), |l| format!("{} \"{l}\"", node.kind.name()))
 }
 
 #[cfg(test)]
@@ -187,18 +148,5 @@ mod tests {
         analyze(&spec, &mut diags);
         assert_eq!(diags.len(), 1);
         assert!(diags[0].msg.contains("disagrees with runtime shape"));
-    }
-
-    #[test]
-    fn warns_on_double_expansion_broadcast() {
-        let mut spec = TapeSpec::new();
-        let a = spec.leaf("a", &[3, 1]);
-        let b = spec.leaf("b", &[1, 4]);
-        let _m = spec.push(OpKind::Mul, &[a, b]);
-        let mut diags = vec![];
-        analyze(&spec, &mut diags);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].severity, Severity::Warning);
-        assert!(diags[0].msg.contains("expands both operands"));
     }
 }

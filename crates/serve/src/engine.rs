@@ -296,9 +296,9 @@ impl ForecastEngine {
 }
 
 /// The graphcheck pre-flight over the serving tape: shapes, reachability,
-/// value ranges, float error — the same audit `sthsl graph-audit` runs, scoped
-/// to the inference graph. Parameters that only feed the self-supervised
-/// losses are expected-inactive, not errors.
+/// value ranges — the same audit `sthsl graph-audit` runs, scoped to the
+/// inference graph. Parameters that only feed the self-supervised losses
+/// are expected-inactive, not errors.
 fn preflight(model: &StHsl, data: &CrimeDataset) -> Result<(), StartupError> {
     let (g, root, params) =
         model.serving_artifacts(data).map_err(|e| StartupError::Dataset(e.to_string()))?;

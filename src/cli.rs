@@ -490,8 +490,8 @@ fn cmd_predict(flags: &Flags) -> Result<String, CliError> {
 
 /// `graph-audit`: statically certify the training graphs of ST-HSL and every
 /// neural baseline — shape consistency, gradient flow to every parameter,
-/// value ranges (overflow and NaN poles), float error and static cost —
-/// without running a single optimizer step.
+/// value ranges (overflow and NaN poles) and static cost — without running a
+/// single optimizer step.
 fn cmd_graph_audit(flags: &Flags) -> Result<String, CliError> {
     let data = dataset_or_synth(flags)?;
 
@@ -737,7 +737,7 @@ const USAGE: &str =
             [--max-requests N]     exit after N requests (for smoke tests)
             (--trace-out writes per-request spans + cache/latency metrics)
   graph-audit: statically verify every model's training graph (shapes,
-            grad flow, value ranges, float error, cost);
+            grad flow, value ranges, cost);
             nonzero exit on any error-level finding
             [--data crimes.csv]    audit against a real dataset (default: synthetic)
             [--out report.txt]     write the full report to a file
