@@ -20,7 +20,7 @@
 //! tensor = u64 rank | u64 dims… | f32 data…
 //! ```
 //!
-//! Writes are atomic (see [`crate::serialize`]); loads verify the checksum
+//! Writes are atomic (see `crate::serialize`); loads verify the checksum
 //! before parsing and validate every length field against the actual file
 //! size, so torn, truncated or corrupted checkpoints are rejected with a
 //! typed [`io::Error`] — never a panic or an out-of-memory abort.
@@ -313,7 +313,7 @@ pub fn quarantine(io: &dyn Io, path: &Path) -> io::Result<PathBuf> {
 }
 
 /// Remove stale `.{name}.tmp-{pid}` files left in `dir` by a crashed
-/// [`atomic_write_io`]. Returns the swept paths. Missing directory sweeps
+/// `atomic_write_io`. Returns the swept paths. Missing directory sweeps
 /// nothing.
 pub fn sweep_stale_tmp(io: &dyn Io, dir: &Path) -> io::Result<Vec<PathBuf>> {
     let entries = match io.list_dir(dir) {

@@ -1,8 +1,7 @@
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sthsl_chaos::mix64;
 use sthsl_tensor::{Result, Tensor, TensorError};
 
 use crate::tape::{NodeSpec, OpKind, TapeSpec};
@@ -70,7 +69,11 @@ pub(crate) struct Node {
 pub struct Graph {
     pub(crate) nodes: RefCell<Vec<Node>>,
     training: bool,
-    pub(crate) rng: RefCell<StdRng>,
+    /// Seed of the dropout keys.
+    seed: u64,
+    /// The current sample slot and the dropout nodes recorded in it so far:
+    /// the rest of the next dropout key.
+    dropout_at: Cell<(u64, u64)>,
     observer: RefCell<Option<Rc<dyn TapeObserver>>>,
 }
 
@@ -83,22 +86,35 @@ impl Default for Graph {
 impl Graph {
     /// Inference-mode graph (dropout disabled).
     pub fn new() -> Self {
-        Graph {
-            nodes: RefCell::new(Vec::with_capacity(256)),
-            training: false,
-            rng: RefCell::new(StdRng::seed_from_u64(0)),
-            observer: RefCell::new(None),
-        }
+        Graph { training: false, ..Graph::training(0) }
     }
 
-    /// Training-mode graph: dropout layers sample masks from the seeded RNG.
+    /// Training-mode graph. Each dropout node keys its mask by
+    /// `mix64(seed, sample slot, ordinal)`: the slot set by the last
+    /// [`Graph::begin_sample`] (0 before any), and the node's place among the
+    /// dropout nodes recorded since.
     pub fn training(seed: u64) -> Self {
         Graph {
             nodes: RefCell::new(Vec::with_capacity(256)),
             training: true,
-            rng: RefCell::new(StdRng::seed_from_u64(seed)),
+            seed,
+            dropout_at: Cell::new((0, 0)),
             observer: RefCell::new(None),
         }
+    }
+
+    /// Start recording sample `slot` (its place in the batch): the dropout
+    /// nodes recorded from here on draw the masks they would draw on a
+    /// fresh graph after the same call, whatever the graph already holds.
+    pub fn begin_sample(&self, slot: u64) {
+        self.dropout_at.set((slot, 0));
+    }
+
+    /// The key of the next dropout node's mask.
+    pub(crate) fn next_dropout_key(&self) -> u64 {
+        let (slot, ordinal) = self.dropout_at.get();
+        self.dropout_at.set((slot, ordinal + 1));
+        mix64(self.seed, slot, ordinal)
     }
 
     /// Attach a [`TapeObserver`] notified once per executed op (forward and

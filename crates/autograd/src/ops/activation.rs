@@ -2,8 +2,7 @@
 
 use crate::graph::{Graph, Var};
 use crate::tape::OpKind;
-use sthsl_tensor::ops::conv::ConvView;
-use sthsl_tensor::{Result, Tensor, TensorError};
+use sthsl_tensor::{Result, TensorError};
 
 impl Graph {
     /// Leaky rectified linear unit with negative slope `alpha` — the
@@ -91,19 +90,12 @@ impl Graph {
     }
 
     /// Inverted dropout with keep-scaling. Identity in inference mode or when
-    /// `p <= 0`. The mask is sampled from the graph's seeded RNG, so training
-    /// runs are reproducible. A NaN or `p >= 1` is a typed error in either
-    /// mode: it would drop every element.
+    /// `p <= 0`. The mask is keyed by the graph's seed, the sample slot and
+    /// this node's ordinal within the sample ([`Graph::training`]), and the
+    /// backward pass recomputes it from the key instead of storing it
+    /// ([`sthsl_tensor::Tensor::dropout`]). A NaN or `p >= 1` is a typed
+    /// error in either mode: it would drop every element.
     pub fn dropout(&self, x: Var, p: f32) -> Result<Var> {
-        self.dropout_view(x, p, None)
-    }
-
-    /// [`Graph::dropout`] of a conv output in `view`'s layout: the mask is
-    /// drawn in the order of the operand the view reads, `[B, C, H, W]`
-    /// row-major (see [`Tensor::dropout_mask_view`]), so each element keeps
-    /// the draw the contiguous layout would give it. `None` draws in `x`'s
-    /// own order.
-    pub fn dropout_view(&self, x: Var, p: f32, view: Option<ConvView>) -> Result<Var> {
         if p.is_nan() || p >= 1.0 {
             return Err(TensorError::Invalid(format!(
                 "dropout probability must be below 1, got {p}"
@@ -112,20 +104,13 @@ impl Graph {
         if !self.is_training() || p <= 0.0 {
             return Ok(x);
         }
-        let xv = self.value(x);
-        let mask = {
-            let rng = &mut *self.rng.borrow_mut();
-            match view {
-                None => Tensor::dropout_mask(xv.shape(), 1.0 - p, rng),
-                Some(v) => Tensor::dropout_mask_view(xv.shape(), 1.0 - p, &v, rng)?,
-            }
-        };
-        let out = xv.mul(&mask)?;
+        let (key, keep) = (self.next_dropout_key(), 1.0 - p);
+        let out = self.value(x).dropout(key, keep);
         Ok(self.op(
             OpKind::Dropout { p },
             out,
             vec![x],
-            Box::new(move |g, _, _| Ok(vec![Some(g.mul(&mask)?)])),
+            Box::new(move |g, _, _| Ok(vec![Some(g.dropout(key, keep))])),
         ))
     }
 }
@@ -144,6 +129,7 @@ fn stable_softplus(v: f32) -> f32 {
 mod tests {
     use super::*;
     use crate::gradcheck::gradcheck;
+    use sthsl_tensor::Tensor;
 
     fn t(v: Vec<f32>) -> Tensor {
         let n = v.len();
@@ -235,5 +221,39 @@ mod tests {
         for (gv, yv) in gx.data().iter().zip(yv.data()) {
             assert_eq!(gv, yv); // both are mask / keep
         }
+    }
+
+    /// Which of `n` ones a dropout recorded on `g` kept.
+    fn mask(g: &Graph, n: usize, p: f32) -> Vec<bool> {
+        let y = g.dropout(g.leaf(Tensor::ones(&[n])), p).unwrap();
+        g.value(y).data().iter().map(|&v| v > 0.0).collect()
+    }
+
+    #[test]
+    fn dropout_keeps_non_finite_inputs_non_finite_whether_kept_or_dropped() {
+        let keep = mask(&Graph::training(11), 256, 0.5);
+        assert!(keep.contains(&true) && keep.contains(&false));
+        for bad in [f32::NAN, f32::INFINITY] {
+            let g = Graph::training(11);
+            let y = g.dropout(g.leaf(Tensor::full(&[256], bad)), 0.5).unwrap();
+            for (&v, &k) in g.value(y).data().iter().zip(&keep) {
+                // A kept ∞ is scaled; a dropped one is `∞ · 0`, NaN.
+                assert!(if k && bad.is_infinite() { v == bad } else { v.is_nan() }, "{bad}: {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_samples_masks_differ_per_node_and_ignore_earlier_samples() {
+        let sample = |g: &Graph| -> Vec<Vec<bool>> { (0..3).map(|_| mask(g, 300, 0.3)).collect() };
+        let g = Graph::training(9);
+        g.begin_sample(1);
+        let alone = sample(&g);
+        assert_ne!(alone[0], alone[1], "two nodes of one sample drew the same mask");
+        let g = Graph::training(9);
+        let first = sample(&g);
+        g.begin_sample(1);
+        assert_eq!(sample(&g), alone);
+        assert_ne!(first, alone, "two slots drew the same masks");
     }
 }

@@ -24,7 +24,7 @@
 //!   action taken by the healing code (retry, quarantine, fallback, tmp
 //!   sweep, degrade). Tests assert on it; the checkpoint `degrade` action
 //!   also reaches the JSONL trace through `sthsl-core`'s `TraceHooks`.
-//! * [`retry`] — bounded exponential backoff ([`RetryPolicy`], [`retry`])
+//! * [`retry`](mod@retry) — bounded exponential backoff ([`RetryPolicy`], [`retry`](fn@retry))
 //!   over an injectable [`Sleeper`], plus [`read_file_verified`]: a
 //!   checksum-verified read that re-reads on transient corruption.
 //!

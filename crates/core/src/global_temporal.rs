@@ -67,7 +67,7 @@ impl GlobalTemporal {
             // Pre-activation residual: Eq. 5 is σ(δ(V*Γ + c)); wrapping only
             // the conv branch keeps the identity path linear so four stacked
             // layers do not attenuate sign-symmetric embeddings.
-            let act = g.leaky_relu(g.dropout_view(conv, self.dropout, Some(view))?, 0.1);
+            let act = g.leaky_relu(g.dropout(conv, self.dropout)?, 0.1);
             t = g.add(act, t)?;
         }
         Ok(t)

@@ -158,7 +158,7 @@ impl LocalEncoder {
             }
             let bias = Some(pv.var(self.spatial_b[l]));
             let conv = g.conv2d_view(h, w, bias, pad, Some(spatial))?;
-            let conv = g.dropout_view(conv, self.dropout, Some(spatial))?;
+            let conv = g.dropout(conv, self.dropout)?;
             let res = g.add(conv, h)?; // residual (Eq. 2)
             h = g.leaky_relu(res, 0.1);
         }
@@ -180,7 +180,7 @@ impl LocalEncoder {
                 }
                 let bias = Some(pv.var(self.temporal_b[l]));
                 let conv = g.conv1d_view(h, w, bias, Pad1d::same(k), 1, Some(temporal))?;
-                let conv = g.dropout_view(conv, self.dropout, Some(temporal))?;
+                let conv = g.dropout(conv, self.dropout)?;
                 let res = g.add(conv, h)?; // residual (Eq. 3)
                 h = g.leaky_relu(res, 0.1);
             }

@@ -139,10 +139,10 @@ impl StHsl {
 
         // (2) Local multi-view encoder, Eqs. 2–3 (handles its own ablations).
         // A loss-building pass records it here, ahead of the global branch,
-        // where training's dropout masks expect it, and only if the loss
-        // reads it. Inference records it at the head (step 5), and only if
-        // the head reads it (fusion or "w/o Global"); otherwise it would feed
-        // nothing but the contrastive loss.
+        // so that its dropout nodes take the sample's first mask keys, and
+        // only if the loss reads it. Inference records it at the head (step
+        // 5), and only if the head reads it (fusion or "w/o Global");
+        // otherwise it would feed nothing but the contrastive loss.
         let local_view = || -> Result<Var> {
             let h_local = self.local.forward(g, pv, e)?; // [R,Tw,C,d]
             g.mean_axis(h_local, 1) // [R,C,d]
@@ -336,7 +336,7 @@ impl StHsl {
     }
 
     /// Build the exact training-mode graph the static analyzer inspects: one
-    /// [`Self::sample_loss`] on the first training day with the infomax
+    /// `Self::sample_loss` on the first training day with the infomax
     /// corruption branch active, plus every named parameter `Var`.
     ///
     /// Returns `(graph, loss, named params)`. The graph is *not* executed

@@ -67,6 +67,7 @@ use sthsl_tensor::{Result, Tensor, TensorError};
 /// "RNG state" as three integers.
 const SHUFFLE_SALT: u64 = 0x5348_5546_464c_4531; // "SHUFFLE1"
 const PERM_SALT: u64 = 0x434f_5252_5550_5431; // "CORRUPT1"
+const DROPOUT_SALT: u64 = 0x4452_4f50_4f55_5431; // "DROPOUT1"
 
 /// The optimisation settings a model's config hands [`TrainLoop::run`].
 #[derive(Debug, Clone, Copy)]
@@ -416,16 +417,19 @@ impl TrainLoop {
                         continue;
                     }
                     state.global_step += 1;
-                    let g = Graph::training(cfg.seed ^ state.global_step);
+                    // Not `seed ^ step`, which gives the runs of seeds s and
+                    // t the same dropout masks at steps k and k ^ s ^ t.
+                    let g = Graph::training(mix64(cfg.seed, DROPOUT_SALT, state.global_step));
                     let pv = model.params().inject(&g);
                     // Corruption draws come from a per-batch RNG seeded by
                     // (seed, global_step): replayable from the counters.
                     let mut perm_rng =
                         StdRng::seed_from_u64(mix64(cfg.seed, PERM_SALT, state.global_step));
                     let mut loss = g.constant(Tensor::scalar(0.0));
-                    for &day in *chunk {
+                    for (slot, &day) in chunk.iter().enumerate() {
                         let sample = data.sample(day)?;
                         let z = data.zscore(&sample.input);
+                        g.begin_sample(slot as u64);
                         let l = model.loss(&g, &pv, &z, &sample.target, Some(&mut perm_rng))?;
                         loss = g.add(loss, l)?;
                     }

@@ -20,12 +20,12 @@
 //! **Forward and input gradient: batch elements are the vector lanes.** The
 //! model's rows are short (8 or 14 floats) but its conv batches are long
 //! (224 to 4096 elements), and every batch element uses the same taps. So
-//! both passes pack the source blocks of [`P`] = 16 batch elements into a
+//! both passes pack the source blocks of `P` = 16 batch elements into a
 //! lane-major panel and accumulate each destination element in 16 lanes at
 //! once, register-resident, then write each lane back to its own batch
-//! element. One driver ([`panel_pass`]) serves both, because the input
+//! element. One driver (`panel_pass`) serves both, because the input
 //! gradient is the forward pass of the flipped kernel; each pass brings its
-//! own tap table ([`Taps`]). The forward table walks `(ci, ky, kx)`
+//! own tap table (`Taps`). The forward table walks `(ci, ky, kx)`
 //! ascending from the bias; the input-gradient table walks `co` ascending,
 //! then `ky`, `kx` descending, from `+0.0`. Taps that fall into the zero
 //! padding are left out of the table, so they are skipped for all 16 lanes
@@ -51,19 +51,19 @@
 //! serially over the batch, so batch lanes would reorder its sums; the
 //! out-channels are the lanes instead. Each band takes its out-channels in
 //! blocks of 8 lanes and, per lane block, its `cin·kh·kw` taps kernel column
-//! by kernel column in blocks of 8 ([`tap_block`]). A block of `C` lanes by
+//! by kernel column in blocks of 8 (`tap_block`). A block of `C` lanes by
 //! `T` taps keeps its `C·T` sums in registers for the whole `(bi, oy, ox)`
 //! walk, reads `x` directly at each tap's offset and stores once; a last,
 //! shorter block is padded with copies of its first lane or tap, whose sums
 //! are dropped. A tap that reads the padding is skipped
-//! through its two [`Span`]s, as the oracle's `continue` skips it: a row
+//! through its two `Span`s, as the oracle's `continue` skips it: a row
 //! outside its row span by a test made once per row, and a column outside
 //! its column span by never being visited, since taps of one kernel column
 //! share that span. Only a block that straddles two kernel columns tests
 //! each tap at the columns where their spans differ. No table, gather or
 //! patch buffer is built.
 //!
-//! Every kernel body runs under [`wide!`], which picks its AVX2 copy where
+//! Every kernel body runs under `wide!`, which picks its AVX2 copy where
 //! the CPU has one. The operations and their order are the same at every
 //! level, and so are the bits.
 //!
@@ -72,7 +72,7 @@
 //! for a finite `w`, an input-gradient sum starts at `+0.0` and, with no
 //! flush to zero, is `-0.0` only when both addends are, so it is never
 //! `-0.0`; and `x + (±0)` returns every other `x` bit for bit. So adding the
-//! term equals skipping it, and the tiles need no test. [`grad_input`] scans
+//! term equals skipping it, and the tiles need no test. `grad_input` scans
 //! the weights once per call, branch-free, as the matmul kernel scans its
 //! rhs slice; only weights holding a NaN or ±∞ run the lane select, where
 //! `0·∞` would be NaN. That select adds `-0.0` instead of the term: under
@@ -83,7 +83,7 @@
 //! `x` bit for bit.
 //!
 //! A 1-D convolution is the 2-D one over a single row whose column taps are
-//! dilated, so both share [`Geom`] and one kernel per pass. Its geometry is
+//! dilated, so both share `Geom` and one kernel per pass. Its geometry is
 //! computed in checked arithmetic: an extent that overflows `usize` is a
 //! [`TensorError::Invalid`].
 //!
@@ -215,36 +215,6 @@ impl ConvView {
             }
             at
         })
-    }
-
-    /// Fill every element of `data`, with values made in the operand's
-    /// row-major `(batch, channel, row, column)` order: `make` writes the
-    /// values of up to [`P`] batch elements at a time into a contiguous
-    /// block, which is then stored cell by cell, so where the view puts
-    /// those batch elements side by side each cell's values land as one run
-    /// of floats. The view must tile `data` ([`ConvView::check`]).
-    pub(crate) fn fill(&self, data: &mut [f32], mut make: impl FnMut(&mut [f32])) {
-        let cells = self.cells();
-        let n = cells.len();
-        let mut taken = vec![0.0f32; P * n];
-        let b = self.batch_len();
-        for b0 in (0..b).step_by(P) {
-            let lanes = P.min(b - b0);
-            make(&mut taken[..lanes * n]);
-            let base = self.bases(b0, lanes);
-            let dense = adjacent(&base, lanes);
-            for (k, &cell) in cells.iter().enumerate() {
-                if dense {
-                    for (l, v) in data[base[0] + cell..][..P].iter_mut().enumerate() {
-                        *v = taken[l * n + k];
-                    }
-                } else {
-                    for (l, &at) in base[..lanes].iter().enumerate() {
-                        data[at + cell] = taken[l * n + k];
-                    }
-                }
-            }
-        }
     }
 }
 

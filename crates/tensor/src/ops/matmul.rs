@@ -2,8 +2,8 @@
 //!
 //! # Kernel contract
 //!
-//! Every product runs through one kernel, [`matmul_band`]. It walks the
-//! output in tiles of up to 4 rows × [`LANES`] columns, keeps each tile's
+//! Every product runs through one kernel, `matmul_band`. It walks the
+//! output in tiles of up to 4 rows × `LANES` columns, keeps each tile's
 //! accumulators in registers across the whole inner dimension `k` and
 //! stores the tile once: each rhs row it loads serves four output rows, and
 //! the four rows' add chains overlap. The last 1–3 rows of a batch slice

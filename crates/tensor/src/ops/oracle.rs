@@ -2,8 +2,8 @@
 //! vectorizable kernels in [`super::conv`] and [`super::manip`] replaced,
 //! the cache-blocked row-axpy loop that the register-tiled kernel in
 //! [`super::matmul`] replaced, and the per-element broadcast, axis and
-//! activation loops and the branchy dropout mask that the row-wise
-//! elementwise kernels replaced, kept verbatim. Each output element here
+//! activation loops that the row-wise elementwise kernels replaced, kept
+//! verbatim, and a one-element-at-a-time dropout. Each output element here
 //! receives its f32 operations one at a time in the defining order, so a
 //! bit-for-bit match against these loops is the kernel contract (DESIGN.md
 //! §6b). Shapes are assumed valid; the property tests below only feed
@@ -14,7 +14,6 @@ use super::conv::Pad1d;
 use crate::shape::{broadcast_shapes, strides_of};
 use crate::tensor::broadcast_strides;
 use crate::Tensor;
-use rand::Rng;
 use std::ops::Range;
 
 const MIN_WORK_PER_BAND: usize = 1 << 15;
@@ -520,15 +519,13 @@ pub fn leaky_relu_grad(g: &Tensor, x: &Tensor, alpha: f32) -> Tensor {
     g.zip_map(x, move |gv, xv| if xv > 0.0 { gv } else { alpha * gv }).unwrap()
 }
 
-/// `Tensor::dropout_mask`: one branch per draw, writing kept elements only.
-pub fn dropout_mask(shape: &[usize], keep: f32, rng: &mut impl Rng) -> Tensor {
-    let mut mask = Tensor::zeros(shape);
-    for m in mask.data_mut() {
-        if rng.gen::<f32>() < keep {
-            *m = 1.0 / keep;
-        }
-    }
-    mask
+/// `Tensor::dropout`: one element at a time, branching on its mask bits.
+pub fn dropout(x: &Tensor, key: u64, keep: f32) -> Tensor {
+    let threshold = (keep * 16_777_216.0) as u32;
+    let kept = |i: usize| crate::init::mask_bits(key, i as u32) < threshold;
+    let out = x.data().iter().enumerate();
+    let out = out.map(|(i, &v)| if kept(i) { v * (1.0 / keep) } else { v * 0.0 });
+    Tensor::from_vec(out.collect(), x.shape()).unwrap()
 }
 
 fn dims4(t: &Tensor) -> [usize; 4] {
@@ -895,7 +892,7 @@ mod tests {
     ];
 
     /// Every conv kernel through a view (forward, input, weight and bias
-    /// gradients, and the dropout mask drawn through it) must give the bits
+    /// gradients) must give the bits
     /// the contiguous kernel gives on a permuted copy: at the model's three
     /// views and at random ones (slot counts other than 16, batches whose
     /// tail passes a 16-lane panel, dilation, causal and lopsided padding,
@@ -982,11 +979,6 @@ mod tests {
             }
             let gb = Tensor::conv_view_grad_bias(&go, view).unwrap();
             assert_bits(&format!("grad_bias {label}"), &gb, &super::conv_grad_bias(&goc));
-            let seed = rng.gen::<u64>();
-            let mask =
-                Tensor::dropout_mask_view(x.shape(), 0.8, &view, &mut StdRng::seed_from_u64(seed));
-            let want = Tensor::dropout_mask(xc.shape(), 0.8, &mut StdRng::seed_from_u64(seed));
-            assert_bits(&format!("dropout mask {label}"), &back(&mask.unwrap()), &want);
         }
     }
 
@@ -1312,17 +1304,29 @@ mod tests {
         }
     }
 
+    /// The dropout kernel must match its one-element-at-a-time reference at
+    /// each vector level and at 1 and 4 threads: on an empty tensor, a
+    /// 7-element one and the global temporal conv's output (`[14, 256, 16]`,
+    /// four bands at 4 threads), with NaN, ±∞ and signed zeros among the
+    /// values, over keys with one, both or neither half set.
     #[test]
-    fn dropout_mask_matches_oracle_bits_and_leaves_the_same_rng_state() {
-        for p in [0.2f32, 0.5] {
-            for (seed, shape) in [(1u64, vec![0]), (2, vec![7]), (3, vec![64, 14, 4, 16])] {
-                let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                let keep = 1.0 - p;
-                let got = Tensor::dropout_mask(&shape, keep, &mut r1);
-                let want = super::dropout_mask(&shape, keep, &mut r2);
-                assert_bits(&format!("dropout_mask p={p} {shape:?}"), &got, &want);
-                assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "p={p} {shape:?}: next draw");
-            }
+    fn dropout_matches_oracle_bits_at_each_level_and_thread_count() {
+        let mut rng = StdRng::seed_from_u64(0xd0);
+        let shapes = [vec![0], vec![7], vec![14, 256, 16]];
+        let xs: Vec<Tensor> = shapes.iter().map(|s| tensor(&mut rng, s, 0.1, true)).collect();
+        let keys = [0u64, 1, 1 << 32, rng.gen(), rng.gen()];
+        let per_key = |x| keys.map(|key| [0.5f32, 0.8, 0.9].map(move |keep| (x, key, keep)));
+        let cases: Vec<(&Tensor, u64, f32)> = xs.iter().flat_map(per_key).flatten().collect();
+        for threads in [1, 4] {
+            sthsl_parallel::set_num_threads(threads);
+            at_each_level(|level| {
+                for &(x, key, keep) in &cases {
+                    let label =
+                        format!("dropout {level} t{threads} {:?} {key:#x} {keep}", x.shape());
+                    assert_bits(&label, &x.dropout(key, keep), &super::dropout(x, key, keep));
+                }
+            });
         }
+        sthsl_parallel::set_num_threads(0);
     }
 }

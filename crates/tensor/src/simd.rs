@@ -2,7 +2,7 @@
 //! baseline target (SSE2 on x86_64) and once for AVX2, and the AVX2 copy
 //! runs where the CPU has it.
 //!
-//! Kernels go through [`wide!`], which marks the kernel closure
+//! Kernels go through `wide!`, which marks the kernel closure
 //! `#[inline(always)]`: only then is its loop compiled into the AVX2 copy
 //! rather than called from it at the baseline width. The bits do not depend
 //! on the level: each output element gets the same f32 operations in the

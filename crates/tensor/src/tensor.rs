@@ -6,7 +6,7 @@ use sthsl_parallel::REDUCE_BLOCK;
 
 /// Elementwise kernels only fan out above this element count; below it the
 /// band count collapses to 1 and the loop runs inline on the caller.
-const MIN_ELEMS_PER_BAND: usize = 1 << 14;
+pub(crate) const MIN_ELEMS_PER_BAND: usize = 1 << 14;
 
 /// A dense, contiguous, row-major `f32` tensor.
 ///
@@ -184,7 +184,7 @@ impl Tensor {
 
     /// Combine two tensors elementwise with NumPy broadcasting.
     ///
-    /// A broadcast walks the output one row at a time ([`RowPlan`]): each
+    /// A broadcast walks the output one row at a time (`RowPlan`): each
     /// operand is read as a contiguous row or as one repeated scalar, and
     /// the rows are partitioned over threads. Every output element is
     /// `f(a, b)` of the same two operands as a per-element walk, so the bits

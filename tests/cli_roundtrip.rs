@@ -11,10 +11,11 @@ use std::path::PathBuf;
 
 use sthsl::faults::fnv1a;
 
-/// FNV-1a of the 3-epoch `model.bin` (SHA-256 prefix `73c4be55`).
-const MODEL_FNV: u64 = 0x961b_5899_827e_4b4e;
-/// FNV-1a of its `forecast.csv` (SHA-256 prefix `65373b28`).
-const FORECAST_FNV: u64 = 0x5379_d61e_befa_d032;
+/// FNV-1a of the 3-epoch `model.bin` (SHA-256 prefix `bab37ccd`), since
+/// dropout draws keyed masks.
+const MODEL_FNV: u64 = 0xb9cd_41d7_8852_adcf;
+/// FNV-1a of its `forecast.csv` (SHA-256 prefix `cb50ed09`).
+const FORECAST_FNV: u64 = 0x7b71_b87b_6137_fbf4;
 
 /// A directory of its own under the system temp dir, removed on drop.
 struct Scratch(PathBuf);
