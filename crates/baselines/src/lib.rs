@@ -53,25 +53,13 @@ pub use common::{BaselineConfig, Network, Neural};
 use sthsl_core::Trainable;
 use sthsl_data::{CrimeDataset, Predictor, Result};
 
-/// Instantiate every baseline for a dataset, in the paper's Table III order.
+/// Instantiate every baseline for a dataset, in the paper's Table III order:
+/// ARIMA and SVR, then [`all_auditable`]'s neural models.
 pub fn all_baselines(cfg: &BaselineConfig, data: &CrimeDataset) -> Result<Vec<Box<dyn Predictor>>> {
-    Ok(vec![
-        Box::new(arima::Arima::new(cfg.clone())),
-        Box::new(svr::Svr::new(cfg.clone())),
-        Box::new(st_resnet::StResNet::new(cfg.clone(), data)?),
-        Box::new(dcrnn::Dcrnn::new(cfg.clone(), data)?),
-        Box::new(stgcn::Stgcn::new(cfg.clone(), data)?),
-        Box::new(gwn::GraphWaveNet::new(cfg.clone(), data)?),
-        Box::new(sttrans::StTrans::new(cfg.clone(), data)?),
-        Box::new(deepcrime::DeepCrime::new(cfg.clone(), data)?),
-        Box::new(stdn::Stdn::new(cfg.clone(), data)?),
-        Box::new(st_metanet::StMetaNet::new(cfg.clone(), data)?),
-        Box::new(gman::Gman::new(cfg.clone(), data)?),
-        Box::new(agcrn::Agcrn::new(cfg.clone(), data)?),
-        Box::new(mtgnn::Mtgnn::new(cfg.clone(), data)?),
-        Box::new(stshn::Stshn::new(cfg.clone(), data)?),
-        Box::new(dmstgcn::Dmstgcn::new(cfg.clone(), data)?),
-    ])
+    let mut models: Vec<Box<dyn Predictor>> =
+        vec![Box::new(arima::Arima::new(cfg.clone())), Box::new(svr::Svr::new(cfg.clone()))];
+    models.extend(all_auditable(cfg, data)?.into_iter().map(|m| m as Box<dyn Predictor>));
+    Ok(models)
 }
 
 /// Instantiate every *neural* baseline behind its [`Trainable`] interface
@@ -112,7 +100,13 @@ mod tests {
         let models = all_baselines(&BaselineConfig::tiny(), &data).unwrap();
         assert_eq!(models.len(), 15);
         let names: Vec<String> = models.iter().map(|m| m.name()).collect();
-        assert!(names.contains(&"ARIMA".to_string()));
+        assert_eq!(names[..2], ["ARIMA", "SVM"]);
+        let neural: Vec<String> = all_auditable(&BaselineConfig::tiny(), &data)
+            .unwrap()
+            .iter()
+            .map(|m| m.name())
+            .collect();
+        assert_eq!(names[2..], neural[..]);
         assert!(names.contains(&"STSHN".to_string()));
         // No duplicate names.
         let mut sorted = names.clone();

@@ -1,39 +1,18 @@
-//! Runs every experiment binary in sequence (same CLI flags), regenerating
-//! all tables and figures into `results/`.
+//! Regenerates every table and figure into `results/`:
+//! `run_all [--scale quick|medium|paper] [--city nyc|chi|both] [--seed N] [ID...]`
+//! with experiment ids `audit datasets table3 table4 fig4 fig5 fig6 fig7
+//! fig8 table5 analysis` (default: all, in that order).
 
-use std::process::Command;
+use std::path::Path;
+use std::process::ExitCode;
 
-use sthsl_bench::TimingManifest;
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let passthrough: Vec<String> = std::env::args().skip(1).collect();
-    let mut man =
-        TimingManifest::start("run_all", 0, &[("argv".to_string(), passthrough.join(" "))])?;
-    let exps = [
-        "exp_audit",
-        "exp_datasets",
-        "exp_table3",
-        "exp_table4",
-        "exp_fig4",
-        "exp_fig5",
-        "exp_fig6",
-        "exp_fig7",
-        "exp_fig8",
-        "exp_table5",
-        "exp_analysis",
-    ];
-    // Re-exec sibling binaries from the same target directory.
-    let me = std::env::current_exe()?;
-    let dir = me.parent().expect("binary has a parent directory");
-    for exp in exps {
-        println!("\n################ {exp} ################");
-        let status = Command::new(dir.join(exp)).args(&passthrough).status()?;
-        man.section(exp);
-        if !status.success() {
-            return Err(format!("{exp} failed with {status}").into());
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().collect();
+    match sthsl_bench::run(&argv, Path::new("results")) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
-    man.finish()?;
-    println!("\nAll experiments complete; CSVs in results/.");
-    Ok(())
 }

@@ -1,23 +1,6 @@
-//! Model-evaluation plumbing shared by every experiment binary.
+//! Model-evaluation plumbing for the experiment driver.
 
-use sthsl_data::{CrimeDataset, EvalReport, FitReport, Predictor, Result, Split};
-
-/// The outcome of fitting + evaluating one model on one dataset.
-pub struct ModelRun {
-    /// Model display name.
-    pub name: String,
-    /// Training summary (Table V uses `fit.seconds_per_epoch`).
-    pub fit: FitReport,
-    /// Test-period metrics (Table III rows).
-    pub eval: EvalReport,
-}
-
-/// Fit `model` on `data` and evaluate over the full test period.
-pub fn evaluate_model(model: &mut dyn Predictor, data: &CrimeDataset) -> Result<ModelRun> {
-    let fit = model.fit(data)?;
-    let eval = model.evaluate(data)?;
-    Ok(ModelRun { name: model.name(), fit, eval })
-}
+use sthsl_data::{CrimeDataset, EvalReport, Predictor, Result, Split};
 
 /// One region's running error totals. Regions are scored independently, so a
 /// flat `Vec<RegionAcc>` can be band-partitioned across threads.
@@ -129,7 +112,8 @@ impl RegionErrors {
 }
 
 /// Evaluate a *fitted* model over the test period, also collecting
-/// per-region errors (Figs. 4 and 6 need them).
+/// per-region errors (Figs. 4 and 6 need them). The report is the one
+/// `Predictor::evaluate` builds: the same test days in the same order.
 pub fn evaluate_with_regions(
     model: &dyn Predictor,
     data: &CrimeDataset,
@@ -156,19 +140,13 @@ mod tests {
     use sthsl_baselines::BaselineConfig;
 
     #[test]
-    fn evaluate_model_produces_run() {
-        let (_, data) = Scale::Quick.build_dataset(City::Nyc, 3).unwrap();
-        let mut ha = HistoricalAverage::new(BaselineConfig::tiny());
-        let run = evaluate_model(&mut ha, &data).unwrap();
-        assert_eq!(run.name, "HA");
-        assert!(run.eval.mae_overall() > 0.0);
-    }
-
-    #[test]
     fn region_errors_aggregate_consistently() {
         let (_, data) = Scale::Quick.build_dataset(City::Nyc, 3).unwrap();
         let ha = HistoricalAverage::new(BaselineConfig::tiny());
         let (report, regions) = evaluate_with_regions(&ha, &data).unwrap();
+        // The same report `Predictor::evaluate` builds; Debug prints each f64
+        // in its shortest round-trip form, so equal strings mean equal bits.
+        assert_eq!(format!("{report:?}"), format!("{:?}", ha.evaluate(&data).unwrap()));
         assert_eq!(regions.num_regions(), 64);
         let all: Vec<usize> = (0..64).collect();
         // Micro-aggregated region MAE must sit in the convex hull of the

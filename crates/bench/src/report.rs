@@ -1,5 +1,5 @@
-//! Result emitters: paper-style markdown tables on stdout and CSV files
-//! under `results/`.
+//! Result emitters: paper-style markdown tables on stdout and CSV files in
+//! the driver's output directory.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -76,9 +76,8 @@ impl MarkdownTable {
     }
 }
 
-/// Write a table's CSV rendering under `results/`, creating the directory.
-pub fn write_csv(name: &str, table: &MarkdownTable) -> io::Result<()> {
-    let dir = Path::new("results");
+/// Write a table's CSV rendering as `dir/name`, creating the directory.
+pub fn write_csv(dir: &Path, name: &str, table: &MarkdownTable) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     fs::write(dir.join(name), table.to_csv())
 }

@@ -1,4 +1,4 @@
-//! Experiment scale presets and command-line parsing.
+//! Experiment scale presets and the driver's command-line parsing.
 //!
 //! The paper's configuration (256 regions, 730 days, 30 epochs, d=16,
 //! H=128) is available as [`Scale::Paper`]; `quick` and `medium` shrink the
@@ -8,6 +8,8 @@
 use sthsl_baselines::BaselineConfig;
 use sthsl_core::StHslConfig;
 use sthsl_data::{CrimeDataset, DatasetConfig, Result, SynthCity, SynthConfig};
+
+use crate::experiments::EXPERIMENTS;
 
 /// Which city preset to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,16 +69,7 @@ impl Scale {
     /// ST-HSL hyperparameters for this scale.
     pub fn sthsl_config(&self, seed: u64) -> StHslConfig {
         let cfg = match self {
-            Scale::Quick => StHslConfig {
-                d: 16,
-                num_hyperedges: 64,
-                epochs: 18,
-                batch_size: 4,
-                max_batches_per_epoch: Some(12),
-                lambda1: 0.1,
-                lambda2: 0.03,
-                ..StHslConfig::paper()
-            },
+            Scale::Quick => StHslConfig::quick(),
             Scale::Medium => StHslConfig {
                 d: 16,
                 num_hyperedges: 64,
@@ -87,7 +80,7 @@ impl Scale {
             },
             Scale::Paper => StHslConfig::paper(),
         };
-        StHslConfig { seed, ..cfg }
+        cfg.with_seed(seed)
     }
 
     /// Baseline hyperparameters for this scale.
@@ -125,57 +118,107 @@ impl Scale {
     }
 }
 
-/// Parsed common experiment arguments.
-#[derive(Debug, Clone)]
+/// The driver's command line: `--scale quick|medium|paper`,
+/// `--city nyc|chi|both`, `--seed N` and experiment ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpArgs {
-    /// Experiment scale.
+    /// Experiment scale (default quick).
     pub scale: Scale,
-    /// Cities to run.
+    /// Cities to run (default both).
     pub cities: Vec<City>,
-    /// Base RNG seed.
+    /// Base RNG seed (default 7).
     pub seed: u64,
+    /// Selected experiment ids in the driver's order (default all).
+    pub experiments: Vec<&'static str>,
 }
 
-/// Parse `--scale quick|medium|paper`, `--city nyc|chi|both`, `--seed N`
-/// from the process's command-line arguments (defaults: quick, both, 7).
-pub fn parse_args() -> ExpArgs {
-    let args: Vec<String> = std::env::args().collect();
-    parse_args_from(&args)
+/// A command line the driver refuses; each variant names the token at fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgError {
+    /// A flag ended the line without its value.
+    MissingValue(String),
+    /// A flag's value is not one it accepts.
+    BadValue {
+        /// The flag.
+        flag: String,
+        /// The rejected value.
+        value: String,
+    },
+    /// A `-`-prefixed token that is no driver flag.
+    UnknownFlag(String),
+    /// A token that names no experiment.
+    UnknownExperiment(String),
 }
 
-/// [`parse_args`] over an explicit argument list (index 0 is the program
-/// name, as in `std::env::args`).
-pub fn parse_args_from(args: &[String]) -> ExpArgs {
-    let mut scale = Scale::Quick;
-    let mut cities = vec![City::Nyc, City::Chicago];
-    let mut seed = 7u64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                scale = match args[i + 1].as_str() {
-                    "medium" => Scale::Medium,
-                    "paper" => Scale::Paper,
-                    _ => Scale::Quick,
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            ArgError::BadValue { flag, value } => {
+                let expected = match flag.as_str() {
+                    "--scale" => "quick, medium or paper",
+                    "--city" => "nyc, chi or both",
+                    _ => "a non-negative integer",
                 };
-                i += 2;
+                write!(f, "invalid value '{value}' for {flag}: expected {expected}")
             }
-            "--city" if i + 1 < args.len() => {
-                cities = match args[i + 1].as_str() {
-                    "nyc" => vec![City::Nyc],
-                    "chi" | "chicago" => vec![City::Chicago],
-                    _ => vec![City::Nyc, City::Chicago],
-                };
-                i += 2;
+            ArgError::UnknownFlag(flag) => {
+                write!(f, "unknown flag '{flag}': expected --scale, --city or --seed")
             }
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().unwrap_or(7);
-                i += 2;
+            ArgError::UnknownExperiment(id) => {
+                let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+                write!(f, "unknown experiment '{id}': expected one of {}", ids.join(", "))
             }
-            _ => i += 1,
         }
     }
-    ExpArgs { scale, cities, seed }
+}
+
+impl std::error::Error for ArgError {}
+
+/// Parse the driver's command line (index 0 is the program name, as in
+/// `std::env::args`). Any malformed value, unknown flag or unknown
+/// experiment id is an error.
+pub fn parse_args_from(args: &[String]) -> std::result::Result<ExpArgs, ArgError> {
+    let mut parsed = ExpArgs {
+        scale: Scale::Quick,
+        cities: vec![City::Nyc, City::Chicago],
+        seed: 7,
+        experiments: Vec::new(),
+    };
+    let mut chosen: Vec<&str> = Vec::new();
+    let mut tokens = args.iter().skip(1);
+    while let Some(token) = tokens.next() {
+        if !token.starts_with('-') {
+            if !EXPERIMENTS.iter().any(|e| e.id == token) {
+                return Err(ArgError::UnknownExperiment(token.clone()));
+            }
+            chosen.push(token);
+            continue;
+        }
+        let value = match token.as_str() {
+            "--scale" | "--city" | "--seed" => {
+                tokens.next().ok_or_else(|| ArgError::MissingValue(token.clone()))?
+            }
+            _ => return Err(ArgError::UnknownFlag(token.clone())),
+        };
+        let bad = || ArgError::BadValue { flag: token.clone(), value: value.clone() };
+        match (token.as_str(), value.as_str()) {
+            ("--scale", "quick") => parsed.scale = Scale::Quick,
+            ("--scale", "medium") => parsed.scale = Scale::Medium,
+            ("--scale", "paper") => parsed.scale = Scale::Paper,
+            ("--city", "nyc") => parsed.cities = vec![City::Nyc],
+            ("--city", "chi" | "chicago") => parsed.cities = vec![City::Chicago],
+            ("--city", "both") => parsed.cities = vec![City::Nyc, City::Chicago],
+            ("--seed", seed) => parsed.seed = seed.parse().map_err(|_| bad())?,
+            _ => return Err(bad()),
+        }
+    }
+    parsed.experiments = EXPERIMENTS
+        .iter()
+        .map(|e| e.id)
+        .filter(|id| chosen.is_empty() || chosen.contains(id))
+        .collect();
+    Ok(parsed)
 }
 
 #[cfg(test)]
@@ -204,24 +247,39 @@ mod tests {
 
     #[test]
     fn arg_parsing_defaults_and_overrides() {
-        let to_vec =
-            |s: &[&str]| s.iter().map(std::string::ToString::to_string).collect::<Vec<_>>();
-        let d = parse_args_from(&to_vec(&["prog"]));
+        let parse = |s: &[&str]| {
+            parse_args_from(&s.iter().map(std::string::ToString::to_string).collect::<Vec<_>>())
+        };
+        let d = parse(&["prog"]).unwrap();
         assert_eq!(d.scale, Scale::Quick);
         assert_eq!(d.cities.len(), 2);
         assert_eq!(d.seed, 7);
-        let a = parse_args_from(&to_vec(&[
-            "prog", "--scale", "paper", "--city", "nyc", "--seed", "42",
-        ]));
+        assert_eq!(d.experiments.len(), EXPERIMENTS.len());
+        let a =
+            parse(&["prog", "fig8", "--scale", "paper", "--city", "nyc", "--seed", "42", "audit"])
+                .unwrap();
         assert_eq!(a.scale, Scale::Paper);
         assert_eq!(a.cities, vec![City::Nyc]);
         assert_eq!(a.seed, 42);
-        // Malformed seed falls back to the default instead of panicking.
-        let b = parse_args_from(&to_vec(&["prog", "--seed", "not-a-number"]));
-        assert_eq!(b.seed, 7);
-        // Unknown flags are ignored.
-        let c = parse_args_from(&to_vec(&["prog", "--unknown", "--city", "chi"]));
-        assert_eq!(c.cities, vec![City::Chicago]);
+        // Selected ids run in the driver's order, audit first.
+        assert_eq!(a.experiments, vec!["audit", "fig8"]);
+        // Malformed values, unknown flags and unknown ids are rejected, each
+        // naming the token at fault.
+        let bad = |flag: &str, value: &str| ArgError::BadValue {
+            flag: flag.to_string(),
+            value: value.to_string(),
+        };
+        assert_eq!(parse(&["prog", "--scale", "papr"]), Err(bad("--scale", "papr")));
+        assert_eq!(parse(&["prog", "--seed", "not-a-number"]), Err(bad("--seed", "not-a-number")));
+        assert_eq!(parse(&["prog", "--city", "atlantis"]), Err(bad("--city", "atlantis")));
+        assert_eq!(
+            parse(&["prog", "--unknown", "--city", "chi"]),
+            Err(ArgError::UnknownFlag("--unknown".to_string()))
+        );
+        assert_eq!(parse(&["prog", "--seed"]), Err(ArgError::MissingValue("--seed".to_string())));
+        let unknown = parse(&["prog", "table9"]).unwrap_err();
+        assert_eq!(unknown, ArgError::UnknownExperiment("table9".to_string()));
+        assert!(unknown.to_string().contains("'table9'"), "{unknown}");
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl Ablation {
 /// ST-HSL hyperparameters. Defaults follow the paper's reported settings
 /// (d = 16, H = 128 hyperedges, kernel 3, two local conv layers, four global
 /// temporal layers, Adam lr 1e-3).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StHslConfig {
     /// Embedding dimensionality `d`.
     pub d: usize,
