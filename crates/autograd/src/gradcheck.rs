@@ -94,12 +94,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "gradient mismatch")]
     fn gradcheck_rejects_wrong_gradient() {
-        // A deliberately wrong custom op: forward x², backward claims 3x².
+        // A deliberately wrong op: forward x², backward claims 3x². The kind
+        // is only a label; the wrong closure is what gradcheck must catch.
         gradcheck(&[Tensor::from_vec(vec![2.0], &[1]).unwrap()], |g, vars| {
             let xv = g.value(vars[0]);
             let out = xv.map(|v| v * v);
             let bad = g.op(
-                crate::tape::OpKind::Opaque { name: "bad_square" },
+                crate::tape::OpKind::Square,
                 out,
                 vec![vars[0]],
                 Box::new(|grad, p, _| {

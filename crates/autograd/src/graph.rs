@@ -216,10 +216,6 @@ impl Graph {
     }
 
     /// Record an op node. `requires_grad` is inherited from any parent.
-    ///
-    /// In debug builds the ahead-of-time shape rule for `kind` is
-    /// cross-checked against the runtime shape of `value`, so every test
-    /// run certifies [`OpKind::infer_shape`] against the kernels.
     pub(crate) fn op(
         &self,
         kind: OpKind,
@@ -232,27 +228,6 @@ impl Graph {
             let nodes = self.nodes.borrow();
             parents.iter().any(|p| nodes[p.0].requires_grad)
         };
-        #[cfg(debug_assertions)]
-        {
-            let nodes = self.nodes.borrow();
-            let pshapes: Vec<Vec<usize>> =
-                parents.iter().map(|p| nodes[p.0].value.shape().to_vec()).collect();
-            match kind.infer_shape(&pshapes) {
-                Ok(Some(inferred)) => debug_assert_eq!(
-                    inferred,
-                    value.shape(),
-                    "shape inference for {} disagrees with runtime (parents {pshapes:?})",
-                    kind.display()
-                ),
-                Ok(None) => {}
-                Err(e) => {
-                    debug_assert!(
-                        false,
-                        "shape inference rejected an op the runtime accepted: {e}"
-                    );
-                }
-            }
-        }
         self.push(Node {
             value,
             parents: parents.into_iter().map(|v| v.0).collect(),
@@ -281,7 +256,7 @@ impl Graph {
                     parents: n.parents.clone(),
                     label: n.label.clone(),
                     requires_grad: n.requires_grad,
-                    runtime_shape: Some(n.value.shape().to_vec()),
+                    shape: n.value.shape().to_vec(),
                     value_range: observed_range(n.value.data()),
                 })
                 .collect(),

@@ -7,10 +7,10 @@
 //! projects the tape into a [`TapeSpec`] — plain data, no tensors, no
 //! closures — which analysis passes can walk without executing anything.
 //!
-//! [`OpKind::infer_shape`] is the single source of truth for ahead-of-time
-//! shape rules. In debug builds `Graph::op` cross-checks every inferred
-//! shape against the runtime shape, so the whole existing test suite doubles
-//! as a conformance suite for the inference rules.
+//! Shapes have one set of rules, the tensor kernels': they compute every
+//! output shape and reject malformed operands with a typed error before a
+//! node is recorded, so each exported node carries the shape its kernel
+//! produced.
 //!
 //! [`Graph::export_tape`]: crate::Graph::export_tape
 
@@ -102,8 +102,6 @@ pub enum OpKind {
     },
     /// Diagonal InfoNCE over square logits → scalar.
     InfoNceDiag,
-    /// Escape hatch for ops the analyzer cannot model (test doubles).
-    Opaque { name: &'static str },
 }
 
 impl OpKind {
@@ -146,7 +144,6 @@ impl OpKind {
             OpKind::Conv2d { .. } => "conv2d",
             OpKind::Conv1d { .. } => "conv1d",
             OpKind::InfoNceDiag => "info_nce_diag",
-            OpKind::Opaque { .. } => "opaque",
         }
     }
 
@@ -182,242 +179,14 @@ impl OpKind {
                 "conv1d(pad=({pad_left},{pad_right}), dilation={dilation}, bias={has_bias}{})",
                 view_note(*view)
             ),
-            OpKind::Opaque { name } => format!("opaque({name})"),
             _ => self.name().to_string(),
         }
     }
 
-    /// True for input nodes whose shape is given, not inferred.
+    /// True for input nodes (parameters and data), which take no parents.
     pub fn is_input(&self) -> bool {
         matches!(self, OpKind::Leaf | OpKind::Constant)
     }
-
-    /// Ahead-of-time output shape from parent shapes, mirroring the runtime
-    /// kernels exactly. `Ok(None)` means the shape is not inferable (inputs,
-    /// [`OpKind::Opaque`]); `Err` carries a diagnostic for graphs the runtime
-    /// would reject.
-    pub fn infer_shape(&self, ps: &[Vec<usize>]) -> Result<Option<Vec<usize>>, String> {
-        match self {
-            OpKind::Leaf | OpKind::Constant | OpKind::Opaque { .. } => Ok(None),
-
-            OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div => {
-                let [a, b] = two(self, ps)?;
-                broadcast(self, a, b).map(Some)
-            }
-
-            OpKind::Scale { .. }
-            | OpKind::AddScalar { .. }
-            | OpKind::Square
-            | OpKind::LeakyRelu { .. }
-            | OpKind::Sigmoid
-            | OpKind::Tanh
-            | OpKind::Exp
-            | OpKind::LnEps { .. }
-            | OpKind::SqrtEps { .. }
-            | OpKind::Softplus
-            | OpKind::Dropout { .. } => Ok(Some(one(self, ps)?.clone())),
-
-            OpKind::Reshape { shape } => {
-                let x = one(self, ps)?;
-                if numel(x) != numel(shape) {
-                    return Err(format!(
-                        "reshape: cannot view {x:?} ({} elements) as {shape:?} ({} elements)",
-                        numel(x),
-                        numel(shape)
-                    ));
-                }
-                Ok(Some(shape.clone()))
-            }
-
-            OpKind::Permute { perm } => {
-                let x = one(self, ps)?;
-                if perm.len() != x.len() || !is_permutation(perm) {
-                    return Err(format!(
-                        "permute: {perm:?} is not a permutation of axes of rank-{} input {x:?}",
-                        x.len()
-                    ));
-                }
-                Ok(Some(perm.iter().map(|&p| x[p]).collect()))
-            }
-
-            OpKind::Concat { axis } => {
-                let first =
-                    ps.first().ok_or_else(|| "concat: needs at least one input".to_string())?;
-                check_axis(self, first, *axis)?;
-                let mut total = 0usize;
-                for p in ps {
-                    if p.len() != first.len() {
-                        return Err(format!("concat: rank mismatch, {first:?} vs {p:?}"));
-                    }
-                    for (d, (&a, &b)) in first.iter().zip(p).enumerate() {
-                        if d != *axis && a != b {
-                            return Err(format!(
-                                "concat(axis={axis}): non-axis dims differ, {first:?} vs {p:?}"
-                            ));
-                        }
-                    }
-                    total += p[*axis];
-                }
-                let mut out = first.clone();
-                out[*axis] = total;
-                Ok(Some(out))
-            }
-
-            OpKind::SliceAxis { axis, start, len } => {
-                let x = one(self, ps)?;
-                check_axis(self, x, *axis)?;
-                if start + len > x[*axis] {
-                    return Err(format!(
-                        "slice_axis(axis={axis}): range [{start}, {}) out of bounds for dim {}",
-                        start + len,
-                        x[*axis]
-                    ));
-                }
-                let mut out = x.clone();
-                out[*axis] = *len;
-                Ok(Some(out))
-            }
-
-            OpKind::PadAxis { axis, before, after } => {
-                let x = one(self, ps)?;
-                check_axis(self, x, *axis)?;
-                let mut out = x.clone();
-                out[*axis] += before + after;
-                Ok(Some(out))
-            }
-
-            OpKind::IndexSelect { axis, indices } => {
-                let x = one(self, ps)?;
-                check_axis(self, x, *axis)?;
-                if let Some(&bad) = indices.iter().find(|&&i| i >= x[*axis]) {
-                    return Err(format!(
-                        "index_select(axis={axis}): index {bad} out of bounds for dim {}",
-                        x[*axis]
-                    ));
-                }
-                let mut out = x.clone();
-                out[*axis] = indices.len();
-                Ok(Some(out))
-            }
-
-            OpKind::Matmul => {
-                let [a, b] = two(self, ps)?;
-                match (a.as_slice(), b.as_slice()) {
-                    ([m, k], [k2, n]) if k == k2 => Ok(Some(vec![*m, *n])),
-                    _ => Err(format!("{}: expected [m,k] · [k,n], got {a:?} · {b:?}", self.name())),
-                }
-            }
-
-            OpKind::BatchedMatmul { lhs_transposed } => {
-                let [a, b] = two(self, ps)?;
-                match (a.as_slice(), b.as_slice(), lhs_transposed) {
-                    ([ba, m, k], [bb, k2, n], false) | ([ba, k, m], [bb, k2, n], true)
-                        if ba == bb && k == k2 =>
-                    {
-                        Ok(Some(vec![*ba, *m, *n]))
-                    }
-                    (.., false) => Err(format!(
-                        "batched_matmul: expected [b,m,k] · [b,k,n], got {a:?} · {b:?}"
-                    )),
-                    (.., true) => Err(format!(
-                        "batched_matmul: expected [b,k,m]ᵀ · [b,k,n], got {a:?} · {b:?}"
-                    )),
-                }
-            }
-
-            OpKind::Transpose2d => {
-                let x = one(self, ps)?;
-                match x.as_slice() {
-                    [m, n] => Ok(Some(vec![*n, *m])),
-                    _ => Err(format!("transpose2d: expected rank-2 input, got {x:?}")),
-                }
-            }
-
-            OpKind::SumAll | OpKind::MeanAll | OpKind::InfoNceDiag => {
-                let x = one(self, ps)?;
-                if *self == OpKind::InfoNceDiag {
-                    match x.as_slice() {
-                        [n, n2] if n == n2 => {}
-                        _ => {
-                            return Err(format!("info_nce_diag: logits must be square, got {x:?}"))
-                        }
-                    }
-                }
-                Ok(Some(vec![]))
-            }
-
-            OpKind::SumAxis { axis } | OpKind::MeanAxis { axis } => {
-                let x = one(self, ps)?;
-                check_axis(self, x, *axis)?;
-                let mut out = x.clone();
-                out.remove(*axis);
-                Ok(Some(out))
-            }
-
-            OpKind::SoftmaxLastdim | OpKind::LogSoftmaxLastdim => {
-                let x = one(self, ps)?;
-                if x.is_empty() {
-                    return Err(format!("{}: input must have rank >= 1", self.name()));
-                }
-                Ok(Some(x.clone()))
-            }
-
-            OpKind::Conv2d { pad: (ph, pw), has_bias, view } => {
-                let (x, w) = conv_io(self, ps, *has_bias)?;
-                let operand = conv_operand(self, x, *view, 4)?;
-                match (operand.as_slice(), w.as_slice()) {
-                    ([b, cin, h, wd], [cout, cin_w, kh, kw]) => {
-                        if cin != cin_w {
-                            return Err(format!(
-                                "conv2d: input channels {cin} != weight channels {cin_w}"
-                            ));
-                        }
-                        check_conv_bias(self, ps, *has_bias, *cout)?;
-                        if *kh == 0 || *kw == 0 {
-                            return Err("conv2d: kernel dims must be >= 1".to_string());
-                        }
-                        let oh = conv_out_len("conv2d", *h, (*ph, *ph), *kh, 1)?;
-                        let ow = conv_out_len("conv2d", *wd, (*pw, *pw), *kw, 1)?;
-                        conv_output(self, x, &operand, vec![*b, *cout, oh, ow], *view)
-                    }
-                    _ => Err(format!(
-                        "conv2d: expected x [B,Cin,H,W] and w [Cout,Cin,kh,kw], got {x:?} and {w:?}"
-                    )),
-                }
-            }
-
-            OpKind::Conv1d { pad_left, pad_right, dilation, has_bias, view } => {
-                let (x, w) = conv_io(self, ps, *has_bias)?;
-                let operand = conv_operand(self, x, *view, 3)?;
-                match (operand.as_slice(), w.as_slice()) {
-                    ([b, cin, l], [cout, cin_w, k]) => {
-                        if cin != cin_w {
-                            return Err(format!(
-                                "conv1d: input channels {cin} != weight channels {cin_w}"
-                            ));
-                        }
-                        check_conv_bias(self, ps, *has_bias, *cout)?;
-                        if *dilation == 0 {
-                            return Err("conv1d: dilation must be >= 1".to_string());
-                        }
-                        if *k == 0 {
-                            return Err("conv1d: kernel length must be >= 1".to_string());
-                        }
-                        let pad = (*pad_left, *pad_right);
-                        let ol = conv_out_len("conv1d", *l, pad, *k, *dilation)?;
-                        conv_output(self, x, &operand, vec![*b, *cout, ol], *view)
-                    }
-                    _ => Err(format!(
-                        "conv1d: expected x [B,Cin,L] and w [Cout,Cin,k], got {x:?} and {w:?}"
-                    )),
-                }
-            }
-        }
-    }
-}
-
-fn numel(shape: &[usize]) -> usize {
-    shape.iter().product()
 }
 
 /// `, view` in a conv's display when it reads through one.
@@ -427,139 +196,6 @@ fn view_note(view: Option<ConvView>) -> &'static str {
     } else {
         ""
     }
-}
-
-/// The `[B, C, H, W]` (`rank` 4) or `[B, C, L]` (`rank` 3) operand a conv
-/// reads: `x` itself, or what `view` reads out of it.
-fn conv_operand(
-    kind: &OpKind,
-    x: &[usize],
-    view: Option<ConvView>,
-    rank: usize,
-) -> Result<Vec<usize>, String> {
-    let Some(v) = view else { return Ok(x.to_vec()) };
-    v.check(numel(x)).map_err(|e| format!("{}: {e}", kind.name()))?;
-    let [b, c, h, w] = v.dims();
-    match rank {
-        3 if h == 1 => Ok(vec![b, c, w]),
-        3 => Err(format!("{}: a 1-D view has one row, got {v:?}", kind.name())),
-        _ => Ok(vec![b, c, h, w]),
-    }
-}
-
-/// A conv's output shape: `dense` without a view; through one, `x`'s own
-/// shape, which needs the output geometry to equal the operand's.
-fn conv_output(
-    kind: &OpKind,
-    x: &[usize],
-    operand: &[usize],
-    dense: Vec<usize>,
-    view: Option<ConvView>,
-) -> Result<Option<Vec<usize>>, String> {
-    match view {
-        None => Ok(Some(dense)),
-        Some(_) if dense == operand => Ok(Some(x.to_vec())),
-        Some(_) => Err(format!(
-            "{}: a conv through a view must map its operand {operand:?} to the same \
-             geometry, got {dense:?}",
-            kind.name()
-        )),
-    }
-}
-
-fn is_permutation(perm: &[usize]) -> bool {
-    let mut seen = vec![false; perm.len()];
-    perm.iter().all(|&p| p < perm.len() && !std::mem::replace(&mut seen[p], true))
-}
-
-fn one<'a>(kind: &OpKind, ps: &'a [Vec<usize>]) -> Result<&'a Vec<usize>, String> {
-    match ps {
-        [x] => Ok(x),
-        _ => Err(format!("{}: expected 1 input, got {}", kind.name(), ps.len())),
-    }
-}
-
-fn two<'a>(kind: &OpKind, ps: &'a [Vec<usize>]) -> Result<[&'a Vec<usize>; 2], String> {
-    match ps {
-        [a, b] => Ok([a, b]),
-        _ => Err(format!("{}: expected 2 inputs, got {}", kind.name(), ps.len())),
-    }
-}
-
-fn check_axis(kind: &OpKind, shape: &[usize], axis: usize) -> Result<(), String> {
-    if axis >= shape.len() {
-        return Err(format!(
-            "{}: axis {axis} out of range for rank-{} shape {shape:?}",
-            kind.name(),
-            shape.len()
-        ));
-    }
-    Ok(())
-}
-
-/// NumPy trailing-axes broadcast, mirroring `sthsl_tensor::shape::broadcast_shapes`.
-fn broadcast(kind: &OpKind, lhs: &[usize], rhs: &[usize]) -> Result<Vec<usize>, String> {
-    let ndim = lhs.len().max(rhs.len());
-    let mut out = vec![0usize; ndim];
-    for (i, slot) in out.iter_mut().enumerate() {
-        let l = if i < ndim - lhs.len() { 1 } else { lhs[i - (ndim - lhs.len())] };
-        let r = if i < ndim - rhs.len() { 1 } else { rhs[i - (ndim - rhs.len())] };
-        if l == r || l == 1 || r == 1 {
-            *slot = if l == 1 { r } else { l };
-        } else {
-            return Err(format!(
-                "{}: shapes {lhs:?} and {rhs:?} are not broadcastable",
-                kind.name()
-            ));
-        }
-    }
-    Ok(out)
-}
-
-fn conv_io<'a>(
-    kind: &OpKind,
-    ps: &'a [Vec<usize>],
-    has_bias: bool,
-) -> Result<(&'a Vec<usize>, &'a Vec<usize>), String> {
-    let want = if has_bias { 3 } else { 2 };
-    if ps.len() != want {
-        return Err(format!("{}: expected {want} inputs, got {}", kind.name(), ps.len()));
-    }
-    Ok((&ps[0], &ps[1]))
-}
-
-fn check_conv_bias(
-    kind: &OpKind,
-    ps: &[Vec<usize>],
-    has_bias: bool,
-    cout: usize,
-) -> Result<(), String> {
-    if has_bias && ps[2].as_slice() != [cout] {
-        return Err(format!("{}: bias shape {:?} != [{cout}]", kind.name(), ps[2]));
-    }
-    Ok(())
-}
-
-/// Output extent of a stride-1 conv axis: `len + lo + hi − dilation·(k−1)`
-/// for `k >= 1`, in checked arithmetic, so that an overflowing geometry is an
-/// error rather than a wrapped size.
-fn conv_out_len(
-    op: &str,
-    len: usize,
-    (lo, hi): (usize, usize),
-    k: usize,
-    dilation: usize,
-) -> Result<usize, String> {
-    let padded = len
-        .checked_add(lo)
-        .and_then(|n| n.checked_add(hi))
-        .ok_or_else(|| format!("{op}: padded extent {len} + {lo} + {hi} overflows usize"))?;
-    let span = k.checked_sub(1).and_then(|n| n.checked_mul(dilation)).ok_or_else(|| {
-        format!("{op}: span of kernel {k} at dilation {dilation} overflows usize")
-    })?;
-    padded
-        .checked_sub(span)
-        .ok_or_else(|| format!("{op}: kernel span {span} exceeds padded extent {padded}"))
 }
 
 /// One node of an exported tape: pure data, safe to build by hand in tests.
@@ -573,10 +209,9 @@ pub struct NodeSpec {
     pub label: Option<String>,
     /// Whether gradient flows into / through this node.
     pub requires_grad: bool,
-    /// Runtime shape when exported from an executed graph; for hand-built
-    /// specs, the given shape of input nodes (`None` on op nodes lets the
-    /// analyzer exercise pure ahead-of-time inference).
-    pub runtime_shape: Option<Vec<usize>>,
+    /// Shape of the node's value: the one its kernel produced when
+    /// exported from an executed graph, the one given for a hand-built spec.
+    pub shape: Vec<usize>,
     /// Observed `(min, max)` over the node's forward value at export time.
     /// For inputs this doubles as the *declared* range the interval pass
     /// seeds from; for op nodes it is the runtime witness the pass checks
@@ -605,7 +240,7 @@ impl TapeSpec {
             parents: vec![],
             label: Some(label.to_string()),
             requires_grad: true,
-            runtime_shape: Some(shape.to_vec()),
+            shape: shape.to_vec(),
             value_range: None,
         });
         self.nodes.len() - 1
@@ -626,7 +261,7 @@ impl TapeSpec {
             parents: vec![],
             label: None,
             requires_grad: false,
-            runtime_shape: Some(shape.to_vec()),
+            shape: shape.to_vec(),
             value_range: None,
         });
         self.nodes.len() - 1
@@ -639,8 +274,9 @@ impl TapeSpec {
         i
     }
 
-    /// Append an op node; `requires_grad` is inherited from the parents.
-    pub fn push(&mut self, kind: OpKind, parents: &[usize]) -> usize {
+    /// Append an op node with output `shape`; `requires_grad` is inherited
+    /// from the parents.
+    pub fn push(&mut self, kind: OpKind, parents: &[usize], shape: &[usize]) -> usize {
         let requires_grad =
             parents.iter().any(|&p| self.nodes.get(p).is_some_and(|n| n.requires_grad));
         self.nodes.push(NodeSpec {
@@ -648,7 +284,7 @@ impl TapeSpec {
             parents: parents.to_vec(),
             label: None,
             requires_grad,
-            runtime_shape: None,
+            shape: shape.to_vec(),
             value_range: None,
         });
         self.nodes.len() - 1
@@ -657,45 +293,143 @@ impl TapeSpec {
 
 #[cfg(test)]
 mod tests {
+    //! The rules tests below drive each op through the `Graph` method that
+    //! records it: an accepted op leaves a node carrying the shape its
+    //! kernel computed, and a malformed one comes back as a typed `Err`,
+    //! never a panic and never a recorded node.
+
+    use std::panic::catch_unwind;
+
+    use sthsl_tensor::ops::conv::Pad1d;
+    use sthsl_tensor::{Result, Tensor};
+
     use super::*;
+    use crate::{Graph, Var};
+
+    fn x(g: &Graph, shape: &[usize]) -> Var {
+        g.leaf(Tensor::zeros(shape))
+    }
+
+    /// The shape the exported tape records for the node `op` returns.
+    fn recorded(op: impl FnOnce(&Graph) -> Result<Var>) -> Vec<usize> {
+        let g = Graph::new();
+        let v = op(&g).expect("a well-formed op is accepted");
+        g.export_tape().nodes[v.index()].shape.clone()
+    }
+
+    /// What is malformed, a fragment of the error's `Debug` form that names
+    /// the check which caught it, and the op call.
+    type Case = (&'static str, &'static str, fn(&Graph) -> Result<Var>);
+
+    fn assert_rejected(cases: &[Case]) {
+        for &(name, reason, case) in cases {
+            let outcome = catch_unwind(|| {
+                let g = Graph::new();
+                let res = case(&g).map(Var::index);
+                (res, g.export_tape().nodes.iter().all(|n| n.kind.is_input()))
+            });
+            let Ok((res, only_inputs)) = outcome else { panic!("{name}: the op panicked") };
+            match res {
+                Ok(v) => panic!("{name}: accepted, recorded %{v}"),
+                Err(e) => assert!(format!("{e:?}").contains(reason), "{name}: rejected as {e:?}"),
+            }
+            assert!(only_inputs, "{name}: the rejected op left a node on the tape");
+        }
+    }
+
+    /// `[R=4, Tw=3, C=2, d=5]` read as batch (Tw, d), channels C and a 2×2
+    /// plane of the R axis: the layout the local encoder's convs read.
+    fn plane_view() -> ConvView {
+        let cd = 2 * 5;
+        ConvView {
+            batch: [(3, cd), (5, 1)],
+            channels: (2, 5),
+            rows: (2, 2 * 3 * cd),
+            cols: (2, 3 * cd),
+        }
+    }
 
     #[test]
     fn elementwise_broadcast_rules() {
-        let k = OpKind::Add;
-        assert_eq!(k.infer_shape(&[vec![2, 3], vec![3]]).unwrap(), Some(vec![2, 3]));
-        assert_eq!(k.infer_shape(&[vec![4, 1, 3], vec![2, 1]]).unwrap(), Some(vec![4, 2, 3]));
+        assert_eq!(recorded(|g| g.add(x(g, &[2, 3]), x(g, &[3]))), [2, 3]);
+        assert_eq!(recorded(|g| g.add(x(g, &[4, 1, 3]), x(g, &[2, 1]))), [4, 2, 3]);
         // Scalars (rank 0) broadcast against anything.
-        assert_eq!(k.infer_shape(&[vec![], vec![5]]).unwrap(), Some(vec![5]));
-        assert!(k.infer_shape(&[vec![2, 3], vec![4]]).is_err());
+        assert_eq!(recorded(|g| g.add(x(g, &[]), x(g, &[5]))), [5]);
+        assert_rejected(&[("add: not broadcastable", "ShapeMismatch", |g| {
+            g.add(x(g, &[2, 3]), x(g, &[4]))
+        })]);
     }
 
     #[test]
     fn matmul_and_reduction_rules() {
-        assert_eq!(
-            OpKind::Matmul.infer_shape(&[vec![3, 4], vec![4, 2]]).unwrap(),
-            Some(vec![3, 2])
-        );
-        assert!(OpKind::Matmul.infer_shape(&[vec![3, 4], vec![5, 2]]).is_err());
-        assert_eq!(
-            OpKind::SumAxis { axis: 1 }.infer_shape(&[vec![2, 3, 4]]).unwrap(),
-            Some(vec![2, 4])
-        );
-        assert_eq!(OpKind::SumAll.infer_shape(&[vec![2, 3]]).unwrap(), Some(vec![]));
-        assert!(OpKind::SumAxis { axis: 3 }.infer_shape(&[vec![2, 3]]).is_err());
+        assert_eq!(recorded(|g| g.matmul(x(g, &[3, 4]), x(g, &[4, 2]))), [3, 2]);
+        assert_eq!(recorded(|g| g.sum_axis(x(g, &[2, 3, 4]), 1)), [2, 4]);
+        assert_eq!(recorded(|g| Ok(g.sum_all(x(g, &[2, 3])))), [0usize; 0]);
+        assert_rejected(&[
+            ("matmul: inner dims differ", "ShapeMismatch", |g| {
+                g.matmul(x(g, &[3, 4]), x(g, &[5, 2]))
+            }),
+            ("batched_matmul: inner dims differ", "ShapeMismatch", |g| {
+                g.batched_matmul(x(g, &[2, 3, 4]), x(g, &[2, 5, 2]))
+            }),
+            ("batched_matmul: batch dims differ", "ShapeMismatch", |g| {
+                g.batched_matmul(x(g, &[2, 3, 4]), x(g, &[3, 4, 2]))
+            }),
+            ("batched_matmul(lhs^T): inner dims differ", "ShapeMismatch", |g| {
+                g.batched_transpose_matmul(x(g, &[2, 4, 3]), x(g, &[2, 5, 2]))
+            }),
+            ("batched_matmul(lhs^T): batch dims differ", "ShapeMismatch", |g| {
+                g.batched_transpose_matmul(x(g, &[2, 4, 3]), x(g, &[3, 4, 2]))
+            }),
+            ("sum_axis: axis out of range", "AxisOutOfRange", |g| g.sum_axis(x(g, &[2, 3]), 2)),
+            ("mean_axis: axis out of range", "AxisOutOfRange", |g| g.mean_axis(x(g, &[2, 3]), 2)),
+            ("info_nce_diag: non-square logits", "must be square", |g| {
+                g.info_nce_diag(x(g, &[2, 3]))
+            }),
+        ]);
     }
 
     #[test]
     fn conv_rules_match_kernel_arithmetic() {
-        let k = OpKind::Conv2d { pad: (1, 1), has_bias: true, view: None };
-        assert_eq!(
-            k.infer_shape(&[vec![1, 2, 4, 4], vec![3, 2, 3, 3], vec![3]]).unwrap(),
-            Some(vec![1, 3, 4, 4])
-        );
-        assert!(k.infer_shape(&[vec![1, 2, 4, 4], vec![3, 2, 3, 3], vec![5]]).is_err());
-        let c1 =
-            OpKind::Conv1d { pad_left: 2, pad_right: 0, dilation: 2, has_bias: false, view: None };
+        let conv2d = |g: &Graph| {
+            g.conv2d(x(g, &[1, 2, 4, 4]), x(g, &[3, 2, 3, 3]), Some(x(g, &[3])), (1, 1))
+        };
+        assert_eq!(recorded(conv2d), [1, 3, 4, 4]);
         // causal pad for k=2, dilation=2: L stays 8.
-        assert_eq!(c1.infer_shape(&[vec![2, 2, 8], vec![3, 2, 2]]).unwrap(), Some(vec![2, 3, 8]));
+        let causal = Pad1d { left: 2, right: 0 };
+        assert_eq!(
+            recorded(|g| g.conv1d(x(g, &[2, 2, 8]), x(g, &[3, 2, 2]), None, causal, 2)),
+            [2, 3, 8]
+        );
+        assert_rejected(&[
+            ("conv2d: channel mismatch", "ShapeMismatch", |g| {
+                g.conv2d(x(g, &[1, 2, 4, 4]), x(g, &[3, 5, 3, 3]), None, (1, 1))
+            }),
+            ("conv2d: bias mismatch", "conv2d bias", |g| {
+                g.conv2d(x(g, &[1, 2, 4, 4]), x(g, &[3, 2, 3, 3]), Some(x(g, &[5])), (1, 1))
+            }),
+            ("conv2d: zero kernel", "kernel extent must be >= 1", |g| {
+                g.conv2d(x(g, &[1, 2, 4, 4]), x(g, &[3, 2, 0, 3]), None, (1, 1))
+            }),
+            ("conv2d: kernel wider than the padded input", "exceeds padded extent", |g| {
+                g.conv2d(x(g, &[1, 1, 2, 2]), x(g, &[1, 1, 7, 7]), None, (1, 1))
+            }),
+            ("conv1d: channel mismatch", "ShapeMismatch", |g| {
+                g.conv1d(x(g, &[1, 2, 8]), x(g, &[3, 4, 3]), None, Pad1d::same(3), 1)
+            }),
+            ("conv1d: bias mismatch", "conv1d bias", |g| {
+                g.conv1d(x(g, &[1, 2, 8]), x(g, &[3, 2, 3]), Some(x(g, &[2])), Pad1d::same(3), 1)
+            }),
+            ("conv1d: zero kernel", "kernel extent must be >= 1", |g| {
+                g.conv1d(x(g, &[1, 2, 8]), x(g, &[3, 2, 0]), None, Pad1d::same(0), 1)
+            }),
+            ("conv1d: zero dilation", "dilation must be >= 1", |g| {
+                g.conv1d(x(g, &[1, 2, 8]), x(g, &[3, 2, 2]), None, Pad1d { left: 1, right: 0 }, 0)
+            }),
+            ("conv1d: dilated span wider than the padded input", "exceeds padded extent", |g| {
+                g.conv1d(x(g, &[1, 1, 4]), x(g, &[1, 1, 3]), None, Pad1d { left: 0, right: 1 }, 3)
+            }),
+        ]);
     }
 
     /// Through a view, a conv reads the operand the view describes and
@@ -703,80 +437,91 @@ mod tests {
     /// conv that would change the geometry, is rejected.
     #[test]
     fn view_conv_rules() {
-        // `[R=4, Tw=3, C=2, d=5]` read as batch (Tw, d), channels C, a 2×2 plane.
-        let (x, cd) = (vec![4, 3, 2, 5], 2 * 5);
-        let view = ConvView {
-            batch: [(3, cd), (5, 1)],
-            channels: (2, 5),
-            rows: (2, 2 * 3 * cd),
-            cols: (2, 3 * cd),
+        let same = |g: &Graph| {
+            let view = Some(plane_view());
+            g.conv2d_view(x(g, &[4, 3, 2, 5]), x(g, &[2, 2, 3, 3]), Some(x(g, &[2])), (1, 1), view)
         };
-        let k = OpKind::Conv2d { pad: (1, 1), has_bias: true, view: Some(view) };
-        assert_eq!(
-            k.infer_shape(&[x.clone(), vec![2, 2, 3, 3], vec![2]]).unwrap(),
-            Some(x.clone())
-        );
-        // C→C' and shrinking convs cannot write through the input's view.
-        assert!(k.infer_shape(&[x.clone(), vec![3, 2, 3, 3], vec![3]]).is_err());
-        let valid = OpKind::Conv2d { pad: (0, 0), has_bias: false, view: Some(view) };
-        assert!(valid.infer_shape(&[x.clone(), vec![2, 2, 3, 3]]).is_err());
-        // The view must tile the input.
-        assert!(k.infer_shape(&[vec![4, 3, 2, 6], vec![2, 2, 3, 3], vec![2]]).is_err());
-        // A 1-D view has one row.
-        let c1 = OpKind::Conv1d {
-            pad_left: 1,
-            pad_right: 1,
-            dilation: 1,
-            has_bias: false,
-            view: Some(view),
-        };
-        assert!(c1.infer_shape(&[x, vec![2, 2, 3]]).is_err());
+        assert_eq!(recorded(same), [4, 3, 2, 5]);
+        assert_rejected(&[
+            ("conv2d view: does not tile the input", "covers 120 elements", |g| {
+                let view = Some(plane_view());
+                let b = Some(x(g, &[2]));
+                g.conv2d_view(x(g, &[4, 3, 2, 6]), x(g, &[2, 2, 3, 3]), b, (1, 1), view)
+            }),
+            ("conv2d view: changes the channel count", "through the same view", |g| {
+                let view = Some(plane_view());
+                let b = Some(x(g, &[3]));
+                g.conv2d_view(x(g, &[4, 3, 2, 5]), x(g, &[3, 2, 3, 3]), b, (1, 1), view)
+            }),
+            ("conv2d view: shrinks the plane", "through the same view", |g| {
+                let view = Some(plane_view());
+                g.conv2d_view(x(g, &[4, 3, 2, 5]), x(g, &[2, 2, 3, 3]), None, (0, 0), view)
+            }),
+            ("conv1d view: more than one row", "one row", |g| {
+                let view = Some(plane_view());
+                g.conv1d_view(x(g, &[4, 3, 2, 5]), x(g, &[2, 2, 3]), None, Pad1d::same(3), 1, view)
+            }),
+        ]);
     }
 
-    /// Geometry whose padded extent or dilated span overflows `usize` is an
-    /// error, not a wrapped (release) or panicking (debug) size.
+    /// Geometry whose padded extent or dilated span overflows `usize` is a
+    /// typed error at the op, not a wrapped (release) or panicking (debug)
+    /// size. The operands are tiny: the kernel checks the arithmetic before
+    /// it sizes any buffer.
     #[test]
     fn conv_rules_reject_overflowing_geometry() {
-        let half = usize::MAX / 2 + 1;
-        let conv1d = |pad_left, dilation| OpKind::Conv1d {
-            pad_left,
-            pad_right: 1,
-            dilation,
-            has_bias: false,
-            view: None,
-        };
-        let (x1, w1) = (vec![1, 1, 8], vec![1, 1, 3]);
-        for kind in [conv1d(1, half), conv1d(usize::MAX, 1)] {
-            let err = kind.infer_shape(&[x1.clone(), w1.clone()]).unwrap_err();
-            assert!(err.contains("overflows usize"), "{err}");
-        }
-        let conv2d = OpKind::Conv2d { pad: (half, 1), has_bias: false, view: None };
-        let err = conv2d.infer_shape(&[vec![1, 1, 4, 4], vec![1, 1, 3, 3]]).unwrap_err();
-        assert!(err.contains("overflows usize"), "{err}");
+        assert_rejected(&[
+            ("conv1d: dilated span overflows", "overflows usize", |g| {
+                let half = usize::MAX / 2 + 1;
+                g.conv1d(x(g, &[1, 1, 8]), x(g, &[1, 1, 3]), None, Pad1d::same(3), half)
+            }),
+            ("conv1d: padded extent overflows", "overflows usize", |g| {
+                let pad = Pad1d { left: usize::MAX, right: 1 };
+                g.conv1d(x(g, &[1, 1, 8]), x(g, &[1, 1, 3]), None, pad, 1)
+            }),
+            ("conv2d: padded extent overflows", "overflows usize", |g| {
+                let half = usize::MAX / 2 + 1;
+                g.conv2d(x(g, &[1, 1, 4, 4]), x(g, &[1, 1, 3, 3]), None, (half, 1))
+            }),
+        ]);
     }
 
     #[test]
     fn manip_rules() {
-        assert_eq!(
-            OpKind::Permute { perm: vec![2, 0, 1] }.infer_shape(&[vec![2, 3, 4]]).unwrap(),
-            Some(vec![4, 2, 3])
-        );
-        assert!(OpKind::Permute { perm: vec![0, 0, 1] }.infer_shape(&[vec![2, 3, 4]]).is_err());
-        assert_eq!(
-            OpKind::Concat { axis: 1 }.infer_shape(&[vec![2, 2], vec![2, 3]]).unwrap(),
-            Some(vec![2, 5])
-        );
-        assert!(OpKind::Concat { axis: 0 }.infer_shape(&[vec![2, 2], vec![2, 3]]).is_err());
-        assert!(OpKind::Reshape { shape: vec![5] }.infer_shape(&[vec![2, 3]]).is_err());
-        assert_eq!(
-            OpKind::IndexSelect { axis: 0, indices: vec![0, 2, 0] }
-                .infer_shape(&[vec![4, 2]])
-                .unwrap(),
-            Some(vec![3, 2])
-        );
-        assert!(OpKind::IndexSelect { axis: 0, indices: vec![4] }
-            .infer_shape(&[vec![4, 2]])
-            .is_err());
+        assert_eq!(recorded(|g| g.permute(x(g, &[2, 3, 4]), &[2, 0, 1])), [4, 2, 3]);
+        assert_eq!(recorded(|g| g.concat(&[x(g, &[2, 2]), x(g, &[2, 3])], 1)), [2, 5]);
+        assert_eq!(recorded(|g| g.index_select(x(g, &[4, 2]), 0, &[0, 2, 0])), [3, 2]);
+        assert_rejected(&[
+            ("concat: ranks differ", "RankMismatch", |g| {
+                g.concat(&[x(g, &[2, 2]), x(g, &[2, 2, 1])], 1)
+            }),
+            ("concat: non-axis dims differ", "ShapeMismatch", |g| {
+                g.concat(&[x(g, &[2, 2]), x(g, &[2, 3])], 0)
+            }),
+            ("concat: axis out of range", "AxisOutOfRange", |g| {
+                g.concat(&[x(g, &[2, 2]), x(g, &[2, 2])], 2)
+            }),
+            ("slice_axis: range past the end", "IndexOutOfRange", |g| {
+                g.slice_axis(x(g, &[4, 2]), 0, 3, 2)
+            }),
+            ("slice_axis: axis out of range", "AxisOutOfRange", |g| {
+                g.slice_axis(x(g, &[4, 2]), 2, 0, 1)
+            }),
+            ("index_select: index past the end", "IndexOutOfRange", |g| {
+                g.index_select(x(g, &[4, 2]), 0, &[0, 4])
+            }),
+            ("index_select: axis out of range", "AxisOutOfRange", |g| {
+                g.index_select(x(g, &[4, 2]), 2, &[0])
+            }),
+            ("permute: repeated axis", "invalid permutation", |g| {
+                g.permute(x(g, &[2, 3, 4]), &[0, 0, 1])
+            }),
+            ("permute: wrong rank", "perm length", |g| g.permute(x(g, &[2, 3, 4]), &[1, 0])),
+            ("reshape: element count changes", "LengthMismatch", |g| {
+                g.reshape(x(g, &[2, 3]), &[5])
+            }),
+            ("transpose2d: rank 3", "RankMismatch", |g| g.transpose2d(x(g, &[2, 3, 4]))),
+        ]);
     }
 
     #[test]
@@ -784,8 +529,8 @@ mod tests {
         let mut spec = TapeSpec::new();
         let w = spec.leaf("w", &[2, 2]);
         let c = spec.constant(&[2, 2]);
-        let m = spec.push(OpKind::Mul, &[w, c]);
-        let d = spec.push(OpKind::Square, &[c]);
+        let m = spec.push(OpKind::Mul, &[w, c], &[2, 2]);
+        let d = spec.push(OpKind::Square, &[c], &[2, 2]);
         assert!(spec.nodes[m].requires_grad);
         assert!(!spec.nodes[d].requires_grad);
     }

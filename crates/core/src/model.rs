@@ -406,8 +406,8 @@ impl StHsl {
         out
     }
 
-    /// Run the full static audit (shape, grad-flow, value ranges, static
-    /// cost model) over the graph this model builds for training. Does not
+    /// Run the full static audit (structure, grad-flow, value ranges,
+    /// static cost model) over the graph this model builds for training. Does not
     /// execute forward or backward beyond the single tape-recording pass.
     pub fn graph_audit(&self, data: &CrimeDataset) -> Result<AuditReport> {
         let (g, loss, params) = self.audit_artifacts(data)?;

@@ -48,8 +48,8 @@ mod tests {
         let mut spec = TapeSpec::new();
         let w = spec.leaf("w", &[2, 2]);
         let c = spec.constant(&[2, 2]);
-        let m = spec.push(OpKind::Mul, &[w, c]);
-        let s = spec.push(OpKind::SumAxis { axis: 1 }, &[m]);
+        let m = spec.push(OpKind::Mul, &[w, c], &[2, 2]);
+        let s = spec.push(OpKind::SumAxis { axis: 1 }, &[m], &[2]);
         let chain = producer_chain(&spec, s);
         assert_eq!(chain, format!("%{s} = sum_axis(axis=1) <- %{m} = mul <- %{w} = leaf \"w\""));
     }
@@ -59,7 +59,7 @@ mod tests {
         let mut spec = TapeSpec::new();
         let mut cur = spec.leaf("w", &[2]);
         for _ in 0..10 {
-            cur = spec.push(OpKind::Square, &[cur]);
+            cur = spec.push(OpKind::Square, &[cur], &[2]);
         }
         let chain = producer_chain(&spec, cur);
         assert!(chain.contains("..."));

@@ -57,8 +57,6 @@ pub struct CostSummary {
     pub total_bwd_flops: u128,
     pub total_out_bytes: u128,
     pub total_traffic_bytes: u128,
-    /// Nodes skipped because their shapes were not inferred.
-    pub unknown_nodes: usize,
 }
 
 impl CostSummary {
@@ -89,23 +87,14 @@ impl CostSummary {
 }
 
 /// Run the cost pass.
-pub fn analyze(spec: &TapeSpec, shapes: &[Option<Vec<usize>>]) -> CostSummary {
+pub fn analyze(spec: &TapeSpec) -> CostSummary {
     let mut summary = CostSummary::default();
     for (i, node) in spec.nodes.iter().enumerate() {
-        let Some(out_shape) = shapes.get(i).and_then(|s| s.as_ref()) else {
-            summary.unknown_nodes += 1;
-            continue;
-        };
-        let out_numel = numel(out_shape);
-        let fwd = fwd_flops(spec, shapes, i, out_numel);
+        let out_numel = numel(&node.shape);
+        let fwd = fwd_flops(spec, i, out_numel);
         let bwd = if node.requires_grad && fwd > 0 { 2 * fwd } else { 0 };
         let out_bytes = 4 * out_numel;
-        let in_bytes: u128 = node
-            .parents
-            .iter()
-            .filter_map(|&p| shapes.get(p).and_then(|s| s.as_ref()))
-            .map(|s| 4 * numel(s))
-            .sum();
+        let in_bytes: u128 = node.parents.iter().map(|&p| 4 * numel(&spec.nodes[p].shape)).sum();
         let traffic = out_bytes + in_bytes;
 
         let row = summary.per_family.entry(node.kind.name()).or_default();
@@ -126,12 +115,10 @@ fn numel(shape: &[usize]) -> u128 {
     shape.iter().map(|&d| d as u128).product()
 }
 
-fn fwd_flops(spec: &TapeSpec, shapes: &[Option<Vec<usize>>], i: usize, out_numel: u128) -> u128 {
+fn fwd_flops(spec: &TapeSpec, i: usize, out_numel: u128) -> u128 {
     let node = &spec.nodes[i];
-    let parent_shape = |k: usize| -> Option<&Vec<usize>> {
-        node.parents.get(k).and_then(|&x| shapes.get(x)).and_then(|s| s.as_ref())
-    };
-    let parent_numel = |k: usize| parent_shape(k).map_or(0, |s| numel(s));
+    let parent_shape = |k: usize| node.parents.get(k).map(|&x| spec.nodes[x].shape.as_slice());
+    let parent_numel = |k: usize| parent_shape(k).map_or(0, numel);
     match &node.kind {
         OpKind::Leaf
         | OpKind::Constant
@@ -141,8 +128,7 @@ fn fwd_flops(spec: &TapeSpec, shapes: &[Option<Vec<usize>>], i: usize, out_numel
         | OpKind::SliceAxis { .. }
         | OpKind::PadAxis { .. }
         | OpKind::IndexSelect { .. }
-        | OpKind::Transpose2d
-        | OpKind::Opaque { .. } => 0,
+        | OpKind::Transpose2d => 0,
         OpKind::Add
         | OpKind::Sub
         | OpKind::Mul
@@ -184,29 +170,20 @@ fn fwd_flops(spec: &TapeSpec, shapes: &[Option<Vec<usize>>], i: usize, out_numel
 mod tests {
     use super::*;
 
-    fn shapes_of(spec: &TapeSpec) -> Vec<Option<Vec<usize>>> {
-        let mut diags = vec![];
-        let shapes = crate::shape::analyze(spec, &mut diags).shapes;
-        assert!(diags.is_empty(), "{diags:?}");
-        shapes
-    }
-
     #[test]
     fn matmul_dominates_a_mixed_tape() {
         let mut spec = TapeSpec::new();
         let a = spec.leaf("a", &[64, 128]);
         let b = spec.leaf("b", &[128, 32]);
-        let mm = spec.push(OpKind::Matmul, &[a, b]);
-        let act = spec.push(OpKind::Tanh, &[mm]);
-        let _loss = spec.push(OpKind::MeanAll, &[act]);
-        let shapes = shapes_of(&spec);
-        let cost = analyze(&spec, &shapes);
+        let mm = spec.push(OpKind::Matmul, &[a, b], &[64, 32]);
+        let act = spec.push(OpKind::Tanh, &[mm], &[64, 32]);
+        let _loss = spec.push(OpKind::MeanAll, &[act], &[]);
+        let cost = analyze(&spec);
         let ranked = cost.ranked();
         assert_eq!(ranked[0].0, "matmul");
         assert_eq!(ranked[0].1.fwd_flops, 2 * 64 * 128 * 32);
         assert_eq!(ranked[0].1.bwd_flops, 2 * ranked[0].1.fwd_flops);
         assert_eq!(ranked[0].1.out_bytes, 4 * 64 * 32);
-        assert_eq!(cost.unknown_nodes, 0);
     }
 
     #[test]
@@ -214,9 +191,9 @@ mod tests {
         // leaf [4] -> square [4] -> sum_all [].
         let mut spec = TapeSpec::new();
         let w = spec.leaf("w", &[4]);
-        let s = spec.push(OpKind::Square, &[w]);
-        let _loss = spec.push(OpKind::SumAll, &[s]);
-        let cost = analyze(&spec, &shapes_of(&spec));
+        let s = spec.push(OpKind::Square, &[w], &[4]);
+        let _loss = spec.push(OpKind::SumAll, &[s], &[]);
+        let cost = analyze(&spec);
         // 16 (leaf) + 16 (square) + 4 (scalar; len 1 despite rank 0).
         assert_eq!(cost.total_out_bytes, 16 + 16 + 4);
         assert_eq!(cost.per_family["leaf"].out_bytes, 16);
@@ -228,11 +205,10 @@ mod tests {
         let mut spec = TapeSpec::new();
         let a = spec.leaf("a", &[8, 8]);
         // Two distinct zero-flop data movements with identical bytes.
-        let t = spec.push(OpKind::Transpose2d, &[a]);
-        let r = spec.push(OpKind::Reshape { shape: vec![64] }, &[t]);
-        let _loss = spec.push(OpKind::SumAll, &[r]);
-        let shapes = shapes_of(&spec);
-        let cost = analyze(&spec, &shapes);
+        let t = spec.push(OpKind::Transpose2d, &[a], &[8, 8]);
+        let r = spec.push(OpKind::Reshape { shape: vec![64] }, &[t], &[64]);
+        let _loss = spec.push(OpKind::SumAll, &[r], &[]);
+        let cost = analyze(&spec);
         let ranked = cost.ranked();
         let names: Vec<_> = ranked.iter().map(|r| r.0).collect();
         let pos_r = names.iter().position(|&n| n == "reshape").unwrap();

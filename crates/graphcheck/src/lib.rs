@@ -9,18 +9,21 @@
 //!
 //! 1. **structure** — tape well-formedness: topological parent order, a
 //!    valid loss index.
-//! 2. **shape** ([`shape`]) — ahead-of-time shape inference for every op,
-//!    cross-checked against recorded runtime shapes.
-//! 3. **grad-flow** ([`reach`]) — every registered parameter must be
+//! 2. **grad-flow** ([`reach`]) — every registered parameter must be
 //!    reachable from the loss, and every computed op must reach it;
 //!    detached parameters and dead subgraphs are flagged.
-//! 4. **ranges** ([`range`]) — interval-domain abstract interpretation
+//! 3. **ranges** ([`range`]) — interval-domain abstract interpretation
 //!    seeded from declared input ranges: proves absence of overflow/NaN and
 //!    reports poles (`ln(≤0)`, `/0`, `sqrt(<0)`) an interval cannot exclude,
 //!    cross-checked against the observed runtime ranges stamped on the tape.
-//! 5. **cost** ([`cost`]) — static FLOP/bytes/intensity model with a ranked
+//! 4. **cost** ([`cost`]) — static FLOP/bytes/intensity model with a ranked
 //!    hot-op table and the tape's total output bytes (advisory;
 //!    cross-validated against the runtime profiler).
+//!
+//! Shapes are not re-derived: the tensor kernels compute every output shape
+//! and reject malformed operands before a node is recorded, and each node of
+//! the exported tape carries the shape its kernel produced. The passes read
+//! those shapes.
 //!
 //! The entry point is [`audit`]; [`AuditReport::has_errors`] decides whether
 //! a trainer pre-flight must fail. A finding is either an Error (the graph
@@ -34,7 +37,6 @@ pub mod cost;
 pub mod range;
 pub mod reach;
 pub mod report;
-pub mod shape;
 
 use sthsl_autograd::TapeSpec;
 
@@ -76,25 +78,21 @@ pub fn audit(
             node_count: spec.nodes.len(),
             param_count: params.len(),
             reachable_params: 0,
-            inferred_shapes: 0,
             diagnostics: diags,
             ranges: None,
             cost: None,
         };
     }
 
-    let shape_info = shape::analyze(spec, &mut diags);
-    let reach_info =
-        reach::analyze(spec, loss, params, &shape_info.shapes, &opts.allow_unreachable, &mut diags);
-    let ranges = range::analyze(spec, &shape_info.shapes, &mut diags);
-    let cost = cost::analyze(spec, &shape_info.shapes);
+    let reach_info = reach::analyze(spec, loss, params, &opts.allow_unreachable, &mut diags);
+    let ranges = range::analyze(spec, &mut diags);
+    let cost = cost::analyze(spec);
 
     AuditReport {
         model: model.to_string(),
         node_count: spec.nodes.len(),
         param_count: params.len(),
         reachable_params: reach_info.reachable_params,
-        inferred_shapes: shape_info.inferred,
         diagnostics: diags,
         ranges: Some(ranges),
         cost: Some(cost),
@@ -156,13 +154,12 @@ mod tests {
         let mut spec = TapeSpec::new();
         let w = spec.leaf("w", &[3, 4]);
         let x = spec.constant(&[4, 2]);
-        let m = spec.push(OpKind::Matmul, &[w, x]);
-        let loss = spec.push(OpKind::SumAll, &[m]);
+        let m = spec.push(OpKind::Matmul, &[w, x], &[3, 2]);
+        let loss = spec.push(OpKind::SumAll, &[m], &[]);
         let params = vec![("w".to_string(), w)];
         let r = audit("toy", &spec, loss, &params, &AuditOptions::default());
         assert!(!r.has_errors(), "unexpected findings: {:?}", r.diagnostics);
         assert_eq!(r.reachable_params, 1);
-        assert_eq!(r.inferred_shapes, 4);
         assert!(r.render().contains("grad-flow: OK (1/1 parameters reachable from the loss)"));
     }
 
@@ -170,7 +167,7 @@ mod tests {
     fn malformed_tape_short_circuits() {
         let mut spec = TapeSpec::new();
         let w = spec.leaf("w", &[2]);
-        let s = spec.push(OpKind::Square, &[w]);
+        let s = spec.push(OpKind::Square, &[w], &[2]);
         spec.nodes[s].parents = vec![s]; // self-loop
         let r = audit("bad", &spec, s, &[], &AuditOptions::default());
         assert!(r.has_errors());

@@ -63,8 +63,8 @@ impl Interval {
 /// Per-tape result of the range pass.
 #[derive(Debug, Clone, Default)]
 pub struct RangeSummary {
-    /// Intervals per node (`None` = unknown: unranged input, opaque op, or
-    /// poisoned by an upstream finding).
+    /// Intervals per node (`None` = unknown: unranged input, or poisoned by
+    /// an upstream finding).
     pub intervals: Vec<Option<Interval>>,
     /// Nodes with a bounded interval.
     pub bounded: usize,
@@ -76,20 +76,16 @@ pub struct RangeSummary {
 
 /// Run the range pass, widening each interval for the rounding of the op's
 /// own accumulation chain (`own_extents`).
-pub fn analyze(
-    spec: &TapeSpec,
-    shapes: &[Option<Vec<usize>>],
-    diags: &mut Vec<Diagnostic>,
-) -> RangeSummary {
+pub fn analyze(spec: &TapeSpec, diags: &mut Vec<Diagnostic>) -> RangeSummary {
     let n = spec.nodes.len();
-    let own = own_extents(spec, shapes);
+    let own = own_extents(spec);
     let mut iv: Vec<Option<Interval>> = Vec::with_capacity(n);
     for i in 0..n {
         let node = &spec.nodes[i];
         let raw = if node.kind.is_input() {
             input_interval(spec, i, diags)
         } else {
-            transfer(spec, shapes, &iv, i, diags)
+            transfer(spec, &iv, i, diags)
         };
         let finished = raw.and_then(|(lo, hi)| {
             let slack = (own.get(i).copied().unwrap_or(1) as f64 + 8.0) * EPS32;
@@ -209,12 +205,11 @@ fn pole(spec: &TapeSpec, i: usize, operand: usize, why: String, diags: &mut Vec<
 }
 
 /// Interval transfer for op node `i`. Returns the raw (pre-widening) bound,
-/// or `None` when unknown (unknown operands, opaque ops, or after reporting a
-/// pole — downstream nodes then stay unknown instead of cascading errors).
+/// or `None` when unknown (unknown operands, or after reporting a pole —
+/// downstream nodes then stay unknown instead of cascading errors).
 #[allow(clippy::too_many_lines)]
 fn transfer(
     spec: &TapeSpec,
-    shapes: &[Option<Vec<usize>>],
     iv: &[Option<Interval>],
     i: usize,
     diags: &mut Vec<Diagnostic>,
@@ -222,23 +217,11 @@ fn transfer(
     let node = &spec.nodes[i];
     let parents = &node.parents;
     let p = |k: usize| parents.get(k).and_then(|&x| iv.get(x).copied().flatten());
-    let extent = |k: usize, axis: usize| -> Option<usize> {
-        parents
-            .get(k)
-            .and_then(|&x| shapes.get(x))
-            .and_then(|s| s.as_ref())
-            .and_then(|s| s.get(axis).copied())
-    };
-    let numel_of = |k: usize| -> Option<usize> {
-        parents
-            .get(k)
-            .and_then(|&x| shapes.get(x))
-            .and_then(|s| s.as_ref())
-            .map(|s| s.iter().product())
-    };
+    let parent_shape = |k: usize| parents.get(k).map(|&x| spec.nodes[x].shape.as_slice());
+    let extent = |k: usize, axis: usize| parent_shape(k).and_then(|s| s.get(axis).copied());
 
     match &node.kind {
-        OpKind::Leaf | OpKind::Constant | OpKind::Opaque { .. } => None,
+        OpKind::Leaf | OpKind::Constant => None,
 
         OpKind::Add => {
             let (a, b) = (p(0)?, p(1)?);
@@ -257,7 +240,7 @@ fn transfer(
             let b = p(1);
             // Relational refinement first: x / sqrt(reduce(x²) + eps) is
             // bounded regardless of how wide x's own interval is.
-            if let Some(bound) = normalized_quotient_bound(spec, shapes, i) {
+            if let Some(bound) = normalized_quotient_bound(spec, i) {
                 let q = match (a, b) {
                     (Some(a), Some(b)) if !b.contains_zero() => {
                         let (lo, hi) = quotient_bounds(a, b);
@@ -423,18 +406,14 @@ fn transfer(
             // The inner dimension: the lhs's last, or for a transposed
             // `[b, k, m]` lhs its middle one.
             let transposed = node.kind == OpKind::BatchedMatmul { lhs_transposed: true };
-            let k_axis = |s: &Vec<usize>| if transposed { s.get(1) } else { s.last() }.copied();
-            let k = parents
-                .first()
-                .and_then(|&x| shapes.get(x))
-                .and_then(|s| s.as_ref())
-                .and_then(k_axis)? as f64;
+            let k_axis = |s: &[usize]| if transposed { s.get(1) } else { s.last() }.copied();
+            let k = parent_shape(0).and_then(k_axis)? as f64;
             let (pl, ph) = product_bounds(a, b);
             Some((k * pl, k * ph))
         }
         OpKind::SumAll => {
             let a = p(0)?;
-            let n = numel_of(0)? as f64;
+            let n = parent_shape(0)?.iter().product::<usize>() as f64;
             Some((n * a.lo.min(0.0), n * a.hi.max(0.0)))
         }
         OpKind::MeanAll => {
@@ -456,13 +435,7 @@ fn transfer(
         }
         OpKind::LogSoftmaxLastdim => {
             let a = p(0)?;
-            let m = parents
-                .first()
-                .and_then(|&x| shapes.get(x))
-                .and_then(|s| s.as_ref())
-                .and_then(|s| s.last().copied())
-                .unwrap_or(1)
-                .max(1) as f64;
+            let m = parent_shape(0).and_then(|s| s.last().copied()).unwrap_or(1).max(1) as f64;
             Some((a.lo - a.hi - m.ln(), 0.0))
         }
         OpKind::InfoNceDiag => {
@@ -474,8 +447,7 @@ fn transfer(
         // (zero-padding may drop terms), plus the bias.
         OpKind::Conv2d { has_bias, .. } | OpKind::Conv1d { has_bias, .. } => {
             let (x, w) = (p(0)?, p(1)?);
-            let wshape = parents.get(1).and_then(|&v| shapes.get(v)).and_then(|s| s.as_ref())?;
-            let footprint: usize = wshape.iter().skip(1).product();
+            let footprint: usize = parent_shape(1)?.iter().skip(1).product();
             let (pl, ph) = product_bounds(x, w);
             let mut lo = footprint as f64 * pl.min(0.0);
             let mut hi = footprint as f64 * ph.max(0.0);
@@ -522,11 +494,7 @@ fn softplus(x: f64) -> f64 {
 /// element with the group whose norm divides it, making the bound sound).
 /// Returns the rounding-widened magnitude bound: `1` for sum-reduce, `√m`
 /// for mean-reduce over `m` elements.
-fn normalized_quotient_bound(
-    spec: &TapeSpec,
-    shapes: &[Option<Vec<usize>>],
-    div_idx: usize,
-) -> Option<f64> {
+fn normalized_quotient_bound(spec: &TapeSpec, div_idx: usize) -> Option<f64> {
     let node = &spec.nodes[div_idx];
     let [num, den] = node.parents.as_slice() else { return None };
     let den_node = &spec.nodes[*den];
@@ -554,8 +522,8 @@ fn normalized_quotient_bound(
     if *spec.nodes[sq].parents.first()? != *num {
         return None;
     }
-    let num_shape = shapes.get(*num)?.as_ref()?;
-    let den_shape = shapes.get(*den)?.as_ref()?;
+    let num_shape = &spec.nodes[*num].shape;
+    let den_shape = &spec.nodes[*den].shape;
     let m = match axis {
         Some(k) => {
             let mut expect = num_shape.clone();
@@ -581,15 +549,13 @@ fn normalized_quotient_bound(
 /// dependent f32 adds inside one output element, after any fixed-block
 /// reassociation is credited. [`analyze`] widens each interval by
 /// `(own + 8) · ε_f32` to stay sound over f32 execution.
-fn own_extents(spec: &TapeSpec, shapes: &[Option<Vec<usize>>]) -> Vec<u64> {
-    (0..spec.nodes.len()).map(|i| own_extent(spec, shapes, i)).collect()
+fn own_extents(spec: &TapeSpec) -> Vec<u64> {
+    (0..spec.nodes.len()).map(|i| own_extent(spec, i)).collect()
 }
 
-fn own_extent(spec: &TapeSpec, shapes: &[Option<Vec<usize>>], i: usize) -> u64 {
+fn own_extent(spec: &TapeSpec, i: usize) -> u64 {
     let node = &spec.nodes[i];
-    let parent_shape = |k: usize| -> Option<&Vec<usize>> {
-        node.parents.get(k).and_then(|&x| shapes.get(x)).and_then(|s| s.as_ref())
-    };
+    let parent_shape = |k: usize| node.parents.get(k).map(|&x| spec.nodes[x].shape.as_slice());
     let parent_numel =
         |k: usize| -> Option<u64> { parent_shape(k).map(|s| s.iter().product::<usize>() as u64) };
     match &node.kind {
@@ -653,7 +619,6 @@ fn own_extent(spec: &TapeSpec, shapes: &[Option<Vec<usize>>], i: usize) -> u64 {
         OpKind::InfoNceDiag => {
             2 * parent_shape(0).and_then(|s| s.first().copied()).unwrap_or(1) as u64
         }
-        OpKind::Opaque { .. } => 0,
     }
 }
 
@@ -664,9 +629,7 @@ mod tests {
 
     fn run(spec: &TapeSpec) -> (RangeSummary, Vec<Diagnostic>) {
         let mut diags = vec![];
-        let shapes = crate::shape::analyze(spec, &mut diags).shapes;
-        assert!(diags.is_empty(), "fixture should be shape-clean: {diags:?}");
-        let info = analyze(spec, &shapes, &mut diags);
+        let info = analyze(spec, &mut diags);
         let range_diags = diags.into_iter().filter(|d| d.pass == Pass::ValueRange).collect();
         (info, range_diags)
     }
@@ -675,8 +638,8 @@ mod tests {
     fn unranged_inputs_stay_unknown_without_findings() {
         let mut spec = TapeSpec::new();
         let w = spec.leaf("w", &[4]);
-        let d = spec.push(OpKind::Div, &[w, w]);
-        let _loss = spec.push(OpKind::SumAll, &[d]);
+        let d = spec.push(OpKind::Div, &[w, w], &[4]);
+        let _loss = spec.push(OpKind::SumAll, &[d], &[]);
         let (info, diags) = run(&spec);
         assert!(diags.is_empty(), "{diags:?}");
         assert_eq!(info.bounded, 0);
@@ -687,8 +650,8 @@ mod tests {
         let mut spec = TapeSpec::new();
         let a = spec.leaf_ranged("a", &[4], 1.0, 2.0);
         let b = spec.leaf_ranged("b", &[4], -1.0, 1.0);
-        let d = spec.push(OpKind::Div, &[a, b]);
-        let _loss = spec.push(OpKind::SumAll, &[d]);
+        let d = spec.push(OpKind::Div, &[a, b], &[4]);
+        let _loss = spec.push(OpKind::SumAll, &[d], &[]);
         let (_, diags) = run(&spec);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].severity, Severity::Error);
@@ -701,8 +664,8 @@ mod tests {
     fn exp_overflow_is_caught() {
         let mut spec = TapeSpec::new();
         let a = spec.leaf_ranged("a", &[4], 0.0, 200.0);
-        let e = spec.push(OpKind::Exp, &[a]);
-        let _loss = spec.push(OpKind::SumAll, &[e]);
+        let e = spec.push(OpKind::Exp, &[a], &[4]);
+        let _loss = spec.push(OpKind::SumAll, &[e], &[]);
         let (_, diags) = run(&spec);
         assert!(
             diags.iter().any(|d| d.severity == Severity::Error
@@ -716,7 +679,7 @@ mod tests {
     fn nan_input_is_blocking() {
         let mut spec = TapeSpec::new();
         let a = spec.leaf_ranged("a", &[4], f32::NAN, f32::NAN);
-        let _s = spec.push(OpKind::Square, &[a]);
+        let _s = spec.push(OpKind::Square, &[a], &[4]);
         let (_, diags) = run(&spec);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].severity, Severity::Error);
@@ -727,10 +690,10 @@ mod tests {
     fn sigmoid_and_tanh_are_bounded_regardless_of_input_width() {
         let mut spec = TapeSpec::new();
         let a = spec.leaf_ranged("a", &[4], -1e30, 1e30);
-        let s = spec.push(OpKind::Sigmoid, &[a]);
-        let t = spec.push(OpKind::Tanh, &[a]);
-        let m = spec.push(OpKind::Mul, &[s, t]);
-        let _loss = spec.push(OpKind::SumAll, &[m]);
+        let s = spec.push(OpKind::Sigmoid, &[a], &[4]);
+        let t = spec.push(OpKind::Tanh, &[a], &[4]);
+        let m = spec.push(OpKind::Mul, &[s, t], &[4]);
+        let _loss = spec.push(OpKind::SumAll, &[m], &[]);
         let (info, diags) = run(&spec);
         assert!(diags.is_empty(), "{diags:?}");
         let sv = info.intervals[s].unwrap();
@@ -745,12 +708,12 @@ mod tests {
         // |x| / sqrt(eps) = 1e3 * 1e4 = 1e7; with it, ~1.
         let mut spec = TapeSpec::new();
         let x = spec.leaf_ranged("x", &[6, 8], -1e3, 1e3);
-        let sq = spec.push(OpKind::Square, &[x]);
-        let s = spec.push(OpKind::SumAxis { axis: 1 }, &[sq]);
-        let keep = spec.push(OpKind::Reshape { shape: vec![6, 1] }, &[s]);
-        let norm = spec.push(OpKind::SqrtEps { eps: 1e-8 }, &[keep]);
-        let d = spec.push(OpKind::Div, &[x, norm]);
-        let _loss = spec.push(OpKind::MeanAll, &[d]);
+        let sq = spec.push(OpKind::Square, &[x], &[6, 8]);
+        let s = spec.push(OpKind::SumAxis { axis: 1 }, &[sq], &[6]);
+        let keep = spec.push(OpKind::Reshape { shape: vec![6, 1] }, &[s], &[6, 1]);
+        let norm = spec.push(OpKind::SqrtEps { eps: 1e-8 }, &[keep], &[6, 1]);
+        let d = spec.push(OpKind::Div, &[x, norm], &[6, 8]);
+        let _loss = spec.push(OpKind::MeanAll, &[d], &[]);
         let (info, diags) = run(&spec);
         assert!(diags.is_empty(), "{diags:?}");
         let dv = info.intervals[d].unwrap();
@@ -761,15 +724,15 @@ mod tests {
     fn layernorm_mean_refinement_bounds_by_sqrt_m() {
         let mut spec = TapeSpec::new();
         let x = spec.leaf_ranged("x", &[5, 16], -100.0, 100.0);
-        let mu = spec.push(OpKind::MeanAxis { axis: 1 }, &[x]);
-        let muk = spec.push(OpKind::Reshape { shape: vec![5, 1] }, &[mu]);
-        let centered = spec.push(OpKind::Sub, &[x, muk]);
-        let sq = spec.push(OpKind::Square, &[centered]);
-        let var = spec.push(OpKind::MeanAxis { axis: 1 }, &[sq]);
-        let vk = spec.push(OpKind::Reshape { shape: vec![5, 1] }, &[var]);
-        let std = spec.push(OpKind::SqrtEps { eps: 1e-5 }, &[vk]);
-        let out = spec.push(OpKind::Div, &[centered, std]);
-        let _loss = spec.push(OpKind::MeanAll, &[out]);
+        let mu = spec.push(OpKind::MeanAxis { axis: 1 }, &[x], &[5]);
+        let muk = spec.push(OpKind::Reshape { shape: vec![5, 1] }, &[mu], &[5, 1]);
+        let centered = spec.push(OpKind::Sub, &[x, muk], &[5, 16]);
+        let sq = spec.push(OpKind::Square, &[centered], &[5, 16]);
+        let var = spec.push(OpKind::MeanAxis { axis: 1 }, &[sq], &[5]);
+        let vk = spec.push(OpKind::Reshape { shape: vec![5, 1] }, &[var], &[5, 1]);
+        let std = spec.push(OpKind::SqrtEps { eps: 1e-5 }, &[vk], &[5, 1]);
+        let out = spec.push(OpKind::Div, &[centered, std], &[5, 16]);
+        let _loss = spec.push(OpKind::MeanAll, &[out], &[]);
         let (info, diags) = run(&spec);
         assert!(diags.is_empty(), "{diags:?}");
         let ov = info.intervals[out].unwrap();
@@ -780,11 +743,10 @@ mod tests {
     fn observed_range_escaping_prediction_is_a_soundness_error() {
         let mut spec = TapeSpec::new();
         let a = spec.leaf_ranged("a", &[4], 0.0, 1.0);
-        let s = spec.push(OpKind::Square, &[a]);
+        let s = spec.push(OpKind::Square, &[a], &[4]);
         // Claim the runtime saw 9.0 — outside [0, 1]².
-        spec.nodes[s].runtime_shape = Some(vec![4]);
         spec.nodes[s].value_range = Some((0.0, 9.0));
-        let _loss = spec.push(OpKind::SumAll, &[s]);
+        let _loss = spec.push(OpKind::SumAll, &[s], &[]);
         let (_, diags) = run(&spec);
         assert!(
             diags.iter().any(|d| d.msg.contains("escapes the predicted interval")),
@@ -796,10 +758,8 @@ mod tests {
     fn blocked_full_reduce_is_credited_the_block_tree() {
         let mut spec = TapeSpec::new();
         let w = spec.leaf("w", &[100_000]);
-        let s = spec.push(OpKind::SumAll, &[w]);
-        let mut diags = vec![];
-        let shapes = crate::shape::analyze(&spec, &mut diags).shapes;
-        let own = own_extents(&spec, &shapes);
+        let s = spec.push(OpKind::SumAll, &[w], &[]);
+        let own = own_extents(&spec);
         // 4096-element blocks + ceil(100000/4096) = 25 block combines.
         assert_eq!(own[s], 4096 + 25);
     }

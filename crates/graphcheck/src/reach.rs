@@ -38,25 +38,22 @@ pub fn analyze(
     spec: &TapeSpec,
     loss: usize,
     params: &[(String, usize)],
-    shapes: &[Option<Vec<usize>>],
     allow_unreachable: &[String],
     diags: &mut Vec<Diagnostic>,
 ) -> ReachInfo {
     let n = spec.nodes.len();
 
-    if let Some(shape) = &shapes[loss] {
-        let numel: usize = shape.iter().product();
-        if numel != 1 {
-            diags.push(Diagnostic {
-                pass: Pass::GradFlow,
-                severity: Severity::Error,
-                node: Some(loss),
-                msg: format!(
-                    "loss %{loss} ({}) has shape {shape:?}; backward needs a scalar",
-                    node_desc(spec, loss)
-                ),
-            });
-        }
+    let shape = &spec.nodes[loss].shape;
+    if shape.iter().product::<usize>() != 1 {
+        diags.push(Diagnostic {
+            pass: Pass::GradFlow,
+            severity: Severity::Error,
+            node: Some(loss),
+            msg: format!(
+                "loss %{loss} ({}) has shape {shape:?}; backward needs a scalar",
+                node_desc(spec, loss)
+            ),
+        });
     }
     if !spec.nodes[loss].requires_grad {
         diags.push(Diagnostic {
@@ -183,21 +180,16 @@ mod tests {
     use super::*;
     use sthsl_autograd::OpKind;
 
-    fn shapes_of(spec: &TapeSpec) -> Vec<Option<Vec<usize>>> {
-        let mut diags = vec![];
-        crate::shape::analyze(spec, &mut diags).shapes
-    }
-
     #[test]
     fn detached_parameter_is_an_error() {
         let mut spec = TapeSpec::new();
         let w = spec.leaf("w", &[2]);
         let orphan = spec.leaf("orphan", &[2]);
-        let s = spec.push(OpKind::Square, &[w]);
-        let loss = spec.push(OpKind::SumAll, &[s]);
+        let s = spec.push(OpKind::Square, &[w], &[2]);
+        let loss = spec.push(OpKind::SumAll, &[s], &[]);
         let params = vec![("w".to_string(), w), ("orphan".to_string(), orphan)];
         let mut diags = vec![];
-        let info = analyze(&spec, loss, &params, &shapes_of(&spec), &[], &mut diags);
+        let info = analyze(&spec, loss, &params, &[], &mut diags);
         assert_eq!(info.reachable_params, 1);
         let err: Vec<_> = diags.iter().filter(|d| d.severity == Severity::Error).collect();
         assert_eq!(err.len(), 1);
@@ -210,11 +202,11 @@ mod tests {
         let mut spec = TapeSpec::new();
         let w = spec.leaf("infomax.w", &[2]);
         let used = spec.leaf("u", &[2]);
-        let s = spec.push(OpKind::Square, &[used]);
-        let loss = spec.push(OpKind::SumAll, &[s]);
+        let s = spec.push(OpKind::Square, &[used], &[2]);
+        let loss = spec.push(OpKind::SumAll, &[s], &[]);
         let params = vec![("infomax.w".to_string(), w)];
         let mut diags = vec![];
-        analyze(&spec, loss, &params, &shapes_of(&spec), &["infomax.".to_string()], &mut diags);
+        analyze(&spec, loss, &params, &["infomax.".to_string()], &mut diags);
         assert!(diags.iter().all(|d| d.severity != Severity::Error));
         assert!(diags
             .iter()
@@ -225,14 +217,14 @@ mod tests {
     fn dead_subgraph_warns_at_the_sink_only() {
         let mut spec = TapeSpec::new();
         let w = spec.leaf("w", &[2]);
-        let s = spec.push(OpKind::Square, &[w]);
-        let loss = spec.push(OpKind::SumAll, &[s]);
+        let s = spec.push(OpKind::Square, &[w], &[2]);
+        let loss = spec.push(OpKind::SumAll, &[s], &[]);
         // Dead branch: two chained ops off `w` that never reach the loss.
-        let d1 = spec.push(OpKind::Tanh, &[w]);
-        let d2 = spec.push(OpKind::Exp, &[d1]);
+        let d1 = spec.push(OpKind::Tanh, &[w], &[2]);
+        let d2 = spec.push(OpKind::Exp, &[d1], &[2]);
         let params = vec![("w".to_string(), w)];
         let mut diags = vec![];
-        analyze(&spec, loss, &params, &shapes_of(&spec), &[], &mut diags);
+        analyze(&spec, loss, &params, &[], &mut diags);
         let dead: Vec<_> = diags.iter().filter(|d| d.msg.contains("dead subgraph")).collect();
         assert_eq!(dead.len(), 1);
         assert_eq!(dead[0].severity, Severity::Error);
@@ -243,9 +235,9 @@ mod tests {
     fn non_scalar_loss_is_an_error() {
         let mut spec = TapeSpec::new();
         let w = spec.leaf("w", &[2, 3]);
-        let loss = spec.push(OpKind::Square, &[w]);
+        let loss = spec.push(OpKind::Square, &[w], &[2, 3]);
         let mut diags = vec![];
-        analyze(&spec, loss, &[], &shapes_of(&spec), &[], &mut diags);
+        analyze(&spec, loss, &[], &[], &mut diags);
         assert!(diags
             .iter()
             .any(|d| d.severity == Severity::Error && d.msg.contains("backward needs a scalar")));

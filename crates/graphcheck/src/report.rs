@@ -14,15 +14,15 @@ use std::fmt::Write as _;
 /// gated at runtime by `tests/parallel_equivalence.rs`, not by a static pass).
 /// v6: drops the `float-error:` line and the `warnings:` count; a finding is
 /// an error or an info.
-pub const REPORT_VERSION: u32 = 6;
+/// v7: drops the `shape:` line (shapes are the kernels' recorded ones, not
+/// re-inferred).
+pub const REPORT_VERSION: u32 = 7;
 
 /// Which analysis pass produced a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Pass {
     /// Tape well-formedness (parent ordering, loss validity).
     Structure,
-    /// Ahead-of-time shape inference.
-    Shape,
     /// Gradient-flow reachability.
     GradFlow,
     /// Interval-domain value ranges (overflow / NaN / pole proofs).
@@ -34,7 +34,6 @@ impl Pass {
     pub fn name(self) -> &'static str {
         match self {
             Pass::Structure => "structure",
-            Pass::Shape => "shape",
             Pass::GradFlow => "grad-flow",
             Pass::ValueRange => "ranges",
         }
@@ -85,8 +84,6 @@ pub struct AuditReport {
     pub param_count: usize,
     /// Parameters proven reachable from the loss.
     pub reachable_params: usize,
-    /// Nodes whose shape was inferred ahead of time (vs given / opaque).
-    pub inferred_shapes: usize,
     /// All findings, in pass order.
     pub diagnostics: Vec<Diagnostic>,
     /// Interval-domain value ranges (`None` when the audit short-circuited).
@@ -124,20 +121,6 @@ impl AuditReport {
             self.param_count,
             self.count(Severity::Error),
             self.count(Severity::Info),
-        );
-        let shape_status = if self
-            .diagnostics
-            .iter()
-            .any(|d| d.pass == Pass::Shape && d.severity == Severity::Error)
-        {
-            "FAIL"
-        } else {
-            "OK"
-        };
-        let _ = writeln!(
-            out,
-            "shape: {shape_status} ({}/{} node shapes inferred ahead of time)",
-            self.inferred_shapes, self.node_count
         );
         let flow_status = if self
             .diagnostics
@@ -280,20 +263,19 @@ mod tests {
             node_count: 1,
             param_count: 0,
             reachable_params: 0,
-            inferred_shapes: 0,
             diagnostics: vec![],
             ranges: None,
             cost: None,
         };
         assert!(!r.has_errors());
         r.diagnostics.push(Diagnostic {
-            pass: Pass::Shape,
+            pass: Pass::GradFlow,
             severity: Severity::Error,
             node: Some(3),
             msg: "boom".into(),
         });
         assert!(r.has_errors());
-        assert!(r.render().contains("[error/shape] %3 boom"));
+        assert!(r.render().contains("[error/grad-flow] %3 boom"));
     }
 
     #[test]
@@ -303,7 +285,6 @@ mod tests {
             node_count: 1,
             param_count: 0,
             reachable_params: 0,
-            inferred_shapes: 0,
             diagnostics: vec![],
             ranges: None,
             cost: None,

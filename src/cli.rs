@@ -489,8 +489,8 @@ fn cmd_predict(flags: &Flags) -> Result<String, CliError> {
 }
 
 /// `graph-audit`: statically certify the training graphs of ST-HSL and every
-/// neural baseline — shape consistency, gradient flow to every parameter,
-/// value ranges (overflow and NaN poles) and static cost — without running a
+/// neural baseline — gradient flow to every parameter, dead compute, value
+/// ranges (overflow and NaN poles) and static cost — without running a
 /// single optimizer step.
 fn cmd_graph_audit(flags: &Flags) -> Result<String, CliError> {
     let data = dataset_or_synth(flags)?;
@@ -587,9 +587,6 @@ fn render_cost_detail(r: &sthsl_graphcheck::AuditReport) -> String {
             fmt_flops(row.bwd_flops),
             fmt_bytes(usize::try_from(row.out_bytes).unwrap_or(usize::MAX)),
         );
-    }
-    if cost.unknown_nodes > 0 {
-        let _ = writeln!(out, "  ({} node(s) skipped: unresolved shapes)", cost.unknown_nodes);
     }
     out.push('\n');
     out
@@ -736,8 +733,8 @@ const USAGE: &str =
             [--batch-window-ms N]  micro-batch collection window (default 2)
             [--max-requests N]     exit after N requests (for smoke tests)
             (--trace-out writes per-request spans + cache/latency metrics)
-  graph-audit: statically verify every model's training graph (shapes,
-            grad flow, value ranges, cost);
+  graph-audit: statically verify every model's training graph (grad flow,
+            dead compute, value ranges, cost);
             nonzero exit on any error-level finding
             [--data crimes.csv]    audit against a real dataset (default: synthetic)
             [--out report.txt]     write the full report to a file
