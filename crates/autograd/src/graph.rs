@@ -25,13 +25,17 @@ impl Var {
 pub enum TapePhase {
     /// The op's forward kernel just ran and its node was recorded.
     Forward,
-    /// The op's backward closure just ran during [`Graph::backward`].
+    /// The op's backward closure just ran during [`Graph::backward`], and
+    /// its parent gradients were accumulated.
     Backward,
 }
 
 /// Observer notified once per executed tape op: immediately after a node is
-/// recorded on the forward pass, and immediately after its backward closure
-/// runs during the reverse sweep.
+/// recorded on the forward pass, and during the reverse sweep immediately
+/// after the op's backward step, which is its backward closure plus the adds
+/// that accumulate the closure's gradients into its parents' gradients. An
+/// observer that times the gaps between notifications therefore charges a
+/// backward row with both.
 ///
 /// The trait is deliberately clock-free: this crate is a kernel crate whose
 /// output must be a pure function of its inputs, so it reports only *what*
@@ -288,11 +292,6 @@ impl Graph {
                 let parent_vals: Vec<Rc<Tensor>> =
                     node.parents.iter().map(|&p| Rc::clone(&nodes[p].value)).collect();
                 let parent_grads = grad_fn(&grad_out, &parent_vals, &node.value)?;
-                self.notify(
-                    node.kind.name(),
-                    TapePhase::Backward,
-                    grad_out.len() * std::mem::size_of::<f32>(),
-                );
                 debug_assert_eq!(parent_grads.len(), node.parents.len());
                 for (pi, pg) in node.parents.iter().zip(parent_grads) {
                     let Some(pg) = pg else { continue };
@@ -304,6 +303,13 @@ impl Graph {
                         slot @ None => *slot = Some(pg),
                     }
                 }
+                // After the accumulation, so that a timing observer charges
+                // this op's fan-in adds to its own backward row.
+                self.notify(
+                    node.kind.name(),
+                    TapePhase::Backward,
+                    grad_out.len() * std::mem::size_of::<f32>(),
+                );
             }
             // Keep leaf gradients; op gradients were taken and dropped.
             if node.grad_fn.is_none() && node.requires_grad {

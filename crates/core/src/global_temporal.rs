@@ -50,11 +50,7 @@ impl GlobalTemporal {
         // every (node, slot) pair is a batch element.
         let view =
             ConvView { batch: [(n, d), (d, 1)], channels: (1, 1), rows: (1, 1), cols: (tw, n * d) };
-        // One node holds the stack's input, so that the first layer's two
-        // gradients (conv input and residual) are summed with each other
-        // before the infomax head's gradient joins them, as when the stack
-        // read a permuted copy: training keeps its bits.
-        let mut t = g.reshape(gamma, &shape)?;
+        let mut t = gamma;
         for l in 0..self.weights.len() {
             let conv = g.conv1d_view(
                 t,

@@ -131,11 +131,7 @@ impl LocalEncoder {
         let region = tw * c * d;
         let (slot, category) = ((d, 1), (c, d));
 
-        // One node holds the stacks' input, so that the first layer's two
-        // gradients (conv input and residual) are summed with each other
-        // before the global branch's gradients of E join them, as when the
-        // stack read a permuted copy: training keeps its bits.
-        let mut h = g.reshape(e, &shape)?;
+        let mut h = e;
 
         // ---- Spatial + category view (Eq. 2) ---------------------------
         // A [Tw·d, C, I, J] batch: time and embedding slots form the conv

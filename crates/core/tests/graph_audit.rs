@@ -136,13 +136,19 @@ fn every_named_ablation_certifies_clean() {
 /// Re-derived for report v7: ahead-of-time shape inference is deleted (the
 /// passes read the shapes the kernels recorded on the tape), so the
 /// `shape:` line is gone. Every other line is unchanged.
+///
+/// Re-derived when the conv weight gradient began summing each batch
+/// element's plane on its own: the two same-shape reshapes that kept the
+/// old gradient-sum order are deleted (184 → 182 nodes), so the tape and
+/// traffic bytes fall by their outputs. FLOPs, ranges and the per-family
+/// rows are unchanged.
 const GOLDEN_TINY_REPORT: &str = "\
 == graph audit: ST-HSL ==
 report-version: 7
-nodes: 184   params: 21   errors: 0   info: 0
+nodes: 182   params: 21   errors: 0   info: 0
 grad-flow: OK (21/21 parameters reachable from the loss)
-ranges: OK (184/184 intervals bounded; max |bound| 1.062e12)
-cost: fwd 578.3 Kflop + bwd 1.15 Mflop | tape 408.4 KiB | traffic 955.8 KiB | 1.77 flop/B
+ranges: OK (182/182 intervals bounded; max |bound| 1.062e12)
+cost: fwd 578.3 Kflop + bwd 1.15 Mflop | tape 394.4 KiB | traffic 927.8 KiB | 1.82 flop/B
   conv2d                   2 node(s)   784.8 Kflop  26.28 flop/B
   conv1d                   6 node(s)   419.3 Kflop  4.84 flop/B
   batched_matmul           4 node(s)   258.0 Kflop  3.46 flop/B

@@ -13,9 +13,15 @@
 //! - **Forward:** bias, then `x·w` for each tap in `(ci, ky, kx)` order.
 //! - **Input gradient:** `g·w` in `co → oy → ox` order, which for a fixed
 //!   input element is `co` ascending, then `ky`, `kx` *descending*.
-//! - **Weight gradient:** `g·x` in `(bi, oy, ox)` order.
+//! - **Weight gradient:** per batch element, its `g·x` terms summed over its
+//!   plane in `(oy, ox)` order from `+0.0`; the plane sums added to the
+//!   weight's total, from `+0.0`, in batch order.
 //! - **Bias gradient:** per batch element, its plane summed in `(oy, ox)`
 //!   order from `-0.0` (as `Iterator::sum` sums it), added in batch order.
+//!
+//! Both gradients are orders on logical indices, so they do not depend on
+//! the operands' layout, the vector level or the thread count; a batch of
+//! one sums each weight in `(oy, ox)` order alone.
 //!
 //! **Forward and input gradient: batch elements are the vector lanes.** The
 //! model's rows are short (8 or 14 floats) but its conv batches are long
@@ -47,21 +53,22 @@
 //! start, so a tile changes which destinations run side by side, never a
 //! destination's operations or their order.
 //!
-//! **Weight gradient: out-channel lanes.** Its `(bi, oy, ox)` order runs
-//! serially over the batch, so batch lanes would reorder its sums; the
-//! out-channels are the lanes instead. Each band takes its out-channels in
-//! blocks of 8 lanes and, per lane block, its `cin·kh·kw` taps kernel column
-//! by kernel column in blocks of 8 (`tap_block`). A block of `C` lanes by
-//! `T` taps keeps its `C·T` sums in registers for the whole `(bi, oy, ox)`
-//! walk, reads `x` directly at each tap's offset and stores once; a last,
-//! shorter block is padded with copies of its first lane or tap, whose sums
-//! are dropped. A tap that reads the padding is skipped
-//! through its two `Span`s, as the oracle's `continue` skips it: a row
-//! outside its row span by a test made once per row, and a column outside
-//! its column span by never being visited, since taps of one kernel column
-//! share that span. Only a block that straddles two kernel columns tests
-//! each tap at the columns where their spans differ. No table, gather or
-//! patch buffer is built.
+//! **Weight gradient: batch elements are the vector lanes, too.** Each lane
+//! sums its own batch element's plane, so the lanes are independent add
+//! chains, not one chain per weight. The operands are copied into the same
+//! lane-major panels (`interleave`), lanes past the batch's end set to
+//! `+0.0`. A tile walks one tap over four panels (one at the batch's tail),
+//! their 64 chains register-resident side by side, visiting only the
+//! output rows and columns of the tap's two `Span`s, so a tap that reads
+//! the padding is skipped for all lanes at once, as the oracle's `continue`
+//! skips it. The tile's lanes then join the weight's total one by one, in
+//! batch order (`join`); a padding lane's plane sum is `+0.0`, which leaves
+//! the total as it is (below). That fold is `B` scalar adds per weight
+//! against `B·OH·OW` vector-lane multiply-adds. A batch shorter than a
+//! panel (ST-ResNet's and STDN's batch of one) would leave most lanes
+//! idle, so where it has fewer elements than the conv has out-channels,
+//! out-channels are the lanes instead (`channel_lanes`): the same chains,
+//! added in the same order, so the same bits.
 //!
 //! Every kernel body runs under `wide!`, which picks its AVX2 copy where
 //! the CPU has one. The operations and their order are the same at every
@@ -78,9 +85,9 @@
 //! `0·∞` would be NaN. That select adds `-0.0` instead of the term: under
 //! round-to-nearest `x + (-0.0)` returns `x` bit for bit for every `x`
 //! except a signalling NaN, which arithmetic never produces. The weight
-//! gradient adds `+0.0`, which one `and` selects: its sums start at `+0.0`
-//! and so, as above, are never `-0.0`, and `x + (+0.0)` returns every other
-//! `x` bit for bit.
+//! gradient always runs its select, which adds `+0.0` for a zero gradient,
+//! one `and`: its plane sums and totals start at `+0.0` and so, as above,
+//! are never `-0.0`, and `x + (+0.0)` returns every other `x` bit for bit.
 //!
 //! A 1-D convolution is the 2-D one over a single row whose column taps are
 //! dilated, so both share `Geom` and one kernel per pass. Its geometry is
@@ -94,10 +101,8 @@
 //! serves a same-padded C→C conv, whose output has the input's shape and is
 //! written through the same view, so a model can convolve a tensor in the
 //! layout the layer before left it, with no permuted copy. The panels pack
-//! and unpack through the view; the weight gradient copies chunks of batch
-//! elements out of it, lane-interleaved as the panels hold them, and walks
-//! their rows 16 floats apart. The values each element sees and their order
-//! do not depend on the view, and neither do the bits.
+//! and unpack through the view. The values each element sees and their
+//! order do not depend on the view, and neither do the bits.
 
 use std::ops::Range;
 
@@ -109,12 +114,12 @@ use crate::{Result, Tensor, TensorError};
 /// thread (shared by every conv kernel below).
 const MIN_WORK_PER_BAND: usize = 1 << 15;
 
-/// Batch elements per panel: the vector lanes of `forward` and `grad_input`.
-/// One panel row is one cache line.
+/// Batch elements per panel: the vector lanes of every pass. One panel row
+/// is one cache line.
 const P: usize = 16;
 
-/// Floats of one chunk of `x` and `grad_out` that the weight gradient
-/// copies out of a caller's view (32 KB, about an L1 data cache).
+/// Floats of `x` and `grad_out` that the weight gradient copies into panels
+/// at once (32 KB, about an L1 data cache), unless one tile needs more.
 const CHUNK: usize = 1 << 13;
 
 /// Where the elements of a conv operand `[B, C, H, W]` sit in its buffer.
@@ -313,7 +318,7 @@ impl Tensor {
         const OP: &str = "conv2d_grad_weight";
         let geom = Geom::conv2d(OP, input.shape(), weight_shape, pad, view)?;
         check_grad_out(OP, grad_out, &geom.out_shape(input.shape(), 4))?;
-        Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom)?, weight_shape)
+        Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom), weight_shape)
     }
 
     /// Gradient of a conv bias: sum of `grad_out` over batch and spatial axes.
@@ -400,7 +405,7 @@ impl Tensor {
         const OP: &str = "conv1d_grad_weight";
         let geom = Geom::conv1d(OP, input.shape(), weight_shape, pad, dilation, view)?;
         check_grad_out(OP, grad_out, &geom.out_shape(input.shape(), 3))?;
-        Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom)?, weight_shape)
+        Tensor::from_vec(grad_weight(grad_out.data(), input.data(), geom), weight_shape)
     }
 
     /// Gradient of a 1-D conv bias: sum over batch and length axes.
@@ -567,17 +572,20 @@ impl Geom {
         self.kh * self.kw
     }
 
-    /// The weight gradient's taps, kernel column by kernel column (`kx`,
-    /// then `ci`, `ky`): consecutive taps mostly share their column span.
+    /// The weight gradient's taps that read inside the input at some output
+    /// pixel, in weight order `(ci, ky, kx)`.
     fn weight_taps(&self) -> Vec<WeightTap> {
         let mut taps = Vec::with_capacity(self.cin * self.taps());
-        for kx in 0..self.kw {
-            let rx = Span::new(kx * self.dilation, self.pw, self.w, self.ow);
-            for ci in 0..self.cin {
-                for ky in 0..self.kh {
-                    let ry = Span::new(ky, self.ph, self.h, self.oh);
-                    let (j, src) = ((ci * self.kh + ky) * self.kw + kx, ci * self.in_plane());
-                    taps.push(WeightTap { j, ry, rx, src: src + ry.src * self.w + rx.src });
+        for ci in 0..self.cin {
+            for ky in 0..self.kh {
+                let ry = Span::new(ky, self.ph, self.h, self.oh);
+                for kx in 0..self.kw {
+                    let rx = Span::new(kx * self.dilation, self.pw, self.w, self.ow);
+                    if ry.len() > 0 && rx.len() > 0 {
+                        let j = (ci * self.kh + ky) * self.kw + kx;
+                        let src = ci * self.in_plane() + ry.src * self.w + rx.src;
+                        taps.push(WeightTap { j, ry, rx, src });
+                    }
                 }
             }
         }
@@ -610,15 +618,12 @@ impl Span {
     fn len(&self) -> usize {
         self.hi - self.lo
     }
-
-    fn contains(&self, o: usize) -> bool {
-        (self.lo..self.hi).contains(&o)
-    }
 }
 
 /// The tap of weight `j` (`= (ci·kh + ky)·kw + kx`): the output rows `ry`
-/// and columns `rx` at which it reads inside the input, and the offset in a
-/// batch element's `[Cin, H, W]` block that output `(ry.lo, rx.lo)` reads.
+/// and columns `rx` at which it reads inside the input, and the element of
+/// a batch element's `[Cin, H, W]` block, counted in `(ci, y, x)` order,
+/// that output `(ry.lo, rx.lo)` reads.
 #[derive(Debug, Clone, Copy)]
 struct WeightTap {
     j: usize,
@@ -716,7 +721,8 @@ const CHANNELS: usize = 4;
 
 /// Panels one batch tile packs: a band with fewer than [`CHANNELS`]
 /// destination channels takes its batch elements `QUAD`·[`P`] at a time,
-/// so that each tap's weight serves four panels.
+/// so that each tap's weight serves four panels; a weight-gradient tile
+/// runs the add chains of four panels side by side.
 const QUAD: usize = 4;
 
 /// The panel driver shared by `forward` (`flip = false`: `src` is the input)
@@ -1007,315 +1013,198 @@ impl Split {
     }
 }
 
-/// `gw[co, j] += g·x` over `(bi, oy, ox)`, out-channels as the vector
-/// lanes: each band's out-channels go in blocks of 8 lanes and, per lane
-/// block, the taps in blocks of 8, whose sums [`tap_block`] keeps in
-/// registers. A last, shorter block runs at the narrowest width that holds
-/// it (8, 4 or 2 lanes; 8, 4, 3, 2 or 1 taps), padded with copies of its
-/// first lane or tap whose sums are never stored. There is no one-lane
-/// block: it would compile to scalar code, in which the compiler turns the
-/// zero-gradient select into a branch that mispredicts on dropout's zeros.
-/// A 3-tap block fits the commonest kernel, 1→1 with width 3, unpadded.
-///
-/// Contiguous operands are read in place, the whole batch as one chunk.
-/// Operands in a caller's view are copied out [`CHUNK`] floats at a time,
-/// lane-interleaved ([`interleave`]), so that where the view puts a panel's
-/// batch elements side by side each row is one copy, not a transpose; the
-/// walk then reads a row's elements `P` floats apart. Each block of sums is
-/// loaded from `rows` at the start of a chunk and stored at its end, which
-/// moves the sums unchanged, so every weight still sums in `(bi, oy, ox)`
-/// order.
-fn grad_weight(go: &[f32], x: &[f32], g: Geom) -> Result<Vec<f32>> {
-    let taps = g.weight_taps();
-    let kvol = taps.len();
+/// `gw[co, j]`: per batch element, its `g·x` terms summed over the output
+/// plane in `(oy, ox)` order from `+0.0`; these plane sums join the weight's
+/// total, from `+0.0`, in batch order. A zero gradient adds `+0.0` in place
+/// of the oracle's skip (module docs). Each band takes whole out-channels.
+/// The lanes are batch elements ([`batch_lanes`]), or out-channels
+/// ([`channel_lanes`]) where a batch shorter than a panel has fewer
+/// elements than the conv has out-channels. Both run the same chains and
+/// add them in the same order, so the lanes change no bits.
+fn grad_weight(go: &[f32], x: &[f32], g: Geom) -> Vec<f32> {
+    let kvol = g.cin * g.taps();
     let mut gw = vec![0.0f32; g.cout * kvol];
-    if kvol == 0 {
-        return Ok(gw);
+    if gw.is_empty() {
+        return gw;
     }
-    let (xview, yview) = g.views();
-    let (xcells, ycells) = (xview.cells(), yview.cells());
-    // Whole panels, so that a chunk's batch elements sit side by side as
-    // the view's do.
-    let chunk = (CHUNK / (xcells.len() + ycells.len()).max(1) / P).max(1) * P;
-    // Each out-channel's weight-gradient block is disjoint, so a band's
-    // blocks, and the lanes within them, sum independently.
+    let ops = Operands { go, x, taps: g.weight_taps(), g };
+    // Each out-channel's weights are summed by one band alone, so the bits
+    // do not depend on the thread count.
     let min_rows = (MIN_WORK_PER_BAND / (g.b * g.out_plane() * kvol).max(1)).max(1);
+    let by_channel = g.b < P && g.b < g.cout;
     sthsl_parallel::parallel_rows_mut(&mut gw, g.cout, kvol, min_rows, move |couts, band| {
-        wide!(band, |band| {
-            if g.view.is_none() {
-                lane_blocks::<1>(go, x, g.b, &g, &taps, couts, band);
-                return;
-            }
-            let (mut xs, mut gs) = (Vec::new(), Vec::new());
-            for b0 in (0..g.b).step_by(chunk) {
-                let batch = b0..g.b.min(b0 + chunk);
-                interleave(&mut xs, x, &xview, &xcells, batch.clone());
-                interleave(&mut gs, go, &yview, &ycells, batch.clone());
-                lane_blocks::<P>(&gs, &xs, batch.len(), &g, &taps, couts.clone(), band);
-            }
+        wide!(band, |band| if by_channel {
+            channel_lanes(&ops, couts.clone(), band);
+        } else {
+            batch_lanes(&ops, couts.clone(), band);
         });
     });
-    Ok(gw)
+    gw
+}
+
+/// What every band of one weight gradient reads.
+struct Operands<'a> {
+    go: &'a [f32],
+    x: &'a [f32],
+    taps: Vec<WeightTap>,
+    g: Geom,
+}
+
+/// Batch elements as the lanes: the band copies its out-channels of
+/// `grad_out`, with all of `x`, into panels ([`interleave`]) a chunk of
+/// whole tiles at a time, [`CHUNK`] floats or more. A tile walks one tap
+/// over up to [`QUAD`] panels, each lane's plane sum its own add chain
+/// ([`tile`]), then adds its lanes to the weight's total ([`join`]).
+#[inline(always)]
+fn batch_lanes(ops: &Operands, couts: Range<usize>, band: &mut [f32]) {
+    let (g, kvol, plane) = (&ops.g, ops.g.cin * ops.g.taps(), ops.g.out_plane());
+    let (xview, yview) = g.views();
+    let xcells = xview.cells();
+    let ycells = &yview.cells()[couts.start * plane..couts.end * plane];
+    let (xn, yn) = (xcells.len(), ycells.len());
+    let chunk = (CHUNK / (xn + yn).max(1) / (QUAD * P)).max(1) * QUAD * P;
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    for b0 in (0..g.b).step_by(chunk) {
+        let batch = b0..g.b.min(b0 + chunk);
+        interleave(&mut xs, ops.x, &xview, &xcells, batch.clone());
+        interleave(&mut ys, ops.go, &yview, ycells, batch.clone());
+        // Four panels while more than three panels' worth of batch elements
+        // is left, then one.
+        let mut p = 0;
+        while p * P < batch.len() {
+            let q = if batch.len() - p * P > (QUAD - 1) * P { QUAD } else { 1 };
+            let (xt, yt) = (&xs[p * xn..], &ys[p * yn..]);
+            for (c, totals) in band.chunks_exact_mut(kvol).enumerate() {
+                for tap in &ops.taps {
+                    let (at, total) = ((c * plane, yn, xn), &mut totals[tap.j]);
+                    match q {
+                        QUAD => join(total, tile::<QUAD>(yt, xt, at, tap, g)),
+                        _ => join(total, tile::<1>(yt, xt, at, tap, g)),
+                    }
+                }
+            }
+            p += q;
+        }
+    }
+}
+
+/// Add the lanes of `sums` to `total` one by one, in batch order. A lane
+/// past the batch's end holds `+0.0` ([`interleave`]), which leaves every
+/// total's bits as they are (module docs), so all of them are added.
+#[inline(always)]
+fn join<const Q: usize>(total: &mut f32, sums: [[f32; P]; Q]) {
+    for s in sums.into_iter().flatten() {
+        *total += s;
+    }
+}
+
+/// Out-channels as the lanes, for a short batch: per batch element, in
+/// batch order, a panel holds the band's `grad_out` planes of [`P`]
+/// out-channels side by side and every `x` element broadcast to all lanes,
+/// so a tile's lane `l` is out-channel `l`'s plane sum of the tap. Each
+/// in-channel has the same taps at the same output pixels, so a tile runs
+/// one tap of [`QUAD`] consecutive in-channels as its panels, `x` rows one
+/// input plane apart over the same `grad_out` rows. Lanes past the band's
+/// last out-channel are never added.
+#[inline(always)]
+fn channel_lanes(ops: &Operands, couts: Range<usize>, band: &mut [f32]) {
+    let (g, kvol, plane) = (&ops.g, ops.g.cin * ops.g.taps(), ops.g.out_plane());
+    let (xview, yview) = g.views();
+    let (xcells, ycells) = (xview.cells(), yview.cells());
+    let (mut xs, mut ys) = (vec![[0.0f32; P]; xcells.len()], vec![[0.0f32; P]; plane]);
+    let per_ci = ops.taps.len() / g.cin;
+    let at = (0, 0, g.in_plane());
+    for bi in 0..g.b {
+        let (xb, yb) = (xview.bases(bi, 1)[0], yview.bases(bi, 1)[0]);
+        for (row, &c) in xs.iter_mut().zip(&xcells) {
+            *row = [ops.x[xb + c]; P];
+        }
+        for c0 in couts.clone().step_by(P) {
+            let lanes = P.min(couts.end - c0);
+            let base = std::array::from_fn(|l| yb + (c0 + l) * yview.channels.1);
+            pack(ys.iter_mut(), ops.go, &base, lanes, &ycells[..plane]);
+            let totals = &mut band[(c0 - couts.start) * kvol..];
+            let mut add = |j: usize, sums: &[[f32; P]]| {
+                for (q, sums) in sums.iter().enumerate() {
+                    for (l, s) in sums[..lanes].iter().enumerate() {
+                        totals[l * kvol + j + q * g.taps()] += s;
+                    }
+                }
+            };
+            let mut ci = 0;
+            while ci < g.cin {
+                let q = if g.cin - ci >= QUAD { QUAD } else { 1 };
+                for tap in &ops.taps[ci * per_ci..][..per_ci] {
+                    match q {
+                        QUAD => add(tap.j, &tile::<QUAD>(&ys, &xs, at, tap, g)),
+                        _ => add(tap.j, &tile::<1>(&ys, &xs, at, tap, g)),
+                    }
+                }
+                ci += q;
+            }
+        }
+    }
+}
+
+/// The plane sums of one tap in each of `Q` panels, a chain per lane from
+/// `+0.0`: over the output rows `tap.ry`, each over the columns `tap.rx`,
+/// the pixels at which the tap reads inside the input, so a tap that reads
+/// the padding is skipped for all lanes at once, as the oracle's `continue`
+/// skips it. Panel `q`'s rows of `grad_out` start at `yt[q·yn]` (this
+/// out-channel's plane `c0` rows on), its rows of `x` at `xt[q·xn]`. A zero
+/// gradient adds `+0.0`, a lane select that compiles to one `and`.
+#[inline(always)]
+fn tile<const Q: usize>(
+    yt: &[[f32; P]],
+    xt: &[[f32; P]],
+    (c0, yn, xn): (usize, usize, usize),
+    tap: &WeightTap,
+    g: &Geom,
+) -> [[f32; P]; Q] {
+    let mut acc = [[0.0f32; P]; Q];
+    let n = tap.rx.len();
+    for r in 0..tap.ry.len() {
+        let (ya, xa) = (c0 + (tap.ry.lo + r) * g.ow + tap.rx.lo, tap.src + r * g.w);
+        let ys: [&[[f32; P]]; Q] = std::array::from_fn(|q| &yt[q * yn + ya..][..n]);
+        let xs: [&[[f32; P]]; Q] = std::array::from_fn(|q| &xt[q * xn + xa..][..n]);
+        for i in 0..n {
+            for ((sums, y), x) in acc.iter_mut().zip(&ys).zip(&xs) {
+                for ((a, &gv), &xv) in sums.iter_mut().zip(&y[i]).zip(&x[i]) {
+                    // The product is taken outside the select: written
+                    // in its `else` arm, the loop compiled to scalar
+                    // branches, 3–7× slower.
+                    let t = gv * xv;
+                    *a += if gv == 0.0 { 0.0 } else { t };
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// The elements `cells` of the batch elements `batch` in `view`, into `dst`
-/// lane-interleaved as the panels hold them: each run of [`P`] batch
-/// elements is a block of `n = cells.len()` rows of `P` lanes, so element
-/// `k` of batch element `bi` (counted from `batch.start`) sits at
-/// `((bi / P)·n + k)·P + bi % P`. Where the view puts a panel's batch
-/// elements side by side, each row is one copy.
+/// as panels: each run of [`P`] batch elements is a block of
+/// `n = cells.len()` rows of `P` lanes, so element `k` of batch element `bi`
+/// (counted from `batch.start`) sits in lane `bi % P` of row
+/// `(bi / P)·n + k`; lanes past the batch's end are `+0.0`. Where the view
+/// puts a panel's batch elements side by side, each row is one copy.
 fn interleave(
-    dst: &mut Vec<f32>,
+    dst: &mut Vec<[f32; P]>,
     src: &[f32],
     view: &ConvView,
     cells: &[usize],
     batch: Range<usize>,
 ) {
     let n = cells.len();
-    dst.resize(batch.len().div_ceil(P) * n * P, 0.0);
-    for (block, b0) in dst.chunks_exact_mut(n * P).zip(batch.clone().step_by(P)) {
+    dst.resize(batch.len().div_ceil(P) * n, [0.0; P]);
+    for (block, b0) in dst.chunks_exact_mut(n.max(1)).zip(batch.clone().step_by(P)) {
         let lanes = P.min(batch.end - b0);
-        let base = view.bases(b0, lanes);
-        if adjacent(&base, lanes) {
-            for (row, &cell) in block.chunks_exact_mut(P).zip(cells) {
-                row.copy_from_slice(&src[base[0] + cell..][..P]);
-            }
-        } else {
-            for (row, &cell) in block.chunks_exact_mut(P).zip(cells) {
-                for (v, &at) in row.iter_mut().zip(&base[..lanes]) {
-                    *v = src[at + cell];
-                }
+        pack(block.iter_mut(), src, &view.bases(b0, lanes), lanes, cells);
+        if lanes < P {
+            for row in block {
+                row[lanes..].fill(0.0);
             }
         }
-    }
-}
-
-/// The weight gradients of the out-channels `couts` into `band`, over the
-/// `n` batch elements of `go` and `x`, whose consecutive elements along a
-/// row lie `S` floats apart: 1 in place, [`P`] lane-interleaved.
-#[inline(always)]
-fn lane_blocks<const S: usize>(
-    go: &[f32],
-    x: &[f32],
-    n: usize,
-    g: &Geom,
-    taps: &[WeightTap],
-    couts: Range<usize>,
-    band: &mut [f32],
-) {
-    let kvol = taps.len();
-    for (rows, co) in band.chunks_mut(8 * kvol).zip(couts.step_by(8)) {
-        match (rows.len() / kvol).next_power_of_two() {
-            8 => lane_block::<8, S>(go, x, n, g, taps, co, rows),
-            4 => lane_block::<4, S>(go, x, n, g, taps, co, rows),
-            _ => lane_block::<2, S>(go, x, n, g, taps, co, rows),
-        }
-    }
-}
-
-/// The weight gradients of the out-channels from `co` on into `rows`
-/// (`[lanes, cin·kh·kw]`, at most `C` lanes), in tap blocks of at most 8,
-/// over the `n` batch elements of `go` and `x`.
-#[inline(always)]
-fn lane_block<const C: usize, const S: usize>(
-    go: &[f32],
-    x: &[f32],
-    n: usize,
-    g: &Geom,
-    taps: &[WeightTap],
-    co: usize,
-    rows: &mut [f32],
-) {
-    let real = rows.len() / taps.len();
-    let lanes: [usize; C] = std::array::from_fn(|c| co + if c < real { c } else { 0 });
-    for block in taps.chunks(8) {
-        match block.len() {
-            5.. => tap_block::<C, 8, S>(go, x, n, g, &lanes, block, rows),
-            4 => tap_block::<C, 4, S>(go, x, n, g, &lanes, block, rows),
-            3 => tap_block::<C, 3, S>(go, x, n, g, &lanes, block, rows),
-            2 => tap_block::<C, 2, S>(go, x, n, g, &lanes, block, rows),
-            _ => tap_block::<C, 1, S>(go, x, n, g, &lanes, block, rows),
-        }
-    }
-}
-
-/// The gradients of the out-channels `lanes` by the taps of `block`. The
-/// `C·T` accumulators stay in registers for the whole `(bi, oy, ox)` walk,
-/// each tap reading `x` directly where the pixel reads it, and are stored
-/// once. A tap is skipped where it reads the padding, as the oracle's
-/// `continue` skips it, by its [`Span`]s: a row outside `ry` by a test made
-/// once per row, a column outside `rx` by never visiting it. Only where the
-/// block's taps come from two kernel columns do the columns outside the
-/// span they all share test each tap at each pixel.
-#[inline(always)]
-fn tap_block<const C: usize, const T: usize, const S: usize>(
-    go: &[f32],
-    x: &[f32],
-    n: usize,
-    g: &Geom,
-    lanes: &[usize; C],
-    block: &[WeightTap],
-    rows: &mut [f32],
-) {
-    let real = block.len();
-    let block: [WeightTap; T] = std::array::from_fn(|t| block[if t < real { t } else { 0 }]);
-    // The columns that every tap reads inside the input, and those that
-    // any tap does.
-    let spans = block.iter().map(|tap| tap.rx).filter(|rx| rx.len() > 0);
-    let inner = spans.clone().fold(0..g.ow, |r, rx| r.start.max(rx.lo)..r.end.min(rx.hi));
-    let all = spans.fold(g.ow..0, |r, rx| r.start.min(rx.lo)..r.end.max(rx.hi));
-    let inner = if inner.is_empty() || all.is_empty() { all.end..all.end } else { inner };
-    let lines: Vec<Line<T>> = (0..g.oh).map(|oy| Line::new(&block, oy, g.w)).collect();
-    let (plane, xblock, kvol) = (g.out_plane(), g.cin * g.in_plane(), g.cin * g.taps());
-    let stored = rows.len() / kvol;
-    // The sums so far (`+0.0` before the first chunk); padded lanes and
-    // taps start from `+0.0` and are never stored.
-    let mut acc: [[f32; C]; T] = std::array::from_fn(|t| {
-        std::array::from_fn(
-            |c| if t < real && c < stored { rows[c * kvol + block[t].j] } else { 0.0 },
-        )
-    });
-    for bi in 0..n {
-        // Batch element `bi`'s first element; its others lie `S` apart.
-        let first = |block: usize| bi / S * block * S + bi % S;
-        let xb = &x[first(xblock)..][..run(xblock, S)];
-        let gb = first(g.cout * plane);
-        for (oy, line) in lines.iter().enumerate() {
-            if !line.inside.iter().any(|&v| v) {
-                continue;
-            }
-            let grow: [&[f32]; C] = std::array::from_fn(|c| {
-                &go[gb + (lanes[c] * plane + oy * g.ow) * S..][..run(g.ow, S)]
-            });
-            line.border::<C, S>(&mut acc, &block, &grow, xb, all.start..inner.start);
-            line.inner::<C, S>(&mut acc, &block, &grow, xb, inner.clone());
-            line.border::<C, S>(&mut acc, &block, &grow, xb, inner.end..all.end);
-        }
-    }
-    for (lane, wrow) in rows.chunks_exact_mut(kvol).enumerate() {
-        for (tap, sums) in block[..real].iter().zip(&acc) {
-            wrow[tap.j] = sums[lane];
-        }
-    }
-}
-
-/// Output row `oy` as the taps of one block read it, the same for every
-/// batch element.
-struct Line<const T: usize> {
-    /// Whether each tap reads inside the input on this row.
-    inside: [bool; T],
-    /// Where each inside tap reads at column `rx.lo`, in a `[Cin, H, W]`
-    /// block; column `ox` reads `ox − rx.lo` further on.
-    start: [usize; T],
-}
-
-impl<const T: usize> Line<T> {
-    fn new(block: &[WeightTap; T], oy: usize, w: usize) -> Self {
-        let inside: [bool; T] =
-            std::array::from_fn(|t| block[t].ry.contains(oy) && block[t].rx.len() > 0);
-        let start = std::array::from_fn(|t| {
-            let tap = &block[t];
-            if inside[t] {
-                tap.src + (oy - tap.ry.lo) * w
-            } else {
-                0
-            }
-        });
-        Line { inside, start }
-    }
-
-    /// The columns `cols`, inside every tap's column span: each operand is
-    /// sliced to the run once, and a tap outside the row is skipped by a
-    /// test that every column of the row repeats alike.
-    #[inline(always)]
-    fn inner<const C: usize, const S: usize>(
-        &self,
-        acc: &mut [[f32; C]; T],
-        block: &[WeightTap; T],
-        grow: &[&[f32]; C],
-        x: &[f32],
-        cols: Range<usize>,
-    ) {
-        let n = cols.len();
-        if n == 0 {
-            return;
-        }
-        let gs: [&[f32]; C] = std::array::from_fn(|c| &grow[c][cols.start * S..][..run(n, S)]);
-        let xs: [&[f32]; T] = std::array::from_fn(|t| {
-            let at = self.start[t] + cols.start;
-            if self.inside[t] {
-                &x[(at - block[t].rx.lo) * S..][..run(n, S)]
-            } else {
-                &[]
-            }
-        });
-        if self.inside.iter().all(|&v| v) {
-            walk::<C, T, S, false>(acc, &gs, &xs, &self.inside);
-        } else {
-            walk::<C, T, S, true>(acc, &gs, &xs, &self.inside);
-        }
-    }
-
-    /// The columns `cols` one by one, where some tap reads the padding: each
-    /// tap is added only where its row and column spans both hold.
-    #[inline(always)]
-    fn border<const C: usize, const S: usize>(
-        &self,
-        acc: &mut [[f32; C]; T],
-        block: &[WeightTap; T],
-        grow: &[&[f32]; C],
-        x: &[f32],
-        cols: Range<usize>,
-    ) {
-        for ox in cols {
-            let gv: [f32; C] = std::array::from_fn(|c| grow[c][ox * S]);
-            for (t, (sums, tap)) in acc.iter_mut().zip(block).enumerate() {
-                if self.inside[t] && tap.rx.contains(ox) {
-                    add_lanes(sums, &gv, x[(self.start[t] + ox - tap.rx.lo) * S]);
-                }
-            }
-        }
-    }
-}
-
-/// One run of columns: `acc[t][c] += gs[c][i·S]·xs[t][i·S]` for `i`
-/// ascending. With `CHECK`, a tap that is not `inside` the row is skipped.
-#[inline(always)]
-fn walk<const C: usize, const T: usize, const S: usize, const CHECK: bool>(
-    acc: &mut [[f32; C]; T],
-    gs: &[&[f32]; C],
-    xs: &[&[f32]; T],
-    inside: &[bool; T],
-) {
-    // Every run read has this length; folding it over them lets the
-    // compiler see that no read below leaves its run.
-    let runs = xs.iter().zip(inside).filter(|(_, &on)| on).map(|(xr, _)| xr);
-    let n = gs.iter().chain(runs).fold(usize::MAX, |n, run| n.min(run.len())).div_ceil(S);
-    for i in 0..n {
-        let gv: [f32; C] = std::array::from_fn(|c| gs[c][i * S]);
-        for ((sums, xr), &on) in acc.iter_mut().zip(xs).zip(inside) {
-            if !CHECK || on {
-                add_lanes(sums, &gv, xr[i * S]);
-            }
-        }
-    }
-}
-
-/// The span of `n` elements `S` apart: from the first to the last.
-#[inline(always)]
-fn run(n: usize, s: usize) -> usize {
-    n.saturating_sub(1) * s + usize::from(n > 0)
-}
-
-/// `sums[c] += g[c]·x`, where a zero gradient adds `+0.0`: the oracle's
-/// skip, as a lane select that compiles to one `and` (a `-0.0` select is a
-/// blend, three µops on recent x86 cores). Every sum starts at `+0.0` and an
-/// IEEE sum is `-0.0` only when both addends are, so no sum is ever `-0.0`,
-/// and `s + (+0.0)` returns every other `s` bit for bit.
-#[inline(always)]
-fn add_lanes<const C: usize>(sums: &mut [f32; C], gv: &[f32; C], xv: f32) {
-    for (a, &gc) in sums.iter_mut().zip(gv) {
-        *a += if gc == 0.0 { 0.0 } else { gc * xv };
     }
 }
 

@@ -3,7 +3,8 @@
 //! the cache-blocked row-axpy loop that the register-tiled kernel in
 //! [`super::matmul`] replaced, and the per-element broadcast, axis and
 //! activation loops that the row-wise elementwise kernels replaced, kept
-//! verbatim, and a one-element-at-a-time dropout. Each output element here
+//! verbatim; the conv weight gradient's direct loops, summing each batch
+//! element's plane on its own; and a one-element-at-a-time dropout. Each output element here
 //! receives its f32 operations one at a time in the defining order, so a
 //! bit-for-bit match against these loops is the kernel contract (DESIGN.md
 //! §6b). Shapes are assumed valid; the property tests below only feed
@@ -186,6 +187,10 @@ pub fn conv2d_grad_input(
     Tensor::from_vec(gx, input_shape).unwrap()
 }
 
+/// The weight gradient in the kernel contract's order: for each weight,
+/// each batch element's `g·x` terms summed over its output plane in
+/// `(oy, ox)` order from `+0.0`, a zero `g` and a tap in the padding
+/// skipped, and the plane sums added to the weight's total in batch order.
 pub fn conv2d_grad_weight(
     grad_out: &Tensor,
     input: &Tensor,
@@ -205,6 +210,7 @@ pub fn conv2d_grad_weight(
         for (local, co) in couts.enumerate() {
             let gblock = &mut band[local * cin * kh * kw..(local + 1) * cin * kh * kw];
             for bi in 0..b {
+                let mut part = vec![0.0f32; cin * kh * kw];
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let g = go[((bi * cout + co) * oh + oy) * ow + ox];
@@ -226,11 +232,14 @@ pub fn conv2d_grad_weight(
                                         continue;
                                     }
                                     let ix = ix - pw;
-                                    gblock[wbase + ky * kw + kx] += g * x[xbase + iy * w + ix];
+                                    part[wbase + ky * kw + kx] += g * x[xbase + iy * w + ix];
                                 }
                             }
                         }
                     }
+                }
+                for (total, &sum) in gblock.iter_mut().zip(&part) {
+                    *total += sum;
                 }
             }
         }
@@ -320,6 +329,7 @@ pub fn conv1d_grad_input(
     Tensor::from_vec(gx, input_shape).unwrap()
 }
 
+/// [`conv2d_grad_weight`]'s order over one row of dilated taps.
 pub fn conv1d_grad_weight(
     grad_out: &Tensor,
     input: &Tensor,
@@ -339,6 +349,7 @@ pub fn conv1d_grad_weight(
         for (local, co) in couts.enumerate() {
             let gblock = &mut band[local * cin * k..(local + 1) * cin * k];
             for bi in 0..b {
+                let mut part = vec![0.0f32; cin * k];
                 for o in 0..ol {
                     let g = go[(bi * cout + co) * ol + o];
                     if g == 0.0 {
@@ -351,9 +362,12 @@ pub fn conv1d_grad_weight(
                             if ip < pad.left || ip >= l + pad.left {
                                 continue;
                             }
-                            gblock[ci * k + kk] += g * x[xbase + ip - pad.left];
+                            part[ci * k + kk] += g * x[xbase + ip - pad.left];
                         }
                     }
+                }
+                for (total, &sum) in gblock.iter_mut().zip(&part) {
+                    *total += sum;
                 }
             }
         }
@@ -840,6 +854,76 @@ mod tests {
                 let label = format!("{level} b{b} 1->1 l14 k3 special={special}");
                 check_conv1d(&label, &x, &wt, &bias, &go, same, 1);
             }
+        }
+    }
+
+    /// The weight gradient's order (each batch element's plane summed on
+    /// its own, the plane sums added in batch order), at each vector level
+    /// and at 1 and 4 threads, over batches of 1, 15, 16, 17 and 33: the
+    /// batch of one, a partial panel, a full one, one lane past it, and a
+    /// four-panel tile's worth that leaves one lane over; then batches
+    /// shorter than a panel under more out-channels (5→20, 5→17, 5→16 at
+    /// batches of 1, 3 and 15 over an 8×8 plane), whose lanes are
+    /// out-channels: a full panel of them, a partial one, a tile of four
+    /// in-channels and a last one, and at 4 threads several bands. The 2-D
+    /// kernel's taps read the padding on every side; the 1-D kernels are
+    /// dilated by 2 under lopsided and causal padding. The last batch
+    /// element's `x` holds NaN and ±∞ where its `grad_out` is all (signed)
+    /// zeros: the oracle skips those terms, so the kernel must add `+0.0`
+    /// there and every gradient stays finite.
+    #[test]
+    fn conv_weight_gradient_matches_oracle_bits_per_batch_count() {
+        for threads in [1, 4] {
+            sthsl_parallel::set_num_threads(threads);
+            at_each_level(|level| weight_gradient_cases(&format!("{level} t{threads}")));
+        }
+        sthsl_parallel::set_num_threads(0);
+    }
+
+    /// `x` and `grad_out` of `[b, ..]` shapes, the last batch element's `x`
+    /// cycling through NaN and ±∞ and its `grad_out` all signed zeros.
+    fn poisoned_last(rng: &mut StdRng, x_shape: &[usize], go_shape: &[usize]) -> [Tensor; 2] {
+        let (mut x, mut go) = (tensor(rng, x_shape, 0.1, false), tensor(rng, go_shape, 0.4, false));
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let (xn, gn) = (x.len(), go.len());
+        for (i, v) in x.data_mut()[xn - xn / x_shape[0]..].iter_mut().enumerate() {
+            *v = specials[i % 3];
+        }
+        for (i, v) in go.data_mut()[gn - gn / go_shape[0]..].iter_mut().enumerate() {
+            *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        [x, go]
+    }
+
+    fn weight_gradient_cases(level: &str) {
+        let mut rng = StdRng::seed_from_u64(0x9e16);
+        let finite = |label: &str, t: &Tensor| {
+            assert!(t.data().iter().all(|v| v.is_finite()), "{label}: {:?}", t.data());
+        };
+        for b in [1, 15, 16, 17, 33] {
+            // 3→5 channels, a 4×3 kernel over a 5×6 plane padded by (2, 1).
+            let [x, go] = poisoned_last(&mut rng, &[b, 3, 5, 6], &[b, 5, 6, 6]);
+            let (shape, pad) = ([5, 3, 4, 3], (2, 1));
+            let label = format!("{level} conv2d_grad_weight b{b} k4x3 pad{pad:?}");
+            let gw = Tensor::conv2d_grad_weight(&go, &x, &shape, pad).unwrap();
+            assert_bits(&label, &gw, &super::conv2d_grad_weight(&go, &x, &shape, pad));
+            finite(&label, &gw);
+            for pad in [Pad1d { left: 3, right: 1 }, Pad1d::causal(3, 2)] {
+                let ol = 9 + pad.left + pad.right - 4;
+                let [x, go] = poisoned_last(&mut rng, &[b, 2, 9], &[b, 4, ol]);
+                let label = format!("{level} conv1d_grad_weight b{b} k3 d2 {pad:?}");
+                let gw = Tensor::conv1d_grad_weight(&go, &x, &[4, 2, 3], pad, 2).unwrap();
+                assert_bits(&label, &gw, &super::conv1d_grad_weight(&go, &x, &[4, 2, 3], pad, 2));
+                finite(&label, &gw);
+            }
+        }
+        for (b, cout) in [(1, 20), (3, 17), (15, 16)] {
+            let [x, go] = poisoned_last(&mut rng, &[b, 5, 8, 8], &[b, cout, 9, 8]);
+            let (shape, pad) = ([cout, 5, 4, 3], (2, 1));
+            let label = format!("{level} conv2d_grad_weight b{b} 5->{cout} 8x8 k4x3 pad{pad:?}");
+            let gw = Tensor::conv2d_grad_weight(&go, &x, &shape, pad).unwrap();
+            assert_bits(&label, &gw, &super::conv2d_grad_weight(&go, &x, &shape, pad));
+            finite(&label, &gw);
         }
     }
 

@@ -1095,7 +1095,7 @@ mod tests {
         assert_eq!(out1, out2);
         // Golden pin from a verified run. With every op costing 100 ns,
         // total_ns = 100 x (forward + backward notifications): the 4x4x60
-        // training tape fires 376 of them across 52 distinct (op, phase)
+        // training tape fires 372 of them across 52 distinct (op, phase)
         // pairs, dominated by reshapes. Re-pinned when the CSR propagation
         // path was deleted: the per-window CSR products and their
         // slice/reshape pairs became one batched pair for the whole window
@@ -1103,17 +1103,21 @@ mod tests {
         // layout-native: the convs and the hypergraph's second hop read
         // their layouts in place, which deletes 6 reshapes and 8 permutes
         // per tape and adds 2 same-shape reshapes (400 → 376 notifications,
-        // training and forecast bits unchanged). If an intentional tape
+        // training and forecast bits unchanged). Re-pinned once more when
+        // the conv weight gradient began summing each batch element's plane
+        // on its own: the 2 same-shape reshapes existed only to keep the
+        // old gradient-sum order and went with it (376 → 372 notifications,
+        // training bits re-pinned, forecast bits unchanged). If an intentional tape
         // change shifts these numbers, rerun with --nocapture, validate the
         // new counts against the tape, and update the pin.
         let golden = "\
-hot ops: top 5 of 52 (total 37600 ns)
+hot ops: top 5 of 52 (total 37200 ns)
 rank op                   phase        count       total_ns        bytes   share
-1    reshape              forward         43           4300       226048    11.4%
-2    reshape              backward        43           4300       226048    11.4%
-3    leaf                 forward         21           2100        10276     5.5%
-4    add                  forward         18           1800       143644     4.7%
-5    add                  backward        18           1800       143644     4.7%
+1    reshape              forward         41           4100       197376    11.0%
+2    reshape              backward        41           4100       197376    11.0%
+3    leaf                 forward         21           2100        10276     5.6%
+4    add                  forward         18           1800       143644     4.8%
+5    add                  backward        18           1800       143644     4.8%
 ";
         assert_eq!(out1, golden);
 

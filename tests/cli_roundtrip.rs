@@ -11,10 +11,12 @@ use std::path::PathBuf;
 
 use sthsl::faults::fnv1a;
 
-/// FNV-1a of the 3-epoch `model.bin` (SHA-256 prefix `bab37ccd`), since
-/// dropout draws keyed masks.
-const MODEL_FNV: u64 = 0xb9cd_41d7_8852_adcf;
-/// FNV-1a of its `forecast.csv` (SHA-256 prefix `cb50ed09`).
+/// FNV-1a of the 3-epoch `model.bin` (SHA-256 prefix `00f1e844`), since
+/// the conv weight gradient sums each batch element's plane on its own.
+const MODEL_FNV: u64 = 0xe2bc_ee1d_285f_8d63;
+/// FNV-1a of its `forecast.csv` (SHA-256 prefix `cb50ed09`), which the
+/// weight-gradient order left as it was: the forecast is written to three
+/// decimals.
 const FORECAST_FNV: u64 = 0x7b71_b87b_6137_fbf4;
 
 /// A directory of its own under the system temp dir, removed on drop.
