@@ -1,14 +1,13 @@
 //! The experiment table: one entry per paper table or figure, each naming
 //! the fits it reads and rendering its CSVs from them.
 
-use std::ops::Range;
 use std::path::Path;
 
 use sthsl_autograd::Graph;
 use sthsl_baselines::all_auditable;
 use sthsl_core::contrastive::{contrastive_loss, hard_negative_weight};
 use sthsl_core::{Ablation, StHsl, StHslConfig};
-use sthsl_data::metrics::{density_bucket, DensityBucket};
+use sthsl_data::metrics::{density_bucket, density_degrees, DensityBucket};
 use sthsl_data::synth::FUNCTION_NAMES;
 use sthsl_data::CrimeDataset;
 use sthsl_tensor::Tensor;
@@ -23,9 +22,9 @@ pub const EXPERIMENTS: [Experiment; 11] = [
     Experiment { id: "audit", needs: |_| Vec::new(), render: audit },
     Experiment { id: "datasets", needs: |_| Vec::new(), render: datasets },
     Experiment { id: "table3", needs: table3_needs, render: table3 },
-    Experiment { id: "table4", needs: |cx| variant_needs(cx, TABLE4_VARIANTS), render: table4 },
+    Experiment { id: "table4", needs: |cx| variant_needs(cx, &Ablation::TABLE4), render: table4 },
     Experiment { id: "fig4", needs: |cx| baseline_needs(cx, &FIG4_BASELINES), render: fig4 },
-    Experiment { id: "fig5", needs: |cx| variant_needs(cx, FIG5_VARIANTS), render: fig5 },
+    Experiment { id: "fig5", needs: |cx| variant_needs(cx, &Ablation::FIG5), render: fig5 },
     Experiment { id: "fig6", needs: |cx| baseline_needs(cx, &FIG6_BASELINES), render: fig6 },
     Experiment {
         id: "fig7",
@@ -41,10 +40,6 @@ pub const EXPERIMENTS: [Experiment; 11] = [
 const FIG4_BASELINES: [&str; 2] = ["GMAN", "STSHN"];
 /// Fig. 6's baselines; ST-HSL follows them.
 const FIG6_BASELINES: [&str; 4] = ["STGCN", "GMAN", "DeepCrime", "STSHN"];
-/// Fig. 5's encoder variants within `Ablation::named_variants`.
-const FIG5_VARIANTS: Range<usize> = 0..4;
-/// Table IV's self-supervision variants within `Ablation::named_variants`.
-const TABLE4_VARIANTS: Range<usize> = 4..10;
 
 fn csv_name(prefix: &str, city: City) -> String {
     format!("{prefix}_{}.csv", city.name().to_lowercase())
@@ -120,7 +115,7 @@ fn datasets(cx: &Context, out: &Path) -> DriverResult<()> {
         // belong to no bucket (the intervals are half-open above zero) and
         // are left out of the histogram.
         let mut counts = [0usize; 4];
-        for &d in &data.region_density() {
+        for &d in &density_degrees(&data.tensor)? {
             let Some(b) = density_bucket(d) else { continue };
             counts[DensityBucket::all().iter().position(|x| *x == b).expect("bucket")] += 1;
         }
@@ -176,15 +171,17 @@ fn table3(cx: &Context, out: &Path) -> DriverResult<()> {
     Ok(())
 }
 
-/// The named ablation variants in `range`, then the full model.
-fn variants(cx: &Context, range: Range<usize>) -> Vec<(&'static str, StHslConfig)> {
-    let mut rows = Ablation::named_variants()[range].to_vec();
-    rows.push(("ST-HSL", Ablation::full()));
-    rows.into_iter().map(|(name, a)| (name, cx.sthsl_config().with_ablation(a))).collect()
+/// The labelled variants `rows`, then the full model. Two labels of one
+/// variant ("w/o Local", "w/o ConL") name one config, so one fit.
+fn variants(cx: &Context, rows: &[(&'static str, Ablation)]) -> Vec<(&'static str, StHslConfig)> {
+    rows.iter()
+        .chain([&("ST-HSL", Ablation::Full)])
+        .map(|&(name, a)| (name, cx.sthsl_config().with_ablation(a)))
+        .collect()
 }
 
-fn variant_needs(cx: &Context, range: Range<usize>) -> Vec<Need> {
-    variants(cx, range).into_iter().map(|(_, cfg)| Need::StHsl(cfg)).collect()
+fn variant_needs(cx: &Context, rows: &[(&'static str, Ablation)]) -> Vec<Need> {
+    variants(cx, rows).into_iter().map(|(_, cfg)| Need::StHsl(cfg)).collect()
 }
 
 /// Table IV: ablation of the hypergraph dual-stage self-supervised learning
@@ -195,7 +192,7 @@ fn table4(cx: &Context, out: &Path) -> DriverResult<()> {
         let mut header = vec!["Model".to_string()];
         header.extend(cats.iter().map(|c| format!("{c} MAE")));
         let mut table = MarkdownTable::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
-        for (name, cfg) in variants(cx, TABLE4_VARIANTS) {
+        for (name, cfg) in variants(cx, &Ablation::TABLE4) {
             let (_, run) = runs.sthsl(&cfg);
             let mut row = vec![name.to_string()];
             row.extend((0..cats.len()).map(|ci| format!("{:.4}", run.eval.mae(ci))));
@@ -260,7 +257,7 @@ fn fig4(cx: &Context, out: &Path) -> DriverResult<()> {
 fn fig5(cx: &Context, out: &Path) -> DriverResult<()> {
     for runs in &cx.cities {
         let mut table = MarkdownTable::new(&["Variant", "MAE", "MAPE"]);
-        for (name, cfg) in variants(cx, FIG5_VARIANTS) {
+        for (name, cfg) in variants(cx, &Ablation::FIG5) {
             let (_, run) = runs.sthsl(&cfg);
             table.add_row(vec![
                 name.to_string(),
@@ -273,21 +270,21 @@ fn fig5(cx: &Context, out: &Path) -> DriverResult<()> {
     Ok(())
 }
 
-fn bucket_regions(data: &CrimeDataset, bucket: DensityBucket) -> Vec<usize> {
-    data.region_density()
+fn bucket_regions(data: &CrimeDataset, bucket: DensityBucket) -> DriverResult<Vec<usize>> {
+    Ok(density_degrees(&data.tensor)?
         .iter()
         .enumerate()
         .filter(|(_, &d)| density_bucket(d) == Some(bucket))
         .map(|(i, _)| i)
-        .collect()
+        .collect())
 }
 
 /// Figure 6: robustness to data sparsity, MAE/MAPE over the regions whose
 /// density degree falls in (0, 0.25] and in (0.25, 0.5].
 fn fig6(cx: &Context, out: &Path) -> DriverResult<()> {
     for runs in &cx.cities {
-        let sparse = bucket_regions(&runs.data, DensityBucket::VerySparse);
-        let mid = bucket_regions(&runs.data, DensityBucket::Sparse);
+        let sparse = bucket_regions(&runs.data, DensityBucket::VerySparse)?;
+        let mid = bucket_regions(&runs.data, DensityBucket::Sparse)?;
         let mut table = MarkdownTable::new(&[
             "Model",
             "(0,0.25] MAE",
@@ -547,5 +544,31 @@ mod tests {
         }
         // d=16, H=64, kernel=3 and batch=4 are each the default point.
         assert_eq!(distinct.len(), 13);
+    }
+
+    /// Table IV and Fig. 5 label 11 rows (ten variants and ST-HSL), and
+    /// "w/o Local" and "w/o ConL" are one variant, so they need 10 fits.
+    #[test]
+    fn table4_and_fig5_need_ten_fits_for_eleven_labels() {
+        let cx = Context { scale: Scale::Quick, seed: 7, cities: Vec::new() };
+        let mut labels: Vec<&str> = Vec::new();
+        for (name, _) in
+            variants(&cx, &Ablation::TABLE4).into_iter().chain(variants(&cx, &Ablation::FIG5))
+        {
+            if !labels.contains(&name) {
+                labels.push(name);
+            }
+        }
+        assert_eq!(labels.len(), 11);
+        let mut fits: Vec<StHslConfig> = Vec::new();
+        for exp in EXPERIMENTS.iter().filter(|e| ["table4", "fig5"].contains(&e.id)) {
+            for need in (exp.needs)(&cx) {
+                let Need::StHsl(cfg) = need else { panic!("{}: {need:?}", exp.id) };
+                if !fits.contains(&cfg) {
+                    fits.push(cfg);
+                }
+            }
+        }
+        assert_eq!(fits.len(), 10);
     }
 }

@@ -1,132 +1,176 @@
-//! Model hyperparameters and ablation switches.
+//! Model hyperparameters and the paper's model variants.
 
-/// Which components are active. The full model enables everything; each
-/// Table IV / Figure 5 variant disables one switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ablation {
-    /// Spatial 3×3 aggregation in the local encoder ("w/o S-Conv" when off:
-    /// the kernel collapses to 1×1).
-    pub spatial_conv: bool,
-    /// Cross-category mixing in the local convolutions ("w/o C-Conv" when
-    /// off: convolutions become category-diagonal).
-    pub category_conv: bool,
-    /// Local temporal convolution stack, Eq. 3 ("w/o T-Conv").
-    pub temporal_conv: bool,
-    /// The whole multi-view local encoder, Eqs. 2–3 ("w/o Local").
-    pub local_encoder: bool,
-    /// Hypergraph propagation, Eq. 4 ("w/o Hyper": the global branch reads
-    /// raw embeddings).
-    pub hypergraph: bool,
-    /// Global temporal convolutions, Eq. 5 ("w/o GlobalTem").
-    pub global_temporal: bool,
-    /// Hypergraph infomax objective, Eq. 7 ("w/o Infomax").
-    pub infomax: bool,
-    /// Cross-view contrastive objective, Eq. 8 ("w/o ConL").
-    pub contrastive: bool,
-    /// The entire global branch ("w/o Global": prediction from the local
-    /// encoder; infomax and contrastive necessarily off).
-    pub global_branch: bool,
-    /// Replace the contrastive coupling with an explicit local+global fusion
-    /// layer ("Fusion w/o ConL").
-    pub fusion: bool,
+/// One of the paper's model variants (Table IV, Fig. 5): the full ST-HSL or
+/// one ablation of it. Each value is one distinct training program;
+/// [`Ablation::FIG5`] and [`Ablation::TABLE4`] give the paper's labels.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum Ablation {
+    /// The complete ST-HSL model.
+    #[default]
+    Full,
+    /// "w/o S-Conv": the local spatial kernel collapses to 1×1.
+    NoSpatialConv,
+    /// "w/o C-Conv": the local convolutions become category-diagonal.
+    NoCategoryConv,
+    /// "w/o T-Conv": no local temporal convolution stack (Eq. 3).
+    NoTemporalConv,
+    /// "w/o Local" (Fig. 5) and "w/o ConL" (Table IV), one program: the
+    /// head reads the global view Γ (Eq. 9), so without the cross-view
+    /// contrastive term (Eq. 8) the local encoder reaches nothing, and
+    /// without the local encoder there is nothing to contrast. Either way
+    /// the loss trains the global branch with infomax alone.
+    NoLocal,
+    /// "w/o Hyper": the global branch reads the raw embeddings, and infomax,
+    /// which discriminates hypergraph summaries, is off with it.
+    NoHypergraph,
+    /// "w/o GlobalTem": no global temporal convolutions (Eq. 5).
+    NoGlobalTemporal,
+    /// "w/o Infomax": no hypergraph infomax objective (Eq. 7).
+    NoInfomax,
+    /// "w/o Global": the head reads the local view; no global branch and
+    /// so no self-supervision.
+    NoGlobal,
+    /// "Fusion w/o ConL": an explicit local+global fusion head replaces the
+    /// contrastive coupling.
+    Fusion,
 }
 
-impl Default for Ablation {
-    fn default() -> Self {
-        Ablation::full()
-    }
+/// Which view the prediction head (Eq. 9) reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Head {
+    /// The pooled global view Γ.
+    Global,
+    /// The pooled local view ("w/o Global").
+    Local,
+    /// Both views concatenated ("Fusion w/o ConL").
+    Fusion,
+}
+
+/// What one variant records, and which parameter-name prefixes it detaches
+/// from the training loss and from the forecast.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Parts {
+    /// The local encoder's full k×k spatial kernel (else centre-only).
+    pub spatial_conv: bool,
+    /// Cross-category mixing in the local convolutions (else diagonal).
+    pub category_conv: bool,
+    /// The local temporal convolution stack.
+    pub temporal_conv: bool,
+    /// The loss pass records the local view.
+    pub local_in_loss: bool,
+    /// Hypergraph propagation, Eq. 4.
+    pub hypergraph: bool,
+    /// Global temporal convolutions, Eq. 5.
+    pub global_temporal: bool,
+    /// Hypergraph infomax, Eqs. 6–7.
+    pub infomax: bool,
+    /// Cross-view contrastive term, Eq. 8.
+    pub contrastive: bool,
+    /// What the head reads.
+    pub head: Head,
+    /// Prefixes of the parameters the training loss does not reach.
+    pub train_detached: &'static [&'static str],
+    /// Prefixes of the parameters the forecast does not reach.
+    pub serve_detached: &'static [&'static str],
+}
+
+impl Parts {
+    const FULL: Parts = Parts {
+        spatial_conv: true,
+        category_conv: true,
+        temporal_conv: true,
+        local_in_loss: true,
+        hypergraph: true,
+        global_temporal: true,
+        infomax: true,
+        contrastive: true,
+        head: Head::Global,
+        train_detached: &[],
+        // Infomax feeds only its loss; the head reads Γ alone.
+        serve_detached: &["infomax.", "local."],
+    };
 }
 
 impl Ablation {
-    /// The complete ST-HSL model.
-    pub fn full() -> Self {
-        Ablation {
-            spatial_conv: true,
-            category_conv: true,
-            temporal_conv: true,
-            local_encoder: true,
-            hypergraph: true,
-            global_temporal: true,
-            infomax: true,
-            contrastive: true,
-            global_branch: true,
-            fusion: false,
+    /// Every variant, the full model first.
+    pub const ALL: [Ablation; 10] = [
+        Ablation::Full,
+        Ablation::NoSpatialConv,
+        Ablation::NoCategoryConv,
+        Ablation::NoTemporalConv,
+        Ablation::NoLocal,
+        Ablation::NoHypergraph,
+        Ablation::NoGlobalTemporal,
+        Ablation::NoInfomax,
+        Ablation::NoGlobal,
+        Ablation::Fusion,
+    ];
+
+    /// Fig. 5's multi-view encoder variants, in paper order.
+    pub const FIG5: [(&'static str, Ablation); 4] = [
+        ("w/o S-Conv", Ablation::NoSpatialConv),
+        ("w/o C-Conv", Ablation::NoCategoryConv),
+        ("w/o T-Conv", Ablation::NoTemporalConv),
+        ("w/o Local", Ablation::NoLocal),
+    ];
+
+    /// Table IV's self-supervision variants, in paper order.
+    pub const TABLE4: [(&'static str, Ablation); 6] = [
+        ("w/o Hyper", Ablation::NoHypergraph),
+        ("w/o GlobalTem", Ablation::NoGlobalTemporal),
+        ("w/o Infomax", Ablation::NoInfomax),
+        ("w/o ConL", Ablation::NoLocal),
+        ("w/o Global", Ablation::NoGlobal),
+        ("Fusion w/o ConL", Ablation::Fusion),
+    ];
+
+    /// The one place each variant's parts are decided.
+    pub(crate) fn parts(self) -> Parts {
+        let full = Parts::FULL;
+        match self {
+            Ablation::Full => full,
+            Ablation::NoSpatialConv => Parts { spatial_conv: false, ..full },
+            Ablation::NoCategoryConv => Parts { category_conv: false, ..full },
+            Ablation::NoTemporalConv => {
+                Parts { temporal_conv: false, train_detached: &["local.temporal"], ..full }
+            }
+            Ablation::NoLocal => Parts {
+                local_in_loss: false,
+                contrastive: false,
+                train_detached: &["local."],
+                ..full
+            },
+            Ablation::NoHypergraph => Parts {
+                hypergraph: false,
+                infomax: false,
+                train_detached: &["hypergraph.", "infomax."],
+                serve_detached: &["hypergraph.", "infomax.", "local."],
+                ..full
+            },
+            Ablation::NoGlobalTemporal => Parts {
+                global_temporal: false,
+                train_detached: &["global_temporal."],
+                serve_detached: &["global_temporal.", "infomax.", "local."],
+                ..full
+            },
+            Ablation::NoInfomax => Parts { infomax: false, train_detached: &["infomax."], ..full },
+            Ablation::NoGlobal => Parts {
+                hypergraph: false,
+                global_temporal: false,
+                infomax: false,
+                contrastive: false,
+                head: Head::Local,
+                train_detached: &["global_temporal.", "hypergraph.", "infomax."],
+                serve_detached: &["global_temporal.", "hypergraph.", "infomax."],
+                ..full
+            },
+            Ablation::Fusion => Parts {
+                contrastive: false,
+                head: Head::Fusion,
+                serve_detached: &["infomax."],
+                ..full
+            },
         }
-    }
-
-    /// "w/o S-Conv" (Fig. 5).
-    pub fn without_spatial_conv() -> Self {
-        Ablation { spatial_conv: false, ..Ablation::full() }
-    }
-
-    /// "w/o C-Conv" (Fig. 5).
-    pub fn without_category_conv() -> Self {
-        Ablation { category_conv: false, ..Ablation::full() }
-    }
-
-    /// "w/o T-Conv" (Fig. 5).
-    pub fn without_temporal_conv() -> Self {
-        Ablation { temporal_conv: false, ..Ablation::full() }
-    }
-
-    /// "w/o Local" (Fig. 5).
-    pub fn without_local() -> Self {
-        Ablation { local_encoder: false, ..Ablation::full() }
-    }
-
-    /// "w/o Hyper" (Table IV).
-    pub fn without_hypergraph() -> Self {
-        Ablation { hypergraph: false, ..Ablation::full() }
-    }
-
-    /// "w/o GlobalTem" (Table IV).
-    pub fn without_global_temporal() -> Self {
-        Ablation { global_temporal: false, ..Ablation::full() }
-    }
-
-    /// "w/o Infomax" (Table IV).
-    pub fn without_infomax() -> Self {
-        Ablation { infomax: false, ..Ablation::full() }
-    }
-
-    /// "w/o ConL" (Table IV).
-    pub fn without_contrastive() -> Self {
-        Ablation { contrastive: false, ..Ablation::full() }
-    }
-
-    /// "w/o Global" (Table IV): local-only prediction, no SSL.
-    pub fn without_global() -> Self {
-        Ablation { global_branch: false, infomax: false, contrastive: false, ..Ablation::full() }
-    }
-
-    /// "Fusion w/o ConL" (Table IV): fusion layer instead of contrastive.
-    pub fn fusion_without_contrastive() -> Self {
-        Ablation { fusion: true, contrastive: false, ..Ablation::full() }
-    }
-
-    /// Whether the training loss reads the local view: through the
-    /// prediction head ("w/o Global" or fusion) or through the cross-view
-    /// contrastive term, which needs a local encoder to contrast. Where it
-    /// does not ("w/o ConL", "w/o Local"), the loss pass does not record the
-    /// view and the local parameters are expected to stay detached.
-    pub fn loss_reads_local_view(&self) -> bool {
-        !self.global_branch || self.fusion || (self.contrastive && self.local_encoder)
-    }
-
-    /// All named Table IV / Fig 5 variants with their paper labels.
-    pub fn named_variants() -> Vec<(&'static str, Ablation)> {
-        vec![
-            ("w/o S-Conv", Ablation::without_spatial_conv()),
-            ("w/o C-Conv", Ablation::without_category_conv()),
-            ("w/o T-Conv", Ablation::without_temporal_conv()),
-            ("w/o Local", Ablation::without_local()),
-            ("w/o Hyper", Ablation::without_hypergraph()),
-            ("w/o GlobalTem", Ablation::without_global_temporal()),
-            ("w/o Infomax", Ablation::without_infomax()),
-            ("w/o ConL", Ablation::without_contrastive()),
-            ("w/o Global", Ablation::without_global()),
-            ("Fusion w/o ConL", Ablation::fusion_without_contrastive()),
-        ]
     }
 }
 
@@ -171,7 +215,7 @@ pub struct StHslConfig {
     pub sparse_propagation: bool,
     /// RNG seed for parameter init and dropout.
     pub seed: u64,
-    /// Component switches for ablation studies.
+    /// The model variant (the full model or one ablation).
     pub ablation: Ablation,
 }
 
@@ -202,7 +246,7 @@ impl StHslConfig {
             time_dependent_hypergraph: true,
             sparse_propagation: false,
             seed: 7,
-            ablation: Ablation::full(),
+            ablation: Ablation::Full,
         }
     }
 
@@ -221,7 +265,7 @@ impl StHslConfig {
         }
     }
 
-    /// Builder-style ablation override.
+    /// Builder-style variant override.
     pub fn with_ablation(mut self, ablation: Ablation) -> Self {
         self.ablation = ablation;
         self
@@ -240,26 +284,44 @@ mod tests {
 
     #[test]
     fn full_ablation_enables_everything() {
-        let a = Ablation::full();
-        assert!(a.spatial_conv && a.category_conv && a.temporal_conv);
-        assert!(a.local_encoder && a.hypergraph && a.global_temporal);
-        assert!(a.infomax && a.contrastive && a.global_branch);
-        assert!(!a.fusion);
+        let p = Ablation::default().parts();
+        assert!(p.spatial_conv && p.category_conv && p.temporal_conv && p.local_in_loss);
+        assert!(p.hypergraph && p.global_temporal && p.infomax && p.contrastive);
+        assert_eq!(p.head, Head::Global);
+        assert!(p.train_detached.is_empty());
     }
 
     #[test]
     fn without_global_disables_ssl() {
-        let a = Ablation::without_global();
-        assert!(!a.global_branch && !a.infomax && !a.contrastive);
+        let p = Ablation::NoGlobal.parts();
+        assert!(!p.hypergraph && !p.global_temporal && !p.infomax && !p.contrastive);
+        assert_eq!(p.head, Head::Local);
+        assert!(p.local_in_loss);
     }
 
+    /// The labelled rows name every variant but the full model, and the two
+    /// labels of one program ("w/o Local", "w/o ConL") share its value.
     #[test]
     fn named_variants_cover_tables() {
-        let v = Ablation::named_variants();
-        assert_eq!(v.len(), 10);
-        let names: Vec<_> = v.iter().map(|(n, _)| *n).collect();
-        assert!(names.contains(&"w/o Hyper"));
-        assert!(names.contains(&"Fusion w/o ConL"));
+        let rows: Vec<_> = Ablation::FIG5.iter().chain(&Ablation::TABLE4).collect();
+        assert_eq!(rows.len(), 10);
+        for ab in &Ablation::ALL[1..] {
+            assert!(rows.iter().any(|(_, a)| a == ab), "{ab:?} has no label");
+        }
+        let no_local: Vec<_> =
+            rows.iter().filter(|(_, a)| *a == Ablation::NoLocal).map(|(n, _)| *n).collect();
+        assert_eq!(no_local, ["w/o Local", "w/o ConL"]);
+    }
+
+    /// Whatever the loss reads of the local view, the loss pass records it:
+    /// the contrastive term or the head.
+    #[test]
+    fn loss_records_the_local_view_exactly_when_it_reads_it() {
+        for ab in Ablation::ALL {
+            let p = ab.parts();
+            assert_eq!(p.local_in_loss, p.contrastive || p.head != Head::Global, "{ab:?}");
+            assert!(p.hypergraph || !p.infomax, "{ab:?}: infomax without a hypergraph");
+        }
     }
 
     #[test]

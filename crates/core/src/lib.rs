@@ -22,8 +22,8 @@
 //! 6. **Prediction head + joint objective** (Eqs. 9–10) —
 //!    [`predict::PredictionHead`], [`model::StHsl`].
 //!
-//! Every ablation of the paper's Table IV / Figure 5 is reachable through
-//! [`config::Ablation`] switches.
+//! Every variant of the paper's Table IV / Figure 5 is one value of the
+//! [`config::Ablation`] enum.
 //!
 //! ```no_run
 //! use sthsl_core::{StHsl, StHslConfig};

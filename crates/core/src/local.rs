@@ -12,8 +12,7 @@
 //! Ablations are realised by masking the kernels:
 //! - "w/o S-Conv": a center-only spatial mask collapses k×k to 1×1;
 //! - "w/o C-Conv": a diagonal channel mask removes category mixing;
-//! - "w/o T-Conv": the temporal stack is skipped;
-//! - "w/o Local": the whole module is skipped (identity).
+//! - "w/o T-Conv": the temporal stack is skipped.
 
 use crate::config::{Ablation, StHslConfig};
 use rand::Rng;
@@ -80,7 +79,7 @@ impl LocalEncoder {
 
     /// Spatial-kernel ablation mask (`[1, 1, k, k]`, center-only) or `None`.
     fn spatial_mask(&self) -> Option<Tensor> {
-        if self.ablation.spatial_conv {
+        if self.ablation.parts().spatial_conv {
             return None;
         }
         let k = self.kernel;
@@ -91,7 +90,7 @@ impl LocalEncoder {
 
     /// Category-mixing ablation mask (`[C, C, 1, 1]` diagonal) or `None`.
     fn category_mask2d(&self) -> Option<Tensor> {
-        if self.ablation.category_conv {
+        if self.ablation.parts().category_conv {
             return None;
         }
         let c = self.num_categories;
@@ -103,7 +102,7 @@ impl LocalEncoder {
     }
 
     fn category_mask1d(&self) -> Option<Tensor> {
-        if self.ablation.category_conv {
+        if self.ablation.parts().category_conv {
             return None;
         }
         let c = self.num_categories;
@@ -116,9 +115,6 @@ impl LocalEncoder {
 
     /// Encode `E: [R, Tw, C, d] → H^{(T)}: [R, Tw, C, d]`.
     pub fn forward(&self, g: &Graph, pv: &ParamVars, e: Var) -> Result<Var> {
-        if !self.ablation.local_encoder {
-            return Ok(e);
-        }
         let shape = g.shape_of(e)?;
         crate::guard::expect_rank("local.encoder", &shape, 4)?;
         crate::guard::expect_dim("local.encoder", &shape, 0, self.rows * self.cols)?;
@@ -160,7 +156,7 @@ impl LocalEncoder {
         }
 
         // ---- Temporal view (Eq. 3) --------------------------------------
-        if self.ablation.temporal_conv {
+        if self.ablation.parts().temporal_conv {
             // A [R·d, C, Tw] batch.
             let temporal = ConvView {
                 batch: [(r, region), slot],
@@ -206,7 +202,7 @@ mod tests {
 
     #[test]
     fn forward_preserves_shape() {
-        let (store, enc) = encoder(Ablation::full());
+        let (store, enc) = encoder(Ablation::Full);
         let g = Graph::new();
         let pv = store.inject(&g);
         let e = g.constant(input());
@@ -216,24 +212,10 @@ mod tests {
     }
 
     #[test]
-    fn without_local_is_identity() {
-        let (store, enc) = encoder(Ablation::without_local());
-        let g = Graph::new();
-        let pv = store.inject(&g);
-        let x = input();
-        let e = g.constant(x.clone());
-        let h = enc.forward(&g, &pv, e).unwrap();
-        assert_eq!(g.value(h).data(), x.data());
-    }
-
-    #[test]
     fn without_spatial_conv_blocks_spatial_flow() {
         // With the centre-only mask, perturbing region 0 must not change any
-        // other region's spatial-view output. Disable temporal conv too so
-        // nothing else mixes positions (temporal conv does not mix regions
-        // anyway, but keep the probe sharp).
-        let ab = Ablation { spatial_conv: false, temporal_conv: false, ..Ablation::full() };
-        let (store, enc) = encoder(ab);
+        // other region's output (the temporal conv never mixes regions).
+        let (store, enc) = encoder(Ablation::NoSpatialConv);
         let run = |bump: f32| {
             let g = Graph::new();
             let pv = store.inject(&g);
@@ -257,8 +239,7 @@ mod tests {
 
     #[test]
     fn with_spatial_conv_neighbors_flow() {
-        let ab = Ablation { temporal_conv: false, ..Ablation::full() };
-        let (store, enc) = encoder(ab);
+        let (store, enc) = encoder(Ablation::Full);
         let run = |bump: f32| {
             let g = Graph::new();
             let pv = store.inject(&g);
@@ -279,13 +260,8 @@ mod tests {
 
     #[test]
     fn without_category_conv_blocks_category_flow() {
-        let ab = Ablation {
-            category_conv: false,
-            temporal_conv: false,
-            spatial_conv: false,
-            ..Ablation::full()
-        };
-        let (store, enc) = encoder(ab);
+        // "w/o C-Conv" masks the channels of both stacks.
+        let (store, enc) = encoder(Ablation::NoCategoryConv);
         let run = |bump: f32| {
             let g = Graph::new();
             let pv = store.inject(&g);
@@ -317,7 +293,7 @@ mod tests {
 
     #[test]
     fn gradients_flow_to_all_conv_params() {
-        let (store, enc) = encoder(Ablation::full());
+        let (store, enc) = encoder(Ablation::Full);
         let g = Graph::new();
         let pv = store.inject(&g);
         let e = g.constant(input());

@@ -1,7 +1,7 @@
 //! The assembled ST-HSL model (paper Fig. 3, Alg. 1) and its
 //! [`Predictor`] implementation.
 
-use crate::config::StHslConfig;
+use crate::config::{Head, StHslConfig};
 use crate::contrastive::contrastive_loss;
 use crate::embedding::CrimeEmbedding;
 use crate::global_temporal::GlobalTemporal;
@@ -81,7 +81,7 @@ impl StHsl {
         );
         let global_temporal = GlobalTemporal::new(&mut store, &cfg, &mut rng);
         let infomax = InfomaxHead::new(&mut store, cfg.d, &mut rng);
-        let head_in = if cfg.ablation.fusion { 2 * cfg.d } else { cfg.d };
+        let head_in = if cfg.ablation.parts().head == Head::Fusion { 2 * cfg.d } else { cfg.d };
         let head = PredictionHead::new(&mut store, head_in, &mut rng);
         Ok(StHsl {
             cfg,
@@ -118,7 +118,7 @@ impl StHsl {
         zscored: &Tensor,
         pass: Pass<'_>,
     ) -> Result<ForwardArtifacts> {
-        let ab = &self.cfg.ablation;
+        let parts = self.cfg.ablation.parts();
         let (r, tw, c) = (self.rows * self.cols, zscored.shape()[1], self.num_categories);
         if zscored.shape() != [r, tw, c] {
             return Err(TensorError::Invalid(format!(
@@ -149,7 +149,7 @@ impl StHsl {
         };
         let (local_pooled, corrupt_perm) = match pass {
             Pass::Loss { corrupt_perm } => {
-                (ab.loss_reads_local_view().then(&local_view).transpose()?, corrupt_perm)
+                (parts.local_in_loss.then(&local_view).transpose()?, corrupt_perm)
             }
             Pass::Predict => (None, None),
         };
@@ -161,14 +161,17 @@ impl StHsl {
         // contrastive objective genuinely transfers knowledge between them.
         let mut infomax_loss = None;
         let mut contrastive = None;
-        let pred = if ab.global_branch {
+        let pred = if parts.head == Head::Local {
+            // "w/o Global": local-only prediction.
+            self.head.forward(g, pv, head_local()?)?
+        } else {
             // Flatten to hypergraph node layout: [Tw, R·C, d].
             let flat = |x: Var| -> Result<Var> {
                 let p = g.permute(x, &[1, 0, 2, 3])?; // [Tw,R,C,d]
                 g.reshape(p, &[tw, r * c, d])
             };
             let e_flat = flat(e)?;
-            let gamma_r = if ab.hypergraph {
+            let gamma_r = if parts.hypergraph {
                 // Eq. 4, plus a residual connection: raw hypergraph mixing
                 // collapses node embeddings towards a global average at
                 // initialisation (every node reads the same hyperedge hubs),
@@ -180,7 +183,7 @@ impl StHsl {
             } else {
                 e_flat
             };
-            let gamma_t = if ab.global_temporal {
+            let gamma_t = if parts.global_temporal {
                 self.global_temporal.forward(g, pv, gamma_r)? // Eq. 5
             } else {
                 gamma_r
@@ -189,31 +192,26 @@ impl StHsl {
             let global_pooled = g.reshape(global_pooled_flat, &[r, c, d])?;
 
             // (4a) Hypergraph infomax, Eqs. 6–7.
-            if ab.infomax && ab.hypergraph {
-                if let Some(perm) = corrupt_perm {
-                    let e_cor = g.index_select(e, 0, perm)?;
-                    let e_cor_flat = flat(e_cor)?;
-                    let mixed_cor = self.hypergraph.forward(g, pv, e_cor_flat)?;
-                    let gamma_cor = g.add(mixed_cor, e_cor_flat)?;
-                    infomax_loss = Some(self.infomax.loss(g, pv, gamma_r, gamma_cor, r, c)?);
-                }
+            if let Some(perm) = corrupt_perm.filter(|_| parts.infomax) {
+                let e_cor = g.index_select(e, 0, perm)?;
+                let e_cor_flat = flat(e_cor)?;
+                let mixed_cor = self.hypergraph.forward(g, pv, e_cor_flat)?;
+                let gamma_cor = g.add(mixed_cor, e_cor_flat)?;
+                infomax_loss = Some(self.infomax.loss(g, pv, gamma_r, gamma_cor, r, c)?);
             }
 
             // (4b) Cross-view contrastive, Eq. 8.
-            if let Some(local) = local_pooled.filter(|_| ab.contrastive && ab.local_encoder) {
+            if let Some(local) = local_pooled.filter(|_| parts.contrastive) {
                 contrastive = Some(contrastive_loss(g, local, global_pooled, self.cfg.tau)?);
             }
 
             // (5) Prediction, Eq. 9.
-            if ab.fusion {
+            if parts.head == Head::Fusion {
                 let fused = g.concat(&[head_local()?, global_pooled], 2)?;
                 self.head.forward(g, pv, fused)?
             } else {
                 self.head.forward(g, pv, global_pooled)?
             }
-        } else {
-            // "w/o Global": local-only prediction.
-            self.head.forward(g, pv, head_local()?)?
         };
 
         Ok(ForwardArtifacts { pred, infomax_loss, contrastive_loss: contrastive })
@@ -248,11 +246,6 @@ impl StHsl {
     /// the window — the quantity visualised in the paper's Fig. 8.
     pub fn hyperedge_relevance(&self) -> Result<Tensor> {
         self.hypergraph.relevance(&self.store)
-    }
-
-    /// Relevance at a given window position (time-aware case study).
-    pub fn hyperedge_relevance_at(&self, t: usize) -> Result<Tensor> {
-        self.hypergraph.relevance_at(&self.store, t)
     }
 
     /// Top-k most relevant regions for a hyperedge (scores summed over
@@ -372,38 +365,12 @@ impl StHsl {
         Ok((loss, self.store.named_vars(&pv)))
     }
 
-    /// Parameter-name prefixes the active [`crate::config::Ablation`] is
+    /// Parameter-name prefixes the model's [`crate::config::Ablation`] is
     /// *expected* to detach from the loss. The graph audit downgrades
     /// grad-flow findings under these prefixes from Error to Info, so only
     /// genuinely unintended detachment fails the pre-flight.
     pub fn expected_inactive_prefixes(&self) -> Vec<String> {
-        let ab = &self.cfg.ablation;
-        let mut prefixes: Vec<&str> = Vec::new();
-        if !ab.local_encoder || !ab.loss_reads_local_view() {
-            prefixes.push("local.");
-        } else if !ab.temporal_conv {
-            prefixes.push("local.temporal");
-        }
-        if ab.global_branch {
-            if !ab.hypergraph {
-                // Infomax discriminates hypergraph summaries; without the
-                // hypergraph there is nothing to corrupt, so it's gated off.
-                prefixes.push("hypergraph.");
-                prefixes.push("infomax.");
-            }
-            if !ab.global_temporal {
-                prefixes.push("global_temporal.");
-            }
-            if !ab.infomax {
-                prefixes.push("infomax.");
-            }
-        } else {
-            prefixes.extend(["hypergraph.", "global_temporal.", "infomax."]);
-        }
-        let mut out: Vec<String> = prefixes.into_iter().map(str::to_string).collect();
-        out.sort();
-        out.dedup();
-        out
+        self.cfg.ablation.parts().train_detached.iter().map(ToString::to_string).collect()
     }
 
     /// Run the full static audit (structure, grad-flow, value ranges,
@@ -440,19 +407,9 @@ impl StHsl {
 
     /// Parameter-name prefixes that legitimately do not reach the serving
     /// output: everything that exists only for the self-supervised losses,
-    /// on top of the ablation-detached prefixes.
+    /// and the variant's detached parameters.
     pub fn expected_serving_inactive_prefixes(&self) -> Vec<String> {
-        let mut out = self.expected_inactive_prefixes();
-        out.push("infomax.".to_string());
-        if !self.cfg.ablation.fusion && self.cfg.ablation.global_branch {
-            // Without fusion the head reads only the global view; the local
-            // stack feeds only the contrastive loss, so the serving graph
-            // doesn't record it.
-            out.push("local.".to_string());
-        }
-        out.sort();
-        out.dedup();
-        out
+        self.cfg.ablation.parts().serve_detached.iter().map(ToString::to_string).collect()
     }
 
     /// Train with the full fault-tolerant runtime: checkpointing, resume,
@@ -608,7 +565,7 @@ mod tests {
     fn ablations_change_artifact_presence() {
         let data = tiny_dataset();
         // w/o Global → no SSL artifacts.
-        let cfg = tiny_cfg().with_ablation(Ablation::without_global());
+        let cfg = tiny_cfg().with_ablation(Ablation::NoGlobal);
         let model = StHsl::new(cfg, &data).unwrap();
         let g = Graph::training(1);
         let pv = model.store.inject(&g);
@@ -624,7 +581,7 @@ mod tests {
     #[test]
     fn fusion_head_consumes_both_views() {
         let data = tiny_dataset();
-        let cfg = tiny_cfg().with_ablation(Ablation::fusion_without_contrastive());
+        let cfg = tiny_cfg().with_ablation(Ablation::Fusion);
         let model = StHsl::new(cfg, &data).unwrap();
         let g = Graph::new();
         let pv = model.store.inject(&g);
@@ -638,7 +595,7 @@ mod tests {
     #[test]
     fn every_named_ablation_runs_forward() {
         let data = tiny_dataset();
-        for (name, ab) in Ablation::named_variants() {
+        for ab in Ablation::ALL {
             let cfg = tiny_cfg().with_ablation(ab);
             let model = StHsl::new(cfg, &data).unwrap();
             let g = Graph::training(2);
@@ -648,12 +605,12 @@ mod tests {
             let perm: Vec<usize> = (0..16).rev().collect();
             let loss = model
                 .sample_loss(&g, &pv, &z, &sample.target, Some(&perm))
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+                .unwrap_or_else(|e| panic!("{ab:?}: {e}"));
             let v = g.value(loss).item().unwrap();
-            assert!(v.is_finite(), "{name}: non-finite loss");
-            // Every recorded op reaches the loss: "w/o ConL" and "w/o Local"
-            // do not record the local view their loss never reads.
-            assert_eq!(ops_off_the_path(&g, loss), Vec::<String>::new(), "{name}");
+            assert!(v.is_finite(), "{ab:?}: non-finite loss");
+            // Every recorded op reaches the loss: "w/o Local" does not
+            // record the local view its loss never reads.
+            assert_eq!(ops_off_the_path(&g, loss), Vec::<String>::new(), "{ab:?}");
         }
     }
 
@@ -693,9 +650,7 @@ mod tests {
         let data = tiny_dataset();
         let s20 = data.sample(20).unwrap();
         let s25 = data.sample(25).unwrap();
-        let variants =
-            std::iter::once(("full", Ablation::full())).chain(Ablation::named_variants());
-        for (name, ab) in variants {
+        for ab in Ablation::ALL {
             let model = StHsl::new(tiny_cfg().with_ablation(ab), &data).unwrap();
 
             // Forecast bits equal the prediction of the loss-building pass.
@@ -708,26 +663,27 @@ mod tests {
             };
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let (want20, want25) = (bits(&reference(&s20.input)), bits(&reference(&s25.input)));
-            assert_eq!(bits(&model.predict(&data, &s20.input).unwrap()), want20, "{name}");
+            assert_eq!(bits(&model.predict(&data, &s20.input).unwrap()), want20, "{ab:?}");
             let batch = model.predict_batch(&data, &[&s20.input, &s25.input]).unwrap();
-            assert_eq!(bits(&batch[0]), want20, "{name}: batch[0]");
-            assert_eq!(bits(&batch[1]), want25, "{name}: batch[1]");
+            assert_eq!(bits(&batch[0]), want20, "{ab:?}: batch[0]");
+            assert_eq!(bits(&batch[1]), want25, "{ab:?}: batch[1]");
 
             // Every op node on the serving tape is an ancestor of the root.
             let (g, root, _) = model.serving_artifacts(&data).unwrap();
-            assert_eq!(ops_off_the_path(&g, root), Vec::<String>::new(), "{name}");
+            assert_eq!(ops_off_the_path(&g, root), Vec::<String>::new(), "{ab:?}");
             let spec = g.export_tape();
 
             // Without fusion the head reads only the global view: no local
             // convolution and no contrastive node is recorded. The conv1d
             // nodes left are the global temporal layers (Eq. 5).
-            if ab.global_branch && !ab.fusion {
+            let parts = ab.parts();
+            if parts.head == Head::Global {
                 let count = |op: &str| spec.nodes.iter().filter(|n| n.kind.name() == op).count();
                 let global_convs =
-                    if ab.global_temporal { model.cfg.global_temporal_layers } else { 0 };
-                assert_eq!(count("conv2d"), 0, "{name}");
-                assert_eq!(count("info_nce_diag"), 0, "{name}");
-                assert_eq!(count("conv1d"), global_convs, "{name}");
+                    if parts.global_temporal { model.cfg.global_temporal_layers } else { 0 };
+                assert_eq!(count("conv2d"), 0, "{ab:?}");
+                assert_eq!(count("info_nce_diag"), 0, "{ab:?}");
+                assert_eq!(count("conv1d"), global_convs, "{ab:?}");
             }
         }
     }

@@ -1,8 +1,8 @@
-//! Static graph audit over the real ST-HSL model: the full configuration and
-//! every named ablation variant must certify clean on both the training and
-//! the serving tape (every live parameter is grad-reachable, expected
-//! detachment is explained by the ablation allow-prefixes, every interval is
-//! bounded), and the rendered report for a fixed seed must be stable.
+//! Static graph audit over the real ST-HSL model: every model variant must
+//! certify clean on both the training and the serving tape (every live
+//! parameter is grad-reachable, expected detachment is explained by the
+//! ablation allow-prefixes and every allow-prefix is in use, every interval
+//! is bounded), and the rendered report for a fixed seed must be stable.
 
 use sthsl_core::{Ablation, StHsl, StHslConfig};
 use sthsl_data::{CrimeDataset, DatasetConfig, SynthCity, SynthConfig};
@@ -37,22 +37,36 @@ fn serving_audit(model: &StHsl, data: &CrimeDataset) -> AuditReport {
     sthsl_graphcheck::audit("ST-HSL (serving)", &g.export_tape(), root.index(), &indexed, &opts)
 }
 
-/// No errors, and every unreachable parameter explained by an ablation
-/// allow-prefix (an Info diagnostic), never silently passed.
-fn assert_clean_and_explained(label: &str, report: &AuditReport) {
+/// No errors; every unreachable parameter explained by an ablation
+/// allow-prefix (an Info diagnostic), never silently passed; and every
+/// allow-prefix in use: each matches a detached parameter, and none lies
+/// under another, so an over-broad prefix cannot hide a real detachment.
+fn assert_clean_and_explained(label: &str, report: &AuditReport, prefixes: &[String]) {
     assert!(!report.has_errors(), "{label} must audit clean:\n{}", report.render());
-    let unreachable = report.param_count - report.reachable_params;
-    let explained = report
+    let detached: Vec<&str> = report
         .diagnostics
         .iter()
         .filter(|d| d.severity == Severity::Info && d.msg.contains("ablation allow-prefix"))
-        .count();
+        .map(|d| d.msg.split('"').nth(1).expect("the message quotes the parameter name"))
+        .collect();
+    let unreachable = report.param_count - report.reachable_params;
     assert_eq!(
         unreachable,
-        explained,
-        "{label}: {unreachable} unreachable vs {explained} explained:\n{}",
+        detached.len(),
+        "{label}: {unreachable} unreachable vs {} explained:\n{}",
+        detached.len(),
         report.render()
     );
+    for prefix in prefixes {
+        assert!(
+            detached.iter().any(|name| name.starts_with(prefix.as_str())),
+            "{label}: allow-prefix {prefix:?} matches no detached parameter"
+        );
+        assert!(
+            !prefixes.iter().any(|p| p != prefix && prefix.starts_with(p.as_str())),
+            "{label}: allow-prefix {prefix:?} lies under another of {prefixes:?}"
+        );
+    }
 }
 
 #[test]
@@ -73,11 +87,16 @@ fn full_model_certifies_clean() {
 #[test]
 fn every_named_ablation_certifies_clean() {
     let data = tiny_dataset();
-    for (name, ab) in Ablation::named_variants() {
+    for ab in Ablation::ALL {
         let model = StHsl::new(tiny_cfg().with_ablation(ab), &data).unwrap();
         let report = model.graph_audit(&data).unwrap();
-        assert_clean_and_explained(name, &report);
-        assert_clean_and_explained(&format!("{name} serving"), &serving_audit(&model, &data));
+        let name = format!("{ab:?}");
+        assert_clean_and_explained(&name, &report, &model.expected_inactive_prefixes());
+        assert_clean_and_explained(
+            &format!("{name} serving"),
+            &serving_audit(&model, &data),
+            &model.expected_serving_inactive_prefixes(),
+        );
         // Every interval bounded.
         let ranges = report.ranges.as_ref().expect("range pass must run");
         assert_eq!(
@@ -173,7 +192,7 @@ fn miswired_prefix_expectations_would_fail() {
     // Sanity-check the negative direction: a model whose ablation detaches a
     // branch, audited WITHOUT allow-prefixes, must produce grad-flow errors.
     let data = tiny_dataset();
-    let cfg = tiny_cfg().with_ablation(Ablation::without_global());
+    let cfg = tiny_cfg().with_ablation(Ablation::NoGlobal);
     let model = StHsl::new(cfg, &data).unwrap();
     let (g, loss, params) = model.audit_artifacts(&data).unwrap();
     let spec = g.export_tape();

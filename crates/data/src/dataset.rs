@@ -204,20 +204,6 @@ impl CrimeDataset {
         z.map(move |v| v * sigma + mu)
     }
 
-    /// Per-region crime-sequence density degree: the fraction of non-zero
-    /// elements in the region's `[T, C]` crime sequence `X_r` — exactly the
-    /// quantity behind the paper's Figs. 1 and 6.
-    pub fn region_density(&self) -> Vec<f32> {
-        let (r, t, c) = (self.num_regions(), self.num_days(), self.num_categories());
-        (0..r)
-            .map(|ri| {
-                let nonzero =
-                    (0..t * c).filter(|&i| self.tensor.data()[ri * t * c + i] > 0.0).count();
-                nonzero as f32 / (t * c) as f32
-            })
-            .collect()
-    }
-
     /// Ground-truth matrix `[R, C]` for one day.
     pub fn day(&self, day: usize) -> Result<Tensor> {
         self.tensor.slice_axis(1, day, 1)?.reshape(&[self.num_regions(), self.num_categories()])
@@ -287,7 +273,7 @@ mod tests {
         // Most regions should fall in the lowest density band, as in Fig. 1.
         let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(10, 10, 300)).unwrap();
         let ds = CrimeDataset::from_city(&city, DatasetConfig::default()).unwrap();
-        let dens = ds.region_density();
+        let dens = crate::density_degrees(&ds.tensor).unwrap();
         assert_eq!(dens.len(), 100);
         assert!(dens.iter().all(|&d| (0.0..=1.0).contains(&d)));
         // There must be sparse regions (≤ 0.5) — the phenomenon the paper

@@ -131,8 +131,8 @@ pub fn density_bucket(density: f32) -> Option<DensityBucket> {
 }
 
 /// Per-region density degrees of a `[R, T, C]` tensor: the fraction of
-/// non-zero elements in each region's `[T, C]` crime sequence (the paper's
-/// Fig. 1 / Fig. 6 quantity).
+/// non-zero elements in each region's `[T, C]` crime sequence `X_r` (the
+/// paper's Fig. 1 / Fig. 6 quantity; a dataset's is `density_degrees(&data.tensor)`).
 pub fn density_degrees(tensor: &Tensor) -> Result<Vec<f32>> {
     if tensor.ndim() != 3 {
         return Err(TensorError::RankMismatch {

@@ -81,13 +81,6 @@ impl Json {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(i) => Some(*i),
@@ -130,10 +123,6 @@ impl Json {
             Json::Obj(pairs) => Some(pairs),
             _ => None,
         }
-    }
-
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 }
 

@@ -72,11 +72,6 @@ impl TapeProfiler {
         self.state.borrow_mut().last_ns = now;
     }
 
-    /// Distinct `(op, phase)` pairs observed so far.
-    pub fn distinct_ops(&self) -> usize {
-        self.state.borrow().stats.len()
-    }
-
     /// Aggregate into a report keeping the `top_k` hottest rows.
     ///
     /// Ordering is deterministic: total time descending, then op name

@@ -376,16 +376,6 @@ impl Tensor {
         Ok(Tensor { data: self.data.clone(), shape: shape.to_vec() })
     }
 
-    /// Reshape consuming self (no data copy).
-    pub fn into_reshape(mut self, shape: &[usize]) -> Result<Tensor> {
-        let expected: usize = shape.iter().product();
-        if expected != self.data.len() {
-            return Err(TensorError::LengthMismatch { expected, got: self.data.len() });
-        }
-        self.shape = shape.to_vec();
-        Ok(self)
-    }
-
     /// Sum `grad`-style tensor down to `target_shape` by summing over axes
     /// that were broadcast. This is the adjoint of broadcasting and is used by
     /// every binary-op backward pass.

@@ -7,7 +7,7 @@
 //! cargo run --release --example sparse_region_analysis
 //! ```
 
-use sthsl::data::metrics::{density_bucket, DensityBucket};
+use sthsl::data::metrics::{density_bucket, density_degrees, DensityBucket};
 use sthsl::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // Density-degree census (Fig. 1 for this simulated city).
-    let dens = data.region_density();
+    let dens = density_degrees(&data.tensor)?;
     println!("Region density-degree census:");
     for bucket in DensityBucket::all() {
         let n = dens.iter().filter(|&&d| density_bucket(d) == Some(bucket)).count();
@@ -28,8 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Train the full model and the no-SSL ablation.
     let mut full = StHsl::new(StHslConfig::quick(), &data)?;
     full.fit(&data)?;
-    let mut no_ssl =
-        StHsl::new(StHslConfig::quick().with_ablation(Ablation::without_global()), &data)?;
+    let mut no_ssl = StHsl::new(StHslConfig::quick().with_ablation(Ablation::NoGlobal), &data)?;
     no_ssl.fit(&data)?;
 
     // Per-region MAE on the test period, bucketed.

@@ -28,13 +28,13 @@ fn cfg(ablation: Ablation) -> StHslConfig {
 #[test]
 fn every_ablation_variant_trains_and_evaluates() {
     let data = dataset();
-    for (name, ablation) in Ablation::named_variants() {
+    for ablation in Ablation::ALL {
         let mut model = StHsl::new(cfg(ablation), &data).unwrap();
-        let fit = model.fit(&data).unwrap_or_else(|e| panic!("{name}: fit failed: {e}"));
-        assert!(fit.final_loss.is_finite(), "{name}: non-finite loss");
+        let fit = model.fit(&data).unwrap_or_else(|e| panic!("{ablation:?}: fit failed: {e}"));
+        assert!(fit.final_loss.is_finite(), "{ablation:?}: non-finite loss");
         let report = model.evaluate(&data).unwrap();
-        assert!(report.mae_overall().is_finite(), "{name}: bad MAE");
-        assert!(report.mae_overall() < 25.0, "{name}: absurd MAE {}", report.mae_overall());
+        assert!(report.mae_overall().is_finite(), "{ablation:?}: bad MAE");
+        assert!(report.mae_overall() < 25.0, "{ablation:?}: absurd MAE {}", report.mae_overall());
     }
 }
 
@@ -44,15 +44,11 @@ fn full_model_is_not_dominated_by_ablations() {
     // full model must beat the *average* of the SSL ablations — the paper's
     // central Table IV finding in aggregate form.
     let data = dataset();
-    let mut full = StHsl::new(cfg(Ablation::full()), &data).unwrap();
+    let mut full = StHsl::new(cfg(Ablation::Full), &data).unwrap();
     full.fit(&data).unwrap();
     let full_mae = full.evaluate(&data).unwrap().mae_overall();
 
-    let ssl_variants = [
-        Ablation::without_hypergraph(),
-        Ablation::without_contrastive(),
-        Ablation::without_global(),
-    ];
+    let ssl_variants = [Ablation::NoHypergraph, Ablation::NoLocal, Ablation::NoGlobal];
     let mut sum = 0.0f64;
     for ab in ssl_variants {
         let mut m = StHsl::new(cfg(ab), &data).unwrap();
@@ -72,7 +68,7 @@ fn ablation_flags_change_parameter_usage() {
     // model; "w/o Global"-style variants still allocate (but don't use) the
     // hypergraph. Parameter counts expose the wiring differences.
     let data = dataset();
-    let full = StHsl::new(cfg(Ablation::full()), &data).unwrap();
-    let fusion = StHsl::new(cfg(Ablation::fusion_without_contrastive()), &data).unwrap();
+    let full = StHsl::new(cfg(Ablation::Full), &data).unwrap();
+    let fusion = StHsl::new(cfg(Ablation::Fusion), &data).unwrap();
     assert!(fusion.num_parameters() > full.num_parameters());
 }

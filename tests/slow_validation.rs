@@ -68,9 +68,9 @@ fn hypergraph_is_the_largest_ssl_contributor() {
         m.fit(&data).unwrap();
         m.evaluate(&data).unwrap().mae_overall()
     };
-    let full = run(Ablation::full());
-    let no_hyper = run(Ablation::without_hypergraph());
-    let no_infomax = run(Ablation::without_infomax());
+    let full = run(Ablation::Full);
+    let no_hyper = run(Ablation::NoHypergraph);
+    let no_infomax = run(Ablation::NoInfomax);
     assert!(full < no_hyper, "full {full:.4} vs w/o Hyper {no_hyper:.4}");
     assert!(
         (no_hyper - full) > (no_infomax - full) - 0.02,
